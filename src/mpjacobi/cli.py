@@ -41,7 +41,7 @@ def _cmd_solve(args):
     if args.track_optimum:
         oracle = global_solve_oracle(problem)
     cfg = SolverConfig(tau=tau, max_rounds=args.max_rounds, tol_x=args.tol,
-                       seed=args.seed, track_oracle=oracle)
+                       track_oracle=oracle)
     trace = mp_jacobi(problem, partition, cfg)
     out = Path(args.out) if args.out else None
     if out:

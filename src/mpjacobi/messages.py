@@ -12,6 +12,14 @@ Update rules implemented here:
   * hypergraph factor-to-variable messages with the variable-side
     aggregates they consume.
 
+The first-order, structured-quadratic and partial-linearization rules and
+``struct_solve`` accept leading batch axes: every argument may carry the
+same leading shape (one entry per directed edge), and a QuadraticMessage
+in ``incoming`` may hold batched (..., d, d) / (..., d) arrays, typically
+the sender's sum over its other in-edges. The pairwise solvers call each
+rule once per round on (E, d, d) / (E, d) message arrays; a single call is
+the batch-free case.
+
 The linear parts of the Schur and partial-linearization recursions are
 derived once from the defining partial minimizations (see the docstrings),
 and are covered by brute-force minimization oracles in the tests.
@@ -49,24 +57,30 @@ def is_diagonal(A, tol=0.0):
 
 
 def struct_solve(A, rhs):
-    """Solve A @ X = rhs, preserving exact zeros when A is exactly diagonal.
+    """Solve A @ X = rhs over any leading batch axes of A (..., d, d).
 
-    Keeps diagonal message families exactly diagonal instead of merely
-    numerically diagonal.
+    ``rhs`` is a vector (..., d) or a matrix (..., d, k). A batch whose
+    matrices are all exactly diagonal is solved by division, so diagonal
+    message families stay exactly diagonal instead of merely numerically
+    diagonal.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape[0] == 1:
-        if A[0, 0] == 0.0:
-            raise np.linalg.LinAlgError("singular 1x1 system")
-        return rhs / A[0, 0]
-    if is_diagonal(A):
-        diag = np.diag(A)
+    rhs = np.asarray(rhs, dtype=float)
+    vector = rhs.ndim == A.ndim - 1
+    b = rhs[..., None] if vector else rhs
+    diag = np.diagonal(A, axis1=-2, axis2=-1)
+    if not np.any(A - diag[..., None] * np.eye(A.shape[-1])):
         if np.any(diag == 0.0):
             raise np.linalg.LinAlgError("singular diagonal system")
-        if rhs.ndim == 1:
-            return rhs / diag
-        return rhs / diag[:, None]
-    return np.linalg.solve(A, rhs)
+        X = b / diag[..., None]
+    else:
+        X = np.linalg.solve(A, b)
+    return X[..., 0] if vector else X
+
+
+def _mv(A, x):
+    """Batched matrix-vector product A @ x over leading axes."""
+    return np.einsum("...ij,...j->...i", A, x)
 
 
 @dataclass(frozen=True)
@@ -130,15 +144,6 @@ class MessageSet:
 
     def keys(self):
         return self.cur.keys()
-
-    def dump_rows(self, round_index):
-        """Debug CSV rows: (round, src, dst, ||H||_F, ||h||)."""
-        rows = []
-        for k, msg in sorted(self.cur.items(), key=lambda kv: str(kv[0])):
-            src, dst = k
-            rows.append((round_index, src, dst,
-                         float(np.linalg.norm(msg.H)), float(np.linalg.norm(msg.h))))
-        return rows
 
 
 @dataclass
@@ -223,8 +228,8 @@ def first_order_message(grad_i_psi):
     """Affine message carrying the receiver-side coupling gradient at the
     current references: mu(x_i) ~ <grad_i psi_ij(x_i^nu, x_j^nu), x_i>.
     """
-    g = np.asarray(grad_i_psi, dtype=float)
-    return QuadraticMessage(np.zeros((g.shape[0], g.shape[0])), g.copy())
+    g = np.array(grad_i_psi, dtype=float)
+    return QuadraticMessage(np.zeros(g.shape + g.shape[-1:]), g)
 
 
 def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
@@ -240,22 +245,25 @@ def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
               + sum_out grad_j psi_jk(ref):
         h_msg = grad_i psi_ij(ref) - M_ij S^{-1} c_u - H_msg x_i^ref.
     """
-    S = np.array(Q_j, dtype=float, copy=True) + M_j
+    S = np.asarray(Q_j, dtype=float) + M_j
     c_u = (np.asarray(grad_phi_j, dtype=float)
            + np.asarray(grad_j_psi, dtype=float))
     for msg in incoming:
         S = S + msg.H
-        c_u = c_u + msg.H @ x_j_ref + msg.h
+        c_u = c_u + _mv(msg.H, x_j_ref) + msg.h
     if boundary_grad is not None:
         c_u = c_u + boundary_grad
-    rhs = np.concatenate([M_ij.T, c_u.reshape(-1, 1)], axis=1)
+    d = c_u.shape[-1]
+    M_ij = np.asarray(M_ij, dtype=float)
+    rhs = np.concatenate([np.broadcast_to(np.swapaxes(M_ij, -1, -2), S.shape),
+                          c_u[..., None]], axis=-1)
     try:
         X = struct_solve(S, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularInnerMatrix(str(exc)) from exc
-    d = c_u.shape[0]
-    H_msg = M_i - M_ij @ X[:, :d]
-    h_msg = np.asarray(grad_i_psi, dtype=float) - M_ij @ X[:, d] - H_msg @ x_i_ref
+    H_msg = M_i - M_ij @ X[..., :d]
+    h_msg = (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, X[..., d])
+             - _mv(H_msg, x_i_ref))
     return QuadraticMessage(H_msg, h_msg)
 
 
@@ -269,21 +277,28 @@ def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
     aggregate ell = grad f_i(x_i^nu) - Q_i x_i^nu + sum h_in + boundary_lin
     (boundary_lin collects -(w_ik/gamma) x_k^nu over out-neighbors):
         h_msg = (w_ij/gamma) S^{-1} ell.
+    The weights w_ii and w_ij may be arrays over the batch axes.
     """
-    d = x_i_ref.shape[0]
-    S = np.array(Q_i, dtype=float, copy=True) + ((1.0 - w_ii) / gamma) * np.eye(d)
-    ell = np.asarray(grad_f_i, dtype=float) - Q_i @ x_i_ref
+    Q_i = np.asarray(Q_i, dtype=float)
+    d = Q_i.shape[-1]
+    eye = np.eye(d)
+    self_weight = (1.0 - np.asarray(w_ii, dtype=float)) / gamma
+    S = Q_i + self_weight[..., None, None] * eye
+    ell = np.asarray(grad_f_i, dtype=float) - _mv(Q_i, x_i_ref)
     for msg in incoming:
         S = S + msg.H
         ell = ell + msg.h
     if boundary_lin is not None:
         ell = ell + boundary_lin
+    rhs = np.concatenate([np.broadcast_to(eye, S.shape), ell[..., None]],
+                         axis=-1)
     try:
-        X = struct_solve(S, np.concatenate([np.eye(d), ell.reshape(d, 1)], axis=1))
+        X = struct_solve(S, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularInnerMatrix(str(exc)) from exc
-    H_msg = -(w_ij ** 2 / gamma ** 2) * X[:, :d]
-    h_msg = (w_ij / gamma) * X[:, d]
+    w_ij = np.asarray(w_ij, dtype=float)
+    H_msg = -(w_ij ** 2 / gamma ** 2)[..., None, None] * X[..., :d]
+    h_msg = (w_ij / gamma)[..., None] * X[..., d]
     return QuadraticMessage(H_msg, h_msg)
 
 
@@ -368,10 +383,3 @@ def diagonalize_message(msg, x_ref):
     Hd = np.diag(np.diag(msg.H))
     h = msg.grad(x_ref) - Hd @ x_ref
     return QuadraticMessage(Hd, h)
-
-
-def messages_to_csv(rows):
-    out = ["round,src,dst,H_fro,h_norm"]
-    for r in rows:
-        out.append(f"{r[0]},{r[1]},{r[2]},{r[3]:.17g},{r[4]:.17g}")
-    return "\n".join(out) + "\n"

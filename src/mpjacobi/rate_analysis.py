@@ -486,7 +486,7 @@ def grid_partition_optimizer(m, template=None):
         p = mm - D * ss
         A1 = (2 * t.L_cluster + t.mu_cluster) * t.L_boundary ** 2 * (D + 1) * D \
             / (4 * t.mu_cluster ** 2)
-        A_J = (2 if D <= ss - 2 else 2) * A1
+        A_J = 2 * A1
         I = 1.0 / p
         II = 2.0 * kappa / (2 * D + 1)
         III = math.sqrt(t.mu_cluster / (8 * (2 * D + 1) * A_J))

@@ -4,7 +4,9 @@ baselines, and theorem-driven stepsize selection.
 
 Synchronous round semantics: every update in round nu reads the committed
 round-nu snapshot (iterates and messages); results are independent of the
-update order within a round.
+update order within a round. One driver, :func:`_drive`, runs the rounds
+of every solver that takes a :class:`SolverConfig`; each engine supplies
+only its round.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .messages import (
     diagonalize_message,
     first_order_message,
     hyper_factor_message,
-    is_diagonal,
     schur_message_update,
     struct_solve,
     SurrogateSpec,
@@ -32,8 +33,8 @@ from .objective import (
     CtaProblem,
     NotQuadratic,
     QuadraticObjective,
-    SmoothObjective,
     as_blocks,
+    check_block_vector,
 )
 
 
@@ -53,13 +54,17 @@ class InfeasibleCondition(SolverError):
     pass
 
 
+class PartitionMismatch(SolverError):
+    """The partition does not fit the problem: node counts differ or an
+    intra-cluster edge carries no coupling."""
+
+
 @dataclass
 class SolverConfig:
     tau: object = 1.0               # float, per-cluster array, or schedule callable
     max_rounds: int = 10000
     tol_x: float = 1e-12            # sup-norm of the iterate increment
     tol_grad: float = None
-    seed: int = 0
     surrogate: SurrogateSpec = None
     factor_impl: str = "hosted_factor"   # or 'factor_processor'
     message_init: str = "zero"           # or 'warm_start'
@@ -118,100 +123,7 @@ class RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# pairwise engines
-
-
-class _PairwiseLayout:
-    """Index arrays for batched pairwise rounds on a tree partition."""
-
-    def __init__(self, problem, partition):
-        self.m, self.d = problem.m, problem.d
-        senders, receivers, blocks = [], [], []
-        key_of = {}
-        for r, edges in enumerate(partition.intra_edges):
-            for (a, b) in sorted(edges):
-                for (s, t) in ((a, b), (b, a)):
-                    key_of[(s, t)] = len(senders)
-                    senders.append(s)
-                    receivers.append(t)
-                    blocks.append(problem.coupling(t, s))
-        self.senders = np.array(senders, dtype=int)
-        self.receivers = np.array(receivers, dtype=int)
-        self.B = (np.stack(blocks) if blocks
-                  else np.zeros((0, self.d, self.d)))
-        self.rev = np.array([key_of[(receivers[e], senders[e])]
-                             for e in range(len(senders))], dtype=int)
-        self.key_of = key_of
-        self.n_edges = len(senders)
-
-        csrc, cdst, cblocks = [], [], []
-        intra_pairs = {e for edges in partition.intra_edges for e in edges}
-        for (i, j) in sorted(problem.graph_edges()):
-            if (i, j) in intra_pairs:
-                continue
-            csrc.append(i); cdst.append(j); cblocks.append(problem.coupling(i, j))
-            csrc.append(j); cdst.append(i); cblocks.append(problem.coupling(j, i))
-        self.csrc = np.array(csrc, dtype=int)
-        self.cdst = np.array(cdst, dtype=int)
-        self.CB = (np.stack(cblocks) if cblocks
-                   else np.zeros((0, self.d, self.d)))
-        self.tau_node = None  # filled by the solver
-
-    def cross_lin(self, x):
-        out = np.zeros((self.m, self.d))
-        if len(self.csrc):
-            np.add.at(out, self.csrc, np.einsum("cde,ce->cd", self.CB, x[self.cdst]))
-        return out
-
-    def record_comm(self, H_msg):
-        """Vectors sent this round: one per directed cross incidence for the
-        iterates, plus per-message cost (matrix counts d, diagonal 1, zero 0,
-        plus one vector for the linear part).
-        """
-        return len(self.csrc) + _edge_message_cost(H_msg, self.d)
-
-
-def _exact_round(problem, lay, H_msg, h_msg, x, tau_node, update_x=True):
-    """One synchronous round of exact quadratic message passing."""
-    inH = problem.diag.copy()
-    inh = problem.lin + lay.cross_lin(x)
-    if lay.n_edges:
-        np.add.at(inH, lay.receivers, H_msg)
-        np.add.at(inh, lay.receivers, h_msg)
-    x_next = x
-    if update_x:
-        try:
-            xhat = -np.linalg.solve(inH, inh[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedSubproblem(f"variable update: {exc}") from exc
-        x_next = x + tau_node[:, None] * (xhat - x)
-    else:
-        xhat = None
-    if lay.n_edges:
-        A = inH[lay.senders] - H_msg[lay.rev]
-        c = inh[lay.senders] - h_msg[lay.rev]
-        rhs = np.concatenate([np.transpose(lay.B, (0, 2, 1)), c[..., None]], axis=2)
-        try:
-            X = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSenderCurvature(f"message update: {exc}") from exc
-        H_new = -np.matmul(lay.B, X[:, :, :problem.d])
-        H_new = 0.5 * (H_new + np.transpose(H_new, (0, 2, 1)))
-        h_new = -np.matmul(lay.B, X[:, :, problem.d:])[..., 0]
-    else:
-        H_new, h_new = H_msg, h_msg
-    return x_next, xhat, H_new, h_new
-
-
-def _warm_start_messages(problem, lay, x0, sweeps):
-    d = problem.d
-    H_msg = np.zeros((lay.n_edges, d, d))
-    h_msg = np.zeros((lay.n_edges, d))
-    tau0 = np.zeros(problem.m)
-    for _ in range(sweeps):
-        _, _, H_msg, h_msg = _exact_round(problem, lay, H_msg, h_msg, x0,
-                                          tau0, update_x=False)
-    return H_msg, h_msg
+# the round driver
 
 
 def _tau_per_node(partition, config):
@@ -219,7 +131,188 @@ def _tau_per_node(partition, config):
     taus = np.array([config.tau_for_cluster(r, p) for r in range(p)])
     if np.any(taus < 0):
         raise SolverError("stepsizes must be nonnegative")
-    return taus[np.array(partition.cluster_of)], taus
+    return taus[np.array(partition.cluster_of)]
+
+
+def _diverged(x):
+    """Iterates that are non-finite or exceed 1e12 in magnitude."""
+    return not np.all(np.isfinite(x)) or float(np.max(np.abs(x), initial=0.0)) > 1e12
+
+
+def _drive(problem, partition, config, x0, start):
+    """Run synchronous rounds until a stopping rule fires.
+
+    ``start(x)`` receives the checked initial iterate and returns the
+    engine's round ``step(x) -> (xhat, vectors)``: the local minimizers
+    computed from the committed round-nu state and the vectors sent in the
+    round. ``step`` advances the engine's own message state. The driver
+    damps every node by its cluster stepsize, records the trace and applies
+    the tol_x, tol_grad, divergence and ``raise_on_max_rounds`` rules.
+    """
+    m, d = problem.m, problem.d
+    if x0 is None:
+        x = np.zeros((m, d))
+    else:
+        x = check_block_vector(as_blocks(x0, m, d)).copy()
+    tau_node = _tau_per_node(partition, config)
+    step = start(x)
+    oracle = config.track_oracle
+    trace = RunTrace()
+    if config.monitor:
+        trace.x_history, trace.xhat_history = [x.copy()], []
+    comm = 0
+    trace.record(problem, x, comm, oracle)
+    for k in range(config.max_rounds):
+        xhat, sent = step(x)
+        comm += sent
+        x_new = x + tau_node[:, None] * (xhat - x)
+        change = float(np.max(np.abs(x_new - x))) if x.size else 0.0
+        x = x_new
+        trace.record(problem, x, comm, oracle)
+        if config.monitor:
+            trace.x_history.append(x.copy())
+            trace.xhat_history.append(xhat.copy())
+        trace.rounds = k + 1
+        if change <= config.tol_x or (config.tol_grad is not None
+                                      and trace.grad_norm[-1] <= config.tol_grad):
+            trace.converged = True
+            break
+        if _diverged(x):
+            trace.diverged = True
+            break
+    trace.x_final = x
+    if not trace.converged and config.raise_on_max_rounds:
+        why = "diverged" if trace.diverged else "no convergence"
+        raise NonConvergent(f"{why} after {trace.rounds} rounds")
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# pairwise engines
+
+
+class _PairwiseLayout:
+    """Directed incidences of a tree partition on a pairwise problem.
+
+    Intra-cluster edge e carries the message senders[e] -> receivers[e] and
+    rev[e] is its reverse edge. Cross incidence c lets node csrc[c] read the
+    frozen iterate of its out-of-cluster neighbor cdst[c]; every cross edge
+    appears in both orientations.
+    """
+
+    def __init__(self, problem, partition):
+        self.m, self.d = problem.m, problem.d
+        if len(partition.cluster_of) != self.m:
+            raise PartitionMismatch(f"partition has {len(partition.cluster_of)} "
+                                    f"nodes, problem has {self.m}")
+        edges = problem.graph_edges()
+        directed = []
+        for cluster_edges in partition.intra_edges:
+            for (a, b) in sorted(cluster_edges):
+                if (a, b) not in edges:
+                    raise PartitionMismatch(f"intra-cluster edge {(a, b)} has "
+                                            "no coupling in the problem")
+                directed += [(a, b), (b, a)]
+        key_of = {e: k for k, e in enumerate(directed)}
+        self.directed = directed
+        self.n_edges = len(directed)
+        self.senders = np.array([s for s, _ in directed], dtype=int)
+        self.receivers = np.array([t for _, t in directed], dtype=int)
+        self.rev = np.array([key_of[(t, s)] for s, t in directed], dtype=int)
+        cross = sorted(edges - set(key_of))
+        self.csrc = np.array([v for (i, j) in cross for v in (i, j)], dtype=int)
+        self.cdst = np.array([v for (i, j) in cross for v in (j, i)], dtype=int)
+
+    def to_nodes(self, idx, vals):
+        """Sum per-incidence values into their nodes idx."""
+        out = np.zeros((self.m,) + vals.shape[1:])
+        np.add.at(out, idx, vals)
+        return out
+
+    def incoming(self, H_msg, h_msg):
+        """The sender's sum over its other in-edges for every edge e: the
+        node sum of messages at senders[e] minus the reverse message."""
+        H_node = self.to_nodes(self.receivers, H_msg)
+        h_node = self.to_nodes(self.receivers, h_msg)
+        return QuadraticMessage(H_node[self.senders] - H_msg[self.rev],
+                                h_node[self.senders] - h_msg[self.rev])
+
+    def vectors(self, H_msg):
+        """Vectors sent in one round: one per directed cross incidence for
+        the iterates, plus per message its matrix (d if dense, 1 if
+        diagonal, 0 if zero) and one vector for the linear part.
+        """
+        E, d = self.n_edges, self.d
+        if E == 0:
+            return len(self.csrc)
+        nonzero = np.any(H_msg.reshape(E, -1), axis=1)
+        has_off = np.any((H_msg * (1.0 - np.eye(d))).reshape(E, -1), axis=1)
+        mat_cost = np.where(~nonzero, 0, np.where(has_off, d, 1))
+        return len(self.csrc) + int(mat_cost.sum()) + E
+
+
+def _blocks(problem, rows, cols):
+    """Stacked oriented couplings B with psi_ij = <B x_j, x_i>, (i, j) =
+    (rows[e], cols[e])."""
+    d = problem.d
+    return np.array([problem.coupling(i, j) for i, j in zip(rows, cols)],
+                    dtype=float).reshape(-1, d, d)
+
+
+def _pair_grads(problem, rows, cols):
+    """x -> stacked grad_{x_i} psi_ij(x_i, x_j) over the directed pairs
+    (i, j) = (rows[e], cols[e]): one einsum on quadratics, the pair
+    callbacks of a SmoothObjective otherwise."""
+    if isinstance(problem, QuadraticObjective):
+        B = _blocks(problem, rows, cols)
+        return lambda x: np.einsum("eij,ej->ei", B, x[cols])
+
+    def grads(x):
+        out = np.zeros((len(rows), problem.d))
+        for e, (i, j) in enumerate(zip(rows, cols)):
+            out[e] = problem.pair_grad_first(i, j, x[i], x[j])
+        return out
+
+    return grads
+
+
+def _node_grads(problem, x):
+    """Stacked grad phi_i(x_i) of the node terms."""
+    if isinstance(problem, QuadraticObjective):
+        return np.einsum("ikl,il->ik", problem.diag, x) + problem.lin
+    return np.stack([np.asarray(problem.phi[i][1](x[i]), dtype=float)
+                     for i in range(problem.m)])
+
+
+def _zero_messages(lay):
+    return np.zeros((lay.n_edges, lay.d, lay.d)), np.zeros((lay.n_edges, lay.d))
+
+
+def _exact_node_sums(problem, lay, cross, H_msg, h_msg, x):
+    """Per-node curvature and linear aggregates of the exact round."""
+    inH = problem.diag.copy()
+    inh = problem.lin + lay.to_nodes(lay.csrc, cross(x))
+    np.add.at(inH, lay.receivers, H_msg)
+    np.add.at(inh, lay.receivers, h_msg)
+    return inH, inh
+
+
+def _exact_messages(lay, B, inH, inh, H_msg, h_msg):
+    """Exact min-sum refresh of every intra-cluster message at once."""
+    if not lay.n_edges:
+        return H_msg, h_msg
+    d = lay.d
+    A = inH[lay.senders] - H_msg[lay.rev]
+    c = inh[lay.senders] - h_msg[lay.rev]
+    rhs = np.concatenate([np.transpose(B, (0, 2, 1)), c[..., None]], axis=2)
+    try:
+        X = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSenderCurvature(f"message update: {exc}") from exc
+    H_new = -np.matmul(B, X[:, :, :d])
+    H_new = 0.5 * (H_new + np.transpose(H_new, (0, 2, 1)))
+    h_new = -np.matmul(B, X[:, :, d:])[..., 0]
+    return H_new, h_new
 
 
 def mp_jacobi(problem, partition, config=None, x0=None):
@@ -228,66 +321,41 @@ def mp_jacobi(problem, partition, config=None, x0=None):
     Per round every agent solves its local minimization from the round-nu
     messages and out-of-cluster iterates, damps by the cluster stepsize, and
     every directed intra-cluster edge refreshes its message from the same
-    snapshot.
+    snapshot. ``message_init='warm_start'`` first runs max-diameter sweeps
+    of message updates at x0.
     """
     config = config or SolverConfig()
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
     lay = _PairwiseLayout(problem, partition)
-    tau_node, _ = _tau_per_node(partition, config)
-    m, d = problem.m, problem.d
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
+    B = _blocks(problem, lay.receivers, lay.senders)
+    cross = _pair_grads(problem, lay.csrc, lay.cdst)
+    H_msg, h_msg = _zero_messages(lay)
 
-    if config.message_init == "warm_start":
-        H_msg, h_msg = _warm_start_messages(problem, lay, x, partition.max_diameter)
-    else:
-        H_msg = np.zeros((lay.n_edges, d, d))
-        h_msg = np.zeros((lay.n_edges, d))
+    def start(x0):
+        nonlocal H_msg, h_msg
+        if config.message_init == "warm_start":
+            for _ in range(partition.max_diameter):
+                sums = _exact_node_sums(problem, lay, cross, H_msg, h_msg, x0)
+                H_msg, h_msg = _exact_messages(lay, B, *sums, H_msg, h_msg)
+        return step
 
-    trace = RunTrace()
-    if config.monitor:
-        trace.x_history = [x.copy()]
-        trace.xhat_history = []
-    comm = 0
-    oracle = config.track_oracle
-    trace.record(problem, x, comm, oracle)
-    for k in range(config.max_rounds):
-        x_new, xhat, H_msg, h_msg = _exact_round(problem, lay, H_msg, h_msg,
-                                                 x, tau_node)
-        comm += lay.record_comm(H_msg)
-        step = float(np.max(np.abs(x_new - x))) if x.size else 0.0
-        x = x_new
-        trace.record(problem, x, comm, oracle)
-        if config.monitor:
-            trace.x_history.append(x.copy())
-            trace.xhat_history.append(xhat.copy())
-        trace.rounds = k + 1
-        if step <= config.tol_x:
-            trace.converged = True
-            break
-        if config.tol_grad is not None and trace.grad_norm[-1] <= config.tol_grad:
-            trace.converged = True
-            break
-    if not trace.converged and config.raise_on_max_rounds:
-        raise NonConvergent(f"no convergence in {config.max_rounds} rounds")
-    trace.x_final = x
+    def step(x):
+        nonlocal H_msg, h_msg
+        inH, inh = _exact_node_sums(problem, lay, cross, H_msg, h_msg, x)
+        try:
+            xhat = -np.linalg.solve(inH, inh[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise IllPosedSubproblem(f"variable update: {exc}") from exc
+        H_msg, h_msg = _exact_messages(lay, B, inH, inh, H_msg, h_msg)
+        return xhat, lay.vectors(H_msg)
+
+    trace = _drive(problem, partition, config, x0, start)
+    trace.monitor = (H_msg, h_msg, lay.directed)
     return trace
 
 
 # -- surrogate pairwise -----------------------------------------------------
-
-
-def _pair_grad(problem, i, j, xi, xj):
-    """grad_{x_i} psi_ij at (x_i, x_j) for either problem representation."""
-    if isinstance(problem, QuadraticObjective):
-        return problem.coupling(i, j) @ xj
-    return problem.pair_grad_first(i, j, xi, xj)
-
-
-def _phi_grad(problem, i, xi):
-    if isinstance(problem, QuadraticObjective):
-        return problem.diag[i] @ xi + problem.lin[i]
-    return np.asarray(problem.phi[i][1](xi), dtype=float)
 
 
 def mp_jacobi_surrogate(problem, partition, config=None, x0=None):
@@ -296,68 +364,39 @@ def mp_jacobi_surrogate(problem, partition, config=None, x0=None):
     family='exact' delegates to :func:`mp_jacobi` (bit-identical updates).
     'first_order' works on quadratic and smooth pairwise problems;
     'schur_quadratic' needs quadratic couplings; 'partial_linearization'
-    expects a lifted consensus problem (:class:`CtaProblem`).
+    expects a lifted consensus problem (:class:`CtaProblem`). Every family
+    runs on the same directed-edge layout and driver, and each calls its
+    message rule once per round on (E, d, d) / (E, d) message arrays;
+    ``trace.monitor`` holds the final (H_msg, h_msg, directed_edges).
     """
     config = config or SolverConfig()
     spec = config.surrogate or SurrogateSpec()
     if spec.family == "exact":
         return mp_jacobi(problem, partition, config, x0)
-    if spec.family == "partial_linearization":
-        return _cta_partial_linearization_run(problem, partition, config, x0, spec)
-    if spec.family == "first_order":
-        return _first_order_run(problem, partition, config, x0, spec)
-    if spec.family == "schur_quadratic":
-        return _schur_run(problem, partition, config, x0, spec)
-    raise SolverError(f"unsupported family {spec.family!r}")
-
-
-def _directed_intra(partition):
-    out = []
-    for edges in partition.intra_edges:
-        for (a, b) in sorted(edges):
-            out.append((a, b))
-            out.append((b, a))
-    return out
+    engines = {"first_order": _first_order_run,
+               "schur_quadratic": _schur_run,
+               "partial_linearization": _cta_partial_linearization_run}
+    if spec.family not in engines:
+        raise SolverError(f"unsupported family {spec.family!r}")
+    return engines[spec.family](problem, partition, config, x0, spec)
 
 
 def _first_order_run(problem, partition, config, x0, spec):
-    m = problem.m
-    d = problem.d
-    alpha = spec.alpha
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    tau_node, _ = _tau_per_node(partition, config)
-    dir_edges = _directed_intra(partition)
-    msgs = MessageSet([(s, t) for (s, t) in dir_edges], d)
-    cross = [(i, k) for i in range(m) for k in partition.n_out[i]]
+    lay = _PairwiseLayout(problem, partition)
+    cross = _pair_grads(problem, lay.csrc, lay.cdst)
+    to_receiver = _pair_grads(problem, lay.receivers, lay.senders)
+    H_msg, h_msg = _zero_messages(lay)
 
-    trace = RunTrace()
-    comm = 0
-    oracle = config.track_oracle
-    trace.record(problem, x, comm, oracle)
-    for k in range(config.max_rounds):
-        grads = np.zeros((m, d))
-        for i in range(m):
-            grads[i] = _phi_grad(problem, i, x[i])
-        for (i, kk) in cross:
-            grads[i] += _pair_grad(problem, i, kk, x[i], x[kk])
-        for (s, t) in dir_edges:
-            grads[t] += msgs.get((s, t)).h
-        xhat = x - alpha * grads
-        for (s, t) in dir_edges:
-            msgs.put((s, t), first_order_message(_pair_grad(problem, t, s, x[t], x[s])))
-            comm += 1
-        comm += len(cross)
-        x_new = x + tau_node[:, None] * (xhat - x)
-        msgs.commit()
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        trace.record(problem, x, comm, oracle)
-        trace.rounds = k + 1
-        if step <= config.tol_x or (config.tol_grad is not None
-                                    and trace.grad_norm[-1] <= config.tol_grad):
-            trace.converged = True
-            break
-    trace.x_final = x
+    def step(x):
+        nonlocal H_msg, h_msg
+        grads = (_node_grads(problem, x) + lay.to_nodes(lay.csrc, cross(x))
+                 + lay.to_nodes(lay.receivers, h_msg))
+        msg = first_order_message(to_receiver(x))
+        H_msg, h_msg = msg.H, msg.h
+        return x - spec.alpha * grads, lay.vectors(H_msg)
+
+    trace = _drive(problem, partition, config, x0, lambda x0: step)
+    trace.monitor = (H_msg, h_msg, lay.directed)
     return trace
 
 
@@ -369,17 +408,19 @@ def delayed_gradient_reference(problem, partition, config, x0, alpha):
     m, d = problem.m, problem.d
     x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
     x_prev = None
-    tau_node, _ = _tau_per_node(partition, config)
+    tau_node = _tau_per_node(partition, config)
+    out_i, out_k = np.array([(i, k) for i in range(m) for k in partition.n_out[i]],
+                            dtype=int).reshape(-1, 2).T
+    in_i, in_j = np.array([(i, j) for i in range(m) for j in partition.n_in[i]],
+                          dtype=int).reshape(-1, 2).T
+    frozen = _pair_grads(problem, out_i, out_k)
+    delayed = _pair_grads(problem, in_i, in_j)
     iterates = [x.copy()]
     for _ in range(config.max_rounds):
-        g = np.zeros((m, d))
-        for i in range(m):
-            g[i] = _phi_grad(problem, i, x[i])
-            for kk in partition.n_out[i]:
-                g[i] += _pair_grad(problem, i, kk, x[i], x[kk])
-            if x_prev is not None:
-                for j in partition.n_in[i]:
-                    g[i] += _pair_grad(problem, i, j, x_prev[i], x_prev[j])
+        g = _node_grads(problem, x)
+        np.add.at(g, out_i, frozen(x))
+        if x_prev is not None:
+            np.add.at(g, in_i, delayed(x_prev))
         xhat = x - alpha * g
         x_prev = x
         x = x + tau_node[:, None] * (xhat - x)
@@ -390,173 +431,86 @@ def delayed_gradient_reference(problem, partition, config, x0, alpha):
 def _schur_run(problem, partition, config, x0, spec):
     if not isinstance(problem, QuadraticObjective):
         raise NotQuadratic("schur_quadratic family needs quadratic couplings")
+    lay = _PairwiseLayout(problem, partition)
     m, d = problem.m, problem.d
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    tau_node, _ = _tau_per_node(partition, config)
-    dir_edges = _directed_intra(partition)
-    msgs = MessageSet(dir_edges, d)
-    in_edges = [[] for _ in range(m)]
-    for (s, t) in dir_edges:
-        in_edges[t].append(s)
-    cross = [(i, k) for i in range(m) for k in partition.n_out[i]]
+    s, t = lay.senders, lay.receivers
+    cross = _pair_grads(problem, lay.csrc, lay.cdst)
+    to_sender = _pair_grads(problem, s, t)
+    to_receiver = _pair_grads(problem, t, s)
+    n_out = np.bincount(lay.csrc, minlength=m)[:, None, None]
+    Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
+    Mn = np.stack([spec.node_matrix("M", i, d) for i in range(m)])
+    M_edge = np.array([spec.edge_matrix(a, b, d) for a, b in lay.directed],
+                      dtype=float).reshape(-1, d, d)
+    H_msg, h_msg = _zero_messages(lay)
 
-    Q = [spec.node_matrix("Q", i, d) for i in range(m)]
-    Mn = [spec.node_matrix("M", i, d) for i in range(m)]
+    def step(x):
+        nonlocal H_msg, h_msg
+        grad_phi = _node_grads(problem, x)
+        boundary = lay.to_nodes(lay.csrc, cross(x))
+        if config.exact_variable_update:
+            G = problem.diag.copy()
+            g = problem.lin + boundary
+        else:
+            G = Q + n_out * Mn
+            g = grad_phi - np.einsum("ikl,il->ik", G, x) + boundary
+        G = G + lay.to_nodes(t, H_msg)
+        g = g + lay.to_nodes(t, h_msg)
+        try:
+            xhat = -struct_solve(G, g)
+        except np.linalg.LinAlgError as exc:
+            raise IllPosedSubproblem(str(exc)) from exc
+        msg = schur_message_update(
+            Q_j=Q[s], M_j=Mn[s], M_i=Mn[t], M_ij=M_edge,
+            grad_phi_j=grad_phi[s], grad_j_psi=to_sender(x),
+            grad_i_psi=to_receiver(x), x_j_ref=x[s], x_i_ref=x[t],
+            incoming=[lay.incoming(H_msg, h_msg)], boundary_grad=boundary[s])
+        H_msg, h_msg = msg.H, msg.h
+        return xhat, lay.vectors(H_msg)
 
-    trace = RunTrace()
-    comm = 0
-    oracle = config.track_oracle
-    trace.record(problem, x, comm, oracle)
-    for k in range(config.max_rounds):
-        xhat = np.zeros((m, d))
-        for i in range(m):
-            if config.exact_variable_update:
-                G = problem.diag[i].copy()
-                g = problem.lin[i].copy()
-            else:
-                G = Q[i].copy()
-                g = _phi_grad(problem, i, x[i]) - Q[i] @ x[i]
-            for s in in_edges[i]:
-                msg = msgs.get((s, i))
-                G = G + msg.H
-                g = g + msg.h
-            for kk in partition.n_out[i]:
-                if config.exact_variable_update:
-                    g = g + problem.coupling(i, kk) @ x[kk]
-                else:
-                    G = G + Mn[i]
-                    g = g + _pair_grad(problem, i, kk, x[i], x[kk]) - Mn[i] @ x[i]
-            xhat[i] = -struct_solve(G, g)
-        for (s, t) in dir_edges:
-            M_st = spec.edge_matrix(s, t, d)
-            boundary = np.zeros(d)
-            for kk in partition.n_out[s]:
-                boundary += _pair_grad(problem, s, kk, x[s], x[kk])
-            new = schur_message_update(
-                Q_j=Q[s], M_j=Mn[s], M_i=Mn[t], M_ij=M_st,
-                grad_phi_j=_phi_grad(problem, s, x[s]),
-                grad_j_psi=_pair_grad(problem, s, t, x[s], x[t]),
-                grad_i_psi=_pair_grad(problem, t, s, x[t], x[s]),
-                x_j_ref=x[s], x_i_ref=x[t],
-                incoming=[msgs.get((u, s)) for u in in_edges[s] if u != t],
-                boundary_grad=boundary)
-            msgs.put((s, t), new)
-            comm += new.vector_cost()
-        comm += len(cross)
-        x_new = x + tau_node[:, None] * (xhat - x)
-        msgs.commit()
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        trace.record(problem, x, comm, oracle)
-        trace.rounds = k + 1
-        if step <= config.tol_x or (config.tol_grad is not None
-                                    and trace.grad_norm[-1] <= config.tol_grad):
-            trace.converged = True
-            break
-    trace.x_final = x
-    trace.monitor = msgs
+    trace = _drive(problem, partition, config, x0, lambda x0: step)
+    trace.monitor = (H_msg, h_msg, lay.directed)
     return trace
 
 
 def _cta_partial_linearization_run(problem, partition, config, x0, spec):
-    """Batched rounds of the partial-linearization family on a lifted
-    consensus problem; diagonal node curvatures keep the message curvatures
-    exactly diagonal.
+    """Partial-linearization family on a lifted consensus problem; diagonal
+    node curvatures keep the message curvatures exactly diagonal.
     """
     if not isinstance(problem, CtaProblem):
         raise SolverError("partial_linearization expects a lifted consensus problem")
+    lay = _PairwiseLayout(problem, partition)
     m, d = problem.m, problem.d
     W, gamma = problem.gossip.W, problem.gamma
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    tau_node, _ = _tau_per_node(partition, config)
-
-    dir_edges = _directed_intra(partition)
-    key_of = {e: idx for idx, e in enumerate(dir_edges)}
-    E = len(dir_edges)
-    senders = np.array([s for (s, t) in dir_edges], dtype=int)
-    receivers = np.array([t for (s, t) in dir_edges], dtype=int)
-    rev = np.array([key_of[(t, s)] for (s, t) in dir_edges], dtype=int)
-    w_edge = np.array([W[s, t] for (s, t) in dir_edges])
-    csrc, cdst, cw = [], [], []
-    for i in range(m):
-        for kk in partition.n_out[i]:
-            csrc.append(i)
-            cdst.append(kk)
-            cw.append(W[i, kk])
-    csrc = np.array(csrc, dtype=int)
-    cdst = np.array(cdst, dtype=int)
-    cw = np.array(cw)
-
+    s, t = lay.senders, lay.receivers
+    w_self = np.diag(W)
+    w_edge = W[s, t]
+    w_cross = W[lay.csrc, lay.cdst]
     Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
-    base = Q + ((1.0 - np.diag(W)) / gamma)[:, None, None] * np.eye(d)
-    H_msg = np.zeros((E, d, d))
-    h_msg = np.zeros((E, d))
-    eye = np.eye(d)
+    base = Q + ((1.0 - w_self) / gamma)[:, None, None] * np.eye(d)
+    H_msg, h_msg = _zero_messages(lay)
 
-    trace = RunTrace()
-    comm = 0
-    oracle = config.track_oracle
-    trace.record(problem, x, comm, oracle)
-    for k in range(config.max_rounds):
-        nodeS = base.copy()
-        node_ell = np.stack([problem.locals_[i].grad(x[i]) for i in range(m)])
-        node_ell -= np.einsum("ikl,il->ik", Q, x)
-        if len(csrc):
-            np.add.at(node_ell, csrc, -(cw / gamma)[:, None] * x[cdst])
-        if E:
-            np.add.at(nodeS, receivers, H_msg)
-            np.add.at(node_ell, receivers, h_msg)
+    def step(x):
+        nonlocal H_msg, h_msg
+        grad_f = np.stack([problem.locals_[i].grad(x[i]) for i in range(m)])
+        boundary = lay.to_nodes(lay.csrc, -(w_cross / gamma)[:, None] * x[lay.cdst])
+        S = base + lay.to_nodes(t, H_msg)
+        ell = (grad_f - np.einsum("ikl,il->ik", Q, x) + boundary
+               + lay.to_nodes(t, h_msg))
         try:
-            xhat = -_batched_struct_solve(nodeS, node_ell[..., None])[..., 0]
+            xhat = -struct_solve(S, ell)
         except np.linalg.LinAlgError as exc:
             raise IllPosedSubproblem(str(exc)) from exc
-        if E:
-            S = nodeS[senders] - H_msg[rev]
-            ell = node_ell[senders] - h_msg[rev]
-            rhs = np.concatenate([np.broadcast_to(eye, (E, d, d)),
-                                  ell[..., None]], axis=2)
-            try:
-                X = _batched_struct_solve(S, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSenderCurvature(str(exc)) from exc
-            H_msg = -(w_edge ** 2 / gamma ** 2)[:, None, None] * X[:, :, :d]
-            h_msg = (w_edge / gamma)[:, None] * X[:, :, d]
-            comm += _edge_message_cost(H_msg, d)
-        comm += len(csrc)
-        x_new = x + tau_node[:, None] * (xhat - x)
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        trace.record(problem, x, comm, oracle)
-        trace.rounds = k + 1
-        if step <= config.tol_x or (config.tol_grad is not None
-                                    and trace.grad_norm[-1] <= config.tol_grad):
-            trace.converged = True
-            break
-    trace.x_final = x
-    trace.monitor = (H_msg, h_msg, dir_edges)
+        msg = cta_partial_linearization_message(
+            Q_i=Q[s], w_ii=w_self[s], w_ij=w_edge, gamma=gamma,
+            grad_f_i=grad_f[s], x_i_ref=x[s],
+            incoming=[lay.incoming(H_msg, h_msg)], boundary_lin=boundary[s])
+        H_msg, h_msg = msg.H, msg.h
+        return xhat, lay.vectors(H_msg)
+
+    trace = _drive(problem, partition, config, x0, lambda x0: step)
+    trace.monitor = (H_msg, h_msg, lay.directed)
     return trace
-
-
-def _batched_struct_solve(A, rhs):
-    """Batched solve that keeps exactly-diagonal batches exactly diagonal."""
-    off = A - A * np.eye(A.shape[-1])
-    if not np.any(off):
-        diag = np.einsum("eii->ei", A)
-        if np.any(diag == 0.0):
-            raise np.linalg.LinAlgError("singular diagonal batch")
-        return rhs / diag[..., None]
-    return np.linalg.solve(A, rhs)
-
-
-def _edge_message_cost(H_msg, d):
-    E = H_msg.shape[0]
-    if E == 0:
-        return 0
-    nonzero = np.any(H_msg.reshape(E, -1), axis=1)
-    off = H_msg * (1.0 - np.eye(d))
-    has_off = np.any(off.reshape(E, -1), axis=1)
-    mat_cost = np.where(~nonzero, 0, np.where(has_off, d, 1))
-    return int(mat_cost.sum()) + E
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +530,7 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("reference solver needs a pairwise QuadraticObjective")
     m, d = problem.m, problem.d
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    tau_node, _ = _tau_per_node(partition, config)
     D = partition.max_diameter
-    window = deque([x.copy() for _ in range(D + 1)], maxlen=D + 1)  # [0]=newest
-
     clusters = partition.clusters
     sub = []
     for r, c in enumerate(clusters):
@@ -597,14 +547,14 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
             for kk in partition.n_out[j]:
                 bound.append((j, kk, problem.coupling(j, kk)))
         sub.append((idx, K, bound))
+    window = deque(maxlen=D + 1)        # [0] = newest iterate
 
-    trace = RunTrace()
-    oracle = config.track_oracle
-    trace.record(problem, x, 0, oracle)
-    if config.monitor:
-        trace.x_history = [x.copy()]
-        trace.xhat_history = []
-    for k in range(config.max_rounds):
+    def start(x0):
+        window.extend([x0] * (D + 1))
+        return step
+
+    def step(x):
+        window.appendleft(x)
         xhat = np.zeros((m, d))
         for r, c in enumerate(clusters):
             idx, K, bound = sub[r]
@@ -618,21 +568,9 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
                 except np.linalg.LinAlgError as exc:
                     raise IllPosedSubproblem(str(exc)) from exc
                 xhat[i] = sol[idx[i] * d:(idx[i] + 1) * d]
-        x_new = x + tau_node[:, None] * (xhat - x)
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        window.appendleft(x.copy())
-        trace.record(problem, x, 0, oracle)
-        if config.monitor:
-            trace.x_history.append(x.copy())
-            trace.xhat_history.append(xhat.copy())
-        trace.rounds = k + 1
-        if step <= config.tol_x or (config.tol_grad is not None
-                                    and trace.grad_norm[-1] <= config.tol_grad):
-            trace.converged = True
-            break
-    trace.x_final = x
-    return trace
+        return xhat, 0
+
+    return _drive(problem, partition, config, x0, start)
 
 
 def tree_solve(problem, graph):
@@ -742,22 +680,13 @@ def h_mp_jacobi(problem, hpartition, config=None, x0=None, view=None):
     config = config or SolverConfig()
     view = view or HyperQuadView(problem, hpartition.hypergraph.hyperedges)
     m, d = problem.m, problem.d
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    p = hpartition.p
-    taus = np.array([config.tau_for_cluster(r, p) for r in range(p)])
-    tau_node = taus[np.array(hpartition.cluster_of)]
-
-    keys = [(a, i) for r in range(p) for a in hpartition.intra_factors[r]
+    keys = [(a, i) for r in range(hpartition.p) for a in hpartition.intra_factors[r]
             for i in hpartition.hypergraph.hyperedges[a]]
     msgs = MessageSet(keys, d)
     surrogate_diag = (config.surrogate is not None
                       and config.surrogate.family != "exact")
 
-    trace = RunTrace()
-    comm = 0
-    oracle = config.track_oracle
-    trace.record(problem, x, comm, oracle)
-    for k in range(config.max_rounds):
+    def step(x):
         # per-node aggregates over ALL incident terms (round-nu snapshot)
         aggH = [problem.diag[i].copy() for i in range(m)]
         aggh = [problem.lin[i].copy() for i in range(m)]
@@ -787,7 +716,7 @@ def h_mp_jacobi(problem, hpartition, config=None, x0=None, view=None):
             except np.linalg.LinAlgError as exc:
                 raise IllPosedSubproblem(str(exc)) from exc
 
-        for r in range(p):
+        for r in range(hpartition.p):
             for a in hpartition.intra_factors[r]:
                 Hw, w = view.quad(a)
                 frozen = view.lin(a, x)
@@ -805,18 +734,11 @@ def h_mp_jacobi(problem, hpartition, config=None, x0=None, view=None):
                     if surrogate_diag:
                         new = diagonalize_message(new, x[i])
                     msgs.put((a, i), new)
-        comm += _hyper_comm(hpartition, msgs, config.factor_impl, d)
+        sent = _hyper_comm(hpartition, msgs, config.factor_impl, d)
         msgs.commit()
-        x_new = x + tau_node[:, None] * (xhat - x)
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        trace.record(problem, x, comm, oracle)
-        trace.rounds = k + 1
-        if step <= config.tol_x or (config.tol_grad is not None
-                                    and trace.grad_norm[-1] <= config.tol_grad):
-            trace.converged = True
-            break
-    trace.x_final = x
+        return xhat, sent
+
+    trace = _drive(problem, hpartition, config, x0, lambda x0: step)
     trace.monitor = msgs
     return trace
 
@@ -906,7 +828,7 @@ def baseline(kind, problem, params=None, x0=None):
             if step <= tol:
                 trace.converged = True
                 break
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
+            if _diverged(x):
                 trace.diverged = True
                 break
         trace.x_final = x
@@ -953,7 +875,7 @@ def baseline(kind, problem, params=None, x0=None):
         if step <= tol:
             trace.converged = True
             break
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
+        if _diverged(x):
             trace.diverged = True
             break
     trace.x_final = x

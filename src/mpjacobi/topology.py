@@ -362,11 +362,9 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
     stays valid without it).
     """
     cl = [tuple(sorted(set(int(i) for i in c))) for c in clusters]
-    covered = [c for c in cl for _ in c]
     flat = [i for c in cl for i in c]
     if len(flat) != len(set(flat)) or set(flat) != set(range(graph.m)):
         raise NotAPartition("clusters must be disjoint and cover all nodes")
-    del covered
 
     cluster_of = [0] * graph.m
     for r, c in enumerate(cl):

@@ -349,3 +349,73 @@ def test_struct_solve_matches_dense(seed):
     assert np.allclose(struct_solve(A, rhs), np.linalg.solve(A, rhs))
     B = A + 0.1 * rng.standard_normal((d, d))
     assert np.allclose(struct_solve(B, rhs), np.linalg.solve(B, rhs))
+
+
+def _spd_batch(rng, B, d, diagonal):
+    if diagonal:
+        return np.stack([np.diag(rng.uniform(1.0, 2.0, d)) for _ in range(B)])
+    A = rng.standard_normal((B, d, d))
+    return np.einsum("bij,bkj->bik", A, A) / d + np.eye(d)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_batched_rules_equal_stacked_single_calls(seed, B, d, diagonal):
+    rng = np.random.default_rng(seed)
+
+    def vecs():
+        return rng.standard_normal((B, d))
+
+    def stacked(fn):
+        msgs = [fn(b) for b in range(B)]
+        return (np.stack([m.H for m in msgs]), np.stack([m.h for m in msgs]))
+
+    def close(batched, singles):
+        assert batched.H.shape == singles[0].shape
+        assert np.max(np.abs(batched.H - singles[0])) <= 1e-12
+        assert np.max(np.abs(batched.h - singles[1])) <= 1e-12
+
+    # incoming messages: two per batch entry, passed batched or one by one
+    inc_H = [0.2 * _spd_batch(rng, B, d, diagonal) for _ in range(2)]
+    inc_h = [vecs() for _ in range(2)]
+    batched_inc = [QuadraticMessage(H, h) for H, h in zip(inc_H, inc_h)]
+
+    def single_inc(b):
+        return [QuadraticMessage(H[b], h[b]) for H, h in zip(inc_H, inc_h)]
+
+    A = _spd_batch(rng, B, d, diagonal)
+    rhs_m, rhs_v = rng.standard_normal((B, d, 2)), vecs()
+    for rhs in (rhs_m, rhs_v):
+        want = np.stack([struct_solve(A[b], rhs[b]) for b in range(B)])
+        assert np.max(np.abs(struct_solve(A, rhs) - want)) <= 1e-12
+
+    Q, Mj, Mi = (_spd_batch(rng, B, d, diagonal) for _ in range(3))
+    Mij = rng.standard_normal((B, d, d))
+    g_phi, g_j, g_i, xj, xi, bnd = (vecs() for _ in range(6))
+    close(schur_message_update(Q, Mj, Mi, Mij, g_phi, g_j, g_i, xj, xi,
+                               batched_inc, boundary_grad=bnd),
+          stacked(lambda b: schur_message_update(
+              Q[b], Mj[b], Mi[b], Mij[b], g_phi[b], g_j[b], g_i[b], xj[b],
+              xi[b], single_inc(b), boundary_grad=bnd[b])))
+
+    w_ii, w_ij = rng.uniform(0.2, 0.5, B), rng.uniform(0.0, 0.3, B)
+    gamma = 0.05
+    close(cta_partial_linearization_message(Q, w_ii, w_ij, gamma, g_phi, xj,
+                                            batched_inc, boundary_lin=bnd),
+          stacked(lambda b: cta_partial_linearization_message(
+              Q[b], w_ii[b], w_ij[b], gamma, g_phi[b], xj[b], single_inc(b),
+              boundary_lin=bnd[b])))
+
+    close(first_order_message(g_i),
+          stacked(lambda b: first_order_message(g_i[b])))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(2, 4))
+@settings(max_examples=20, deadline=None)
+def test_struct_solve_diagonal_batch_keeps_exact_zeros(seed, B, d):
+    rng = np.random.default_rng(seed)
+    A = np.stack([np.diag(rng.uniform(0.1, 3.0, d)) for _ in range(B)])
+    X = struct_solve(A, np.broadcast_to(np.eye(d), (B, d, d)))
+    assert not np.any(X * (1.0 - np.eye(d)))
+    assert np.array_equal(np.einsum("bii->bi", X), 1.0 / np.einsum("bii->bi", A))

@@ -3,6 +3,7 @@ import pytest
 
 from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
+    ObjectiveError,
     QuadraticLocal,
     QuadraticObjective,
     build_cta,
@@ -12,7 +13,10 @@ from mpjacobi.objective import (
 )
 from mpjacobi.solvers import (
     InfeasibleCondition,
+    NonConvergent,
+    PartitionMismatch,
     SolverConfig,
+    SolverError,
     baseline,
     delayed_block_jacobi,
     delayed_gradient_reference,
@@ -27,6 +31,7 @@ from mpjacobi.solvers import (
 )
 from mpjacobi.topology import generate_partition, generate_topology, validate_hyper_partition, validate_tree_partition
 from mpjacobi.rate_analysis import estimate_constants
+from test_acceptance import random_valid_instance
 
 
 def ring_qp(m=6, d=1, kappa=50.0, seed=0):
@@ -352,3 +357,101 @@ def test_trace_csv_shape():
     text = tr.to_csv()
     assert text.splitlines()[0] == "round,phi_gap,grad_norm,dist_to_opt,vectors_sent"
     assert len(text.splitlines()) == len(tr.grad_norm) + 1
+
+
+# ---------------------------------------------------------------------------
+# input checks, divergence and stopping rules shared by every engine
+
+
+def _hyper_instance():
+    from mpjacobi.bench import hyperring_qp
+
+    hg, q = hyperring_qp(n_edges=4, edge_size=3, d=1, seed=0)
+    return q, validate_hyper_partition(hg, [[0, 1, 2, 3, 4], [5], [6], [7]])
+
+
+def test_non_finite_x0_rejected():
+    g, q = ring_qp(m=6, d=2, seed=1)
+    part = generate_partition("ring_P2", g, D=1)
+    x0 = np.zeros((6, 2))
+    x0[3, 1] = np.nan
+    spec = SurrogateSpec(family="first_order", alpha=0.01)
+    with pytest.raises(ObjectiveError):
+        mp_jacobi(q, part, SolverConfig(max_rounds=5), x0=x0)
+    with pytest.raises(ObjectiveError):
+        mp_jacobi_surrogate(q, part, SolverConfig(max_rounds=5, surrogate=spec),
+                            x0=x0)
+    with pytest.raises(ObjectiveError):
+        delayed_block_jacobi(q, part, SolverConfig(max_rounds=5), x0=x0)
+    hq, hpart = _hyper_instance()
+    with pytest.raises(ObjectiveError):
+        h_mp_jacobi(hq, hpart, SolverConfig(max_rounds=5),
+                    x0=np.full((hq.m, 1), np.inf))
+
+
+def test_negative_tau_rejected_by_h_mp_jacobi():
+    q, hpart = _hyper_instance()
+    with pytest.raises(SolverError):
+        h_mp_jacobi(q, hpart, SolverConfig(tau=-1, max_rounds=5))
+
+
+def test_partition_mismatch_raises_typed_error():
+    from mpjacobi.topology import Graph
+
+    m = 10
+    part = validate_tree_partition(path_graph(m), [list(range(m))])
+    schur = SurrogateSpec(family="schur_quadratic", Q=1.0)
+    first = SurrogateSpec(family="first_order", alpha=0.01)
+    # the problem has no coupling on the intra-cluster edge (8, 9)
+    q_gap = build_random_qp(Graph(m, {(i, i + 1) for i in range(m - 2)}),
+                            1, 20.0, 0)
+    # the problem has one node fewer than the partition
+    q_short = build_random_qp(path_graph(m - 1), 1, 20.0, 0)
+    for q in (q_gap, q_short):
+        with pytest.raises(PartitionMismatch):
+            mp_jacobi(q, part, SolverConfig(max_rounds=5))
+        for spec in (schur, first):
+            with pytest.raises(PartitionMismatch):
+                mp_jacobi_surrogate(q, part,
+                                    SolverConfig(max_rounds=5, surrogate=spec))
+
+
+def test_mp_jacobi_flags_divergence_early():
+    q, part = random_valid_instance(3)
+    with np.errstate(all="ignore"):
+        tr = mp_jacobi(q, part, SolverConfig(tau=50, max_rounds=3000),
+                       x0=np.ones((q.m, q.d)))
+    assert tr.diverged and not tr.converged
+    assert tr.rounds < 100
+
+
+def test_raise_on_max_rounds_in_every_engine():
+    g, q = ring_qp(m=8, d=2, seed=3)
+    part = generate_partition("ring_P2", g, D=1)
+    spec = SurrogateSpec(family="schur_quadratic",
+                         Q=np.stack([np.diag(np.diag(q.diag[i]))
+                                     for i in range(q.m)]))
+    cfg = SolverConfig(tau=0.2, max_rounds=3, surrogate=spec,
+                       raise_on_max_rounds=True)
+    with pytest.raises(NonConvergent):
+        mp_jacobi_surrogate(q, part, cfg)
+    hq, hpart = _hyper_instance()
+    with pytest.raises(NonConvergent):
+        h_mp_jacobi(hq, hpart, SolverConfig(tau=0.2, max_rounds=3,
+                                            raise_on_max_rounds=True))
+
+
+def test_first_order_smooth_matches_quadratic():
+    from mpjacobi.bench import cta_instance
+
+    g, _, prob = cta_instance(m=8, d=2, gamma=0.01, seed=2)
+    part = generate_partition("ring_P2", g, D=1)
+    x0 = np.random.default_rng(4).standard_normal((prob.m, prob.d))
+    cfg = SolverConfig(tau=0.25, max_rounds=40, tol_x=0.0, monitor=True,
+                       surrogate=SurrogateSpec(family="first_order", alpha=0.002))
+    ts = mp_jacobi_surrogate(prob.to_smooth(), part, cfg, x0=x0)
+    tq = mp_jacobi_surrogate(prob.to_quadratic(), part, cfg, x0=x0)
+    assert ts.rounds == tq.rounds == 40
+    for xs, xq in zip(ts.x_history, tq.x_history):
+        assert np.max(np.abs(xs - xq)) <= 1e-12
+    assert ts.vectors_sent == tq.vectors_sent
