@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpjacobi.splitting import CyclicSplitCluster, SplitMap, apply_split, validate_split_partition
 from mpjacobi.topology import (
     Graph,
     Hypergraph,
@@ -10,6 +11,7 @@ from mpjacobi.topology import (
     NonOverlapWarning,
     NonTreeCluster,
     NotAPartition,
+    TopologyError,
     factor_distances,
     generate_partition,
     generate_topology,
@@ -210,3 +212,197 @@ def test_incompatible_partition_errors():
         generate_partition("ring_P2", g, D=1)   # 2 does not divide 9
     with pytest.raises(IncompatiblePartition):
         generate_partition("grid_rows", ring(10), D=1)  # not a perfect square
+
+
+# ---------------------------------------------------------------------------
+# property tests: validators against brute-force references
+
+
+def _floyd(nodes, edges):
+    """All-pairs hop counts on the graph (nodes, edges); inf when apart."""
+    inf = float("inf")
+    dist = {(u, v): 0 if u == v else inf for u in nodes for v in nodes}
+    for (a, b) in edges:
+        dist[(a, b)] = dist[(b, a)] = 1
+    for k in nodes:
+        for u in nodes:
+            for v in nodes:
+                if dist[(u, k)] + dist[(k, v)] < dist[(u, v)]:
+                    dist[(u, v)] = dist[(u, k)] + dist[(k, v)]
+    return dist
+
+
+def _first_closing_edge(edges):
+    """First edge in sorted order whose ends the earlier edges already join."""
+    done = []
+    for (a, b) in sorted(edges):
+        nodes = {a, b} | {u for e in done for u in e}
+        if _floyd(sorted(nodes), done)[(a, b)] < float("inf"):
+            return (a, b)
+        done.append((a, b))
+    return None
+
+
+@st.composite
+def tree_partition_cases(draw):
+    """A random tree plus random extra edges, and a random clustering: either
+    random labels or the components left after cutting random tree edges."""
+    m = draw(st.integers(min_value=1, max_value=11))
+    perm = draw(st.permutations(range(m)))
+    tree = [(perm[i], perm[draw(st.integers(min_value=0, max_value=i - 1))])
+            for i in range(1, m)]
+    extra = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                          max_size=4))
+    edges = {(min(a, b), max(a, b)) for (a, b) in tree + extra if a != b}
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    else:
+        keep = [e for e in tree if not draw(st.booleans())]
+        dist = _floyd(list(range(m)), keep)
+        labels = [min(v for v in range(m) if dist[(u, v)] < float("inf"))
+                  for u in range(m)]
+    clusters = [[i for i in range(m) if labels[i] == r] for r in sorted(set(labels))]
+    if draw(st.booleans()):
+        clusters.reverse()
+    return Graph(m, edges), clusters
+
+
+@given(tree_partition_cases())
+@settings(max_examples=150, deadline=None)
+def test_tree_partition_matches_brute_force(case):
+    g, clusters = case
+    adj = {u: {v for e in g.edges for v in e if u in e and v != u} for u in range(g.m)}
+    induced = [{e for e in g.edges if e[0] in c and e[1] in c} for c in clusters]
+    dists = [_floyd(c, es) for c, es in zip(clusters, induced)]
+    is_tree = [len(es) == len(c) - 1 and max(dd.values()) < float("inf")
+               for c, es, dd in zip(clusters, induced, dists)]
+    if not all(is_tree):
+        r = is_tree.index(False)
+        with pytest.raises(NonTreeCluster) as info:
+            validate_tree_partition(g, clusters, warn_nonoverlap=False)
+        assert info.value.cluster_index == r
+        closing = _first_closing_edge(induced[r])
+        if len(induced[r]) > len(clusters[r]) - 1:
+            assert info.value.cycle_edge is not None
+        if info.value.cycle_edge is not None:
+            assert info.value.cycle_edge == closing
+        return
+
+    part = validate_tree_partition(g, clusters, warn_nonoverlap=False)
+    assert part.clusters == tuple(tuple(sorted(c)) for c in clusters)
+    cluster_of = {i: r for r, c in enumerate(clusters) for i in c}
+    assert part.cluster_of == tuple(cluster_of[i] for i in range(g.m))
+    assert part.intra_edges == tuple(frozenset(es) for es in induced)
+    for i in range(g.m):
+        c = set(clusters[cluster_of[i]])
+        assert part.n_in[i] == adj[i] & c
+        assert part.n_out[i] == adj[i] - c
+    ext = [{k for i in c for k in adj[i] if k not in c} for c in clusters]
+    assert part.cluster_ext == tuple(frozenset(e) for e in ext)
+    assert part.diameters == tuple(max(dd.values()) for dd in dists)
+    covered = {k for c, e in zip(clusters, ext) if len(c) > 1 for k in e}
+    assert part.external_cover == {cluster_of[k] for k in covered}
+    overlap = any(len(adj[k] & set(c)) > 1 for c, e in zip(clusters, ext) for k in e)
+    assert part.nonoverlap_ok == (not overlap)
+    for c, dd in zip(clusters, dists):
+        for i in c:
+            for j in c:
+                assert part.d(i, j) == dd[(i, j)]
+    if len(clusters) > 1:
+        with pytest.raises(TopologyError):
+            part.d(clusters[0][0], clusters[1][0])
+
+
+def _hyper_reference(m, factors, clusters, intra):
+    """Intra/inter incidences, acyclicity, diameters and variable distances of
+    each cluster's factor graph, from all-pairs hop counts."""
+    cluster_of = {i: r for r, c in enumerate(clusters) for i in c}
+    factor_cluster = [-1] * len(factors)
+    for r, lst in enumerate(intra):
+        for a in lst:
+            factor_cluster[a] = r
+    n_in = tuple(tuple(a for a, w in enumerate(factors)
+                       if i in w and factor_cluster[a] == cluster_of[i])
+                 for i in range(m))
+    n_out = tuple(tuple(a for a, w in enumerate(factors)
+                        if i in w and factor_cluster[a] != cluster_of[i])
+                  for i in range(m))
+    acyclic, diameters, dists = [], [], []
+    for c, lst in zip(clusters, intra):
+        nodes = [("v", i) for i in c] + [("f", a) for a in lst]
+        inc = [(("v", i), ("f", a)) for a in lst for i in factors[a]]
+        dist = _floyd(nodes, inc)
+        comps = len({frozenset(v for v in nodes if dist[(u, v)] < float("inf"))
+                     for u in nodes})
+        acyclic.append(len(inc) == len(nodes) - comps)
+        diameters.append(max(val for (u, _), val in dist.items()
+                             if u[0] == "v" and val < float("inf")))
+        dists.append(dist)
+    return factor_cluster, n_in, n_out, acyclic, diameters, dists
+
+
+def _check_hyper_partition(part, clusters, intra, ref):
+    factor_cluster, n_in, n_out, _, diameters, dists = ref
+    assert part.clusters == tuple(tuple(sorted(c)) for c in clusters)
+    assert part.intra_factors == tuple(tuple(lst) for lst in intra)
+    assert part.factor_cluster == tuple(factor_cluster)
+    assert part.n_in == n_in
+    assert part.n_out == n_out
+    assert part.diameters == tuple(diameters)
+    for c, dist in zip(clusters, dists):
+        for i in c:
+            for j in c:
+                if dist[(("v", i), ("v", j))] < float("inf"):
+                    assert part.d(i, j) == dist[(("v", i), ("v", j))] // 2
+
+
+@st.composite
+def hypergraph_cases(draw):
+    m = draw(st.integers(min_value=2, max_value=8))
+    raw = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=min(4, m)),
+                        min_size=1, max_size=6))
+    factors = list(dict.fromkeys(tuple(sorted(w)) for w in raw))
+    labels = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    clusters = [[i for i in range(m) if labels[i] == r] for r in sorted(set(labels))]
+    return m, factors, clusters
+
+
+@given(hypergraph_cases())
+@settings(max_examples=150, deadline=None)
+def test_hyper_partition_matches_brute_force(case):
+    m, factors, clusters = case
+    hg = Hypergraph(m, factors)
+    intra = [[a for a, w in enumerate(factors) if set(w) <= set(c)] for c in clusters]
+    ref = _hyper_reference(m, factors, clusters, intra)
+    if not all(ref[3]):
+        with pytest.raises(NonTreeCluster) as info:
+            validate_hyper_partition(hg, clusters)
+        assert info.value.cluster_index == ref[3].index(False)
+        return
+    _check_hyper_partition(validate_hyper_partition(hg, clusters), clusters, intra, ref)
+
+
+@given(hypergraph_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_split_partition_matches_brute_force(case, data):
+    m, factors, clusters = case
+    hg = Hypergraph(m, factors)
+    components = {}
+    for a, w in enumerate(factors):
+        if data.draw(st.booleans()):
+            subsets = data.draw(st.lists(st.sets(st.sampled_from(w), min_size=1),
+                                         min_size=1, max_size=3))
+            components[a] = tuple(dict.fromkeys(tuple(sorted(s)) for s in subsets))
+    split = apply_split(hg, SplitMap(components))
+    supports = split.hypergraph.hyperedges
+    intra = []
+    for c in clusters:
+        inside = [a for a, s in enumerate(supports) if set(s) <= set(c)]
+        intra.append(sorted(data.draw(st.sets(st.sampled_from(inside))) if inside else []))
+    ref = _hyper_reference(m, supports, clusters, intra)
+    if not all(ref[3]):
+        with pytest.raises(CyclicSplitCluster):
+            validate_split_partition(split, clusters, intra)
+        return
+    _check_hyper_partition(validate_split_partition(split, clusters, intra),
+                           clusters, intra, ref)
