@@ -35,7 +35,6 @@ from .solvers import (
     h_mp_jacobi_split,
     mp_jacobi,
     mp_jacobi_surrogate,
-    select_stepsize,
 )
 from .splitting import (
     SplitMap,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +67,12 @@ class QuadraticObjective:
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=float)
         self.lin = np.asarray(self.lin, dtype=float)
-        assert self.diag.shape == (self.m, self.d, self.d)
-        assert self.lin.shape == (self.m, self.d)
+        if self.diag.shape != (self.m, self.d, self.d):
+            raise ObjectiveError(f"diag has shape {self.diag.shape}, "
+                                 f"expected {(self.m, self.d, self.d)}")
+        if self.lin.shape != (self.m, self.d):
+            raise ObjectiveError(f"lin has shape {self.lin.shape}, "
+                                 f"expected {(self.m, self.d)}")
         self.pair = {tuple(k): np.asarray(v, dtype=float) for k, v in self.pair.items()}
         self.hyper = {tuple(k): np.asarray(v, dtype=float) for k, v in self.hyper.items()}
         for (i, j), blk in self.pair.items():

@@ -555,9 +555,9 @@ def spectral_rate_oracle(problem, partition, tau, cap=5000):
     Tparts = [np.zeros((n, n)) for _ in range(D + 1)]
     for r, c in enumerate(partition.clusters):
         for i in c:
+            dist = partition.distances_from(i)
             for k in partition.cluster_ext[r]:
-                gw = partition.gateway(r, k)[0]
-                delay = partition.d(i, gw)
+                delay = dist[partition.gateway(r, k)[0]]
                 bi = np.arange(i * d, (i + 1) * d)
                 bk = np.arange(k * d, (k + 1) * d)
                 Tparts[delay][np.ix_(bi, bk)] = T[np.ix_(bi, bk)]

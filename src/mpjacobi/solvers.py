@@ -546,7 +546,11 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
         for j in c:
             for kk in partition.n_out[j]:
                 bound.append((j, kk, problem.coupling(j, kk)))
-        sub.append((idx, K, bound))
+        delays = []
+        for i in c:
+            dist = partition.distances_from(i)
+            delays.append([min(dist[j], D) for (j, _, _) in bound])
+        sub.append((idx, K, bound, delays))
     window = deque(maxlen=D + 1)        # [0] = newest iterate
 
     def start(x0):
@@ -557,11 +561,10 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
         window.appendleft(x)
         xhat = np.zeros((m, d))
         for r, c in enumerate(clusters):
-            idx, K, bound = sub[r]
-            for i in c:
+            idx, K, bound, delays = sub[r]
+            for i, delay_i in zip(c, delays):
                 rhs = problem.lin[c, :].reshape(-1).copy()
-                for (j, kk, B) in bound:
-                    delay = min(partition.d(i, j), D)
+                for (j, kk, B), delay in zip(bound, delay_i):
                     rhs[idx[j] * d:(idx[j] + 1) * d] += B @ window[delay][kk]
                 try:
                     sol = np.linalg.solve(K, -rhs)
@@ -678,7 +681,9 @@ def h_mp_jacobi(problem, hpartition, config=None, x0=None, view=None):
     only in the communication count (see ``_hyper_comm``).
     """
     config = config or SolverConfig()
-    view = view or HyperQuadView(problem, hpartition.hypergraph.hyperedges)
+    if view is None:
+        _check_hyper_problem(problem, hpartition, hpartition.hypergraph.hyperedges)
+        view = HyperQuadView(problem, hpartition.hypergraph.hyperedges)
     m, d = problem.m, problem.d
     keys = [(a, i) for r in range(hpartition.p) for a in hpartition.intra_factors[r]
             for i in hpartition.hypergraph.hyperedges[a]]
@@ -743,6 +748,20 @@ def h_mp_jacobi(problem, hpartition, config=None, x0=None, view=None):
     return trace
 
 
+def _check_hyper_problem(problem, hpartition, factors):
+    """Raise PartitionMismatch unless the problem lives on the partition's
+    nodes and its factors are exactly ``factors``."""
+    if len(hpartition.cluster_of) != problem.m:
+        raise PartitionMismatch(f"partition has {len(hpartition.cluster_of)} "
+                                f"nodes, problem has {problem.m}")
+    if problem.pair:
+        raise PartitionMismatch("the hypergraph solvers ignore pairwise couplings; "
+                                "convert them with pairwise_to_hyper")
+    if set(problem.hyper) != set(factors):
+        raise PartitionMismatch("problem factors differ from the partition's "
+                                "hyperedges")
+
+
 def _hyper_comm(hpartition, msgs, impl, d):
     """Vectors sent in one hypergraph round.
 
@@ -780,6 +799,10 @@ def h_mp_jacobi_split(problem, split_surrogate, hpartition, config=None, x0=None
     ``split_surrogate`` is a SplitQuadraticView from the splitting module;
     ``hpartition`` partitions the split hypergraph.
     """
+    split = split_surrogate.split
+    _check_hyper_problem(problem, hpartition, split.original.hyperedges)
+    if hpartition.hypergraph.hyperedges != split.hypergraph.hyperedges:
+        raise PartitionMismatch("partition is not over the split hypergraph")
     return h_mp_jacobi(problem, hpartition, config=config, x0=x0,
                        view=split_surrogate)
 
@@ -1035,35 +1058,28 @@ def select_stepsize(partition, rate_inputs, mode="uniform_theorem",
     uniform_theorem: tau = min{1/p, 2 kappa/(2D+1),
         sqrt(min_{r in J} mu_r / (8 (2D+1) A_J))}, with the surrogate
     analogue replacing (kappa, mu_r, A_J) by (kappa_t, mu_t_r,
-    A_J + max_r At_r). heterogeneous_theorem returns tau_r = 1/p after
-    checking the window condition; infeasibility raises InfeasibleCondition.
+    A_J + max_r At_r); this is the tau_max and rho of
+    :func:`rate_analysis.rate_terms`. heterogeneous_theorem returns
+    tau_r = 1/p after checking the window condition; infeasibility raises
+    InfeasibleCondition.
     manual(tau) passes tau through.
     Returns (tau, rho) where tau is a scalar (uniform/manual) or per-cluster
     array and rho the certified contraction factor.
     """
-    from .rate_analysis import compute_A  # local import to avoid a cycle
+    from .rate_analysis import compute_A, rate_terms  # local import to avoid a cycle
 
     if mode == "manual":
         return float(manual_tau), None
-    p = partition.p
-    D = _partition_max_diam(partition)
-    A_r, A_J, At_r = compute_A(partition, rate_inputs, surrogate=surrogate)
-    if surrogate:
-        kappa = rate_inputs.kappa_tilde
-        mus = rate_inputs.mu_tilde_r
-        idx = set(partition.external_cover) | {
-            r for r, c in enumerate(partition.clusters) if len(c) > 1}
-        denom = A_J + (max((At_r[r] for r in range(p)
-                            if len(partition.clusters[r]) > 1), default=0.0))
-    else:
-        kappa = rate_inputs.kappa
-        mus = rate_inputs.mu_r
-        idx = set(partition.external_cover)
-        denom = A_J
     if mode == "uniform_theorem":
-        mu_min = min((mus[r] for r in idx), default=None)
-        tau, rho = uniform_theorem_tau(p, D, kappa, mu_min, denom if idx else None)
-        return tau, rho
+        rep = rate_terms(partition, rate_inputs, surrogate=surrogate)
+        return rep.tau_max, rep.rho
+    p = partition.p
+    D = partition.max_diameter
+    _, A_J, _ = compute_A(partition, rate_inputs, surrogate=surrogate)
+    mus = rate_inputs.mu_tilde_r if surrogate else rate_inputs.mu_r
+    idx = set(partition.external_cover)
+    if surrogate:
+        idx |= {r for r, c in enumerate(partition.clusters) if len(c) > 1}
     if mode == "heterogeneous_theorem":
         tau_r = np.full(p, 1.0 / p)
         # window condition with tau_r = 1/p
@@ -1081,9 +1097,3 @@ def select_stepsize(partition, rate_inputs, mode="uniform_theorem",
         rho = 1.0 - rate_inputs.mu / (2.0 * p * max(rate_inputs.L_r))
         return tau_r, rho
     raise SolverError(f"unknown stepsize mode {mode!r}")
-
-
-def _partition_max_diam(partition):
-    if hasattr(partition, "max_diameter"):
-        return partition.max_diameter
-    return partition.max_delay

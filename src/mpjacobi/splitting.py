@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Hypergraph, validate_hyper_partition
+from .topology import Hypergraph, NonTreeCluster, validate_hyper_partition
 from .objective import QuadraticObjective
 
 
@@ -355,7 +355,5 @@ def validate_split_partition(split, clusters, intra_components):
     try:
         return validate_hyper_partition(split.hypergraph, clusters,
                                         intra_factors=intra_components)
-    except Exception as exc:  # NonTreeCluster from topology
-        if type(exc).__name__ == "NonTreeCluster":
-            raise CyclicSplitCluster(str(exc)) from exc
-        raise
+    except NonTreeCluster as exc:
+        raise CyclicSplitCluster(str(exc)) from exc

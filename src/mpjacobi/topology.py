@@ -52,6 +52,71 @@ def _normalize_edge(i, j):
     return (i, j) if i < j else (j, i)
 
 
+def _bfs(src, nbrs):
+    """Hop counts from src to every node it reaches; nbrs(u) lists u's
+    neighbours."""
+    dist = {src: 0}
+    q = deque([src])
+    while q:
+        u = q.popleft()
+        du = dist[u] + 1
+        for v in nbrs(u):
+            if v not in dist:
+                dist[v] = du
+                q.append(v)
+    return dist
+
+
+def _first_cycle_edge(edges):
+    """The first edge, in sorted order, that closes a cycle (union-find over
+    the edges before it), or None when the edges form a forest."""
+    parent = {}
+
+    def find(u):
+        while parent.setdefault(u, u) != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for (a, b) in sorted(edges):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return (a, b)
+        parent[ra] = rb
+    return None
+
+
+def _max_eccentricity(sources, nbrs):
+    """Largest hop count from any source to any node of its component, on a
+    forest. Per component: BFS to a far end a, BFS from a to the far end b;
+    on a tree every node's eccentricity is max(d(v, a), d(v, b)).
+    """
+    ecc = {}
+    for s in sources:
+        if s in ecc:
+            continue
+        from_s = _bfs(s, nbrs)
+        from_a = _bfs(max(from_s, key=from_s.get), nbrs)
+        from_b = _bfs(max(from_a, key=from_a.get), nbrs)
+        for v, da in from_a.items():
+            ecc[v] = max(da, from_b[v])
+    return max((ecc[s] for s in sources), default=0)
+
+
+def _incidence_nbrs(var_factors, factors):
+    """Neighbours in a variable/factor incidence graph whose nodes are
+    ('v', i) and ('f', a): variable i touches the factors var_factors[i],
+    factor a the variables factors[a]."""
+
+    def nbrs(node):
+        kind, u = node
+        if kind == "v":
+            return [("f", a) for a in var_factors[u]]
+        return [("v", i) for i in factors[u]]
+
+    return nbrs
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on nodes 0..m-1."""
@@ -75,9 +140,6 @@ class Graph:
     def m(self):
         return self.node_count
 
-    def neighbors(self, i):
-        return self.adjacency()[i]
-
     def adjacency(self):
         adj = getattr(self, "_adj", None)
         if adj is None:
@@ -90,20 +152,11 @@ class Graph:
         return adj
 
     def bfs_dist(self, src):
+        """Hop counts from src to every node; -1 where unreachable."""
         dist = [-1] * self.m
-        dist[src] = 0
-        q = deque([src])
-        adj = self.adjacency()
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
+        for v, h in _bfs(src, self.adjacency().__getitem__).items():
+            dist[v] = h
         return dist
-
-    def is_connected(self):
-        return all(d >= 0 for d in self.bfs_dist(0))
 
     def diameter(self):
         best = 0
@@ -116,10 +169,6 @@ class Graph:
 
     def degree(self, i):
         return len(self.adjacency()[i])
-
-    def subgraph_edges(self, nodes):
-        ns = set(nodes)
-        return {e for e in self.edges if e[0] in ns and e[1] in ns}
 
 
 @dataclass(frozen=True)
@@ -151,17 +200,6 @@ class Hypergraph:
     def m(self):
         return self.node_count
 
-    def is_pairwise(self):
-        return all(len(w) == 2 for w in self.hyperedges)
-
-    def to_graph(self):
-        if not self.is_pairwise():
-            raise TopologyError("hypergraph has hyperedges of size > 2")
-        return Graph(self.m, set(self.hyperedges))
-
-    def incident(self, i):
-        return [w for w in self.hyperedges if i in w]
-
     def factor_graph(self):
         return FactorGraph(self)
 
@@ -182,73 +220,14 @@ class FactorGraph:
             for i in w:
                 self.var_adj[i].append(a)
 
-    @property
-    def incidence_count(self):
-        return sum(len(w) for w in self.factors)
-
-    def components(self):
-        """Connected components over variable and factor nodes."""
-        comp = {}
-        cid = 0
-        for start in range(self.m):
-            if ("v", start) in comp:
-                continue
-            comp[("v", start)] = cid
-            q = deque([("v", start)])
-            while q:
-                kind, u = q.popleft()
-                if kind == "v":
-                    for a in self.var_adj[u]:
-                        if ("f", a) not in comp:
-                            comp[("f", a)] = cid
-                            q.append(("f", a))
-                else:
-                    for i in self.factors[u]:
-                        if ("v", i) not in comp:
-                            comp[("v", i)] = cid
-                            q.append(("v", i))
-            cid += 1
-        for a in range(len(self.factors)):
-            if ("f", a) not in comp:  # unreachable only if factor empty
-                comp[("f", a)] = cid
-                cid += 1
-        return comp, cid
-
     def is_acyclic(self):
-        """Berge-acyclicity: bipartite edge count == node count - #components."""
-        _, ncomp = self.components()
-        nodes = self.m + len(self.factors)
-        return self.incidence_count == nodes - ncomp
-
-    def is_connected(self):
-        _, ncomp = self.components()
-        return ncomp == 1
+        """Berge-acyclicity: no variable-factor incidence closes a cycle."""
+        inc = [(("v", i), ("f", a)) for a, w in enumerate(self.factors) for i in w]
+        return _first_cycle_edge(inc) is None
 
     def bfs_dist(self, src_kind, src):
         """Distances from a variable ('v', i) or factor ('f', a) node."""
-        dist = {(src_kind, src): 0}
-        q = deque([(src_kind, src)])
-        while q:
-            kind, u = q.popleft()
-            du = dist[(kind, u)]
-            if kind == "v":
-                nbrs = (("f", a) for a in self.var_adj[u])
-            else:
-                nbrs = (("v", i) for i in self.factors[u])
-            for node in nbrs:
-                if node not in dist:
-                    dist[node] = du + 1
-                    q.append(node)
-        return dist
-
-    def diameter(self):
-        best = 0
-        for i in range(self.m):
-            d = self.bfs_dist("v", i)
-            if len(d) < self.m + len(self.factors):
-                raise DisconnectedQuery("diameter of a disconnected factor graph")
-            best = max(best, max(d.values()))
-        return best
+        return _bfs((src_kind, src), _incidence_nbrs(self.var_adj, self.factors))
 
 
 def factor_distances(fg):
@@ -275,41 +254,17 @@ def factor_distances(fg):
     return dist_f, d_vv, d_vf
 
 
-def _tree_check(nodes, edges):
-    """Return (is_tree, cycle_edge). Singletons are trees."""
-    nodes = list(nodes)
-    if len(edges) > len(nodes) - 1:
-        # find an edge closing a cycle in a growing spanning forest
-        parent = {u: u for u in nodes}
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for (a, b) in sorted(edges):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False, (a, b)
-            parent[ra] = rb
-        return False, None
-    if len(edges) < len(nodes) - 1:
-        return False, None  # disconnected: a forest, not a single tree
-    # |E| == |V|-1: tree iff connected
-    adj = {u: [] for u in nodes}
-    for (a, b) in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {nodes[0]}
-    q = deque([nodes[0]])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                q.append(v)
-    return len(seen) == len(nodes), None
+def _check_clusters(m, clusters):
+    """Sorted clusters and the node -> cluster map of a partition of 0..m-1."""
+    cl = [tuple(sorted(set(int(i) for i in c))) for c in clusters]
+    flat = [i for c in cl for i in c]
+    if len(flat) != len(set(flat)) or set(flat) != set(range(m)):
+        raise NotAPartition("clusters must be disjoint and cover all nodes")
+    cluster_of = [0] * m
+    for r, c in enumerate(cl):
+        for i in c:
+            cluster_of[i] = r
+    return cl, cluster_of
 
 
 @dataclass
@@ -324,12 +279,10 @@ class TreePartition:
     clusters: tuple                 # tuple of tuples of node ids
     intra_edges: tuple              # per-cluster frozenset of edges
     cluster_of: tuple               # node -> cluster index
-    dist: tuple                     # per-cluster dict {(i, j): hop count}
     diameters: tuple                # D_r per cluster
     n_in: tuple                     # node -> frozenset of in-cluster neighbors
     n_out: tuple                    # node -> frozenset of out-of-cluster neighbors
     cluster_ext: tuple              # N_{C_r}: frozenset of external neighbor nodes
-    leaves: tuple                   # B_r per cluster
     external_cover: frozenset       # J: cluster indices covering all ext neighborhoods
     nonoverlap_ok: bool
     nonoverlap_violations: tuple = field(default_factory=tuple)
@@ -342,84 +295,57 @@ class TreePartition:
     def max_diameter(self):
         return max(self.diameters) if self.diameters else 0
 
+    def distances_from(self, i):
+        """Tree distances from i to every node of its cluster (one BFS)."""
+        return _bfs(i, self.n_in.__getitem__)
+
     def d(self, i, j):
         """Intra-cluster tree distance; i and j must share a cluster."""
-        r = self.cluster_of[i]
-        if self.cluster_of[j] != r:
+        if self.cluster_of[j] != self.cluster_of[i]:
             raise TopologyError(f"{i} and {j} are in different clusters")
-        return self.dist[r][(i, j)]
+        return self.distances_from(i)[j]
 
     def gateway(self, r, k):
         """The boundary node(s) of cluster r adjacent to external node k."""
-        return sorted(j for j in self.clusters[r] if k in self.graph.adjacency()[j])
+        return sorted(j for j in self.graph.adjacency()[k] if self.cluster_of[j] == r)
 
 
 def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
-    """Validate clusters and derive the full TreePartition.
+    """Validate clusters and derive the full TreePartition in O(m + |E|)
+    (plus the sort of each cluster's edges for the cycle check).
 
     Raises NotAPartition / NonTreeCluster on structural failures; the
     single-gateway condition is only a warning (the surrogate machinery
     stays valid without it).
     """
-    cl = [tuple(sorted(set(int(i) for i in c))) for c in clusters]
-    flat = [i for c in cl for i in c]
-    if len(flat) != len(set(flat)) or set(flat) != set(range(graph.m)):
-        raise NotAPartition("clusters must be disjoint and cover all nodes")
-
-    cluster_of = [0] * graph.m
+    cl, cluster_of = _check_clusters(graph.m, clusters)
+    intra = [set() for _ in cl]
+    for e in graph.edges:
+        r = cluster_of[e[0]]
+        if cluster_of[e[1]] == r:
+            intra[r].add(e)
     for r, c in enumerate(cl):
-        for i in c:
-            cluster_of[i] = r
-
-    intra = []
-    for r, c in enumerate(cl):
-        edges = graph.subgraph_edges(c)
-        ok, cyc = _tree_check(c, edges)
-        if not ok:
+        cyc = _first_cycle_edge(intra[r])
+        if cyc is not None or len(intra[r]) != len(c) - 1:
             raise NonTreeCluster(r, cyc)
-        intra.append(frozenset(edges))
+    intra = [frozenset(edges) for edges in intra]
 
     adj = graph.adjacency()
-    n_in = []
-    n_out = []
+    csets = [set(c) for c in cl]
+    n_in = [None] * graph.m
+    n_out = [None] * graph.m
     for i in range(graph.m):
-        r = cluster_of[i]
-        cset = set(cl[r])
-        n_in.append(frozenset(adj[i] & cset))
-        n_out.append(frozenset(adj[i] - cset))
+        cset = csets[cluster_of[i]]
+        n_in[i] = frozenset(adj[i] & cset)
+        n_out[i] = frozenset(adj[i] - cset)
 
-    dist = []
-    diameters = []
-    leaves = []
-    cluster_ext = []
-    for r, c in enumerate(cl):
-        local = {u: [] for u in c}
-        for (a, b) in intra[r]:
-            local[a].append(b)
-            local[b].append(a)
-        table = {}
-        dmax = 0
-        for s in c:
-            dd = {s: 0}
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for v in local[u]:
-                    if v not in dd:
-                        dd[v] = dd[u] + 1
-                        q.append(v)
-            for t, val in dd.items():
-                table[(s, t)] = val
-                dmax = max(dmax, val)
-        dist.append(table)
-        diameters.append(dmax)
-        leaves.append(tuple(i for i in c if len(n_in[i]) == 1))
-        cluster_ext.append(frozenset().union(*[n_out[i] for i in c]) if c else frozenset())
+    diameters = [_max_eccentricity(c, n_in.__getitem__) for c in cl]
+    cluster_ext = [frozenset().union(*[n_out[i] for i in c]) for c in cl]
 
     violations = []
-    for r, c in enumerate(cl):
+    for r, cset in enumerate(csets):
         for k in cluster_ext[r]:
-            if len(adj[k] & set(c)) > 1:
+            if len(adj[k] & cset) > 1:
                 violations.append((k, r))
     nonoverlap_ok = not violations
     if violations and warn_nonoverlap:
@@ -434,12 +360,10 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
         clusters=tuple(cl),
         intra_edges=tuple(intra),
         cluster_of=tuple(cluster_of),
-        dist=tuple(dist),
         diameters=tuple(diameters),
         n_in=tuple(n_in),
         n_out=tuple(n_out),
         cluster_ext=tuple(cluster_ext),
-        leaves=tuple(leaves),
         external_cover=frozenset(),
         nonoverlap_ok=nonoverlap_ok,
         nonoverlap_violations=tuple(violations),
@@ -478,8 +402,6 @@ class HyperPartition:
     factor_cluster: tuple       # factor index -> cluster index or -1 (inter-cluster)
     n_in: tuple                 # node -> tuple of intra factor indices
     n_out: tuple                # node -> tuple of inter factor indices
-    dist_vv: tuple              # per-cluster dict {(i, j): d(i,j)} (factor-graph /2)
-    dist_vf: tuple              # per-cluster dict {(i, a): d(i, w)}
     diameters: tuple            # D_r = diam(F_r) per cluster (factor-graph hops)
 
     @property
@@ -492,8 +414,15 @@ class HyperPartition:
         return max((d // 2 for d in self.diameters), default=0)
 
     def d(self, i, j):
-        r = self.cluster_of[i]
-        return self.dist_vv[r][(i, j)]
+        """d(i, j): half the hop count between variables i and j on their
+        cluster's factor forest."""
+        if self.cluster_of[j] != self.cluster_of[i]:
+            raise TopologyError(f"{i} and {j} are in different clusters")
+        nbrs = _incidence_nbrs(self.n_in, self.hypergraph.hyperedges)
+        dist = _bfs(("v", i), nbrs).get(("v", j))
+        if dist is None:
+            raise DisconnectedQuery(f"{i} and {j} share no factor tree")
+        return dist // 2
 
 
 def validate_hyper_partition(hypergraph, clusters, intra_factors=None,
@@ -507,15 +436,7 @@ def validate_hyper_partition(hypergraph, clusters, intra_factors=None,
     Each induced factor graph must be acyclic (forest; singleton-style
     clusters with no factors are fine).
     """
-    cl = [tuple(sorted(set(int(i) for i in c))) for c in clusters]
-    flat = [i for c in cl for i in c]
-    if len(flat) != len(set(flat)) or set(flat) != set(range(hypergraph.m)):
-        raise NotAPartition("clusters must be disjoint and cover all nodes")
-    cluster_of = [0] * hypergraph.m
-    for r, c in enumerate(cl):
-        for i in c:
-            cluster_of[i] = r
-
+    cl, cluster_of = _check_clusters(hypergraph.m, clusters)
     factors = hypergraph.hyperedges
     if intra_factors is None:
         intra = [[] for _ in cl]
@@ -549,60 +470,13 @@ def validate_hyper_partition(hypergraph, clusters, intra_factors=None,
             else:
                 n_out[i].append(a)
 
-    dist_vv = []
-    dist_vf = []
+    nbrs = _incidence_nbrs(n_in, factors)
     diameters = []
     for r, c in enumerate(cl):
-        # acyclicity of the induced bipartite graph
-        inc = sum(len(factors[a]) for a in intra[r])
-        nodes = len(c) + len(intra[r])
-        local_adj_v = {i: [a for a in n_in[i]] for i in c}
-        comp = {}
-        cid = 0
-        for s in c:
-            if s in comp:
-                continue
-            comp[s] = cid
-            q = deque([("v", s)])
-            while q:
-                kind, u = q.popleft()
-                if kind == "v":
-                    for a in local_adj_v[u]:
-                        if ("f", a) not in comp:
-                            comp[("f", a)] = cid
-                            q.append(("f", a))
-                else:
-                    for i in factors[u]:
-                        if i not in comp:
-                            comp[i] = cid
-                            q.append(("v", i))
-            cid += 1
-        if inc != nodes - cid:
+        inc = [(("v", i), ("f", a)) for a in intra[r] for i in factors[a]]
+        if _first_cycle_edge(inc) is not None:
             raise NonTreeCluster(r)
-        dvv = {}
-        dvf = {}
-        dmax = 0
-        for s in c:
-            dd = {("v", s): 0}
-            q = deque([("v", s)])
-            while q:
-                kind, u = q.popleft()
-                du = dd[(kind, u)]
-                nbrs = ((("f", a) for a in local_adj_v[u]) if kind == "v"
-                        else (("v", i) for i in factors[u]))
-                for node in nbrs:
-                    if node not in dd:
-                        dd[node] = du + 1
-                        q.append(node)
-            for (kind, u), val in dd.items():
-                dmax = max(dmax, val)
-                if kind == "v":
-                    dvv[(s, u)] = val // 2
-                else:
-                    dvf[(s, u)] = (val - 1) // 2 if val > 0 else 0
-        dist_vv.append(dvv)
-        dist_vf.append(dvf)
-        diameters.append(dmax)
+        diameters.append(_max_eccentricity([("v", i) for i in c], nbrs))
 
     return HyperPartition(
         hypergraph=hypergraph,
@@ -612,8 +486,6 @@ def validate_hyper_partition(hypergraph, clusters, intra_factors=None,
         factor_cluster=tuple(factor_cluster),
         n_in=tuple(tuple(lst) for lst in n_in),
         n_out=tuple(tuple(lst) for lst in n_out),
-        dist_vv=tuple(dist_vv),
-        dist_vf=tuple(dist_vf),
         diameters=tuple(diameters),
     )
 

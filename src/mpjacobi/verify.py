@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .messages import SurrogateSpec
-from .objective import CtaProblem, QuadraticObjective, global_solve_oracle
+from .objective import QuadraticObjective
 from .rate_analysis import compute_A, estimate_constants
-from .solvers import SolverConfig, delayed_block_jacobi, mp_jacobi, mp_jacobi_surrogate
+from .solvers import SolverConfig, delayed_block_jacobi, mp_jacobi
 
 
 @dataclass

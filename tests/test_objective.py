@@ -7,6 +7,7 @@ from mpjacobi.objective import (
     CtaProblem,
     GossipMatrix,
     NonStochasticW,
+    ObjectiveError,
     QuadraticLocal,
     QuadraticObjective,
     SingularInconsistent,
@@ -250,3 +251,10 @@ def test_json_roundtrip(seed):
     assert set(q.pair) == set(q2.pair)
     q3 = problem_from_json(problem_to_json(q, binary=True))
     assert np.array_equal(q.diag, q3.diag)
+
+
+def test_quadratic_objective_shape_errors_are_typed():
+    with pytest.raises(ObjectiveError):
+        QuadraticObjective(2, 1, np.zeros((3, 1, 1)), np.zeros((2, 1)))
+    with pytest.raises(ObjectiveError):
+        QuadraticObjective(2, 1, np.zeros((2, 1, 1)), np.zeros(2))

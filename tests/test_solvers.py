@@ -455,3 +455,43 @@ def test_first_order_smooth_matches_quadratic():
     for xs, xq in zip(ts.x_history, tq.x_history):
         assert np.max(np.abs(xs - xq)) <= 1e-12
     assert ts.vectors_sent == tq.vectors_sent
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_stepsize_uniform_is_rate_terms(seed):
+    from mpjacobi.rate_analysis import rate_terms
+
+    q, part = random_valid_instance(seed)
+    for surrogate in (None, SurrogateSpec(family="first_order", alpha=0.01)):
+        inputs = estimate_constants(q, part, surrogate=surrogate)
+        rep = rate_terms(part, inputs, surrogate=surrogate is not None)
+        assert select_stepsize(part, inputs, "uniform_theorem",
+                               surrogate=surrogate is not None) == (rep.tau_max, rep.rho)
+
+
+def test_h_mp_jacobi_rejects_node_count_mismatch():
+    from mpjacobi.topology import Hypergraph
+
+    q, hpart = _hyper_instance()
+    wider = Hypergraph(q.m + 1, hpart.hypergraph.hyperedges)
+    clusters = [list(c) for c in hpart.clusters] + [[q.m]]
+    with pytest.raises(PartitionMismatch):
+        h_mp_jacobi(q, validate_hyper_partition(wider, clusters),
+                    SolverConfig(max_rounds=5))
+
+
+def test_h_mp_jacobi_rejects_pairwise_couplings():
+    q, hpart = _hyper_instance()
+    mixed = QuadraticObjective(q.m, q.d, q.diag, q.lin, {(0, 5): 0.1 * np.eye(q.d)},
+                               q.hyper)
+    with pytest.raises(PartitionMismatch):
+        h_mp_jacobi(mixed, hpart, SolverConfig(max_rounds=5))
+
+
+def test_h_mp_jacobi_rejects_other_factor_set():
+    q, hpart = _hyper_instance()
+    hyper = dict(q.hyper)
+    hyper[(0, 5)] = 0.1 * np.eye(2 * q.d)
+    extra = QuadraticObjective(q.m, q.d, q.diag, q.lin, {}, hyper)
+    with pytest.raises(PartitionMismatch):
+        h_mp_jacobi(extra, hpart, SolverConfig(max_rounds=5))

@@ -196,3 +196,41 @@ def test_split_solver_reaches_stationary_point(family, supports, keep):
     assert np.linalg.norm(q.grad(tr.x_final)) <= 1e-8 * (1 + g0)
     xs, _ = global_solve_oracle(q)
     assert np.max(np.abs(tr.x_final - xs)) <= 1e-6
+
+
+def _identity_split_run_inputs(q, hg):
+    split = apply_split(hg, SplitMap.identity())
+    view = SplitQuadraticView(q, split, split_surrogate_components(split, {}))
+    return view, validate_split_partition(split, [[0, 1, 2], [3]], [[0], []])
+
+
+def test_split_solver_rejects_partition_of_another_split():
+    from mpjacobi.solvers import PartitionMismatch
+
+    hg, q = toy_quadratic(seed=7)
+    view, _ = _identity_split_run_inputs(q, hg)
+    other = apply_split(hg, SplitMap({1: ((1, 3), (1, 2), (2, 3))}))
+    spart = validate_split_partition(other, [[0, 1, 2, 3]], [[0, 1]])
+    with pytest.raises(PartitionMismatch):
+        h_mp_jacobi_split(q, view, spart, SolverConfig(max_rounds=5))
+
+
+def test_split_solver_rejects_pairwise_couplings():
+    from mpjacobi.solvers import PartitionMismatch
+
+    hg, q = toy_quadratic(seed=7)
+    view, spart = _identity_split_run_inputs(q, hg)
+    mixed = QuadraticObjective(4, 1, q.diag, q.lin, {(0, 3): np.eye(1)}, q.hyper)
+    with pytest.raises(PartitionMismatch):
+        h_mp_jacobi_split(mixed, view, spart, SolverConfig(max_rounds=5))
+
+
+def test_split_solver_rejects_factors_outside_the_original():
+    from mpjacobi.solvers import PartitionMismatch
+
+    hg, q = toy_quadratic(seed=7)
+    view, spart = _identity_split_run_inputs(q, hg)
+    extra = QuadraticObjective(4, 1, q.diag, q.lin, {},
+                               {**q.hyper, (0, 3): 0.1 * np.eye(2)})
+    with pytest.raises(PartitionMismatch):
+        h_mp_jacobi_split(extra, view, spart, SolverConfig(max_rounds=5))

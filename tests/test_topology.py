@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mpjacobi.splitting import CyclicSplitCluster, SplitMap, apply_split, validate_split_partition
 from mpjacobi.topology import (
+    DisconnectedQuery,
     Graph,
     Hypergraph,
     IncompatiblePartition,
@@ -188,6 +189,19 @@ def test_hyper_partition_validation():
     with pytest.raises(NonTreeCluster):
         bad = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
         validate_hyper_partition(bad, [[0, 1, 2, 3]])
+
+
+def test_hyper_partition_distance_queries():
+    hg = Hypergraph(6, [(0, 1, 2), (2, 3, 4)])
+    part = validate_hyper_partition(hg, [[0, 1, 2, 3, 4], [5]])
+    assert part.d(4, 0) == 2 and part.d(3, 3) == 0
+    with pytest.raises(TopologyError):
+        part.d(0, 5)
+    split = validate_hyper_partition(hg, [[0, 1, 2, 3, 4], [5]],
+                                     intra_factors=[[0], []])
+    assert split.diameters[0] == 2
+    with pytest.raises(DisconnectedQuery):
+        split.d(0, 3)
 
 
 def test_hyper_partition_explicit_factors_skips_maximality():
