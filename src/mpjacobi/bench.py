@@ -389,8 +389,8 @@ def _exp_qp_compare(cfg):
                             track_oracle=oracle)
         return mp_jacobi(q, part, scfg)
 
-    tau_mp, tr = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
-    res.add("mp_jacobi", m, d, cfg.seed, tr, cfg.tol, 0, tau=tau_mp)
+    tau_mp, tr, ms = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
+    res.add("mp_jacobi", m, d, cfg.seed, tr, cfg.tol, ms, tau=tau_mp)
     res.traces["mp_jacobi"] = tr
 
     spec = SurrogateSpec(
@@ -404,8 +404,8 @@ def _exp_qp_compare(cfg):
                              track_oracle=oracle)
         return mp_jacobi_surrogate(q, part, sscfg)
 
-    tau_s, trs = tune_tau(run_sur, cfg.tol, cfg.max_rounds)
-    res.add("mp_jacobi_surrogate", m, d, cfg.seed, trs, cfg.tol, 0, tau=tau_s)
+    tau_s, trs, ms = tune_tau(run_sur, cfg.tol, cfg.max_rounds)
+    res.add("mp_jacobi_surrogate", m, d, cfg.seed, trs, cfg.tol, ms, tau=tau_s)
     res.traces["mp_jacobi_surrogate"] = trs
 
     for kind, extra in (
@@ -423,8 +423,8 @@ def _exp_qp_compare(cfg):
                                           "max_rounds": cfg.max_rounds,
                                           "tol": 1e-14, "oracle": oracle})
 
-            tau_b, tb = tune_tau(run_b, cfg.tol, cfg.max_rounds)
-            res.add(kind, m, d, cfg.seed, tb, cfg.tol, 0, tau=tau_b)
+            tau_b, tb, ms = tune_tau(run_b, cfg.tol, cfg.max_rounds)
+            res.add(kind, m, d, cfg.seed, tb, cfg.tol, ms, tau=tau_b)
         res.traces[kind] = tb
     return res
 
@@ -553,10 +553,10 @@ def _exp_cta_compare(cfg):
         return mp_jacobi(q, part, scfg)
 
     if tau is None:
-        tau_mp, tr = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
+        tau_mp, tr, ms = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
     else:
-        tau_mp, tr = tau, run_mp(tau)
-    res.add("mp_jacobi", m, d, cfg.seed, tr, cfg.tol, 0, tau=tau_mp)
+        tau_mp, (tr, ms) = tau, _timed(run_mp, tau)
+    res.add("mp_jacobi", m, d, cfg.seed, tr, cfg.tol, ms, tau=tau_mp)
     res.traces["mp_jacobi"] = tr
 
     qmax = max(float(np.linalg.eigvalsh(f.Q)[-1]) for f in prob.locals_)
@@ -569,10 +569,10 @@ def _exp_cta_compare(cfg):
         return mp_jacobi_surrogate(prob, part, sscfg)
 
     if tau is None:
-        tau_s, trs = tune_tau(run_sur, cfg.tol, cfg.max_rounds)
+        tau_s, trs, ms = tune_tau(run_sur, cfg.tol, cfg.max_rounds)
     else:
-        tau_s, trs = tau, run_sur(tau)
-    res.add("mp_jacobi_surrogate", m, d, cfg.seed, trs, cfg.tol, 0, tau=tau_s)
+        tau_s, (trs, ms) = tau, _timed(run_sur, tau)
+    res.add("mp_jacobi_surrogate", m, d, cfg.seed, trs, cfg.tol, ms, tau=tau_s)
     res.traces["mp_jacobi_surrogate"] = trs
 
     tb, ms3 = _timed(baseline, "dgd_cta", prob,
@@ -613,8 +613,8 @@ def _exp_dumbbell_scaling(cfg):
                                 tol_x=1e-14, track_oracle=oracle)
             return mp_jacobi(q, part, scfg)
 
-        tau_mp, tr = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
-        res.add("mp_jacobi", g.m, d, cfg.seed, tr, cfg.tol, 0, path=path,
+        tau_mp, tr, ms = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
+        res.add("mp_jacobi", g.m, d, cfg.seed, tr, cfg.tol, ms, path=path,
                 tau=tau_mp)
         tb, ms2 = _timed(baseline, "dgd_cta", prob,
                          {"max_rounds": cfg.max_rounds, "tol": 1e-14,
@@ -666,20 +666,21 @@ def tune_tau(run_fn, tol, max_rounds, grid=TAU_GRID):
     """Logarithmic stepsize grid search: pick the tau reaching the
     tolerance in the fewest rounds (the recorded value is reported with
     the run). Stand-in for hand tuning. Larger stepsizes are tried first
-    and the search stops once shrinking tau stops helping.
+    and the search stops once shrinking tau stops helping. Returns the
+    winner's (tau, trace, wall milliseconds of its run).
     """
     best = None
     worse_streak = 0
     for tau in grid:
         try:
-            tr = run_fn(tau)
+            tr, ms = _timed(run_fn, tau)
         except Exception:
             continue
         iters = tr.iterations_to("dist_to_opt", tol)
         if iters is None or tr.diverged:
             continue
         if best is None or iters < best[0]:
-            best = (iters, tau, tr)
+            best = (iters, tau, tr, ms)
             worse_streak = 0
         else:
             worse_streak += 1
@@ -687,7 +688,7 @@ def tune_tau(run_fn, tol, max_rounds, grid=TAU_GRID):
                 break
     if best is None:
         raise BenchError("no stepsize on the grid converged")
-    return best[1], best[2]
+    return best[1:]
 
 
 def _exp_split_toy(cfg):
@@ -709,8 +710,8 @@ def _exp_split_toy(cfg):
                                 tol_grad=1e-10, track_oracle=oracle)
             return h_mp_jacobi_split(q, view, spart, scfg)
 
-        tau, tr = tune_tau(run, cfg.tol, cfg.max_rounds)
-        res.add(label, 4, 1, cfg.seed, tr, cfg.tol, 0, tau=tau)
+        tau, tr, ms = tune_tau(run, cfg.tol, cfg.max_rounds)
+        res.add(label, 4, 1, cfg.seed, tr, cfg.tol, ms, tau=tau)
         res.traces[label] = tr
         runs[label] = tr.iterations_to("dist_to_opt", cfg.tol)
     tb, ms2 = _timed(baseline, "gradient_descent", q,

@@ -9,16 +9,15 @@ Update rules implemented here:
   * first-order (affine) surrogate messages,
   * structured-quadratic (Schur-recursion) surrogate messages,
   * partial-linearization messages for lifted consensus objectives,
-  * hypergraph factor-to-variable messages with the variable-side
-    aggregates they consume.
+  * hypergraph factor-to-variable messages and their diagonal compression.
 
-The first-order, structured-quadratic and partial-linearization rules and
-``struct_solve`` accept leading batch axes: every argument may carry the
-same leading shape (one entry per directed edge), and a QuadraticMessage
+Every rule, ``struct_solve`` and ``message_vectors`` accept leading batch
+axes: every argument may carry the same leading shape (one entry per
+directed edge or per (factor, receiver) incidence), and a QuadraticMessage
 in ``incoming`` may hold batched (..., d, d) / (..., d) arrays, typically
-the sender's sum over its other in-edges. The pairwise solvers call each
-rule once per round on (E, d, d) / (E, d) message arrays; a single call is
-the batch-free case.
+the sender's sum over its other in-edges. The solvers call each rule once
+per round (the hypergraph rule once per factor arity) on stacked message
+arrays; a single call is the batch-free case.
 
 The linear parts of the Schur and partial-linearization recursions are
 derived once from the defining partial minimizations (see the docstrings),
@@ -59,22 +58,29 @@ def is_diagonal(A, tol=0.0):
 def struct_solve(A, rhs):
     """Solve A @ X = rhs over any leading batch axes of A (..., d, d).
 
-    ``rhs`` is a vector (..., d) or a matrix (..., d, k). A batch whose
-    matrices are all exactly diagonal is solved by division, so diagonal
-    message families stay exactly diagonal instead of merely numerically
-    diagonal.
+    ``rhs`` is a vector (..., d) or a matrix (..., d, k). Matrices that are
+    exactly diagonal are solved by division, so diagonal message families
+    stay exactly diagonal instead of merely numerically diagonal; the others
+    go to LAPACK. The choice is made per matrix, so a batch equals its
+    stacked single solves bit for bit.
     """
     A = np.asarray(A, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     vector = rhs.ndim == A.ndim - 1
     b = rhs[..., None] if vector else rhs
     diag = np.diagonal(A, axis1=-2, axis2=-1)
-    if not np.any(A - diag[..., None] * np.eye(A.shape[-1])):
-        if np.any(diag == 0.0):
-            raise np.linalg.LinAlgError("singular diagonal system")
+    is_diag = ~np.any(A - diag[..., None] * np.eye(A.shape[-1]), axis=(-2, -1))
+    if np.any(diag[is_diag] == 0.0):
+        raise np.linalg.LinAlgError("singular diagonal system")
+    if np.all(is_diag):
         X = b / diag[..., None]
-    else:
+    elif not np.any(is_diag):
         X = np.linalg.solve(A, b)
+    else:
+        b = np.broadcast_to(b, A.shape[:-2] + b.shape[-2:])
+        X = np.empty(b.shape)
+        X[is_diag] = b[is_diag] / diag[is_diag][..., None]
+        X[~is_diag] = np.linalg.solve(A[~is_diag], b[~is_diag])
     return X[..., 0] if vector else X
 
 
@@ -104,17 +110,17 @@ class QuadraticMessage:
     def grad(self, x):
         return self.H @ x + self.h
 
-    def vector_cost(self):
-        """Communication size in d-vector units: matrix counts d unless it
-        is diagonal (1) or identically zero (0); the linear part counts 1.
-        """
-        if not np.any(self.H):
-            hc = 0
-        elif is_diagonal(self.H):
-            hc = 1
-        else:
-            hc = self.d
-        return hc + 1
+
+def message_vectors(H):
+    """Vectors each message costs to send, over any leading batch axes of
+    its curvature H (..., d, d): the matrix counts d unless it is diagonal
+    (1) or identically zero (0); the linear part counts 1.
+    """
+    H = np.asarray(H)
+    d = H.shape[-1]
+    nonzero = np.any(H, axis=(-2, -1))
+    dense = np.any(H[..., ~np.eye(d, dtype=bool)], axis=-1)
+    return np.where(dense, d, nonzero.astype(int)) + 1
 
 
 class MessageSet:
@@ -141,9 +147,6 @@ class MessageSet:
         if missing:
             raise MessageError(f"round left {len(missing)} messages unset")
         self.cur, self.nxt = self.nxt, {}
-
-    def keys(self):
-        return self.cur.keys()
 
 
 @dataclass
@@ -206,9 +209,10 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
     c_j = b_j + sum h_in + boundary_lin,
         H_msg = -B_ij A_j^{-1} B_ij^T,   h_msg = -B_ij A_j^{-1} c_j.
     """
-    d = b_j.shape[0]
     A = np.array(H_jj, dtype=float, copy=True)
     c = np.array(b_j, dtype=float, copy=True)
+    B_ij = np.asarray(B_ij, dtype=float)
+    d = c.shape[-1]
     for msg in incoming:
         A = A + msg.H
         c = c + msg.h
@@ -216,12 +220,12 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
         A = A + boundary_quad
     if boundary_lin is not None:
         c = c + boundary_lin
-    rhs = np.concatenate([B_ij.T, c.reshape(d, 1)], axis=1)
+    rhs = np.concatenate([np.swapaxes(B_ij, -1, -2), c[..., None]], axis=-1)
     try:
         X = struct_solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSenderCurvature(str(exc)) from exc
-    return QuadraticMessage(-B_ij @ X[:, :d], -B_ij @ X[:, d])
+    return QuadraticMessage(-B_ij @ X[..., :d], (-B_ij @ X[..., d:])[..., 0])
 
 
 def first_order_message(grad_i_psi):
@@ -306,80 +310,62 @@ def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
 # hypergraph update rules (quadratic factors, <H_w x_w, x_w> convention)
 
 
-def variable_side_aggregate(H_jj, b_j, incoming, out_factor_quads,
-                            out_factor_lins, extra_lin=None):
-    """Aggregate node-side cost at j as seen by one factor.
-
-    Returns (H_agg, h_agg) in normal form 1/2 <H x,x> + <h,x> collecting the
-    node term, incoming messages from the other intra factors, and the
-    frozen out-of-cluster factors (their curvature 2(H_w)_{jj} and linear
-    2(H_w)_{j, w\\j} x^nu terms are passed in pre-extracted).
-    """
-    H = np.array(H_jj, dtype=float, copy=True)
-    h = np.array(b_j, dtype=float, copy=True)
-    for msg in incoming:
-        H = H + msg.H
-        h = h + msg.h
-    for Q in out_factor_quads:
-        H = H + Q
-    for v in out_factor_lins:
-        h = h + v
-    if extra_lin is not None:
-        h = h + extra_lin
-    return H, h
-
-
-def hyper_factor_message(H_w, support, receiver, aggregates, frozen_lin=None,
+def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
                          receiver_extra_lin=None):
     """Factor-to-variable message for a quadratic factor psi = <H_w x, x>.
 
-    ``aggregates`` maps each j in support \\ {receiver} to its variable-side
-    (H_agg, h_agg). ``frozen_lin`` (optional) adds per-node linear terms from
-    coordinates of a parent factor frozen by splitting; ``receiver_extra_lin``
-    is the receiver-side frozen linear term 2 (H_par)_{i, frozen} y.
+    ``H_w`` (..., k d, k d) is the factor block permuted receiver-first: the
+    receiver's d coordinates, then those of the other k - 1 members
+    ("rest") in a fixed order. ``H_agg`` (..., k-1, d, d) and ``h_agg``
+    (..., k-1, d) are the rest's variable-side aggregates in that order.
+    ``frozen_lin`` (..., k-1, d), optional, adds the rest's linear terms
+    from coordinates of a parent factor frozen by splitting;
+    ``receiver_extra_lin`` (..., d) is the receiver-side frozen linear term
+    2 (H_par)_{i, frozen} y.
 
     Closed form (matches brute-force partial minimization):
-        A     = 2 (H_w)_{rest,rest} + blockdiag(H_agg_j)
-        dvec  = stacked h_agg_j (+ frozen linear terms)
+        A     = 2 (H_w)_{rest,rest} + blockdiag(H_agg)
+        dvec  = stacked h_agg (+ frozen_lin)
         H_msg = 2 (H_w)_{ii} - 4 (H_w)_{i,rest} A^{-1} (H_w)_{rest,i}
         h_msg = receiver_extra_lin - 2 (H_w)_{i,rest} A^{-1} dvec.
     """
-    support = tuple(support)
-    pos = {n: t for t, n in enumerate(support)}
-    d = next(iter(aggregates.values()))[1].shape[0] if aggregates else H_w.shape[0]
-    rest = [n for n in support if n != receiver]
-    i0 = pos[receiver] * d
-    Hii = 2.0 * H_w[i0:i0 + d, i0:i0 + d]
-    if not rest:
-        h = np.zeros(d) if receiver_extra_lin is None else np.asarray(receiver_extra_lin)
-        return QuadraticMessage(Hii, h.copy())
-
-    ridx = np.concatenate([np.arange(pos[n] * d, (pos[n] + 1) * d) for n in rest])
-    cross = 2.0 * H_w[np.ix_(np.arange(i0, i0 + d), ridx)]      # 2 (H_w)_{i,rest}
-    A = 2.0 * H_w[np.ix_(ridx, ridx)]
-    dvec = np.zeros(len(rest) * d)
-    for t, n in enumerate(rest):
-        H_agg, h_agg = aggregates[n]
-        A[t * d:(t + 1) * d, t * d:(t + 1) * d] += H_agg
-        dvec[t * d:(t + 1) * d] = h_agg
-        if frozen_lin is not None and n in frozen_lin:
-            dvec[t * d:(t + 1) * d] += frozen_lin[n]
-    rhs = np.concatenate([cross.T, dvec.reshape(-1, 1)], axis=1)
+    H_w = np.asarray(H_w, dtype=float)
+    h_agg = np.asarray(h_agg, dtype=float)
+    n, d = h_agg.shape[-2:]
+    Hii = 2.0 * H_w[..., :d, :d]
+    if not n:
+        if receiver_extra_lin is None:
+            return QuadraticMessage(Hii, np.zeros(Hii.shape[:-1]))
+        return QuadraticMessage(Hii, np.array(receiver_extra_lin, dtype=float))
+    cross = 2.0 * H_w[..., :d, d:]                       # 2 (H_w)_{i,rest}
+    A = 2.0 * H_w[..., d:, d:]
+    blk = np.arange(n * d).reshape(n, d, 1)
+    rows = np.broadcast_to(blk, (n, d, d)).ravel()
+    cols = np.broadcast_to(blk.reshape(n, 1, d), (n, d, d)).ravel()
+    A[..., rows, cols] += np.reshape(H_agg, A.shape[:-2] + (-1,))
+    dvec = h_agg.reshape(h_agg.shape[:-2] + (n * d,))
+    if frozen_lin is not None:
+        dvec = dvec + np.reshape(frozen_lin, dvec.shape)
+    rhs = np.concatenate([np.swapaxes(cross, -1, -2), dvec[..., None]], axis=-1)
     try:
         X = struct_solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularA(str(exc)) from exc
-    H_msg = Hii - cross @ X[:, :d]
-    h_msg = -cross @ X[:, d]
+    H_msg = Hii - cross @ X[..., :d]
+    h_msg = (-cross @ X[..., d:])[..., 0]
     if receiver_extra_lin is not None:
         h_msg = h_msg + receiver_extra_lin
-    return QuadraticMessage(0.5 * (H_msg + H_msg.T), h_msg)
+    return QuadraticMessage(0.5 * (H_msg + np.swapaxes(H_msg, -1, -2)), h_msg)
 
 
 def diagonalize_message(msg, x_ref):
     """Proximal-linear compression of a message around x_ref: keep the exact
     gradient there, replace the curvature by its diagonal.
     """
-    Hd = np.diag(np.diag(msg.H))
-    h = msg.grad(x_ref) - Hd @ x_ref
+    H = np.asarray(msg.H, dtype=float)
+    x = np.asarray(x_ref, dtype=float)[..., None]
+    i = np.arange(H.shape[-1])
+    Hd = np.zeros_like(H)
+    Hd[..., i, i] = H[..., i, i]
+    h = ((H @ x)[..., 0] + msg.h) - (Hd @ x)[..., 0]
     return QuadraticMessage(Hd, h)

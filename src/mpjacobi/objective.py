@@ -103,17 +103,6 @@ class QuadraticObjective:
             return self.pair[(i, j)]
         return self.pair[(j, i)].T
 
-    def hyper_block(self, w, rows, cols):
-        """Sub-block of H_w indexed by node lists rows x cols (nodes of w)."""
-        w = tuple(w)
-        pos = {n: t for t, n in enumerate(w)}
-        H = self.hyper[w]
-        ridx = np.concatenate([np.arange(pos[n] * self.d, (pos[n] + 1) * self.d)
-                               for n in rows]) if rows else np.zeros(0, dtype=int)
-        cidx = np.concatenate([np.arange(pos[n] * self.d, (pos[n] + 1) * self.d)
-                               for n in cols]) if cols else np.zeros(0, dtype=int)
-        return H[np.ix_(ridx, cidx)]
-
     # -- evaluation --------------------------------------------------------
 
     def value(self, x):

@@ -362,13 +362,23 @@ def compute_A(partition, inputs, surrogate=False):
     return A_r, A_J, At_r
 
 
+def three_terms(p, D, kappa, mu_min=None, A=0.0):
+    """The three stepsize caps (I, II, III) = (1/p, 2 kappa/(2D+1),
+    sqrt(mu_min / (8 (2D+1) A))); III is +inf when there is no covered
+    coupling (no mu_min or A <= 0)."""
+    term_III = float("inf")
+    if mu_min is not None and A > 0:
+        term_III = math.sqrt(mu_min / (8 * (2 * D + 1) * A))
+    return 1.0 / p, 2.0 * kappa / (2 * D + 1), term_III
+
+
 def rate_terms(partition, inputs, surrogate=False):
     """Three-term stepsize bound and the implied contraction factor.
 
     I = 1/p, II = 2 kappa / (2D+1),
-    III = sqrt(min_{r in J} mu_r / (8 (2D+1) A_J)); the minimum picks the
-    active regime and rho = 1 - tau_max / (2 kappa). Term III is +inf when
-    no non-singleton cluster has external neighbors.
+    III = sqrt(min_{r in J} mu_r / (8 (2D+1) A_J)) (see :func:`three_terms`);
+    the minimum picks the active regime and rho = 1 - tau_max / (2 kappa).
+    Term III is +inf when no non-singleton cluster has external neighbors.
     """
     p = partition.p
     D = partition.max_diameter
@@ -376,8 +386,6 @@ def rate_terms(partition, inputs, surrogate=False):
     kappa = inputs.kappa_tilde if surrogate else inputs.kappa
     if kappa <= 0 or p < 1:
         raise RateError("need kappa > 0 and p >= 1")
-    term_I = 1.0 / p
-    term_II = 2.0 * kappa / (2 * D + 1)
     J = partition.external_cover
     if surrogate:
         idx = set(J) | {r for r, c in enumerate(partition.clusters) if len(c) > 1}
@@ -388,10 +396,8 @@ def rate_terms(partition, inputs, surrogate=False):
         idx = set(J)
         mus = inputs.mu_r
         denom = A_J
-    if idx and denom > 0:
-        term_III = math.sqrt(min(mus[r] for r in idx) / (8 * (2 * D + 1) * denom))
-    else:
-        term_III = float("inf")
+    term_I, term_II, term_III = three_terms(
+        p, D, kappa, min((mus[r] for r in idx), default=None), denom)
     tau_max = min(term_I, term_II, term_III)
     regime = {term_I: "I", term_II: "II", term_III: "III"}[tau_max]
     rho = 1.0 - tau_max / (2.0 * kappa)
@@ -425,10 +431,7 @@ def _three_terms_ring(m, D, strategy, t):
         p = m - D
     else:
         p = m // (D + 1)
-    I = 1.0 / p
-    II = 2.0 * kappa / (2 * D + 1)
-    III = math.sqrt(t.mu_cluster / (8 * (2 * D + 1) * A1)) if D >= 1 else float("inf")
-    return I, II, III, p
+    return (*three_terms(p, D, kappa, t.mu_cluster, A1), p)
 
 
 def ring_partition_optimizer(m, strategy, template=None):
@@ -486,11 +489,7 @@ def grid_partition_optimizer(m, template=None):
         p = mm - D * ss
         A1 = (2 * t.L_cluster + t.mu_cluster) * t.L_boundary ** 2 * (D + 1) * D \
             / (4 * t.mu_cluster ** 2)
-        A_J = 2 * A1
-        I = 1.0 / p
-        II = 2.0 * kappa / (2 * D + 1)
-        III = math.sqrt(t.mu_cluster / (8 * (2 * D + 1) * A_J))
-        return min(I, II, III), p
+        return min(three_terms(p, D, kappa, t.mu_cluster, 2 * A1)), p
 
     def best_for(mm):
         ss = int(round(math.sqrt(mm)))

@@ -25,6 +25,7 @@ from .messages import (
     diagonalize_message,
     first_order_message,
     hyper_factor_message,
+    message_vectors,
     schur_message_update,
     struct_solve,
     SurrogateSpec,
@@ -35,6 +36,13 @@ from .objective import (
     QuadraticObjective,
     as_blocks,
     check_block_vector,
+)
+from .splitting import (
+    SplitMap,
+    SplitQuadraticView,
+    _coords,
+    apply_split,
+    split_surrogate_components,
 )
 
 
@@ -239,16 +247,8 @@ class _PairwiseLayout:
 
     def vectors(self, H_msg):
         """Vectors sent in one round: one per directed cross incidence for
-        the iterates, plus per message its matrix (d if dense, 1 if
-        diagonal, 0 if zero) and one vector for the linear part.
-        """
-        E, d = self.n_edges, self.d
-        if E == 0:
-            return len(self.csrc)
-        nonzero = np.any(H_msg.reshape(E, -1), axis=1)
-        has_off = np.any((H_msg * (1.0 - np.eye(d))).reshape(E, -1), axis=1)
-        mat_cost = np.where(~nonzero, 0, np.where(has_off, d, 1))
-        return len(self.csrc) + int(mat_cost.sum()) + E
+        the iterates, plus the message_vectors of every message."""
+        return len(self.csrc) + int(message_vectors(H_msg).sum())
 
 
 def _blocks(problem, rows, cols):
@@ -635,28 +635,6 @@ def _edge_message(problem, sender, receiver, incoming):
 # hypergraph solvers
 
 
-class HyperQuadView:
-    """Round view of hypergraph factors as quadratics <H_w x_w, x_w> plus
-    per-node linear terms from frozen coordinates (used by the splitting
-    variant; zero for plain problems). Factor indices follow the partition's
-    hypergraph order.
-    """
-
-    def __init__(self, problem, factor_list):
-        self.problem = problem
-        self.factor_list = tuple(tuple(w) for w in factor_list)
-
-    def quad(self, a):
-        w = self.factor_list[a]
-        return self.problem.hyper[w], w
-
-    def lin(self, a, x):
-        return {}
-
-    def receiver_lin(self, a, i, x):
-        return None
-
-
 def pairwise_to_hyper(problem):
     """Re-express pairwise couplings as 2-node factors (<H_w x, x> blocks)."""
     hyper = dict(problem.hyper)
@@ -671,80 +649,163 @@ def pairwise_to_hyper(problem):
                               problem.lin.copy(), {}, hyper)
 
 
-def h_mp_jacobi(problem, hpartition, config=None, x0=None, view=None):
+class _HyperLayout:
+    """Compiled (factor, member) incidences of a hypertree partition.
+
+    Slots 0..K-1 are the intra incidences (a, i), in cluster, factor,
+    support order; intra incidence k carries message k. Slots K..K+n_out-1
+    are the out incidences (b, i) of factors b not intra at i, node by node.
+    Per arity, ``groups`` stacks the intra factor blocks permuted
+    receiver-first, with the gather indices of each factor's other members
+    (``rest``) and of their message rows (``rest_msg``). An out incidence
+    freezes b's other members at the round iterate: constant curvature
+    out_H = 2 (H_b)_ii and linear term 2 (H_b)_{i,rest} x_rest. A round's
+    table of terms linear in x (:meth:`linear_terms`) holds in row s the
+    view's frozen-reference terms of slot s, and in row n_out + s the
+    linear term of out slot s. ``H_node``/``H_src`` and ``h_node``/``h_src``
+    list the terms of every node aggregate in the order they are added:
+    messages in n_in order, then per out factor in n_out order its 2 H x
+    term and its frozen term.
+    """
+
+    def __init__(self, problem, hpartition, view):
+        m, d = problem.m, problem.d
+        self.d = d
+        factors = view.split.hypergraph.hyperedges
+        intra = [(a, i) for r in range(hpartition.p)
+                 for a in hpartition.intra_factors[r] for i in factors[a]]
+        out = [(b, i) for i in range(m) for b in hpartition.n_out[i]]
+        slot = {e: s for s, e in enumerate(intra + out)}
+        K, n_out = self.n_intra, self.n_out = len(intra), len(out)
+        self.incidences = intra
+        self.nodes = np.array([i for _, i in intra], dtype=int)
+        self.hosts = np.array([min(factors[a]) for a, _ in intra], dtype=int)
+
+        def receiver_first(a, i):
+            order = [i] + [n for n in factors[a] if n != i]
+            idx = _coords(order, factors[a], d)
+            return view.blocks[a][np.ix_(idx, idx)], order[1:]
+
+        self.groups = []
+        for k in sorted({len(factors[a]) for a, _ in intra}):
+            sel = [s for s, (a, _) in enumerate(intra) if len(factors[a]) == k]
+            blocks, rest = zip(*(receiver_first(*intra[s]) for s in sel))
+            rest_msg = [[slot[(intra[s][0], j)] for j in r] for s, r in zip(sel, rest)]
+            self.groups.append((np.array(sel), np.array(blocks),
+                                np.array(rest, dtype=int).reshape(len(sel), k - 1),
+                                np.array(rest_msg, dtype=int).reshape(len(sel), k - 1)))
+        outs = [receiver_first(b, i) for b, i in out]
+        self.out_H = np.array([2.0 * P[:d, :d] for P, _ in outs]).reshape(-1, d, d)
+        # linear-term rows (table row, coefficient c, M, nodes): c M x[nodes]
+        rows = [(slot[(a, i)], c, M, nodes) for a, i, c, M, nodes in view.frozen]
+        rows += [(slot[e] + n_out, 1.0, 2.0 * P[:d, d:], r)
+                 for e, (P, r) in zip(out, outs) if r]
+        self.lin_row = np.array([r[0] for r in rows], dtype=int)
+        self.lin_coef = np.array([r[1] for r in rows]).reshape(-1, 1)
+        by_width = {}
+        for t, r in enumerate(rows):
+            by_width.setdefault(len(r[3]), []).append(t)
+        self.lin_groups = [(np.array(sel), np.array([rows[t][2] for t in sel]),
+                            np.array([rows[t][3] for t in sel], dtype=int))
+                           for sel in by_width.values()]
+        H_terms, h_terms = [], []
+        for i in range(m):
+            H_terms += [(i, slot[(a, i)]) for a in hpartition.n_in[i]]
+            h_terms += [(i, slot[(a, i)]) for a in hpartition.n_in[i]]
+            for b in hpartition.n_out[i]:
+                s = slot[(b, i)]
+                H_terms.append((i, s))
+                if len(factors[b]) > 1:
+                    h_terms.append((i, s + n_out))
+                h_terms.append((i, s))
+        self.H_node, self.H_src = np.array(H_terms, dtype=int).reshape(-1, 2).T
+        self.h_node, self.h_src = np.array(h_terms, dtype=int).reshape(-1, 2).T
+
+    def linear_terms(self, x):
+        """The round's (K + 2 n_out, d) table of terms linear in x."""
+        T = np.empty((len(self.lin_row), self.d))
+        for sel, M, nodes in self.lin_groups:
+            T[sel] = (M @ x[nodes].reshape(len(sel), -1, 1))[..., 0]
+        lin = np.zeros((self.n_intra + 2 * self.n_out, self.d))
+        np.add.at(lin, self.lin_row, self.lin_coef * T)
+        return lin
+
+    def node_sums(self, problem, H_msg, h_msg, lin):
+        """Per-node curvature and linear aggregates over all incident terms."""
+        aggH, aggh = problem.diag.copy(), problem.lin.copy()
+        np.add.at(aggH, self.H_node, np.concatenate([H_msg, self.out_H])[self.H_src])
+        np.add.at(aggh, self.h_node,
+                  np.concatenate([h_msg, lin[self.n_intra:]])[self.h_src])
+        return aggH, aggh
+
+    def messages(self, aggH, aggh, H_msg, h_msg, lin):
+        """Every factor-to-variable message, one rule call per arity."""
+        H_new, h_new = np.empty_like(H_msg), np.empty_like(h_msg)
+        for sel, blocks, rest, rest_msg in self.groups:
+            msg = hyper_factor_message(
+                blocks, aggH[rest] - H_msg[rest_msg], aggh[rest] - h_msg[rest_msg],
+                frozen_lin=lin[rest_msg], receiver_extra_lin=lin[sel])
+            H_new[sel], h_new[sel] = msg.H, msg.h
+        return H_new, h_new
+
+
+def h_mp_jacobi(problem, hpartition, config=None, x0=None):
     """Hypergraph message-passing Jacobi (quadratic factors).
 
     Per round: Jacobi-style variable updates from factor-to-variable
     messages plus frozen inter-cluster factors, then one factor-to-variable
     message round on each intra-cluster factor tree. The hosted-factor and
     factor-processor implementations produce identical iterates and differ
-    only in the communication count (see ``_hyper_comm``).
+    only in the communication count (see ``_hyper_comm``). The plain
+    problem runs as its identity split, each factor its own component.
     """
+    _check_hyper_problem(problem, hpartition, hpartition.hypergraph.hyperedges)
+    split = apply_split(hpartition.hypergraph, SplitMap.identity())
+    view = SplitQuadraticView(problem, split, split_surrogate_components(split, {}))
+    return _hyper_run(problem, hpartition, config, x0, view)
+
+
+def h_mp_jacobi_split(problem, split_surrogate, hpartition, config=None, x0=None):
+    """Splitting variant: identical round structure on the split factor set,
+    with component factors re-frozen at the newest iterates each round.
+    ``split_surrogate`` is a SplitQuadraticView from the splitting module;
+    ``hpartition`` partitions the split hypergraph.
+    """
+    split = split_surrogate.split
+    _check_hyper_problem(problem, hpartition, split.original.hyperedges)
+    if hpartition.hypergraph.hyperedges != split.hypergraph.hyperedges:
+        raise PartitionMismatch("partition is not over the split hypergraph")
+    return _hyper_run(problem, hpartition, config, x0, split_surrogate)
+
+
+def _hyper_run(problem, hpartition, config, x0, view):
+    """Rounds of the hypergraph engine on a compiled split view; messages
+    are (K, d, d) / (K, d) arrays over the intra incidences and
+    ``trace.monitor`` holds the final (H_msg, h_msg, incidences)."""
     config = config or SolverConfig()
-    if view is None:
-        _check_hyper_problem(problem, hpartition, hpartition.hypergraph.hyperedges)
-        view = HyperQuadView(problem, hpartition.hypergraph.hyperedges)
-    m, d = problem.m, problem.d
-    keys = [(a, i) for r in range(hpartition.p) for a in hpartition.intra_factors[r]
-            for i in hpartition.hypergraph.hyperedges[a]]
-    msgs = MessageSet(keys, d)
+    lay = _HyperLayout(problem, hpartition, view)
+    H_msg = np.zeros((lay.n_intra, lay.d, lay.d))
+    h_msg = np.zeros((lay.n_intra, lay.d))
+    exchanging, relay = _hyper_comm(hpartition, lay, config.factor_impl)
     surrogate_diag = (config.surrogate is not None
                       and config.surrogate.family != "exact")
 
     def step(x):
-        # per-node aggregates over ALL incident terms (round-nu snapshot)
-        aggH = [problem.diag[i].copy() for i in range(m)]
-        aggh = [problem.lin[i].copy() for i in range(m)]
-        for i in range(m):
-            for a in hpartition.n_in[i]:
-                msg = msgs.get((a, i))
-                aggH[i] += msg.H
-                aggh[i] += msg.h
-            for a in hpartition.n_out[i]:
-                Hw, w = view.quad(a)
-                rest = [n for n in w if n != i]
-                pos = {n: t for t, n in enumerate(w)}
-                i0 = pos[i] * d
-                aggH[i] += 2.0 * Hw[i0:i0 + d, i0:i0 + d]
-                if rest:
-                    ridx = np.concatenate([np.arange(pos[n] * d, (pos[n] + 1) * d)
-                                           for n in rest])
-                    xs = np.concatenate([x[n] for n in rest])
-                    aggh[i] += 2.0 * Hw[np.ix_(np.arange(i0, i0 + d), ridx)] @ xs
-                extra = view.receiver_lin(a, i, x)
-                if extra is not None:
-                    aggh[i] += extra
-        xhat = np.zeros((m, d))
-        for i in range(m):
-            try:
-                xhat[i] = -struct_solve(aggH[i], aggh[i])
-            except np.linalg.LinAlgError as exc:
-                raise IllPosedSubproblem(str(exc)) from exc
-
-        for r in range(hpartition.p):
-            for a in hpartition.intra_factors[r]:
-                Hw, w = view.quad(a)
-                frozen = view.lin(a, x)
-                for i in w:
-                    aggregates = {}
-                    for j in w:
-                        if j == i:
-                            continue
-                        mj = msgs.get((a, j))
-                        aggregates[j] = (aggH[j] - mj.H, aggh[j] - mj.h)
-                    new = hyper_factor_message(
-                        Hw, w, i, aggregates,
-                        frozen_lin=frozen,
-                        receiver_extra_lin=view.receiver_lin(a, i, x))
-                    if surrogate_diag:
-                        new = diagonalize_message(new, x[i])
-                    msgs.put((a, i), new)
-        sent = _hyper_comm(hpartition, msgs, config.factor_impl, d)
-        msgs.commit()
-        return xhat, sent
+        nonlocal H_msg, h_msg
+        lin = lay.linear_terms(x)
+        aggH, aggh = lay.node_sums(problem, H_msg, h_msg, lin)
+        try:
+            xhat = -struct_solve(aggH, aggh)
+        except np.linalg.LinAlgError as exc:
+            raise IllPosedSubproblem(str(exc)) from exc
+        H_msg, h_msg = lay.messages(aggH, aggh, H_msg, h_msg, lin)
+        if surrogate_diag:
+            msg = diagonalize_message(QuadraticMessage(H_msg, h_msg), x[lay.nodes])
+            H_msg, h_msg = msg.H, msg.h
+        return xhat, 2 * int(message_vectors(H_msg)[exchanging].sum()) + relay
 
     trace = _drive(problem, hpartition, config, x0, lambda x0: step)
-    trace.monitor = msgs
+    trace.monitor = (H_msg, h_msg, lay.incidences)
     return trace
 
 
@@ -762,49 +823,27 @@ def _check_hyper_problem(problem, hpartition, factors):
                                 "hyperedges")
 
 
-def _hyper_comm(hpartition, msgs, impl, d):
-    """Vectors sent in one hypergraph round.
+def _hyper_comm(hpartition, lay, impl):
+    """Who exchanges messages, and the vectors relayed, in one hypergraph
+    round; a round sends 2 message_vectors over the exchanging incidences
+    plus the relay.
 
     Hosted factors: each intra factor's non-host members send their
     variable-side aggregates to the host and receive their message back;
     the host's own exchange is local. Factor processors: all members
-    exchange with the factor node. Inter-cluster factors relay iterates:
-    every member ships x_i to the implementation, which returns the
-    complement stack to each member.
+    exchange with the factor node. Both directions are priced like the
+    new message. Inter-cluster factors relay iterates: every member ships
+    x_i to the implementation, which returns the complement stack to each
+    member.
     """
-    total = 0
-    hg = hpartition.hypergraph
-    for r in range(hpartition.p):
-        for a in hpartition.intra_factors[r]:
-            w = hg.hyperedges[a]
-            host = min(w)
-            exchanging = [i for i in w if impl == "factor_processor" or i != host]
-            # variable-side aggregates up and factor-to-variable messages
-            # down, both priced like quadratic messages
-            for i in exchanging:
-                msg = msgs.nxt.get((a, i))
-                cost = msg.vector_cost() if msg is not None else d + 1
-                total += 2 * cost
-    for a, w in enumerate(hg.hyperedges):
+    exchanging = (impl == "factor_processor") | (lay.nodes != lay.hosts)
+    relay = 0
+    for a, w in enumerate(hpartition.hypergraph.hyperedges):
         if hpartition.factor_cluster[a] == -1:
             k = len(w)
             up = (k - 1) if impl == "hosted_factor" else k
-            total += up + k * (k - 1)
-    return total
-
-
-def h_mp_jacobi_split(problem, split_surrogate, hpartition, config=None, x0=None):
-    """Splitting variant: identical round structure on the split factor set,
-    with component factors re-frozen at the newest iterates each round.
-    ``split_surrogate`` is a SplitQuadraticView from the splitting module;
-    ``hpartition`` partitions the split hypergraph.
-    """
-    split = split_surrogate.split
-    _check_hyper_problem(problem, hpartition, split.original.hyperedges)
-    if hpartition.hypergraph.hyperedges != split.hypergraph.hyperedges:
-        raise PartitionMismatch("partition is not over the split hypergraph")
-    return h_mp_jacobi(problem, hpartition, config=config, x0=x0,
-                       view=split_surrogate)
+            relay += up + k * (k - 1)
+    return exchanging, relay
 
 
 # ---------------------------------------------------------------------------
@@ -1037,18 +1076,6 @@ def _rho_perp(W):
 
 # ---------------------------------------------------------------------------
 # stepsizes
-
-
-def uniform_theorem_tau(p, D, kappa, mu_min_J=None, A_J=None):
-    """tau = min{1/p, 2 kappa/(2D+1), sqrt(mu_min_J / (8 (2D+1) A_J))};
-    the third cap is skipped when there is no covered coupling (A_J = 0 or
-    no external-neighborhood cluster). Returns (tau, rho = 1 - tau/(2 kappa)).
-    """
-    terms = [1.0 / p, 2.0 * kappa / (2 * D + 1)]
-    if mu_min_J is not None and A_J is not None and A_J > 0:
-        terms.append(math.sqrt(mu_min_J / (8.0 * (2 * D + 1) * A_J)))
-    tau = min(terms)
-    return tau, 1.0 - tau / (2.0 * kappa)
 
 
 def select_stepsize(partition, rate_inputs, mode="uniform_theorem",

@@ -257,13 +257,25 @@ def split_surrogate_components(split, family_by_parent):
     return out
 
 
-class SplitQuadraticView:
-    """Round view of split components of quadratic factors for the solver.
+def _coords(nodes, order, d):
+    """Coordinate indices of ``nodes`` in a stack of d-blocks ordered as
+    ``order``."""
+    return np.concatenate([np.arange(order.index(n) * d, (order.index(n) + 1) * d)
+                           for n in nodes])
 
-    Effective component factor on support s: sum over primitives of
-    coef * <H_parent x, x> with non-active coordinates frozen at the round
-    references, i.e. a quadratic block on the active coordinates plus
-    per-node linear terms driven by the frozen references.
+
+class SplitQuadraticView:
+    """Split components of quadratic factors, compiled once for the solver.
+
+    Component a on support s is the sum over its primitives of
+    coef * <H_parent x, x> with the non-active coordinates frozen at the
+    round references (the latest iterates). ``blocks[a]`` is its quadratic
+    block on the active coordinates, in support order. The cross terms
+    between active and frozen coordinates are linear in the references:
+    ``frozen`` lists them as (a, i, c, M, nodes), one per component, member
+    i and primitive (in primitive order), meaning the term
+    c * M @ stack(x[nodes]) in the linear part at i, with c = 2 coef and
+    M = (H_parent)_{i, nodes}.
     """
 
     def __init__(self, problem, split, components):
@@ -272,61 +284,26 @@ class SplitQuadraticView:
         self.problem = problem
         self.split = split
         self.components = components
-        self.d = problem.d
-        self._quads = []
-        for comp in components:
+        d = problem.d
+        self.blocks = []
+        self.frozen = []
+        for a, comp in enumerate(components):
             Hpar = problem.hyper[tuple(comp.parent)]
-            s = comp.support
-            k = len(s) * self.d
-            Hw = np.zeros((k, k))
-            pos = {n: t for t, n in enumerate(s)}
-            ppos = {n: t for t, n in enumerate(comp.parent)}
+            s, par = comp.support, comp.parent
+            Hw = np.zeros((len(s) * d, len(s) * d))
             for coef, active in comp.primitives:
                 act = [n for n in s if n in active]
-                if not act:
-                    continue
-                ridx = np.concatenate([np.arange(ppos[n] * self.d, (ppos[n] + 1) * self.d)
-                                       for n in act])
-                sidx = np.concatenate([np.arange(pos[n] * self.d, (pos[n] + 1) * self.d)
-                                       for n in act])
-                Hw[np.ix_(sidx, sidx)] += coef * Hpar[np.ix_(ridx, ridx)]
-            self._quads.append(Hw)
-
-    @property
-    def hyperedges(self):
-        return self.split.hypergraph.hyperedges
-
-    def supports(self):
-        return list(self.split.hypergraph.hyperedges)
-
-    def quad(self, a):
-        return self._quads[a], self.components[a].support
-
-    def _frozen_lin_for(self, a, i, x):
-        comp = self.components[a]
-        Hpar = self.problem.hyper[tuple(comp.parent)]
-        d = self.d
-        ppos = {n: t for t, n in enumerate(comp.parent)}
-        g = np.zeros(d)
-        for coef, active in comp.primitives:
-            if i not in active:
-                continue
-            frozen = [n for n in comp.parent if n not in active]
-            if not frozen:
-                continue
-            ridx = np.arange(ppos[i] * d, (ppos[i] + 1) * d)
-            cidx = np.concatenate([np.arange(ppos[n] * d, (ppos[n] + 1) * d)
-                                   for n in frozen])
-            ys = np.concatenate([x[n] for n in frozen])
-            g += coef * 2.0 * (Hpar[np.ix_(ridx, cidx)] @ ys)
-        return g
-
-    def lin(self, a, x):
-        comp = self.components[a]
-        return {j: self._frozen_lin_for(a, j, x) for j in comp.support}
-
-    def receiver_lin(self, a, i, x):
-        return self._frozen_lin_for(a, i, x)
+                if act:
+                    ridx, sidx = _coords(act, par, d), _coords(act, s, d)
+                    Hw[np.ix_(sidx, sidx)] += coef * Hpar[np.ix_(ridx, ridx)]
+            self.blocks.append(Hw)
+            for i in s:
+                for coef, active in comp.primitives:
+                    frozen = [n for n in par if n not in active]
+                    if i in active and frozen:
+                        M = Hpar[np.ix_(_coords([i], par, d),
+                                        _coords(frozen, par, d))]
+                        self.frozen.append((a, i, coef * 2.0, M, tuple(frozen)))
 
     def split_value(self, x, y):
         """Value of the split-surrogate objective at x with references y."""

@@ -391,8 +391,9 @@ def minimal_external_cover(partition):
 class HyperPartition:
     """Hypertree-cluster partition of a hypergraph (factor-graph view).
 
-    ``factors`` may be a labeled list of (parent_id, support) pairs coming
-    from a split; for plain hypergraphs parent_id equals the hyperedge index.
+    Factors are indexed by their position in ``hypergraph.hyperedges``; for
+    a split partition the hypergraph is the split one, whose factors are
+    the labeled components (see ``splitting.apply_split``).
     """
 
     hypergraph: Hypergraph
@@ -425,8 +426,7 @@ class HyperPartition:
         return dist // 2
 
 
-def validate_hyper_partition(hypergraph, clusters, intra_factors=None,
-                             require_maximal=True):
+def validate_hyper_partition(hypergraph, clusters, intra_factors=None):
     """Validate a hypertree partition.
 
     With ``intra_factors=None`` the intra sets are derived maximally

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ from mpjacobi.bench import (
     fit_scaling_exponent,
     plot_traces_svg,
     run_experiment,
+    tune_tau,
 )
 from mpjacobi.objective import build_random_qp, problem_to_json
+from mpjacobi.solvers import RunTrace
 from mpjacobi.topology import generate_partition, generate_topology, write_graph, write_partition
 
 
@@ -27,6 +30,18 @@ def test_config_roundtrip_and_hash():
     assert cfg.digest() == cfg2.digest()
     with pytest.raises(Exception):
         ExperimentConfig(experiment="nope")
+
+
+def test_tune_tau_returns_the_winners_wall_time():
+    # tau = 0.5 reaches the tolerance first and is the only slow run
+    def run_fn(tau):
+        time.sleep(0.08 if tau == 0.5 else 0.01)
+        rounds = 3 if tau == 0.5 else 6
+        return RunTrace(dist_to_opt=[1.0] * rounds + [0.0])
+
+    tau, trace, wall_ms = tune_tau(run_fn, tol=1e-6, max_rounds=10)
+    assert tau == 0.5 and trace.iterations_to("dist_to_opt", 1e-6) == 3
+    assert 80.0 <= wall_ms < 2000.0
 
 
 def test_fit_scaling_exponent():

@@ -14,9 +14,9 @@ from mpjacobi.messages import (
     first_order_message,
     hyper_factor_message,
     is_diagonal,
+    message_vectors,
     schur_message_update,
     struct_solve,
-    variable_side_aggregate,
 )
 
 
@@ -109,7 +109,7 @@ def test_first_order_message():
     msg = first_order_message(g)
     assert np.array_equal(msg.h, g)
     assert not np.any(msg.H)
-    assert msg.vector_cost() == 1
+    assert message_vectors(msg.H) == 1
     # quadratic psi = c x_i x_j: grad_i = c x_j
     c, xj = 0.8, 1.7
     assert first_order_message(np.array([c * xj])).h[0] == pytest.approx(c * xj)
@@ -254,7 +254,7 @@ def test_hyper_factor_message_pairwise_reduction():
     H_jj = np.eye(d) * 2.0
     b_j = rng.standard_normal(d)
     # aggregate at the sender node (index 1 in support (0,1))
-    msg = hyper_factor_message(Hw, (0, 1), 0, {1: (H_jj, b_j)})
+    msg = hyper_factor_message(Hw, H_jj[None], b_j[None])
     ref = exact_quadratic_message(H_jj, b_j, B, [])
     assert np.allclose(msg.H, ref.H, atol=1e-12)
     assert np.allclose(msg.h, ref.h, atol=1e-12)
@@ -263,7 +263,7 @@ def test_hyper_factor_message_pairwise_reduction():
 def test_hyper_factor_message_no_cross():
     d = 1
     Hw = np.diag([1.0, 2.0])     # (H_w)_{i, rest} = 0
-    msg = hyper_factor_message(Hw, (0, 1), 0, {1: (np.array([[3.0]]), np.zeros(1))})
+    msg = hyper_factor_message(Hw, np.array([[[3.0]]]), np.zeros((1, 1)))
     assert msg.H[0, 0] == pytest.approx(2.0)   # 2 (H_w)_{ii}
     assert msg.h[0] == 0.0
 
@@ -278,7 +278,8 @@ def test_hyper_factor_message_matches_dense_minimization():
     for j in (1, 2):
         aggs[j] = (np.array([[rng.uniform(3.0, 5.0)]]), rng.standard_normal(1))
 
-    msg = hyper_factor_message(Hw, (0, 1, 2), 0, aggs)
+    msg = hyper_factor_message(Hw, np.stack([aggs[j][0] for j in (1, 2)]),
+                               np.stack([aggs[j][1] for j in (1, 2)]))
 
     def brute(x0):
         def total(rest):
@@ -299,22 +300,6 @@ def test_hyper_factor_message_matches_dense_minimization():
     assert msg.h[0] == pytest.approx(g, rel=1e-9, abs=1e-10)
 
 
-def test_variable_side_aggregate():
-    d = 2
-    rng = np.random.default_rng(8)
-    H_jj = np.eye(d)
-    b_j = rng.standard_normal(d)
-    inc = QuadraticMessage(np.eye(d) * 0.5, rng.standard_normal(d))
-    quads = [np.eye(d) * 0.2]
-    lins = [rng.standard_normal(d)]
-    H, h = variable_side_aggregate(H_jj, b_j, [inc], quads, lins)
-    assert np.allclose(H, H_jj + inc.H + quads[0])
-    assert np.allclose(h, b_j + inc.h + lins[0])
-    # leaf with nothing else: equals the node term
-    H0, h0 = variable_side_aggregate(H_jj, b_j, [], [], [])
-    assert np.allclose(H0, H_jj) and np.allclose(h0, b_j)
-
-
 def test_message_set_round_snapshot():
     ms = MessageSet([(0, 1), (1, 0)], 1)
     ms.put((0, 1), QuadraticMessage(np.array([[1.0]]), np.zeros(1)))
@@ -330,9 +315,9 @@ def test_vector_cost_and_diagonalize():
     dense = QuadraticMessage(np.ones((d, d)), np.ones(d))
     diag = QuadraticMessage(np.diag(np.ones(d)), np.ones(d))
     zero = QuadraticMessage(np.zeros((d, d)), np.ones(d))
-    assert dense.vector_cost() == d + 1
-    assert diag.vector_cost() == 2
-    assert zero.vector_cost() == 1
+    assert message_vectors(dense.H) == d + 1
+    assert message_vectors(diag.H) == 2
+    assert message_vectors(zero.H) == 1
     x = np.arange(d, dtype=float)
     comp = diagonalize_message(dense, x)
     assert is_diagonal(comp.H)
@@ -410,6 +395,10 @@ def test_batched_rules_equal_stacked_single_calls(seed, B, d, diagonal):
     close(first_order_message(g_i),
           stacked(lambda b: first_order_message(g_i[b])))
 
+    close(exact_quadratic_message(A, g_phi, Mij, batched_inc, boundary_lin=bnd),
+          stacked(lambda b: exact_quadratic_message(
+              A[b], g_phi[b], Mij[b], single_inc(b), boundary_lin=bnd[b])))
+
 
 @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(2, 4))
 @settings(max_examples=20, deadline=None)
@@ -419,3 +408,51 @@ def test_struct_solve_diagonal_batch_keeps_exact_zeros(seed, B, d):
     X = struct_solve(A, np.broadcast_to(np.eye(d), (B, d, d)))
     assert not np.any(X * (1.0 - np.eye(d)))
     assert np.array_equal(np.einsum("bii->bi", X), 1.0 / np.einsum("bii->bi", A))
+
+
+def test_struct_solve_mixed_batch_equals_single_solves():
+    rng = np.random.default_rng(9)
+    d = 3
+    A = np.stack([np.diag(rng.uniform(0.5, 2.0, d)) if b % 2 else
+                  _spd_batch(rng, 1, d, False)[0] for b in range(6)])
+    for rhs in (rng.standard_normal((6, d)), rng.standard_normal((6, d, 2))):
+        got = struct_solve(A, rhs)
+        assert np.array_equal(got, np.stack([struct_solve(A[b], rhs[b])
+                                             for b in range(6)]))
+    X = struct_solve(A, np.broadcast_to(np.eye(d), (6, d, d)))
+    assert not np.any(X[1::2] * (1.0 - np.eye(d)))
+    with pytest.raises(np.linalg.LinAlgError):
+        struct_solve(np.stack([A[0], np.zeros((d, d))]), np.ones((2, d)))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_batched_hyper_rule_equals_single_incidence_calls(seed, B, k, d, frozen):
+    rng = np.random.default_rng(seed)
+    diagonal = rng.random(B) < 0.5          # a mixed stack of both kinds
+
+    def block(diag):
+        S = 0.3 * _spd_batch(rng, 1, k * d, False)[0] - 0.2 * np.eye(k * d)
+        if diag:            # the other members' block, hence A, is diagonal
+            S[d:, d:] = np.diag(np.diag(S[d:, d:]))
+        return S
+
+    blocks = np.stack([block(diag) for diag in diagonal])
+    H_agg = np.stack([_spd_batch(rng, k, d, diag)[1:] + 2.0 * np.eye(d)
+                      for diag in diagonal])
+    h_agg = rng.standard_normal((B, k - 1, d))
+    fz = rng.standard_normal((B, k - 1, d)) if frozen else None
+    recv = rng.standard_normal((B, d)) if frozen else None
+    got = hyper_factor_message(blocks, H_agg, h_agg, frozen_lin=fz,
+                               receiver_extra_lin=recv)
+    x = rng.standard_normal((B, d))
+    diag_got = diagonalize_message(got, x)
+    for b in range(B):
+        one = hyper_factor_message(blocks[b], H_agg[b], h_agg[b],
+                                   frozen_lin=None if fz is None else fz[b],
+                                   receiver_extra_lin=None if recv is None else recv[b])
+        assert np.array_equal(got.H[b], one.H) and np.array_equal(got.h[b], one.h)
+        one_diag = diagonalize_message(one, x[b])
+        assert np.array_equal(diag_got.H[b], one_diag.H)
+        assert np.array_equal(diag_got.h[b], one_diag.h)

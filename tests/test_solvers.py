@@ -27,10 +27,9 @@ from mpjacobi.solvers import (
     pairwise_to_hyper,
     select_stepsize,
     tree_solve,
-    uniform_theorem_tau,
 )
 from mpjacobi.topology import generate_partition, generate_topology, validate_hyper_partition, validate_tree_partition
-from mpjacobi.rate_analysis import estimate_constants
+from mpjacobi.rate_analysis import estimate_constants, three_terms
 from test_acceptance import random_valid_instance
 
 
@@ -326,11 +325,15 @@ def test_block_jacobi_central_matches_delayed_first_round():
 
 
 def test_uniform_theorem_tau_hand_example():
-    tau, rho = uniform_theorem_tau(p=4, D=2, kappa=10.0, mu_min_J=1.0, A_J=5.0)
+    terms = three_terms(p=4, D=2, kappa=10.0, mu_min=1.0, A=5.0)
+    assert terms[:2] == (0.25, 4.0)
+    tau, rho = min(terms), 1.0 - min(terms) / (2.0 * 10.0)
     assert tau == pytest.approx(np.sqrt(1.0 / 200.0))
     assert rho == pytest.approx(1.0 - tau / 20.0)
     # singleton case: term III vacuous
-    tau2, _ = uniform_theorem_tau(p=5, D=0, kappa=2.0)
+    terms2 = three_terms(p=5, D=0, kappa=2.0)
+    assert terms2[2] == float("inf")
+    tau2 = min(terms2)
     assert tau2 == pytest.approx(0.2)
 
 

@@ -173,7 +173,7 @@ def test_split_solver_identity_equals_plain():
     cfg = SolverConfig(tau=0.4, max_rounds=25, tol_x=0.0)
     ta = h_mp_jacobi_split(q, view, spart, cfg, x0=x0)
     tb = h_mp_jacobi(q, hpart, cfg, x0=x0)
-    assert np.max(np.abs(ta.x_final - tb.x_final)) <= 1e-12
+    assert np.array_equal(ta.x_final, tb.x_final)
 
 
 @pytest.mark.parametrize("family,supports,keep", [
