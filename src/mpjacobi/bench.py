@@ -332,8 +332,9 @@ def _exp_aj_sweep(cfg):
                 for i in c:
                     for kk in part.n_out[i]:
                         boundary_edges.add((min(i, kk), max(i, kk)))
-        for e in boundary_edges:
-            q.pair[e] = q.pair[e] * s
+        q = QuadraticObjective(q.m, q.d, q.diag, q.lin,
+                               {e: B * s if e in boundary_edges else B
+                                for e, B in q.pair.items()})
         xs, phis = global_solve_oracle(q)
         inputs = estimate_constants(q, part)
         rep = rate_terms(part, inputs)

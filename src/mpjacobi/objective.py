@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,9 +54,31 @@ def check_block_vector(x):
     return x
 
 
+def _frozen_stack(blocks, shape):
+    """Read-only float stack of ``blocks``, each of ``shape``."""
+    stack = np.array(blocks, dtype=float).reshape((len(blocks),) + shape)
+    stack.flags.writeable = False
+    return stack
+
+
+def _transposed(B):
+    """The (E, d, d) stack of B_e^T, as a view."""
+    return np.transpose(B, (0, 2, 1))
+
+
 @dataclass
 class QuadraticObjective:
-    """Block quadratic objective over a graph or hypergraph."""
+    """Block quadratic objective over a graph or hypergraph.
+
+    The couplings are compiled once, at construction, and are then fixed:
+    ``pair_rows``/``pair_cols`` and the (E, d, d) stack ``pair_blocks`` list
+    the pair couplings in ``pair`` order, and ``hyper_groups`` holds, per
+    factor arity k, the factors' positions in ``hyper`` order (n,), their
+    members (n, k) and their blocks (n, kd, kd). ``pair`` and ``hyper``
+    become read-only mappings onto read-only views of those stacks; to
+    change a coupling, build a new objective. ``diag`` and ``lin`` stay
+    plain attributes and may be reassigned.
+    """
 
     m: int
     d: int
@@ -65,27 +88,70 @@ class QuadraticObjective:
     hyper: dict = field(default_factory=dict)   # sorted tuple w -> (|w|d, |w|d) sym
 
     def __post_init__(self):
+        m, d = self.m, self.d
         self.diag = np.asarray(self.diag, dtype=float)
         self.lin = np.asarray(self.lin, dtype=float)
-        if self.diag.shape != (self.m, self.d, self.d):
+        if self.diag.shape != (m, d, d):
             raise ObjectiveError(f"diag has shape {self.diag.shape}, "
-                                 f"expected {(self.m, self.d, self.d)}")
-        if self.lin.shape != (self.m, self.d):
+                                 f"expected {(m, d, d)}")
+        if self.lin.shape != (m, d):
             raise ObjectiveError(f"lin has shape {self.lin.shape}, "
-                                 f"expected {(self.m, self.d)}")
-        self.pair = {tuple(k): np.asarray(v, dtype=float) for k, v in self.pair.items()}
-        self.hyper = {tuple(k): np.asarray(v, dtype=float) for k, v in self.hyper.items()}
-        for (i, j), blk in self.pair.items():
-            if not i < j:
-                raise ObjectiveError("pair couplings must be keyed with i < j")
-            if blk.shape != (self.d, self.d):
-                raise ObjectiveError("bad coupling block shape")
-        for w, blk in self.hyper.items():
-            k = len(w) * self.d
+                                 f"expected {(m, d)}")
+        self._compile_pairs({tuple(int(t) for t in k): np.asarray(v, dtype=float)
+                             for k, v in self.pair.items()})
+        self._compile_hyper({tuple(int(t) for t in k): np.asarray(v, dtype=float)
+                             for k, v in self.hyper.items()})
+
+    def _compile_pairs(self, pair):
+        m, d = self.m, self.d
+        if any(blk.shape != (d, d) for blk in pair.values()):
+            raise ObjectiveError("bad coupling block shape")
+        ij = np.array(list(pair), dtype=int).reshape(-1, 2)
+        if np.any(ij[:, 0] >= ij[:, 1]):
+            raise ObjectiveError("pair couplings must be keyed with i < j")
+        if np.any(ij < 0) or np.any(ij >= m):
+            raise ObjectiveError(f"pair coupling on a node outside 0..{m - 1}")
+        self.pair_rows, self.pair_cols = ij[:, 0], ij[:, 1]
+        self._pair_at = ij          # grad adds at rows[0], cols[0], rows[1], ...
+        self.pair_blocks = _frozen_stack(list(pair.values()), (d, d))
+        self.pair = MappingProxyType(dict(zip(pair, self.pair_blocks)))
+        keys = self.pair_rows * m + self.pair_cols
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
+        self._edge_set = frozenset(pair)
+
+    def _compile_hyper(self, hyper):
+        m, d = self.m, self.d
+        for w, blk in hyper.items():
+            k = len(w) * d
             if blk.shape != (k, k):
                 raise ObjectiveError(f"bad hyper block shape for {w}")
-            if not np.allclose(blk, blk.T, atol=1e-12):
+            if not w or len(set(w)) != len(w) or min(w) < 0 or max(w) >= m:
+                raise ObjectiveError(f"hyper factor {w} must list distinct "
+                                     f"nodes in 0..{m - 1}")
+        factors = list(hyper)
+        groups = []
+        for k in sorted({len(w) for w in factors}):
+            ids = np.array([a for a, w in enumerate(factors) if len(w) == k])
+            blocks = _frozen_stack([hyper[factors[a]] for a in ids], (k * d, k * d))
+            asym = ~np.all(np.isclose(blocks, _transposed(blocks), atol=1e-12),
+                           axis=(1, 2))
+            if np.any(asym):
+                w = factors[ids[np.argmax(asym)]]
                 raise ObjectiveError(f"hyper block for {w} not symmetric")
+            members = np.array([factors[a] for a in ids], dtype=int).reshape(-1, k)
+            groups.append((ids, members, blocks))
+        self.hyper_groups = tuple(groups)
+        views = {factors[a]: blk for ids, _, blocks in groups
+                 for a, blk in zip(ids, blocks)}
+        self.hyper = MappingProxyType({w: views[w] for w in factors})
+        # every factor's members in hyper order, and the permutation that
+        # takes the groups' concatenated member rows to that order
+        self._hyper_members = np.array([i for w in factors for i in w], dtype=int)
+        start = np.cumsum([0] + [len(w) for w in factors])
+        rows = [(start[ids, None] + np.arange(members.shape[1])).ravel()
+                for ids, members, _ in groups]
+        self._hyper_order = np.argsort(np.concatenate([np.zeros(0, dtype=int)] + rows))
 
     # -- structure ---------------------------------------------------------
 
@@ -103,50 +169,82 @@ class QuadraticObjective:
             return self.pair[(i, j)]
         return self.pair[(j, i)].T
 
+    def couplings(self, rows, cols):
+        """Stacked oriented blocks B_e with psi = <B_e x_cols[e], x_rows[e]>,
+        one per directed pair (rows[e], cols[e]); a new (E, d, d) array."""
+        rows = np.asarray(rows, dtype=int)
+        cols = np.asarray(cols, dtype=int)
+        keys = np.minimum(rows, cols) * self.m + np.maximum(rows, cols)
+        sorted_keys = self._sorted_keys
+        at = np.searchsorted(sorted_keys, keys)
+        if np.any(at >= len(sorted_keys)) or np.any(sorted_keys[at] != keys):
+            raise ObjectiveError("no coupling between some requested pairs")
+        B = self.pair_blocks[self._key_order[at]]
+        return np.where((rows < cols)[:, None, None], B, _transposed(B))
+
     # -- evaluation --------------------------------------------------------
+
+    def _hyper_stacks(self, x):
+        """Per arity group: (members, blocks, stacked x_w of shape (n, kd))."""
+        return [(members, blocks, x[members].reshape(len(members), -1))
+                for _, members, blocks in self.hyper_groups]
 
     def value(self, x):
         x = as_blocks(x, self.m, self.d)
-        val = 0.0
-        for i in range(self.m):
-            val += 0.5 * x[i] @ self.diag[i] @ x[i] + self.lin[i] @ x[i]
-        for (i, j), B in self.pair.items():
-            val += x[i] @ B @ x[j]
-        for w, H in self.hyper.items():
-            xs = np.concatenate([x[i] for i in w])
-            val += xs @ H @ xs
+        val = (0.5 * np.einsum("ik,ikl,il->", x, self.diag, x)
+               + np.einsum("ik,ik->", self.lin, x)
+               + np.einsum("ek,ekl,el->", x[self.pair_rows], self.pair_blocks,
+                           x[self.pair_cols]))
+        for _, H, xs in self._hyper_stacks(x):
+            val += np.einsum("nk,nkl,nl->", xs, H, xs)
         return float(val)
 
     def grad(self, x):
+        """Node terms, then every pair term in ``pair`` order (B x_j at i,
+        B^T x_i at j), then every factor's members in ``hyper`` order: the
+        additions of the per-coupling loop, in its order."""
         x = as_blocks(x, self.m, self.d)
         g = np.einsum("ikl,il->ik", self.diag, x) + self.lin
-        for (i, j), B in self.pair.items():
-            g[i] += B @ x[j]
-            g[j] += B.T @ x[i]
-        for w, H in self.hyper.items():
-            xs = np.concatenate([x[i] for i in w])
-            gw = 2.0 * (H @ xs)
-            for t, i in enumerate(w):
-                g[i] += gw[t * self.d:(t + 1) * self.d]
+        B, rows, cols = self.pair_blocks, self.pair_rows, self.pair_cols
+        terms = np.stack([np.matmul(B, x[cols][..., None])[..., 0],
+                          np.matmul(_transposed(B), x[rows][..., None])[..., 0]],
+                         axis=1)
+        np.add.at(g, self._pair_at, terms)
+        if self.hyper_groups:
+            terms = np.concatenate([(2.0 * np.matmul(H, xs[..., None])).reshape(-1, self.d)
+                                    for _, H, xs in self._hyper_stacks(x)])
+            np.add.at(g, self._hyper_members, terms[self._hyper_order])
         return g
 
     def assemble(self):
-        """Dense (md, md) Hessian and (md,) linear term of the stacked problem."""
-        n = self.m * self.d
-        H = np.zeros((n, n))
-        for i in range(self.m):
-            H[i * self.d:(i + 1) * self.d, i * self.d:(i + 1) * self.d] += self.diag[i]
-        for (i, j), B in self.pair.items():
-            H[i * self.d:(i + 1) * self.d, j * self.d:(j + 1) * self.d] += B
-            H[j * self.d:(j + 1) * self.d, i * self.d:(i + 1) * self.d] += B.T
-        for w, Hw in self.hyper.items():
-            idx = np.concatenate([np.arange(i * self.d, (i + 1) * self.d) for i in w])
-            H[np.ix_(idx, idx)] += 2.0 * Hw
-        return H, self.lin.reshape(-1).copy()
+        """Dense (md, md) Hessian and (md,) linear term of the stacked problem.
+
+        Adds the diagonal blocks, the pair blocks B at (i, j) and B^T at
+        (j, i), then 2 H_w per factor in ``hyper`` order.
+        """
+        m, d = self.m, self.d
+        H = np.zeros((m, d, m, d))
+        nodes, rows, cols, B = np.arange(m), self.pair_rows, self.pair_cols, self.pair_blocks
+        # every diagonal and pair block lands once, on zeros
+        H[nodes, :, nodes, :] += self.diag
+        H[rows, :, cols, :] += B
+        H[cols, :, rows, :] += _transposed(B)
+        if self.hyper_groups:
+            # factors overlap: add entry by entry, factor by factor in hyper order
+            at, vals, owner = [], [], []
+            for ids, members, blocks in self.hyper_groups:
+                coords = (members[:, :, None] * d + np.arange(d)).reshape(len(ids), -1)
+                at.append((coords[:, :, None] * (m * d) + coords[:, None, :]).ravel())
+                vals.append(2.0 * blocks.ravel())
+                owner.append(np.repeat(ids, coords.shape[1] ** 2))
+            order = np.argsort(np.concatenate(owner), kind="stable")
+            np.add.at(H.reshape(-1), np.concatenate(at)[order],
+                      np.concatenate(vals)[order])
+        return H.reshape(m * d, m * d), self.lin.reshape(-1).copy()
 
     def graph_edges(self):
         """Edge set of the interaction graph (pairwise couplings only)."""
-        return set(self.pair.keys())
+        return self._edge_set
 
 
 @dataclass
@@ -204,7 +302,8 @@ class SmoothObjective:
 
 @dataclass
 class GossipMatrix:
-    """Doubly stochastic mixing matrix with graph-compliant sparsity."""
+    """Doubly stochastic mixing matrix; its off-diagonal support is the
+    communication graph."""
 
     W: np.ndarray
     gamma: float = 1.0
@@ -223,12 +322,6 @@ class GossipMatrix:
     @property
     def m(self):
         return self.W.shape[0]
-
-    def check_sparsity(self, graph):
-        for i in range(self.m):
-            for j in range(self.m):
-                if i != j and abs(self.W[i, j]) > 0 and (min(i, j), max(i, j)) not in graph.edges:
-                    raise NonStochasticW(f"W[{i},{j}] nonzero off the graph")
 
 
 def metropolis_weights(graph, gamma=1.0):
@@ -302,12 +395,20 @@ class CtaProblem:
     sum_i f_i(x_i) + (1/(2 gamma)) ||x||^2_{I - W (x) I_d}.
 
     Pairwise view: phi_i = f_i + (1-w_ii)/(2 gamma) ||.||^2 and
-    psi_ij = -(w_ij / gamma) <x_i, x_j>.
+    psi_ij = -(w_ij / gamma) <x_i, x_j>. The graph is the off-diagonal
+    support of W, read once: ``edge_rows``/``edge_cols`` list its edges
+    i < j in sorted order and ``edge_weights`` their w_ij.
     """
 
     locals_: list
     gossip: GossipMatrix
     d: int
+
+    def __post_init__(self):
+        W = self.gossip.W
+        self.edge_rows, self.edge_cols = np.nonzero(np.triu(np.abs(W) > 0, 1))
+        self.edge_weights = W[self.edge_rows, self.edge_cols]
+        self._edge_set = frozenset(zip(self.edge_rows.tolist(), self.edge_cols.tolist()))
 
     @property
     def m(self):
@@ -318,17 +419,15 @@ class CtaProblem:
         return self.gossip.gamma
 
     def graph_edges(self):
-        W = self.gossip.W
-        return {(i, j) for i in range(self.m) for j in range(i + 1, self.m)
-                if abs(W[i, j]) > 0}
+        return self._edge_set
 
     def value(self, x):
         x = as_blocks(x, self.m, self.d)
-        W, g = self.gossip.W, self.gamma
+        g = self.gamma
         val = sum(self.locals_[i].value(x[i]) for i in range(self.m))
-        val += sum((1.0 - W[i, i]) / (2 * g) * x[i] @ x[i] for i in range(self.m))
-        for (i, j) in self.graph_edges():
-            val -= (W[i, j] / g) * (x[i] @ x[j])
+        val += np.einsum("i,ik,ik->", (1.0 - np.diag(self.gossip.W)) / (2 * g), x, x)
+        val -= np.einsum("e,ek,ek->", self.edge_weights / g,
+                         x[self.edge_rows], x[self.edge_cols])
         return float(val)
 
     def grad(self, x):

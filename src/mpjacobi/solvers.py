@@ -81,6 +81,13 @@ class SolverConfig:
     track_oracle: tuple = None           # (x_star, phi_star) for gap columns
     raise_on_max_rounds: bool = False
 
+    def __post_init__(self):
+        for name, allowed in (("factor_impl", ("hosted_factor", "factor_processor")),
+                              ("message_init", ("zero", "warm_start"))):
+            if getattr(self, name) not in allowed:
+                raise SolverError(f"{name} must be one of {allowed}, "
+                                  f"got {getattr(self, name)!r}")
+
     def tau_for_cluster(self, r, p):
         if callable(self.tau):
             return self.tau(r)
@@ -251,20 +258,12 @@ class _PairwiseLayout:
         return len(self.csrc) + int(message_vectors(H_msg).sum())
 
 
-def _blocks(problem, rows, cols):
-    """Stacked oriented couplings B with psi_ij = <B x_j, x_i>, (i, j) =
-    (rows[e], cols[e])."""
-    d = problem.d
-    return np.array([problem.coupling(i, j) for i, j in zip(rows, cols)],
-                    dtype=float).reshape(-1, d, d)
-
-
 def _pair_grads(problem, rows, cols):
     """x -> stacked grad_{x_i} psi_ij(x_i, x_j) over the directed pairs
     (i, j) = (rows[e], cols[e]): one einsum on quadratics, the pair
     callbacks of a SmoothObjective otherwise."""
     if isinstance(problem, QuadraticObjective):
-        B = _blocks(problem, rows, cols)
+        B = problem.couplings(rows, cols)
         return lambda x: np.einsum("eij,ej->ei", B, x[cols])
 
     def grads(x):
@@ -328,7 +327,7 @@ def mp_jacobi(problem, partition, config=None, x0=None):
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
     lay = _PairwiseLayout(problem, partition)
-    B = _blocks(problem, lay.receivers, lay.senders)
+    B = problem.couplings(lay.receivers, lay.senders)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
     H_msg, h_msg = _zero_messages(lay)
 
@@ -637,14 +636,13 @@ def _edge_message(problem, sender, receiver, incoming):
 
 def pairwise_to_hyper(problem):
     """Re-express pairwise couplings as 2-node factors (<H_w x, x> blocks)."""
+    d, B = problem.d, problem.pair_blocks
+    Hw = np.zeros((len(B), 2 * d, 2 * d))
+    Hw[:, :d, d:] = 0.5 * B
+    Hw[:, d:, :d] = 0.5 * np.transpose(B, (0, 2, 1))
     hyper = dict(problem.hyper)
-    for (i, j), B in problem.pair.items():
-        d = problem.d
-        Hw = np.zeros((2 * d, 2 * d))
-        Hw[:d, d:] = 0.5 * B
-        Hw[d:, :d] = 0.5 * B.T
-        key = (i, j)
-        hyper[key] = hyper.get(key, 0) + Hw
+    for key, blk in zip(problem.pair, Hw):
+        hyper[key] = hyper.get(key, 0) + blk
     return QuadraticObjective(problem.m, problem.d, problem.diag.copy(),
                               problem.lin.copy(), {}, hyper)
 
@@ -874,18 +872,20 @@ def baseline(kind, problem, params=None, x0=None):
         m, d = prob.m, prob.d
         x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
         W, gamma = prob.gossip.W, prob.gamma
+        per_round = 2 * len(prob.graph_edges())
         trace = RunTrace()
         trace.record(prob, x, 0, oracle)
         for k in range(max_rounds):
-            g = np.stack([prob.locals_[i].grad((W @ x)[i] if kind == "dgd_atc" else x[i])
+            Wx = W @ x
+            g = np.stack([prob.locals_[i].grad(Wx[i] if kind == "dgd_atc" else x[i])
                           for i in range(m)])
             if kind == "dgd_cta":
-                x_new = W @ x - gamma * g
+                x_new = Wx - gamma * g
             else:
-                x_new = W @ (W @ x - gamma * g)
+                x_new = W @ (Wx - gamma * g)
             step = float(np.max(np.abs(x_new - x)))
             x = x_new
-            trace.record(prob, x, (k + 1) * 2 * len(prob.graph_edges()), oracle)
+            trace.record(prob, x, (k + 1) * per_round, oracle)
             trace.rounds = k + 1
             if step <= tol:
                 trace.converged = True

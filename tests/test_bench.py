@@ -145,3 +145,12 @@ def test_cli_end_to_end(tmp_path):
     r4 = run("bench", "--config", "bench.json", "--out", "benchout")
     assert r4.returncode == 0, r4.stderr
     assert (tmp_path / "benchout" / "results.csv").exists()
+
+
+def test_aj_sweep_rescales_on_a_new_objective():
+    # the coupling stacks are frozen, so the sweep builds a new objective
+    # per scale; A_J and the round counts are those of in-place rescaling
+    res = run_experiment(ExperimentConfig(experiment="aj_sweep"))
+    assert res.extras["A_J"] == [0.188083711468686, 0.752334845874744,
+                                 3.009339383498976]
+    assert res.extras["iters"] == [787, 799, 1056]

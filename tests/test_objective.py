@@ -258,3 +258,121 @@ def test_quadratic_objective_shape_errors_are_typed():
         QuadraticObjective(2, 1, np.zeros((3, 1, 1)), np.zeros((2, 1)))
     with pytest.raises(ObjectiveError):
         QuadraticObjective(2, 1, np.zeros((2, 1, 1)), np.zeros(2))
+
+
+# -- the compiled objective against the per-coupling loop ---------------------
+
+
+def _loop_value(q, x):
+    """Reference: the objective summed coupling by coupling."""
+    val = 0.0
+    for i in range(q.m):
+        val += 0.5 * x[i] @ q.diag[i] @ x[i] + q.lin[i] @ x[i]
+    for (i, j), B in q.pair.items():
+        val += x[i] @ B @ x[j]
+    for w, H in q.hyper.items():
+        xs = np.concatenate([x[i] for i in w])
+        val += xs @ H @ xs
+    return float(val)
+
+
+def _loop_grad(q, x):
+    """Reference: the gradient added coupling by coupling, in dict order."""
+    d = q.d
+    g = np.einsum("ikl,il->ik", q.diag, x) + q.lin
+    for (i, j), B in q.pair.items():
+        g[i] += B @ x[j]
+        g[j] += B.T @ x[i]
+    for w, H in q.hyper.items():
+        xs = np.concatenate([x[i] for i in w])
+        gw = 2.0 * (H @ xs)
+        for t, i in enumerate(w):
+            g[i] += gw[t * d:(t + 1) * d]
+    return g
+
+
+def _loop_assemble(q):
+    """Reference: the dense Hessian filled block by block, in dict order."""
+    d = q.d
+    H = np.zeros((q.m * d, q.m * d))
+    for i in range(q.m):
+        H[i * d:(i + 1) * d, i * d:(i + 1) * d] += q.diag[i]
+    for (i, j), B in q.pair.items():
+        H[i * d:(i + 1) * d, j * d:(j + 1) * d] += B
+        H[j * d:(j + 1) * d, i * d:(i + 1) * d] += B.T
+    for w, Hw in q.hyper.items():
+        idx = np.concatenate([np.arange(i * d, (i + 1) * d) for i in w])
+        H[np.ix_(idx, idx)] += 2.0 * Hw
+    return H
+
+
+@st.composite
+def quadratic_objectives(draw):
+    """Random objectives, d in 1..3: pairs only, factors of mixed arity
+    (1..4) only, or both; couplings in random dict order, factors overlap."""
+    m = draw(st.integers(min_value=2, max_value=9))
+    d = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["pairs", "hyper", "both"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    diag = rng.standard_normal((m, d, d))
+    diag = diag + np.transpose(diag, (0, 2, 1))
+    pair, hyper = {}, {}
+    if kind != "hyper":
+        cand = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for t in rng.permutation(len(cand))[:rng.integers(1, len(cand) + 1)]:
+            pair[cand[t]] = rng.standard_normal((d, d))
+    if kind != "pairs":
+        for _ in range(rng.integers(1, 2 * m)):
+            k = int(rng.integers(1, min(4, m) + 1))
+            w = tuple(sorted(rng.choice(m, size=k, replace=False).tolist()))
+            A = rng.standard_normal((k * d, k * d))
+            hyper[w] = A + A.T
+    return QuadraticObjective(m, d, diag, rng.standard_normal((m, d)), pair, hyper)
+
+
+@given(quadratic_objectives(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_compiled_objective_equals_per_coupling_loop(q, seed):
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(q.assemble()[0], _loop_assemble(q))
+    for _ in range(3):
+        x = rng.standard_normal((q.m, q.d))
+        assert np.array_equal(q.grad(x), _loop_grad(q, x))
+        ref = _loop_value(q, x)
+        # floating-point scale of the sum: every term taken in absolute value
+        H, b = _loop_assemble(q), q.lin.reshape(-1)
+        xa = np.abs(x.reshape(-1))
+        scale = 0.5 * xa @ np.abs(H) @ xa + np.abs(b) @ xa
+        assert abs(q.value(x) - ref) <= 1e-13 * scale
+
+
+def test_couplings_are_frozen():
+    q = random_qp(seed=6)
+    e = q.edges[0]
+    with pytest.raises(TypeError):
+        q.pair[e] = 2.0 * q.pair[e]
+    with pytest.raises(ValueError):
+        q.pair[e] *= 2.0
+    qh = build_atc([QuadraticLocal(np.eye(1), np.ones(1)) for _ in range(3)],
+                   metropolis_weights(Graph(3, {(0, 1), (1, 2)})))
+    with pytest.raises(TypeError):
+        qh.hyper[(0, 1, 2)] = np.zeros((3, 3))
+    # the stacks are what the solvers read: the views cannot drift from them
+    assert all(np.shares_memory(B, q.pair_blocks) for B in q.pair.values())
+
+
+def test_couplings_stack_oriented_blocks():
+    q = random_qp(seed=7, m=6)
+    rows, cols = [0, 1, 5, 2], [1, 0, 0, 3]
+    got = q.couplings(rows, cols)
+    assert np.array_equal(got, np.array([q.coupling(i, j) for i, j in zip(rows, cols)]))
+    with pytest.raises(ObjectiveError):
+        q.couplings([0], [2])
+
+
+def test_malformed_coupling_keys_are_typed():
+    d1 = np.ones((3, 1, 1)), np.zeros((3, 1))
+    for pair, hyper in [({(0, 3): np.eye(1)}, {}), ({(-1, 2): np.eye(1)}, {}),
+                        ({}, {(0, 0): np.eye(2)}), ({}, {(1, 3): np.eye(2)})]:
+        with pytest.raises(ObjectiveError):
+            QuadraticObjective(3, 1, *d1, pair, hyper)

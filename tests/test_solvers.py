@@ -498,3 +498,15 @@ def test_h_mp_jacobi_rejects_other_factor_set():
     extra = QuadraticObjective(q.m, q.d, q.diag, q.lin, {}, hyper)
     with pytest.raises(PartitionMismatch):
         h_mp_jacobi(extra, hpart, SolverConfig(max_rounds=5))
+
+
+def test_config_rejects_unknown_factor_impl():
+    # a typo used to run silently and price neither implementation
+    with pytest.raises(SolverError):
+        SolverConfig(factor_impl="factor_procesor")
+
+
+def test_config_rejects_unknown_message_init():
+    # an unknown value used to mean 'zero'
+    with pytest.raises(SolverError):
+        SolverConfig(message_init="warm")
