@@ -22,6 +22,19 @@ arrays; a single call is the batch-free case.
 The linear parts of the Schur and partial-linearization recursions are
 derived once from the defining partial minimizations (see the docstrings),
 and are covered by brute-force minimization oracles in the tests.
+
+Curvature and linear halves. In every rule except the first-order one the
+message curvature H and the sender matrix S it is solved against (A in the
+exact and hypergraph rules) read only the incoming curvatures and the
+problem data, never an iterate; only the linear part h reads x. The
+curvature half is therefore a deterministic map of the incoming
+curvatures, and once a round returns the curvatures it was given, bit for
+bit, every later round would return them again. Each rule returns its
+curvature half as a :class:`Curvature`, and passing it back as
+``curvature=`` skips the curvature work: the rule forms only its linear
+aggregate and solves it against the kept sender system, with the same
+operands as the full rule (``StructSystem.column_solver``), so the message
+is the full rule's bit for bit.
 """
 
 from __future__ import annotations
@@ -55,33 +68,113 @@ def is_diagonal(A, tol=0.0):
     return np.max(np.abs(off)) <= tol
 
 
+class StructSystem:
+    """Matrices A (..., d, d) with ``struct_solve``'s per-matrix choice made
+    once.
+
+    Matrices that are exactly diagonal are solved by division, so diagonal
+    message families stay exactly diagonal instead of merely numerically
+    diagonal; the others go to LAPACK. The choice is made per matrix, so a
+    batch equals its stacked single solves bit for bit. A zero on the
+    diagonal of a diagonal matrix raises ``np.linalg.LinAlgError``.
+    """
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        self.A = A
+        self.diag = np.diagonal(A, axis1=-2, axis2=-1)
+        self.is_diag = ~np.any(A - self.diag[..., None] * np.eye(A.shape[-1]),
+                               axis=(-2, -1))
+        if np.any(self.diag[self.is_diag] == 0.0):
+            raise np.linalg.LinAlgError("singular diagonal system")
+
+    def solve(self, rhs):
+        """X with A @ X = rhs, for a vector (..., d) or matrix (..., d, k)
+        right-hand side."""
+        A, diag, is_diag = self.A, self.diag, self.is_diag
+        rhs = np.asarray(rhs, dtype=float)
+        vector = rhs.ndim == A.ndim - 1
+        b = rhs[..., None] if vector else rhs
+        if np.all(is_diag):
+            X = b / diag[..., None]
+        elif not np.any(is_diag):
+            X = np.linalg.solve(A, b)
+        else:
+            b = np.broadcast_to(b, A.shape[:-2] + b.shape[-2:])
+            X = np.empty(b.shape)
+            X[is_diag] = b[is_diag] / diag[is_diag][..., None]
+            X[~is_diag] = np.linalg.solve(A[~is_diag], b[~is_diag])
+        return X[..., 0] if vector else X
+
+    def column_solver(self, rhs, X):
+        """c -> ``X`` updated in place to ``solve(rhs)`` with c written into
+        the last column of rhs, X being ``solve(rhs)`` (C-contiguous).
+
+        Only the last column changes, and it is computed by the operations
+        ``solve`` applies to it, so bit for bit: diagonal matrices divide c
+        alone; the others re-run their LAPACK solve on a kept copy of their
+        rows of rhs, since LAPACK's bits in one column depend on the
+        columns solved with it.
+        """
+        d, k = X.shape[-2:]
+        Xf = X.reshape(-1, d, k)
+        diag = self.diag.reshape(-1, d)
+        if np.all(self.is_diag):
+            def solve(c):
+                Xf[..., -1] = np.reshape(c, (-1, d)) / diag
+                return X
+
+            return solve
+        on = self.is_diag.reshape(-1)
+        off = ~on
+        A = self.A.reshape(-1, d, d)[off]
+        buf = np.broadcast_to(rhs, X.shape).reshape(-1, d, k)[off]
+        diag = diag[on]
+
+        def solve(c):
+            c = np.reshape(c, (-1, d))
+            Xf[on, :, -1] = c[on] / diag
+            buf[..., -1] = c[off]
+            Xf[off] = np.linalg.solve(A, buf)
+            return X
+
+        return solve
+
+
 def struct_solve(A, rhs):
     """Solve A @ X = rhs over any leading batch axes of A (..., d, d).
 
-    ``rhs`` is a vector (..., d) or a matrix (..., d, k). Matrices that are
-    exactly diagonal are solved by division, so diagonal message families
-    stay exactly diagonal instead of merely numerically diagonal; the others
-    go to LAPACK. The choice is made per matrix, so a batch equals its
-    stacked single solves bit for bit.
+    ``rhs`` is a vector (..., d) or a matrix (..., d, k). ``A`` may also be
+    a :class:`StructSystem` that holds the matrices with their diagonal or
+    LAPACK choice already made; see there for the choice.
     """
-    A = np.asarray(A, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    vector = rhs.ndim == A.ndim - 1
-    b = rhs[..., None] if vector else rhs
-    diag = np.diagonal(A, axis1=-2, axis2=-1)
-    is_diag = ~np.any(A - diag[..., None] * np.eye(A.shape[-1]), axis=(-2, -1))
-    if np.any(diag[is_diag] == 0.0):
-        raise np.linalg.LinAlgError("singular diagonal system")
-    if np.all(is_diag):
-        X = b / diag[..., None]
-    elif not np.any(is_diag):
-        X = np.linalg.solve(A, b)
-    else:
-        b = np.broadcast_to(b, A.shape[:-2] + b.shape[-2:])
-        X = np.empty(b.shape)
-        X[is_diag] = b[is_diag] / diag[is_diag][..., None]
-        X[~is_diag] = np.linalg.solve(A[~is_diag], b[~is_diag])
-    return X[..., 0] if vector else X
+    system = A if isinstance(A, StructSystem) else StructSystem(A)
+    return system.solve(rhs)
+
+
+@dataclass(frozen=True)
+class Curvature:
+    """The iterate-free half of a batch of messages from one rule.
+
+    ``H`` holds the message curvatures; ``solve`` maps the rule's
+    sender-side linear aggregate c to the rule's solution array X of
+    S X = [F | c], with S the sender matrices and F the rule's fixed
+    right-hand-side columns (see ``StructSystem.column_solver``).
+    """
+
+    H: np.ndarray
+    solve: object
+
+
+def _solve_curvature(S, rhs, H_of, error):
+    """The full rule's solve: X of S X = rhs, and the Curvature whose H is
+    ``H_of(X)``; a singular S raises ``error``."""
+    try:
+        system = StructSystem(S)
+        X = system.solve(rhs)
+    except np.linalg.LinAlgError as exc:
+        raise error(str(exc)) from exc
+    return X, Curvature(H_of(X), system.column_solver(rhs, X))
 
 
 def _mv(A, x):
@@ -95,6 +188,8 @@ class QuadraticMessage:
 
     H: np.ndarray
     h: np.ndarray
+    # the rule's Curvature, when a batched rule made the message
+    curvature: Curvature = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def zero(d):
@@ -114,13 +209,16 @@ class QuadraticMessage:
 def message_vectors(H):
     """Vectors each message costs to send, over any leading batch axes of
     its curvature H (..., d, d): the matrix counts d unless it is diagonal
-    (1) or identically zero (0); the linear part counts 1.
+    (1) or identically zero (0); the linear part counts 1. One ``!= 0``
+    pass over the (..., d*d) entries (-0.0 counts as zero, NaN as
+    nonzero), then counts of all and of the diagonal nonzeros.
     """
     H = np.asarray(H)
     d = H.shape[-1]
-    nonzero = np.any(H, axis=(-2, -1))
-    dense = np.any(H[..., ~np.eye(d, dtype=bool)], axis=-1)
-    return np.where(dense, d, nonzero.astype(int)) + 1
+    nonzero = H.reshape(H.shape[:-2] + (d * d,)) != 0
+    total = np.count_nonzero(nonzero, axis=-1)
+    dense = total > np.count_nonzero(nonzero[..., ::d + 1], axis=-1)
+    return np.where(dense, d, total > 0) + 1
 
 
 class MessageSet:
@@ -197,35 +295,39 @@ class SurrogateSpec:
 
 
 def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
-                            boundary_quad=None):
+                            boundary_quad=None, curvature=None):
     """Exact min-sum message from sender j to receiver i.
 
     B_ij is the oriented coupling with psi(x_i, x_j) = <B_ij x_j, x_i>.
     ``incoming`` are the round-nu messages into j from its other in-cluster
     neighbors; ``boundary_lin`` aggregates B_jk @ x_k over out-of-cluster
     neighbors k; ``boundary_quad`` is an optional extra curvature at j.
+    ``curvature``, the Curvature of an earlier call with the same H_jj,
+    B_ij, incoming curvatures and boundary_quad, skips the curvature half.
 
     Closed form: with A_j = H_jj + sum H_in (+ boundary_quad) and
     c_j = b_j + sum h_in + boundary_lin,
         H_msg = -B_ij A_j^{-1} B_ij^T,   h_msg = -B_ij A_j^{-1} c_j.
     """
-    A = np.array(H_jj, dtype=float, copy=True)
     c = np.array(b_j, dtype=float, copy=True)
     B_ij = np.asarray(B_ij, dtype=float)
     d = c.shape[-1]
     for msg in incoming:
-        A = A + msg.H
         c = c + msg.h
-    if boundary_quad is not None:
-        A = A + boundary_quad
     if boundary_lin is not None:
         c = c + boundary_lin
-    rhs = np.concatenate([np.swapaxes(B_ij, -1, -2), c[..., None]], axis=-1)
-    try:
-        X = struct_solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSenderCurvature(str(exc)) from exc
-    return QuadraticMessage(-B_ij @ X[..., :d], (-B_ij @ X[..., d:])[..., 0])
+    if curvature is None:
+        A = np.array(H_jj, dtype=float, copy=True)
+        for msg in incoming:
+            A = A + msg.H
+        if boundary_quad is not None:
+            A = A + boundary_quad
+        rhs = np.concatenate([np.swapaxes(B_ij, -1, -2), c[..., None]], axis=-1)
+        X, curvature = _solve_curvature(A, rhs, lambda X: -B_ij @ X[..., :d],
+                                        SingularSenderCurvature)
+    else:
+        X = curvature.solve(c)
+    return QuadraticMessage(curvature.H, (-B_ij @ X[..., d:])[..., 0], curvature)
 
 
 def first_order_message(grad_i_psi):
@@ -238,7 +340,7 @@ def first_order_message(grad_i_psi):
 
 def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
                          grad_i_psi, x_j_ref, x_i_ref, incoming,
-                         boundary_grad=None):
+                         boundary_grad=None, curvature=None):
     """Structured-quadratic surrogate message j -> i.
 
     Curvature recursion (sender-side inner matrix S = Q_j + M_j + sum H_in):
@@ -248,31 +350,35 @@ def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
         c_u = grad phi_j(x_j^nu) + grad_j psi_ij(ref) + sum (H_in x_j^nu + h_in)
               + sum_out grad_j psi_jk(ref):
         h_msg = grad_i psi_ij(ref) - M_ij S^{-1} c_u - H_msg x_i^ref.
+    ``curvature``, the Curvature of an earlier call with the same Q_j, M_j,
+    M_i, M_ij and incoming curvatures, skips the curvature recursion.
     """
-    S = np.asarray(Q_j, dtype=float) + M_j
     c_u = (np.asarray(grad_phi_j, dtype=float)
            + np.asarray(grad_j_psi, dtype=float))
     for msg in incoming:
-        S = S + msg.H
         c_u = c_u + _mv(msg.H, x_j_ref) + msg.h
     if boundary_grad is not None:
         c_u = c_u + boundary_grad
     d = c_u.shape[-1]
     M_ij = np.asarray(M_ij, dtype=float)
-    rhs = np.concatenate([np.broadcast_to(np.swapaxes(M_ij, -1, -2), S.shape),
-                          c_u[..., None]], axis=-1)
-    try:
-        X = struct_solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnerMatrix(str(exc)) from exc
-    H_msg = M_i - M_ij @ X[..., :d]
+    if curvature is None:
+        S = np.asarray(Q_j, dtype=float) + M_j
+        for msg in incoming:
+            S = S + msg.H
+        rhs = np.concatenate([np.broadcast_to(np.swapaxes(M_ij, -1, -2), S.shape),
+                              c_u[..., None]], axis=-1)
+        X, curvature = _solve_curvature(S, rhs, lambda X: M_i - M_ij @ X[..., :d],
+                                        SingularInnerMatrix)
+    else:
+        X = curvature.solve(c_u)
     h_msg = (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, X[..., d])
-             - _mv(H_msg, x_i_ref))
-    return QuadraticMessage(H_msg, h_msg)
+             - _mv(curvature.H, x_i_ref))
+    return QuadraticMessage(curvature.H, h_msg, curvature)
 
 
 def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
-                                      x_i_ref, incoming, boundary_lin=None):
+                                      x_i_ref, incoming, boundary_lin=None,
+                                      curvature=None):
     """Partial-linearization message i -> j on a lifted consensus objective.
 
     Curvature: H_msg = -(w_ij^2/gamma^2) S^{-1} with
@@ -282,28 +388,32 @@ def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
     (boundary_lin collects -(w_ik/gamma) x_k^nu over out-neighbors):
         h_msg = (w_ij/gamma) S^{-1} ell.
     The weights w_ii and w_ij may be arrays over the batch axes.
+    ``curvature``, the Curvature of an earlier call with the same Q_i,
+    weights, gamma and incoming curvatures, skips the curvature half.
     """
     Q_i = np.asarray(Q_i, dtype=float)
     d = Q_i.shape[-1]
-    eye = np.eye(d)
-    self_weight = (1.0 - np.asarray(w_ii, dtype=float)) / gamma
-    S = Q_i + self_weight[..., None, None] * eye
+    w_ij = np.asarray(w_ij, dtype=float)
     ell = np.asarray(grad_f_i, dtype=float) - _mv(Q_i, x_i_ref)
     for msg in incoming:
-        S = S + msg.H
         ell = ell + msg.h
     if boundary_lin is not None:
         ell = ell + boundary_lin
-    rhs = np.concatenate([np.broadcast_to(eye, S.shape), ell[..., None]],
-                         axis=-1)
-    try:
-        X = struct_solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnerMatrix(str(exc)) from exc
-    w_ij = np.asarray(w_ij, dtype=float)
-    H_msg = -(w_ij ** 2 / gamma ** 2)[..., None, None] * X[..., :d]
+    if curvature is None:
+        eye = np.eye(d)
+        self_weight = (1.0 - np.asarray(w_ii, dtype=float)) / gamma
+        S = Q_i + self_weight[..., None, None] * eye
+        for msg in incoming:
+            S = S + msg.H
+        rhs = np.concatenate([np.broadcast_to(eye, S.shape), ell[..., None]],
+                             axis=-1)
+        X, curvature = _solve_curvature(
+            S, rhs, lambda X: -(w_ij ** 2 / gamma ** 2)[..., None, None] * X[..., :d],
+            SingularInnerMatrix)
+    else:
+        X = curvature.solve(ell)
     h_msg = (w_ij / gamma)[..., None] * X[..., d]
-    return QuadraticMessage(H_msg, h_msg)
+    return QuadraticMessage(curvature.H, h_msg, curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +421,7 @@ def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
 
 
 def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
-                         receiver_extra_lin=None):
+                         receiver_extra_lin=None, curvature=None):
     """Factor-to-variable message for a quadratic factor psi = <H_w x, x>.
 
     ``H_w`` (..., k d, k d) is the factor block permuted receiver-first: the
@@ -321,7 +431,9 @@ def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
     ``frozen_lin`` (..., k-1, d), optional, adds the rest's linear terms
     from coordinates of a parent factor frozen by splitting;
     ``receiver_extra_lin`` (..., d) is the receiver-side frozen linear term
-    2 (H_par)_{i, frozen} y.
+    2 (H_par)_{i, frozen} y. ``curvature``, the Curvature of an earlier
+    call with the same H_w and H_agg, skips the curvature half (a factor
+    with no other member has none: its message is 2 (H_w)_{ii}).
 
     Closed form (matches brute-force partial minimization):
         A     = 2 (H_w)_{rest,rest} + blockdiag(H_agg)
@@ -332,30 +444,34 @@ def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
     H_w = np.asarray(H_w, dtype=float)
     h_agg = np.asarray(h_agg, dtype=float)
     n, d = h_agg.shape[-2:]
-    Hii = 2.0 * H_w[..., :d, :d]
     if not n:
+        Hii = 2.0 * H_w[..., :d, :d]
         if receiver_extra_lin is None:
             return QuadraticMessage(Hii, np.zeros(Hii.shape[:-1]))
         return QuadraticMessage(Hii, np.array(receiver_extra_lin, dtype=float))
     cross = 2.0 * H_w[..., :d, d:]                       # 2 (H_w)_{i,rest}
-    A = 2.0 * H_w[..., d:, d:]
-    blk = np.arange(n * d).reshape(n, d, 1)
-    rows = np.broadcast_to(blk, (n, d, d)).ravel()
-    cols = np.broadcast_to(blk.reshape(n, 1, d), (n, d, d)).ravel()
-    A[..., rows, cols] += np.reshape(H_agg, A.shape[:-2] + (-1,))
     dvec = h_agg.reshape(h_agg.shape[:-2] + (n * d,))
     if frozen_lin is not None:
         dvec = dvec + np.reshape(frozen_lin, dvec.shape)
-    rhs = np.concatenate([np.swapaxes(cross, -1, -2), dvec[..., None]], axis=-1)
-    try:
-        X = struct_solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularA(str(exc)) from exc
-    H_msg = Hii - cross @ X[..., :d]
+    if curvature is None:
+        A = 2.0 * H_w[..., d:, d:]
+        blk = np.arange(n * d).reshape(n, d, 1)
+        rows = np.broadcast_to(blk, (n, d, d)).ravel()
+        cols = np.broadcast_to(blk.reshape(n, 1, d), (n, d, d)).ravel()
+        A[..., rows, cols] += np.reshape(H_agg, A.shape[:-2] + (-1,))
+        rhs = np.concatenate([np.swapaxes(cross, -1, -2), dvec[..., None]], axis=-1)
+
+        def H_of(X):
+            H_msg = 2.0 * H_w[..., :d, :d] - cross @ X[..., :d]
+            return 0.5 * (H_msg + np.swapaxes(H_msg, -1, -2))
+
+        X, curvature = _solve_curvature(A, rhs, H_of, SingularA)
+    else:
+        X = curvature.solve(dvec)
     h_msg = (-cross @ X[..., d:])[..., 0]
     if receiver_extra_lin is not None:
         h_msg = h_msg + receiver_extra_lin
-    return QuadraticMessage(0.5 * (H_msg + np.swapaxes(H_msg, -1, -2)), h_msg)
+    return QuadraticMessage(curvature.H, h_msg, curvature)
 
 
 def diagonalize_message(msg, x_ref):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -59,6 +60,40 @@ def _frozen_stack(blocks, shape):
     stack = np.array(blocks, dtype=float).reshape((len(blocks),) + shape)
     stack.flags.writeable = False
     return stack
+
+
+class RowScatter:
+    """Precompiled, order-preserving sum of rows into ``n`` destination rows.
+
+    ``scatter(vals)`` returns out (n, ...) with out[idx[k]] += vals[k] for
+    k in order, as ``np.add.at`` on zeros does, through one ``np.bincount``
+    over flat indices compiled once per row shape (bincount adds its weights
+    in input order). ``start`` gives the destination's initial values; they
+    enter as the first contributions, and since 0.0 + v == v the sums are
+    those of ``np.add.at(start.copy(), idx, vals)`` bit for bit (a -0.0
+    start entry that receives only zeros ends as +0.0).
+    """
+
+    def __init__(self, idx, n):
+        self.idx = np.asarray(idx, dtype=int).reshape(-1)
+        self.n = n
+        self._flat = {}
+
+    def __call__(self, vals, start=None):
+        tail = vals.shape[1:]
+        key = (tail, start is None)
+        compiled = self._flat.get(key)
+        if compiled is None:
+            size = math.prod(tail)
+            flat = (self.idx[:, None] * size + np.arange(size)).reshape(-1)
+            if start is not None:
+                flat = np.concatenate([np.arange(self.n * size), flat])
+            compiled = self._flat[key] = (flat, self.n * size)
+        flat, length = compiled
+        weights = vals.reshape(-1)
+        if start is not None:
+            weights = np.concatenate((start.reshape(-1), weights))
+        return np.bincount(flat, weights, minlength=length).reshape((self.n,) + tail)
 
 
 def _transposed(B):
@@ -112,7 +147,7 @@ class QuadraticObjective:
         if np.any(ij < 0) or np.any(ij >= m):
             raise ObjectiveError(f"pair coupling on a node outside 0..{m - 1}")
         self.pair_rows, self.pair_cols = ij[:, 0], ij[:, 1]
-        self._pair_at = ij          # grad adds at rows[0], cols[0], rows[1], ...
+        self._pair_at = ij
         self.pair_blocks = _frozen_stack(list(pair.values()), (d, d))
         self.pair = MappingProxyType(dict(zip(pair, self.pair_blocks)))
         keys = self.pair_rows * m + self.pair_cols
@@ -152,6 +187,10 @@ class QuadraticObjective:
         rows = [(start[ids, None] + np.arange(members.shape[1])).ravel()
                 for ids, members, _ in groups]
         self._hyper_order = np.argsort(np.concatenate([np.zeros(0, dtype=int)] + rows))
+        # grad adds the pair terms at rows[0], cols[0], rows[1], ..., then
+        # every factor's member rows in hyper order
+        self._grad_scatter = RowScatter(np.concatenate(
+            [self._pair_at.reshape(-1), self._hyper_members]), m)
 
     # -- structure ---------------------------------------------------------
 
@@ -206,15 +245,14 @@ class QuadraticObjective:
         x = as_blocks(x, self.m, self.d)
         g = np.einsum("ikl,il->ik", self.diag, x) + self.lin
         B, rows, cols = self.pair_blocks, self.pair_rows, self.pair_cols
-        terms = np.stack([np.matmul(B, x[cols][..., None])[..., 0],
-                          np.matmul(_transposed(B), x[rows][..., None])[..., 0]],
-                         axis=1)
-        np.add.at(g, self._pair_at, terms)
+        terms = [np.stack([np.matmul(B, x[cols][..., None])[..., 0],
+                           np.matmul(_transposed(B), x[rows][..., None])[..., 0]],
+                          axis=1).reshape(-1, self.d)]
         if self.hyper_groups:
-            terms = np.concatenate([(2.0 * np.matmul(H, xs[..., None])).reshape(-1, self.d)
+            hyper = np.concatenate([(2.0 * np.matmul(H, xs[..., None])).reshape(-1, self.d)
                                     for _, H, xs in self._hyper_stacks(x)])
-            np.add.at(g, self._hyper_members, terms[self._hyper_order])
-        return g
+            terms.append(hyper[self._hyper_order])
+        return self._grad_scatter(np.concatenate(terms), start=g)
 
     def assemble(self):
         """Dense (md, md) Hessian and (md,) linear term of the stacked problem.
@@ -397,7 +435,10 @@ class CtaProblem:
     Pairwise view: phi_i = f_i + (1-w_ii)/(2 gamma) ||.||^2 and
     psi_ij = -(w_ij / gamma) <x_i, x_j>. The graph is the off-diagonal
     support of W, read once: ``edge_rows``/``edge_cols`` list its edges
-    i < j in sorted order and ``edge_weights`` their w_ij.
+    i < j in sorted order and ``edge_weights`` their w_ij. When every local
+    loss is a QuadraticLocal, their Q and c are stacked once, at
+    construction, and evaluated with one einsum; other losses are called
+    node by node.
     """
 
     locals_: list
@@ -409,6 +450,10 @@ class CtaProblem:
         self.edge_rows, self.edge_cols = np.nonzero(np.triu(np.abs(W) > 0, 1))
         self.edge_weights = W[self.edge_rows, self.edge_cols]
         self._edge_set = frozenset(zip(self.edge_rows.tolist(), self.edge_cols.tolist()))
+        self._local_Q = self._local_c = None
+        if self.is_quadratic():
+            self._local_Q = np.stack([np.asarray(f.Q, dtype=float) for f in self.locals_])
+            self._local_c = np.stack([np.asarray(f.c, dtype=float) for f in self.locals_])
 
     @property
     def m(self):
@@ -424,7 +469,11 @@ class CtaProblem:
     def value(self, x):
         x = as_blocks(x, self.m, self.d)
         g = self.gamma
-        val = sum(self.locals_[i].value(x[i]) for i in range(self.m))
+        if self._local_Q is None:
+            val = sum(self.locals_[i].value(x[i]) for i in range(self.m))
+        else:
+            val = (0.5 * np.einsum("ik,ikl,il->", x, self._local_Q, x)
+                   + np.einsum("ik,ik->", self._local_c, x))
         val += np.einsum("i,ik,ik->", (1.0 - np.diag(self.gossip.W)) / (2 * g), x, x)
         val -= np.einsum("e,ek,ek->", self.edge_weights / g,
                          x[self.edge_rows], x[self.edge_cols])
@@ -433,10 +482,16 @@ class CtaProblem:
     def grad(self, x):
         x = as_blocks(x, self.m, self.d)
         W, g = self.gossip.W, self.gamma
-        out = np.stack([self.locals_[i].grad(x[i]) for i in range(self.m)])
+        out = self.local_grads(x)
         out += ((1.0 - np.diag(W)) / g)[:, None] * x
         out -= ((W - np.diag(np.diag(W))) @ x) / g
         return out
+
+    def local_grads(self, x):
+        """Stacked grad f_i(x_i) of the local losses at x (m, d)."""
+        if self._local_Q is None:
+            return np.stack([self.locals_[i].grad(x[i]) for i in range(self.m)])
+        return np.einsum("ikl,il->ik", self._local_Q, x) + self._local_c
 
     def is_quadratic(self):
         return all(isinstance(f, QuadraticLocal) for f in self.locals_)

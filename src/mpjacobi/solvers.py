@@ -7,6 +7,21 @@ round-nu snapshot (iterates and messages); results are independent of the
 update order within a round. One driver, :func:`_drive`, runs the rounds
 of every solver that takes a :class:`SolverConfig`; each engine supplies
 only its round.
+
+Every message engine splits its round into a curvature half and a linear
+half. The curvature half reads only the committed message curvatures and
+the problem data: it forms the node curvature sums, the sender matrices
+with their diagonal/LAPACK choice, the new message curvatures and the
+vectors they cost. The linear half reads the iterates. Since the curvature
+half is a deterministic map that reads no iterate, a round that returns
+the curvatures it read, bit for bit, is a fixed point: every later round
+would compute the same bits again. From that round on an engine keeps the
+curvature half and runs only the linear half (:class:`_Rounds`), and its
+iterates and messages are those of the full rounds bit for bit. On a tree
+partition the curvatures stop changing after about a cluster diameter of
+rounds (the finite termination of min-sum on trees).
+``RunTrace.curvature_rounds`` counts the rounds in which the curvature
+half ran.
 """
 
 from __future__ import annotations
@@ -28,12 +43,14 @@ from .messages import (
     message_vectors,
     schur_message_update,
     struct_solve,
+    StructSystem,
     SurrogateSpec,
 )
 from .objective import (
     CtaProblem,
     NotQuadratic,
     QuadraticObjective,
+    RowScatter,
     as_blocks,
     check_block_vector,
 )
@@ -109,6 +126,7 @@ class RunTrace:
     x_history: list = None          # only when monitoring
     xhat_history: list = None
     monitor: object = None
+    curvature_rounds: int = None    # rounds in which the curvature half ran
 
     def record(self, problem, x, comm_total, oracle):
         g = problem.grad(x)
@@ -150,8 +168,78 @@ def _tau_per_node(partition, config):
 
 
 def _diverged(x):
-    """Iterates that are non-finite or exceed 1e12 in magnitude."""
-    return not np.all(np.isfinite(x)) or float(np.max(np.abs(x), initial=0.0)) > 1e12
+    """Iterates that are non-finite or exceed 1e12 in magnitude: one
+    NaN-propagating max, so NaN and +-inf fail the comparison."""
+    return not float(np.max(np.abs(x), initial=0.0)) <= 1e12
+
+
+def _same_bits(a, b):
+    """Whether two float arrays hold the same bits (-0.0 differs from 0.0,
+    a NaN equals itself)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class _Rounds:
+    """Message state of an engine whose round splits into a curvature half
+    and a linear half (see the module docstring).
+
+    ``curvature(H)`` returns the iterate-free state that a round reads from
+    the committed message curvatures H: node curvature sums, sender
+    systems, incoming curvatures. ``linear(x, h, state, kept)`` returns
+    (xhat, H_new, h_new, keep): the local minimizers and the new messages
+    from the committed linear parts h. ``keep`` is the round's rule
+    curvature; it comes back as ``kept`` once the curvature half is
+    stationary (None before), and ``linear`` then returns kept curvatures.
+    ``vectors(H)`` prices a round's messages.
+
+    The curvature half runs, and the messages are priced, until a round
+    returns the curvatures it read, bit for bit; from then on its state,
+    keep and price are reused. ``rounds`` counts the rounds in which the
+    curvature half ran.
+    """
+
+    def __init__(self, H, h, curvature, linear, vectors):
+        self.H, self.h = H, h
+        self._curvature, self._linear, self._vectors = curvature, linear, vectors
+        self._kept = None
+        self.rounds = 0
+
+    def step(self, x):
+        if self._kept is not None:
+            state, keep, sent = self._kept
+            xhat, self.H, self.h, _ = self._linear(x, self.h, state, keep)
+            return xhat, sent
+        self.rounds += 1
+        state = self._curvature(self.H)
+        xhat, H_new, self.h, keep = self._linear(x, self.h, state, None)
+        sent = self._vectors(H_new)
+        if _same_bits(H_new, self.H):
+            self._kept = (state, keep, sent)
+        self.H = H_new
+        return xhat, sent
+
+    def finish(self, trace, keys):
+        """Put the final messages and the curvature-round count on trace."""
+        trace.monitor = (self.H, self.h, keys)
+        trace.curvature_rounds = self.rounds
+        return trace
+
+
+def _variable_system(G):
+    """StructSystem of the node curvatures G; a singular one is an
+    ill-posed variable update."""
+    try:
+        return StructSystem(G)
+    except np.linalg.LinAlgError as exc:
+        raise IllPosedSubproblem(str(exc)) from exc
+
+
+def _variable_solve(G, g):
+    """xhat = -G^{-1} g by struct_solve, G a StructSystem."""
+    try:
+        return -struct_solve(G, g)
+    except np.linalg.LinAlgError as exc:
+        raise IllPosedSubproblem(str(exc)) from exc
 
 
 def _drive(problem, partition, config, x0, start):
@@ -212,7 +300,8 @@ class _PairwiseLayout:
     Intra-cluster edge e carries the message senders[e] -> receivers[e] and
     rev[e] is its reverse edge. Cross incidence c lets node csrc[c] read the
     frozen iterate of its out-of-cluster neighbor cdst[c]; every cross edge
-    appears in both orientations.
+    appears in both orientations. ``at_receivers`` and ``at_cross`` sum
+    per-incidence rows into the nodes receivers[e] and csrc[c].
     """
 
     def __init__(self, problem, partition):
@@ -237,20 +326,13 @@ class _PairwiseLayout:
         cross = sorted(edges - set(key_of))
         self.csrc = np.array([v for (i, j) in cross for v in (i, j)], dtype=int)
         self.cdst = np.array([v for (i, j) in cross for v in (j, i)], dtype=int)
+        self.at_receivers = RowScatter(self.receivers, self.m)
+        self.at_cross = RowScatter(self.csrc, self.m)
 
-    def to_nodes(self, idx, vals):
-        """Sum per-incidence values into their nodes idx."""
-        out = np.zeros((self.m,) + vals.shape[1:])
-        np.add.at(out, idx, vals)
-        return out
-
-    def incoming(self, H_msg, h_msg):
-        """The sender's sum over its other in-edges for every edge e: the
-        node sum of messages at senders[e] minus the reverse message."""
-        H_node = self.to_nodes(self.receivers, H_msg)
-        h_node = self.to_nodes(self.receivers, h_msg)
-        return QuadraticMessage(H_node[self.senders] - H_msg[self.rev],
-                                h_node[self.senders] - h_msg[self.rev])
+    def others(self, node, msg):
+        """For every edge e, the sender's sum over its other in-edges: the
+        node sum at senders[e] minus the reverse message."""
+        return node[self.senders] - msg[self.rev]
 
     def vectors(self, H_msg):
         """Vectors sent in one round: one per directed cross incidence for
@@ -287,31 +369,14 @@ def _zero_messages(lay):
     return np.zeros((lay.n_edges, lay.d, lay.d)), np.zeros((lay.n_edges, lay.d))
 
 
-def _exact_node_sums(problem, lay, cross, H_msg, h_msg, x):
-    """Per-node curvature and linear aggregates of the exact round."""
-    inH = problem.diag.copy()
-    inh = problem.lin + lay.to_nodes(lay.csrc, cross(x))
-    np.add.at(inH, lay.receivers, H_msg)
-    np.add.at(inh, lay.receivers, h_msg)
-    return inH, inh
-
-
-def _exact_messages(lay, B, inH, inh, H_msg, h_msg):
-    """Exact min-sum refresh of every intra-cluster message at once."""
-    if not lay.n_edges:
-        return H_msg, h_msg
-    d = lay.d
-    A = inH[lay.senders] - H_msg[lay.rev]
-    c = inh[lay.senders] - h_msg[lay.rev]
-    rhs = np.concatenate([np.transpose(B, (0, 2, 1)), c[..., None]], axis=2)
-    try:
-        X = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSenderCurvature(f"message update: {exc}") from exc
-    H_new = -np.matmul(B, X[:, :, :d])
-    H_new = 0.5 * (H_new + np.transpose(H_new, (0, 2, 1)))
-    h_new = -np.matmul(B, X[:, :, d:])[..., 0]
-    return H_new, h_new
+def _exact_curvature(problem, lay, B, H_msg):
+    """The curvature half of an exact round: the node curvature sums inH,
+    the sender matrices A and the right-hand-side buffer [B^T | c] whose
+    last column takes each round's c."""
+    inH = lay.at_receivers(H_msg, start=problem.diag)
+    rhs = np.empty((lay.n_edges, lay.d, lay.d + 1))
+    rhs[:, :, :lay.d] = np.transpose(B, (0, 2, 1))
+    return inH, lay.others(inH, H_msg), rhs
 
 
 def mp_jacobi(problem, partition, config=None, x0=None):
@@ -321,37 +386,52 @@ def mp_jacobi(problem, partition, config=None, x0=None):
     messages and out-of-cluster iterates, damps by the cluster stepsize, and
     every directed intra-cluster edge refreshes its message from the same
     snapshot. ``message_init='warm_start'`` first runs max-diameter sweeps
-    of message updates at x0.
+    of message updates at x0. The message refresh is one LAPACK solve per
+    round on (A, [B^T | c]); once the curvatures are stationary only c
+    changes in it.
     """
     config = config or SolverConfig()
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
     lay = _PairwiseLayout(problem, partition)
+    d = lay.d
     B = problem.couplings(lay.receivers, lay.senders)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
-    H_msg, h_msg = _zero_messages(lay)
+
+    def curvature(H_msg):
+        return _exact_curvature(problem, lay, B, H_msg)
+
+    def linear(x, h_msg, state, kept, variable=True):
+        inH, A, rhs = state
+        inh = lay.at_receivers(h_msg, start=problem.lin + lay.at_cross(cross(x)))
+        xhat = None
+        if variable:
+            try:
+                xhat = -np.linalg.solve(inH, inh[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise IllPosedSubproblem(f"variable update: {exc}") from exc
+        rhs[:, :, d] = lay.others(inh, h_msg)
+        try:
+            X = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSenderCurvature(f"message update: {exc}") from exc
+        h_new = -np.matmul(B, X[:, :, d:])[..., 0]
+        H_new = kept
+        if H_new is None:
+            H_new = -np.matmul(B, X[:, :, :d])
+            H_new = 0.5 * (H_new + np.transpose(H_new, (0, 2, 1)))
+        return xhat, H_new, h_new, H_new
+
+    rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
 
     def start(x0):
-        nonlocal H_msg, h_msg
         if config.message_init == "warm_start":
             for _ in range(partition.max_diameter):
-                sums = _exact_node_sums(problem, lay, cross, H_msg, h_msg, x0)
-                H_msg, h_msg = _exact_messages(lay, B, *sums, H_msg, h_msg)
-        return step
+                _, rounds.H, rounds.h, _ = linear(x0, rounds.h, curvature(rounds.H),
+                                                  None, variable=False)
+        return rounds.step
 
-    def step(x):
-        nonlocal H_msg, h_msg
-        inH, inh = _exact_node_sums(problem, lay, cross, H_msg, h_msg, x)
-        try:
-            xhat = -np.linalg.solve(inH, inh[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedSubproblem(f"variable update: {exc}") from exc
-        H_msg, h_msg = _exact_messages(lay, B, inH, inh, H_msg, h_msg)
-        return xhat, lay.vectors(H_msg)
-
-    trace = _drive(problem, partition, config, x0, start)
-    trace.monitor = (H_msg, h_msg, lay.directed)
-    return trace
+    return rounds.finish(_drive(problem, partition, config, x0, start), lay.directed)
 
 
 # -- surrogate pairwise -----------------------------------------------------
@@ -381,22 +461,21 @@ def mp_jacobi_surrogate(problem, partition, config=None, x0=None):
 
 
 def _first_order_run(problem, partition, config, x0, spec):
+    """First-order family: the messages are affine, so their curvature is
+    zero from the first round on."""
     lay = _PairwiseLayout(problem, partition)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
     to_receiver = _pair_grads(problem, lay.receivers, lay.senders)
-    H_msg, h_msg = _zero_messages(lay)
 
-    def step(x):
-        nonlocal H_msg, h_msg
-        grads = (_node_grads(problem, x) + lay.to_nodes(lay.csrc, cross(x))
-                 + lay.to_nodes(lay.receivers, h_msg))
+    def linear(x, h_msg, state, kept):
+        grads = (_node_grads(problem, x) + lay.at_cross(cross(x))
+                 + lay.at_receivers(h_msg))
         msg = first_order_message(to_receiver(x))
-        H_msg, h_msg = msg.H, msg.h
-        return x - spec.alpha * grads, lay.vectors(H_msg)
+        return x - spec.alpha * grads, msg.H, msg.h, None
 
-    trace = _drive(problem, partition, config, x0, lambda x0: step)
-    trace.monitor = (H_msg, h_msg, lay.directed)
-    return trace
+    rounds = _Rounds(*_zero_messages(lay), lambda H: None, linear, lay.vectors)
+    trace = _drive(problem, partition, config, x0, lambda x0: rounds.step)
+    return rounds.finish(trace, lay.directed)
 
 
 def delayed_gradient_reference(problem, partition, config, x0, alpha):
@@ -414,12 +493,15 @@ def delayed_gradient_reference(problem, partition, config, x0, alpha):
                           dtype=int).reshape(-1, 2).T
     frozen = _pair_grads(problem, out_i, out_k)
     delayed = _pair_grads(problem, in_i, in_j)
+    at_out = RowScatter(out_i, m)
+    at_both = RowScatter(np.concatenate([out_i, in_i]), m)
     iterates = [x.copy()]
     for _ in range(config.max_rounds):
         g = _node_grads(problem, x)
-        np.add.at(g, out_i, frozen(x))
-        if x_prev is not None:
-            np.add.at(g, in_i, delayed(x_prev))
+        if x_prev is None:
+            g = at_out(frozen(x), start=g)
+        else:
+            g = at_both(np.concatenate([frozen(x), delayed(x_prev)]), start=g)
         xhat = x - alpha * g
         x_prev = x
         x = x + tau_node[:, None] * (xhat - x)
@@ -441,35 +523,34 @@ def _schur_run(problem, partition, config, x0, spec):
     Mn = np.stack([spec.node_matrix("M", i, d) for i in range(m)])
     M_edge = np.array([spec.edge_matrix(a, b, d) for a, b in lay.directed],
                       dtype=float).reshape(-1, d, d)
-    H_msg, h_msg = _zero_messages(lay)
+    G_base = Q + n_out * Mn         # variable-update curvature before messages
 
-    def step(x):
-        nonlocal H_msg, h_msg
+    def curvature(H_msg):
+        H_node = lay.at_receivers(H_msg)
+        base = problem.diag if config.exact_variable_update else G_base
+        return _variable_system(base + H_node), lay.others(H_node, H_msg)
+
+    def linear(x, h_msg, state, kept):
+        G, H_in = state
         grad_phi = _node_grads(problem, x)
-        boundary = lay.to_nodes(lay.csrc, cross(x))
+        boundary = lay.at_cross(cross(x))
         if config.exact_variable_update:
-            G = problem.diag.copy()
             g = problem.lin + boundary
         else:
-            G = Q + n_out * Mn
-            g = grad_phi - np.einsum("ikl,il->ik", G, x) + boundary
-        G = G + lay.to_nodes(t, H_msg)
-        g = g + lay.to_nodes(t, h_msg)
-        try:
-            xhat = -struct_solve(G, g)
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedSubproblem(str(exc)) from exc
+            g = grad_phi - np.einsum("ikl,il->ik", G_base, x) + boundary
+        h_node = lay.at_receivers(h_msg)
+        xhat = _variable_solve(G, g + h_node)
         msg = schur_message_update(
             Q_j=Q[s], M_j=Mn[s], M_i=Mn[t], M_ij=M_edge,
             grad_phi_j=grad_phi[s], grad_j_psi=to_sender(x),
             grad_i_psi=to_receiver(x), x_j_ref=x[s], x_i_ref=x[t],
-            incoming=[lay.incoming(H_msg, h_msg)], boundary_grad=boundary[s])
-        H_msg, h_msg = msg.H, msg.h
-        return xhat, lay.vectors(H_msg)
+            incoming=[QuadraticMessage(H_in, lay.others(h_node, h_msg))],
+            boundary_grad=boundary[s], curvature=kept)
+        return xhat, msg.H, msg.h, msg.curvature
 
-    trace = _drive(problem, partition, config, x0, lambda x0: step)
-    trace.monitor = (H_msg, h_msg, lay.directed)
-    return trace
+    rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
+    trace = _drive(problem, partition, config, x0, lambda x0: rounds.step)
+    return rounds.finish(trace, lay.directed)
 
 
 def _cta_partial_linearization_run(problem, partition, config, x0, spec):
@@ -481,35 +562,35 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     lay = _PairwiseLayout(problem, partition)
     m, d = problem.m, problem.d
     W, gamma = problem.gossip.W, problem.gamma
-    s, t = lay.senders, lay.receivers
+    s = lay.senders
     w_self = np.diag(W)
-    w_edge = W[s, t]
-    w_cross = W[lay.csrc, lay.cdst]
+    w_edge = W[s, lay.receivers]
+    w_cross = -(W[lay.csrc, lay.cdst] / gamma)[:, None]
     Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
     base = Q + ((1.0 - w_self) / gamma)[:, None, None] * np.eye(d)
-    H_msg, h_msg = _zero_messages(lay)
 
-    def step(x):
-        nonlocal H_msg, h_msg
-        grad_f = np.stack([problem.locals_[i].grad(x[i]) for i in range(m)])
-        boundary = lay.to_nodes(lay.csrc, -(w_cross / gamma)[:, None] * x[lay.cdst])
-        S = base + lay.to_nodes(t, H_msg)
-        ell = (grad_f - np.einsum("ikl,il->ik", Q, x) + boundary
-               + lay.to_nodes(t, h_msg))
-        try:
-            xhat = -struct_solve(S, ell)
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedSubproblem(str(exc)) from exc
+    def curvature(H_msg):
+        H_node = lay.at_receivers(H_msg)
+        return _variable_system(base + H_node), lay.others(H_node, H_msg)
+
+    def linear(x, h_msg, state, kept):
+        S, H_in = state
+        grad_f = problem.local_grads(x)
+        boundary = lay.at_cross(w_cross * x[lay.cdst])
+        h_node = lay.at_receivers(h_msg)
+        xhat = _variable_solve(S, grad_f - np.einsum("ikl,il->ik", Q, x)
+                               + boundary + h_node)
         msg = cta_partial_linearization_message(
             Q_i=Q[s], w_ii=w_self[s], w_ij=w_edge, gamma=gamma,
             grad_f_i=grad_f[s], x_i_ref=x[s],
-            incoming=[lay.incoming(H_msg, h_msg)], boundary_lin=boundary[s])
-        H_msg, h_msg = msg.H, msg.h
-        return xhat, lay.vectors(H_msg)
+            incoming=[QuadraticMessage(H_in, lay.others(h_node, h_msg))],
+            boundary_lin=boundary[s], curvature=kept)
+        return xhat, msg.H, msg.h, msg.curvature
 
-    trace = _drive(problem, partition, config, x0, lambda x0: step)
-    trace.monitor = (H_msg, h_msg, lay.directed)
-    return trace
+    rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
+    trace = _drive(problem, partition, config, x0, lambda x0: rounds.step)
+    return rounds.finish(trace, lay.directed)
+
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +744,7 @@ class _HyperLayout:
     linear term of out slot s. ``H_node``/``H_src`` and ``h_node``/``h_src``
     list the terms of every node aggregate in the order they are added:
     messages in n_in order, then per out factor in n_out order its 2 H x
-    term and its frozen term.
+    term and its frozen term; ``at_H``/``at_h`` add them in that order.
     """
 
     def __init__(self, problem, hpartition, view):
@@ -716,35 +797,49 @@ class _HyperLayout:
                 if len(factors[b]) > 1:
                     h_terms.append((i, s + n_out))
                 h_terms.append((i, s))
-        self.H_node, self.H_src = np.array(H_terms, dtype=int).reshape(-1, 2).T
-        self.h_node, self.h_src = np.array(h_terms, dtype=int).reshape(-1, 2).T
+        H_node, self.H_src = np.array(H_terms, dtype=int).reshape(-1, 2).T
+        h_node, self.h_src = np.array(h_terms, dtype=int).reshape(-1, 2).T
+        self.at_H, self.at_h = RowScatter(H_node, m), RowScatter(h_node, m)
+        self.at_lin = RowScatter(self.lin_row, K + 2 * n_out)
 
     def linear_terms(self, x):
         """The round's (K + 2 n_out, d) table of terms linear in x."""
         T = np.empty((len(self.lin_row), self.d))
         for sel, M, nodes in self.lin_groups:
             T[sel] = (M @ x[nodes].reshape(len(sel), -1, 1))[..., 0]
-        lin = np.zeros((self.n_intra + 2 * self.n_out, self.d))
-        np.add.at(lin, self.lin_row, self.lin_coef * T)
-        return lin
+        return self.at_lin(self.lin_coef * T)
 
-    def node_sums(self, problem, H_msg, h_msg, lin):
-        """Per-node curvature and linear aggregates over all incident terms."""
-        aggH, aggh = problem.diag.copy(), problem.lin.copy()
-        np.add.at(aggH, self.H_node, np.concatenate([H_msg, self.out_H])[self.H_src])
-        np.add.at(aggh, self.h_node,
-                  np.concatenate([h_msg, lin[self.n_intra:]])[self.h_src])
-        return aggH, aggh
+    def node_curvatures(self, problem, H_msg):
+        """Per-node curvature aggregates over all incident terms."""
+        return self.at_H(np.concatenate([H_msg, self.out_H])[self.H_src],
+                         start=problem.diag)
 
-    def messages(self, aggH, aggh, H_msg, h_msg, lin):
-        """Every factor-to-variable message, one rule call per arity."""
-        H_new, h_new = np.empty_like(H_msg), np.empty_like(h_msg)
-        for sel, blocks, rest, rest_msg in self.groups:
+    def node_linear(self, problem, h_msg, lin):
+        """Per-node linear aggregates over all incident terms."""
+        return self.at_h(np.concatenate([h_msg, lin[self.n_intra:]])[self.h_src],
+                         start=problem.lin)
+
+    def messages(self, H_agg, aggh, h_msg, lin, kept):
+        """Every factor-to-variable message, one rule call per arity.
+
+        ``H_agg`` holds, per arity group, the rest's curvature aggregates
+        without the receiving factor's own messages; ``kept``, the groups'
+        rule curvatures once stationary, skips the curvature half (and H_new
+        is then None). Returns H_new, h_new and the groups' rule curvatures.
+        """
+        H_new = np.empty((self.n_intra, self.d, self.d)) if kept is None else None
+        h_new = np.empty_like(h_msg)
+        curvatures = []
+        for g, (sel, blocks, rest, rest_msg) in enumerate(self.groups):
             msg = hyper_factor_message(
-                blocks, aggH[rest] - H_msg[rest_msg], aggh[rest] - h_msg[rest_msg],
-                frozen_lin=lin[rest_msg], receiver_extra_lin=lin[sel])
-            H_new[sel], h_new[sel] = msg.H, msg.h
-        return H_new, h_new
+                blocks, H_agg[g], aggh[rest] - h_msg[rest_msg],
+                frozen_lin=lin[rest_msg], receiver_extra_lin=lin[sel],
+                curvature=None if kept is None else kept[g])
+            if H_new is not None:
+                H_new[sel] = msg.H
+            h_new[sel] = msg.h
+            curvatures.append(msg.curvature)
+        return H_new, h_new, curvatures
 
 
 def h_mp_jacobi(problem, hpartition, config=None, x0=None):
@@ -782,29 +877,37 @@ def _hyper_run(problem, hpartition, config, x0, view):
     ``trace.monitor`` holds the final (H_msg, h_msg, incidences)."""
     config = config or SolverConfig()
     lay = _HyperLayout(problem, hpartition, view)
-    H_msg = np.zeros((lay.n_intra, lay.d, lay.d))
-    h_msg = np.zeros((lay.n_intra, lay.d))
     exchanging, relay = _hyper_comm(hpartition, lay, config.factor_impl)
     surrogate_diag = (config.surrogate is not None
                       and config.surrogate.family != "exact")
 
-    def step(x):
-        nonlocal H_msg, h_msg
-        lin = lay.linear_terms(x)
-        aggH, aggh = lay.node_sums(problem, H_msg, h_msg, lin)
-        try:
-            xhat = -struct_solve(aggH, aggh)
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedSubproblem(str(exc)) from exc
-        H_msg, h_msg = lay.messages(aggH, aggh, H_msg, h_msg, lin)
-        if surrogate_diag:
-            msg = diagonalize_message(QuadraticMessage(H_msg, h_msg), x[lay.nodes])
-            H_msg, h_msg = msg.H, msg.h
-        return xhat, 2 * int(message_vectors(H_msg)[exchanging].sum()) + relay
+    def curvature(H_msg):
+        aggH = lay.node_curvatures(problem, H_msg)
+        return (_variable_system(aggH),
+                [aggH[rest] - H_msg[rest_msg] for _, _, rest, rest_msg in lay.groups])
 
-    trace = _drive(problem, hpartition, config, x0, lambda x0: step)
-    trace.monitor = (H_msg, h_msg, lay.incidences)
-    return trace
+    def linear(x, h_msg, state, kept):
+        system, H_agg = state
+        lin = lay.linear_terms(x)
+        aggh = lay.node_linear(problem, h_msg, lin)
+        xhat = _variable_solve(system, aggh)
+        H_new, h_new, curvatures = lay.messages(
+            H_agg, aggh, h_msg, lin, None if kept is None else kept[0])
+        if kept is not None:
+            H_new = kept[1]
+        keep = (curvatures, H_new)
+        if surrogate_diag:
+            msg = diagonalize_message(QuadraticMessage(H_new, h_new), x[lay.nodes])
+            H_new, h_new = msg.H, msg.h
+        return xhat, H_new, h_new, keep
+
+    def vectors(H_msg):
+        return 2 * int(message_vectors(H_msg)[exchanging].sum()) + relay
+
+    rounds = _Rounds(np.zeros((lay.n_intra, lay.d, lay.d)),
+                     np.zeros((lay.n_intra, lay.d)), curvature, linear, vectors)
+    trace = _drive(problem, hpartition, config, x0, lambda x0: rounds.step)
+    return rounds.finish(trace, lay.incidences)
 
 
 def _check_hyper_problem(problem, hpartition, factors):

@@ -456,3 +456,121 @@ def test_batched_hyper_rule_equals_single_incidence_calls(seed, B, k, d, frozen)
         one_diag = diagonalize_message(one, x[b])
         assert np.array_equal(diag_got.H[b], one_diag.H)
         assert np.array_equal(diag_got.h[b], one_diag.h)
+
+
+def _brute_vectors(H):
+    """message_vectors of one (d, d) curvature, entry by entry."""
+    d = H.shape[0]
+    off = any(H[i, j] != 0 for i in range(d) for j in range(d) if i != j)
+    on = any(H[i, i] != 0 for i in range(d))
+    return (d if off else int(on)) + 1
+
+
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_message_vectors_match_per_message_count(seed, K, d):
+    rng = np.random.default_rng(seed)
+    kinds = ("zero", "negzero", "diag", "dense", "nan_diag", "nan_off", "one_off")
+    H = np.zeros((K, d, d))
+    for k in range(K):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == "negzero":
+            H[k] = -0.0
+        elif kind == "diag":
+            H[k] = np.diag(rng.standard_normal(d))
+            H[k, rng.integers(d), rng.integers(d)] *= 0.0
+        elif kind == "dense":
+            H[k] = rng.standard_normal((d, d))
+        elif kind == "nan_diag":
+            H[k, rng.integers(d), rng.integers(d)] = np.nan
+            H[k][~np.eye(d, dtype=bool)] = -0.0
+        elif kind == "nan_off" and d > 1:
+            H[k, 0, d - 1] = np.nan
+        elif kind == "one_off" and d > 1:
+            H[k, d - 1, 0] = 1e-300
+    got = message_vectors(H)
+    assert got.shape == (K,)
+    assert got.tolist() == [_brute_vectors(H[k]) for k in range(K)]
+    assert int(message_vectors(H[0])) == _brute_vectors(H[0])
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _sender_batch(rng, B, d, kinds):
+    """B curvature matrices, each diagonal, dense or an unbatched single
+    one (B = 0), from the kinds cycled over the batch."""
+    return np.stack([_spd_batch(rng, 1, d, kinds[b % len(kinds)] == "diag")[0]
+                     for b in range(max(B, 1))])
+
+
+@given(st.integers(0, 10_000), st.integers(0, 4), st.integers(1, 3),
+       st.sampled_from([("diag",), ("dense",), ("diag", "dense")]))
+@settings(max_examples=40, deadline=None)
+def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
+    """Every rule, given the Curvature of a call with the same curvature
+    inputs, returns the full rule's message bit for bit for any linear
+    inputs; B = 0 is the unbatched call."""
+    rng = np.random.default_rng(seed)
+    lead = (B,) if B else ()
+
+    def vec():
+        return rng.standard_normal(lead + (d,))
+
+    def mat(kind_list=kinds):
+        M = _sender_batch(rng, B, d, kind_list)
+        return M if B else M[0]
+
+    inc_H = [0.2 * mat() for _ in range(2)]
+
+    def inc():
+        return [QuadraticMessage(H, vec()) for H in inc_H]
+
+    Q, Mj, Mi = mat(), mat(), mat()
+    Mij = rng.standard_normal(lead + (d, d))
+    w_ii, w_ij = rng.uniform(0.2, 0.5, lead), rng.uniform(0.0, 0.3, lead)
+    A = mat()
+    Bc = rng.standard_normal(lead + (d, d))
+    rules = {
+        "schur": (6, lambda a, inc_, c: schur_message_update(
+            Q, Mj, Mi, Mij, a[0], a[1], a[2], a[3], a[4], inc_,
+            boundary_grad=a[5], curvature=c)),
+        "partial_linearization": (3, lambda a, inc_, c: cta_partial_linearization_message(
+            Q, w_ii, w_ij, 0.05, a[0], a[1], inc_, boundary_lin=a[2], curvature=c)),
+        "exact": (2, lambda a, inc_, c: exact_quadratic_message(
+            A, a[0], Bc, inc_, boundary_lin=a[1], boundary_quad=0.1 * Q,
+            curvature=c)),
+    }
+    for n_vec, make in rules.values():
+        lin = [[vec() for _ in range(n_vec)] for _ in range(2)]
+        first = make(lin[0], inc(), None)
+        incoming = inc()
+        full = make(lin[1], incoming, None)
+        short = make(lin[1], incoming, first.curvature)
+        _assert_same_bits(short.H, full.H)
+        _assert_same_bits(short.h, full.h)
+
+    # hypergraph factors of arity k = 3, the rest's aggregates diagonal or dense
+    k = 3
+    blocks = np.stack([0.3 * _spd_batch(rng, 1, k * d, False)[0]
+                       for _ in range(max(B, 1))])
+    H_agg = np.stack([np.stack([_sender_batch(rng, 1, d, kinds)[0] + 2.0 * np.eye(d)
+                                for _ in range(k - 1)]) for _ in range(max(B, 1))])
+    if not B:
+        blocks, H_agg = blocks[0], H_agg[0]
+
+    def hyper(curvature):
+        return hyper_factor_message(
+            blocks, H_agg, rng_lin["h"], frozen_lin=rng_lin["f"],
+            receiver_extra_lin=rng_lin["r"], curvature=curvature)
+
+    rng_lin = {"h": rng.standard_normal(lead + (k - 1, d)),
+               "f": rng.standard_normal(lead + (k - 1, d)), "r": vec()}
+    first = hyper(None)
+    rng_lin = {"h": rng.standard_normal(lead + (k - 1, d)),
+               "f": rng.standard_normal(lead + (k - 1, d)), "r": vec()}
+    full, short = hyper(None), hyper(first.curvature)
+    _assert_same_bits(short.H, full.H)
+    _assert_same_bits(short.h, full.h)

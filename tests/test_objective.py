@@ -10,6 +10,7 @@ from mpjacobi.objective import (
     ObjectiveError,
     QuadraticLocal,
     QuadraticObjective,
+    RowScatter,
     SingularInconsistent,
     build_atc,
     build_cta,
@@ -376,3 +377,60 @@ def test_malformed_coupling_keys_are_typed():
                         ({}, {(0, 0): np.eye(2)}), ({}, {(1, 3): np.eye(2)})]:
         with pytest.raises(ObjectiveError):
             QuadraticObjective(3, 1, *d1, pair, hyper)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6),
+       st.integers(0, 12), st.sampled_from([(), (2,), (2, 3)]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_row_scatter_equals_add_at(seed, n, k, tail, with_start):
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, k)
+    vals = rng.standard_normal((k,) + tail) * 10.0 ** rng.integers(-8, 8, (k,) + tail)
+    start = rng.standard_normal((n,) + tail) if with_start else None
+    want = np.zeros((n,) + tail) if start is None else start.copy()
+    np.add.at(want, idx, vals)
+    scatter = RowScatter(idx, n)
+    for _ in range(2):                  # the second call reuses the flat indices
+        got = scatter(vals, start=start)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _loop_cta(prob, x):
+    """Reference: CtaProblem value and grad with every local called node by
+    node, as before the quadratic locals were stacked."""
+    W, g = prob.gossip.W, prob.gamma
+    val = sum(prob.locals_[i].value(x[i]) for i in range(prob.m))
+    val += np.einsum("i,ik,ik->", (1.0 - np.diag(W)) / (2 * g), x, x)
+    val -= np.einsum("e,ek,ek->", prob.edge_weights / g,
+                     x[prob.edge_rows], x[prob.edge_cols])
+    grad = np.stack([prob.locals_[i].grad(x[i]) for i in range(prob.m)])
+    grad += ((1.0 - np.diag(W)) / g)[:, None] * x
+    grad -= ((W - np.diag(np.diag(W))) @ x) / g
+    return float(val), grad
+
+
+@pytest.mark.parametrize("callable_local", [False, True])
+def test_cta_stacked_locals_match_per_node_calls(callable_local):
+    rng = np.random.default_rng(11)
+    m, d = 7, 3
+    W = metropolis_weights(generate_topology("ring", m=m), gamma=0.05)
+    locs = []
+    for _ in range(m):
+        A = rng.standard_normal((d, d))
+        locs.append(QuadraticLocal(A @ A.T + np.eye(d), rng.standard_normal(d)))
+    if callable_local:              # one non-quadratic local: every node is called
+        locs[3] = build_tanh_nn([(rng.standard_normal((4, d)), rng.standard_normal(4))])[0]
+    prob = build_cta(locs, W, d=d)
+    for _ in range(5):
+        x = rng.standard_normal((m, d))
+        val, grad = _loop_cta(prob, x)
+        if callable_local:
+            assert prob.value(x) == val and np.array_equal(prob.grad(x), grad)
+        else:
+            scale = sum(0.5 * np.abs(x[i]) @ np.abs(f.Q) @ np.abs(x[i])
+                        + np.abs(f.c) @ np.abs(x[i]) for i, f in enumerate(locs))
+            scale += np.abs(x).ravel() @ np.abs(x).ravel() / W.gamma
+            assert abs(prob.value(x) - val) <= 1e-13 * scale
+            assert np.max(np.abs(prob.grad(x) - grad)) <= 1e-13 * (
+                1.0 + np.max(np.abs(grad)))

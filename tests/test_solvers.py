@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
@@ -31,6 +33,7 @@ from mpjacobi.solvers import (
 from mpjacobi.topology import generate_partition, generate_topology, validate_hyper_partition, validate_tree_partition
 from mpjacobi.rate_analysis import estimate_constants, three_terms
 from test_acceptance import random_valid_instance
+from test_topology import tree_partition_cases
 
 
 def ring_qp(m=6, d=1, kappa=50.0, seed=0):
@@ -510,3 +513,79 @@ def test_config_rejects_unknown_message_init():
     # an unknown value used to mean 'zero'
     with pytest.raises(SolverError):
         SolverConfig(message_init="warm")
+
+
+@pytest.mark.parametrize("x, diverged", [
+    (np.array([[0.0, np.nan]]), True),
+    (np.array([[np.inf]]), True),
+    (np.array([[-np.inf, 1.0]]), True),
+    (np.array([[1e12, -1e12]]), False),
+    (np.array([[np.nextafter(1e12, np.inf)]]), True),
+    (np.array([[-np.nextafter(1e12, np.inf)]]), True),
+    (np.zeros((0, 2)), False),
+])
+def test_diverged_threshold(x, diverged):
+    from mpjacobi.solvers import _diverged
+
+    assert _diverged(x) is diverged
+
+
+def test_golden_cases_reach_stationary_curvature():
+    """Every message engine of the golden cases stops running its
+    curvature half well inside the 30 frozen rounds, so the bitwise golden
+    traces cover the stationary shortcut."""
+    from test_golden_traces import ROUNDS, cases
+
+    for name, run in cases().items():
+        trace = run()
+        if name.startswith("delayed/"):
+            assert trace.curvature_rounds is None
+            continue
+        assert 1 <= trace.curvature_rounds < ROUNDS, (name, trace.curvature_rounds)
+
+
+def _dominant_qp(graph, d, seed):
+    """A block diagonally dominant quadratic on graph: any damped round
+    contracts, so a short run neither diverges nor stops."""
+    rng = np.random.default_rng(seed)
+    deg = np.zeros(graph.m)
+    for e in graph.edges:
+        deg[list(e)] += 1
+    diag = np.stack([(2.0 * deg[i] + 2.0) * np.eye(d)
+                     + 0.1 * (lambda A: A + A.T)(rng.standard_normal((d, d)))
+                     for i in range(graph.m)])
+    pair = {e: rng.uniform(-0.5, 0.5, (d, d)) for e in sorted(graph.edges)}
+    return QuadraticObjective(graph.m, d, diag, rng.standard_normal((graph.m, d)), pair)
+
+
+@given(tree_partition_cases(), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_final_curvature_reads_no_iterate(case, d, seed):
+    """On random tree partitions, two runs that differ only in the linear
+    term and x0 end with the same message curvatures, bit for bit, in the
+    exact and the structured-quadratic engine."""
+    from mpjacobi.topology import NonTreeCluster
+
+    graph, clusters = case
+    try:
+        part = validate_tree_partition(graph, clusters, warn_nonoverlap=False)
+    except NonTreeCluster:
+        assume(False)
+    q = _dominant_qp(graph, d, seed)
+    rng = np.random.default_rng(seed)
+    spec = SurrogateSpec(family="schur_quadratic",
+                         Q=np.stack([q.diag[i] + np.eye(d) for i in range(q.m)]),
+                         M_edge={e: 0.5 * (B + B.T) for e, B in q.pair.items()})
+    rounds = 2 * part.max_diameter + 4
+    finals = {}
+    for run in range(2):
+        q.lin = rng.standard_normal((q.m, d))
+        x0 = rng.standard_normal((q.m, d))
+        for tag, cfg in (("exact", SolverConfig(tau=0.5, max_rounds=rounds, tol_x=-1.0)),
+                         ("schur", SolverConfig(tau=0.5, max_rounds=rounds, tol_x=-1.0,
+                                                surrogate=spec))):
+            trace = mp_jacobi_surrogate(q, part, cfg, x0=x0)
+            assert trace.rounds == rounds and trace.curvature_rounds < rounds
+            finals.setdefault(tag, []).append(trace.monitor[0])
+    for H_a, H_b in finals.values():
+        assert np.array_equal(H_a.view(np.int64), H_b.view(np.int64))
