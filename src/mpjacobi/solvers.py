@@ -741,10 +741,10 @@ class _HyperLayout:
     out_H = 2 (H_b)_ii and linear term 2 (H_b)_{i,rest} x_rest. A round's
     table of terms linear in x (:meth:`linear_terms`) holds in row s the
     view's frozen-reference terms of slot s, and in row n_out + s the
-    linear term of out slot s. ``H_node``/``H_src`` and ``h_node``/``h_src``
-    list the terms of every node aggregate in the order they are added:
-    messages in n_in order, then per out factor in n_out order its 2 H x
-    term and its frozen term; ``at_H``/``at_h`` add them in that order.
+    linear term of out slot s. ``H_src``/``h_src`` list the terms of every
+    node aggregate, and ``at_H``/``at_h`` add them into their nodes, in the
+    order messages in n_in order, then per out factor in n_out order its
+    2 H x term and its frozen term.
     """
 
     def __init__(self, problem, hpartition, view):
