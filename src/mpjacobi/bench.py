@@ -21,6 +21,7 @@ from .messages import SurrogateSpec
 from .objective import (
     QuadraticLocal,
     QuadraticObjective,
+    _shift_to_kappa,
     build_atc,
     build_cta,
     build_random_qp,
@@ -238,36 +239,26 @@ def hyperring_qp(n_edges=5, edge_size=5, d=2, seed=0, kappa=200.0):
     hg = generate_topology("hyper_ring", n_edges=n_edges, edge_size=edge_size)
     rng = np.random.default_rng(seed)
     m = hg.m
-    diag = np.zeros((m, d, d))
     lin = rng.standard_normal((m, d))
     hyper = {}
     for w in hg.hyperedges:
         k = len(w) * d
         A = rng.standard_normal((k, k))
         hyper[w] = 0.25 * (A + A.T)
-    q = QuadraticObjective(m, d, diag, lin, {}, hyper)
-    H, _ = q.assemble()
-    vals = np.linalg.eigvalsh(H)
-    c = (vals[-1] - kappa * vals[0]) / (kappa - 1.0)
-    q.diag = diag + c * np.eye(d)
-    return hg, q
+    return hg, _shift_to_kappa(
+        QuadraticObjective(m, d, np.zeros((m, d, d)), lin, {}, hyper), kappa)
 
 
 def split_toy_instance(seed=0, kappa=100.0):
     hg = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
     rng = np.random.default_rng(seed)
-    diag = np.zeros((4, 1, 1))
     lin = rng.standard_normal((4, 1))
     hyper = {}
     for w in hg.hyperedges:
         A = rng.standard_normal((3, 3))
         hyper[w] = 0.2 * (A + A.T)
-    q = QuadraticObjective(4, 1, diag, lin, {}, hyper)
-    H, _ = q.assemble()
-    vals = np.linalg.eigvalsh(H)
-    c = (vals[-1] - kappa * vals[0]) / (kappa - 1.0)
-    q.diag = diag + c * np.eye(1)
-    return hg, q
+    return hg, _shift_to_kappa(
+        QuadraticObjective(4, 1, np.zeros((4, 1, 1)), lin, {}, hyper), kappa)
 
 
 def atc_hyper_instance(d=4, gamma=1e-3, seed=0):

@@ -435,7 +435,8 @@ class CtaProblem:
     Pairwise view: phi_i = f_i + (1-w_ii)/(2 gamma) ||.||^2 and
     psi_ij = -(w_ij / gamma) <x_i, x_j>. The graph is the off-diagonal
     support of W, read once: ``edge_rows``/``edge_cols`` list its edges
-    i < j in sorted order and ``edge_weights`` their w_ij. When every local
+    i < j in sorted order, ``edge_weights`` their w_ij and ``self_weights``
+    the diagonal w_ii. When every local
     loss is a QuadraticLocal, their Q and c are stacked once, at
     construction, and evaluated with one einsum; other losses are called
     node by node.
@@ -449,6 +450,10 @@ class CtaProblem:
         W = self.gossip.W
         self.edge_rows, self.edge_cols = np.nonzero(np.triu(np.abs(W) > 0, 1))
         self.edge_weights = W[self.edge_rows, self.edge_cols]
+        self.self_weights = np.diag(W).copy()
+        # the gossip term adds w_ij x_j at i, then w_ij x_i at j
+        self._gossip_scatter = RowScatter(
+            np.concatenate([self.edge_rows, self.edge_cols]), self.m)
         self._edge_set = frozenset(zip(self.edge_rows.tolist(), self.edge_cols.tolist()))
         self._local_Q = self._local_c = None
         if self.is_quadratic():
@@ -474,17 +479,18 @@ class CtaProblem:
         else:
             val = (0.5 * np.einsum("ik,ikl,il->", x, self._local_Q, x)
                    + np.einsum("ik,ik->", self._local_c, x))
-        val += np.einsum("i,ik,ik->", (1.0 - np.diag(self.gossip.W)) / (2 * g), x, x)
+        val += np.einsum("i,ik,ik->", (1.0 - self.self_weights) / (2 * g), x, x)
         val -= np.einsum("e,ek,ek->", self.edge_weights / g,
                          x[self.edge_rows], x[self.edge_cols])
         return float(val)
 
     def grad(self, x):
         x = as_blocks(x, self.m, self.d)
-        W, g = self.gossip.W, self.gamma
+        g, w = self.gamma, self.edge_weights[:, None]
         out = self.local_grads(x)
-        out += ((1.0 - np.diag(W)) / g)[:, None] * x
-        out -= ((W - np.diag(np.diag(W))) @ x) / g
+        out += ((1.0 - self.self_weights) / g)[:, None] * x
+        out -= self._gossip_scatter(np.concatenate(
+            [w * x[self.edge_cols], w * x[self.edge_rows]])) / g
         return out
 
     def local_grads(self, x):
@@ -636,14 +642,51 @@ def build_random_qp(graph, d, target_kappa, seed):
     for (i, j) in sorted(graph.edges):
         pair[(i, j)] = rng.standard_normal((d, d))
     lin = rng.standard_normal((m, d))
-    q = QuadraticObjective(m, d, diag, lin, pair)
+    return _shift_to_kappa(QuadraticObjective(m, d, diag, lin, pair), target_kappa)
+
+
+def _shift_to_kappa(q, kappa):
+    """Shift ``q.diag`` by c I so that the assembled Hessian's condition
+    number is ``kappa``; returns q."""
     H, _ = q.assemble()
     vals = np.linalg.eigvalsh(H)
     lo, hi = vals[0], vals[-1]
     # (hi + c) / (lo + c) = kappa  =>  c = (hi - kappa * lo) / (kappa - 1)
-    c = (hi - target_kappa * lo) / (target_kappa - 1.0)
-    q.diag = diag + c * np.eye(d)
+    c = (hi - kappa * lo) / (kappa - 1.0)
+    q.diag = q.diag + c * np.eye(q.d)
     return q
+
+
+def _certified_positive_definite(H):
+    """Whether a Cholesky factorization of H - s I completes, for
+    s = (1e-12 + 5 n^2 u) max(N, 1), N = sqrt(2) ||H||_F and u = 2^-53. The
+    diagonal of H is shifted in place and written back bit for bit; the
+    factor is dropped.
+
+    The factorization, like ``eigvalsh``, reads the symmetric matrix L that
+    H's lower triangle defines (H itself when symmetric); ||L||_2 <= N.
+    Success proves lambda_min(L) > 1e-12 max(|lambda_max(L)|, 1) with
+    2 n^2 u max(N, 1) to spare for the rounding of computed eigenvalues
+    that test the same condition: the factored A = L - S has |S_ii - s| <=
+    u (N + s), R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, in
+    any summation order), so ||dA||_2 <= gamma_{n+1} trace(A) (1 + O(nu))
+    <= (n^2 + n) u N (1 + O(nu)).
+    """
+    n = H.shape[0]
+    norm = math.sqrt(2.0) * float(np.linalg.norm(H))
+    if n == 0 or not math.isfinite(norm):
+        return False
+    shift = (1e-12 + 5.0 * n * n * (np.finfo(float).eps / 2)) * max(norm, 1.0)
+    diag = H.diagonal().copy()
+    np.fill_diagonal(H, diag - shift)
+    try:
+        np.linalg.cholesky(H)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(H, diag)
 
 
 def global_solve_oracle(q):
@@ -652,11 +695,21 @@ def global_solve_oracle(q):
     Positive definite Hessians are solved directly; PSD ones fall back to
     the min-norm solution provided the system is consistent.
     Returns (x_star, phi_star).
+
+    The direct solve runs when one Cholesky factorization certifies its
+    condition, lambda_min(H) > 1e-12 max(|lambda_max(H)|, 1), with a margin
+    of 5 n^2 u max(sqrt(2) ||H||_F, 1) for rounding, u = 2^-53 (see
+    ``_certified_positive_definite``). Otherwise (near-singular, PSD,
+    indefinite, non-finite or empty H) the eigenvalues decide. Since the
+    certificate holds only where their test passes, the result, or the
+    exception type, is the same either way.
     """
     H, b = q.assemble()
-    vals = np.linalg.eigvalsh(H)
-    scale = max(abs(vals[-1]), 1.0)
-    if vals[0] > 1e-12 * scale:
+    certified = _certified_positive_definite(H)
+    if not certified:
+        vals = np.linalg.eigvalsh(H)
+        scale = max(abs(vals[-1]), 1.0)
+    if certified or vals[0] > 1e-12 * scale:
         xs = np.linalg.solve(H, -b)
     else:
         if vals[0] < -1e-10 * scale:

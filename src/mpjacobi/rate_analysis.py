@@ -85,7 +85,8 @@ def _spectral_norm(A):
 
 
 def _block_indices(cluster, d):
-    return np.concatenate([np.arange(i * d, (i + 1) * d) for i in cluster])
+    """Coordinates of the nodes of ``cluster`` in the stacked (md,) vector."""
+    return (np.asarray(cluster, dtype=int)[:, None] * d + np.arange(d)).ravel()
 
 
 def estimate_constants(problem, partition, surrogate=None, cta=None):
@@ -109,6 +110,7 @@ def estimate_constants(problem, partition, surrogate=None, cta=None):
     if -1e-10 * scale < mu < 0:
         mu = 0.0   # numerically PSD
     mu_r, L_r, L_del_r, sigma_r = [], [], [], []
+    n_in_sizes = np.array([len(nbrs) for nbrs in partition.n_in], dtype=int)
     for r, c in enumerate(partition.clusters):
         idx = _block_indices(c, d)
         blk = H[np.ix_(idx, idx)]
@@ -121,7 +123,7 @@ def estimate_constants(problem, partition, surrogate=None, cta=None):
             L_del_r.append(_spectral_norm(H[np.ix_(idx, eidx)]))
         else:
             L_del_r.append(0.0)
-        deg = max((len(partition.n_in[i]) for i in c), default=0)
+        deg = int(n_in_sizes[np.asarray(c, dtype=int)].max(initial=0))
         sigma_r.append(max(deg, 1) if len(c) > 1 else 1)
     kappa = max(L_r) / mu if mu > 0 else float("inf")
     inputs = RateInputs(mu=mu, mu_r=mu_r, L_r=L_r, L_del_r=L_del_r,

@@ -129,11 +129,18 @@ class RunTrace:
     curvature_rounds: int = None    # rounds in which the curvature half ran
 
     def record(self, problem, x, comm_total, oracle):
+        """Append the metrics of iterate x. On a QuadraticObjective the
+        value comes from the gradient already formed, phi(x) =
+        1/2 <x, g + b> with g = H x + b; other problems evaluate it."""
         g = problem.grad(x)
         self.grad_norm.append(float(np.linalg.norm(g)))
         if oracle is not None:
             x_star, phi_star = oracle
-            self.phi_gap.append(float(problem.value(x) - phi_star))
+            if isinstance(problem, QuadraticObjective):
+                value = 0.5 * float(np.vdot(x, g + problem.lin))
+            else:
+                value = problem.value(x)
+            self.phi_gap.append(float(value - phi_star))
             self.dist_to_opt.append(float(np.linalg.norm(x - x_star)))
         else:
             self.phi_gap.append(float("nan"))

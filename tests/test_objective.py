@@ -12,6 +12,7 @@ from mpjacobi.objective import (
     QuadraticObjective,
     RowScatter,
     SingularInconsistent,
+    _certified_positive_definite,
     build_atc,
     build_cta,
     build_laplacian_qp,
@@ -224,6 +225,88 @@ def test_global_solve_identities():
         global_solve_oracle(build_laplacian_qp(w, np.array([1.0, 1.0, 1.0])))
 
 
+def _eigvalsh_gated_oracle(q):
+    """Reference: the oracle gated by the full spectrum, as it was before
+    the Cholesky certificate."""
+    H, b = q.assemble()
+    vals = np.linalg.eigvalsh(H)
+    scale = max(abs(vals[-1]), 1.0)
+    if vals[0] > 1e-12 * scale:
+        xs = np.linalg.solve(H, -b)
+    else:
+        if vals[0] < -1e-10 * scale:
+            raise SingularInconsistent("Hessian is not positive semidefinite")
+        xs = np.linalg.pinv(H, rcond=1e-12) @ (-b)
+        resid = np.linalg.norm(H @ xs + b)
+        if resid > 1e-8 * (np.linalg.norm(H) * np.linalg.norm(xs) + np.linalg.norm(b) + 1.0):
+            raise SingularInconsistent("singular Hessian with inconsistent linear term")
+    x = xs.reshape(q.m, q.d)
+    return x, q.value(x)
+
+
+def _spectrum_qp(lam, seed=0):
+    """One-block quadratic with Hessian U diag(lam) U^T, U a random
+    orthogonal basis, and a random linear term."""
+    rng = np.random.default_rng(seed)
+    n = len(lam)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (U * lam) @ U.T
+    return QuadraticObjective(1, n, 0.5 * (H + H.T)[None], rng.standard_normal((1, n)))
+
+
+def _near_singular_qp(ratio, n=40, seed=0):
+    """lambda_max = 1 and lambda_min = ratio * 1e-12, the oracle's threshold."""
+    lam = np.random.default_rng(seed).uniform(0.1, 1.0, n)
+    lam[0], lam[-1] = ratio * 1e-12, 1.0
+    return _spectrum_qp(lam, seed)
+
+
+def _oracle_cases():
+    w = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+    nan_diag = _near_singular_qp(1e6)
+    nan_diag.diag = nan_diag.diag.copy()
+    nan_diag.diag[0, 3, 3] = np.nan
+    return {
+        **{f"spd_{ratio:g}x": _near_singular_qp(ratio) for ratio in (0.5, 1, 2, 10, 1e6)},
+        "laplacian_consistent": build_laplacian_qp(w, np.array([1.0, 0.0, -1.0])),
+        "laplacian_inconsistent": build_laplacian_qp(w, np.array([1.0, 1.0, 1.0])),
+        "indefinite": _spectrum_qp(np.linspace(-0.5, 2.0, 12)),
+        # both tests read the lower triangle, the solve reads all of H
+        "nonsymmetric": QuadraticObjective(1, 2, np.array([[[2.0, -100.0], [0.5, 2.0]]]),
+                                           np.ones((1, 2))),
+        "nan_diagonal": nan_diag,
+        "empty_m": QuadraticObjective(0, 2, np.zeros((0, 2, 2)), np.zeros((0, 2))),
+        "empty_d": QuadraticObjective(3, 0, np.zeros((3, 0, 0)), np.zeros((3, 0))),
+        "random_qp": random_qp(seed=5, m=9, d=3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_cases()))
+def test_certified_oracle_equals_eigvalsh_gated_oracle(name):
+    """The certificate changes how the direct solve is chosen, never what
+    the oracle returns: the same bits, or the same exception type."""
+    q = _oracle_cases()[name]
+    try:
+        want = _eigvalsh_gated_oracle(q)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            global_solve_oracle(q)
+        assert type(got.value) is type(exc)
+        return
+    x, phi = global_solve_oracle(q)
+    assert np.array_equal(x, want[0]) and phi == want[1]
+
+
+def test_certificate_restores_the_diagonal():
+    """Certified well inside the threshold, refused below it; either way H
+    keeps its bits."""
+    for ratio, certified in ((1e6, True), (1, False), (0.5, False)):
+        H, _ = _near_singular_qp(ratio).assemble()
+        before = H.copy()
+        assert _certified_positive_definite(H) is certified
+        assert np.array_equal(H.view(np.int64), before.view(np.int64))
+
+
 def test_tanh_nn_gradients():
     rng = np.random.default_rng(8)
     locs = build_tanh_nn([(rng.standard_normal((6, 3)), rng.uniform(size=6))])
@@ -398,7 +481,8 @@ def test_row_scatter_equals_add_at(seed, n, k, tail, with_start):
 
 def _loop_cta(prob, x):
     """Reference: CtaProblem value and grad with every local called node by
-    node, as before the quadratic locals were stacked."""
+    node, as before the quadratic locals were stacked, and the gossip term
+    added edge by edge: w_ij x_j at i for every edge, then w_ij x_i at j."""
     W, g = prob.gossip.W, prob.gamma
     val = sum(prob.locals_[i].value(x[i]) for i in range(prob.m))
     val += np.einsum("i,ik,ik->", (1.0 - np.diag(W)) / (2 * g), x, x)
@@ -406,7 +490,12 @@ def _loop_cta(prob, x):
                      x[prob.edge_rows], x[prob.edge_cols])
     grad = np.stack([prob.locals_[i].grad(x[i]) for i in range(prob.m)])
     grad += ((1.0 - np.diag(W)) / g)[:, None] * x
-    grad -= ((W - np.diag(np.diag(W))) @ x) / g
+    off = np.zeros_like(x)
+    for i, j in zip(prob.edge_rows, prob.edge_cols):
+        off[i] += W[i, j] * x[j]
+    for i, j in zip(prob.edge_rows, prob.edge_cols):
+        off[j] += W[i, j] * x[i]
+    grad -= off / g
     return float(val), grad
 
 
