@@ -32,9 +32,17 @@ curvatures, and once a round returns the curvatures it was given, bit for
 bit, every later round would return them again. Each rule returns its
 curvature half as a :class:`Curvature`, and passing it back as
 ``curvature=`` skips the curvature work: the rule forms only its linear
-aggregate and solves it against the kept sender system, with the same
-operands as the full rule (``StructSystem.column_solver``), so the message
-is the full rule's bit for bit.
+aggregate, writes it into the last column of the kept right-hand side
+and solves again with the full rule's operands, so the message is the full
+rule's bit for bit.
+
+Sender solves. The exact rule, the one implementation of the paper's exact
+message, solves every sender system with LAPACK and symmetrizes its
+curvature, 1/2 (H + H^T): these are the exact engine's operations, whose
+iterates the golden traces freeze bit for bit, and dividing a diagonal
+system can differ from LAPACK in the last bit. The other rules solve by
+``struct_solve``, which divides exactly diagonal systems so that diagonal
+message families stay exactly diagonal.
 """
 
 from __future__ import annotations
@@ -106,40 +114,6 @@ class StructSystem:
             X[~is_diag] = np.linalg.solve(A[~is_diag], b[~is_diag])
         return X[..., 0] if vector else X
 
-    def column_solver(self, rhs, X):
-        """c -> ``X`` updated in place to ``solve(rhs)`` with c written into
-        the last column of rhs, X being ``solve(rhs)`` (C-contiguous).
-
-        Only the last column changes, and it is computed by the operations
-        ``solve`` applies to it, so bit for bit: diagonal matrices divide c
-        alone; the others re-run their LAPACK solve on a kept copy of their
-        rows of rhs, since LAPACK's bits in one column depend on the
-        columns solved with it.
-        """
-        d, k = X.shape[-2:]
-        Xf = X.reshape(-1, d, k)
-        diag = self.diag.reshape(-1, d)
-        if np.all(self.is_diag):
-            def solve(c):
-                Xf[..., -1] = np.reshape(c, (-1, d)) / diag
-                return X
-
-            return solve
-        on = self.is_diag.reshape(-1)
-        off = ~on
-        A = self.A.reshape(-1, d, d)[off]
-        buf = np.broadcast_to(rhs, X.shape).reshape(-1, d, k)[off]
-        diag = diag[on]
-
-        def solve(c):
-            c = np.reshape(c, (-1, d))
-            Xf[on, :, -1] = c[on] / diag
-            buf[..., -1] = c[off]
-            Xf[off] = np.linalg.solve(A, buf)
-            return X
-
-        return solve
-
 
 def struct_solve(A, rhs):
     """Solve A @ X = rhs over any leading batch axes of A (..., d, d).
@@ -159,22 +133,30 @@ class Curvature:
     ``H`` holds the message curvatures; ``solve`` maps the rule's
     sender-side linear aggregate c to the rule's solution array X of
     S X = [F | c], with S the sender matrices and F the rule's fixed
-    right-hand-side columns (see ``StructSystem.column_solver``).
+    right-hand-side columns.
     """
 
     H: np.ndarray
     solve: object
 
 
-def _solve_curvature(S, rhs, H_of, error):
-    """The full rule's solve: X of S X = rhs, and the Curvature whose H is
-    ``H_of(X)``; a singular S raises ``error``."""
+def _solve_curvature(S, rhs, H_of, error, lapack=False):
+    """The full rule's solve, X of S X = rhs, and its Curvature: H is
+    ``H_of(X)``, and ``solve`` writes c into the last column of rhs and
+    solves again with the same operands, hence the full rule's bits. S goes
+    to ``struct_solve`` (its choice made once), or with ``lapack`` to
+    ``np.linalg.solve``; a singular S raises ``error``."""
     try:
-        system = StructSystem(S)
-        X = system.solve(rhs)
+        solve = (lambda b: np.linalg.solve(S, b)) if lapack else StructSystem(S).solve
+        X = solve(rhs)
     except np.linalg.LinAlgError as exc:
         raise error(str(exc)) from exc
-    return X, Curvature(H_of(X), system.column_solver(rhs, X))
+
+    def column(c):
+        rhs[..., -1] = c
+        return solve(rhs)
+
+    return X, Curvature(H_of(X), column)
 
 
 def _mv(A, x):
@@ -300,14 +282,18 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
 
     B_ij is the oriented coupling with psi(x_i, x_j) = <B_ij x_j, x_i>.
     ``incoming`` are the round-nu messages into j from its other in-cluster
-    neighbors; ``boundary_lin`` aggregates B_jk @ x_k over out-of-cluster
-    neighbors k; ``boundary_quad`` is an optional extra curvature at j.
-    ``curvature``, the Curvature of an earlier call with the same H_jj,
-    B_ij, incoming curvatures and boundary_quad, skips the curvature half.
+    neighbors (a caller holding their sums passes them in H_jj and b_j);
+    ``boundary_lin`` aggregates B_jk @ x_k over out-of-cluster neighbors k;
+    ``boundary_quad`` is an optional extra curvature at j. ``curvature``,
+    the Curvature of an earlier call with the same H_jj, B_ij, incoming
+    curvatures and boundary_quad, skips the curvature half.
 
     Closed form: with A_j = H_jj + sum H_in (+ boundary_quad) and
     c_j = b_j + sum h_in + boundary_lin,
-        H_msg = -B_ij A_j^{-1} B_ij^T,   h_msg = -B_ij A_j^{-1} c_j.
+        H_msg = sym(-B_ij A_j^{-1} B_ij^T),   h_msg = -B_ij A_j^{-1} c_j,
+    sym(H) = 1/2 (H + H^T), solved by LAPACK on [B_ij^T | c_j] for every
+    A_j, diagonal or not: the exact engine's bits, which the golden traces
+    freeze (see the module docstring).
     """
     c = np.array(b_j, dtype=float, copy=True)
     B_ij = np.asarray(B_ij, dtype=float)
@@ -323,11 +309,16 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
         if boundary_quad is not None:
             A = A + boundary_quad
         rhs = np.concatenate([np.swapaxes(B_ij, -1, -2), c[..., None]], axis=-1)
-        X, curvature = _solve_curvature(A, rhs, lambda X: -B_ij @ X[..., :d],
-                                        SingularSenderCurvature)
+
+        def H_of(X):
+            H = -(B_ij @ X[..., :d])
+            return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+        X, curvature = _solve_curvature(A, rhs, H_of, SingularSenderCurvature,
+                                        lapack=True)
     else:
         X = curvature.solve(c)
-    return QuadraticMessage(curvature.H, (-B_ij @ X[..., d:])[..., 0], curvature)
+    return QuadraticMessage(curvature.H, -(B_ij @ X[..., d:])[..., 0], curvature)
 
 
 def first_order_message(grad_i_psi):

@@ -340,8 +340,8 @@ class SmoothObjective:
 
 @dataclass
 class GossipMatrix:
-    """Doubly stochastic mixing matrix; its off-diagonal support is the
-    communication graph."""
+    """Symmetric doubly stochastic mixing matrix; its off-diagonal support
+    is the communication graph."""
 
     W: np.ndarray
     gamma: float = 1.0
@@ -356,6 +356,9 @@ class GossipMatrix:
         if not (np.allclose(self.W @ np.ones(m), 1.0, atol=1e-10)
                 and np.allclose(np.ones(m) @ self.W, 1.0, atol=1e-10)):
             raise NonStochasticW("W must be doubly stochastic")
+        # CtaProblem reads the weights from W's upper triangle only
+        if not np.allclose(self.W, self.W.T, rtol=0.0, atol=1e-10):
+            raise NonStochasticW("W must be symmetric")
 
     @property
     def m(self):

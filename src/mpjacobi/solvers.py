@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .messages import (
-    MessageSet,
     QuadraticMessage,
-    SingularSenderCurvature,
     cta_partial_linearization_message,
     diagonalize_message,
+    exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
     message_vectors,
@@ -166,7 +165,11 @@ class RunTrace:
 # the round driver
 
 
-def _tau_per_node(partition, config):
+def _tau_per_node(problem, partition, config):
+    """Every node's cluster stepsize; PartitionMismatch on a node count."""
+    if len(partition.cluster_of) != problem.m:
+        raise PartitionMismatch(f"partition has {len(partition.cluster_of)} "
+                                f"nodes, problem has {problem.m}")
     p = partition.p
     taus = np.array([config.tau_for_cluster(r, p) for r in range(p)])
     if np.any(taus < 0):
@@ -225,8 +228,17 @@ class _Rounds:
         self.H = H_new
         return xhat, sent
 
-    def finish(self, trace, keys):
-        """Put the final messages and the curvature-round count on trace."""
+    def run(self, problem, tau_node, config, x0, keys, sweeps=0):
+        """Drive the rounds (:func:`_drive`) after ``sweeps`` message
+        updates at x0; the trace gets the final (H, h, keys) as ``monitor``
+        and the curvature-round count."""
+        def start(x):
+            for _ in range(sweeps):
+                state = self._curvature(self.H)
+                _, self.H, self.h, _ = self._linear(x, self.h, state, None)
+            return self.step
+
+        trace = _drive(problem, tau_node, config, x0, start)
         trace.monitor = (self.H, self.h, keys)
         trace.curvature_rounds = self.rounds
         return trace
@@ -249,22 +261,21 @@ def _variable_solve(G, g):
         raise IllPosedSubproblem(str(exc)) from exc
 
 
-def _drive(problem, partition, config, x0, start):
+def _drive(problem, tau_node, config, x0, start):
     """Run synchronous rounds until a stopping rule fires.
 
     ``start(x)`` receives the checked initial iterate and returns the
     engine's round ``step(x) -> (xhat, vectors)``: the local minimizers
     computed from the committed round-nu state and the vectors sent in the
     round. ``step`` advances the engine's own message state. The driver
-    damps every node by its cluster stepsize, records the trace and applies
-    the tol_x, tol_grad, divergence and ``raise_on_max_rounds`` rules.
+    damps node i by tau_node[i], records the trace and applies the tol_x,
+    tol_grad, divergence and ``raise_on_max_rounds`` rules.
     """
     m, d = problem.m, problem.d
     if x0 is None:
         x = np.zeros((m, d))
     else:
         x = check_block_vector(as_blocks(x0, m, d)).copy()
-    tau_node = _tau_per_node(partition, config)
     step = start(x)
     oracle = config.track_oracle
     trace = RunTrace()
@@ -302,23 +313,21 @@ def _drive(problem, partition, config, x0, start):
 
 
 class _PairwiseLayout:
-    """Directed incidences of a tree partition on a pairwise problem.
+    """Directed incidences of a pairwise problem whose messages run on
+    ``intra_edges``, one edge set per cluster.
 
-    Intra-cluster edge e carries the message senders[e] -> receivers[e] and
-    rev[e] is its reverse edge. Cross incidence c lets node csrc[c] read the
-    frozen iterate of its out-of-cluster neighbor cdst[c]; every cross edge
+    Intra edge e carries the message senders[e] -> receivers[e] and rev[e]
+    is its reverse edge. Cross incidence c lets node csrc[c] read the frozen
+    iterate of its neighbor cdst[c] across any other edge; every cross edge
     appears in both orientations. ``at_receivers`` and ``at_cross`` sum
     per-incidence rows into the nodes receivers[e] and csrc[c].
     """
 
-    def __init__(self, problem, partition):
+    def __init__(self, problem, intra_edges):
         self.m, self.d = problem.m, problem.d
-        if len(partition.cluster_of) != self.m:
-            raise PartitionMismatch(f"partition has {len(partition.cluster_of)} "
-                                    f"nodes, problem has {self.m}")
         edges = problem.graph_edges()
         directed = []
-        for cluster_edges in partition.intra_edges:
+        for cluster_edges in intra_edges:
             for (a, b) in sorted(cluster_edges):
                 if (a, b) not in edges:
                     raise PartitionMismatch(f"intra-cluster edge {(a, b)} has "
@@ -376,16 +385,6 @@ def _zero_messages(lay):
     return np.zeros((lay.n_edges, lay.d, lay.d)), np.zeros((lay.n_edges, lay.d))
 
 
-def _exact_curvature(problem, lay, B, H_msg):
-    """The curvature half of an exact round: the node curvature sums inH,
-    the sender matrices A and the right-hand-side buffer [B^T | c] whose
-    last column takes each round's c."""
-    inH = lay.at_receivers(H_msg, start=problem.diag)
-    rhs = np.empty((lay.n_edges, lay.d, lay.d + 1))
-    rhs[:, :, :lay.d] = np.transpose(B, (0, 2, 1))
-    return inH, lay.others(inH, H_msg), rhs
-
-
 def mp_jacobi(problem, partition, config=None, x0=None):
     """Exact message-passing Jacobi on a quadratic pairwise problem.
 
@@ -393,52 +392,43 @@ def mp_jacobi(problem, partition, config=None, x0=None):
     messages and out-of-cluster iterates, damps by the cluster stepsize, and
     every directed intra-cluster edge refreshes its message from the same
     snapshot. ``message_init='warm_start'`` first runs max-diameter sweeps
-    of message updates at x0. The message refresh is one LAPACK solve per
-    round on (A, [B^T | c]); once the curvatures are stationary only c
-    changes in it.
+    of message updates at x0. The message refresh is one call of
+    :func:`exact_quadratic_message` per round; once the curvatures are
+    stationary only its linear half runs.
     """
     config = config or SolverConfig()
+    sweeps = partition.max_diameter if config.message_init == "warm_start" else 0
+    return _exact_run(problem, partition.intra_edges,
+                      _tau_per_node(problem, partition, config), config, x0, sweeps)
+
+
+def _exact_run(problem, intra_edges, tau_node, config, x0, sweeps=0):
+    """The exact engine with messages on ``intra_edges`` (_PairwiseLayout):
+    one exact rule call per round on the sender aggregates, after ``sweeps``
+    sweeps at x0; ``trace.monitor`` holds (H_msg, h_msg, directed_edges)."""
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
-    lay = _PairwiseLayout(problem, partition)
-    d = lay.d
+    lay = _PairwiseLayout(problem, intra_edges)
     B = problem.couplings(lay.receivers, lay.senders)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
 
     def curvature(H_msg):
-        return _exact_curvature(problem, lay, B, H_msg)
+        inH = lay.at_receivers(H_msg, start=problem.diag)
+        return inH, lay.others(inH, H_msg)
 
-    def linear(x, h_msg, state, kept, variable=True):
-        inH, A, rhs = state
+    def linear(x, h_msg, state, kept):
+        inH, A = state
         inh = lay.at_receivers(h_msg, start=problem.lin + lay.at_cross(cross(x)))
-        xhat = None
-        if variable:
-            try:
-                xhat = -np.linalg.solve(inH, inh[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise IllPosedSubproblem(f"variable update: {exc}") from exc
-        rhs[:, :, d] = lay.others(inh, h_msg)
         try:
-            X = np.linalg.solve(A, rhs)
+            xhat = -np.linalg.solve(inH, inh[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise SingularSenderCurvature(f"message update: {exc}") from exc
-        h_new = -np.matmul(B, X[:, :, d:])[..., 0]
-        H_new = kept
-        if H_new is None:
-            H_new = -np.matmul(B, X[:, :, :d])
-            H_new = 0.5 * (H_new + np.transpose(H_new, (0, 2, 1)))
-        return xhat, H_new, h_new, H_new
+            raise IllPosedSubproblem(f"variable update: {exc}") from exc
+        msg = exact_quadratic_message(A, lay.others(inh, h_msg), B, [],
+                                      curvature=kept)
+        return xhat, msg.H, msg.h, msg.curvature
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
-
-    def start(x0):
-        if config.message_init == "warm_start":
-            for _ in range(partition.max_diameter):
-                _, rounds.H, rounds.h, _ = linear(x0, rounds.h, curvature(rounds.H),
-                                                  None, variable=False)
-        return rounds.step
-
-    return rounds.finish(_drive(problem, partition, config, x0, start), lay.directed)
+    return rounds.run(problem, tau_node, config, x0, lay.directed, sweeps)
 
 
 # -- surrogate pairwise -----------------------------------------------------
@@ -470,7 +460,7 @@ def mp_jacobi_surrogate(problem, partition, config=None, x0=None):
 def _first_order_run(problem, partition, config, x0, spec):
     """First-order family: the messages are affine, so their curvature is
     zero from the first round on."""
-    lay = _PairwiseLayout(problem, partition)
+    lay = _PairwiseLayout(problem, partition.intra_edges)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
     to_receiver = _pair_grads(problem, lay.receivers, lay.senders)
 
@@ -481,8 +471,8 @@ def _first_order_run(problem, partition, config, x0, spec):
         return x - spec.alpha * grads, msg.H, msg.h, None
 
     rounds = _Rounds(*_zero_messages(lay), lambda H: None, linear, lay.vectors)
-    trace = _drive(problem, partition, config, x0, lambda x0: rounds.step)
-    return rounds.finish(trace, lay.directed)
+    return rounds.run(problem, _tau_per_node(problem, partition, config), config,
+                      x0, lay.directed)
 
 
 def delayed_gradient_reference(problem, partition, config, x0, alpha):
@@ -493,7 +483,7 @@ def delayed_gradient_reference(problem, partition, config, x0, alpha):
     m, d = problem.m, problem.d
     x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
     x_prev = None
-    tau_node = _tau_per_node(partition, config)
+    tau_node = _tau_per_node(problem, partition, config)
     out_i, out_k = np.array([(i, k) for i in range(m) for k in partition.n_out[i]],
                             dtype=int).reshape(-1, 2).T
     in_i, in_j = np.array([(i, j) for i in range(m) for j in partition.n_in[i]],
@@ -519,7 +509,7 @@ def delayed_gradient_reference(problem, partition, config, x0, alpha):
 def _schur_run(problem, partition, config, x0, spec):
     if not isinstance(problem, QuadraticObjective):
         raise NotQuadratic("schur_quadratic family needs quadratic couplings")
-    lay = _PairwiseLayout(problem, partition)
+    lay = _PairwiseLayout(problem, partition.intra_edges)
     m, d = problem.m, problem.d
     s, t = lay.senders, lay.receivers
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
@@ -556,8 +546,8 @@ def _schur_run(problem, partition, config, x0, spec):
         return xhat, msg.H, msg.h, msg.curvature
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
-    trace = _drive(problem, partition, config, x0, lambda x0: rounds.step)
-    return rounds.finish(trace, lay.directed)
+    return rounds.run(problem, _tau_per_node(problem, partition, config), config,
+                      x0, lay.directed)
 
 
 def _cta_partial_linearization_run(problem, partition, config, x0, spec):
@@ -566,11 +556,11 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     """
     if not isinstance(problem, CtaProblem):
         raise SolverError("partial_linearization expects a lifted consensus problem")
-    lay = _PairwiseLayout(problem, partition)
+    lay = _PairwiseLayout(problem, partition.intra_edges)
     m, d = problem.m, problem.d
     W, gamma = problem.gossip.W, problem.gamma
     s = lay.senders
-    w_self = np.diag(W)
+    w_self = problem.self_weights
     w_edge = W[s, lay.receivers]
     w_cross = -(W[lay.csrc, lay.cdst] / gamma)[:, None]
     Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
@@ -595,8 +585,8 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
         return xhat, msg.H, msg.h, msg.curvature
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
-    trace = _drive(problem, partition, config, x0, lambda x0: rounds.step)
-    return rounds.finish(trace, lay.directed)
+    return rounds.run(problem, _tau_per_node(problem, partition, config), config,
+                      x0, lay.directed)
 
 
 
@@ -660,62 +650,48 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
                 xhat[i] = sol[idx[i] * d:(idx[i] + 1) * d]
         return xhat, 0
 
-    return _drive(problem, partition, config, x0, start)
+    return _drive(problem, _tau_per_node(problem, partition, config), config, x0,
+                  start)
 
 
 def tree_solve(problem, graph):
     """Exact minimizer of a quadratic objective whose graph is a tree, via
-    one leaf-to-root and one root-to-leaf message sweep.
+    one leaf-to-root and one root-to-leaf sweep of exact messages.
+
+    Rooted at node 0, each sweep takes one BFS level at a time: one
+    :func:`exact_quadratic_message` call over the level's edges, added into
+    the node sums of curvature and linear terms. The message p -> v down
+    the tree is sent from p's full sum minus v's message up, as in the
+    engine's ``_PairwiseLayout.others``. A graph that is not one tree (it
+    has a cycle, or it is a forest) raises SolverError.
     """
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("tree solver needs a pairwise QuadraticObjective")
-    m, d = problem.m, problem.d
     adj = graph.adjacency()
-    order = []
-    parent = [-1] * m
-    seen = [False] * m
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
-    if not all(seen) or len(graph.edges) != m - 1:
+    level = np.array(graph.bfs_dist(0))
+    if np.any(level < 0) or len(graph.edges) != problem.m - 1:
         raise SolverError("graph is not a tree")
-
-    msgs = {}
-    for u in reversed(order):          # leaves towards the root
-        if parent[u] < 0:
-            continue
-        incoming = [msgs[(v, u)] for v in adj[u] if v != parent[u]]
-        msgs[(u, parent[u])] = _edge_message(problem, u, parent[u], incoming)
-    for u in order:                    # root towards the leaves
-        for v in adj[u]:
-            if v == parent[u]:
-                continue
-            incoming = [msgs[(w, u)] for w in adj[u] if w != v]
-            msgs[(u, v)] = _edge_message(problem, u, v, incoming)
-
-    x = np.zeros((m, d))
-    for i in range(m):
-        G = problem.diag[i].copy()
-        g = problem.lin[i].copy()
-        for v in adj[i]:
-            msg = msgs[(v, i)]
-            G += msg.H
-            g += msg.h
-        x[i] = -np.linalg.solve(G, g)
-    return x
-
-
-def _edge_message(problem, sender, receiver, incoming):
-    from .messages import exact_quadratic_message
-    return exact_quadratic_message(problem.diag[sender], problem.lin[sender],
-                                   problem.coupling(receiver, sender), incoming)
+    order = np.argsort(level, kind="stable")[1:]        # by level, root left out
+    parent = np.array([next(u for u in adj[v] if level[u] == level[v] - 1)
+                       for v in order], dtype=int)
+    cuts = np.searchsorted(level[order], np.arange(1, level.max() + 2))
+    levels = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    B_up = problem.couplings(parent, order)
+    H, h = problem.diag.copy(), problem.lin.copy()
+    up = []
+    for sl in reversed(levels):                          # leaves towards the root
+        v = order[sl]
+        msg = exact_quadratic_message(H[v], h[v], B_up[sl], [])
+        np.add.at(H, parent[sl], msg.H)
+        np.add.at(h, parent[sl], msg.h)
+        up.append(msg)
+    for sl, msg in zip(levels, reversed(up)):             # root towards the leaves
+        p = parent[sl]
+        down = exact_quadratic_message(H[p] - msg.H, h[p] - msg.h,
+                                       np.swapaxes(B_up[sl], -1, -2), [])
+        H[order[sl]] += down.H
+        h[order[sl]] += down.h
+    return -np.linalg.solve(H, h[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -913,8 +889,8 @@ def _hyper_run(problem, hpartition, config, x0, view):
 
     rounds = _Rounds(np.zeros((lay.n_intra, lay.d, lay.d)),
                      np.zeros((lay.n_intra, lay.d)), curvature, linear, vectors)
-    trace = _drive(problem, hpartition, config, x0, lambda x0: rounds.step)
-    return rounds.finish(trace, lay.incidences)
+    return rounds.run(problem, _tau_per_node(problem, hpartition, config), config,
+                      x0, lay.incidences)
 
 
 def _check_hyper_problem(problem, hpartition, factors):
@@ -966,7 +942,10 @@ def baseline(kind, problem, params=None, x0=None):
     (plain loopy min-sum on a quadratic), minsum_splitting (consensus
     splitting recursion; see :func:`minsum_splitting`).
     Divergence is flagged on the trace, never raised, so failure curves can
-    be plotted.
+    be plotted; every kind flags it by the round driver's rule,
+    ``_diverged``. minsum runs on the exact engine, so like every
+    SolverConfig solver it raises the engine's typed errors on a singular
+    system (SingularSenderCurvature, IllPosedSubproblem).
     """
     params = dict(params or {})
     if kind == "minsum_splitting":
@@ -1055,55 +1034,17 @@ def baseline(kind, problem, params=None, x0=None):
 
 
 def minsum_plain(problem, max_rounds=1000, tol=1e-12, oracle=None, x0=None):
-    """Plain loopy min-sum on a pairwise quadratic: exact messages on every
-    directed edge of the (loopy) graph, no clusters, no damping. Diverges on
-    non-walk-summable instances; the divergence flag and trace are returned.
+    """Plain loopy min-sum on a pairwise quadratic: the exact engine with
+    messages on every directed edge of the (loopy) graph, no clusters and
+    no damping (tau = 1). It converges when the coupling matrix is
+    walk-summable and can diverge otherwise (Malioutov, Johnson & Willsky,
+    JMLR 2006). The run stops when the gradient norm reaches ``tol`` or the
+    iterate stops changing, and the driver flags divergence (``_diverged``)
+    on the returned trace.
     """
-    m, d = problem.m, problem.d
-    edges = sorted(problem.pair.keys())
-    dir_edges = []
-    for (a, b) in edges:
-        dir_edges.append((a, b))
-        dir_edges.append((b, a))
-    nbrs = [[] for _ in range(m)]
-    for (a, b) in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    msgs = MessageSet(dir_edges, d)
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    trace = RunTrace()
-    trace.record(problem, x, 0, oracle)
-    for k in range(max_rounds):
-        try:
-            for (s, t) in dir_edges:
-                incoming = [msgs.get((u, s)) for u in nbrs[s] if u != t]
-                from .messages import exact_quadratic_message
-                msgs.put((s, t), exact_quadratic_message(
-                    problem.diag[s], problem.lin[s],
-                    problem.coupling(t, s), incoming))
-            msgs.commit()
-            for i in range(m):
-                G = problem.diag[i].copy()
-                g = problem.lin[i].copy()
-                for u in nbrs[i]:
-                    msg = msgs.get((u, i))
-                    G += msg.H
-                    g += msg.h
-                x[i] = -np.linalg.solve(G, g)
-        except np.linalg.LinAlgError:
-            trace.diverged = True
-            break
-        trace.record(problem, x, (k + 1) * len(dir_edges) * (d + 1), oracle)
-        trace.rounds = k + 1
-        if trace.dist_to_opt and not math.isnan(trace.dist_to_opt[-1]):
-            if trace.dist_to_opt[-1] > 1e9 * max(trace.dist_to_opt[0], 1.0):
-                trace.diverged = True
-                break
-        if k > 0 and trace.grad_norm[-1] <= tol:
-            trace.converged = True
-            break
-    trace.x_final = x
-    return trace
+    config = SolverConfig(max_rounds=max_rounds, tol_x=0.0, tol_grad=tol,
+                          track_oracle=oracle)
+    return _exact_run(problem, [problem.graph_edges()], np.ones(problem.m), config, x0)
 
 
 def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
@@ -1120,6 +1061,8 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     delta=1 and Gamma = gamma W the asymptotic factor is
         rho_K = sqrt((1 - sqrt(1 - rho_W^2)) / (1 + sqrt(1 - rho_W^2)))
     at the optimal gamma = 2 / (1 + sqrt(1 - rho_W^2)).
+    Divergence is flagged by the round driver's rule, ``_diverged``, on the
+    outputs x, and on a singular R_v.
     """
     Hs = [np.asarray(H, dtype=float) for (H, _) in consensus_locals]
     bs = [np.asarray(b, dtype=float) for (_, b) in consensus_locals]
@@ -1172,7 +1115,7 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
         if err <= tol:
             trace.converged = True
             break
-        if not np.isfinite(err) or err > 1e12:
+        if _diverged(x):
             trace.diverged = True
             break
     trace.x_final = x

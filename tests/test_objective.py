@@ -96,6 +96,13 @@ def test_gossip_validation():
         GossipMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
+def test_gossip_rejects_asymmetric_w():
+    # doubly stochastic but not symmetric: CtaProblem reads one triangle
+    P = np.roll(np.eye(3), 1, axis=1)
+    with pytest.raises(NonStochasticW):
+        GossipMatrix(0.5 * np.eye(3) + 0.5 * P)
+
+
 def test_cta_identity():
     """Blockwise CTA equals sum f_i + (1/(2 gamma)) ||x||^2_{I-W}."""
     g = generate_topology("ring", m=6)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
+    NotQuadratic,
     ObjectiveError,
     QuadraticLocal,
     QuadraticObjective,
@@ -295,6 +296,67 @@ def test_minsum_plain_diverges_on_loopy_qp():
     xs, phis = global_solve_oracle(q)
     tr = baseline("minsum", q, {"max_rounds": 400, "oracle": (xs, phis)})
     assert max(tr.dist_to_opt[1:]) > 1e3 * tr.dist_to_opt[1]
+
+
+def walk_radius(q):
+    """Spectral radius of |R|, R the normalized off-diagonal part of the
+    Hessian; below 1 the problem is walk-summable (Malioutov, Johnson &
+    Willsky, JMLR 2006)."""
+    H, _ = q.assemble()
+    s = 1.0 / np.sqrt(np.diag(H))
+    R = s[:, None] * H * s[None, :] - np.eye(len(s))
+    return float(np.max(np.abs(np.linalg.eigvals(np.abs(R)))))
+
+
+def walk_summable_qp(seed=0, m=10):
+    """Ring plus two chords, unit diagonal, couplings of magnitude 0.15-0.3
+    with random signs: walk-summable."""
+    rng = np.random.default_rng(seed)
+    edges = set(generate_topology("ring", m=m).edges) | {(0, 5), (2, 7)}
+    pair = {(i, j): np.array([[rng.uniform(0.15, 0.3) * rng.choice([-1, 1])]])
+            for (i, j) in sorted(edges)}
+    return QuadraticObjective(m, 1, np.ones((m, 1, 1)), rng.standard_normal((m, 1)),
+                              pair)
+
+
+def test_minsum_plain_flags_follow_walk_summability():
+    q = walk_summable_qp()
+    assert walk_radius(q) < 1.0
+    xs, phis = global_solve_oracle(q)
+    tr = baseline("minsum", q, {"oracle": (xs, phis)})
+    assert tr.converged and not tr.diverged
+    assert np.max(np.abs(tr.x_final - xs)) <= 1e-8
+
+    _, q = loopy_nondd_qp()
+    assert walk_radius(q) > 1.0
+    xs, phis = global_solve_oracle(q)
+    with np.errstate(all="ignore"):
+        tr = baseline("minsum", q, {"max_rounds": 400, "oracle": (xs, phis)})
+    assert tr.diverged and not tr.converged
+
+
+def test_tree_solve_rejects_non_trees_and_factors():
+    from mpjacobi.topology import Graph
+
+    m = 8
+    q = build_random_qp(path_graph(m), 1, 20.0, 0)
+    cycle = Graph(m, set(path_graph(m).edges) | {(0, m - 1)})
+    forest = Graph(m, set(path_graph(m).edges) - {(3, 4)})
+    for g in (cycle, forest):
+        with pytest.raises(SolverError):
+            tree_solve(q, g)
+    with pytest.raises(NotQuadratic):
+        tree_solve(pairwise_to_hyper(q), path_graph(m))
+
+
+def test_tree_solve_block_variables():
+    from mpjacobi.topology import Graph
+
+    for g in (Graph(21, {(0, i) for i in range(1, 21)}), path_graph(30),
+              random_tree(40, 3)):
+        q = build_random_qp(g, 3, 25.0, g.m)
+        x_star, _ = global_solve_oracle(q)
+        assert np.max(np.abs(tree_solve(q, g) - x_star)) <= 1e-8
 
 
 def test_gd_monotone_descent():
