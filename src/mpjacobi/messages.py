@@ -37,12 +37,18 @@ and solves again with the full rule's operands, so the message is the full
 rule's bit for bit.
 
 Sender solves. The exact rule, the one implementation of the paper's exact
-message, solves every sender system with LAPACK and symmetrizes its
-curvature, 1/2 (H + H^T): these are the exact engine's operations, whose
-iterates the golden traces freeze bit for bit, and dividing a diagonal
-system can differ from LAPACK in the last bit. The other rules solve by
-``struct_solve``, which divides exactly diagonal systems so that diagonal
-message families stay exactly diagonal.
+message, solves every sender system by :func:`lapack_solve` and
+symmetrizes its curvature, 1/2 (H + H^T): these are the exact engine's
+operations, whose iterates the golden traces freeze bit for bit.
+``lapack_solve`` returns ``np.linalg.solve``'s bits. With d >= 2 it calls
+it; with d = 1 it repeats OpenBLAS's arithmetic without LAPACK: one
+right-hand side is divided by the pivot (trsv), two or more are multiplied
+by its reciprocal (trsm packs 1/a). The two forms differ in the last bit
+on about half of all inputs, so neither may stand in for the other.
+``tests/test_messages.py`` checks this contract against the installed
+numpy rather than assuming it. The other rules solve by ``struct_solve``,
+which divides exactly diagonal systems so that diagonal message families
+stay exactly diagonal.
 """
 
 from __future__ import annotations
@@ -126,6 +132,39 @@ def struct_solve(A, rhs):
     return system.solve(rhs)
 
 
+def lapack_solver(A):
+    """The map rhs -> X with A @ X = rhs for A (..., d, d) and rhs
+    (..., d, k), bit-equal to ``np.linalg.solve(A, rhs)``.
+
+    d = 1 takes no LAPACK call: OpenBLAS solves a 1 x 1 system with one
+    right-hand side by rhs / a (trsv) and with more by rhs * (1 / a) (trsm
+    multiplies by the pivot's reciprocal), so k = 1 divides and k >= 2
+    multiplies by 1/A, formed once here. An exact zero pivot (-0.0 too)
+    raises ``np.linalg.LinAlgError("Singular matrix")``, as numpy does;
+    subnormal, infinite and NaN pivots give LAPACK's bits. d >= 2 calls
+    ``np.linalg.solve``, whose FMA kernels numpy cannot repeat, so there a
+    singular A raises when the map is called.
+    """
+    if A.shape[-1] != 1:
+        return lambda rhs: np.linalg.solve(A, rhs)
+    if np.count_nonzero(A) < A.size:
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(all="ignore"):
+        inverse = 1.0 / A
+
+    def solve(rhs):
+        with np.errstate(all="ignore"):
+            return rhs / A if rhs.shape[-1] == 1 else rhs * inverse
+
+    return solve
+
+
+def lapack_solve(A, rhs):
+    """``np.linalg.solve(A, rhs)`` bit for bit, without LAPACK at d = 1;
+    see :func:`lapack_solver`."""
+    return lapack_solver(A)(rhs)
+
+
 @dataclass(frozen=True)
 class Curvature:
     """The iterate-free half of a batch of messages from one rule.
@@ -144,10 +183,11 @@ def _solve_curvature(S, rhs, H_of, error, lapack=False):
     """The full rule's solve, X of S X = rhs, and its Curvature: H is
     ``H_of(X)``, and ``solve`` writes c into the last column of rhs and
     solves again with the same operands, hence the full rule's bits. S goes
-    to ``struct_solve`` (its choice made once), or with ``lapack`` to
-    ``np.linalg.solve``; a singular S raises ``error``."""
+    to ``struct_solve`` or, with ``lapack``, to ``lapack_solver``, each
+    prepared once (at d = 1 the Curvature keeps 1/S); a singular S raises
+    ``error``."""
     try:
-        solve = (lambda b: np.linalg.solve(S, b)) if lapack else StructSystem(S).solve
+        solve = lapack_solver(S) if lapack else StructSystem(S).solve
         X = solve(rhs)
     except np.linalg.LinAlgError as exc:
         raise error(str(exc)) from exc
@@ -291,9 +331,9 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
     Closed form: with A_j = H_jj + sum H_in (+ boundary_quad) and
     c_j = b_j + sum h_in + boundary_lin,
         H_msg = sym(-B_ij A_j^{-1} B_ij^T),   h_msg = -B_ij A_j^{-1} c_j,
-    sym(H) = 1/2 (H + H^T), solved by LAPACK on [B_ij^T | c_j] for every
-    A_j, diagonal or not: the exact engine's bits, which the golden traces
-    freeze (see the module docstring).
+    sym(H) = 1/2 (H + H^T), solved by :func:`lapack_solve` on
+    [B_ij^T | c_j] for every A_j, diagonal or not: the exact engine's bits,
+    which the golden traces freeze (see the module docstring).
     """
     c = np.array(b_j, dtype=float, copy=True)
     B_ij = np.asarray(B_ij, dtype=float)

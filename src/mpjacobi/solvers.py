@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ from .messages import (
     exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
+    lapack_solve,
+    lapack_solver,
     message_vectors,
     schur_message_update,
     struct_solve,
@@ -244,21 +247,25 @@ class _Rounds:
         return trace
 
 
-def _variable_system(G):
-    """StructSystem of the node curvatures G; a singular one is an
-    ill-posed variable update."""
+@contextmanager
+def _ill_posed():
+    """A singular node system is an ill-posed variable update."""
     try:
-        return StructSystem(G)
+        yield
     except np.linalg.LinAlgError as exc:
-        raise IllPosedSubproblem(str(exc)) from exc
+        raise IllPosedSubproblem(f"variable update: {exc}") from exc
+
+
+def _variable_system(G):
+    """StructSystem of the node curvatures G."""
+    with _ill_posed():
+        return StructSystem(G)
 
 
 def _variable_solve(G, g):
     """xhat = -G^{-1} g by struct_solve, G a StructSystem."""
-    try:
+    with _ill_posed():
         return -struct_solve(G, g)
-    except np.linalg.LinAlgError as exc:
-        raise IllPosedSubproblem(str(exc)) from exc
 
 
 def _drive(problem, tau_node, config, x0, start):
@@ -414,15 +421,14 @@ def _exact_run(problem, intra_edges, tau_node, config, x0, sweeps=0):
 
     def curvature(H_msg):
         inH = lay.at_receivers(H_msg, start=problem.diag)
-        return inH, lay.others(inH, H_msg)
+        with _ill_posed():
+            return lapack_solver(inH), lay.others(inH, H_msg)
 
     def linear(x, h_msg, state, kept):
-        inH, A = state
+        node_solve, A = state
         inh = lay.at_receivers(h_msg, start=problem.lin + lay.at_cross(cross(x)))
-        try:
-            xhat = -np.linalg.solve(inH, inh[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedSubproblem(f"variable update: {exc}") from exc
+        with _ill_posed():
+            xhat = -node_solve(inh[..., None])[..., 0]
         msg = exact_quadratic_message(A, lay.others(inh, h_msg), B, [],
                                       curvature=kept)
         return xhat, msg.H, msg.h, msg.curvature
@@ -643,10 +649,8 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
                 rhs = problem.lin[c, :].reshape(-1).copy()
                 for (j, kk, B), delay in zip(bound, delay_i):
                     rhs[idx[j] * d:(idx[j] + 1) * d] += B @ window[delay][kk]
-                try:
+                with _ill_posed():
                     sol = np.linalg.solve(K, -rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise IllPosedSubproblem(str(exc)) from exc
                 xhat[i] = sol[idx[i] * d:(idx[i] + 1) * d]
         return xhat, 0
 
@@ -662,11 +666,14 @@ def tree_solve(problem, graph):
     :func:`exact_quadratic_message` call over the level's edges, added into
     the node sums of curvature and linear terms. The message p -> v down
     the tree is sent from p's full sum minus v's message up, as in the
-    engine's ``_PairwiseLayout.others``. A graph that is not one tree (it
-    has a cycle, or it is a forest) raises SolverError.
+    engine's ``_PairwiseLayout.others``. ``graph`` must be the problem's
+    coupling graph (PartitionMismatch otherwise), and it must be one tree:
+    a cycle or a forest raises SolverError.
     """
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("tree solver needs a pairwise QuadraticObjective")
+    if graph.m != problem.m or graph.edges != problem.graph_edges():
+        raise PartitionMismatch("graph is not the problem's coupling graph")
     adj = graph.adjacency()
     level = np.array(graph.bfs_dist(0))
     if np.any(level < 0) or len(graph.edges) != problem.m - 1:
@@ -691,7 +698,7 @@ def tree_solve(problem, graph):
                                        np.swapaxes(B_up[sl], -1, -2), [])
         H[order[sl]] += down.H
         h[order[sl]] += down.h
-    return -np.linalg.solve(H, h[..., None])[..., 0]
+    return -lapack_solve(H, h[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -1005,8 +1012,7 @@ def baseline(kind, problem, params=None, x0=None):
             x_new = x - step_size * problem.grad(x)
         elif kind == "jacobi":
             g = problem.grad(x)
-            xhat = np.stack([x[i] - np.linalg.solve(problem.diag[i], g[i])
-                             for i in range(m)])
+            xhat = x - np.linalg.solve(problem.diag, g[..., None])[..., 0]
             x_new = x + tau * (xhat - x)
         elif kind == "block_jacobi_central":
             xf = x.reshape(-1)
@@ -1102,7 +1108,7 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
         R = np.einsum("ab,bij->aij", K, R)
         rv = np.einsum("ab,bi->ai", K, rv)
         try:
-            x = np.stack([np.linalg.solve(R[v], rv[v]) for v in range(n)])
+            x = np.linalg.solve(R[:n], rv[:n, :, None])[..., 0]
         except np.linalg.LinAlgError:
             trace.diverged = True
             break

@@ -14,6 +14,7 @@ from mpjacobi.messages import (
     first_order_message,
     hyper_factor_message,
     is_diagonal,
+    lapack_solve,
     message_vectors,
     schur_message_update,
     struct_solve,
@@ -574,3 +575,46 @@ def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
     full, short = hyper(None), hyper(first.curvature)
     _assert_same_bits(short.H, full.H)
     _assert_same_bits(short.h, full.h)
+
+
+# pivots and right-hand-side entries beyond the normal range: subnormals,
+# the largest finite magnitudes, infinities and NaN
+_SPECIAL = np.array([5e-324, -5e-324, 1e-310, -2.5e-320, 2.2e-308, 1e-300,
+                     1e300, -1.7e308, np.inf, -np.inf, np.nan])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+       st.sampled_from([(), (7,), (3, 4)]), st.sampled_from([1, 1, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
+    """lapack_solve returns np.linalg.solve's bits: at d = 1 by division for
+    one right-hand side and by the reciprocal for more, which is how
+    OpenBLAS solves 1 x 1 systems; d >= 2 delegates."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        """Random signs and magnitudes 1e-300 to 1e300, about a third of
+        the entries special values."""
+        out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        special = rng.random(shape) < 0.3
+        out[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
+        return out
+
+    rhs = draw(batch + (d, k))
+    A = draw(batch + (1, 1)) if d == 1 else rng.standard_normal(batch + (d, d))
+    with np.errstate(all="ignore"):
+        expected = np.linalg.solve(A, rhs)
+    got = lapack_solve(A, rhs)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_lapack_solve_zero_pivot_raises(zero, k):
+    A = np.array([2.0, zero, 5e-324]).reshape(3, 1, 1)
+    rhs = np.ones((3, 1, k))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, rhs)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        lapack_solve(A, rhs)

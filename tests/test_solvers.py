@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpjacobi.messages import SurrogateSpec
+from mpjacobi.messages import SingularSenderCurvature, SurrogateSpec
 from mpjacobi.objective import (
     NotQuadratic,
     ObjectiveError,
@@ -15,6 +15,7 @@ from mpjacobi.objective import (
     metropolis_weights,
 )
 from mpjacobi.solvers import (
+    IllPosedSubproblem,
     InfeasibleCondition,
     NonConvergent,
     PartitionMismatch,
@@ -651,3 +652,116 @@ def test_final_curvature_reads_no_iterate(case, d, seed):
             finals.setdefault(tag, []).append(trace.monitor[0])
     for H_a, H_b in finals.values():
         assert np.array_equal(H_a.view(np.int64), H_b.view(np.int64))
+
+
+def test_tree_solve_rejects_a_graph_other_than_the_couplings():
+    """A coupling the graph lacks is not dropped, and a graph edge without
+    a coupling does not leak ObjectiveError: both raise PartitionMismatch."""
+    from mpjacobi.topology import Graph
+
+    m = 8
+    _, ring = ring_qp(m=m, d=1, kappa=20.0, seed=0)
+    with pytest.raises(PartitionMismatch):
+        tree_solve(ring, path_graph(m))
+    path = build_random_qp(path_graph(m), 1, 20.0, 0)
+    with pytest.raises(PartitionMismatch):
+        tree_solve(path, Graph(m, {(0, i) for i in range(1, m)}))
+    with pytest.raises(PartitionMismatch):
+        tree_solve(path, path_graph(m + 1))
+
+
+def test_d1_exact_runs_take_no_lapack_call(monkeypatch):
+    """At d = 1 the exact engine, min-sum and the tree sweep solve without
+    np.linalg.solve; at d = 2 the exact engine still calls it."""
+    g, q = ring_qp(m=10, d=1, kappa=20.0, seed=3)
+    part = generate_partition("ring_P1", g, D=5)
+    tree = random_tree(30, 1)
+    tree_q = build_random_qp(tree, 1, 20.0, 1)
+    g2, q2 = ring_qp(m=10, d=2, kappa=20.0, seed=3)
+    part2 = generate_partition("ring_P1", g2, D=5)
+    lapack = np.linalg.solve
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called at d = 1")
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return lapack(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for init in ("zero", "warm_start"):
+        tr = mp_jacobi(q, part, SolverConfig(tau=0.5, max_rounds=40, message_init=init))
+        assert tr.rounds == 40 or tr.converged
+    assert baseline("minsum", walk_summable_qp(), {"max_rounds": 40}).rounds > 0
+    assert tree_solve(tree_q, tree).shape == (30, 1)
+
+    monkeypatch.setattr(np.linalg, "solve", count)
+    mp_jacobi(q2, part2, SolverConfig(tau=0.5, max_rounds=5))
+    assert calls
+
+
+def test_typed_errors_at_d1():
+    """A zero node curvature (0.0 or -0.0) raises IllPosedSubproblem and a
+    zero sender curvature SingularSenderCurvature, as with LAPACK."""
+    from mpjacobi.topology import Graph
+
+    g = Graph(4, {(0, 3), (0, 1), (1, 2)})            # the path 3 - 0 - 1 - 2
+    part = validate_tree_partition(g, [[0, 1, 2, 3]], warn_nonoverlap=False)
+    pair = {(0, 1): [[2.0]], (1, 2): [[0.5]], (0, 3): [[1.0]]}
+    cfg = SolverConfig(tau=1.0, max_rounds=5)
+
+    def qp(diag):
+        return QuadraticObjective(4, 1, np.reshape(diag, (4, 1, 1)), np.ones((4, 1)), pair)
+
+    for zero in (0.0, -0.0):
+        with pytest.raises(IllPosedSubproblem):
+            mp_jacobi(qp([1.0, 1.0, zero, 1.0]), part, cfg)
+    # in round 2 node 1 sends to 2 from 1 - 2^2 / 4 = 0, while every node
+    # curvature stays nonzero
+    with pytest.raises(SingularSenderCurvature):
+        mp_jacobi(qp([4.0, 1.0, 1.0, 1.0]), part, cfg)
+    # rooted at 0, the sweep up sends 1 -> 0 from 1 - 2^2 / 4 = 0
+    path = Graph(3, {(0, 1), (1, 2)})
+    q = QuadraticObjective(3, 1, np.reshape([1.0, 1.0, 4.0], (3, 1, 1)), np.ones((3, 1)),
+                           {(0, 1): [[1.0]], (1, 2): [[2.0]]})
+    with pytest.raises(SingularSenderCurvature):
+        tree_solve(q, path)
+
+
+def test_batched_node_solves_equal_the_per_node_loops():
+    """baseline('jacobi') and minsum_splitting solve every node in one
+    batched call, bit-equal to the per-node loops they replaced."""
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3, 4):
+        _, q = ring_qp(m=9, d=d, kappa=10.0, seed=d)
+        tr = baseline("jacobi", q, {"max_rounds": 30, "tau": 0.6})
+        x = np.zeros((q.m, d))
+        for _ in range(tr.rounds):
+            g = q.grad(x)
+            xhat = np.stack([x[i] - np.linalg.solve(q.diag[i], g[i]) for i in range(q.m)])
+            x = x + 0.6 * (xhat - x)
+        assert tr.rounds == 30 and np.array_equal(tr.x_final, x)
+
+        n = 7
+        W = metropolis_weights(generate_topology("ring", m=n)).W
+        Hs, bs = [], []
+        for _ in range(n):
+            M = rng.standard_normal((d, d))
+            Hs.append(M @ M.T + d * np.eye(d))
+            bs.append(rng.standard_normal(d))
+        delta, Gamma = 0.9, 1.2 * W
+        tr = minsum_splitting(list(zip(Hs, bs)), W, delta=delta, Gamma=Gamma,
+                              max_rounds=25, tol=0.0)
+        eye, ones = np.eye(n), np.ones(n)
+        K = np.block([[(1 - delta) * eye - (1 - delta) * np.diag(Gamma @ ones)
+                       + delta * Gamma, delta * eye],
+                      [delta * eye - delta * np.diag(Gamma @ ones) + (1 - delta) * Gamma,
+                       (1 - delta) * eye]])
+        R, rv = np.concatenate([np.stack(Hs)] * 2), np.concatenate([np.stack(bs)] * 2)
+        for _ in range(tr.rounds):
+            R = np.einsum("ab,bij->aij", K, R)
+            rv = np.einsum("ab,bi->ai", K, rv)
+            x = np.stack([np.linalg.solve(R[v], rv[v]) for v in range(n)])
+        assert tr.rounds == 25 and not tr.diverged
+        assert np.array_equal(tr.x_final, x)
