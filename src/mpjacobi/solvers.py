@@ -5,8 +5,8 @@ baselines, and theorem-driven stepsize selection.
 Synchronous round semantics: every update in round nu reads the committed
 round-nu snapshot (iterates and messages); results are independent of the
 update order within a round. One driver, :func:`_drive`, runs the rounds
-of every solver that takes a :class:`SolverConfig`; each engine supplies
-only its round.
+of every solver that takes a :class:`SolverConfig` and of every baseline
+but the min-sum splitting recursion; each supplies only its round.
 
 Every message engine splits its round into a curvature half and a linear
 half. The curvature half reads only the committed message curvatures and
@@ -276,7 +276,8 @@ def _drive(problem, tau_node, config, x0, start):
     computed from the committed round-nu state and the vectors sent in the
     round. ``step`` advances the engine's own message state. The driver
     damps node i by tau_node[i], records the trace and applies the tol_x,
-    tol_grad, divergence and ``raise_on_max_rounds`` rules.
+    tol_grad, divergence and ``raise_on_max_rounds`` rules. ``tau_node=None``
+    takes xhat undamped (x + 1.0 * (xhat - x) need not equal xhat).
     """
     m, d = problem.m, problem.d
     if x0 is None:
@@ -284,6 +285,7 @@ def _drive(problem, tau_node, config, x0, start):
     else:
         x = check_block_vector(as_blocks(x0, m, d)).copy()
     step = start(x)
+    tau = None if tau_node is None else tau_node[:, None]
     oracle = config.track_oracle
     trace = RunTrace()
     if config.monitor:
@@ -293,7 +295,7 @@ def _drive(problem, tau_node, config, x0, start):
     for k in range(config.max_rounds):
         xhat, sent = step(x)
         comm += sent
-        x_new = x + tau_node[:, None] * (xhat - x)
+        x_new = xhat if tau is None else x + tau * (xhat - x)
         change = float(np.max(np.abs(x_new - x))) if x.size else 0.0
         x = x_new
         trace.record(problem, x, comm, oracle)
@@ -668,7 +670,8 @@ def tree_solve(problem, graph):
     the tree is sent from p's full sum minus v's message up, as in the
     engine's ``_PairwiseLayout.others``. ``graph`` must be the problem's
     coupling graph (PartitionMismatch otherwise), and it must be one tree:
-    a cycle or a forest raises SolverError.
+    a cycle or a forest raises SolverError, a singular final node system
+    IllPosedSubproblem.
     """
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("tree solver needs a pairwise QuadraticObjective")
@@ -698,7 +701,8 @@ def tree_solve(problem, graph):
                                        np.swapaxes(B_up[sl], -1, -2), [])
         H[order[sl]] += down.H
         h[order[sl]] += down.h
-    return -lapack_solve(H, h[..., None])[..., 0]
+    with _ill_posed():
+        return -lapack_solve(H, h[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -940,117 +944,110 @@ def _hyper_comm(hpartition, lay, impl):
 # ---------------------------------------------------------------------------
 # baselines
 
+_DRIVEN = ("max_rounds", "tol", "oracle")     # the params keys each kind reads
+_BASELINE_PARAMS = {"jacobi": _DRIVEN + ("tau",), "gradient_descent": _DRIVEN + ("step",),
+                    "block_jacobi_central": _DRIVEN + ("tau", "clusters"),
+                    "dgd_cta": _DRIVEN, "dgd_atc": _DRIVEN, "minsum": _DRIVEN,
+                    "minsum_splitting": ("W", "delta", "Gamma", "gamma", "max_rounds", "tol")}
+
 
 def baseline(kind, problem, params=None, x0=None):
-    """Classical iterations used for comparison curves.
+    """Classical iterations used for comparison curves. Kinds, and the
+    ``params`` keys each reads besides max_rounds [10000], tol [1e-12] and
+    oracle [None]:
+      jacobi                node-wise Jacobi: tau [1.0]
+      block_jacobi_central  centralized block Jacobi: tau [1.0], clusters
+                            (a partition of the nodes 0..m-1)
+      gradient_descent      step [1 / lambda_max(H)]
+      dgd_cta, dgd_atc      diffusion on a CtaProblem, 2|E| vectors a round
+      minsum                plain loopy min-sum, the exact engine on every
+                            edge, undamped: max_rounds [1000]; it converges
+                            on walk-summable couplings and can diverge
+                            otherwise (Malioutov, Johnson & Willsky, 2006)
+      minsum_splitting      :func:`minsum_splitting` on a list of (H_v, b_v):
+                            W, delta, Gamma, gamma, max_rounds, tol only
 
-    kinds: jacobi, block_jacobi_central (needs clusters), gradient_descent
-    (needs step), dgd_cta / dgd_atc (lifted consensus problems), minsum
-    (plain loopy min-sum on a quadratic), minsum_splitting (consensus
-    splitting recursion; see :func:`minsum_splitting`).
-    Divergence is flagged on the trace, never raised, so failure curves can
-    be plotted; every kind flags it by the round driver's rule,
-    ``_diverged``. minsum runs on the exact engine, so like every
-    SolverConfig solver it raises the engine's typed errors on a singular
-    system (SingularSenderCurvature, IllPosedSubproblem).
+    All but minsum_splitting run on :func:`_drive`: tol bounds the iterate
+    increment (minsum: the gradient norm), a non-finite x0 raises
+    ObjectiveError, and divergence is flagged on the trace, never raised.
+    SolverError, before any work: an unknown kind or params key, a missing
+    W or clusters, clusters that are no partition, dgd off a CtaProblem, an
+    x0 for minsum_splitting. NotQuadratic: the other kinds off a
+    QuadraticObjective. minsum raises the exact engine's typed errors on a
+    singular system (SingularSenderCurvature, IllPosedSubproblem).
     """
+    if kind not in _BASELINE_PARAMS:
+        raise SolverError(f"unknown baseline {kind!r}; kinds: {list(_BASELINE_PARAMS)}")
     params = dict(params or {})
+    unread = sorted(set(params) - set(_BASELINE_PARAMS[kind]))
+    if unread:
+        raise SolverError(f"baseline {kind!r} does not read {unread}; "
+                          f"it reads {_BASELINE_PARAMS[kind]}")
     if kind == "minsum_splitting":
+        if "W" not in params or x0 is not None:
+            raise SolverError("minsum_splitting needs params['W'] and takes no x0")
         return minsum_splitting(problem, **params)
-    if kind == "minsum":
-        return minsum_plain(problem, **params, x0=x0)
-
-    max_rounds = int(params.get("max_rounds", 10000))
-    tol = float(params.get("tol", 1e-12))
-    oracle = params.get("oracle")
+    minsum, tol = kind == "minsum", float(params.get("tol", 1e-12))
+    max_rounds = int(params.get("max_rounds", 1000 if minsum else 10000))
+    config = SolverConfig(max_rounds=max_rounds, tol_x=0.0 if minsum else tol,
+                          tol_grad=tol if minsum else None,
+                          track_oracle=params.get("oracle"))
+    if minsum:
+        return _exact_run(problem, [problem.graph_edges()], np.ones(problem.m), config, x0)
+    tau_node = None                     # gradient and diffusion steps: undamped
     if kind in ("dgd_cta", "dgd_atc"):
-        prob = problem  # a CtaProblem
-        m, d = prob.m, prob.d
-        x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-        W, gamma = prob.gossip.W, prob.gamma
-        per_round = 2 * len(prob.graph_edges())
-        trace = RunTrace()
-        trace.record(prob, x, 0, oracle)
-        for k in range(max_rounds):
+        if not isinstance(problem, CtaProblem):
+            raise SolverError(f"baseline {kind!r} needs a lifted consensus problem")
+        W, gamma, atc = problem.gossip.W, problem.gamma, kind == "dgd_atc"
+        sent = 2 * len(problem.graph_edges())
+
+        def step(x):
             Wx = W @ x
-            g = np.stack([prob.locals_[i].grad(Wx[i] if kind == "dgd_atc" else x[i])
-                          for i in range(m)])
-            if kind == "dgd_cta":
-                x_new = Wx - gamma * g
-            else:
-                x_new = W @ (Wx - gamma * g)
-            step = float(np.max(np.abs(x_new - x)))
-            x = x_new
-            trace.record(prob, x, (k + 1) * per_round, oracle)
-            trace.rounds = k + 1
-            if step <= tol:
-                trace.converged = True
-                break
-            if _diverged(x):
-                trace.diverged = True
-                break
-        trace.x_final = x
-        return trace
-
-    if not isinstance(problem, QuadraticObjective):
+            g = np.stack([f.grad(v) for f, v in zip(problem.locals_, Wx if atc else x)])
+            return (W @ (Wx - gamma * g) if atc else Wx - gamma * g), sent
+    elif not isinstance(problem, QuadraticObjective):
         raise NotQuadratic(f"baseline {kind!r} needs a quadratic problem")
-    m, d = problem.m, problem.d
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    trace = RunTrace()
-    trace.record(problem, x, 0, oracle)
-    H, b = (None, None)
-    if kind in ("jacobi", "block_jacobi_central", "gradient_descent"):
-        H, b = problem.assemble()
-    if kind == "gradient_descent":
-        step_size = params.get("step")
-        if step_size is None:
-            step_size = 1.0 / np.linalg.eigvalsh(H)[-1]
-    tau = float(params.get("tau", 1.0))
-    clusters = params.get("clusters")
-    for k in range(max_rounds):
-        if kind == "gradient_descent":
-            x_new = x - step_size * problem.grad(x)
-        elif kind == "jacobi":
-            g = problem.grad(x)
-            xhat = x - np.linalg.solve(problem.diag, g[..., None])[..., 0]
-            x_new = x + tau * (xhat - x)
-        elif kind == "block_jacobi_central":
-            xf = x.reshape(-1)
-            xhat = np.zeros_like(xf)
-            for c in clusters:
-                idx = np.concatenate([np.arange(i * d, (i + 1) * d) for i in c])
-                rest = np.setdiff1d(np.arange(m * d), idx)
-                rhs = b[idx] + H[np.ix_(idx, rest)] @ xf[rest]
-                xhat[idx] = np.linalg.solve(H[np.ix_(idx, idx)], -rhs)
-            x_new = x + tau * (xhat.reshape(m, d) - x)
+    elif kind == "gradient_descent":
+        alpha = params.get("step")
+        if alpha is None:
+            alpha = 1.0 / np.linalg.eigvalsh(problem.assemble()[0])[-1]
+
+        def step(x):
+            return x - alpha * problem.grad(x), 0
+    else:
+        tau_node = np.full(problem.m, float(params.get("tau", 1.0)))
+        if kind == "block_jacobi_central":
+            step = _central_step(problem, params.get("clusters"))
         else:
-            raise SolverError(f"unknown baseline {kind!r}")
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        trace.record(problem, x, 0, oracle)
-        trace.rounds = k + 1
-        if step <= tol:
-            trace.converged = True
-            break
-        if _diverged(x):
-            trace.diverged = True
-            break
-    trace.x_final = x
-    return trace
+            def step(x):
+                g = problem.grad(x)
+                return x - np.linalg.solve(problem.diag, g[..., None])[..., 0], 0
+    return _drive(problem, tau_node, config, x0, lambda x: step)
 
 
-def minsum_plain(problem, max_rounds=1000, tol=1e-12, oracle=None, x0=None):
-    """Plain loopy min-sum on a pairwise quadratic: the exact engine with
-    messages on every directed edge of the (loopy) graph, no clusters and
-    no damping (tau = 1). It converges when the coupling matrix is
-    walk-summable and can diverge otherwise (Malioutov, Johnson & Willsky,
-    JMLR 2006). The run stops when the gradient norm reaches ``tol`` or the
-    iterate stops changing, and the driver flags divergence (``_diverged``)
-    on the returned trace.
-    """
-    config = SolverConfig(max_rounds=max_rounds, tol_x=0.0, tol_grad=tol,
-                          track_oracle=oracle)
-    return _exact_run(problem, [problem.graph_edges()], np.ones(problem.m), config, x0)
+def _central_step(problem, clusters):
+    """Centralized block-Jacobi round: each cluster solves its rows of
+    H x + b = 0 with the other coordinates frozen; the blocks of H are
+    sliced once. SolverError unless ``clusters`` partition 0..m-1."""
+    m, d = problem.m, problem.d
+    if (clusters is None or not all(len(c) for c in clusters)
+            or sorted(i for c in clusters for i in c) != list(range(m))):
+        raise SolverError(f"clusters must partition the nodes 0..{m - 1}")
+    H, b = problem.assemble()
+    blocks = []
+    for c in clusters:
+        idx = (np.asarray(c, dtype=int)[:, None] * d + np.arange(d)).reshape(-1)
+        rest = np.setdiff1d(np.arange(m * d), idx)
+        blocks.append((idx, rest, b[idx], H[np.ix_(idx, idx)], H[np.ix_(idx, rest)]))
+
+    def step(x):
+        xf = x.reshape(-1)
+        xhat = np.empty_like(xf)
+        for idx, rest, b_c, H_cc, H_cr in blocks:
+            xhat[idx] = np.linalg.solve(H_cc, -(b_c + H_cr @ xf[rest]))
+        return xhat.reshape(m, d), 0
+
+    return step
 
 
 def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
@@ -1068,7 +1065,9 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
         rho_K = sqrt((1 - sqrt(1 - rho_W^2)) / (1 + sqrt(1 - rho_W^2)))
     at the optimal gamma = 2 / (1 + sqrt(1 - rho_W^2)).
     Divergence is flagged by the round driver's rule, ``_diverged``, on the
-    outputs x, and on a singular R_v.
+    outputs x, and on a singular R_v. The recursion keeps its own round
+    loop: it stops on the distance to its own x_star and has no objective
+    whose gradient or value the driver could record (those columns are NaN).
     """
     Hs = [np.asarray(H, dtype=float) for (H, _) in consensus_locals]
     bs = [np.asarray(b, dtype=float) for (_, b) in consensus_locals]

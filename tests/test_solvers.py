@@ -765,3 +765,88 @@ def test_batched_node_solves_equal_the_per_node_loops():
             x = np.stack([np.linalg.solve(R[v], rv[v]) for v in range(n)])
         assert tr.rounds == 25 and not tr.diverged
         assert np.array_equal(tr.x_final, x)
+
+
+def _cta_d2():
+    from mpjacobi.bench import cta_instance
+
+    _, W, prob = cta_instance(m=6, d=2, gamma=0.01, seed=1)
+    return W, prob
+
+
+def test_baseline_checks_kind_and_params_first():
+    """An unknown kind or a params key the kind does not read raises
+    SolverError before any work, whatever the problem."""
+    _, q = ring_qp(m=6, d=2, seed=1)
+    W, prob = _cta_d2()
+    locs = [(f.Q, -f.c) for f in prob.locals_]
+    with pytest.raises(SolverError, match="unknown baseline"):
+        baseline("foo", q, {"max_rounds": 0})
+    with pytest.raises(SolverError, match="unknown baseline"):
+        baseline("foo", prob.to_smooth())
+    typo = {"max_rounds": 3, "step_size": 5.0}
+    for kind, problem in (("jacobi", q), ("block_jacobi_central", q),
+                          ("gradient_descent", q), ("dgd_cta", prob),
+                          ("dgd_atc", prob), ("minsum", q),
+                          ("minsum_splitting", locs)):
+        with pytest.raises(SolverError, match="step_size"):
+            baseline(kind, problem, typo)
+    for kind, params in (("jacobi", {"step": 0.1}), ("gradient_descent", {"tau": 0.5}),
+                         ("dgd_cta", {"tau": 0.5}), ("minsum", {"tau": 0.5}),
+                         ("minsum", {"clusters": [[0]]}),
+                         ("minsum_splitting", {"W": W.W, "oracle": None})):
+        with pytest.raises(SolverError, match="does not read"):
+            baseline(kind, locs if kind == "minsum_splitting" else q, params)
+    with pytest.raises(SolverError):
+        baseline("minsum_splitting", locs, {"max_rounds": 3})           # no W
+    with pytest.raises(SolverError):
+        baseline("minsum_splitting", locs, {"W": W.W}, x0=np.zeros((6, 2)))
+    with pytest.raises(SolverError):
+        baseline("dgd_cta", q, {"max_rounds": 3})
+    with pytest.raises(NotQuadratic):
+        baseline("jacobi", prob.to_smooth(), {"max_rounds": 3})
+    assert baseline("gradient_descent", q, {"max_rounds": 3, "step": 0.01}).rounds == 3
+
+
+def test_block_jacobi_central_needs_a_partition():
+    """Clusters must be given and partition 0..m-1: before, missing nodes
+    were silently set to zero."""
+    g, q = ring_qp(m=6, d=1, seed=2)
+    for clusters in (None, [[0, 1], [2, 3]], [[0, 1, 2], [2, 3, 4, 5]],
+                     [[0, 1, 2], [3, 4, 5, 6]], [[0, 1, 2, 3, 4, 5], []]):
+        params = {"max_rounds": 3} if clusters is None else {
+            "max_rounds": 3, "clusters": clusters}
+        with pytest.raises(SolverError):
+            baseline("block_jacobi_central", q, params)
+    # clusters in any order, nodes in any order within a cluster
+    tr = baseline("block_jacobi_central", q, {"clusters": [[5, 4], [2, 0, 1], [3]],
+                                              "max_rounds": 3, "tau": 0.5})
+    assert tr.rounds == 3 and np.all(np.isfinite(tr.x_final))
+
+
+def test_baselines_reject_non_finite_x0():
+    """Every baseline on the round driver checks x0 as the SolverConfig
+    solvers do; before, jacobi returned a 1-round trace from a NaN x0."""
+    _, q = ring_qp(m=6, d=2, seed=1)
+    _, prob = _cta_d2()
+    for bad in (np.nan, np.inf):
+        x0 = np.zeros((6, 2))
+        x0[3, 1] = bad
+        for kind, problem, params in (
+                ("jacobi", q, {}), ("gradient_descent", q, {}), ("minsum", q, {}),
+                ("block_jacobi_central", q, {"clusters": [[0, 1, 2], [3, 4, 5]]}),
+                ("dgd_cta", prob, {}), ("dgd_atc", prob, {})):
+            with pytest.raises(ObjectiveError):
+                baseline(kind, problem, {"max_rounds": 5, **params}, x0=x0)
+
+
+def test_tree_solve_singular_root_is_ill_posed():
+    """A consistent path Laplacian (unit weights, zero-mean b) leaves every
+    node's full curvature exactly zero: the final solve is ill-posed."""
+    g = path_graph(6)
+    deg = np.bincount(np.array(sorted(g.edges)).ravel(), minlength=6).astype(float)
+    b = np.arange(6.0) - 2.5
+    q = QuadraticObjective(6, 1, deg.reshape(6, 1, 1), b.reshape(6, 1),
+                           {e: [[-1.0]] for e in sorted(g.edges)})
+    with pytest.raises(IllPosedSubproblem):
+        tree_solve(q, g)
