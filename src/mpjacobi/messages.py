@@ -32,23 +32,23 @@ curvatures, and once a round returns the curvatures it was given, bit for
 bit, every later round would return them again. Each rule returns its
 curvature half as a :class:`Curvature`, and passing it back as
 ``curvature=`` skips the curvature work: the rule forms only its linear
-aggregate, writes it into the last column of the kept right-hand side
-and solves again with the full rule's operands, so the message is the full
-rule's bit for bit.
+aggregate and solves for the linear column alone by the full rule's
+operation on it, so the message is the full rule's bit for bit.
 
-Sender solves. The exact rule, the one implementation of the paper's exact
-message, solves every sender system by :func:`lapack_solve` and
-symmetrizes its curvature, 1/2 (H + H^T): these are the exact engine's
-operations, whose iterates the golden traces freeze bit for bit.
-``lapack_solve`` returns ``np.linalg.solve``'s bits. With d >= 2 it calls
-it; with d = 1 it repeats OpenBLAS's arithmetic without LAPACK: one
-right-hand side is divided by the pivot (trsv), two or more are multiplied
-by its reciprocal (trsm packs 1/a). The two forms differ in the last bit
-on about half of all inputs, so neither may stand in for the other.
-``tests/test_messages.py`` checks this contract against the installed
-numpy rather than assuming it. The other rules solve by ``struct_solve``,
-which divides exactly diagonal systems so that diagonal message families
-stay exactly diagonal.
+Solves and products. The exact rule, the one implementation of the paper's
+exact message, solves every sender system by :func:`lapack_solve`,
+symmetrizes its curvature, 1/2 (H + H^T), and forms h by
+:func:`block_matvec`: the exact engine's operations, whose iterates the
+golden traces freeze bit for bit. ``lapack_solve`` returns
+``np.linalg.solve``'s bits. With d >= 2 it calls it; with d = 1 it repeats
+OpenBLAS's arithmetic without LAPACK: one right-hand side is divided by
+the pivot (trsv), two or more are multiplied by its reciprocal (trsm packs
+1/a). The two forms differ in the last bit on about half of all inputs, so
+neither may stand in for the other; ``block_matvec`` likewise returns
+``np.matmul``'s bits, at d = 1 without matmul. ``tests/test_messages.py``
+checks both contracts against the installed numpy. The other rules solve
+by ``struct_solve``, which divides exactly diagonal systems so that
+diagonal message families stay exactly diagonal.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ def lapack_solver(A):
     d = 1 takes no LAPACK call: OpenBLAS solves a 1 x 1 system with one
     right-hand side by rhs / a (trsv) and with more by rhs * (1 / a) (trsm
     multiplies by the pivot's reciprocal), so k = 1 divides and k >= 2
-    multiplies by 1/A, formed once here. An exact zero pivot (-0.0 too)
-    raises ``np.linalg.LinAlgError("Singular matrix")``, as numpy does;
-    subnormal, infinite and NaN pivots give LAPACK's bits. d >= 2 calls
-    ``np.linalg.solve``, whose FMA kernels numpy cannot repeat, so there a
-    singular A raises when the map is called.
+    (a kept :class:`Curvature`'s column too) multiplies by 1/A. An exact
+    zero pivot (-0.0 too) raises ``np.linalg.LinAlgError("Singular
+    matrix")``, as numpy does; subnormal, infinite and NaN pivots give
+    LAPACK's bits. d >= 2 calls ``np.linalg.solve``, whose FMA kernels numpy
+    cannot repeat, so there a singular A raises when the map is called.
     """
     if A.shape[-1] != 1:
         return lambda rhs: np.linalg.solve(A, rhs)
@@ -165,14 +165,22 @@ def lapack_solve(A, rhs):
     return lapack_solver(A)(rhs)
 
 
+def block_matvec(B, v):
+    """``np.matmul(B, v[..., None])[..., 0]`` bit for bit, B (..., d, d): at
+    d = 1 B * v + 0.0, as matmul sums from +0.0 (a -0.0 product gives +0.0)."""
+    if B.shape[-1] == 1:
+        return B[..., 0] * v + 0.0
+    return np.matmul(B, v[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class Curvature:
     """The iterate-free half of a batch of messages from one rule.
 
     ``H`` holds the message curvatures; ``solve`` maps the rule's
-    sender-side linear aggregate c to the rule's solution array X of
-    S X = [F | c], with S the sender matrices and F the rule's fixed
-    right-hand-side columns.
+    sender-side linear aggregate c to the linear column X[..., -1] of the
+    rule's solution of S X = [F | c], with S the sender matrices and F the
+    rule's fixed right-hand-side columns.
     """
 
     H: np.ndarray
@@ -180,23 +188,26 @@ class Curvature:
 
 
 def _solve_curvature(S, rhs, H_of, error, lapack=False):
-    """The full rule's solve, X of S X = rhs, and its Curvature: H is
-    ``H_of(X)``, and ``solve`` writes c into the last column of rhs and
-    solves again with the same operands, hence the full rule's bits. S goes
-    to ``struct_solve`` or, with ``lapack``, to ``lapack_solver``, each
-    prepared once (at d = 1 the Curvature keeps 1/S); a singular S raises
-    ``error``."""
+    """X[..., -1] of the full rule's solve S X = rhs by ``struct_solve`` or
+    ``lapack_solver`` (a singular S raises ``error``), and its Curvature: H
+    is ``H_of(X)``; ``solve`` repeats the full rule's operation for a new
+    last column c, hence its bits: c * (1/S) at d = 1 with ``lapack``, as
+    rhs has k >= 2 columns, else a solve of rhs with c written in."""
     try:
         solve = lapack_solver(S) if lapack else StructSystem(S).solve
         X = solve(rhs)
     except np.linalg.LinAlgError as exc:
         raise error(str(exc)) from exc
+    if lapack and S.shape[-1] == 1:
+        with np.errstate(all="ignore"):
+            inverse = 1.0 / S[..., 0]
+        column = np.errstate(all="ignore")(lambda c: c * inverse)
+    else:
+        def column(c):
+            rhs[..., -1] = c
+            return solve(rhs)[..., -1]
 
-    def column(c):
-        rhs[..., -1] = c
-        return solve(rhs)
-
-    return X, Curvature(H_of(X), column)
+    return X[..., -1], Curvature(H_of(X), column)
 
 
 def _mv(A, x):
@@ -335,9 +346,8 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
     [B_ij^T | c_j] for every A_j, diagonal or not: the exact engine's bits,
     which the golden traces freeze (see the module docstring).
     """
-    c = np.array(b_j, dtype=float, copy=True)
+    c = np.asarray(b_j, dtype=float)
     B_ij = np.asarray(B_ij, dtype=float)
-    d = c.shape[-1]
     for msg in incoming:
         c = c + msg.h
     if boundary_lin is not None:
@@ -351,14 +361,14 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
         rhs = np.concatenate([np.swapaxes(B_ij, -1, -2), c[..., None]], axis=-1)
 
         def H_of(X):
-            H = -(B_ij @ X[..., :d])
+            H = -(B_ij @ X[..., :-1])
             return 0.5 * (H + np.swapaxes(H, -1, -2))
 
-        X, curvature = _solve_curvature(A, rhs, H_of, SingularSenderCurvature,
-                                        lapack=True)
+        col, curvature = _solve_curvature(A, rhs, H_of, SingularSenderCurvature,
+                                          lapack=True)
     else:
-        X = curvature.solve(c)
-    return QuadraticMessage(curvature.H, -(B_ij @ X[..., d:])[..., 0], curvature)
+        col = curvature.solve(c)
+    return QuadraticMessage(curvature.H, -block_matvec(B_ij, col), curvature)
 
 
 def first_order_message(grad_i_psi):
@@ -390,7 +400,6 @@ def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
         c_u = c_u + _mv(msg.H, x_j_ref) + msg.h
     if boundary_grad is not None:
         c_u = c_u + boundary_grad
-    d = c_u.shape[-1]
     M_ij = np.asarray(M_ij, dtype=float)
     if curvature is None:
         S = np.asarray(Q_j, dtype=float) + M_j
@@ -398,11 +407,11 @@ def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
             S = S + msg.H
         rhs = np.concatenate([np.broadcast_to(np.swapaxes(M_ij, -1, -2), S.shape),
                               c_u[..., None]], axis=-1)
-        X, curvature = _solve_curvature(S, rhs, lambda X: M_i - M_ij @ X[..., :d],
-                                        SingularInnerMatrix)
+        col, curvature = _solve_curvature(S, rhs, lambda X: M_i - M_ij @ X[..., :-1],
+                                          SingularInnerMatrix)
     else:
-        X = curvature.solve(c_u)
-    h_msg = (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, X[..., d])
+        col = curvature.solve(c_u)
+    h_msg = (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, col)
              - _mv(curvature.H, x_i_ref))
     return QuadraticMessage(curvature.H, h_msg, curvature)
 
@@ -438,12 +447,12 @@ def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
             S = S + msg.H
         rhs = np.concatenate([np.broadcast_to(eye, S.shape), ell[..., None]],
                              axis=-1)
-        X, curvature = _solve_curvature(
+        col, curvature = _solve_curvature(
             S, rhs, lambda X: -(w_ij ** 2 / gamma ** 2)[..., None, None] * X[..., :d],
             SingularInnerMatrix)
     else:
-        X = curvature.solve(ell)
-    h_msg = (w_ij / gamma)[..., None] * X[..., d]
+        col = curvature.solve(ell)
+    h_msg = (w_ij / gamma)[..., None] * col
     return QuadraticMessage(curvature.H, h_msg, curvature)
 
 
@@ -496,10 +505,10 @@ def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
             H_msg = 2.0 * H_w[..., :d, :d] - cross @ X[..., :d]
             return 0.5 * (H_msg + np.swapaxes(H_msg, -1, -2))
 
-        X, curvature = _solve_curvature(A, rhs, H_of, SingularA)
+        col, curvature = _solve_curvature(A, rhs, H_of, SingularA)
     else:
-        X = curvature.solve(dvec)
-    h_msg = (-cross @ X[..., d:])[..., 0]
+        col = curvature.solve(dvec)
+    h_msg = (-cross @ col[..., None])[..., 0]
     if receiver_extra_lin is not None:
         h_msg = h_msg + receiver_extra_lin
     return QuadraticMessage(curvature.H, h_msg, curvature)

@@ -20,6 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .messages import block_matvec
+
 
 class ObjectiveError(ValueError):
     pass
@@ -245,14 +247,15 @@ class QuadraticObjective:
         x = as_blocks(x, self.m, self.d)
         g = np.einsum("ikl,il->ik", self.diag, x) + self.lin
         B, rows, cols = self.pair_blocks, self.pair_rows, self.pair_cols
-        terms = [np.stack([np.matmul(B, x[cols][..., None])[..., 0],
-                           np.matmul(_transposed(B), x[rows][..., None])[..., 0]],
-                          axis=1).reshape(-1, self.d)]
+        terms = np.empty((len(rows), 2, self.d))
+        terms[:, 0] = block_matvec(B, x.take(cols, axis=0))
+        terms[:, 1] = block_matvec(_transposed(B), x.take(rows, axis=0))
+        terms = terms.reshape(-1, self.d)
         if self.hyper_groups:
             hyper = np.concatenate([(2.0 * np.matmul(H, xs[..., None])).reshape(-1, self.d)
                                     for _, H, xs in self._hyper_stacks(x)])
-            terms.append(hyper[self._hyper_order])
-        return self._grad_scatter(np.concatenate(terms), start=g)
+            terms = np.concatenate([terms, hyper[self._hyper_order]])
+        return self._grad_scatter(terms, start=g)
 
     def assemble(self):
         """Dense (md, md) Hessian and (md,) linear term of the stacked problem.

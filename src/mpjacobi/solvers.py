@@ -30,6 +30,7 @@ import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -183,7 +184,7 @@ def _tau_per_node(problem, partition, config):
 def _diverged(x):
     """Iterates that are non-finite or exceed 1e12 in magnitude: one
     NaN-propagating max, so NaN and +-inf fail the comparison."""
-    return not float(np.max(np.abs(x), initial=0.0)) <= 1e12
+    return not float(np.abs(x).max(initial=0.0)) <= 1e12
 
 
 def _same_bits(a, b):
@@ -296,7 +297,7 @@ def _drive(problem, tau_node, config, x0, start):
         xhat, sent = step(x)
         comm += sent
         x_new = xhat if tau is None else x + tau * (xhat - x)
-        change = float(np.max(np.abs(x_new - x))) if x.size else 0.0
+        change = float(np.abs(x_new - x).max(initial=0.0))
         x = x_new
         trace.record(problem, x, comm, oracle)
         if config.monitor:
@@ -325,8 +326,9 @@ class _PairwiseLayout:
     """Directed incidences of a pairwise problem whose messages run on
     ``intra_edges``, one edge set per cluster.
 
-    Intra edge e carries the message senders[e] -> receivers[e] and rev[e]
-    is its reverse edge. Cross incidence c lets node csrc[c] read the frozen
+    Intra edge e carries the message senders[e] -> receivers[e], and edge
+    rev[e] = e ^ 1 the reverse one (a cluster's sorted pairs (a, b) give
+    (a, b), (b, a)). Cross incidence c lets node csrc[c] read the frozen
     iterate of its neighbor cdst[c] across any other edge; every cross edge
     appears in both orientations. ``at_receivers`` and ``at_cross`` sum
     per-incidence rows into the nodes receivers[e] and csrc[c].
@@ -335,20 +337,19 @@ class _PairwiseLayout:
     def __init__(self, problem, intra_edges):
         self.m, self.d = problem.m, problem.d
         edges = problem.graph_edges()
-        directed = []
-        for cluster_edges in intra_edges:
-            for (a, b) in sorted(cluster_edges):
-                if (a, b) not in edges:
-                    raise PartitionMismatch(f"intra-cluster edge {(a, b)} has "
-                                            "no coupling in the problem")
-                directed += [(a, b), (b, a)]
-        key_of = {e: k for k, e in enumerate(directed)}
-        self.directed = directed
-        self.n_edges = len(directed)
-        self.senders = np.array([s for s, _ in directed], dtype=int)
-        self.receivers = np.array([t for _, t in directed], dtype=int)
-        self.rev = np.array([key_of[(t, s)] for s, t in directed], dtype=int)
-        cross = sorted(edges - set(key_of))
+        intra = set(chain.from_iterable(intra_edges))
+        if not intra <= edges:
+            raise PartitionMismatch(f"intra-cluster edge {min(intra - edges)} has no "
+                                    "coupling in the problem")
+        pairs = [np.fromiter(chain.from_iterable(c), dtype=int).reshape(-1, 2)
+                 for c in intra_edges]
+        pairs = np.concatenate([p[np.lexsort(p.T[::-1])] for p in pairs]
+                               or [np.zeros((0, 2), dtype=int)])
+        self.senders, self.receivers = pairs.ravel(), pairs[:, ::-1].ravel()
+        self.directed = list(zip(self.senders.tolist(), self.receivers.tolist()))
+        self.n_edges = len(self.directed)
+        self.rev = np.arange(self.n_edges) ^ 1
+        cross = sorted(edges - intra)
         self.csrc = np.array([v for (i, j) in cross for v in (i, j)], dtype=int)
         self.cdst = np.array([v for (i, j) in cross for v in (j, i)], dtype=int)
         self.at_receivers = RowScatter(self.receivers, self.m)
@@ -357,7 +358,7 @@ class _PairwiseLayout:
     def others(self, node, msg):
         """For every edge e, the sender's sum over its other in-edges: the
         node sum at senders[e] minus the reverse message."""
-        return node[self.senders] - msg[self.rev]
+        return node.take(self.senders, axis=0) - msg.take(self.rev, axis=0)
 
     def vectors(self, H_msg):
         """Vectors sent in one round: one per directed cross incidence for
@@ -973,8 +974,8 @@ def baseline(kind, problem, params=None, x0=None):
     SolverError, before any work: an unknown kind or params key, a missing
     W or clusters, clusters that are no partition, dgd off a CtaProblem, an
     x0 for minsum_splitting. NotQuadratic: the other kinds off a
-    QuadraticObjective. minsum raises the exact engine's typed errors on a
-    singular system (SingularSenderCurvature, IllPosedSubproblem).
+    QuadraticObjective. A singular block raises IllPosedSubproblem (minsum:
+    or the exact engine's SingularSenderCurvature).
     """
     if kind not in _BASELINE_PARAMS:
         raise SolverError(f"unknown baseline {kind!r}; kinds: {list(_BASELINE_PARAMS)}")
@@ -1022,7 +1023,8 @@ def baseline(kind, problem, params=None, x0=None):
             def step(x):
                 g = problem.grad(x)
                 return x - np.linalg.solve(problem.diag, g[..., None])[..., 0], 0
-    return _drive(problem, tau_node, config, x0, lambda x: step)
+    with _ill_posed():                  # a singular jacobi or central block
+        return _drive(problem, tau_node, config, x0, lambda x: step)
 
 
 def _central_step(problem, clusters):

@@ -1,0 +1,54 @@
+"""Smoke test of ``tools/bitdump.py``, the bit-for-bit trace check of the
+benchmark workloads: a dump at the workloads' self-test sizes matches
+itself, and ``--compare`` names each array whose bits changed: by one ulp,
+or a -0.0 for a +0.0."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+BITDUMP = ROOT / "tools" / "bitdump.py"
+
+
+def _bitdump(*args):
+    return subprocess.run([sys.executable, str(BITDUMP), *map(str, args)],
+                          capture_output=True, text=True, check=False)
+
+
+def test_bitdump_toy_dump_and_compare(tmp_path):
+    a = tmp_path / "a.npz"
+    run = _bitdump("--out", a, "--toy", "--seeds", "1-2")
+    assert run.returncode == 0, run.stderr
+    with np.load(a) as f:
+        arrays = dict(f)
+    fields = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final",
+              "monitor_H", "monitor_h")
+    assert set(arrays) == {f"{w}/seed{s}/{name}" for w in ("path_exact", "ring_schur")
+                           for s in (1, 2) for name in fields}
+    assert arrays["path_exact/seed1/x_final"].shape[1] == 1
+    assert arrays["ring_schur/seed2/monitor_H"].shape[1:] == (2, 2)
+
+    same = _bitdump("--compare", a, a)
+    assert same.returncode == 0 and "0 of 28 arrays differ" in same.stdout
+
+    def saved(name, h0, x_nudge):
+        """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0 and
+        x_final of path_exact seed 2 one ulp up at one entry if x_nudge."""
+        out = dict(arrays)
+        h = out["ring_schur/seed1/monitor_h"].copy()
+        h[0, 0] = h0
+        x = out["path_exact/seed2/x_final"].copy()
+        x[3, 0] = np.nextafter(x[3, 0], np.inf) if x_nudge else x[3, 0]
+        out["ring_schur/seed1/monitor_h"], out["path_exact/seed2/x_final"] = h, x
+        np.savez(tmp_path / name, **out)
+        return tmp_path / name
+
+    plus, minus = saved("plus.npz", 0.0, False), saved("minus.npz", -0.0, True)
+    diff = _bitdump("--compare", plus, minus)
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines() == ["path_exact/seed2/x_final",
+                                        "ring_schur/seed1/monitor_h",
+                                        "2 of 28 arrays differ"]

@@ -8,6 +8,7 @@ from mpjacobi.messages import (
     MessageSet,
     SingularSenderCurvature,
     SurrogateSpec,
+    block_matvec,
     cta_partial_linearization_message,
     diagonalize_message,
     exact_quadratic_message,
@@ -605,6 +606,33 @@ def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
     with np.errstate(all="ignore"):
         expected = np.linalg.solve(A, rhs)
     got = lapack_solve(A, rhs)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (7,), (3, 4)]),
+       st.sampled_from([1, 1, 2, 3]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_block_matvec_equals_matmul_bitwise(seed, batch, d, transposed):
+    """block_matvec returns np.matmul's bits: at d = 1 the elementwise
+    product plus 0.0, since matmul sums from +0.0 and so turns a -0.0
+    product into +0.0; d >= 2 delegates, on a transposed view as given."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        """Random signs and magnitudes 1e-300 to 1e300, about a third of
+        the entries special values or signed zeros."""
+        out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        special = rng.random(shape) < 0.3
+        out[special] = rng.choice(np.r_[_SPECIAL, 0.0, -0.0], np.count_nonzero(special))
+        return out
+
+    B, v = draw(batch + (d, d)), draw(batch + (d,))
+    if transposed:      # a view, as objective._transposed makes on (E, d, d)
+        B = np.swapaxes(B, -1, -2)
+    with np.errstate(all="ignore"):
+        expected = np.matmul(B, v[..., None])[..., 0]
+        got = block_matvec(B, v)
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 

@@ -850,3 +850,15 @@ def test_tree_solve_singular_root_is_ill_posed():
                            {e: [[-1.0]] for e in sorted(g.edges)})
     with pytest.raises(IllPosedSubproblem):
         tree_solve(q, g)
+
+
+def test_baseline_singular_block_is_ill_posed():
+    """jacobi and block_jacobi_central raise IllPosedSubproblem, not a bare
+    LinAlgError, on a singular node or cluster block: the 3-node path QP
+    with diagonal 1, 0, 1."""
+    q = QuadraticObjective(3, 1, np.reshape([1.0, 0.0, 1.0], (3, 1, 1)), np.ones((3, 1)),
+                           {(0, 1): [[0.5]], (1, 2): [[0.5]]})
+    with pytest.raises(IllPosedSubproblem):
+        baseline("jacobi", q, {"max_rounds": 3})
+    with pytest.raises(IllPosedSubproblem):
+        baseline("block_jacobi_central", q, {"max_rounds": 3, "clusters": [[0], [1], [2]]})

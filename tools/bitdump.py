@@ -1,0 +1,111 @@
+"""Dump the benchmark workloads' traces and compare two dumps bit for bit.
+
+    python3 tools/bitdump.py --out after.npz
+    python3 tools/bitdump.py --root ../parent --out before.npz
+    python3 tools/bitdump.py --compare before.npz after.npz
+
+``--out`` solves every workload of ``perfbench/workloads.py`` at seeds 1
+to 10 (``--seeds`` changes the range, ``--toy`` takes the workloads'
+self-test sizes) and saves, per workload and seed, the trace's
+``grad_norm``, ``dist_to_opt``, ``phi_gap``, ``vectors_sent``,
+``x_final`` and ``monitor`` (H, h) as arrays named
+``<workload>/seed<n>/<field>``. The library and the workloads come from
+the checkout named by ``--root`` (default: this one), so one copy of this
+script dumps any revision.
+
+``--compare A B`` lists every array whose bits differ (shape, dtype and
+bytes, so -0.0 and NaN payloads count), or that only one dump has; it
+exits with 1 when there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+# one BLAS thread, as perfbench/run.py runs the workloads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final")
+
+
+def import_workloads(root):
+    """perfbench/workloads.py of ``root``, with ``root/src`` first on the
+    path so that it solves with that checkout's library."""
+    root = Path(root).resolve()
+    sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
+    import mpjacobi
+    import workloads
+    if not Path(mpjacobi.__file__).resolve().is_relative_to(root / "src"):
+        raise SystemExit(f"bitdump: mpjacobi came from {mpjacobi.__file__}, "
+                         f"not {root / 'src'}")
+    return workloads
+
+
+def dump(root, seeds, toy=False):
+    """{name: array} over every workload and seed."""
+    workloads = import_workloads(root)
+    arrays = {}
+    for wl in workloads.WORKLOADS.values():
+        for seed in seeds:
+            inputs = wl.generate(seed, **(wl.toy_size if toy else wl.size))
+            trace = wl.setup(inputs).solve()
+            key = f"{wl.name}/seed{seed}"
+            for name in FIELDS:
+                arrays[f"{key}/{name}"] = np.asarray(getattr(trace, name))
+            H, h, _ = trace.monitor
+            arrays[f"{key}/monitor_H"] = np.asarray(H)
+            arrays[f"{key}/monitor_h"] = np.asarray(h)
+    return arrays
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def differing(a, b):
+    """Names of the arrays whose bits differ between the dumps, or that
+    only one of them has."""
+    return sorted(name for name in set(a) | set(b)
+                  if name not in a or name not in b or not same_bits(a[name], b[name]))
+
+
+def seed_range(text):
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="write a dump (.npz)")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    ap.add_argument("--root", type=Path, default=ROOT,
+                    help="checkout whose src and perfbench to run")
+    ap.add_argument("--seeds", type=seed_range, default=range(1, 11),
+                    help="seed range, e.g. 1-10")
+    ap.add_argument("--toy", action="store_true",
+                    help="the workloads' self-test sizes")
+    args = ap.parse_args(argv)
+    if args.out is not None:
+        arrays = dump(args.root, args.seeds, args.toy)
+        np.savez(args.out, **arrays)
+        print(f"{len(arrays)} arrays to {args.out}")
+        return 0
+    with np.load(args.compare[0]) as fa, np.load(args.compare[1]) as fb:
+        a, b = dict(fa), dict(fb)
+    names = differing(a, b)
+    for name in names:
+        print(name)
+    print(f"{len(names)} of {len(set(a) | set(b))} arrays differ")
+    return 1 if names else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
