@@ -295,7 +295,6 @@ class SurrogateSpec:
     Q: object = None            # (m,d,d) array, (d,d) shared, or scalar
     M_node: object = None       # same conventions, default zero
     M_edge: dict = field(default_factory=dict)   # (i,j) i<j -> (d,d) symmetric
-    smoothness: float = None    # optional user-declared bar_L estimate
 
     def __post_init__(self):
         if self.family not in ("exact", "first_order", "schur_quadratic",

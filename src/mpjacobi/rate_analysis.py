@@ -8,7 +8,7 @@ eigendecompositions; smooth problems must supply constants explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class RateInputs:
     L_tilde_del_r: list = None
     ell_tilde_r: list = None
     kappa_tilde: float = None
-    bar_L_r: list = None
-    use_deg_squared: bool = False   # alternative aggregation exponent
 
     def __post_init__(self):
         if self.mu < 0:
@@ -53,6 +51,7 @@ class RateReport:
     A_r: list
     A_J: float
     At_r: list
+    A: float            # aggregation constant under term III's root
     term_I: float
     term_II: float
     term_III: float
@@ -60,7 +59,6 @@ class RateReport:
     tau_max: float
     rho: float
     surrogate: bool = False
-    extras: dict = field(default_factory=dict)
 
     def terms(self):
         return {"I": self.term_I, "II": self.term_II, "III": self.term_III}
@@ -135,9 +133,8 @@ def estimate_constants(problem, partition, surrogate=None, cta=None):
 
 def _fill_surrogate_constants(inputs, problem, partition, spec, cta):
     d = problem.d
-    m = problem.m
     fam = spec.family
-    mu_t, L_t, Ldel_t, ell_t, barL = [], [], [], [], []
+    mu_t, L_t, Ldel_t, ell_t = [], [], [], []
     for r, c in enumerate(partition.clusters):
         pos = {n: t for t, n in enumerate(c)}
         n = len(c) * d
@@ -182,16 +179,14 @@ def _fill_surrogate_constants(inputs, problem, partition, spec, cta):
                 for k in partition.n_out[i]:
                     Jb[pos[i] * d:(pos[i] + 1) * d,
                        epos[k] * d:(epos[k] + 1) * d] += (
-                        _boundary_jacobian(problem, spec, cta, i, k, fam))
+                        _coupling(problem, cta, i, k))
             Ldel_t.append(_spectral_norm(Jb))
         else:
             Ldel_t.append(0.0)
-        barL.append(_bar_L(problem, partition, spec, cta, r, fam))
     inputs.mu_tilde_r = mu_t
     inputs.L_tilde_r = L_t
     inputs.L_tilde_del_r = Ldel_t
     inputs.ell_tilde_r = ell_t
-    inputs.bar_L_r = barL
     inputs.kappa_tilde = max(L_t) / inputs.mu if inputs.mu > 0 else float("inf")
 
 
@@ -222,6 +217,8 @@ def _edge_surrogate_curvature(problem, spec, cta, i, j, fam):
 
 
 def _coupling(problem, cta, i, j):
+    """Coupling block B_ij; also d grad_i / d x_k of every family's
+    cross-cluster surrogate term, which keeps the couplings exact."""
     if isinstance(problem, QuadraticObjective):
         return problem.coupling(i, j)
     W, g = cta.gossip.W, cta.gamma
@@ -245,20 +242,15 @@ def _edge_ref_jacobian(problem, spec, cta, i, j, fam):
     raise RateError(fam)
 
 
-def _boundary_jacobian(problem, spec, cta, i, k, fam):
-    """d grad_i / d x_k for the cross-cluster surrogate term of (i, k)."""
-    return _coupling(problem, cta, i, k)
-
-
 def _bar_L(problem, partition, spec, cta, r, fam):
-    """Smoothness of the full aggregated surrogate over (x, zeta_r),
-    assembled exactly for quadratic families.
+    """Smoothness bar_L_r of the full aggregated surrogate over (x, zeta_r),
+    assembled exactly for quadratic families. Only the sublinear check reads
+    it: one SVD of a (2m + |C_r| + 2|E_r|) d square matrix per cluster.
     """
     d = problem.d
     m = problem.m
     c = partition.clusters[r]
     intra = sorted(partition.intra_edges[r])
-    pos_x = {i: i for i in range(m)}
     nv = m + len(c) + m + 2 * len(intra)   # x, y_C, y_all (outside refs), y_E
     N = nv * d
     Hs = np.zeros((N, N))
@@ -280,36 +272,42 @@ def _bar_L(problem, partition, spec, cta, r, fam):
     # node surrogates
     for i in c:
         Q = _node_surrogate_curvature(problem, spec, cta, i, fam)
-        add(pos_x[i], pos_x[i], Q)
+        add(i, i, Q)
         if fam == "first_order" or fam == "schur_quadratic":
             Hii = problem.diag[i]
-            add(pos_x[i], pos_yc[i], Hii - Q)   # grad phi(y) - Q y cross term
+            add(i, pos_yc[i], Hii - Q)   # grad phi(y) - Q y cross term
             add(pos_yc[i], pos_yc[i], Q - Hii)  # curvature in the reference
     # intra edges
     for e, (i, j) in enumerate(intra):
         Ki, Kj, Kij = _edge_surrogate_curvature(problem, spec, cta, i, j, fam)
-        add(pos_x[i], pos_x[i], Ki)
-        add(pos_x[j], pos_x[j], Kj)
-        add(pos_x[i], pos_x[j], Kij)
+        add(i, i, Ki)
+        add(j, j, Kj)
+        add(i, j, Kij)
         Jii, Jij, Jji, Jjj = _edge_ref_jacobian(problem, spec, cta, i, j, fam)
         ye_i = off_ye + 2 * e
         ye_j = off_ye + 2 * e + 1
-        add(pos_x[i], ye_i, Jii)
-        add(pos_x[i], ye_j, Jij)
-        add(pos_x[j], ye_i, Jji)
-        add(pos_x[j], ye_j, Jjj)
+        add(i, ye_i, Jii)
+        add(i, ye_j, Jij)
+        add(j, ye_i, Jji)
+        add(j, ye_j, Jjj)
     # cross-cluster edges and the remainder over outside nodes
     for i in range(m):
         if i in cset:
             for k in partition.n_out[i]:
                 B = _coupling(problem, cta, i, k)
-                add(pos_x[i], pos_x[k], B)
+                add(i, k, B)
         else:
-            add(pos_x[i], pos_x[i], problem.diag[i])
+            add(i, i, problem.diag[i])
             for j in partition.graph.adjacency()[i]:
                 if j not in cset and i < j:
-                    add(pos_x[i], pos_x[j], _coupling(problem, cta, i, j))
+                    add(i, j, _coupling(problem, cta, i, j))
     return _spectral_norm(Hs)
+
+
+def _aggregation(L, mu, L_del, size, D, deg=1):
+    """Delay-aggregation constant (2 L + mu) L_del^2 |C| D deg / (4 mu^2) of
+    one cluster of |C| = ``size`` nodes and diameter D."""
+    return (2 * L + mu) * L_del ** 2 * size * D * deg / (4 * mu ** 2)
 
 
 def compute_A(partition, inputs, surrogate=False):
@@ -318,49 +316,31 @@ def compute_A(partition, inputs, surrogate=False):
     A_r = (2 L_r + mu_r) L_del_r^2 |C_r| D_r / (4 mu_r^2)  (0 for singletons)
     A_J = max over covered nodes i of the sum of A_r over non-singleton
     clusters whose external neighborhood contains i.
-    At_r is the edge-reference analogue with ell_tilde and the max
-    intra-cluster degree (squared when ``use_deg_squared``).
+    At_r is the edge-reference analogue with ell_tilde and one more factor,
+    the max intra-cluster degree sigma_r.
     """
-    p = partition.p
     if surrogate:
-        mus = inputs.mu_tilde_r
-        Ls = inputs.L_tilde_r
-        Ldels = inputs.L_tilde_del_r
+        mus, Ls, Ldels = inputs.mu_tilde_r, inputs.L_tilde_r, inputs.L_tilde_del_r
     else:
-        mus = inputs.mu_r
-        Ls = inputs.L_r
-        Ldels = inputs.L_del_r
+        mus, Ls, Ldels = inputs.mu_r, inputs.L_r, inputs.L_del_r
     A_r = []
+    At_r = [0.0] * partition.p
     for r, c in enumerate(partition.clusters):
         if len(c) <= 1:
             A_r.append(0.0)
             continue
-        Dr = partition.diameters[r]
         if mus[r] <= 0:
             A_r.append(float("inf"))
             continue
-        A_r.append((2 * Ls[r] + mus[r]) * Ldels[r] ** 2 * len(c) * Dr
-                   / (4 * mus[r] ** 2))
-    covered = set()
-    for r, c in enumerate(partition.clusters):
-        if len(c) > 1:
-            covered |= set(partition.cluster_ext[r])
+        Dr = partition.diameters[r]
+        A_r.append(_aggregation(Ls[r], mus[r], Ldels[r], len(c), Dr))
+        if surrogate and inputs.ell_tilde_r is not None:
+            At_r[r] = _aggregation(Ls[r], mus[r], inputs.ell_tilde_r[r], len(c),
+                                   Dr, inputs.sigma_r[r])
+    big = [r for r, c in enumerate(partition.clusters) if len(c) > 1]
     A_J = 0.0
-    for i in covered:
-        tot = sum(A_r[r] for r, c in enumerate(partition.clusters)
-                  if len(c) > 1 and i in partition.cluster_ext[r])
-        A_J = max(A_J, tot)
-    At_r = [0.0] * p
-    if surrogate and inputs.ell_tilde_r is not None:
-        for r, c in enumerate(partition.clusters):
-            if len(c) <= 1 or inputs.mu_tilde_r[r] <= 0:
-                continue
-            Dr = partition.diameters[r]
-            deg = inputs.sigma_r[r]
-            degf = deg ** 2 if inputs.use_deg_squared else deg
-            At_r[r] = ((2 * inputs.L_tilde_r[r] + inputs.mu_tilde_r[r])
-                       * inputs.ell_tilde_r[r] ** 2 * len(c) * Dr * degf
-                       / (4 * inputs.mu_tilde_r[r] ** 2))
+    for i in set().union(*(partition.cluster_ext[r] for r in big)):
+        A_J = max(A_J, sum(A_r[r] for r in big if i in partition.cluster_ext[r]))
     return A_r, A_J, At_r
 
 
@@ -377,10 +357,12 @@ def three_terms(p, D, kappa, mu_min=None, A=0.0):
 def rate_terms(partition, inputs, surrogate=False):
     """Three-term stepsize bound and the implied contraction factor.
 
-    I = 1/p, II = 2 kappa / (2D+1),
-    III = sqrt(min_{r in J} mu_r / (8 (2D+1) A_J)) (see :func:`three_terms`);
-    the minimum picks the active regime and rho = 1 - tau_max / (2 kappa).
-    Term III is +inf when no non-singleton cluster has external neighbors.
+    I = 1/p, II = 2 kappa / (2D+1), III = sqrt(mu_min / (8 (2D+1) A)) (see
+    :func:`three_terms`) with mu_min = min_{r in J} mu_r and A = A_J; the
+    surrogate analogue takes kappa_tilde, mu_tilde_r over J and the
+    non-singleton clusters, and A = A_J + max_r At_r. The minimum picks the
+    active regime and rho = 1 - tau_max / (2 kappa). Term III is +inf when
+    no non-singleton cluster has external neighbors.
     """
     p = partition.p
     D = partition.max_diameter
@@ -388,22 +370,21 @@ def rate_terms(partition, inputs, surrogate=False):
     kappa = inputs.kappa_tilde if surrogate else inputs.kappa
     if kappa <= 0 or p < 1:
         raise RateError("need kappa > 0 and p >= 1")
-    J = partition.external_cover
+    idx = set(partition.external_cover)
     if surrogate:
-        idx = set(J) | {r for r, c in enumerate(partition.clusters) if len(c) > 1}
+        big = [r for r, c in enumerate(partition.clusters) if len(c) > 1]
+        idx.update(big)
         mus = inputs.mu_tilde_r
-        denom = A_J + max((At_r[r] for r, c in enumerate(partition.clusters)
-                           if len(c) > 1), default=0.0)
+        A = A_J + max((At_r[r] for r in big), default=0.0)
     else:
-        idx = set(J)
         mus = inputs.mu_r
-        denom = A_J
+        A = A_J
     term_I, term_II, term_III = three_terms(
-        p, D, kappa, min((mus[r] for r in idx), default=None), denom)
+        p, D, kappa, min((mus[r] for r in idx), default=None), A)
     tau_max = min(term_I, term_II, term_III)
     regime = {term_I: "I", term_II: "II", term_III: "III"}[tau_max]
     rho = 1.0 - tau_max / (2.0 * kappa)
-    return RateReport(A_r=A_r, A_J=A_J, At_r=At_r, term_I=term_I,
+    return RateReport(A_r=A_r, A_J=A_J, At_r=At_r, A=A, term_I=term_I,
                       term_II=term_II, term_III=term_III, regime=regime,
                       tau_max=tau_max, rho=rho, surrogate=surrogate)
 
@@ -426,14 +407,29 @@ class ConstantsTemplate:
 
 
 def _three_terms_ring(m, D, strategy, t):
-    kappa = t.resolved_kappa()
-    A1 = (2 * t.L_cluster + t.mu_cluster) * t.L_boundary ** 2 * (D + 1) * D \
-        / (4 * t.mu_cluster ** 2)
-    if strategy == "P1":
-        p = m - D
-    else:
-        p = m // (D + 1)
-    return (*three_terms(p, D, kappa, t.mu_cluster, A1), p)
+    """(I, II, III, p) of the ring partition family ``strategy`` at diameter D."""
+    p = m - D if strategy == "P1" else m // (D + 1)
+    A1 = _aggregation(t.L_cluster, t.mu_cluster, t.L_boundary, D + 1, D)
+    return (*three_terms(p, D, t.resolved_kappa(), t.mu_cluster, A1), p)
+
+
+def _optimize(sizes, candidates, terms):
+    """The search of both partition optimizers: at each size mm of the
+    ladder ``sizes``, the first D of ``candidates(mm)`` maximizing the margin
+    min{I, II, III} of ``terms(mm, D)`` = (I, II, III, p) (margin 1 at D = 0,
+    p = 1 without candidates). Returns (D*, p*) at sizes[0] and the log-log
+    slope of 1 / margin over the ladder."""
+    found = []
+    for mm in sizes:
+        best = None
+        for D in candidates(mm):
+            *caps, p = terms(mm, D)
+            val = min(caps)
+            if best is None or val > best[0]:
+                best = (val, D, p)
+        found.append(best or (1.0, 0, 1))
+    slope, _ = fit_loglog(sizes, [1.0 / val for val, _, _ in found])
+    return found[0][1], found[0][2], slope
 
 
 def ring_partition_optimizer(m, strategy, template=None):
@@ -444,74 +440,41 @@ def ring_partition_optimizer(m, strategy, template=None):
     Exhaustive search over D maximizing min{I, II, III}; returns
     (D_star, p_star, fitted_scaling_exponent) where the exponent is the
     log-log slope of (1 - rho)^{-1} at the per-size optimizer over a
-    doubling ladder starting at m.
+    doubling ladder of six sizes starting at m.
     """
     t = template or ConstantsTemplate()
     if strategy not in ("P1", "P2"):
         raise RateError("strategy must be P1 or P2")
 
-    def best_for(mm):
-        best = None
-        cands = range(1, mm - 1) if strategy == "P1" else \
-            [Dp - 1 for Dp in range(2, mm + 1) if mm % Dp == 0 and Dp < mm]
-        for D in cands:
-            I, II, III, p = _three_terms_ring(mm, D, strategy, t)
-            val = min(I, II, III)
-            if best is None or val > best[0]:
-                best = (val, D, p)
-        if best is None:   # degenerate small m
-            return (1.0, 0, 1)
-        return best
+    def candidates(mm):
+        if strategy == "P1":
+            return range(1, mm - 1)
+        return [Dp - 1 for Dp in range(2, mm) if mm % Dp == 0]
 
-    val, D_star, p_star = best_for(m)
-    sizes, inv_margins = [], []
-    mm = m
-    for _ in range(6):
-        v, _, _ = best_for(mm)
-        sizes.append(mm)
-        inv_margins.append(1.0 / v)
-        mm *= 2
-    slope, _ = fit_loglog(sizes, inv_margins)
-    return D_star, p_star, slope
+    return _optimize([m * 2 ** k for k in range(6)], candidates,
+                     lambda mm, D: _three_terms_ring(mm, D, strategy, t))
 
 
 def grid_partition_optimizer(m, template=None):
     """Horizontal-path family on a sqrt(m) x sqrt(m) grid: clusters are the
     first D+1 nodes of each row plus singletons (p = m - D sqrt(m)).
     Exhaustive over D in [1, sqrt(m)-1]; A_J uses the two-row adjacency
-    bound (a covered node sees at most two row clusters).
+    bound (a covered node sees at most two row clusters). Returns as
+    :func:`ring_partition_optimizer`, with a ladder that doubles the side.
     """
     t = template or ConstantsTemplate()
     s = int(round(math.sqrt(m)))
-    if s * s != m:
-        raise RateError("grid optimizer needs a perfect square m")
+    if s * s != m or s < 2:
+        raise RateError("grid optimizer needs m = s^2 with a side s >= 2")
     kappa = t.resolved_kappa()
 
-    def value(mm, ss, D):
-        p = mm - D * ss
-        A1 = (2 * t.L_cluster + t.mu_cluster) * t.L_boundary ** 2 * (D + 1) * D \
-            / (4 * t.mu_cluster ** 2)
-        return min(three_terms(p, D, kappa, t.mu_cluster, 2 * A1)), p
+    def terms(mm, D):
+        p = mm - D * math.isqrt(mm)
+        A1 = _aggregation(t.L_cluster, t.mu_cluster, t.L_boundary, D + 1, D)
+        return (*three_terms(p, D, kappa, t.mu_cluster, 2 * A1), p)
 
-    def best_for(mm):
-        ss = int(round(math.sqrt(mm)))
-        best = None
-        for D in range(1, ss):
-            val, p = value(mm, ss, D)
-            if best is None or val > best[0]:
-                best = (val, D, p)
-        return best
-
-    val, D_star, p_star = best_for(m)
-    sizes, inv_margins = [], []
-    ss = s
-    for _ in range(6):
-        v, _, _ = best_for(ss * ss)
-        sizes.append(ss * ss)
-        inv_margins.append(1.0 / v)
-        ss *= 2
-    slope, _ = fit_loglog(sizes, inv_margins)
-    return D_star, p_star, slope
+    return _optimize([(s * 2 ** k) ** 2 for k in range(6)],
+                     lambda mm: range(1, math.isqrt(mm)), terms)
 
 
 def fit_loglog(xs, ys):

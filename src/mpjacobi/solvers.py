@@ -57,6 +57,7 @@ from .objective import (
     as_blocks,
     check_block_vector,
 )
+from .rate_analysis import rate_terms
 from .splitting import (
     SplitMap,
     SplitQuadraticView,
@@ -1140,47 +1141,29 @@ def _rho_perp(W):
 
 def select_stepsize(partition, rate_inputs, mode="uniform_theorem",
                     manual_tau=None, surrogate=False):
-    """Theorem-driven stepsize selection.
+    """Theorem-driven stepsize selection from one
+    :func:`rate_analysis.rate_terms` report (surrogate when ``surrogate``).
 
-    uniform_theorem: tau = min{1/p, 2 kappa/(2D+1),
-        sqrt(min_{r in J} mu_r / (8 (2D+1) A_J))}, with the surrogate
-    analogue replacing (kappa, mu_r, A_J) by (kappa_t, mu_t_r,
-    A_J + max_r At_r); this is the tau_max and rho of
-    :func:`rate_analysis.rate_terms`. heterogeneous_theorem returns
-    tau_r = 1/p after checking the window condition; infeasibility raises
-    InfeasibleCondition.
+    uniform_theorem: the report's tau_max = min{1/p, 2 kappa/(2D+1),
+        sqrt(min_{r in J} mu_r / (8 (2D+1) A_J))} and rho, with the
+    surrogate analogue replacing (kappa, mu_r, A_J) by (kappa_t, mu_t_r,
+    A_J + max_r At_r). heterogeneous_theorem: tau_r = 1/p and the report's
+    rho when the window condition 2D+1 <= min(2 kappa p, mu_min p^2 / (8 A)),
+    i.e. 1/p <= min(II, III) (regime I, surrogate analogues included),
+    holds; else InfeasibleCondition.
     manual(tau) passes tau through.
     Returns (tau, rho) where tau is a scalar (uniform/manual) or per-cluster
     array and rho the certified contraction factor.
     """
-    from .rate_analysis import compute_A, rate_terms  # local import to avoid a cycle
-
     if mode == "manual":
         return float(manual_tau), None
+    if mode not in ("uniform_theorem", "heterogeneous_theorem"):
+        raise SolverError(f"unknown stepsize mode {mode!r}")
+    rep = rate_terms(partition, rate_inputs, surrogate=surrogate)
     if mode == "uniform_theorem":
-        rep = rate_terms(partition, rate_inputs, surrogate=surrogate)
         return rep.tau_max, rep.rho
-    p = partition.p
-    D = partition.max_diameter
-    _, A_J, _ = compute_A(partition, rate_inputs, surrogate=surrogate)
-    mus = rate_inputs.mu_tilde_r if surrogate else rate_inputs.mu_r
-    idx = set(partition.external_cover)
-    if surrogate:
-        idx |= {r for r, c in enumerate(partition.clusters) if len(c) > 1}
-    if mode == "heterogeneous_theorem":
-        tau_r = np.full(p, 1.0 / p)
-        # window condition with tau_r = 1/p
-        lhs = 2 * D + 1
-        cond1 = 2.0 * max(rate_inputs.L_r) * p / rate_inputs.mu if rate_inputs.mu > 0 else float("inf")
-        if idx and A_J > 0:
-            a_nu = A_J / p
-            cond2 = min(mus[r] for r in idx) * p / (8.0 * a_nu)
-        else:
-            cond2 = float("inf")
-        if lhs > min(cond1, cond2):
-            raise InfeasibleCondition(
-                f"2D+1={lhs} exceeds min({cond1:.3g}, {cond2:.3g}); "
-                "fall back to uniform_theorem")
-        rho = 1.0 - rate_inputs.mu / (2.0 * p * max(rate_inputs.L_r))
-        return tau_r, rho
-    raise SolverError(f"unknown stepsize mode {mode!r}")
+    if rep.tau_max < rep.term_I:
+        raise InfeasibleCondition(
+            f"1/p = {rep.term_I:.3g} exceeds min(II, III) = {rep.tau_max:.3g} "
+            f"(regime {rep.regime}); fall back to uniform_theorem")
+    return np.full(partition.p, rep.term_I), rep.rho

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import QuadraticObjective
-from .rate_analysis import compute_A, estimate_constants
+from .rate_analysis import _bar_L, estimate_constants, rate_terms
 from .solvers import SolverConfig, delayed_block_jacobi, mp_jacobi
 
 
@@ -423,11 +423,11 @@ def check_sublinear_convex(problem, partition, spec, cta, tau, trace, x0,
     """Convex 1/nu bound past the theorem burn-in.
 
     RHS(nu) = (Phi(x0) - Phi* + Lt_min ||x0 - x*||^2 / (2 tau max_r |C_r|)) / nu,
-    burn-in = 8 (Lt - mu_t / max|C_r|) / mu_t + p K / (A_J + max At_r) with
+    burn-in = 8 (Lt - mu_t / max|C_r|) / mu_t + p K / A, with A = A_J + max At_r
+    the constant of term III of the surrogate :func:`rate_terms`, and
     K = max_r { bar_L_r (sigma_r + 1)(2 D_r + 1)/2
                 + |C_r|^2 D_r (Lt_del_r^2 + sigma_r ell_t_r^2) / (2 mu_t_r^2) }.
     """
-    A_r, A_J, At_r = compute_A(partition, inputs, surrogate=True)
     mu_t = min(inputs.mu_tilde_r)
     L_t = max(inputs.L_tilde_r)
     L_t_min = min(inputs.L_tilde_r)
@@ -435,17 +435,17 @@ def check_sublinear_convex(problem, partition, spec, cta, tau, trace, x0,
     K = 0.0
     for r, c in enumerate(partition.clusters):
         Dr = partition.diameters[r]
-        term = (inputs.bar_L_r[r] * (inputs.sigma_r[r] + 1) * (2 * Dr + 1) / 2
+        bar_L = _bar_L(problem, partition, spec, cta, r, spec.family)
+        term = (bar_L * (inputs.sigma_r[r] + 1) * (2 * Dr + 1) / 2
                 + len(c) ** 2 * Dr
                 * (inputs.L_tilde_del_r[r] ** 2
                    + inputs.sigma_r[r] * inputs.ell_tilde_r[r] ** 2)
                 / (2 * inputs.mu_tilde_r[r] ** 2))
         K = max(K, term)
-    denom = A_J + max((At_r[r] for r, c in enumerate(partition.clusters)
-                       if len(c) > 1), default=0.0)
+    A = rate_terms(partition, inputs, surrogate=True).A
     burn_in = 8 * (L_t - mu_t / cmax) / mu_t
-    if denom > 0:
-        burn_in += partition.p * K / denom
+    if A > 0:
+        burn_in += partition.p * K / A
     burn_in = int(math.ceil(burn_in))
     phi0 = problem.value(x0)
     num = (phi0 - phi_star

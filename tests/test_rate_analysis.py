@@ -5,6 +5,7 @@ from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
     QuadraticObjective,
     build_cta,
+    build_laplacian_qp,
     build_random_qp,
     metropolis_weights,
     QuadraticLocal,
@@ -12,6 +13,7 @@ from mpjacobi.objective import (
 from mpjacobi.rate_analysis import (
     ConstantsTemplate,
     MatrixTooLarge,
+    RateError,
     RateInputs,
     compute_A,
     estimate_constants,
@@ -21,6 +23,7 @@ from mpjacobi.rate_analysis import (
     ring_partition_optimizer,
     spectral_rate_oracle,
 )
+from mpjacobi.solvers import SolverConfig, delayed_block_jacobi
 from mpjacobi.topology import generate_partition, generate_topology, validate_tree_partition, Graph
 
 
@@ -153,6 +156,14 @@ def test_grid_optimizer():
     assert D9 in (1, 2)
 
 
+def test_grid_optimizer_rejects_side_below_two():
+    # a 1 x 1 (or empty) grid has no path cluster, as generate_topology's
+    # grid2d has no side below 2
+    for m in (0, 1):
+        with pytest.raises(RateError):
+            grid_partition_optimizer(m)
+
+
 def test_fit_loglog_exact_and_noisy():
     xs = np.array([10, 20, 40, 80, 160], dtype=float)
     ys = 3.0 * xs ** 0.6
@@ -201,6 +212,35 @@ def test_spectral_oracle_psd_consensus_excludes_fixed_space():
     part = generate_partition("ring_P2", g, D=1)
     rho = spectral_rate_oracle(q, part, 0.3)
     assert 0 < rho < 1.0
+
+
+def test_spectral_oracle_laplacian_matches_observed_rate():
+    """Voltage problem on a weighted 12-node ring: the Laplacian is singular,
+    so the oracle must drop the fixed space (constant lifts of 1) and return
+    the contraction of the error with its mean removed."""
+    rng = np.random.default_rng(0)
+    m = 12
+    g = generate_topology("ring", m=m)
+    weights = np.zeros((m, m))
+    for (i, j) in sorted(g.edges):
+        weights[i, j] = weights[j, i] = rng.uniform(0.5, 2.0)
+    b = rng.standard_normal(m)
+    q = build_laplacian_qp(weights, b - b.mean())
+    part = generate_partition("ring_P2", g, D=2)
+    tau = 0.3
+    rho = spectral_rate_oracle(q, part, tau)
+    x_star = np.linalg.pinv(q.assemble()[0]) @ (b - b.mean())
+    tr = delayed_block_jacobi(
+        q, part, SolverConfig(tau=tau, max_rounds=300, tol_x=0.0, monitor=True),
+        x0=rng.standard_normal((m, 1)))
+
+    def err(x):
+        e = x.ravel() - x_star
+        return np.linalg.norm(e - e.mean())
+
+    observed = (err(tr.x_history[300]) / err(tr.x_history[150])) ** (1 / 150)
+    assert rho < 1.0
+    assert rho == pytest.approx(observed, abs=1e-4)
 
 
 def test_spectral_oracle_size_cap():

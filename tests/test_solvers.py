@@ -538,6 +538,27 @@ def test_select_stepsize_uniform_is_rate_terms(seed):
                                surrogate=surrogate is not None) == (rep.tau_max, rep.rho)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_select_stepsize_heterogeneous_is_regime_I(seed):
+    """tau_r = 1/p is feasible exactly when term I is the minimum of the
+    report, and its rho is the report's, surrogate constants included."""
+    from mpjacobi.rate_analysis import rate_terms
+
+    q, part = random_valid_instance(seed)
+    for surrogate in (None, SurrogateSpec(family="first_order", alpha=0.01)):
+        inputs = estimate_constants(q, part, surrogate=surrogate)
+        rep = rate_terms(part, inputs, surrogate=surrogate is not None)
+        if rep.tau_max < rep.term_I:
+            with pytest.raises(InfeasibleCondition):
+                select_stepsize(part, inputs, "heterogeneous_theorem",
+                                surrogate=surrogate is not None)
+            continue
+        tau_r, rho = select_stepsize(part, inputs, "heterogeneous_theorem",
+                                     surrogate=surrogate is not None)
+        assert np.array_equal(tau_r, np.full(part.p, 1.0 / part.p))
+        assert rho == rep.rho
+
+
 def test_h_mp_jacobi_rejects_node_count_mismatch():
     from mpjacobi.topology import Hypergraph
 
