@@ -262,6 +262,9 @@ def split_toy_instance(seed=0, kappa=100.0):
 
 
 def atc_hyper_instance(d=4, gamma=1e-3, seed=0):
+    """Eight random quadratic losses on a two-triangle graph, as the ATC
+    hypergraph objective and as the CTA problem over the same losses:
+    (graph, W, atc, cta)."""
     from .topology import Graph
 
     edges = {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7),
@@ -274,7 +277,7 @@ def atc_hyper_instance(d=4, gamma=1e-3, seed=0):
         B = rng.standard_normal((d, d))
         locs.append(QuadraticLocal(B @ B.T / 8 + 0.2 * np.eye(d),
                                    rng.standard_normal(d)))
-    return g, W, build_atc(locs, W)
+    return g, W, build_atc(locs, W), build_cta(locs, W)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +721,8 @@ def _exp_split_toy(cfg):
 def _exp_atc_hyper(cfg):
     res = ExperimentResult(cfg)
     d = min(cfg.params.get("d", 4), MAX_D)
-    g, W, q = atc_hyper_instance(d=d, gamma=cfg.params.get("gamma", 0.02),
-                                 seed=cfg.seed)
+    g, W, q, cta = atc_hyper_instance(d=d, gamma=cfg.params.get("gamma", 0.02),
+                                      seed=cfg.seed)
     xs, phis = global_solve_oracle(q)
     oracle = (xs, phis)
     hg = Hypergraph(8, list(q.hyper.keys()))
@@ -750,20 +753,10 @@ def _exp_atc_hyper(cfg):
     res.add("h_mp_jacobi_s2", 8, d, cfg.seed, tr2, cfg.tol, ms2)
     res.traces["h_mp_jacobi_s2"] = tr2
 
-    tb, ms3 = _timed(baseline, "dgd_atc", _atc_consensus_view(W, d, cfg.seed),
+    tb, ms3 = _timed(baseline, "dgd_atc", cta,
                      {"max_rounds": cfg.max_rounds, "tol": 0.0})
     res.add("dgd_atc", 8, d, cfg.seed, tb, cfg.tol, ms3)
     return res
-
-
-def _atc_consensus_view(W, d, seed):
-    rng = np.random.default_rng(seed)
-    locs = []
-    for _ in range(8):
-        B = rng.standard_normal((d, d))
-        locs.append(QuadraticLocal(B @ B.T / 8 + 0.2 * np.eye(d),
-                                   rng.standard_normal(d)))
-    return build_cta(locs, W)
 
 
 # ---------------------------------------------------------------------------

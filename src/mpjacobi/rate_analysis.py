@@ -132,57 +132,14 @@ def estimate_constants(problem, partition, surrogate=None, cta=None):
 
 
 def _fill_surrogate_constants(inputs, problem, partition, spec, cta):
-    d = problem.d
-    fam = spec.family
     mu_t, L_t, Ldel_t, ell_t = [], [], [], []
-    for r, c in enumerate(partition.clusters):
-        pos = {n: t for t, n in enumerate(c)}
-        n = len(c) * d
-        K = np.zeros((n, n))
-        for i in c:
-            K[pos[i] * d:(pos[i] + 1) * d, pos[i] * d:(pos[i] + 1) * d] += (
-                _node_surrogate_curvature(problem, spec, cta, i, fam))
-        intra = sorted(partition.intra_edges[r])
-        for (i, j) in intra:
-            Ki, Kj, Kij = _edge_surrogate_curvature(problem, spec, cta, i, j, fam)
-            K[pos[i] * d:(pos[i] + 1) * d, pos[i] * d:(pos[i] + 1) * d] += Ki
-            K[pos[j] * d:(pos[j] + 1) * d, pos[j] * d:(pos[j] + 1) * d] += Kj
-            K[pos[i] * d:(pos[i] + 1) * d, pos[j] * d:(pos[j] + 1) * d] += Kij
-            K[pos[j] * d:(pos[j] + 1) * d, pos[i] * d:(pos[i] + 1) * d] += Kij.T
-        for i in c:
-            for k in partition.n_out[i]:
-                Ki, _, _ = _edge_surrogate_curvature(problem, spec, cta, i, k, fam)
-                K[pos[i] * d:(pos[i] + 1) * d, pos[i] * d:(pos[i] + 1) * d] += Ki
-        vals = np.linalg.eigvalsh(K) if n else np.array([0.0])
+    for r in range(partition.p):
+        K, J, Jb, _ = _cluster_surrogate(problem, partition, spec, cta, r)
+        vals = np.linalg.eigvalsh(K) if len(K) else np.array([0.0])
         mu_t.append(float(vals[0]))
         L_t.append(float(vals[-1]))
-
-        # sensitivity to the intra-cluster edge-reference stack
-        if intra:
-            J = np.zeros((n, 2 * len(intra) * d))
-            for e, (i, j) in enumerate(intra):
-                Jii, Jij, Jji, Jjj = _edge_ref_jacobian(problem, spec, cta, i, j, fam)
-                c0 = 2 * e * d
-                J[pos[i] * d:(pos[i] + 1) * d, c0:c0 + d] += Jii
-                J[pos[i] * d:(pos[i] + 1) * d, c0 + d:c0 + 2 * d] += Jij
-                J[pos[j] * d:(pos[j] + 1) * d, c0:c0 + d] += Jji
-                J[pos[j] * d:(pos[j] + 1) * d, c0 + d:c0 + 2 * d] += Jjj
-            ell_t.append(_spectral_norm(J))
-        else:
-            ell_t.append(0.0)
-
-        ext = sorted(partition.cluster_ext[r])
-        if ext:
-            Jb = np.zeros((n, len(ext) * d))
-            epos = {k: t for t, k in enumerate(ext)}
-            for i in c:
-                for k in partition.n_out[i]:
-                    Jb[pos[i] * d:(pos[i] + 1) * d,
-                       epos[k] * d:(epos[k] + 1) * d] += (
-                        _coupling(problem, cta, i, k))
-            Ldel_t.append(_spectral_norm(Jb))
-        else:
-            Ldel_t.append(0.0)
+        ell_t.append(_spectral_norm(J))    # sensitivity to the edge references
+        Ldel_t.append(_spectral_norm(Jb))
     inputs.mu_tilde_r = mu_t
     inputs.L_tilde_r = L_t
     inputs.L_tilde_del_r = Ldel_t
@@ -190,117 +147,140 @@ def _fill_surrogate_constants(inputs, problem, partition, spec, cta):
     inputs.kappa_tilde = max(L_t) / inputs.mu if inputs.mu > 0 else float("inf")
 
 
-def _node_surrogate_curvature(problem, spec, cta, i, fam):
+def _cluster_surrogate(problem, partition, spec, cta, r):
+    """The blocks of cluster r's aggregated surrogate that act on its own
+    coordinates x_C (the nodes of C in cluster order, d rows each):
+
+    - K, |C|d square: the Hessian in x_C. Node curvatures first, then each
+      intra edge's (sorted), then the node curvature that each
+      cross-cluster edge adds at its end in C.
+    - J, |C|d x 2|E_C|d: d grad_{x_C} / d y_E, the edge references
+      (y_i, y_j) of each intra edge (i, j), in sorted edge order.
+    - Jb, |C|d x |ext|d: d grad_{x_C} / d x_ext, the couplings B_ik to the
+      external neighbours ``ext`` (sorted). Every family keeps the
+      cross-cluster couplings exact, so Jb is the problem's own block.
+    """
     d = problem.d
-    if fam == "first_order":
+    c = partition.clusters[r]
+    at = {i: slice(t * d, (t + 1) * d) for t, i in enumerate(c)}
+    n = len(c) * d
+    K = np.zeros((n, n))
+    for i in c:
+        K[at[i], at[i]] += _node_surrogate_curvature(problem, spec, cta, i)
+    intra = sorted(partition.intra_edges[r])
+    for (i, j) in intra:
+        Ki, Kj, Kij = _edge_surrogate_curvature(problem, spec, cta, i, j)
+        K[at[i], at[i]] += Ki
+        K[at[j], at[j]] += Kj
+        K[at[i], at[j]] += Kij
+        K[at[j], at[i]] += Kij.T
+    for i in c:
+        for k in partition.n_out[i]:
+            K[at[i], at[i]] += _edge_surrogate_curvature(problem, spec, cta, i, k)[0]
+
+    J = np.zeros((n, 2 * len(intra) * d))
+    for e, (i, j) in enumerate(intra):
+        Jii, Jij, Jji, Jjj = _edge_ref_jacobian(problem, spec, cta, i, j)
+        yi = slice(2 * e * d, (2 * e + 1) * d)
+        yj = slice((2 * e + 1) * d, (2 * e + 2) * d)
+        J[at[i], yi] += Jii
+        J[at[i], yj] += Jij
+        J[at[j], yi] += Jji
+        J[at[j], yj] += Jjj
+
+    ext = sorted(partition.cluster_ext[r])
+    epos = {k: t for t, k in enumerate(ext)}
+    Jb = np.zeros((n, len(ext) * d))
+    for i in c:
+        for k in partition.n_out[i]:
+            Jb[at[i], epos[k] * d:(epos[k] + 1) * d] += problem.coupling(i, k)
+    return K, J, Jb, ext
+
+
+def _node_surrogate_curvature(problem, spec, cta, i):
+    d = problem.d
+    if spec.family == "first_order":
         return np.eye(d) / spec.alpha
-    if fam == "schur_quadratic":
+    if spec.family == "schur_quadratic":
         return spec.node_matrix("Q", i, d)
-    if fam == "partial_linearization":
+    if spec.family == "partial_linearization":
         W, g = cta.gossip.W, cta.gamma
         return spec.node_matrix("Q", i, d) + (1.0 - W[i, i]) / g * np.eye(d)
-    raise RateError(f"no surrogate constants for family {fam!r}")
+    raise RateError(f"no surrogate constants for family {spec.family!r}")
 
 
-def _edge_surrogate_curvature(problem, spec, cta, i, j, fam):
+def _edge_surrogate_curvature(problem, spec, cta, i, j):
     d = problem.d
     Z = np.zeros((d, d))
-    if fam == "first_order":
+    if spec.family == "first_order":
         return Z, Z, Z
-    if fam == "schur_quadratic":
+    if spec.family == "schur_quadratic":
         return (spec.node_matrix("M", i, d), spec.node_matrix("M", j, d),
                 spec.edge_matrix(i, j, d) if i < j else spec.edge_matrix(i, j, d).T)
-    if fam == "partial_linearization":
+    if spec.family == "partial_linearization":
         W, g = cta.gossip.W, cta.gamma
         return Z, Z, -(W[i, j] / g) * np.eye(d)
-    raise RateError(fam)
+    raise RateError(spec.family)
 
 
-def _coupling(problem, cta, i, j):
-    """Coupling block B_ij; also d grad_i / d x_k of every family's
-    cross-cluster surrogate term, which keeps the couplings exact."""
-    if isinstance(problem, QuadraticObjective):
-        return problem.coupling(i, j)
-    W, g = cta.gossip.W, cta.gamma
-    return -(W[i, j] / g) * np.eye(problem.d)
-
-
-def _edge_ref_jacobian(problem, spec, cta, i, j, fam):
+def _edge_ref_jacobian(problem, spec, cta, i, j):
     """d(grad_i, grad_j) / d(y_i, y_j) for the edge surrogate of (i, j)."""
     d = problem.d
-    B = _coupling(problem, cta, i, j)
+    B = problem.coupling(i, j)
     Z = np.zeros((d, d))
-    if fam == "first_order":
+    if spec.family == "first_order":
         return Z, B, B.T, Z
-    if fam == "schur_quadratic":
+    if spec.family == "schur_quadratic":
         Mi = spec.node_matrix("M", i, d)
         Mj = spec.node_matrix("M", j, d)
         Mij = spec.edge_matrix(i, j, d)
         return -Mi, B - Mij, B.T - Mij.T, -Mj
-    if fam == "partial_linearization":
+    if spec.family == "partial_linearization":
         return Z, Z, Z, Z  # couplings kept exact: no edge references
-    raise RateError(fam)
+    raise RateError(spec.family)
 
 
-def _bar_L(problem, partition, spec, cta, r, fam):
-    """Smoothness bar_L_r of the full aggregated surrogate over (x, zeta_r),
-    assembled exactly for quadratic families. Only the sublinear check reads
-    it: one SVD of a (2m + |C_r| + 2|E_r|) d square matrix per cluster.
+def _bar_L(problem, partition, spec, cta, r, H):
+    """Smoothness bar_L_r of cluster r's full aggregated surrogate: the
+    2-norm of its exact Hessian over the blocks [x_C, x_rest, y_C, y_E],
+    the cluster's coordinates, every other node's coordinates, the node
+    references of C and the edge references of its intra edges.
+
+    - (x_C, x_C) is K, (x_C, y_E) is J and (x_C, x_ext) is Jb, all from
+      :func:`_cluster_surrogate`;
+    - (x_rest, x_rest) is the problem's Hessian outside the cluster, sliced
+      from ``H`` = ``problem.assemble()[0]``;
+    - first-order and Schur surrogates linearize each phi_i at y_i, which
+      adds H_ii - Q_i at (x_i, y_i) and Q_i - H_ii at (y_i, y_i); a
+      partial-linearization surrogate has no y_C block.
+
+    Only the sublinear check reads it: one SVD of an (m + |C| + 2|E_C|) d
+    square matrix per cluster (no y_C block for partial linearization).
     """
     d = problem.d
-    m = problem.m
     c = partition.clusters[r]
-    intra = sorted(partition.intra_edges[r])
-    nv = m + len(c) + m + 2 * len(intra)   # x, y_C, y_all (outside refs), y_E
-    N = nv * d
-    Hs = np.zeros((N, N))
-
-    def sl(block):
-        return np.arange(block * d, (block + 1) * d)
-
-    off_yc = m
-    pos_yc = {i: off_yc + t for t, i in enumerate(c)}
-    off_yo = m + len(c)
-    off_ye = off_yo + m
-
-    def add(bi, bj, blk):
-        Hs[np.ix_(sl(bi), sl(bj))] += blk
-        if bi != bj:
-            Hs[np.ix_(sl(bj), sl(bi))] += blk.T
-
-    cset = set(c)
-    # node surrogates
-    for i in c:
-        Q = _node_surrogate_curvature(problem, spec, cta, i, fam)
-        add(i, i, Q)
-        if fam == "first_order" or fam == "schur_quadratic":
-            Hii = problem.diag[i]
-            add(i, pos_yc[i], Hii - Q)   # grad phi(y) - Q y cross term
-            add(pos_yc[i], pos_yc[i], Q - Hii)  # curvature in the reference
-    # intra edges
-    for e, (i, j) in enumerate(intra):
-        Ki, Kj, Kij = _edge_surrogate_curvature(problem, spec, cta, i, j, fam)
-        add(i, i, Ki)
-        add(j, j, Kj)
-        add(i, j, Kij)
-        Jii, Jij, Jji, Jjj = _edge_ref_jacobian(problem, spec, cta, i, j, fam)
-        ye_i = off_ye + 2 * e
-        ye_j = off_ye + 2 * e + 1
-        add(i, ye_i, Jii)
-        add(i, ye_j, Jij)
-        add(j, ye_i, Jji)
-        add(j, ye_j, Jjj)
-    # cross-cluster edges and the remainder over outside nodes
-    for i in range(m):
-        if i in cset:
-            for k in partition.n_out[i]:
-                B = _coupling(problem, cta, i, k)
-                add(i, k, B)
-        else:
-            add(i, i, problem.diag[i])
-            for j in partition.graph.adjacency()[i]:
-                if j not in cset and i < j:
-                    add(i, j, _coupling(problem, cta, i, j))
+    K, J, Jb, ext = _cluster_surrogate(problem, partition, spec, cta, r)
+    idx = _block_indices(c, d)
+    rest = np.setdiff1d(np.arange(problem.m * d), idx)
+    n, yc = len(idx), len(H)          # x_C is [0, n), x_rest is [n, yc)
+    ny = n if spec.family in ("first_order", "schur_quadratic") else 0
+    ye = yc + ny
+    Hs = np.zeros((ye + J.shape[1],) * 2)
+    Hs[:n, :n] = K
+    Hs[n:yc, n:yc] = H[np.ix_(rest, rest)]
+    xe = n + np.searchsorted(rest, _block_indices(ext, d))
+    Hs[:n, xe] = Jb
+    Hs[xe, :n] = Jb.T
+    Hs[:n, ye:] = J
+    Hs[ye:, :n] = J.T
+    if ny:
+        G = np.zeros((n, n))
+        for t, i in enumerate(c):
+            s = slice(t * d, (t + 1) * d)
+            G[s, s] = problem.diag[i] - _node_surrogate_curvature(problem, spec, cta, i)
+        Hs[:n, yc:ye] = G
+        Hs[yc:ye, :n] = G.T
+        Hs[yc:ye, yc:ye] = -G
     return _spectral_norm(Hs)
 
 

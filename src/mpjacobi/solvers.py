@@ -90,7 +90,7 @@ class PartitionMismatch(SolverError):
 
 @dataclass
 class SolverConfig:
-    tau: object = 1.0               # float, per-cluster array, or schedule callable
+    tau: object = 1.0               # float, or one per cluster
     max_rounds: int = 10000
     tol_x: float = 1e-12            # sup-norm of the iterate increment
     tol_grad: float = None
@@ -108,13 +108,6 @@ class SolverConfig:
             if getattr(self, name) not in allowed:
                 raise SolverError(f"{name} must be one of {allowed}, "
                                   f"got {getattr(self, name)!r}")
-
-    def tau_for_cluster(self, r, p):
-        if callable(self.tau):
-            return self.tau(r)
-        if np.isscalar(self.tau):
-            return float(self.tau)
-        return float(np.asarray(self.tau)[r])
 
 
 @dataclass
@@ -171,12 +164,20 @@ class RunTrace:
 
 
 def _tau_per_node(problem, partition, config):
-    """Every node's cluster stepsize; PartitionMismatch on a node count."""
+    """Every node's cluster stepsize from a scalar tau or one per cluster;
+    PartitionMismatch on a node count, SolverError on a tau of another
+    length."""
     if len(partition.cluster_of) != problem.m:
         raise PartitionMismatch(f"partition has {len(partition.cluster_of)} "
                                 f"nodes, problem has {problem.m}")
     p = partition.p
-    taus = np.array([config.tau_for_cluster(r, p) for r in range(p)])
+    if np.isscalar(config.tau):
+        taus = np.full(p, float(config.tau))
+    else:
+        taus = np.asarray(config.tau, dtype=float)
+        if taus.shape != (p,):
+            raise SolverError(f"tau must be a scalar or hold one stepsize per "
+                              f"cluster ({p}), got shape {taus.shape}")
     if np.any(taus < 0):
         raise SolverError("stepsizes must be nonnegative")
     return taus[np.array(partition.cluster_of)]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .objective import QuadraticObjective
 from .rate_analysis import _bar_L, estimate_constants, rate_terms
-from .solvers import SolverConfig, delayed_block_jacobi, mp_jacobi
+from .solvers import SolverConfig, _central_step, delayed_block_jacobi, mp_jacobi
 
 
 @dataclass
@@ -142,9 +142,7 @@ def check_descent_lemmas(problem, partition, rounds=25, tau=None, x0=None,
                        message_init="warm_start", monitor=True)
     tr = mp_jacobi(problem, partition, cfg, x0=x0)
 
-    H, b = problem.assemble()
-    d = problem.d
-    m = problem.m
+    central = _central_step(problem, partition.clusters)
     worst = 0.0
     wit = {}
     xs = tr.x_history
@@ -152,15 +150,7 @@ def check_descent_lemmas(problem, partition, rounds=25, tau=None, x0=None,
         x = xs[k]
         x_next = xs[k + 1]
         xhat = tr.xhat_history[k]
-        xbar = np.zeros_like(x)
-        xf = x.reshape(-1)
-        for r, c in enumerate(partition.clusters):
-            idx = np.concatenate([np.arange(i * d, (i + 1) * d) for i in c])
-            rest = np.setdiff1d(np.arange(m * d), idx)
-            rhs = b[idx] + H[np.ix_(idx, rest)] @ xf[rest]
-            sol = np.linalg.solve(H[np.ix_(idx, idx)], -rhs)
-            for t, i in enumerate(c):
-                xbar[i] = sol[t * d:(t + 1) * d]
+        xbar, _ = central(x)
         phi_x = problem.value(x)
         phi_next = problem.value(x_next)
         grad = problem.grad(x)
@@ -432,10 +422,11 @@ def check_sublinear_convex(problem, partition, spec, cta, tau, trace, x0,
     L_t = max(inputs.L_tilde_r)
     L_t_min = min(inputs.L_tilde_r)
     cmax = max(len(c) for c in partition.clusters)
+    H, _ = problem.assemble()
     K = 0.0
     for r, c in enumerate(partition.clusters):
         Dr = partition.diameters[r]
-        bar_L = _bar_L(problem, partition, spec, cta, r, spec.family)
+        bar_L = _bar_L(problem, partition, spec, cta, r, H)
         term = (bar_L * (inputs.sigma_r[r] + 1) * (2 * Dr + 1) / 2
                 + len(c) ** 2 * Dr
                 * (inputs.L_tilde_del_r[r] ** 2

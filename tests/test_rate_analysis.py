@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mpjacobi.bench import cta_instance
 from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
     QuadraticObjective,
@@ -15,6 +18,7 @@ from mpjacobi.rate_analysis import (
     MatrixTooLarge,
     RateError,
     RateInputs,
+    _bar_L,
     compute_A,
     estimate_constants,
     fit_loglog,
@@ -25,6 +29,8 @@ from mpjacobi.rate_analysis import (
 )
 from mpjacobi.solvers import SolverConfig, delayed_block_jacobi
 from mpjacobi.topology import generate_partition, generate_topology, validate_tree_partition, Graph
+from test_rate_reports import RING_SIZES, _instances as rate_report_instances
+from test_rate_reports import _surrogates as rate_report_surrogates
 
 
 def test_estimate_constants_identity():
@@ -280,3 +286,29 @@ def test_surrogate_constants_partial_linearization():
     # couplings are exact: no edge-reference sensitivity
     assert all(v == 0.0 for v in inputs.ell_tilde_r)
     assert all(v > 0 for v in inputs.mu_tilde_r)
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in rate_report_instances() if n.startswith(("ring_d2/", "random/")))
+    + [f"cta_d2/{m}" for m in RING_SIZES])
+def test_bar_L_bounds_the_surrogate_constants(name):
+    """bar_L_r is the 2-norm of a Hessian that holds K, J and Jb as blocks,
+    so it bounds L~_r, ell~_r and L~del_r of every cluster, for every
+    family (Schur with M_node = I too)."""
+    if name.startswith("cta_d2/"):
+        g, _, cta = cta_instance(m=int(name.split("/")[1]), d=2, gamma=0.05)
+        q, part = cta.to_quadratic(), generate_partition("ring_P2", g, D=3)
+        specs = {"pl": SurrogateSpec(family="partial_linearization", Q=1.0)}
+    else:
+        (q, part), cta = rate_report_instances()[name](), None
+        specs = rate_report_surrogates(q)
+        del specs["exact"]
+        specs["schur_M_I"] = replace(specs["schur"], M_node=np.eye(q.d))
+    H, _ = q.assemble()
+    for tag, spec in specs.items():
+        inputs = estimate_constants(q, part, surrogate=spec, cta=cta)
+        for r in range(part.p):
+            bound = max(inputs.L_tilde_r[r], inputs.ell_tilde_r[r],
+                        inputs.L_tilde_del_r[r])
+            bar_L = _bar_L(q, part, spec, cta, r, H)
+            assert bar_L >= bound * (1 - 1e-12), (tag, r, bar_L, bound)

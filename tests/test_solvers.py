@@ -464,6 +464,19 @@ def test_negative_tau_rejected_by_h_mp_jacobi():
         h_mp_jacobi(q, hpart, SolverConfig(tau=-1, max_rounds=5))
 
 
+@pytest.mark.parametrize("extra", [3, -1])
+def test_per_cluster_tau_of_another_length_rejected(extra):
+    # p + 3 entries used to be truncated silently, p - 1 to raise IndexError
+    g, q = ring_qp(m=8, d=1, seed=0)
+    part = generate_partition("ring_P2", g, D=1)
+    tau = np.full(part.p + extra, 0.25)
+    for solve in (mp_jacobi, delayed_block_jacobi):
+        with pytest.raises(SolverError, match="one stepsize per cluster"):
+            solve(q, part, SolverConfig(tau=tau, max_rounds=5))
+    cfg = SolverConfig(tau=np.full(part.p, 0.25), max_rounds=5, tol_x=0.0)
+    assert mp_jacobi(q, part, cfg).rounds == 5
+
+
 def test_partition_mismatch_raises_typed_error():
     from mpjacobi.topology import Graph
 

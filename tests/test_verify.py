@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpjacobi.bench import cta_instance
 from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
     QuadraticLocal,
@@ -10,7 +11,7 @@ from mpjacobi.objective import (
     global_solve_oracle,
     metropolis_weights,
 )
-from mpjacobi.rate_analysis import estimate_constants
+from mpjacobi.rate_analysis import _cluster_surrogate, estimate_constants
 from mpjacobi.solvers import SolverConfig, mp_jacobi_surrogate, select_stepsize
 from mpjacobi.topology import generate_partition, generate_topology, validate_tree_partition
 from mpjacobi.verify import (
@@ -117,6 +118,54 @@ def test_surrogate_evaluator_consistency_partial_linearization():
     rep = check_surrogate_regularity(q, part, spec, cta=prob, samples=40,
                                      seed=12)
     assert rep.passed, str(rep)
+
+
+def _cta_d2_spec(family, q):
+    d = q.d
+    if family == "first_order":
+        return SurrogateSpec(family="first_order", alpha=0.05)
+    if family == "partial_linearization":
+        return SurrogateSpec(family="partial_linearization", Q=1.0)
+    return SurrogateSpec(
+        family="schur_quadratic",
+        Q=np.stack([np.diag(np.diag(q.diag[i])) + 0.2 * np.eye(d) for i in range(q.m)]),
+        M_node=np.eye(d), M_edge={e: np.diag(np.diag(q.pair[e])) for e in q.pair})
+
+
+@pytest.mark.parametrize("family", ["first_order", "schur_quadratic",
+                                    "partial_linearization"])
+def test_cluster_surrogate_curvature_is_the_evaluator_hessian(family):
+    """K of the rate layer is the Hessian in x_C of the surrogate that
+    SurrogateEvaluator evaluates, cross-cluster node curvatures included:
+    second differences with step 1 are exact for a quadratic."""
+    g, _, cta = cta_instance(m=12, d=2, gamma=0.05)
+    q = cta.to_quadratic()
+    part = generate_partition("ring_P2", g, D=2)
+    spec = _cta_d2_spec(family, q)
+    ev = SurrogateEvaluator(q, part, spec, cta)
+    rng = np.random.default_rng(0)
+    d = q.d
+    for r, c in enumerate(part.clusters):
+        K = _cluster_surrogate(q, part, spec, cta, r)[0]
+        x = rng.standard_normal((q.m, d))
+        refs = ({i: rng.standard_normal(d) for i in c},
+                {k: rng.standard_normal(d) for i in c for k in part.n_out[i]},
+                {e: (rng.standard_normal(d), rng.standard_normal(d))
+                 for e in part.intra_edges[r]})
+
+        def phi(*steps):
+            xs = x.copy()
+            for i, a in steps:
+                xs[i, a] += 1.0
+            return ev.tilde_phi_r(r, xs, *refs)
+
+        coords = [(i, a) for i in c for a in range(d)]
+        f0 = phi()
+        f1 = [phi(s) for s in coords]
+        f2 = np.array([[phi(s, t) for t in coords] for s in coords])
+        fd = f2 - np.add.outer(f1, f1) + f0
+        scale = max(np.abs(f2).max(), abs(f0), np.abs(K).max())
+        assert np.abs(fd - K).max() <= 1e-12 * scale, (r, np.abs(fd - K).max())
 
 
 def test_gradient_check_chains():
