@@ -73,7 +73,11 @@ class RowScatter:
     in input order). ``start`` gives the destination's initial values; they
     enter as the first contributions, and since 0.0 + v == v the sums are
     those of ``np.add.at(start.copy(), idx, vals)`` bit for bit (a -0.0
-    start entry that receives only zeros ends as +0.0).
+    start entry that receives only zeros ends as +0.0). ``axis`` is the
+    row axis of vals and start; the axes before it are batch axes, and
+    each batch entry is summed apart, in the same order, by offsetting the
+    one compiled index per entry at call time (each entry's start values
+    still come before its rows).
     """
 
     def __init__(self, idx, n):
@@ -81,8 +85,8 @@ class RowScatter:
         self.n = n
         self._flat = {}
 
-    def __call__(self, vals, start=None):
-        tail = vals.shape[1:]
+    def __call__(self, vals, start=None, axis=0):
+        lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
         key = (tail, start is None)
         compiled = self._flat.get(key)
         if compiled is None:
@@ -92,10 +96,14 @@ class RowScatter:
                 flat = np.concatenate([np.arange(self.n * size), flat])
             compiled = self._flat[key] = (flat, self.n * size)
         flat, length = compiled
-        weights = vals.reshape(-1)
+        batch = math.prod(lead)
+        weights = vals.reshape(batch, math.prod(vals.shape[axis:]))
         if start is not None:
-            weights = np.concatenate((start.reshape(-1), weights))
-        return np.bincount(flat, weights, minlength=length).reshape((self.n,) + tail)
+            weights = np.concatenate((start.reshape(batch, length), weights), axis=1)
+        if batch != 1:
+            flat = np.arange(0, batch * length, length)[:, None] + flat
+        return np.bincount(flat.reshape(-1), weights.reshape(-1),
+                           minlength=batch * length).reshape(lead + (self.n,) + tail)
 
 
 def _transposed(B):
@@ -226,8 +234,10 @@ class QuadraticObjective:
     # -- evaluation --------------------------------------------------------
 
     def _hyper_stacks(self, x):
-        """Per arity group: (members, blocks, stacked x_w of shape (n, kd))."""
-        return [(members, blocks, x[members].reshape(len(members), -1))
+        """Per arity group: (members, blocks, stacked x_w of shape
+        (..., n, kd)) for x of shape (..., m, d)."""
+        return [(members, blocks,
+                 x[..., members, :].reshape(x.shape[:-2] + (len(members), -1)))
                 for _, members, blocks in self.hyper_groups]
 
     def value(self, x):
@@ -241,21 +251,35 @@ class QuadraticObjective:
         return float(val)
 
     def grad(self, x):
-        """Node terms, then every pair term in ``pair`` order (B x_j at i,
+        """Gradient of the iterate x, (m, d) or (md,), or of every iterate
+        of a stack (..., m, d) at once, shaped like the stack.
+
+        Node terms, then every pair term in ``pair`` order (B x_j at i,
         B^T x_i at j), then every factor's members in ``hyper`` order: the
-        additions of the per-coupling loop, in its order."""
-        x = as_blocks(x, self.m, self.d)
-        g = np.einsum("ikl,il->ik", self.diag, x) + self.lin
+        additions of the per-coupling loop, in its order. A stack's
+        iterates are summed apart in that same order, so each holds the
+        bits of its own single-iterate gradient.
+        """
+        m, d = self.m, self.d
+        x = np.asarray(x, dtype=float)
+        if x.shape == (m * d,):
+            x = x.reshape(m, d)
+        if x.shape[-2:] != (m, d):
+            raise ObjectiveError(f"expected shape (..., {m}, {d}) or ({m * d},), "
+                                 f"got {x.shape}")
+        lead = x.shape[:-2]
+        g = np.einsum("ikl,...il->...ik", self.diag, x) + self.lin
         B, rows, cols = self.pair_blocks, self.pair_rows, self.pair_cols
-        terms = np.empty((len(rows), 2, self.d))
-        terms[:, 0] = block_matvec(B, x.take(cols, axis=0))
-        terms[:, 1] = block_matvec(_transposed(B), x.take(rows, axis=0))
-        terms = terms.reshape(-1, self.d)
+        terms = np.empty(lead + (len(rows), 2, d))
+        terms[..., 0, :] = block_matvec(B, x.take(cols, axis=-2))
+        terms[..., 1, :] = block_matvec(_transposed(B), x.take(rows, axis=-2))
+        terms = terms.reshape(lead + (-1, d))
         if self.hyper_groups:
-            hyper = np.concatenate([(2.0 * np.matmul(H, xs[..., None])).reshape(-1, self.d)
-                                    for _, H, xs in self._hyper_stacks(x)])
-            terms = np.concatenate([terms, hyper[self._hyper_order]])
-        return self._grad_scatter(terms, start=g)
+            hyper = np.concatenate(
+                [(2.0 * np.matmul(H, xs[..., None])).reshape(lead + (-1, d))
+                 for _, H, xs in self._hyper_stacks(x)], axis=-2)
+            terms = np.concatenate([terms, hyper[..., self._hyper_order, :]], axis=-2)
+        return self._grad_scatter(terms, start=g, axis=len(lead))
 
     def assemble(self):
         """Dense (md, md) Hessian and (md,) linear term of the stacked problem.

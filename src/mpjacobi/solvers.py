@@ -27,6 +27,7 @@ half ran.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -108,6 +109,14 @@ class SolverConfig:
             if getattr(self, name) not in allowed:
                 raise SolverError(f"{name} must be one of {allowed}, "
                                   f"got {getattr(self, name)!r}")
+        rounds = self.max_rounds
+        if isinstance(rounds, bool) or not isinstance(rounds, numbers.Integral) or rounds < 0:
+            raise SolverError(f"max_rounds must be a nonnegative integer, got {rounds!r}")
+        for name in ("tol_x", "tol_grad"):
+            tol = getattr(self, name)
+            if not (tol is None and name == "tol_grad"
+                    or isinstance(tol, numbers.Real) and tol >= 0):
+                raise SolverError(f"{name} must be a nonnegative number, got {tol!r}")
 
 
 @dataclass
@@ -125,24 +134,40 @@ class RunTrace:
     monitor: object = None
     curvature_rounds: int = None    # rounds in which the curvature half ran
 
-    def record(self, problem, x, comm_total, oracle):
-        """Append the metrics of iterate x. On a QuadraticObjective the
-        value comes from the gradient already formed, phi(x) =
-        1/2 <x, g + b> with g = H x + b; other problems evaluate it."""
-        g = problem.grad(x)
-        self.grad_norm.append(float(np.linalg.norm(g)))
+    def record(self, problem, xs, comm_totals, oracle):
+        """Append the metrics of the iterates xs, a (n, m, d) stack in
+        round order, whose cumulative vector counts are comm_totals.
+
+        On a QuadraticObjective one ``grad`` call on the stack gives every
+        gradient, and the values come from them, phi(x) = 1/2 <x, g + b>
+        with g = H x + b; other problems are evaluated one iterate at a
+        time. Norms and inner products are ``np.vecdot`` over C-contiguous
+        rows: the BLAS ddot that ``np.linalg.norm`` and ``np.vdot`` take on
+        a single iterate, so every entry holds the bits of its iterate's own
+        metric (a strided row would take another ddot kernel, with other
+        bits).
+        """
+        n = len(xs)
+        flat = xs.reshape(n, -1)
+        quadratic = isinstance(problem, QuadraticObjective)
+        if quadratic:
+            g = problem.grad(xs).reshape(n, -1)
+        else:
+            g = np.stack([problem.grad(x) for x in xs]).reshape(n, -1)
+        self.grad_norm.extend(np.sqrt(np.vecdot(g, g)).tolist())
         if oracle is not None:
             x_star, phi_star = oracle
-            if isinstance(problem, QuadraticObjective):
-                value = 0.5 * float(np.vdot(x, g + problem.lin))
+            if quadratic:
+                values = 0.5 * np.vecdot(flat, g + problem.lin.reshape(-1))
             else:
-                value = problem.value(x)
-            self.phi_gap.append(float(value - phi_star))
-            self.dist_to_opt.append(float(np.linalg.norm(x - x_star)))
+                values = np.array([problem.value(x) for x in xs])
+            self.phi_gap.extend((values - phi_star).tolist())
+            err = flat - np.reshape(x_star, -1)
+            self.dist_to_opt.extend(np.sqrt(np.vecdot(err, err)).tolist())
         else:
-            self.phi_gap.append(float("nan"))
-            self.dist_to_opt.append(float("nan"))
-        self.vectors_sent.append(int(comm_total))
+            self.phi_gap.extend([float("nan")] * n)
+            self.dist_to_opt.extend([float("nan")] * n)
+        self.vectors_sent.extend(int(c) for c in comm_totals)
 
     def to_csv(self):
         lines = ["round,phi_gap,grad_norm,dist_to_opt,vectors_sent"]
@@ -271,6 +296,11 @@ def _variable_solve(G, g):
         return -struct_solve(G, g)
 
 
+# Iterates per RunTrace.record call in _drive: one stacked gradient per
+# batch instead of one per round.
+RECORD_BATCH = 16
+
+
 def _drive(problem, tau_node, config, x0, start):
     """Run synchronous rounds until a stopping rule fires.
 
@@ -281,6 +311,11 @@ def _drive(problem, tau_node, config, x0, start):
     damps node i by tau_node[i], records the trace and applies the tol_x,
     tol_grad, divergence and ``raise_on_max_rounds`` rules. ``tau_node=None``
     takes xhat undamped (x + 1.0 * (xhat - x) need not equal xhat).
+
+    Iterates are copied into a stack of RECORD_BATCH and recorded by one
+    ``RunTrace.record`` call when it is full and once when the run ends;
+    with ``tol_grad`` set, whose rule reads the round's gradient norm,
+    every iterate is recorded at once.
     """
     m, d = problem.m, problem.d
     if x0 is None:
@@ -293,15 +328,25 @@ def _drive(problem, tau_node, config, x0, start):
     trace = RunTrace()
     if config.monitor:
         trace.x_history, trace.xhat_history = [x.copy()], []
+    stack = np.empty((1 if config.tol_grad is not None else RECORD_BATCH, m, d))
+    comms = []
+
+    def keep(x, comm):
+        stack[len(comms)] = x
+        comms.append(comm)
+        if len(comms) == len(stack):
+            trace.record(problem, stack, comms, oracle)
+            comms.clear()
+
     comm = 0
-    trace.record(problem, x, comm, oracle)
+    keep(x, comm)
     for k in range(config.max_rounds):
         xhat, sent = step(x)
         comm += sent
         x_new = xhat if tau is None else x + tau * (xhat - x)
         change = float(np.abs(x_new - x).max(initial=0.0))
         x = x_new
-        trace.record(problem, x, comm, oracle)
+        keep(x, comm)
         if config.monitor:
             trace.x_history.append(x.copy())
             trace.xhat_history.append(xhat.copy())
@@ -313,6 +358,8 @@ def _drive(problem, tau_node, config, x0, start):
         if _diverged(x):
             trace.diverged = True
             break
+    if comms:
+        trace.record(problem, stack[:len(comms)], comms, oracle)
     trace.x_final = x
     if not trace.converged and config.raise_on_max_rounds:
         why = "diverged" if trace.diverged else "no convergence"

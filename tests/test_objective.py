@@ -349,6 +349,10 @@ def test_quadratic_objective_shape_errors_are_typed():
         QuadraticObjective(2, 1, np.zeros((3, 1, 1)), np.zeros((2, 1)))
     with pytest.raises(ObjectiveError):
         QuadraticObjective(2, 1, np.zeros((2, 1, 1)), np.zeros(2))
+    q = QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)))
+    for x in (np.zeros(3), np.zeros((2, 2)), np.zeros((4, 3, 1))):
+        with pytest.raises(ObjectiveError):
+            q.grad(x)
 
 
 # -- the compiled objective against the per-coupling loop ---------------------
@@ -437,6 +441,26 @@ def test_compiled_objective_equals_per_coupling_loop(q, seed):
         assert abs(q.value(x) - ref) <= 1e-13 * scale
 
 
+@given(quadratic_objectives(), st.integers(min_value=1, max_value=20),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_grad_of_a_stack_is_the_stacked_grads(q, K, seed):
+    """grad on a (K, m, d) stack holds the single-iterate gradients, bit for
+    bit, as a C-contiguous stack; flat (md,) iterates are the unbatched
+    case. Entries span 1e-100 to 1e100 with signed zeros among them."""
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((K, q.m, q.d)) * 10.0 ** rng.uniform(-100, 100, (K, q.m, q.d))
+    zeros = rng.random(xs.shape) < 0.2
+    xs[zeros] = rng.choice([0.0, -0.0], np.count_nonzero(zeros))
+    with np.errstate(all="ignore"):
+        got = q.grad(xs)
+        expected = np.stack([q.grad(x) for x in xs])
+        flat = np.stack([q.grad(x.reshape(-1)) for x in xs])
+    assert got.shape == expected.shape == (K, q.m, q.d) and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(flat.view(np.int64), expected.view(np.int64))
+
+
 def test_couplings_are_frozen():
     q = random_qp(seed=6)
     e = q.edges[0]
@@ -470,18 +494,22 @@ def test_malformed_coupling_keys_are_typed():
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6),
-       st.integers(0, 12), st.sampled_from([(), (2,), (2, 3)]), st.booleans())
+       st.integers(0, 12), st.sampled_from([(), (2,), (2, 3)]), st.booleans(),
+       st.sampled_from([(), (3,), (2, 2)]))
 @settings(max_examples=100, deadline=None)
-def test_row_scatter_equals_add_at(seed, n, k, tail, with_start):
+def test_row_scatter_equals_add_at(seed, n, k, tail, with_start, lead):
+    """Rows at axis len(lead); every batch entry equals its own add.at."""
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, k)
-    vals = rng.standard_normal((k,) + tail) * 10.0 ** rng.integers(-8, 8, (k,) + tail)
-    start = rng.standard_normal((n,) + tail) if with_start else None
-    want = np.zeros((n,) + tail) if start is None else start.copy()
-    np.add.at(want, idx, vals)
+    vals = rng.standard_normal(lead + (k,) + tail) * 10.0 ** rng.integers(
+        -8, 8, lead + (k,) + tail)
+    start = rng.standard_normal(lead + (n,) + tail) if with_start else None
+    want = np.zeros(lead + (n,) + tail) if start is None else start.copy()
+    for b in np.ndindex(lead):
+        np.add.at(want[b], idx, vals[b])
     scatter = RowScatter(idx, n)
     for _ in range(2):                  # the second call reuses the flat indices
-        got = scatter(vals, start=start)
+        got = scatter(vals, start=start, axis=len(lead))
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

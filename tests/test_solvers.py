@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpjacobi import solvers
 from mpjacobi.messages import SingularSenderCurvature, SurrogateSpec
 from mpjacobi.objective import (
     NotQuadratic,
@@ -678,8 +681,8 @@ def test_final_curvature_reads_no_iterate(case, d, seed):
     for run in range(2):
         q.lin = rng.standard_normal((q.m, d))
         x0 = rng.standard_normal((q.m, d))
-        for tag, cfg in (("exact", SolverConfig(tau=0.5, max_rounds=rounds, tol_x=-1.0)),
-                         ("schur", SolverConfig(tau=0.5, max_rounds=rounds, tol_x=-1.0,
+        for tag, cfg in (("exact", SolverConfig(tau=0.5, max_rounds=rounds, tol_x=0.0)),
+                         ("schur", SolverConfig(tau=0.5, max_rounds=rounds, tol_x=0.0,
                                                 surrogate=spec))):
             trace = mp_jacobi_surrogate(q, part, cfg, x0=x0)
             assert trace.rounds == rounds and trace.curvature_rounds < rounds
@@ -896,3 +899,176 @@ def test_baseline_singular_block_is_ill_posed():
         baseline("jacobi", q, {"max_rounds": 3})
     with pytest.raises(IllPosedSubproblem):
         baseline("block_jacobi_central", q, {"max_rounds": 3, "clusters": [[0], [1], [2]]})
+
+
+# ---------------------------------------------------------------------------
+# configuration checks and batched trace recording
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_rounds", 2.5), ("max_rounds", -1), ("max_rounds", True), ("max_rounds", np.True_),
+    ("max_rounds", np.float64(3.0)), ("max_rounds", "10"), ("max_rounds", None),
+    ("tol_x", -1e-12), ("tol_x", float("nan")), ("tol_x", None), ("tol_x", "0"),
+    ("tol_grad", -1.0), ("tol_grad", float("nan"))])
+def test_solver_config_rejects_malformed_rounds_and_tolerances(field, value):
+    with pytest.raises(SolverError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_integer_rounds():
+    g, q = ring_qp(m=6, d=1, seed=1)
+    part = generate_partition("ring_P2", g, D=1)
+    cfg = SolverConfig(tau=0.5, max_rounds=np.int64(3), tol_x=0.0, tol_grad=np.float64(0.0))
+    assert mp_jacobi(q, part, cfg).rounds == 3
+
+
+_TINY = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2e-308])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2500), st.integers(1, 17))
+@settings(max_examples=150, deadline=None)
+def test_vecdot_rows_are_the_single_iterate_dots_bitwise(seed, length, rows):
+    """RunTrace.record takes the norms and inner products of a stack's
+    C-contiguous rows by np.vecdot. Each row holds the bits that
+    np.linalg.norm (sqrt of a.dot(a)) and np.vdot give on that row alone:
+    both are the BLAS ddot. np.dot of two length-1 vectors is their lone
+    product, so it can be -0.0 where vecdot and vdot sum from +0.0; from
+    length 2 on np.dot agrees too."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        """Random signs and magnitudes 1e-300 to 1e300, about a third of
+        the entries signed zeros or subnormals."""
+        out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        special = rng.random(shape) < 0.3
+        out[special] = rng.choice(_TINY, np.count_nonzero(special))
+        return out
+
+    def bits(v):
+        return np.asarray(v, dtype=float).view(np.int64)
+
+    a, b = draw((rows, length)), draw((rows, length))
+    with np.errstate(all="ignore"):
+        squares, products = np.vecdot(a, a), np.vecdot(a, b)
+        for k in range(rows):
+            assert bits(squares[k]) == bits(np.dot(a[k], a[k]))
+            assert bits(products[k]) == bits(np.vdot(a[k], b[k]))
+            if length > 1:
+                assert bits(products[k]) == bits(np.dot(a[k], b[k]))
+
+
+def _single_iterate_metrics(problem, x, oracle):
+    """(grad_norm, phi_gap, dist_to_opt) of one iterate, computed alone:
+    norms by np.linalg.norm, a quadratic's value from its gradient by
+    np.vdot."""
+    x_star, phi_star = oracle
+    g = problem.grad(x)
+    if isinstance(problem, QuadraticObjective):
+        value = 0.5 * float(np.vdot(x, g + problem.lin))
+    else:
+        value = problem.value(x)
+    return (float(np.linalg.norm(g)), float(value - phi_star),
+            float(np.linalg.norm(x - x_star)))
+
+
+def _run_tol_x_mid_batch(monkeypatch):
+    g, q = ring_qp(m=8, d=2, seed=3)
+    oracle = global_solve_oracle(q)
+    trace = mp_jacobi(q, generate_partition("ring_P2", g, D=1),
+                      SolverConfig(tau=0.5, tol_x=1e-6, monitor=True, track_oracle=oracle))
+    assert trace.converged and trace.rounds + 1 > solvers.RECORD_BATCH
+    assert (trace.rounds + 1) % solvers.RECORD_BATCH != 0
+    return trace, q, oracle
+
+
+def _run_tol_grad_minsum(monkeypatch):
+    monkeypatch.setattr(solvers, "SolverConfig", partial(SolverConfig, monitor=True))
+    _, q = ring_qp(m=8, d=2, seed=3)
+    oracle = global_solve_oracle(q)
+    trace = baseline("minsum", q, {"tol": 1e-8, "oracle": oracle, "max_rounds": 400})
+    assert trace.converged and trace.grad_norm[-1] <= 1e-8 < trace.grad_norm[-2]
+    return trace, q, oracle
+
+
+def _run_diverges(monkeypatch):
+    q, part = random_valid_instance(3)
+    oracle = global_solve_oracle(q)
+    with np.errstate(all="ignore"):
+        trace = mp_jacobi(q, part, SolverConfig(tau=50, max_rounds=3000, monitor=True,
+                                                track_oracle=oracle),
+                          x0=np.ones((q.m, q.d)))
+    assert trace.diverged
+    return trace, q, oracle
+
+
+def _run_no_rounds(monkeypatch):
+    g, q = ring_qp(m=6, d=2, seed=1)
+    oracle = global_solve_oracle(q)
+    x0 = np.random.default_rng(1).standard_normal((q.m, q.d))
+    trace = mp_jacobi(q, generate_partition("ring_P2", g, D=1),
+                      SolverConfig(max_rounds=0, monitor=True, track_oracle=oracle), x0=x0)
+    assert trace.rounds == 0
+    return trace, q, oracle
+
+
+def _run_raise_on_max_rounds(monkeypatch):
+    """The run raises; the trace it built is caught as it is created."""
+    made = []
+
+    class Kept(solvers.RunTrace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "RunTrace", Kept)
+    g, q = ring_qp(m=8, d=2, seed=3)
+    oracle = global_solve_oracle(q)
+    with pytest.raises(NonConvergent):
+        mp_jacobi(q, generate_partition("ring_P2", g, D=1),
+                  SolverConfig(tau=0.5, max_rounds=20, monitor=True, track_oracle=oracle,
+                               raise_on_max_rounds=True))
+    (trace,) = made
+    assert trace.rounds == 20
+    return trace, q, oracle
+
+
+def _run_hyper(monkeypatch):
+    q, part = _hyper_instance()
+    oracle = global_solve_oracle(q)
+    trace = h_mp_jacobi(q, part, SolverConfig(tau=0.2, max_rounds=40, tol_x=0.0,
+                                              monitor=True, track_oracle=oracle))
+    return trace, q, oracle
+
+
+def _run_cta(monkeypatch):
+    from mpjacobi.bench import cta_instance
+    from mpjacobi.objective import CtaProblem
+
+    g, _, prob = cta_instance(m=8, d=2, gamma=0.01, seed=2)
+    assert isinstance(prob, CtaProblem)
+    oracle = global_solve_oracle(prob.to_quadratic())
+    qmax = max(float(np.linalg.eigvalsh(f.Q)[-1]) for f in prob.locals_)
+    spec = SurrogateSpec(family="partial_linearization", Q=qmax + 0.1)
+    trace = mp_jacobi_surrogate(prob, generate_partition("ring_P2", g, D=1),
+                                SolverConfig(tau=1.0, max_rounds=40, tol_x=0.0, monitor=True,
+                                             track_oracle=oracle, surrogate=spec))
+    return trace, prob, oracle
+
+
+@pytest.mark.parametrize("run", [
+    _run_tol_x_mid_batch, _run_tol_grad_minsum, _run_diverges, _run_no_rounds,
+    _run_raise_on_max_rounds, _run_hyper, _run_cta], ids=lambda f: f.__name__[5:])
+def test_batched_record_is_the_per_iterate_metrics(run, monkeypatch):
+    """Recording in batches keeps every trace entry the metric of its own
+    iterate, bit for bit, with one entry per iterate (rounds + 1), however
+    the run ends."""
+    trace, problem, oracle = run(monkeypatch)
+    n = trace.rounds + 1
+    assert len(trace.x_history) == n
+    for name in ("grad_norm", "phi_gap", "dist_to_opt", "vectors_sent"):
+        assert len(getattr(trace, name)) == n
+    with np.errstate(all="ignore"):
+        expected = np.array([_single_iterate_metrics(problem, x, oracle)
+                             for x in trace.x_history])
+    got = np.array([trace.grad_norm, trace.phi_gap, trace.dist_to_opt]).T
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
