@@ -33,7 +33,11 @@ bit, every later round would return them again. Each rule returns its
 curvature half as a :class:`Curvature`, and passing it back as
 ``curvature=`` skips the curvature work: the rule forms only its linear
 aggregate and solves for the linear column alone by the full rule's
-operation on it, so the message is the full rule's bit for bit.
+operation on it, so the message is the full rule's bit for bit. An exactly
+diagonal struct system divides the column by its diagonal and a d = 1
+exact system multiplies it by the reciprocal formed with the curvature;
+any other system solves the full right-hand side again with the column
+written in.
 
 Solves and products. The exact rule, the one implementation of the paper's
 exact message, solves every sender system by :func:`lapack_solve`,
@@ -74,12 +78,13 @@ class SingularA(MessageError):
     pass
 
 
-def is_diagonal(A, tol=0.0):
-    """Exact (tol=0) or approximate diagonality of a square matrix."""
-    off = A - np.diag(np.diag(A))
-    if tol == 0.0:
-        return not np.any(off)
-    return np.max(np.abs(off)) <= tol
+def _rewritten_column(solve, rhs):
+    """c -> solve(rhs)[..., -1] with c written into rhs[..., -1]."""
+    def column(c):
+        rhs[..., -1] = c
+        return solve(rhs)[..., -1]
+
+    return column
 
 
 class StructSystem:
@@ -89,8 +94,12 @@ class StructSystem:
     Matrices that are exactly diagonal are solved by division, so diagonal
     message families stay exactly diagonal instead of merely numerically
     diagonal; the others go to LAPACK. The choice is made per matrix, so a
-    batch equals its stacked single solves bit for bit. A zero on the
-    diagonal of a diagonal matrix raises ``np.linalg.LinAlgError``.
+    batch equals its stacked single solves bit for bit, and ``__init__``
+    decides once whether the batch is all diagonal, none diagonal or
+    mixed. On an all-diagonal batch ``column`` divides the new column
+    alone: division is elementwise, so c / diag are the full solve's bits.
+    A zero on the diagonal of a diagonal matrix raises
+    ``np.linalg.LinAlgError``.
     """
 
     def __init__(self, A):
@@ -101,6 +110,7 @@ class StructSystem:
                                axis=(-2, -1))
         if np.any(self.diag[self.is_diag] == 0.0):
             raise np.linalg.LinAlgError("singular diagonal system")
+        self.all_diag, self.none_diag = np.all(self.is_diag), not np.any(self.is_diag)
 
     def solve(self, rhs):
         """X with A @ X = rhs, for a vector (..., d) or matrix (..., d, k)
@@ -108,10 +118,10 @@ class StructSystem:
         A, diag, is_diag = self.A, self.diag, self.is_diag
         rhs = np.asarray(rhs, dtype=float)
         vector = rhs.ndim == A.ndim - 1
+        if self.all_diag:
+            return rhs / diag if vector else rhs / diag[..., None]
         b = rhs[..., None] if vector else rhs
-        if np.all(is_diag):
-            X = b / diag[..., None]
-        elif not np.any(is_diag):
+        if self.none_diag:
             X = np.linalg.solve(A, b)
         else:
             b = np.broadcast_to(b, A.shape[:-2] + b.shape[-2:])
@@ -119,6 +129,14 @@ class StructSystem:
             X[is_diag] = b[is_diag] / diag[is_diag][..., None]
             X[~is_diag] = np.linalg.solve(A[~is_diag], b[~is_diag])
         return X[..., 0] if vector else X
+
+    def column(self, rhs):
+        """The map c -> X[..., -1] with A X = rhs and c written into
+        rhs[..., -1]: the full solve's last column, bit for bit."""
+        if not self.all_diag:
+            return _rewritten_column(self.solve, rhs)
+        diag = self.diag
+        return lambda c: c / diag
 
 
 def struct_solve(A, rhs):
@@ -132,37 +150,47 @@ def struct_solve(A, rhs):
     return system.solve(rhs)
 
 
-def lapack_solver(A):
-    """The map rhs -> X with A @ X = rhs for A (..., d, d) and rhs
-    (..., d, k), bit-equal to ``np.linalg.solve(A, rhs)``.
+class LapackSystem:
+    """Matrices A (..., d, d) whose solves of rhs (..., d, k) are bit-equal
+    to ``np.linalg.solve(A, rhs)``.
 
     d = 1 takes no LAPACK call: OpenBLAS solves a 1 x 1 system with one
     right-hand side by rhs / a (trsv) and with more by rhs * (1 / a) (trsm
     multiplies by the pivot's reciprocal), so k = 1 divides and k >= 2
-    (a kept :class:`Curvature`'s column too) multiplies by 1/A. An exact
-    zero pivot (-0.0 too) raises ``np.linalg.LinAlgError("Singular
-    matrix")``, as numpy does; subnormal, infinite and NaN pivots give
-    LAPACK's bits. d >= 2 calls ``np.linalg.solve``, whose FMA kernels numpy
-    cannot repeat, so there a singular A raises when the map is called.
+    multiplies by 1/A, formed once; ``column``, the kept column of a k >= 2
+    solve, multiplies by it too. An exact zero pivot (-0.0 too) raises
+    ``np.linalg.LinAlgError("Singular matrix")``, as numpy does; subnormal,
+    infinite and NaN pivots give LAPACK's bits. d >= 2 calls
+    ``np.linalg.solve``, whose FMA kernels numpy cannot repeat, so there a
+    singular A raises when ``solve`` is called.
     """
-    if A.shape[-1] != 1:
-        return lambda rhs: np.linalg.solve(A, rhs)
-    if np.count_nonzero(A) < A.size:
-        raise np.linalg.LinAlgError("Singular matrix")
-    with np.errstate(all="ignore"):
-        inverse = 1.0 / A
 
-    def solve(rhs):
+    def __init__(self, A):
+        self.A = A
+        self.scalar = A.shape[-1] == 1
+        if self.scalar and np.count_nonzero(A) < A.size:
+            raise np.linalg.LinAlgError("Singular matrix")
         with np.errstate(all="ignore"):
-            return rhs / A if rhs.shape[-1] == 1 else rhs * inverse
+            self.inverse = 1.0 / A if self.scalar else None
 
-    return solve
+    def solve(self, rhs):
+        if not self.scalar:
+            return np.linalg.solve(self.A, rhs)
+        with np.errstate(all="ignore"):
+            return rhs / self.A if rhs.shape[-1] == 1 else rhs * self.inverse
+
+    def column(self, rhs):
+        """As :meth:`StructSystem.column`."""
+        if not self.scalar:
+            return _rewritten_column(self.solve, rhs)
+        inverse = self.inverse[..., 0]
+        return np.errstate(all="ignore")(lambda c: c * inverse)
 
 
 def lapack_solve(A, rhs):
     """``np.linalg.solve(A, rhs)`` bit for bit, without LAPACK at d = 1;
-    see :func:`lapack_solver`."""
-    return lapack_solver(A)(rhs)
+    see :class:`LapackSystem`."""
+    return LapackSystem(A).solve(rhs)
 
 
 def block_matvec(B, v):
@@ -187,27 +215,18 @@ class Curvature:
     solve: object
 
 
-def _solve_curvature(S, rhs, H_of, error, lapack=False):
-    """X[..., -1] of the full rule's solve S X = rhs by ``struct_solve`` or
-    ``lapack_solver`` (a singular S raises ``error``), and its Curvature: H
-    is ``H_of(X)``; ``solve`` repeats the full rule's operation for a new
-    last column c, hence its bits: c * (1/S) at d = 1 with ``lapack``, as
-    rhs has k >= 2 columns, else a solve of rhs with c written in."""
+def _solve_curvature(S, rhs, H_of, error, system=StructSystem):
+    """X[..., -1] of the full rule's solve S X = rhs by ``system``, a
+    :class:`StructSystem` or :class:`LapackSystem` of S (a singular S raises
+    ``error``), and its Curvature: H is ``H_of(X)``; ``solve`` is the
+    system's ``column`` for rhs, so a new last column c gets the full
+    rule's bits."""
     try:
-        solve = lapack_solver(S) if lapack else StructSystem(S).solve
-        X = solve(rhs)
+        system = system(S)
+        X = system.solve(rhs)
     except np.linalg.LinAlgError as exc:
         raise error(str(exc)) from exc
-    if lapack and S.shape[-1] == 1:
-        with np.errstate(all="ignore"):
-            inverse = 1.0 / S[..., 0]
-        column = np.errstate(all="ignore")(lambda c: c * inverse)
-    else:
-        def column(c):
-            rhs[..., -1] = c
-            return solve(rhs)[..., -1]
-
-    return X[..., -1], Curvature(H_of(X), column)
+    return X[..., -1], Curvature(H_of(X), system.column(rhs))
 
 
 def _mv(A, x):
@@ -364,7 +383,7 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
             return 0.5 * (H + np.swapaxes(H, -1, -2))
 
         col, curvature = _solve_curvature(A, rhs, H_of, SingularSenderCurvature,
-                                          lapack=True)
+                                          LapackSystem)
     else:
         col = curvature.solve(c)
     return QuadraticMessage(curvature.H, -block_matvec(B_ij, col), curvature)

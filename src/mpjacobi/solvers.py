@@ -36,6 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .messages import (
+    LapackSystem,
     QuadraticMessage,
     cta_partial_linearization_message,
     diagonalize_message,
@@ -43,7 +44,6 @@ from .messages import (
     first_order_message,
     hyper_factor_message,
     lapack_solve,
-    lapack_solver,
     message_vectors,
     schur_message_update,
     struct_solve,
@@ -421,7 +421,7 @@ def _pair_grads(problem, rows, cols):
     callbacks of a SmoothObjective otherwise."""
     if isinstance(problem, QuadraticObjective):
         B = problem.couplings(rows, cols)
-        return lambda x: np.einsum("eij,ej->ei", B, x[cols])
+        return lambda x: np.einsum("eij,ej->ei", B, x.take(cols, axis=0))
 
     def grads(x):
         out = np.zeros((len(rows), problem.d))
@@ -474,7 +474,7 @@ def _exact_run(problem, intra_edges, tau_node, config, x0, sweeps=0):
     def curvature(H_msg):
         inH = lay.at_receivers(H_msg, start=problem.diag)
         with _ill_posed():
-            return lapack_solver(inH), lay.others(inH, H_msg)
+            return LapackSystem(inH).solve, lay.others(inH, H_msg)
 
     def linear(x, h_msg, state, kept):
         node_solve, A = state
@@ -533,38 +533,14 @@ def _first_order_run(problem, partition, config, x0, spec):
                       x0, lay.directed)
 
 
-def delayed_gradient_reference(problem, partition, config, x0, alpha):
-    """Explicit gradient-delayed recursion equivalent to the first-order
-    family: intra-cluster coupling gradients are read one round late (zero
-    before the first round, matching zero message initialization).
-    """
-    m, d = problem.m, problem.d
-    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
-    x_prev = None
-    tau_node = _tau_per_node(problem, partition, config)
-    out_i, out_k = np.array([(i, k) for i in range(m) for k in partition.n_out[i]],
-                            dtype=int).reshape(-1, 2).T
-    in_i, in_j = np.array([(i, j) for i in range(m) for j in partition.n_in[i]],
-                          dtype=int).reshape(-1, 2).T
-    frozen = _pair_grads(problem, out_i, out_k)
-    delayed = _pair_grads(problem, in_i, in_j)
-    at_out = RowScatter(out_i, m)
-    at_both = RowScatter(np.concatenate([out_i, in_i]), m)
-    iterates = [x.copy()]
-    for _ in range(config.max_rounds):
-        g = _node_grads(problem, x)
-        if x_prev is None:
-            g = at_out(frozen(x), start=g)
-        else:
-            g = at_both(np.concatenate([frozen(x), delayed(x_prev)]), start=g)
-        xhat = x - alpha * g
-        x_prev = x
-        x = x + tau_node[:, None] * (xhat - x)
-        iterates.append(x.copy())
-    return iterates
-
-
 def _schur_run(problem, partition, config, x0, spec):
+    """Structured-quadratic family on a pairwise quadratic: node curvatures
+    Q + n_out M_node (the problem's own blocks with
+    ``exact_variable_update``) and one :func:`schur_message_update` call per
+    round. Everything that reads no iterate is gathered once per run; the
+    receiver-side coupling gradients are the sender-side ones of the
+    reverse edges, which apply the same block to the same row.
+    """
     if not isinstance(problem, QuadraticObjective):
         raise NotQuadratic("schur_quadratic family needs quadratic couplings")
     lay = _PairwiseLayout(problem, partition.intra_edges)
@@ -572,13 +548,13 @@ def _schur_run(problem, partition, config, x0, spec):
     s, t = lay.senders, lay.receivers
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
     to_sender = _pair_grads(problem, s, t)
-    to_receiver = _pair_grads(problem, t, s)
     n_out = np.bincount(lay.csrc, minlength=m)[:, None, None]
     Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
     Mn = np.stack([spec.node_matrix("M", i, d) for i in range(m)])
     M_edge = np.array([spec.edge_matrix(a, b, d) for a, b in lay.directed],
                       dtype=float).reshape(-1, d, d)
     G_base = Q + n_out * Mn         # variable-update curvature before messages
+    Q_s, Mn_s, Mn_t = Q[s], Mn[s], Mn[t]
 
     def curvature(H_msg):
         H_node = lay.at_receivers(H_msg)
@@ -595,12 +571,14 @@ def _schur_run(problem, partition, config, x0, spec):
             g = grad_phi - np.einsum("ikl,il->ik", G_base, x) + boundary
         h_node = lay.at_receivers(h_msg)
         xhat = _variable_solve(G, g + h_node)
+        grads = to_sender(x)
         msg = schur_message_update(
-            Q_j=Q[s], M_j=Mn[s], M_i=Mn[t], M_ij=M_edge,
-            grad_phi_j=grad_phi[s], grad_j_psi=to_sender(x),
-            grad_i_psi=to_receiver(x), x_j_ref=x[s], x_i_ref=x[t],
+            Q_j=Q_s, M_j=Mn_s, M_i=Mn_t, M_ij=M_edge,
+            grad_phi_j=grad_phi.take(s, axis=0), grad_j_psi=grads,
+            grad_i_psi=grads.take(lay.rev, axis=0), x_j_ref=x.take(s, axis=0),
+            x_i_ref=x.take(t, axis=0),
             incoming=[QuadraticMessage(H_in, lay.others(h_node, h_msg))],
-            boundary_grad=boundary[s], curvature=kept)
+            boundary_grad=boundary.take(s, axis=0), curvature=kept)
         return xhat, msg.H, msg.h, msg.curvature
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
@@ -623,6 +601,7 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     w_cross = -(W[lay.csrc, lay.cdst] / gamma)[:, None]
     Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
     base = Q + ((1.0 - w_self) / gamma)[:, None, None] * np.eye(d)
+    Q_s, w_self_s = Q[s], w_self[s]
 
     def curvature(H_msg):
         H_node = lay.at_receivers(H_msg)
@@ -631,15 +610,15 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     def linear(x, h_msg, state, kept):
         S, H_in = state
         grad_f = problem.local_grads(x)
-        boundary = lay.at_cross(w_cross * x[lay.cdst])
+        boundary = lay.at_cross(w_cross * x.take(lay.cdst, axis=0))
         h_node = lay.at_receivers(h_msg)
         xhat = _variable_solve(S, grad_f - np.einsum("ikl,il->ik", Q, x)
                                + boundary + h_node)
         msg = cta_partial_linearization_message(
-            Q_i=Q[s], w_ii=w_self[s], w_ij=w_edge, gamma=gamma,
-            grad_f_i=grad_f[s], x_i_ref=x[s],
+            Q_i=Q_s, w_ii=w_self_s, w_ij=w_edge, gamma=gamma,
+            grad_f_i=grad_f.take(s, axis=0), x_i_ref=x.take(s, axis=0),
             incoming=[QuadraticMessage(H_in, lay.others(h_node, h_msg))],
-            boundary_lin=boundary[s], curvature=kept)
+            boundary_lin=boundary.take(s, axis=0), curvature=kept)
         return xhat, msg.H, msg.h, msg.curvature
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
@@ -850,7 +829,7 @@ class _HyperLayout:
         """The round's (K + 2 n_out, d) table of terms linear in x."""
         T = np.empty((len(self.lin_row), self.d))
         for sel, M, nodes in self.lin_groups:
-            T[sel] = (M @ x[nodes].reshape(len(sel), -1, 1))[..., 0]
+            T[sel] = (M @ x.take(nodes, axis=0).reshape(len(sel), -1, 1))[..., 0]
         return self.at_lin(self.lin_coef * T)
 
     def node_curvatures(self, problem, H_msg):
@@ -941,7 +920,8 @@ def _hyper_run(problem, hpartition, config, x0, view):
             H_new = kept[1]
         keep = (curvatures, H_new)
         if surrogate_diag:
-            msg = diagonalize_message(QuadraticMessage(H_new, h_new), x[lay.nodes])
+            msg = diagonalize_message(QuadraticMessage(H_new, h_new),
+                                      x.take(lay.nodes, axis=0))
             H_new, h_new = msg.H, msg.h
         return xhat, H_new, h_new, keep
 

@@ -23,6 +23,8 @@ from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
     CtaProblem,
     QuadraticLocal,
+    RowScatter,
+    as_blocks,
     build_cta,
     build_laplacian_qp,
     build_random_qp,
@@ -33,9 +35,11 @@ from mpjacobi.objective import (
 from mpjacobi.rate_analysis import compute_A, estimate_constants, rate_terms, spectral_rate_oracle
 from mpjacobi.solvers import (
     SolverConfig,
+    _node_grads,
+    _pair_grads,
+    _tau_per_node,
     baseline,
     delayed_block_jacobi,
-    delayed_gradient_reference,
     mp_jacobi,
     mp_jacobi_surrogate,
     tree_solve,
@@ -287,6 +291,37 @@ def test_criterion_9a_exact_family_bitwise():
     tb = mp_jacobi(q, part, cfg_e, x0=x0)
     ok = np.array_equal(ta.x_final, tb.x_final)
     assert _status("9a exact-family-bitwise", ok)
+
+
+def delayed_gradient_reference(problem, partition, config, x0, alpha):
+    """Explicit gradient-delayed recursion equivalent to the first-order
+    family: intra-cluster coupling gradients are read one round late (zero
+    before the first round, matching zero message initialization).
+    """
+    m, d = problem.m, problem.d
+    x = np.zeros((m, d)) if x0 is None else as_blocks(x0, m, d).copy()
+    x_prev = None
+    tau_node = _tau_per_node(problem, partition, config)
+    out_i, out_k = np.array([(i, k) for i in range(m) for k in partition.n_out[i]],
+                            dtype=int).reshape(-1, 2).T
+    in_i, in_j = np.array([(i, j) for i in range(m) for j in partition.n_in[i]],
+                          dtype=int).reshape(-1, 2).T
+    frozen = _pair_grads(problem, out_i, out_k)
+    delayed = _pair_grads(problem, in_i, in_j)
+    at_out = RowScatter(out_i, m)
+    at_both = RowScatter(np.concatenate([out_i, in_i]), m)
+    iterates = [x.copy()]
+    for _ in range(config.max_rounds):
+        g = _node_grads(problem, x)
+        if x_prev is None:
+            g = at_out(frozen(x), start=g)
+        else:
+            g = at_both(np.concatenate([frozen(x), delayed(x_prev)]), start=g)
+        xhat = x - alpha * g
+        x_prev = x
+        x = x + tau_node[:, None] * (xhat - x)
+        iterates.append(x.copy())
+    return iterates
 
 
 def test_criterion_9b_first_order_equals_delayed_gradient():

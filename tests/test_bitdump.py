@@ -1,7 +1,7 @@
 """Smoke test of ``tools/bitdump.py``, the bit-for-bit trace check of the
-benchmark workloads: a dump at the workloads' self-test sizes matches
-itself, and ``--compare`` names each array whose bits changed: by one ulp,
-or a -0.0 for a +0.0."""
+benchmark workloads and the CTA engine: a dump at the self-test sizes
+matches itself, and ``--compare`` names each array whose bits changed: by
+one ulp, or a -0.0 for a +0.0."""
 
 import subprocess
 import sys
@@ -26,13 +26,16 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
         arrays = dict(f)
     fields = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final",
               "monitor_H", "monitor_h")
-    assert set(arrays) == {f"{w}/seed{s}/{name}" for w in ("path_exact", "ring_schur")
+    runs = ("path_exact", "ring_schur", "cta_plin")
+    assert set(arrays) == {f"{w}/seed{s}/{name}" for w in runs
                            for s in (1, 2) for name in fields}
     assert arrays["path_exact/seed1/x_final"].shape[1] == 1
     assert arrays["ring_schur/seed2/monitor_H"].shape[1:] == (2, 2)
+    assert arrays["cta_plin/seed1/x_final"].shape == (8, 2)
+    assert len(arrays["cta_plin/seed2/grad_norm"]) == 201
 
     same = _bitdump("--compare", a, a)
-    assert same.returncode == 0 and "0 of 28 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 42 arrays differ" in same.stdout
 
     def saved(name, h0, x_nudge):
         """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0 and
@@ -51,4 +54,4 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert diff.returncode == 1
     assert diff.stdout.splitlines() == ["path_exact/seed2/x_final",
                                         "ring_schur/seed1/monitor_h",
-                                        "2 of 28 arrays differ"]
+                                        "2 of 42 arrays differ"]

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpjacobi.messages import (
+    LapackSystem,
     QuadraticMessage,
     MessageSet,
+    StructSystem,
     SingularSenderCurvature,
     SurrogateSpec,
     block_matvec,
@@ -14,12 +16,16 @@ from mpjacobi.messages import (
     exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
-    is_diagonal,
     lapack_solve,
     message_vectors,
     schur_message_update,
     struct_solve,
 )
+
+
+def is_diagonal(A):
+    """Whether a square matrix is exactly diagonal."""
+    return not np.any(A - np.diag(np.diag(A)))
 
 
 def quad_min_oracle(S, c):
@@ -576,6 +582,32 @@ def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
     full, short = hyper(None), hyper(first.curvature)
     _assert_same_bits(short.H, full.H)
     _assert_same_bits(short.h, full.h)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 4), st.integers(1, 3),
+       st.integers(1, 3), st.sampled_from([("diag",), ("dense",), ("diag", "dense")]))
+@settings(max_examples=60, deadline=None)
+def test_kept_column_equals_full_solve_column(seed, B, d, k, kinds):
+    """A system's ``column`` for rhs (..., d, k + 1) returns the last column
+    of the full solve with c written in, bit for bit: c / diag on an
+    all-diagonal StructSystem, c * (1/A) on a d = 1 LapackSystem, a full
+    solve otherwise; B = 0 is the unbatched case."""
+    rng = np.random.default_rng(seed)
+    lead = (B,) if B else ()
+    A = _sender_batch(rng, B, d, kinds)
+    A = A if B else A[0]
+    diag = [d == 1 or kinds[b % len(kinds)] == "diag" for b in range(max(B, 1))]
+    rhs = rng.standard_normal(lead + (d, k + 1))
+    for system in (StructSystem(A), LapackSystem(A)):
+        if isinstance(system, StructSystem):
+            assert system.all_diag == all(diag)
+            assert system.none_diag == (not any(diag))
+        column = system.column(rhs.copy())
+        for _ in range(2):
+            c = rng.standard_normal(lead + (d,))
+            full = rhs.copy()
+            full[..., -1] = c
+            _assert_same_bits(column(c), system.solve(full)[..., -1])
 
 
 # pivots and right-hand-side entries beyond the normal range: subnormals,

@@ -26,7 +26,6 @@ from mpjacobi.solvers import (
     SolverError,
     baseline,
     delayed_block_jacobi,
-    delayed_gradient_reference,
     h_mp_jacobi,
     minsum_splitting,
     mp_jacobi,
@@ -37,7 +36,7 @@ from mpjacobi.solvers import (
 )
 from mpjacobi.topology import generate_partition, generate_topology, validate_hyper_partition, validate_tree_partition
 from mpjacobi.rate_analysis import estimate_constants, three_terms
-from test_acceptance import random_valid_instance
+from test_acceptance import delayed_gradient_reference, random_valid_instance
 from test_topology import tree_partition_cases
 
 
@@ -188,6 +187,33 @@ def test_schur_family_runs_and_converges():
     assert tr.converged
     xs, _ = global_solve_oracle(q)
     assert np.max(np.abs(tr.x_final - xs)) <= 1e-6
+
+
+@given(st.integers(0, 10_000), st.integers(2, 9), st.integers(1, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_receiver_pair_grads_are_reversed_sender_grads(seed, m, d, diagonal):
+    """The Schur round reads grad_i psi_ij at the receivers as the
+    sender-side gradients of the reverse edges: for every intra edge e,
+    _pair_grads over (receivers, senders) equals _pair_grads over
+    (senders, receivers) taken at rev[e], bit for bit, with either end of an
+    edge as the sender of its even edge."""
+    rng = np.random.default_rng(seed)
+    pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, m, (2 * m, 2)) if a != b}
+    assume(pairs)
+    block = (lambda: np.diag(rng.standard_normal(d))) if diagonal else (
+        lambda: rng.standard_normal((d, d)))
+    q = QuadraticObjective(m, d, np.broadcast_to(np.eye(d), (m, d, d)),
+                           np.zeros((m, d)), {e: block() for e in sorted(pairs)})
+    groups = rng.integers(0, 3, len(pairs))
+    lay = solvers._PairwiseLayout(q, [[e for e, r in zip(sorted(pairs), groups) if r == g]
+                                      for g in range(3)])
+    flip = np.arange(lay.n_edges) ^ np.repeat(rng.integers(0, 2, lay.n_edges // 2), 2)
+    s, t = lay.senders[flip], lay.receivers[flip]
+    x = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-5, 5, (m, 1))
+    receiver = solvers._pair_grads(q, t, s)(x)
+    sender = solvers._pair_grads(q, s, t)(x)
+    assert np.array_equal(receiver.view(np.int64),
+                          sender.take(lay.rev, axis=0).view(np.int64))
 
 
 def test_hyper_pairwise_reduction():

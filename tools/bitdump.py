@@ -9,9 +9,14 @@ to 10 (``--seeds`` changes the range, ``--toy`` takes the workloads'
 self-test sizes) and saves, per workload and seed, the trace's
 ``grad_norm``, ``dist_to_opt``, ``phi_gap``, ``vectors_sent``,
 ``x_final`` and ``monitor`` (H, h) as arrays named
-``<workload>/seed<n>/<field>``. The library and the workloads come from
-the checkout named by ``--root`` (default: this one), so one copy of this
-script dumps any revision.
+``<workload>/seed<n>/<field>``. The same fields of one run per seed of the
+lifted consensus (CTA) engine, which no workload runs, go under
+``cta_plin/seed<n>``: partial-linearization messages on
+``cta_instance(16, 3, 1e-3, seed)`` with the ``ring_P2`` partition at
+D = 1, tau = 1 and a fixed number of rounds (``CTA``; ``CTA_TOY`` with
+``--toy``). The library and the workloads come from the checkout named by
+``--root`` (default: this one), so one copy of this script dumps any
+revision.
 
 ``--compare A B`` lists every array whose bits differ (shape, dtype and
 bytes, so -0.0 and NaN payloads count), or that only one dump has; it
@@ -33,6 +38,8 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final")
+CTA = {"m": 16, "d": 3, "gamma": 1e-3, "rounds": 2000}
+CTA_TOY = {"m": 8, "d": 2, "gamma": 1e-3, "rounds": 200}
 
 
 def import_workloads(root):
@@ -48,20 +55,42 @@ def import_workloads(root):
     return workloads
 
 
-def dump(root, seeds, toy=False):
-    """{name: array} over every workload and seed."""
+def cta_run(seed, m, d, gamma, rounds):
+    """``rounds`` partial-linearization rounds on ``cta_instance(m, d,
+    gamma, seed)``, Q = (largest local curvature + 0.1) I, as the ``bench``
+    experiment ``cta_compare`` sets it."""
+    from mpjacobi import bench, messages, objective, solvers, topology
+    g, _, prob = bench.cta_instance(m, d, gamma, seed=seed)
+    oracle = objective.global_solve_oracle(prob.to_quadratic())
+    part = topology.generate_partition("ring_P2", g, D=1)
+    qmax = max(float(np.linalg.eigvalsh(f.Q)[-1]) for f in prob.locals_)
+    spec = messages.SurrogateSpec(family="partial_linearization", Q=qmax + 0.1)
+    cfg = solvers.SolverConfig(tau=1.0, max_rounds=rounds, tol_x=0.0,
+                               surrogate=spec, track_oracle=oracle)
+    return solvers.mp_jacobi_surrogate(prob, part, cfg)
+
+
+def traces(root, seeds, toy=False):
+    """(name, seed, trace) of every workload's and the CTA run's solves."""
     workloads = import_workloads(root)
-    arrays = {}
     for wl in workloads.WORKLOADS.values():
         for seed in seeds:
             inputs = wl.generate(seed, **(wl.toy_size if toy else wl.size))
-            trace = wl.setup(inputs).solve()
-            key = f"{wl.name}/seed{seed}"
-            for name in FIELDS:
-                arrays[f"{key}/{name}"] = np.asarray(getattr(trace, name))
-            H, h, _ = trace.monitor
-            arrays[f"{key}/monitor_H"] = np.asarray(H)
-            arrays[f"{key}/monitor_h"] = np.asarray(h)
+            yield wl.name, seed, wl.setup(inputs).solve()
+    for seed in seeds:
+        yield "cta_plin", seed, cta_run(seed, **(CTA_TOY if toy else CTA))
+
+
+def dump(root, seeds, toy=False):
+    """{name: array} over every run and seed."""
+    arrays = {}
+    for run, seed, trace in traces(root, seeds, toy):
+        key = f"{run}/seed{seed}"
+        for name in FIELDS:
+            arrays[f"{key}/{name}"] = np.asarray(getattr(trace, name))
+        H, h, _ = trace.monitor
+        arrays[f"{key}/monitor_H"] = np.asarray(H)
+        arrays[f"{key}/monitor_h"] = np.asarray(h)
     return arrays
 
 
