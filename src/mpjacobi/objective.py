@@ -328,11 +328,6 @@ class SmoothObjective:
     psi: dict = field(default_factory=dict)
     psi_hyper: dict = field(default_factory=dict)
 
-    def pair_value(self, i, j, xi, xj):
-        if i < j:
-            return self.psi[(i, j)][0](xi, xj)
-        return self.psi[(j, i)][0](xj, xi)
-
     def pair_grad_first(self, i, j, xi, xj):
         """Gradient of psi_ij w.r.t. its first listed argument x_i."""
         if i < j:

@@ -132,155 +132,168 @@ def estimate_constants(problem, partition, surrogate=None, cta=None):
 
 
 def _fill_surrogate_constants(inputs, problem, partition, spec, cta):
-    mu_t, L_t, Ldel_t, ell_t = [], [], [], []
+    """mu~_r and L~_r, the extreme eigenvalues of K = S[x_C, x_C], and
+    ell~_r = ||J||_2 with J = S[x_C, y_E], from each cluster's
+    :func:`_cluster_surrogate`. L~del_r is ||Jb||_2 with
+    Jb = S[x_C, x_ext] + S[x_C, y_out], the coupling of x_C to the outer
+    nodes at y_out = x_ext. The families split B_ik differently between the
+    two blocks (first order and Schur put it on y_out), but for every family
+    the sum is the problem's block H[C, ext], so L~del_r = L_del_r.
+    """
+    mu_t, L_t, ell_t = [], [], []
     for r in range(partition.p):
-        K, J, Jb, _ = _cluster_surrogate(problem, partition, spec, cta, r)
-        vals = np.linalg.eigvalsh(K) if len(K) else np.array([0.0])
+        sur = _cluster_surrogate(problem, partition, spec, cta, r)
+        vals = np.linalg.eigvalsh(sur.S[sur.x_C, sur.x_C])
         mu_t.append(float(vals[0]))
         L_t.append(float(vals[-1]))
-        ell_t.append(_spectral_norm(J))    # sensitivity to the edge references
-        Ldel_t.append(_spectral_norm(Jb))
+        ell_t.append(_spectral_norm(sur.S[sur.x_C, sur.y_E]))
     inputs.mu_tilde_r = mu_t
     inputs.L_tilde_r = L_t
-    inputs.L_tilde_del_r = Ldel_t
+    inputs.L_tilde_del_r = list(inputs.L_del_r)
     inputs.ell_tilde_r = ell_t
     inputs.kappa_tilde = max(L_t) / inputs.mu if inputs.mu > 0 else float("inf")
 
 
-def _cluster_surrogate(problem, partition, spec, cta, r):
-    """The blocks of cluster r's aggregated surrogate that act on its own
-    coordinates x_C (the nodes of C in cluster order, d rows each):
-
-    - K, |C|d square: the Hessian in x_C. Node curvatures first, then each
-      intra edge's (sorted), then the node curvature that each
-      cross-cluster edge adds at its end in C.
-    - J, |C|d x 2|E_C|d: d grad_{x_C} / d y_E, the edge references
-      (y_i, y_j) of each intra edge (i, j), in sorted edge order.
-    - Jb, |C|d x |ext|d: d grad_{x_C} / d x_ext, the couplings B_ik to the
-      external neighbours ``ext`` (sorted). Every family keeps the
-      cross-cluster couplings exact, so Jb is the problem's own block.
+@dataclass
+class ClusterSurrogate:
+    """Cluster r's aggregated surrogate on a quadratic problem, which is
+    exactly tilde Phi_r = 1/2 z^T S z + s^T z (no constant term) over
+    z = (x_C, x_ext, y_C, y_out, y_E), d rows per node: the cluster's
+    coordinates (``nodes``, cluster order), its external neighbours'
+    (``ext``, sorted), the node references of C and of ext, and the edge
+    references (y_i, y_j) of each intra edge (i, j) of ``intra`` (sorted).
     """
+
+    S: np.ndarray
+    s: np.ndarray
+    nodes: list
+    ext: list
+    intra: list
+    d: int
+
+    @property
+    def x_C(self):
+        return slice(0, len(self.nodes) * self.d)
+
+    @property
+    def y_E(self):
+        return slice(2 * (len(self.nodes) + len(self.ext)) * self.d, len(self.S))
+
+    def stack(self, x, y, y_E):
+        """z at the iterate x and the node references y, both (m, d), and
+        the edge references y_E, (2 |intra|, d)."""
+        at = self.nodes + self.ext
+        return np.concatenate([x[at].ravel(), y[at].ravel(), y_E.ravel()])
+
+    def consistent(self, x):
+        """z with every reference at the iterate x."""
+        return self.stack(x, x, x[np.ravel(self.intra).astype(int)])
+
+    def value(self, z):
+        return float(0.5 * z @ self.S @ z + self.s @ z)
+
+
+def _cluster_surrogate(problem, partition, spec, cta, r):
+    """Assemble cluster r's :class:`ClusterSurrogate` for ``spec``.
+
+    Each term of the surrogate is a quadratic phi over some blocks xs of x
+    with Hessian A. The exact family, and the couplings under partial
+    linearization, keep phi: A at (xs, xs). The others linearize phi at
+    references ys and add a curvature P, which makes the Hessian
+    [[P, A - P], [A - P, P - A]] over (xs, ys):
+
+    - node i: A = H_ii at (x_i, y_i) with P = I / alpha (first order) or
+      Q_i (Schur); partial linearization linearizes f_i (A = f_i's Q, P =
+      Q_i) and keeps the gossip term (1 - w_ii)/gamma I at (x_i, x_i) exact;
+    - edge (i, j): A = [[0, B_ij], [B_ij^T, 0]] at ((x_i, x_j),
+      (y_i, y_j)), the edge references for an intra edge and (y_C_i,
+      y_out_j) for a cross edge j in ext, with P = 0 (first order) or
+      [[M_i, M_ij], [M_ij^T, M_j]] (Schur).
+
+    Nodes come first, then the intra edges in sorted order, then the cross
+    edges, so K = S[x_C, x_C] sums its blocks in a fixed order. s holds the
+    nodes' linear terms (f_i's c under partial linearization) at x_C.
+    """
+    if not isinstance(problem, QuadraticObjective):
+        raise NotQuadratic("the surrogate assembly needs a quadratic problem")
+    family = spec.family
+    if family == "partial_linearization":
+        if cta is None:
+            raise RateError("partial_linearization needs its consensus problem (cta)")
+        if not cta.is_quadratic():
+            raise NotQuadratic("partial_linearization needs QuadraticLocal losses")
     d = problem.d
-    c = partition.clusters[r]
-    at = {i: slice(t * d, (t + 1) * d) for t, i in enumerate(c)}
-    n = len(c) * d
-    K = np.zeros((n, n))
-    for i in c:
-        K[at[i], at[i]] += _node_surrogate_curvature(problem, spec, cta, i)
-    intra = sorted(partition.intra_edges[r])
-    for (i, j) in intra:
-        Ki, Kj, Kij = _edge_surrogate_curvature(problem, spec, cta, i, j)
-        K[at[i], at[i]] += Ki
-        K[at[j], at[j]] += Kj
-        K[at[i], at[j]] += Kij
-        K[at[j], at[i]] += Kij.T
-    for i in c:
-        for k in partition.n_out[i]:
-            K[at[i], at[i]] += _edge_surrogate_curvature(problem, spec, cta, i, k)[0]
-
-    J = np.zeros((n, 2 * len(intra) * d))
-    for e, (i, j) in enumerate(intra):
-        Jii, Jij, Jji, Jjj = _edge_ref_jacobian(problem, spec, cta, i, j)
-        yi = slice(2 * e * d, (2 * e + 1) * d)
-        yj = slice((2 * e + 1) * d, (2 * e + 2) * d)
-        J[at[i], yi] += Jii
-        J[at[i], yj] += Jij
-        J[at[j], yi] += Jji
-        J[at[j], yj] += Jjj
-
+    c = list(partition.clusters[r])
     ext = sorted(partition.cluster_ext[r])
-    epos = {k: t for t, k in enumerate(ext)}
-    Jb = np.zeros((n, len(ext) * d))
+    intra = sorted(partition.intra_edges[r])
+    nc, ne = len(c), len(ext)
+    x_at = {i: t for t, i in enumerate(c + ext)}
+    y_at = {i: nc + ne + t for t, i in enumerate(c + ext)}
+    e_at = 2 * (nc + ne)
+    S = np.zeros(((e_at + 2 * len(intra)) * d,) * 2)
+    s = np.zeros(len(S))
+    Z = np.zeros((d, d))
+
+    def add(xs, ys, A, P=None):
+        ix = _block_indices(xs, d)
+        if P is None:
+            S[np.ix_(ix, ix)] += A
+            return
+        iy, G = _block_indices(ys, d), A - P
+        S[np.ix_(ix, ix)] += P
+        S[np.ix_(ix, iy)] += G
+        S[np.ix_(iy, ix)] += G.T
+        S[np.ix_(iy, iy)] -= G
+
+    for i in c:
+        at = slice(x_at[i] * d, (x_at[i] + 1) * d)
+        A, s[at] = problem.diag[i], problem.lin[i]
+        if family == "partial_linearization":
+            f = cta.locals_[i]
+            A, s[at] = f.Q, f.c
+            S[at, at] += (1.0 - cta.gossip.W[i, i]) / cta.gamma * np.eye(d)
+        P = (None if family == "exact" else np.eye(d) / spec.alpha
+             if family == "first_order" else spec.node_matrix("Q", i, d))
+        add([x_at[i]], [y_at[i]], A, P)
+
+    def edge(i, j, ys):
+        B = problem.coupling(i, j)
+        A = np.block([[Z, B], [B.T, Z]])
+        P = None
+        if family == "first_order":
+            P = np.zeros_like(A)
+        elif family == "schur_quadratic":
+            Mij = spec.edge_matrix(i, j, d) if i < j else spec.edge_matrix(i, j, d).T
+            P = np.block([[spec.node_matrix("M", i, d), Mij],
+                          [Mij.T, spec.node_matrix("M", j, d)]])
+        add([x_at[i], x_at[j]], ys, A, P)
+
+    for t, (i, j) in enumerate(intra):
+        edge(i, j, [e_at + 2 * t, e_at + 2 * t + 1])
     for i in c:
         for k in partition.n_out[i]:
-            Jb[at[i], epos[k] * d:(epos[k] + 1) * d] += problem.coupling(i, k)
-    return K, J, Jb, ext
-
-
-def _node_surrogate_curvature(problem, spec, cta, i):
-    d = problem.d
-    if spec.family == "first_order":
-        return np.eye(d) / spec.alpha
-    if spec.family == "schur_quadratic":
-        return spec.node_matrix("Q", i, d)
-    if spec.family == "partial_linearization":
-        W, g = cta.gossip.W, cta.gamma
-        return spec.node_matrix("Q", i, d) + (1.0 - W[i, i]) / g * np.eye(d)
-    raise RateError(f"no surrogate constants for family {spec.family!r}")
-
-
-def _edge_surrogate_curvature(problem, spec, cta, i, j):
-    d = problem.d
-    Z = np.zeros((d, d))
-    if spec.family == "first_order":
-        return Z, Z, Z
-    if spec.family == "schur_quadratic":
-        return (spec.node_matrix("M", i, d), spec.node_matrix("M", j, d),
-                spec.edge_matrix(i, j, d) if i < j else spec.edge_matrix(i, j, d).T)
-    if spec.family == "partial_linearization":
-        W, g = cta.gossip.W, cta.gamma
-        return Z, Z, -(W[i, j] / g) * np.eye(d)
-    raise RateError(spec.family)
-
-
-def _edge_ref_jacobian(problem, spec, cta, i, j):
-    """d(grad_i, grad_j) / d(y_i, y_j) for the edge surrogate of (i, j)."""
-    d = problem.d
-    B = problem.coupling(i, j)
-    Z = np.zeros((d, d))
-    if spec.family == "first_order":
-        return Z, B, B.T, Z
-    if spec.family == "schur_quadratic":
-        Mi = spec.node_matrix("M", i, d)
-        Mj = spec.node_matrix("M", j, d)
-        Mij = spec.edge_matrix(i, j, d)
-        return -Mi, B - Mij, B.T - Mij.T, -Mj
-    if spec.family == "partial_linearization":
-        return Z, Z, Z, Z  # couplings kept exact: no edge references
-    raise RateError(spec.family)
+            edge(i, k, [y_at[i], y_at[k]])
+    return ClusterSurrogate(S, s, c, ext, intra, d)
 
 
 def _bar_L(problem, partition, spec, cta, r, H):
-    """Smoothness bar_L_r of cluster r's full aggregated surrogate: the
-    2-norm of its exact Hessian over the blocks [x_C, x_rest, y_C, y_E],
-    the cluster's coordinates, every other node's coordinates, the node
-    references of C and the edge references of its intra edges.
+    """Smoothness bar_L_r of cluster r's aggregated surrogate, read with
+    the rest of the objective: the 2-norm of the Hessian of
+    tilde Phi_r + Phi - Phi_r over (x, y_C, y_out, y_E), x on every node.
+    That is S of :func:`_cluster_surrogate` plus the problem's Hessian
+    outside the cluster, H[rest, rest] (``H`` = ``problem.assemble()[0]``).
 
-    - (x_C, x_C) is K, (x_C, y_E) is J and (x_C, x_ext) is Jb, all from
-      :func:`_cluster_surrogate`;
-    - (x_rest, x_rest) is the problem's Hessian outside the cluster, sliced
-      from ``H`` = ``problem.assemble()[0]``;
-    - first-order and Schur surrogates linearize each phi_i at y_i, which
-      adds H_ii - Q_i at (x_i, y_i) and Q_i - H_ii at (y_i, y_i); a
-      partial-linearization surrogate has no y_C block.
-
-    Only the sublinear check reads it: one SVD of an (m + |C| + 2|E_C|) d
-    square matrix per cluster (no y_C block for partial linearization).
+    Only the sublinear check reads it: one SVD of an
+    (m + |C| + |ext| + 2|E_C|) d square matrix per cluster.
     """
     d = problem.d
-    c = partition.clusters[r]
-    K, J, Jb, ext = _cluster_surrogate(problem, partition, spec, cta, r)
-    idx = _block_indices(c, d)
-    rest = np.setdiff1d(np.arange(problem.m * d), idx)
-    n, yc = len(idx), len(H)          # x_C is [0, n), x_rest is [n, yc)
-    ny = n if spec.family in ("first_order", "schur_quadratic") else 0
-    ye = yc + ny
-    Hs = np.zeros((ye + J.shape[1],) * 2)
-    Hs[:n, :n] = K
-    Hs[n:yc, n:yc] = H[np.ix_(rest, rest)]
-    xe = n + np.searchsorted(rest, _block_indices(ext, d))
-    Hs[:n, xe] = Jb
-    Hs[xe, :n] = Jb.T
-    Hs[:n, ye:] = J
-    Hs[ye:, :n] = J.T
-    if ny:
-        G = np.zeros((n, n))
-        for t, i in enumerate(c):
-            s = slice(t * d, (t + 1) * d)
-            G[s, s] = problem.diag[i] - _node_surrogate_curvature(problem, spec, cta, i)
-        Hs[:n, yc:ye] = G
-        Hs[yc:ye, :n] = G.T
-        Hs[yc:ye, yc:ye] = -G
+    sur = _cluster_surrogate(problem, partition, spec, cta, r)
+    x = _block_indices(sur.nodes + sur.ext, d)
+    at = np.concatenate([x, len(H) + np.arange(len(sur.S) - len(x))])
+    rest = np.setdiff1d(np.arange(len(H)), _block_indices(sur.nodes, d))
+    Hs = np.zeros((at[-1] + 1,) * 2)
+    Hs[np.ix_(rest, rest)] = H[np.ix_(rest, rest)]
+    Hs[np.ix_(at, at)] += sur.S
     return _spectral_norm(Hs)
 
 
@@ -328,6 +341,8 @@ def three_terms(p, D, kappa, mu_min=None, A=0.0):
     """The three stepsize caps (I, II, III) = (1/p, 2 kappa/(2D+1),
     sqrt(mu_min / (8 (2D+1) A))); III is +inf when there is no covered
     coupling (no mu_min or A <= 0)."""
+    if kappa <= 0 or p < 1:
+        raise RateError("need kappa > 0 and p >= 1")
     term_III = float("inf")
     if mu_min is not None and A > 0:
         term_III = math.sqrt(mu_min / (8 * (2 * D + 1) * A))
@@ -348,8 +363,6 @@ def rate_terms(partition, inputs, surrogate=False):
     D = partition.max_diameter
     A_r, A_J, At_r = compute_A(partition, inputs, surrogate=surrogate)
     kappa = inputs.kappa_tilde if surrogate else inputs.kappa
-    if kappa <= 0 or p < 1:
-        raise RateError("need kappa > 0 and p >= 1")
     idx = set(partition.external_cover)
     if surrogate:
         big = [r for r, c in enumerate(partition.clusters) if len(c) > 1]

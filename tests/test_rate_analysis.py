@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from mpjacobi.bench import cta_instance
 from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
+    CallableLocal,
+    NotQuadratic,
     QuadraticObjective,
     build_cta,
     build_laplacian_qp,
@@ -26,8 +29,10 @@ from mpjacobi.rate_analysis import (
     rate_terms,
     ring_partition_optimizer,
     spectral_rate_oracle,
+    three_terms,
 )
 from mpjacobi.solvers import SolverConfig, delayed_block_jacobi
+from mpjacobi.verify import check_descent_lemmas, check_surrogate_regularity
 from mpjacobi.topology import generate_partition, generate_topology, validate_tree_partition, Graph
 from test_rate_reports import RING_SIZES, _instances as rate_report_instances
 from test_rate_reports import _surrogates as rate_report_surrogates
@@ -312,3 +317,68 @@ def test_bar_L_bounds_the_surrogate_constants(name):
                         inputs.L_tilde_del_r[r])
             bar_L = _bar_L(q, part, spec, cta, r, H)
             assert bar_L >= bound * (1 - 1e-12), (tag, r, bar_L, bound)
+
+
+def _two_gateway_partition():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return validate_tree_partition(generate_topology("ring", m=4), [[0, 1, 2], [3]])
+
+
+def _on_cta(call, quadratic=True):
+    """``call(q, part, cta)`` on a 4-node CTA problem: its quadratic form, the
+    ring_P2 D = 1 partition and the CTA problem itself, whose losses are
+    callbacks when ``quadratic`` is False."""
+    def run():
+        g, W, cta = cta_instance(m=4, d=1, gamma=0.05)
+        q = cta.to_quadratic()
+        if not quadratic:
+            cta = build_cta([CallableLocal(f.value, f.grad) for f in cta.locals_], W, d=1)
+        return call(q, generate_partition("ring_P2", g, D=1), cta)
+    return run
+
+
+_PL = SurrogateSpec(family="partial_linearization", Q=1.0)
+_ring4 = lambda: build_random_qp(generate_topology("ring", m=4), 1, 10.0, 0)
+
+# the smallest malformed input for each raise of rate_analysis and verify
+MALFORMED = {
+    "RateInputs/mu<0": (RateError, lambda: RateInputs(
+        mu=-1.0, mu_r=[1.0], L_r=[1.0], L_del_r=[0.0], kappa=1.0)),
+    "RateInputs/mu_r>L_r": (RateError, lambda: RateInputs(
+        mu=1.0, mu_r=[2.0], L_r=[1.0], L_del_r=[0.0], kappa=1.0)),
+    "three_terms/kappa<=0": (RateError, lambda: three_terms(1, 1, 0.0)),
+    "three_terms/p<1": (RateError, lambda: three_terms(0, 1, 1.0)),
+    "ring_optimizer/strategy": (RateError, lambda: ring_partition_optimizer(8, "P3")),
+    "grid_optimizer/side": (RateError, lambda: grid_partition_optimizer(1)),
+    "spectral_oracle/two_gateways": (RateError, lambda: spectral_rate_oracle(
+        _ring4(), _two_gateway_partition(), 0.5)),
+    "spectral_oracle/too_large": (MatrixTooLarge, lambda: spectral_rate_oracle(
+        _ring4(), generate_partition("all_singletons", generate_topology("ring", m=4)),
+        0.5, cap=3)),
+    "estimate_constants/smooth": (NotQuadratic, _on_cta(
+        lambda q, part, cta: estimate_constants(cta.to_smooth(), part))),
+    "estimate_constants/pl_without_cta": (RateError, _on_cta(
+        lambda q, part, cta: estimate_constants(q, part, surrogate=_PL))),
+    "estimate_constants/pl_callback_cta": (NotQuadratic, _on_cta(
+        lambda q, part, cta: estimate_constants(q, part, surrogate=_PL, cta=cta),
+        quadratic=False)),
+    "surrogate_regularity/smooth": (NotQuadratic, _on_cta(
+        lambda q, part, cta: check_surrogate_regularity(cta.to_smooth(), part,
+                                                        SurrogateSpec()))),
+    "surrogate_regularity/pl_without_cta": (RateError, _on_cta(
+        lambda q, part, cta: check_surrogate_regularity(q, part, _PL))),
+    "surrogate_regularity/pl_callback_cta": (NotQuadratic, _on_cta(
+        lambda q, part, cta: check_surrogate_regularity(q, part, _PL, cta=cta),
+        quadratic=False)),
+    "descent_lemmas/tau": (ValueError, lambda: check_descent_lemmas(
+        _ring4(), generate_partition("ring_P2", generate_topology("ring", m=4), D=1),
+        tau=0.9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_typed_error(case):
+    error, call = MALFORMED[case]
+    with pytest.raises(error):
+        call()

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpjacobi.bench import cta_instance
 from mpjacobi.messages import SurrogateSpec
@@ -11,11 +15,10 @@ from mpjacobi.objective import (
     global_solve_oracle,
     metropolis_weights,
 )
-from mpjacobi.rate_analysis import _cluster_surrogate, estimate_constants
+from mpjacobi.rate_analysis import _bar_L, _cluster_surrogate, estimate_constants
 from mpjacobi.solvers import SolverConfig, mp_jacobi_surrogate, select_stepsize
 from mpjacobi.topology import generate_partition, generate_topology, validate_tree_partition
 from mpjacobi.verify import (
-    SurrogateEvaluator,
     check_descent_lemmas,
     check_equivalence_prop31,
     check_gradient,
@@ -23,6 +26,8 @@ from mpjacobi.verify import (
     check_sublinear_nonconvex,
     check_surrogate_regularity,
 )
+from test_acceptance import random_valid_instance
+from test_rate_reports import _surrogates as rate_report_surrogates
 
 
 def test_equivalence_check_passes_and_skips():
@@ -120,8 +125,112 @@ def test_surrogate_evaluator_consistency_partial_linearization():
     assert rep.passed, str(rep)
 
 
+# ---------------------------------------------------------------------------
+# per-term reference of the aggregated cluster surrogate tilde Phi_r, batched
+# over leading axes: x and y are (..., m, d) iterates and node references
+# (y_C on C, y_out on its external neighbours), y_E the (..., 2|E_C|, d)
+# edge references (y_i, y_j) of the intra edges in sorted order
+
+
+def _quad(u, M, v):
+    return np.einsum("...a,ab,...b->...", u, M, v)
+
+
+def _ref_phi(q, i, x):
+    return 0.5 * _quad(x, q.diag[i], x) + x @ q.lin[i]
+
+
+def _ref_tilde_phi(q, spec, cta, i, x, y):
+    """Node surrogate: phi_i (exact), phi_i linearized at y plus
+    |x - y|^2 / (2 alpha) (first order) or 1/2 |x - y|_Q^2 (Schur), or f_i
+    linearized at y plus 1/2 |x - y|_Q^2 and the exact gossip term
+    (partial linearization)."""
+    fam = spec.family
+    if fam == "exact":
+        return _ref_phi(q, i, x)
+    dx = x - y
+    Q = spec.node_matrix("Q", i, q.d)
+    if fam == "partial_linearization":
+        f, W, g = cta.locals_[i], cta.gossip.W, cta.gamma
+        return (0.5 * _quad(y, f.Q, y) + y @ f.c + np.sum((y @ f.Q.T + f.c) * dx, -1)
+                + 0.5 * _quad(dx, Q, dx) + (1 - W[i, i]) / (2 * g) * np.sum(x * x, -1))
+    lin = _ref_phi(q, i, y) + np.sum((y @ q.diag[i].T + q.lin[i]) * dx, -1)
+    if fam == "first_order":
+        return lin + 0.5 / spec.alpha * np.sum(dx * dx, -1)
+    return lin + 0.5 * _quad(dx, Q, dx)
+
+
+def _ref_tilde_psi(q, spec, i, j, u, v, yu, yv):
+    """Edge surrogate: psi_ij (exact, partial linearization), psi_ij
+    linearized at (yu, yv) (first order), plus the Schur M terms."""
+    B = q.coupling(i, j)
+    if spec.family in ("exact", "partial_linearization"):
+        return _quad(u, B, v)
+    du, dv = u - yu, v - yv
+    val = _quad(yu, B, yv) + np.sum((yv @ B.T) * du, -1) + np.sum((yu @ B) * dv, -1)
+    if spec.family == "first_order":
+        return val
+    d = q.d
+    Mij = spec.edge_matrix(i, j, d) if i < j else spec.edge_matrix(i, j, d).T
+    return (val + _quad(du, Mij, dv) + 0.5 * _quad(du, spec.node_matrix("M", i, d), du)
+            + 0.5 * _quad(dv, spec.node_matrix("M", j, d), dv))
+
+
+def _ref_tilde_phi_r(q, part, spec, cta, r, x, y, y_E):
+    c = part.clusters[r]
+    val = sum(_ref_tilde_phi(q, spec, cta, i, x[..., i, :], y[..., i, :]) for i in c)
+    for t, (i, j) in enumerate(sorted(part.intra_edges[r])):
+        val = val + _ref_tilde_psi(q, spec, i, j, x[..., i, :], x[..., j, :],
+                                   y_E[..., 2 * t, :], y_E[..., 2 * t + 1, :])
+    for i in c:
+        for k in part.n_out[i]:
+            val = val + _ref_tilde_psi(q, spec, i, k, x[..., i, :], x[..., k, :],
+                                       y[..., i, :], y[..., k, :])
+    return val
+
+
+def _ref_Phi(q, x):
+    val = sum(_ref_phi(q, i, x[..., i, :]) for i in range(q.m))
+    for (i, j), B in q.pair.items():
+        val = val + _quad(x[..., i, :], B, x[..., j, :])
+    return val
+
+
+def _second_differences(q, part, spec, cta, r, whole, seed=0):
+    """Step-1 second differences (exact for a quadratic, up to rounding) of
+    the reference at a random point, with the value there and the scale of
+    the values read. ``whole=False``: tilde Phi_r over the coordinates of
+    the assembled surrogate, (x_C, x_ext, y_C, y_out, y_E); ``whole=True``:
+    tilde Phi_r + Phi - Phi_r over (x, y_C, y_out, y_E), x on every node."""
+    m, d = q.m, q.d
+    at = list(part.clusters[r]) + sorted(part.cluster_ext[r])
+    n_e = 2 * len(part.intra_edges[r]) * d
+    block = lambda nodes: (np.asarray(nodes)[:, None] * d + np.arange(d)).ravel()
+    idx = np.concatenate([block(range(m) if whole else at), m * d + block(at),
+                          2 * m * d + np.arange(n_e)])
+    exact = SurrogateSpec()
+
+    def f(w):
+        x = w[..., :m * d].reshape(w.shape[:-1] + (m, d))
+        y = w[..., m * d:2 * m * d].reshape(x.shape)
+        y_E = w[..., 2 * m * d:].reshape(w.shape[:-1] + (-1, d))
+        val = _ref_tilde_phi_r(q, part, spec, cta, r, x, y, y_E)
+        if whole:
+            val = val + _ref_Phi(q, x) - _ref_tilde_phi_r(q, part, exact, None, r, x, y, y_E)
+        return val
+
+    w0 = np.random.default_rng(seed).standard_normal(2 * m * d + n_e)
+    E = np.zeros((len(idx), len(w0)))
+    E[np.arange(len(idx)), idx] = 1.0
+    f0, f1, f2 = f(w0), f(w0 + E), f(w0 + E[:, None] + E[None])
+    scale = max(np.abs(f2).max(), abs(f0))
+    return f2 - np.add.outer(f1, f1) + f0, f0, w0, scale
+
+
 def _cta_d2_spec(family, q):
     d = q.d
+    if family == "exact":
+        return SurrogateSpec()
     if family == "first_order":
         return SurrogateSpec(family="first_order", alpha=0.05)
     if family == "partial_linearization":
@@ -133,39 +242,88 @@ def _cta_d2_spec(family, q):
 
 
 @pytest.mark.parametrize("family", ["first_order", "schur_quadratic",
-                                    "partial_linearization"])
+                                    "partial_linearization", "exact"])
 def test_cluster_surrogate_curvature_is_the_evaluator_hessian(family):
-    """K of the rate layer is the Hessian in x_C of the surrogate that
-    SurrogateEvaluator evaluates, cross-cluster node curvatures included:
-    second differences with step 1 are exact for a quadratic."""
+    """The assembled surrogate (S, s) of every cluster is the per-term
+    reference: S entry by entry against the reference's step-1 second
+    differences over (x_C, x_ext, y_C, y_out, y_E), its x_C block K (the
+    rate layer's curvature, cross-cluster node curvatures included) among
+    them, and the value 1/2 z^T S z + s^T z at a random point."""
     g, _, cta = cta_instance(m=12, d=2, gamma=0.05)
     q = cta.to_quadratic()
     part = generate_partition("ring_P2", g, D=2)
     spec = _cta_d2_spec(family, q)
-    ev = SurrogateEvaluator(q, part, spec, cta)
-    rng = np.random.default_rng(0)
-    d = q.d
-    for r, c in enumerate(part.clusters):
-        K = _cluster_surrogate(q, part, spec, cta, r)[0]
-        x = rng.standard_normal((q.m, d))
-        refs = ({i: rng.standard_normal(d) for i in c},
-                {k: rng.standard_normal(d) for i in c for k in part.n_out[i]},
-                {e: (rng.standard_normal(d), rng.standard_normal(d))
-                 for e in part.intra_edges[r]})
+    m, d = q.m, q.d
+    for r in range(part.p):
+        sur = _cluster_surrogate(q, part, spec, cta, r)
+        fd, f0, w0, scale = _second_differences(q, part, spec, cta, r, whole=False)
+        scale = max(scale, np.abs(sur.S).max())
+        K = sur.S[sur.x_C, sur.x_C]
+        assert np.abs(fd[sur.x_C, sur.x_C] - K).max() <= 1e-12 * scale, r
+        assert np.abs(fd - sur.S).max() <= 1e-12 * scale, (r, np.abs(fd - sur.S).max())
+        x = w0[:m * d].reshape(m, d)
+        z = sur.stack(x, w0[m * d:2 * m * d].reshape(m, d),
+                      w0[2 * m * d:].reshape(-1, d))
+        assert sur.value(z) == pytest.approx(f0, rel=1e-12, abs=1e-12 * scale)
 
-        def phi(*steps):
-            xs = x.copy()
-            for i, a in steps:
-                xs[i, a] += 1.0
-            return ev.tilde_phi_r(r, xs, *refs)
 
-        coords = [(i, a) for i in c for a in range(d)]
-        f0 = phi()
-        f1 = [phi(s) for s in coords]
-        f2 = np.array([[phi(s, t) for t in coords] for s in coords])
-        fd = f2 - np.add.outer(f1, f1) + f0
-        scale = max(np.abs(f2).max(), abs(f0), np.abs(K).max())
-        assert np.abs(fd - K).max() <= 1e-12 * scale, (r, np.abs(fd - K).max())
+def _bar_L_covers_the_reference(q, part, spec, cta):
+    """bar_L_r is at least the 2-norm of the reference's second-difference
+    Hessian of tilde Phi_r + Phi - Phi_r, and at least the surrogate
+    constants L~_r, ell~_r and L~del_r, on every cluster."""
+    inputs = estimate_constants(q, part, surrogate=spec, cta=cta)
+    H, _ = q.assemble()
+    for r in range(part.p):
+        fd = _second_differences(q, part, spec, cta, r, whole=True)[0]
+        norm = np.linalg.norm(fd, 2)
+        bar_L = _bar_L(q, part, spec, cta, r, H)
+        assert bar_L >= norm * (1 - 1e-12), (spec.family, r, bar_L, norm)
+        assert bar_L >= max(inputs.L_tilde_r[r], inputs.ell_tilde_r[r],
+                            inputs.L_tilde_del_r[r]) * (1 - 1e-12), (spec.family, r)
+
+
+def _specs_with_schur_identity(q):
+    specs = rate_report_surrogates(q)
+    del specs["exact"]
+    specs["schur_M_I"] = replace(specs["schur"], M_node=np.eye(q.d))
+    return specs
+
+
+@pytest.mark.parametrize("family", ["first_order", "schur_quadratic",
+                                    "partial_linearization"])
+def test_bar_L_is_the_surrogate_smoothness_on_cta(family):
+    """On cta_instance(8, 2, 0.05) with ring_P2 D = 1, whose surrogates have
+    (y_E, y_E) blocks, partial linearization's y_C block and cross
+    couplings that read y_out."""
+    g, _, cta = cta_instance(m=8, d=2, gamma=0.05)
+    q = cta.to_quadratic()
+    part = generate_partition("ring_P2", g, D=1)
+    _bar_L_covers_the_reference(q, part, _cta_d2_spec(family, q), cta)
+
+
+@given(st.sampled_from(["random", "ring_d2", "cta_d2"]), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_bar_L_covers_the_reference_hessian(kind, seed):
+    """bar_L against the reference on random single-gateway instances, d = 2
+    random ring QPs and CTA instances, for first-order, Schur (M_node
+    0.05 I and I) and, on CTA, partial-linearization surrogates."""
+    cta = None
+    if kind == "random":
+        q, part = random_valid_instance(seed)
+    else:
+        m = 6 * (1 + seed % 2)
+        if kind == "ring_d2":
+            g = generate_topology("ring", m=m)
+            q = build_random_qp(g, 2, 10.0, seed)
+        else:
+            g, _, cta = cta_instance(m=m, d=2, gamma=0.05, seed=seed)
+            q = cta.to_quadratic()
+        part = generate_partition("ring_P2", g, D=1 + seed // 2 % 2)
+    specs = _specs_with_schur_identity(q)
+    if cta is not None:
+        specs["pl"] = SurrogateSpec(family="partial_linearization", Q=1.0)
+    for spec in specs.values():
+        _bar_L_covers_the_reference(q, part, spec, cta)
 
 
 def test_gradient_check_chains():
