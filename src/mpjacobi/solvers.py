@@ -874,6 +874,11 @@ def h_mp_jacobi(problem, hpartition, config=None, x0=None):
     factor-processor implementations produce identical iterates and differ
     only in the communication count (see ``_hyper_comm``). The plain
     problem runs as its identity split, each factor its own component.
+
+    Surrogates: a ``first_order`` spec here means ``diagonalize_message``
+    compression of every new message at the round iterate; its alpha is not
+    read. ``schur_quadratic`` and ``partial_linearization`` raise
+    SolverError, here and in :func:`h_mp_jacobi_split`.
     """
     _check_hyper_problem(problem, hpartition, hpartition.hypergraph.hyperedges)
     split = apply_split(hpartition.hypergraph, SplitMap.identity())
@@ -899,10 +904,13 @@ def _hyper_run(problem, hpartition, config, x0, view):
     are (K, d, d) / (K, d) arrays over the intra incidences and
     ``trace.monitor`` holds the final (H_msg, h_msg, incidences)."""
     config = config or SolverConfig()
+    family = "exact" if config.surrogate is None else config.surrogate.family
+    if family not in ("exact", "first_order"):
+        raise SolverError(f"the hypergraph solvers have no {family} messages; "
+                          "use 'exact' or 'first_order' (diagonalized messages)")
     lay = _HyperLayout(problem, hpartition, view)
     exchanging, relay = _hyper_comm(hpartition, lay, config.factor_impl)
-    surrogate_diag = (config.surrogate is not None
-                      and config.surrogate.family != "exact")
+    surrogate_diag = family == "first_order"
 
     def curvature(H_msg):
         aggH = lay.node_curvatures(problem, H_msg)

@@ -1,10 +1,16 @@
 """Hyperedge splitting: split maps, split hypergraphs, component surrogate
-factors, and the structural checks the splitting solver relies on.
+factors, and their compiled quadratic form.
 
 A split replaces a factor psi_w by lower-arity component factors whose
 removed coordinates are frozen at reference values (the latest iterates in
 the solver). Components are labeled by (parent index, component index), so
-identical supports produced by different parents never collide.
+identical supports produced by different parents never collide. A
+:class:`ComponentSurrogate` only records a component's primitives;
+:class:`SplitQuadraticView` compiles them once into quadratic blocks and
+frozen-reference terms. That compiled view is the only evaluation of a
+split surrogate: the split solver runs on it, and
+``verify.check_split_consistency`` checks its gradient
+(:meth:`SplitQuadraticView.grad`) against the problem's.
 """
 
 from __future__ import annotations
@@ -59,25 +65,6 @@ class SplitMap:
     def identity():
         return SplitMap({})
 
-    @staticmethod
-    def parse(text):
-        """Lines 'parent_idx : i j ; i k ; ...'."""
-        comp = {}
-        for ln in text.strip().splitlines():
-            if not ln.strip():
-                continue
-            head, rest = ln.split(":", 1)
-            comp[int(head)] = tuple(
-                tuple(int(t) for t in grp.split()) for grp in rest.split(";"))
-        return SplitMap(comp)
-
-    def format(self):
-        lines = []
-        for parent, supports in sorted(self.components.items()):
-            lines.append(f"{parent} : " + " ; ".join(
-                " ".join(str(i) for i in s) for s in supports))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class SplitHypergraph:
@@ -115,27 +102,22 @@ def apply_split(hg, split_map):
 
 class _LabeledHypergraph(Hypergraph):
     """Hypergraph variant admitting singleton and repeated supports
-    (components are distinguished by their label, not their support)."""
+    (components are distinguished by their label, not their support).
+    Supports arrive sorted, nonempty and in range: ``SplitMap.supports_for``
+    keeps them inside hyperedges of a validated hypergraph."""
 
     def __init__(self, node_count, hyperedges):
-        norm = []
-        for w in hyperedges:
-            t = tuple(sorted(set(int(i) for i in w)))
-            if not t:
-                raise SplitError("empty component support")
-            if not all(0 <= i < node_count for i in t):
-                raise SplitError(f"component {t} out of range")
-            norm.append(t)
         object.__setattr__(self, "node_count", int(node_count))
-        object.__setattr__(self, "hyperedges", tuple(norm))
+        object.__setattr__(self, "hyperedges", tuple(hyperedges))
 
 
 # ---------------------------------------------------------------------------
 # component surrogate families
 #
-# Each component evaluator is a list of primitives (coef, active) meaning
-# coef * psi_parent(x restricted to `active`, references elsewhere). The
-# families below satisfy the gradient-sum identity at consistent references:
+# Each component is a list of primitives (coef, active) meaning
+# coef * psi_parent(x restricted to `active`, references elsewhere), with
+# `active` a nonempty subset of the component's support. The families below
+# satisfy the gradient-sum identity at consistent references:
 #
 #   pairwise:      all 2-subsets, each weighted 1/(|w| - 1);
 #   two_component: two covering supports with overlap O, each as
@@ -145,46 +127,32 @@ class _LabeledHypergraph(Hypergraph):
 
 @dataclass
 class ComponentSurrogate:
+    """One component's primitives; :class:`SplitQuadraticView` compiles them."""
+
     parent_idx: int
     parent: tuple
     support: tuple
-    primitives: tuple            # ((coef, active-subset-of-parent), ...)
-
-    def value(self, psi_value, x_active, y_parent):
-        """Evaluate given psi_value(x_parent_stack); x_active maps node->vec,
-        y_parent maps node->vec for every parent coordinate."""
-        total = 0.0
-        for coef, active in self.primitives:
-            xs = [x_active[i] if i in active else y_parent[i] for i in self.parent]
-            total += coef * psi_value(np.concatenate(xs))
-        return total
-
-    def grad(self, psi_grad, x_active, y_parent, wrt):
-        d = next(iter(y_parent.values())).shape[0]
-        g = np.zeros(d)
-        pos = {n: t for t, n in enumerate(self.parent)}
-        for coef, active in self.primitives:
-            if wrt not in active:
-                continue
-            xs = [x_active[i] if i in active else y_parent[i] for i in self.parent]
-            full = psi_grad(np.concatenate(xs))
-            g += coef * full[pos[wrt] * d:(pos[wrt] + 1) * d]
-        return g
+    primitives: tuple            # ((coef, active-subset-of-support), ...)
 
 
 def build_split_surrogate(parent_idx, parent, supports, family,
                           custom_primitives=None):
-    """Component evaluators for one parent factor.
+    """The components of one parent factor, in ``supports`` order.
 
     family in {'pairwise', 'two_component', 'singleton', 'custom',
-    'identity'}; supports must match the family's shape. Custom families
-    pass explicit primitive lists and must pass the consistency check
-    before use in a solver.
+    'identity'}; supports must match the family's shape ('identity' takes
+    the parent as its only support). Custom families pass explicit
+    primitive lists, each primitive's active set a nonempty subset of its
+    component's support, and must pass the consistency check before use in
+    a solver.
     """
     parent = tuple(parent)
     supports = [tuple(sorted(s)) for s in supports]
     comps = []
     if family == "identity":
+        if supports != [parent]:
+            raise SplitError(f"parent {parent_idx} {parent} is split into "
+                             f"{supports} but has no split family")
         comps.append(ComponentSurrogate(parent_idx, parent, parent,
                                         ((1.0, frozenset(parent)),)))
         return comps
@@ -223,9 +191,12 @@ def build_split_surrogate(parent_idx, parent, supports, family,
         if custom_primitives is None or len(custom_primitives) != len(supports):
             raise SplitError("custom family needs one primitive list per support")
         for s, prim in zip(supports, custom_primitives):
-            comps.append(ComponentSurrogate(
-                parent_idx, parent, s,
-                tuple((float(c), frozenset(a)) for (c, a) in prim)))
+            prim = tuple((float(c), frozenset(act)) for c, act in prim)
+            for _, act in prim:
+                if not act or not act <= set(s):
+                    raise SplitError(f"custom primitive on {sorted(act)} is empty "
+                                     f"or leaves its component's support {s}")
+            comps.append(ComponentSurrogate(parent_idx, parent, s, prim))
         return comps
     raise SplitError(f"unknown split family {family!r}")
 
@@ -235,25 +206,19 @@ def _all_pairs(w):
 
 
 def split_surrogate_components(split, family_by_parent):
-    """ComponentSurrogate list aligned with ``split.hypergraph.hyperedges``."""
+    """ComponentSurrogate list aligned with ``split.hypergraph.hyperedges``.
+    A parent missing from ``family_by_parent`` keeps the identity family."""
     by_parent = {}
     for a, parent_idx in enumerate(split.parent_of):
         by_parent.setdefault(parent_idx, []).append(a)
     out = [None] * len(split.parent_of)
     for parent_idx, comp_ids in by_parent.items():
-        parent = split.original.hyperedges[parent_idx]
-        supports = [split.component_of[a] for a in comp_ids]
-        fam = family_by_parent.get(parent_idx, "identity")
-        if fam == "identity" and supports == [parent]:
-            comps = build_split_surrogate(parent_idx, parent, [parent], "identity")
-        else:
-            comps = build_split_surrogate(parent_idx, parent, supports, fam)
-        comps_by_support = {}
-        for c in comps:
-            comps_by_support.setdefault(c.support, []).append(c)
-        for a in comp_ids:
-            lst = comps_by_support[split.component_of[a]]
-            out[a] = lst.pop(0)
+        comps = build_split_surrogate(
+            parent_idx, split.original.hyperedges[parent_idx],
+            [split.component_of[a] for a in comp_ids],
+            family_by_parent.get(parent_idx, "identity"))
+        for a, comp in zip(comp_ids, comps):
+            out[a] = comp
     return out
 
 
@@ -265,7 +230,9 @@ def _coords(nodes, order, d):
 
 
 class SplitQuadraticView:
-    """Split components of quadratic factors, compiled once for the solver.
+    """Split components of quadratic factors, compiled once: the one
+    evaluation of a split surrogate, read by the split solver and by
+    ``verify.check_split_consistency``.
 
     Component a on support s is the sum over its primitives of
     coef * <H_parent x, x> with the non-active coordinates frozen at the
@@ -305,20 +272,19 @@ class SplitQuadraticView:
                                         _coords(frozen, par, d))]
                         self.frozen.append((a, i, coef * 2.0, M, tuple(frozen)))
 
-    def split_value(self, x, y):
-        """Value of the split-surrogate objective at x with references y."""
-        total = 0.0
-        for i in range(self.problem.m):
-            total += 0.5 * x[i] @ self.problem.diag[i] @ x[i] + self.problem.lin[i] @ x[i]
-        for a, comp in enumerate(self.components):
-            Hpar = self.problem.hyper[tuple(comp.parent)]
-
-            def val(z, Hpar=Hpar):
-                return float(z @ Hpar @ z)
-
-            total += comp.value(val, {n: x[n] for n in comp.support},
-                                {n: y[n] for n in comp.parent})
-        return float(total)
+    def grad(self, x):
+        """(m, d) gradient of the split surrogate in x at consistent
+        references (every reference at x): the node terms, 2 blocks[a] x
+        over each component's support, then every ``frozen`` term."""
+        p = self.problem
+        x = np.asarray(x, dtype=float).reshape(p.m, p.d)
+        g = np.einsum("ikl,il->ik", p.diag, x) + p.lin
+        for comp, Hw in zip(self.components, self.blocks):
+            s = list(comp.support)
+            g[s] += (2.0 * Hw @ x[s].ravel()).reshape(len(s), p.d)
+        for _, i, c, M, nodes in self.frozen:
+            g[i] += c * M @ x[list(nodes)].ravel()
+        return g
 
 
 def validate_split_partition(split, clusters, intra_components):

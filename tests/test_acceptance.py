@@ -408,7 +408,6 @@ def test_criterion_11_splitting():
     (||grad Phi|| <= 1e-8); both splitting strategies converge on the
     toy and lifted-hypergraph instances, ordering reported."""
     hg, q = split_toy_instance(seed=0)
-    d = 1
     ok = True
     details = []
     for family, supports, keep in (
@@ -417,15 +416,9 @@ def test_criterion_11_splitting():
             ("singleton", ((1,), (2,), (3,)), 1)):
         split = apply_split(hg, SplitMap({1: supports}))
         comps = split_surrogate_components(split, {1: family})
-        comp_list = [c for c in comps if c.parent_idx == 1]
-        Hw = q.hyper[(1, 2, 3)]
-        rep = check_split_consistency(
-            {1: comp_list},
-            {1: lambda z, Hw=Hw: float(z @ Hw @ z)},
-            {1: lambda z, Hw=Hw: 2.0 * (Hw @ z)},
-            {1: (1, 2, 3)}, d, samples=50, seed=3)
-        ok &= rep.passed and rep.worst_violation <= 1e-8
         view = SplitQuadraticView(q, split, comps)
+        rep = check_split_consistency(view, samples=50, seed=3)
+        ok &= rep.passed and rep.worst_violation <= 1e-8
         spart = validate_split_partition(split, [[0, 1, 2, 3]], [[0, keep]])
         cfg = SolverConfig(tau=0.45, max_rounds=20000, tol_x=0.0,
                            tol_grad=1e-10)

@@ -27,6 +27,7 @@ from mpjacobi.solvers import (
     baseline,
     delayed_block_jacobi,
     h_mp_jacobi,
+    h_mp_jacobi_split,
     minsum_splitting,
     mp_jacobi,
     mp_jacobi_surrogate,
@@ -627,6 +628,40 @@ def test_h_mp_jacobi_rejects_other_factor_set():
     extra = QuadraticObjective(q.m, q.d, q.diag, q.lin, {}, hyper)
     with pytest.raises(PartitionMismatch):
         h_mp_jacobi(extra, hpart, SolverConfig(max_rounds=5))
+
+
+@pytest.mark.parametrize("spec", [
+    SurrogateSpec(family="schur_quadratic", Q=123.0),
+    SurrogateSpec(family="partial_linearization", Q=1.0)])
+def test_hypergraph_solvers_reject_surrogates_they_do_not_run(spec):
+    from mpjacobi.splitting import (SplitMap, SplitQuadraticView, apply_split,
+                                    split_surrogate_components)
+
+    q, hpart = _hyper_instance()
+    split = apply_split(hpart.hypergraph, SplitMap.identity())
+    view = SplitQuadraticView(q, split, split_surrogate_components(split, {}))
+    cfg = SolverConfig(tau=0.25, max_rounds=5, surrogate=spec)
+    with pytest.raises(SolverError, match=f"no {spec.family} messages"):
+        h_mp_jacobi(q, hpart, cfg)
+    with pytest.raises(SolverError, match=f"no {spec.family} messages"):
+        h_mp_jacobi_split(q, view, hpart, cfg)
+
+
+def test_hypergraph_first_order_does_not_read_alpha():
+    """On the hypergraph engine ``first_order`` means diagonalized
+    messages; alpha is not read."""
+    from mpjacobi.bench import hyperring_qp
+
+    hg, q = hyperring_qp(4, 3, d=2, seed=4)
+    hpart = validate_hyper_partition(hg, [[0, 1, 2, 3, 4], [5], [6], [7]])
+    x0 = np.random.default_rng(0).standard_normal((q.m, q.d))
+    runs = [h_mp_jacobi(q, hpart, SolverConfig(
+        tau=0.25, max_rounds=20, tol_x=0.0,
+        surrogate=SurrogateSpec(family="first_order", alpha=alpha)), x0=x0)
+        for alpha in (1e-6, 1.0)]
+    exact = h_mp_jacobi(q, hpart, SolverConfig(tau=0.25, max_rounds=20, tol_x=0.0), x0=x0)
+    assert np.array_equal(runs[0].x_final, runs[1].x_final)
+    assert not np.array_equal(runs[0].x_final, exact.x_final)
 
 
 def test_config_rejects_unknown_factor_impl():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpjacobi.bench import split_toy_instance
 from mpjacobi.objective import QuadraticObjective, global_solve_oracle
 from mpjacobi.splitting import (
     CyclicSplitCluster,
+    DuplicateComponentAcrossParents,
     SplitError,
     SplitMap,
     SplitQuadraticView,
@@ -35,6 +39,28 @@ def toy_quadratic(seed=0, scale=0.15):
     return hg, QuadraticObjective(4, 1, diag, lin, {}, hyper)
 
 
+def parent_view(parent, Hw, supports, family, m=4, node_terms=False, seed=0,
+                custom_primitives=None):
+    """Compiled view of one parent factor <Hw z, z> on m nodes, split into
+    ``supports`` under ``family``, with random node terms if ``node_terms``
+    (else none)."""
+    d = Hw.shape[0] // len(parent)
+    rng = np.random.default_rng(seed)
+    diag = np.zeros((m, d, d))
+    lin = np.zeros((m, d))
+    if node_terms:
+        diag += np.eye(d) * rng.uniform(1.0, 2.0, (m, 1, 1))
+        lin += rng.standard_normal((m, d))
+    q = QuadraticObjective(m, d, diag, lin, {}, {tuple(parent): Hw})
+    split = apply_split(Hypergraph(m, [parent]), SplitMap({0: tuple(supports)}))
+    if family == "custom":
+        comps = build_split_surrogate(0, parent, supports, "custom",
+                                      custom_primitives=custom_primitives)
+    else:
+        comps = split_surrogate_components(split, {0: family})
+    return SplitQuadraticView(q, split, comps)
+
+
 def test_identity_split_is_noop():
     hg = toy_hypergraph()
     split = apply_split(hg, SplitMap.identity())
@@ -57,21 +83,6 @@ def test_singleton_split_count():
     assert len(split.component_of) == 1 + 3
 
 
-def test_split_map_text_roundtrip():
-    sm = SplitMap({1: ((1, 3), (1, 2), (2, 3))})
-    assert SplitMap.parse(sm.format()).components == {1: ((1, 3), (1, 2), (2, 3))}
-
-
-def _quadratic_psi(Hw):
-    def val(z):
-        return float(z @ Hw @ z)
-
-    def grad(z):
-        return 2.0 * (Hw @ z)
-
-    return val, grad
-
-
 @pytest.mark.parametrize("family,supports", [
     ("pairwise", [(1, 2), (1, 3), (2, 3)]),
     ("two_component", [(1, 2), (2, 3)]),
@@ -80,55 +91,157 @@ def _quadratic_psi(Hw):
 def test_gradient_sum_identity(family, supports):
     rng = np.random.default_rng(1)
     d = 2
-    parent = (1, 2, 3)
     A = rng.standard_normal((3 * d, 3 * d))
-    Hw = 0.5 * (A + A.T)
-    val, grad = _quadratic_psi(Hw)
-    comps = build_split_surrogate(7, parent, supports, family)
-    rep = check_split_consistency({7: comps}, {7: val}, {7: grad},
-                                  {7: parent}, d, samples=50, seed=2)
+    view = parent_view((1, 2, 3), 0.5 * (A + A.T), supports, family,
+                       node_terms=True)
+    rep = check_split_consistency(view, samples=50, seed=2)
     assert rep.passed, str(rep)
 
 
 def test_singleton_split_bilinear_hand_gradient():
     # psi(x2, x3) = x2 x3 (d = 1): component gradients at consistent refs
     Hw = np.array([[0.0, 0.5], [0.5, 0.0]])   # <H z, z> = x2 x3
-    val, grad = _quadratic_psi(Hw)
-    comps = build_split_surrogate(0, (2, 3), [(2,), (3,)], "singleton")
-    x = {2: np.array([1.3]), 3: np.array([-0.4])}
-    g2 = sum(c.grad(grad, {n: x[n] for n in c.support}, x, 2)
-             for c in comps if 2 in c.support)
-    g3 = sum(c.grad(grad, {n: x[n] for n in c.support}, x, 3)
-             for c in comps if 3 in c.support)
-    assert g2[0] == pytest.approx(x[3][0])
-    assert g3[0] == pytest.approx(x[2][0])
+    view = parent_view((2, 3), Hw, [(2,), (3,)], "singleton")
+    x = np.array([[0.7], [2.1], [1.3], [-0.4]])
+    g = view.grad(x)
+    assert g[2, 0] == pytest.approx(x[3, 0])
+    assert g[3, 0] == pytest.approx(x[2, 0])
+    assert not np.any(g[:2])
 
 
 def test_zero_factor_gives_zero_components():
-    comps = build_split_surrogate(0, (0, 1, 2), [(0, 1), (0, 2), (1, 2)],
-                                  "pairwise")
-    val, grad = _quadratic_psi(np.zeros((3, 3)))
-    x = {i: np.zeros(1) for i in (0, 1, 2)}
-    for c in comps:
-        assert c.value(val, {n: x[n] for n in c.support}, x) == 0.0
+    view = parent_view((0, 1, 2), np.zeros((3, 3)), [(0, 1), (0, 2), (1, 2)],
+                       "pairwise", node_terms=True)
+    assert not any(np.any(blk) for blk in view.blocks)
+    assert not any(np.any(M) for _, _, _, M, _ in view.frozen)
+    q = view.problem
+    x = np.random.default_rng(0).standard_normal((4, 1))
+    assert np.array_equal(view.grad(x), np.einsum("ikl,il->ik", q.diag, x) + q.lin)
 
 
 def test_corrupted_weights_fail_consistency():
     rng = np.random.default_rng(3)
-    parent = (0, 1, 2)
     A = rng.standard_normal((3, 3))
-    Hw = 0.5 * (A + A.T)
-    val, grad = _quadratic_psi(Hw)
-    comps = build_split_surrogate(0, parent, [(0, 1), (0, 2), (1, 2)],
-                                  "custom",
-                                  custom_primitives=[
-                                      [(0.6, (0, 1))],
-                                      [(0.5, (0, 2))],
-                                      [(0.5, (1, 2))]])
-    rep = check_split_consistency({0: comps}, {0: val}, {0: grad},
-                                  {0: parent}, 1, samples=20, seed=4)
+    view = parent_view((0, 1, 2), 0.5 * (A + A.T), [(0, 1), (0, 2), (1, 2)],
+                       "custom", m=3, custom_primitives=[
+                           [(0.6, (0, 1))],
+                           [(0.5, (0, 2))],
+                           [(0.5, (1, 2))]])
+    rep = check_split_consistency(view, samples=20, seed=4)
     assert not rep.passed
     assert rep.worst_violation > 1e-3
+    assert rep.witness["node"] in (0, 1)      # the nodes of the corrupted weight
+
+
+def _family_supports(family, parent, rng):
+    """Supports of a built-in ``family`` on ``parent``, in a random order."""
+    k = len(parent)
+    if family == "identity":
+        return [parent]
+    if family == "pairwise":
+        out = [(parent[i], parent[j]) for i in range(k) for j in range(i + 1, k)]
+    elif family == "singleton":
+        out = [(i,) for i in parent]
+    else:   # two covering supports perm[:b] and perm[a:], overlap perm[a:b]
+        perm = [int(i) for i in rng.permutation(parent)]
+        a, b = 0, k
+        while (a, b) == (0, k):
+            a, b = sorted(int(t) for t in rng.choice(k + 1, 2, replace=False))
+        out = [tuple(sorted(perm[:b])), tuple(sorted(perm[a:]))]
+    return [out[t] for t in rng.permutation(len(out))]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 3),
+       st.sampled_from(["identity", "pairwise", "two_component", "singleton"]))
+@settings(max_examples=150, deadline=None)
+def test_gradient_sum_identity_on_random_parents(seed, k, d, family):
+    """Every built-in family meets the gradient-sum identity on a random
+    parent with a random symmetric block, to 1e-12, and one perturbed
+    custom weight breaks it."""
+    rng = np.random.default_rng(seed)
+    m = k + int(rng.integers(0, 3))
+    parent = tuple(int(i) for i in sorted(rng.choice(m, k, replace=False)))
+    A = rng.standard_normal((k * d, k * d))
+    Hw = A + A.T
+    supports = _family_supports(family, parent, rng)
+    view = parent_view(parent, Hw, supports, family, m=m, node_terms=True, seed=seed)
+    rep = check_split_consistency(view, samples=5, seed=seed, tol=1e-12)
+    assert rep.passed, str(rep)
+    prims = [list(comp.primitives) for comp in view.components]
+    a = int(rng.integers(len(prims)))
+    t = int(rng.integers(len(prims[a])))
+    coef, active = prims[a][t]
+    prims[a][t] = (coef + 0.25, active)
+    bad = parent_view(parent, Hw, [comp.support for comp in view.components],
+                      "custom", m=m, node_terms=True, seed=seed,
+                      custom_primitives=prims)
+    assert not check_split_consistency(bad, samples=5, seed=seed, tol=1e-12).passed
+
+
+def _toy_split(components):
+    return apply_split(toy_hypergraph(), SplitMap(components))
+
+
+def _custom(primitives):
+    return lambda: build_split_surrogate(0, (0, 1, 2), [(0, 1), (1, 2)], "custom",
+                                         custom_primitives=primitives)
+
+
+def _with_pair_coupling():
+    hg, q = toy_quadratic()
+    mixed = QuadraticObjective(4, 1, q.diag, q.lin, {(0, 3): np.eye(1)}, q.hyper)
+    split = apply_split(hg, SplitMap.identity())
+    return check_split_consistency(
+        SplitQuadraticView(mixed, split, split_surrogate_components(split, {})))
+
+
+# the smallest malformed input for each raise of the splitting module, and
+# for the split check's own raise: (type, message fragment, call)
+MALFORMED = {
+    "split_map/outside_parent": (SplitError, "not inside parent",
+                                 lambda: _toy_split({0: ((0, 3),)})),
+    "split_map/duplicate": (DuplicateComponentAcrossParents, "listed twice",
+                            lambda: _toy_split({0: ((0, 1), (1, 0))})),
+    "identity/split_parent": (SplitError, r"parent 1 \(1, 2, 3\) .* no split family",
+                              lambda: split_surrogate_components(apply_split(
+                                  split_toy_instance(0)[0],
+                                  SplitMap({1: ((1, 2), (2, 3))})), {})),
+    "pairwise/supports": (SplitError, "all 2-subsets", lambda: build_split_surrogate(
+        0, (0, 1, 2), [(0, 1)], "pairwise")),
+    "singleton/supports": (SplitError, "one component per node",
+                           lambda: build_split_surrogate(
+                               0, (0, 1, 2), [(0,), (1,)], "singleton")),
+    "two_component/count": (SplitError, "exactly two", lambda: build_split_surrogate(
+        0, (0, 1, 2), [(0, 1, 2)], "two_component")),
+    "two_component/cover": (SplitError, "cover", lambda: build_split_surrogate(
+        0, (0, 1, 2), [(0, 1), (1,)], "two_component")),
+    "two_component/overlap": (SplitError, "overlap", lambda: build_split_surrogate(
+        0, (0, 1, 2), [(0, 1), (2,)], "two_component")),
+    "custom/no_primitives": (SplitError, "one primitive list per support",
+                             lambda: build_split_surrogate(
+                                 0, (0, 1, 2), [(0, 1), (1, 2)], "custom")),
+    "custom/leaves_support": (SplitError, "leaves its component's support",
+                              _custom([[(1.0, (0, 1, 2))], [(0.0, (1, 2))]])),
+    "custom/empty_active": (SplitError, r"primitive on \[\] is empty",
+                            _custom([[(1.0, ())], [(1.0, (1, 2))]])),
+    "family/unknown": (SplitError, "unknown split family", lambda: build_split_surrogate(
+        0, (0, 1, 2), [(0, 1, 2)], "triples")),
+    "view/not_quadratic": (SplitError, "needs a QuadraticObjective",
+                           lambda: SplitQuadraticView(None, None, [])),
+    "partition/cycle": (CyclicSplitCluster, "not induce a tree",
+                        lambda: validate_split_partition(
+                            _toy_split({1: ((1, 3), (1, 2), (2, 3))}),
+                            [[0, 1, 2, 3]], [[0, 2]])),
+    "consistency/pair_couplings": (SplitError, "pair couplings", _with_pair_coupling),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_split_input_raises_typed_error(case):
+    error, message, call = MALFORMED[case]
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_validate_split_partition_tree_vs_cycle():
@@ -146,8 +259,8 @@ def test_validate_split_partition_tree_vs_cycle():
     assert ok.intra_factors[0] == ()
 
 
-def test_split_view_value_matches_reassembly():
-    """Identity-family components reproduce the objective exactly."""
+def test_split_view_grad_matches_reassembly():
+    """Identity-family components reproduce the objective's gradient."""
     hg, q = toy_quadratic(seed=5)
     split = apply_split(hg, SplitMap.identity())
     comps = split_surrogate_components(split, {})
@@ -155,7 +268,7 @@ def test_split_view_value_matches_reassembly():
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = rng.standard_normal((4, 1))
-        assert view.split_value(x, x) == pytest.approx(q.value(x), rel=1e-12)
+        assert np.allclose(view.grad(x), q.grad(x), rtol=1e-12, atol=1e-14)
 
 
 def test_split_solver_identity_equals_plain():
