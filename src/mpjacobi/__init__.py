@@ -2,12 +2,10 @@
 hypergraph-structured programs, with partition-explicit rate analysis."""
 
 from .topology import (
-    FactorGraph,
     Graph,
     Hypergraph,
     HyperPartition,
     TreePartition,
-    factor_distances,
     generate_partition,
     generate_topology,
     minimal_external_cover,

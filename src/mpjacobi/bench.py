@@ -2,6 +2,17 @@
 benchmark figures, emitting result CSVs, per-run trace CSVs and simple SVG
 line plots. The CSV is the contract; plots are a convenience.
 
+Every run goes through ``ExperimentResult``. Its defaults: solvers run
+``SolverConfig(tau, max_rounds=config.max_rounds, tol_x=1e-14,
+track_oracle=oracle)`` and baselines ``{"max_rounds": config.max_rounds,
+"tol": 1e-14, "oracle": oracle}`` unless the experiment sets a value; a
+tuned tau is ``tune_tau``'s. Its rows (``results.csv``): experiment, solver,
+m and d (of the problem), seed, iters (first round with dist_to_opt <= tol,
+the config's unless the experiment sets one; else the round count),
+final_gap (last dist_to_opt), vectors_sent (at iters), wall_ms (of the
+solve; the winner's when tuned), config (its digest), then the experiment's
+own columns by name, such as tau.
+
 Size caps: m <= 2000, d <= 100, and (D+1) m d <= 5000 for the spectral
 oracle.
 """
@@ -12,7 +23,9 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -102,24 +115,63 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """The runs of one experiment: how each is configured, timed and
+    turned into a row (schema in the module docstring)."""
+
     config: ExperimentConfig
     rows: list = field(default_factory=list)     # dict rows for the CSV
     traces: dict = field(default_factory=dict)   # label -> RunTrace
     extras: dict = field(default_factory=dict)
 
-    def add(self, solver, m, d, seed, trace, tol, wall_ms, **extra):
+    def add(self, solver, problem, trace, wall_ms, tol=None, **extra):
+        """Append the row of one run; iters counts to ``tol``, by default
+        the config's."""
+        tol = self.config.tol if tol is None else tol
         iters = trace.iterations_to("dist_to_opt", tol)
         if iters is None:
             iters = trace.rounds
         gap = trace.dist_to_opt[-1] if trace.dist_to_opt else float("nan")
         self.rows.append({
             "experiment": self.config.experiment, "solver": solver,
-            "m": m, "d": d, "seed": seed, "iters": iters,
-            "final_gap": gap,
+            "m": problem.m, "d": problem.d, "seed": self.config.seed,
+            "iters": iters, "final_gap": gap,
             "vectors_sent": trace.vectors_sent[min(iters, len(trace.vectors_sent) - 1)]
             if trace.vectors_sent else 0,
             "wall_ms": int(wall_ms), "config": self.config.digest(), **extra,
         })
+
+    def run(self, solver, solve, problem, *args, **extra):
+        """Time ``solve(problem, *args)``, add its row, return its trace."""
+        trace, wall_ms = _timed(solve, problem, *args)
+        self.add(solver, problem, trace, wall_ms, **extra)
+        return trace
+
+    def tuned(self, solver, problem, run_tau, tau=None, **extra):
+        """Run ``run_tau`` at ``tau``, or at the ``tune_tau`` winner when
+        tau is None; add its row, with the tau, and return its trace."""
+        if tau is None:
+            tau, trace, wall_ms = tune_tau(run_tau, self.config.tol,
+                                           self.config.max_rounds)
+        else:
+            trace, wall_ms = _timed(run_tau, tau)
+        self.add(solver, problem, trace, wall_ms, **extra, tau=tau)
+        return trace
+
+    def solver_config(self, tau, oracle, **kw):
+        """``SolverConfig`` at the bench defaults; ``kw`` overrides them."""
+        return SolverConfig(**{"tau": tau, "max_rounds": self.config.max_rounds,
+                               "tol_x": 1e-14, "track_oracle": oracle, **kw})
+
+    def baseline_params(self, oracle, tol=1e-14, **params):
+        """``solvers.baseline`` params at the bench defaults."""
+        return {**params, "max_rounds": self.config.max_rounds, "tol": tol,
+                "oracle": oracle}
+
+    def baseline(self, kind, problem, oracle, tol=1e-14, **extra):
+        """Run ``solvers.baseline(kind)`` at the bench defaults, add its
+        row and return its trace."""
+        return self.run(kind, partial(baseline, kind), problem,
+                        self.baseline_params(oracle, tol), **extra)
 
     def results_csv(self):
         cols = ["experiment", "solver", "m", "d", "seed", "iters",
@@ -297,17 +349,14 @@ def _exp_p_sweep(cfg):
     res = ExperimentResult(cfg)
     ks = cfg.params.get("triples", [2, 4, 6, 9, 12])
     g, q = two_cliques_instance()
-    xs, phis = global_solve_oracle(q)
+    oracle = global_solve_oracle(q)
     for k in ks:
         part = path_triples_partition(g, 7, 42, k)
         inputs = estimate_constants(q, part)
         rep = rate_terms(part, inputs)
-        scfg = SolverConfig(tau=rep.tau_max, max_rounds=cfg.max_rounds,
-                            tol_x=1e-14, track_oracle=(xs, phis))
-        tr, ms = _timed(mp_jacobi, q, part, scfg)
-        res.add("mp_jacobi", q.m, q.d, cfg.seed, tr, cfg.tol, ms,
-                p=part.p, regime=rep.regime)
-        res.traces[f"p={part.p}"] = tr
+        res.traces[f"p={part.p}"] = res.run(
+            "mp_jacobi", mp_jacobi, q, part, res.solver_config(rep.tau_max, oracle),
+            p=part.p, regime=rep.regime)
     res.extras["ps"] = [r["p"] for r in res.rows]
     res.extras["iters"] = [r["iters"] for r in res.rows]
     return res
@@ -329,13 +378,10 @@ def _exp_aj_sweep(cfg):
         q = QuadraticObjective(q.m, q.d, q.diag, q.lin,
                                {e: B * s if e in boundary_edges else B
                                 for e, B in q.pair.items()})
-        xs, phis = global_solve_oracle(q)
+        oracle = global_solve_oracle(q)
         inputs = estimate_constants(q, part)
         rep = rate_terms(part, inputs)
-        scfg = SolverConfig(tau=rep.tau_max, max_rounds=cfg.max_rounds,
-                            tol_x=1e-14, track_oracle=(xs, phis))
-        tr, ms = _timed(mp_jacobi, q, part, scfg)
-        res.add("mp_jacobi", q.m, q.d, cfg.seed, tr, cfg.tol, ms,
+        res.run("mp_jacobi", mp_jacobi, q, part, res.solver_config(rep.tau_max, oracle),
                 A_J=rep.A_J, boundary_scale=s)
     res.extras["A_J"] = [r["A_J"] for r in res.rows]
     res.extras["iters"] = [r["iters"] for r in res.rows]
@@ -346,19 +392,15 @@ def _exp_kappa_sweep(cfg):
     res = ExperimentResult(cfg)
     kappas = cfg.params.get("kappas", [50, 100, 200, 400])
     D = cfg.params.get("D", 1600)
-    reports = {}
-    for kappa in kappas:
-        g, q, part = kappa_sweep_instance(kappa, D=D)
-        inputs = estimate_constants(q, part)
-        reports[kappa] = rate_terms(part, inputs)
+    instances = {kappa: kappa_sweep_instance(kappa, D=D) for kappa in kappas}
+    reports = {kappa: rate_terms(part, estimate_constants(q, part))
+               for kappa, (g, q, part) in instances.items()}
     tau_fix = min(r.tau_max for r in reports.values())
     for kappa in kappas:
-        g, q, part = kappa_sweep_instance(kappa, D=D)
-        xs, phis = global_solve_oracle(q)
-        scfg = SolverConfig(tau=tau_fix, max_rounds=cfg.params.get("rounds", 1500),
-                            tol_x=1e-14, track_oracle=(xs, phis))
-        tr, ms = _timed(mp_jacobi, q, part, scfg)
-        res.add("mp_jacobi", q.m, q.d, cfg.seed, tr, cfg.tol, ms,
+        g, q, part = instances[kappa]
+        scfg = res.solver_config(tau_fix, global_solve_oracle(q),
+                                 max_rounds=cfg.params.get("rounds", 1500))
+        res.run("mp_jacobi", mp_jacobi, q, part, scfg,
                 kappa=kappa, regime=reports[kappa].regime)
     res.extras["regimes"] = {k: reports[k].regime for k in kappas}
     res.extras["iters"] = [r["iters"] for r in res.rows]
@@ -375,52 +417,25 @@ def _exp_qp_compare(cfg):
     d = cfg.params.get("d", 3)
     g = generate_topology("ring", m=m)
     q = build_random_qp(g, d, cfg.params.get("kappa", 400.0), cfg.seed)
-    xs, phis = global_solve_oracle(q)
+    oracle = global_solve_oracle(q)
     part = generate_partition("ring_P2", g, D=cfg.params.get("D", 1))
-    oracle = (xs, phis)
-
-    def run_mp(tau):
-        scfg = SolverConfig(tau=tau, max_rounds=cfg.max_rounds, tol_x=1e-14,
-                            track_oracle=oracle)
-        return mp_jacobi(q, part, scfg)
-
-    tau_mp, tr, ms = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
-    res.add("mp_jacobi", m, d, cfg.seed, tr, cfg.tol, ms, tau=tau_mp)
-    res.traces["mp_jacobi"] = tr
+    res.traces["mp_jacobi"] = res.tuned(
+        "mp_jacobi", q, lambda tau: mp_jacobi(q, part, res.solver_config(tau, oracle)))
 
     spec = SurrogateSpec(
         family="schur_quadratic",
         Q=np.stack([np.diag(np.diag(q.diag[i])) for i in range(m)]),
         M_edge={e: np.diag(np.diag(q.pair[e])) for e in q.pair})
+    res.traces["mp_jacobi_surrogate"] = res.tuned(
+        "mp_jacobi_surrogate", q, lambda tau: mp_jacobi_surrogate(
+            q, part, res.solver_config(tau, oracle, surrogate=spec,
+                                       exact_variable_update=True)))
 
-    def run_sur(tau):
-        sscfg = SolverConfig(tau=tau, max_rounds=cfg.max_rounds, tol_x=1e-14,
-                             surrogate=spec, exact_variable_update=True,
-                             track_oracle=oracle)
-        return mp_jacobi_surrogate(q, part, sscfg)
-
-    tau_s, trs, ms = tune_tau(run_sur, cfg.tol, cfg.max_rounds)
-    res.add("mp_jacobi_surrogate", m, d, cfg.seed, trs, cfg.tol, ms, tau=tau_s)
-    res.traces["mp_jacobi_surrogate"] = trs
-
-    for kind, extra in (
-            ("jacobi", {}),
-            ("block_jacobi_central", {"clusters": part.clusters}),
-            ("gradient_descent", None)):
-        if extra is None:
-            params = {"max_rounds": cfg.max_rounds, "tol": 1e-14,
-                      "oracle": oracle}
-            tb, ms3 = _timed(baseline, kind, q, params)
-            res.add(kind, m, d, cfg.seed, tb, cfg.tol, ms3)
-        else:
-            def run_b(tau, kind=kind, extra=extra):
-                return baseline(kind, q, {**extra, "tau": tau,
-                                          "max_rounds": cfg.max_rounds,
-                                          "tol": 1e-14, "oracle": oracle})
-
-            tau_b, tb, ms = tune_tau(run_b, cfg.tol, cfg.max_rounds)
-            res.add(kind, m, d, cfg.seed, tb, cfg.tol, ms, tau=tau_b)
-        res.traces[kind] = tb
+    for kind, params in (("jacobi", {}),
+                         ("block_jacobi_central", {"clusters": part.clusters})):
+        res.traces[kind] = res.tuned(kind, q, lambda tau: baseline(
+            kind, q, res.baseline_params(oracle, tau=tau, **params)))
+    res.traces["gradient_descent"] = res.baseline("gradient_descent", q, oracle)
     return res
 
 
@@ -449,28 +464,22 @@ def _exp_ring_scaling(cfg):
     res = ExperimentResult(cfg)
     tol = cfg.params.get("tol", 1e-3)
     coupling = cfg.params.get("coupling", 0.15)
-    sizes, it1, it2 = [], [], []
     for (D, m) in ring_scaling_sizes(tuple(cfg.params.get("D_values",
                                                           (2, 3, 4, 5, 6, 7)))):
         g, q = ring_uniform_qp(m, coupling=coupling, seed=cfg.seed)
-        xs, phis = global_solve_oracle(q)
-        runs = {}
+        oracle = global_solve_oracle(q)
         D1 = min(int(math.ceil(m ** (2.0 / 3.0))), m - 2)
         for label, part in (
                 ("partition1", generate_partition("ring_P1", g, D=D1)),
                 ("partition2", generate_partition("ring_P2", g, D=D))):
             inputs = estimate_constants(q, part)
             rep = rate_terms(part, inputs)
-            scfg = SolverConfig(tau=rep.tau_max, max_rounds=cfg.max_rounds,
-                                tol_x=1e-14, track_oracle=(xs, phis))
-            tr, ms = _timed(mp_jacobi, q, part, scfg)
-            iters = relative_iterations(tr, tol)
-            runs[label] = iters
-            res.add(label, m, 1, cfg.seed, tr, tol, ms, D=D,
-                    iters_rel=iters)
-        sizes.append(m)
-        it1.append(runs["partition1"])
-        it2.append(runs["partition2"])
+            tr, ms = _timed(mp_jacobi, q, part, res.solver_config(rep.tau_max, oracle))
+            iters = tr.iterations_to("dist_to_opt", tol * tr.dist_to_opt[0])
+            res.add(label, q, tr, ms, tol=tol, D=D, iters_rel=iters)
+    sizes = [r["m"] for r in res.rows[::2]]
+    it1 = [r["iters_rel"] for r in res.rows[::2]]
+    it2 = [r["iters_rel"] for r in res.rows[1::2]]
     s1, r1 = fit_scaling_exponent(sizes, it1)
     s2, r2 = fit_scaling_exponent(sizes, it2)
     res.extras.update(sizes=sizes, iters_p1=it1, iters_p2=it2,
@@ -479,35 +488,20 @@ def _exp_ring_scaling(cfg):
     return res
 
 
-def relative_iterations(trace, tol):
-    """First round with dist-to-optimum at most tol times its initial value."""
-    d0 = trace.dist_to_opt[0]
-    for k, v in enumerate(trace.dist_to_opt):
-        if v <= tol * d0:
-            return k
-    return None
-
-
 def _exp_minsum_failure(cfg):
     res = ExperimentResult(cfg)
     g, q = loopy_nondd_instance(seed=cfg.params.get("instance_seed", 0))
-    xs, phis = global_solve_oracle(q)
-    import warnings
-
+    oracle = global_solve_oracle(q)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         part = validate_tree_partition(g, [[0, 1, 2], [3], [4], [5]])
     tb, ms = _timed(baseline, "minsum", q,
                     {"max_rounds": cfg.params.get("minsum_rounds", 400),
-                     "oracle": (xs, phis)})
-    res.add("minsum", q.m, 1, cfg.seed, tb, cfg.tol, ms,
-            blowup=max(tb.dist_to_opt[1:]) / tb.dist_to_opt[1])
+                     "oracle": oracle})
+    res.add("minsum", q, tb, ms, blowup=max(tb.dist_to_opt[1:]) / tb.dist_to_opt[1])
     res.traces["minsum"] = tb
-    scfg = SolverConfig(tau=1.0 / part.p, max_rounds=cfg.max_rounds,
-                        tol_x=1e-14, track_oracle=(xs, phis))
-    tr, ms2 = _timed(mp_jacobi, q, part, scfg)
-    res.add("mp_jacobi", q.m, 1, cfg.seed, tr, cfg.tol, ms2)
-    res.traces["mp_jacobi"] = tr
+    res.traces["mp_jacobi"] = res.run("mp_jacobi", mp_jacobi, q, part,
+                                      res.solver_config(1.0 / part.p, oracle))
     return res
 
 
@@ -536,45 +530,20 @@ def _exp_cta_compare(cfg):
     d = cfg.params.get("d", 3)
     g, W, prob = cta_instance(m=m, d=d, gamma=gamma, seed=cfg.seed)
     q = prob.to_quadratic()
-    xs, phis = global_solve_oracle(q)
+    oracle = global_solve_oracle(q)
     part = generate_partition("ring_P2", g, D=cfg.params.get("D", 1))
-    oracle = (xs, phis)
     tol_grad = cfg.params.get("tol_grad", 1e-8)
     tau = cfg.params.get("tau")
-
-    def run_mp(t):
-        scfg = SolverConfig(tau=t, max_rounds=cfg.max_rounds, tol_x=1e-14,
-                            tol_grad=tol_grad, track_oracle=oracle)
-        return mp_jacobi(q, part, scfg)
-
-    if tau is None:
-        tau_mp, tr, ms = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
-    else:
-        tau_mp, (tr, ms) = tau, _timed(run_mp, tau)
-    res.add("mp_jacobi", m, d, cfg.seed, tr, cfg.tol, ms, tau=tau_mp)
-    res.traces["mp_jacobi"] = tr
+    res.traces["mp_jacobi"] = res.tuned("mp_jacobi", q, lambda t: mp_jacobi(
+        q, part, res.solver_config(t, oracle, tol_grad=tol_grad)), tau)
 
     qmax = max(float(np.linalg.eigvalsh(f.Q)[-1]) for f in prob.locals_)
     spec = SurrogateSpec(family="partial_linearization", Q=qmax + 0.1)
-
-    def run_sur(t):
-        sscfg = SolverConfig(tau=t, max_rounds=cfg.max_rounds, tol_x=1e-14,
-                             tol_grad=tol_grad, surrogate=spec,
-                             track_oracle=oracle)
-        return mp_jacobi_surrogate(prob, part, sscfg)
-
-    if tau is None:
-        tau_s, trs, ms = tune_tau(run_sur, cfg.tol, cfg.max_rounds)
-    else:
-        tau_s, (trs, ms) = tau, _timed(run_sur, tau)
-    res.add("mp_jacobi_surrogate", m, d, cfg.seed, trs, cfg.tol, ms, tau=tau_s)
-    res.traces["mp_jacobi_surrogate"] = trs
-
-    tb, ms3 = _timed(baseline, "dgd_cta", prob,
-                     {"max_rounds": cfg.max_rounds, "tol": 1e-14,
-                      "oracle": oracle})
-    res.add("dgd_cta", m, d, cfg.seed, tb, cfg.tol, ms3)
-    res.traces["dgd_cta"] = tb
+    res.traces["mp_jacobi_surrogate"] = res.tuned(
+        "mp_jacobi_surrogate", prob, lambda t: mp_jacobi_surrogate(
+            prob, part, res.solver_config(t, oracle, tol_grad=tol_grad,
+                                          surrogate=spec)), tau)
+    res.traces["dgd_cta"] = res.baseline("dgd_cta", prob, oracle)
     return res
 
 
@@ -596,31 +565,16 @@ def _exp_dumbbell_scaling(cfg):
                                rng.standard_normal(d)) for _ in range(g.m)]
         prob = build_cta(locs, W)
         q = prob.to_quadratic()
-        xs, phis = global_solve_oracle(q)
-        oracle = (xs, phis)
+        oracle = global_solve_oracle(q)
         # path nodes grouped into one long path cluster, cliques singleton
         chain = list(range(5, 5 + path))
         clusters = [chain] + [[i] for i in range(g.m) if i not in chain]
         part = validate_tree_partition(g, clusters)
-
-        def run_mp(t, q=q, part=part, oracle=oracle):
-            scfg = SolverConfig(tau=t, max_rounds=cfg.max_rounds,
-                                tol_x=1e-14, track_oracle=oracle)
-            return mp_jacobi(q, part, scfg)
-
-        tau_mp, tr, ms = tune_tau(run_mp, cfg.tol, cfg.max_rounds)
-        res.add("mp_jacobi", g.m, d, cfg.seed, tr, cfg.tol, ms, path=path,
-                tau=tau_mp)
-        tb, ms2 = _timed(baseline, "dgd_cta", prob,
-                         {"max_rounds": cfg.max_rounds, "tol": 1e-14,
-                          "oracle": oracle})
-        res.add("dgd_cta", g.m, d, cfg.seed, tb, cfg.tol, ms2, path=path)
-        q_atc = build_atc(locs, W)
-        xa, _ = global_solve_oracle(q_atc)
-        ta, ms3 = _timed(baseline, "dgd_atc", prob,
-                         {"max_rounds": cfg.max_rounds, "tol": 1e-14,
-                          "oracle": (xa, float("nan"))})
-        res.add("dgd_atc", g.m, d, cfg.seed, ta, cfg.tol, ms3, path=path)
+        res.tuned("mp_jacobi", q,
+                  lambda t: mp_jacobi(q, part, res.solver_config(t, oracle)), path=path)
+        res.baseline("dgd_cta", prob, oracle, path=path)
+        xa, _ = global_solve_oracle(build_atc(locs, W))
+        res.baseline("dgd_atc", prob, (xa, float("nan")), path=path)
     return res
 
 
@@ -631,8 +585,7 @@ def _exp_hyperring(cfg):
     d = cfg.params.get("d", 2)
     hg, q = hyperring_qp(n_edges=n_edges, edge_size=edge_size, d=d,
                          seed=cfg.seed, kappa=cfg.params.get("kappa", 200.0))
-    xs, phis = global_solve_oracle(q)
-    oracle = (xs, phis)
+    oracle = global_solve_oracle(q)
     # one path cluster holding all but two consecutive hyperedges
     kept = list(range(n_edges - 2))
     nodes = sorted({i for a in kept for i in hg.hyperedges[a]})
@@ -641,16 +594,9 @@ def _exp_hyperring(cfg):
     for label, surrogate in (("h_mp_jacobi", None),
                              ("h_mp_jacobi_surrogate",
                               SurrogateSpec(family="first_order", alpha=1.0))):
-        scfg = SolverConfig(tau=1.0 / hpart.p, max_rounds=cfg.max_rounds,
-                            tol_x=1e-14, surrogate=surrogate, track_oracle=oracle)
-        tr, ms = _timed(h_mp_jacobi, q, hpart, scfg)
-        res.add(label, hg.m, d, cfg.seed, tr, cfg.tol, ms)
-        res.traces[label] = tr
-    tb, ms2 = _timed(baseline, "gradient_descent", q,
-                     {"max_rounds": cfg.max_rounds, "tol": 1e-14,
-                      "oracle": oracle})
-    res.add("gradient_descent", hg.m, d, cfg.seed, tb, cfg.tol, ms2)
-    res.traces["gradient_descent"] = tb
+        scfg = res.solver_config(1.0 / hpart.p, oracle, surrogate=surrogate)
+        res.traces[label] = res.run(label, h_mp_jacobi, q, hpart, scfg)
+    res.traces["gradient_descent"] = res.baseline("gradient_descent", q, oracle)
     return res
 
 
@@ -689,9 +635,7 @@ def tune_tau(run_fn, tol, max_rounds, grid=TAU_GRID):
 def _exp_split_toy(cfg):
     res = ExperimentResult(cfg)
     hg, q = split_toy_instance(seed=cfg.params.get("instance_seed", 0))
-    xs, phis = global_solve_oracle(q)
-    oracle = (xs, phis)
-    runs = {}
+    oracle = global_solve_oracle(q)
     for label, family, supports, keep in (
             ("split_pairwise", "pairwise", ((1, 3), (1, 2), (2, 3)), 1),
             ("split_singleton", "singleton", ((1,), (2,), (3,)), 1)):
@@ -699,20 +643,11 @@ def _exp_split_toy(cfg):
         comps = split_surrogate_components(split, {1: family})
         view = SplitQuadraticView(q, split, comps)
         spart = validate_split_partition(split, [[0, 1, 2, 3]], [[0, keep]])
-
-        def run(tau, view=view, spart=spart):
-            scfg = SolverConfig(tau=tau, max_rounds=cfg.max_rounds, tol_x=1e-14,
-                                tol_grad=1e-10, track_oracle=oracle)
-            return h_mp_jacobi_split(q, view, spart, scfg)
-
-        tau, tr, ms = tune_tau(run, cfg.tol, cfg.max_rounds)
-        res.add(label, 4, 1, cfg.seed, tr, cfg.tol, ms, tau=tau)
-        res.traces[label] = tr
-        runs[label] = tr.iterations_to("dist_to_opt", cfg.tol)
-    tb, ms2 = _timed(baseline, "gradient_descent", q,
-                     {"max_rounds": cfg.max_rounds, "tol": 1e-14,
-                      "oracle": oracle})
-    res.add("gradient_descent", 4, 1, cfg.seed, tb, cfg.tol, ms2)
+        res.traces[label] = res.tuned(label, q, lambda tau: h_mp_jacobi_split(
+            q, view, spart, res.solver_config(tau, oracle, tol_grad=1e-10)))
+    # a tuned run reaches the tolerance, so its row's iters is its count
+    runs = {r["solver"]: r["iters"] for r in res.rows}
+    res.baseline("gradient_descent", q, oracle)
     res.extras["ordering"] = sorted(runs, key=runs.get)
     res.extras["iters"] = runs
     return res
@@ -723,8 +658,7 @@ def _exp_atc_hyper(cfg):
     d = min(cfg.params.get("d", 4), MAX_D)
     g, W, q, cta = atc_hyper_instance(d=d, gamma=cfg.params.get("gamma", 0.02),
                                       seed=cfg.seed)
-    xs, phis = global_solve_oracle(q)
-    oracle = (xs, phis)
+    oracle = global_solve_oracle(q)
     hg = Hypergraph(8, list(q.hyper.keys()))
     idx = {w: a for a, w in enumerate(hg.hyperedges)}
 
@@ -732,12 +666,8 @@ def _exp_atc_hyper(cfg):
     hpart1 = validate_hyper_partition(
         hg, [[0, 1, 2, 3], [4, 5, 6, 7]],
         intra_factors=[[idx[(0, 1, 2, 3)]], [idx[(4, 5, 6, 7)]]])
-    scfg = SolverConfig(tau=cfg.params.get("tau", 0.5),
-                        max_rounds=cfg.max_rounds, tol_x=1e-14, tol_grad=1e-10,
-                        track_oracle=oracle)
-    tr1, ms1 = _timed(h_mp_jacobi, q, hpart1, scfg)
-    res.add("h_mp_jacobi_s1", 8, d, cfg.seed, tr1, cfg.tol, ms1)
-    res.traces["h_mp_jacobi_s1"] = tr1
+    scfg = res.solver_config(cfg.params.get("tau", 0.5), oracle, tol_grad=1e-10)
+    res.traces["h_mp_jacobi_s1"] = res.run("h_mp_jacobi_s1", h_mp_jacobi, q, hpart1, scfg)
 
     # S2: cluster {0..4} with the 5-node factor split into {0,1,2}+{2,3,4}
     parent = (0, 1, 2, 3, 4)
@@ -749,13 +679,12 @@ def _exp_atc_hyper(cfg):
     spart = validate_split_partition(
         split, [[0, 1, 2, 3, 4], [5], [6], [7]],
         [comp_ids, [], [], []])
-    tr2, ms2 = _timed(h_mp_jacobi_split, q, view, spart, scfg)
-    res.add("h_mp_jacobi_s2", 8, d, cfg.seed, tr2, cfg.tol, ms2)
-    res.traces["h_mp_jacobi_s2"] = tr2
+    res.traces["h_mp_jacobi_s2"] = res.run("h_mp_jacobi_s2", h_mp_jacobi_split,
+                                           q, view, spart, scfg)
 
-    tb, ms3 = _timed(baseline, "dgd_atc", cta,
-                     {"max_rounds": cfg.max_rounds, "tol": 0.0})
-    res.add("dgd_atc", 8, d, cfg.seed, tb, cfg.tol, ms3)
+    # DGD-ATC runs on the CTA problem but converges to the ATC minimizer,
+    # where the CTA objective has no known optimum value: phi* = nan
+    res.baseline("dgd_atc", cta, (oracle[0], float("nan")), tol=0.0)
     return res
 
 

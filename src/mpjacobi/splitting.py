@@ -39,8 +39,9 @@ class CyclicSplitCluster(SplitError):
 class SplitMap:
     """Per-parent component supports. parent index -> tuple of supports.
 
-    Parents not mentioned keep their identity component. Each component
-    support must be a nonempty subset of its parent.
+    Parents not mentioned keep their identity component. Each key must
+    index a parent and each component support must be a nonempty subset of
+    it; ``apply_split`` raises ``SplitError`` otherwise.
     """
 
     components: dict
@@ -89,6 +90,7 @@ def apply_split(hg, split_map):
     size one are allowed for components even though plain hyperedges
     require two nodes.
     """
+    _reject_unknown_parents(split_map.components, len(hg.hyperedges), "split map")
     parent_of = []
     component_of = []
     for a, w in enumerate(hg.hyperedges):
@@ -98,6 +100,13 @@ def apply_split(hg, split_map):
     # Hypergraph forbids duplicates and singletons; store components directly.
     split = _LabeledHypergraph(hg.m, tuple(component_of))
     return SplitHypergraph(hg, split, tuple(parent_of), tuple(component_of))
+
+
+def _reject_unknown_parents(keys, n_parents, what):
+    unknown = [k for k in keys if k not in range(n_parents)]
+    if unknown:
+        raise SplitError(f"{what} key {unknown[0]!r} names no parent hyperedge "
+                         f"(there are {n_parents})")
 
 
 class _LabeledHypergraph(Hypergraph):
@@ -207,7 +216,10 @@ def _all_pairs(w):
 
 def split_surrogate_components(split, family_by_parent):
     """ComponentSurrogate list aligned with ``split.hypergraph.hyperedges``.
-    A parent missing from ``family_by_parent`` keeps the identity family."""
+    A parent missing from ``family_by_parent`` keeps the identity family; a
+    key that names no parent raises ``SplitError``."""
+    _reject_unknown_parents(family_by_parent, len(split.original.hyperedges),
+                            "family")
     by_parent = {}
     for a, parent_idx in enumerate(split.parent_of):
         by_parent.setdefault(parent_idx, []).append(a)

@@ -200,59 +200,6 @@ class Hypergraph:
     def m(self):
         return self.node_count
 
-    def factor_graph(self):
-        return FactorGraph(self)
-
-
-class FactorGraph:
-    """Bipartite incidence view of a hypergraph.
-
-    Variable nodes are 0..m-1; factor nodes are hyperedge indices into
-    ``hypergraph.hyperedges``. Incidence (i, w) exists iff i in w.
-    """
-
-    def __init__(self, hypergraph):
-        self.hypergraph = hypergraph
-        self.m = hypergraph.m
-        self.factors = hypergraph.hyperedges
-        self.var_adj = [[] for _ in range(self.m)]
-        for a, w in enumerate(self.factors):
-            for i in w:
-                self.var_adj[i].append(a)
-
-    def is_acyclic(self):
-        """Berge-acyclicity: no variable-factor incidence closes a cycle."""
-        inc = [(("v", i), ("f", a)) for a, w in enumerate(self.factors) for i in w]
-        return _first_cycle_edge(inc) is None
-
-    def bfs_dist(self, src_kind, src):
-        """Distances from a variable ('v', i) or factor ('f', a) node."""
-        return _bfs((src_kind, src), _incidence_nbrs(self.var_adj, self.factors))
-
-
-def factor_distances(fg):
-    """BFS distance tables on a factor graph.
-
-    Returns (dist_f, d_vv, d_vf) where dist_f[(kind,u)][(kind,v)] is the
-    bipartite hop count, d_vv[i][j] = dist_f/2 between variables and
-    d_vf[i][a] = (dist_f - 1)/2 between variable i and factor a.
-    Unreachable pairs are absent from the tables.
-    """
-    dist_f = {}
-    d_vv = {}
-    d_vf = {}
-    for i in range(fg.m):
-        table = fg.bfs_dist("v", i)
-        dist_f[("v", i)] = table
-        d_vv[i] = {}
-        d_vf[i] = {}
-        for (kind, u), val in table.items():
-            if kind == "v":
-                d_vv[i][u] = val // 2
-            else:
-                d_vf[i][u] = (val - 1) // 2 if val > 0 else 0
-    return dist_f, d_vv, d_vf
-
 
 def _check_clusters(m, clusters):
     """Sorted clusters and the node -> cluster map of a partition of 0..m-1."""

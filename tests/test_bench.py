@@ -10,12 +10,15 @@ import pytest
 
 import mpjacobi
 from mpjacobi.bench import (
+    BenchError,
     ExperimentConfig,
     InsufficientData,
     fit_scaling_exponent,
+    path_triples_partition,
     plot_traces_svg,
     run_experiment,
     tune_tau,
+    two_cliques_instance,
 )
 from mpjacobi.objective import build_random_qp, problem_to_json
 from mpjacobi.solvers import RunTrace
@@ -42,6 +45,16 @@ def test_tune_tau_returns_the_winners_wall_time():
     tau, trace, wall_ms = tune_tau(run_fn, tol=1e-6, max_rounds=10)
     assert tau == 0.5 and trace.iterations_to("dist_to_opt", 1e-6) == 3
     assert 80.0 <= wall_ms < 2000.0
+
+
+def test_bench_raises_typed_errors():
+    # no stepsize on the grid reaches the tolerance
+    with pytest.raises(BenchError, match="no stepsize"):
+        tune_tau(lambda tau: RunTrace(dist_to_opt=[1.0, 0.5]), tol=1e-6, max_rounds=10)
+    # 42 path nodes hold 12 triples between the spare singletons at the ends
+    g, _ = two_cliques_instance()
+    with pytest.raises(BenchError, match="too many triples"):
+        path_triples_partition(g, 7, 42, 13)
 
 
 def test_fit_scaling_exponent():
@@ -154,3 +167,61 @@ def test_aj_sweep_rescales_on_a_new_objective():
     assert res.extras["A_J"] == [0.188083711468686, 0.752334845874744,
                                  3.009339383498976]
     assert res.extras["iters"] == [787, 799, 1056]
+
+
+ROW_COLUMNS = {"experiment", "solver", "m", "d", "seed", "iters", "final_gap",
+               "vectors_sent", "wall_ms", "config"}
+
+# experiment -> (toy params, {solver: its own row columns}, (m, d), the
+# claim the experiment exists to show, on the rows by solver)
+TOY_RUNS = {
+    "qp_compare": (
+        {"m": 8, "d": 2, "kappa": 50},
+        {"mp_jacobi": {"tau"}, "mp_jacobi_surrogate": {"tau"}, "jacobi": {"tau"},
+         "block_jacobi_central": {"tau"}, "gradient_descent": set()}, (8, 2),
+        # 158 rounds against 294 and 776 at seed 0
+        lambda r: r["mp_jacobi"]["iters"] < r["jacobi"]["iters"]
+        < r["gradient_descent"]["iters"]),
+    "cta_compare": (
+        {"m": 8, "d": 2, "gamma": 0.05, "tau": 0.5},
+        {"mp_jacobi": {"tau"}, "mp_jacobi_surrogate": {"tau"}, "dgd_cta": set()},
+        (8, 2),
+        # 1,471 rounds against 1,851; dgd_cta sends fewer vectors at this size
+        lambda r: r["mp_jacobi"]["iters"] < r["dgd_cta"]["iters"]),
+    "dumbbell_scaling": (
+        {"paths": [2], "gamma": 0.1},
+        {"mp_jacobi": {"path", "tau"}, "dgd_cta": {"path"}, "dgd_atc": {"path"}},
+        (12, 2),
+        # 4,512 vectors against 5,566
+        lambda r: r["mp_jacobi"]["vectors_sent"] < r["dgd_cta"]["vectors_sent"]),
+    "hyperring": (
+        {"n_edges": 4, "edge_size": 3},
+        {"h_mp_jacobi": set(), "h_mp_jacobi_surrogate": set(),
+         "gradient_descent": set()}, (8, 2),
+        # 246 rounds, 453 with diagonalized messages, 3,238 for gradient descent
+        lambda r: r["h_mp_jacobi"]["iters"] < r["h_mp_jacobi_surrogate"]["iters"]
+        < r["gradient_descent"]["iters"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_RUNS))
+def test_experiment_at_toy_size(name):
+    params, columns, (m, d), claim = TOY_RUNS[name]
+    cfg = ExperimentConfig(experiment=name, params=params)
+    res = run_experiment(cfg)
+    rows = {r["solver"]: r for r in res.rows}
+    assert [r["solver"] for r in res.rows] == list(columns)
+    for solver, own in columns.items():
+        row = rows[solver]
+        assert set(row) == ROW_COLUMNS | own
+        assert (row["experiment"], row["m"], row["d"], row["seed"], row["config"]) == (
+            name, m, d, 0, cfg.digest())
+        assert row["final_gap"] <= cfg.tol and row["iters"] < cfg.max_rounds
+    assert claim(rows)
+
+
+def test_atc_hyper_times_dgd_atc_to_the_atc_minimizer():
+    res = run_experiment(ExperimentConfig(experiment="atc_hyper", max_rounds=3000))
+    row = {r["solver"]: r for r in res.rows}["dgd_atc"]
+    # it still runs every round (tol 0), and reaches 1e-6 at round 1,397
+    assert row["iters"] == 1397 and row["final_gap"] < 1e-12

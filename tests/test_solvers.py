@@ -301,6 +301,21 @@ def test_minsum_splitting_consensus_rate():
     assert tr2.converged
 
 
+@pytest.mark.parametrize("scale, rounds", [(2.0, 0), (2.0 - 1e-12, 1)])
+def test_minsum_splitting_flags_both_divergences(scale, rounds):
+    # Gamma = 2 [[0, 1], [1, 0]] makes the first R_1 singular (0 rounds);
+    # 1e-12 less leaves it invertible but sends x_1 to ~3.2e12, which the
+    # round driver's rule ``_diverged`` flags after one round
+    W = np.full((2, 2), 0.5)
+    locs = [(np.array([[1.0]]), np.array([1.0])),
+            (np.array([[-0.5]]), np.array([0.3]))]
+    Gamma = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
+    tr = minsum_splitting(locs, W, delta=1.0, Gamma=Gamma, max_rounds=50)
+    assert tr.diverged and not tr.converged
+    assert tr.rounds == rounds and len(tr.dist_to_opt) == rounds + 1
+    assert (np.abs(tr.x_final).max() > 1e12) == (rounds == 1)
+
+
 def loopy_nondd_qp(seed=0, m=6):
     """Ring plus two chords with mixed-sign couplings: positive definite but
     far from diagonally dominant; plain min-sum blows up on it."""

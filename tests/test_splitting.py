@@ -202,6 +202,11 @@ MALFORMED = {
                                  lambda: _toy_split({0: ((0, 3),)})),
     "split_map/duplicate": (DuplicateComponentAcrossParents, "listed twice",
                             lambda: _toy_split({0: ((0, 1), (1, 0))})),
+    "split_map/unknown_parent": (SplitError, "split map key 5 names no parent",
+                                 lambda: _toy_split({5: ((1, 2),)})),
+    "family/unknown_parent": (SplitError, "family key 7 names no parent",
+                              lambda: split_surrogate_components(
+                                  _toy_split({}), {7: "pairwise"})),
     "identity/split_parent": (SplitError, r"parent 1 \(1, 2, 3\) .* no split family",
                               lambda: split_surrogate_components(apply_split(
                                   split_toy_instance(0)[0],

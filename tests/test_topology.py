@@ -13,7 +13,6 @@ from mpjacobi.topology import (
     NonTreeCluster,
     NotAPartition,
     TopologyError,
-    factor_distances,
     generate_partition,
     generate_topology,
     minimal_external_cover,
@@ -161,22 +160,14 @@ def test_generate_topology_shapes():
     assert db.degree(0) == 6
 
 
-def test_factor_distances_chain():
-    hg = Hypergraph(3, [(0, 1), (1, 2)])
-    fg = hg.factor_graph()
-    dist_f, d_vv, d_vf = factor_distances(fg)
-    assert d_vv[0][2] == 2
-    assert d_vf[0][1] == 1          # distF(0, w2) = 3 -> (3-1)/2
-    assert d_vf[0][0] == 0          # membership
-    assert d_vv[0][0] == 0
-
-
 def test_hypertree_acceptance():
-    hg = Hypergraph(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
-    fg = hg.factor_graph()
-    assert not fg.is_acyclic()      # hyper ring of 3 closes a loop
+    # a hyper ring of 3 closes a loop, so one cluster over all of it is no tree
+    ring3 = Hypergraph(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+    with pytest.raises(NonTreeCluster):
+        validate_hyper_partition(ring3, [list(range(6))])
     chain = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
-    assert chain.factor_graph().is_acyclic()
+    part = validate_hyper_partition(chain, [list(range(5))])
+    assert part.intra_factors == ((0, 1),) and part.d(0, 4) == 2
 
 
 def test_hyper_partition_validation():
