@@ -13,8 +13,9 @@ final_gap (last dist_to_opt), vectors_sent (at iters), wall_ms (of the
 solve; the winner's when tuned), config (its digest), then the experiment's
 own columns by name, such as tau.
 
-Size caps: m <= 2000, d <= 100, and (D+1) m d <= 5000 for the spectral
-oracle.
+Size caps: ``ExperimentResult`` refuses a run on a problem with m >
+``MAX_M`` (2000) or d > ``MAX_D`` (100) with a ``BenchError``, before it
+solves; the spectral oracle caps (D+1) m d at 5000.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .objective import (
 from .rate_analysis import estimate_constants, fit_loglog, rate_terms
 from .solvers import (
     SolverConfig,
+    SolverError,
     baseline,
     h_mp_jacobi,
     h_mp_jacobi_split,
@@ -142,6 +144,7 @@ class ExperimentResult:
 
     def run(self, solver, solve, problem, *args, **extra):
         """Time ``solve(problem, *args)``, add its row, return its trace."""
+        _check_size(problem)
         trace, wall_ms = _timed(solve, problem, *args)
         self.add(solver, problem, trace, wall_ms, **extra)
         return trace
@@ -149,6 +152,7 @@ class ExperimentResult:
     def tuned(self, solver, problem, run_tau, tau=None, **extra):
         """Run ``run_tau`` at ``tau``, or at the ``tune_tau`` winner when
         tau is None; add its row, with the tau, and return its trace."""
+        _check_size(problem)
         if tau is None:
             tau, trace, wall_ms = tune_tau(run_tau, self.config.tol,
                                            self.config.max_rounds)
@@ -182,6 +186,14 @@ class ExperimentResult:
         for r in self.rows:
             out.append(",".join(_fmt(r.get(c, "")) for c in cols))
         return "\n".join(out) + "\n"
+
+
+def _check_size(problem):
+    """BenchError unless the problem is within the caps m <= MAX_M and
+    d <= MAX_D."""
+    if problem.m > MAX_M or problem.d > MAX_D:
+        raise BenchError(f"problem of m = {problem.m}, d = {problem.d} exceeds "
+                         f"the caps m <= {MAX_M}, d <= {MAX_D}")
 
 
 def _fmt(v):
@@ -615,7 +627,7 @@ def tune_tau(run_fn, tol, max_rounds, grid=TAU_GRID):
     for tau in grid:
         try:
             tr, ms = _timed(run_fn, tau)
-        except Exception:
+        except SolverError:
             continue
         iters = tr.iterations_to("dist_to_opt", tol)
         if iters is None or tr.diverged:

@@ -49,9 +49,8 @@ def as_blocks(x, m, d):
 
 
 def check_block_vector(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ObjectiveError("block vector must be 2-d (m, d)")
+    """x, an (m, d) block vector from :func:`as_blocks`, unless it has
+    non-finite entries."""
     if not np.all(np.isfinite(x)):
         raise ObjectiveError("block vector has non-finite entries")
     return x
@@ -286,26 +285,33 @@ class QuadraticObjective:
 
         Adds the diagonal blocks, the pair blocks B at (i, j) and B^T at
         (j, i), then 2 H_w per factor in ``hyper`` order.
+
+        H is column-major (F-contiguous): H^T is filled in row-major order,
+        each entry summed as above, and returned transposed, so H holds the
+        bits of a row-major build. ``numpy.linalg`` hands LAPACK a
+        column-major buffer, which a column-major H fills with one
+        contiguous copy instead of a strided gather; LAPACK reads the same
+        values either way.
         """
         m, d = self.m, self.d
-        H = np.zeros((m, d, m, d))
+        Ht = np.zeros((m, d, m, d))         # Ht[j, b, i, a] = H[(i, a), (j, b)]
         nodes, rows, cols, B = np.arange(m), self.pair_rows, self.pair_cols, self.pair_blocks
         # every diagonal and pair block lands once, on zeros
-        H[nodes, :, nodes, :] += self.diag
-        H[rows, :, cols, :] += B
-        H[cols, :, rows, :] += _transposed(B)
+        Ht[nodes, :, nodes, :] += _transposed(self.diag)
+        Ht[cols, :, rows, :] += _transposed(B)
+        Ht[rows, :, cols, :] += B
         if self.hyper_groups:
             # factors overlap: add entry by entry, factor by factor in hyper order
             at, vals, owner = [], [], []
             for ids, members, blocks in self.hyper_groups:
                 coords = (members[:, :, None] * d + np.arange(d)).reshape(len(ids), -1)
-                at.append((coords[:, :, None] * (m * d) + coords[:, None, :]).ravel())
+                at.append((coords[:, None, :] * (m * d) + coords[:, :, None]).ravel())
                 vals.append(2.0 * blocks.ravel())
                 owner.append(np.repeat(ids, coords.shape[1] ** 2))
             order = np.argsort(np.concatenate(owner), kind="stable")
-            np.add.at(H.reshape(-1), np.concatenate(at)[order],
+            np.add.at(Ht.reshape(-1), np.concatenate(at)[order],
                       np.concatenate(vals)[order])
-        return H.reshape(m * d, m * d), self.lin.reshape(-1).copy()
+        return Ht.reshape(m * d, m * d).T, self.lin.reshape(-1).copy()
 
     def graph_edges(self):
         """Edge set of the interaction graph (pairwise couplings only)."""
@@ -682,27 +688,97 @@ def _shift_to_kappa(q, kappa):
     return q
 
 
+_U = float(np.finfo(float).eps) / 2    # unit roundoff, 2^-53
+
+
+def _oracle_shift(n, norm):
+    """The certificates' shift s = (1e-12 + 5 n^2 u) max(N, 1) for an
+    (n, n) matrix and a bound N on sqrt(2) ||H||_F."""
+    return (1e-12 + 5.0 * n * n * _U) * max(norm, 1.0)
+
+
+def _gershgorin_certified(q):
+    """Whether Gershgorin's circle theorem, read from q's compiled blocks,
+    proves lambda_min(H) > s for H = ``q.assemble()[0]`` and the shift s
+    of :func:`_certified_positive_definite`, with no dense pass: O((m + |E|)
+    d^2) work over ``diag``, ``pair_blocks`` and ``hyper_groups``.
+
+    Per coordinate t, c_t sums the entries that land on H_tt and R_t the
+    absolute values of all entries that land in row t. Where min_t (2 c_t -
+    R_t) is positive, every c_t is, so 2 c_t - R_t <= H_tt - sum_{u != t}
+    |H_tu| and that minimum bounds lambda_min(H) from below. That
+    holds for the symmetric matrix LAPACK reads only when H is symmetric,
+    so diagonal and hyper blocks must be exactly symmetric (pair blocks
+    land as B and B^T; overlapping factors add the same terms in the same
+    order on both sides of the diagonal). ||H||_F is at most
+    sqrt(||diag||_F^2 + 2 ||B||_F^2) plus, per arity group of n_w factors,
+    2 sqrt(n_w) times the group's Frobenius norm. Each sum has at most K
+    terms, K the number of block entries, so each is within gamma_K <= 2 K
+    u of its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Sec. 4.2, any order); a slack of 16 (K + 1) u R_t
+    per row and a factor 1 + 16 (K + 1) u on the norm cover those and the
+    roundings after them.
+
+    Refused (False): the empty matrix, asymmetric diagonal or hyper blocks,
+    and non-finite entries (the bound is NaN or the norm infinite). Problems
+    that are not diagonally dominant are refused before the symmetry and
+    norm passes.
+    """
+    m, d, n = q.m, q.d, q.m * q.d
+    if n == 0:
+        return False
+    D, B = q.diag, q.pair_blocks
+    k = np.arange(d)
+    # the diagonal and pair blocks, then each arity group's 2 H_w
+    S = np.concatenate((D, B, _transposed(B)))
+    at = np.concatenate((np.arange(m), q.pair_rows, q.pair_cols))[:, None] * d + k
+    with np.errstate(invalid="ignore", over="ignore"):
+        R = np.bincount(at.ravel(), np.abs(S).reshape(-1, d) @ np.ones(d), minlength=n)
+        c = np.diagonal(D, axis1=1, axis2=2).ravel()
+        size = S.size
+        for _, members, blocks in q.hyper_groups:
+            at = (members[:, :, None] * d + k).ravel()
+            kd = blocks.shape[1]
+            A = 2.0 * blocks
+            R += np.bincount(at, np.abs(A).reshape(-1, kd) @ np.ones(kd), minlength=n)
+            c = c + np.bincount(at, np.diagonal(A, axis1=1, axis2=2).ravel(), minlength=n)
+            size += A.size
+        slack = 16.0 * (size + 1) * _U
+        low = float((2.0 * c - (1.0 + slack) * R).min())
+        groups = [blocks for _, _, blocks in q.hyper_groups]
+        if not low > 0.0 or not all(np.array_equal(A, _transposed(A)) for A in [D] + groups):
+            return False
+        frob = math.sqrt(float(np.vdot(D, D)) + 2.0 * float(np.vdot(B, B)))
+        for A in groups:
+            frob += 2.0 * math.sqrt(len(A) * float(np.vdot(A, A)))
+    norm = math.sqrt(2.0) * frob * (1.0 + slack)
+    return math.isfinite(norm) and low > _oracle_shift(n, norm)
+
+
 def _certified_positive_definite(H):
     """Whether a Cholesky factorization of H - s I completes, for
     s = (1e-12 + 5 n^2 u) max(N, 1), N = sqrt(2) ||H||_F and u = 2^-53. The
     diagonal of H is shifted in place and written back bit for bit; the
-    factor is dropped.
+    factor is dropped. H may be row- or column-major.
 
-    The factorization, like ``eigvalsh``, reads the symmetric matrix L that
-    H's lower triangle defines (H itself when symmetric); ||L||_2 <= N.
+    The oracle's second certificate, for what :func:`_gershgorin_certified`
+    refuses. The factorization, like ``eigvalsh``, reads the symmetric
+    matrix L that H's lower triangle defines (H itself when symmetric);
+    ||L||_2 <= N.
     Success proves lambda_min(L) > 1e-12 max(|lambda_max(L)|, 1) with
     2 n^2 u max(N, 1) to spare for the rounding of computed eigenvalues
     that test the same condition: the factored A = L - S has |S_ii - s| <=
     u (N + s), R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R| (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, in
     any summation order), so ||dA||_2 <= gamma_{n+1} trace(A) (1 + O(nu))
-    <= (n^2 + n) u N (1 + O(nu)).
+    <= (n^2 + n) u N (1 + O(nu)). The Gershgorin certificate proves
+    lambda_min(L) > s itself, which leaves 5 n^2 u max(N, 1) to spare.
     """
     n = H.shape[0]
     norm = math.sqrt(2.0) * float(np.linalg.norm(H))
     if n == 0 or not math.isfinite(norm):
         return False
-    shift = (1e-12 + 5.0 * n * n * (np.finfo(float).eps / 2)) * max(norm, 1.0)
+    shift = _oracle_shift(n, norm)
     diag = H.diagonal().copy()
     np.fill_diagonal(H, diag - shift)
     try:
@@ -721,16 +797,22 @@ def global_solve_oracle(q):
     the min-norm solution provided the system is consistent.
     Returns (x_star, phi_star).
 
-    The direct solve runs when one Cholesky factorization certifies its
-    condition, lambda_min(H) > 1e-12 max(|lambda_max(H)|, 1), with a margin
-    of 5 n^2 u max(sqrt(2) ||H||_F, 1) for rounding, u = 2^-53 (see
-    ``_certified_positive_definite``). Otherwise (near-singular, PSD,
-    indefinite, non-finite or empty H) the eigenvalues decide. Since the
-    certificate holds only where their test passes, the result, or the
-    exception type, is the same either way.
+    The direct solve runs when a certificate proves its condition,
+    lambda_min(H) > 1e-12 max(|lambda_max(H)|, 1), with a margin of
+    5 n^2 u max(sqrt(2) ||H||_F, 1) for rounding, u = 2^-53. The first
+    certificate is Gershgorin's bound read from q's compiled blocks
+    (:func:`_gershgorin_certified`), which needs no dense pass; where it
+    cannot certify (a problem that is not diagonally dominant, asymmetric
+    diagonal or hyper blocks, non-finite entries, the empty matrix), one
+    Cholesky factorization of the shifted H tries
+    (:func:`_certified_positive_definite`). Where neither certifies
+    (near-singular, PSD, indefinite, non-finite or empty H) the
+    eigenvalues decide. Since either certificate holds only where their
+    test passes, the result, or the exception type, is the same on every
+    path.
     """
     H, b = q.assemble()
-    certified = _certified_positive_definite(H)
+    certified = _gershgorin_certified(q) or _certified_positive_definite(H)
     if not certified:
         vals = np.linalg.eigvalsh(H)
         scale = max(abs(vals[-1]), 1.0)

@@ -87,6 +87,15 @@ def _block_indices(cluster, d):
     return (np.asarray(cluster, dtype=int)[:, None] * d + np.arange(d)).ravel()
 
 
+def _principal_block(H, idx):
+    """H[idx, idx]: a view when idx is one increasing run of coordinates,
+    else an ``np.ix_`` copy. ``eigvalsh`` copies either into its own
+    buffer, so it reads the same values."""
+    if len(idx) and np.all(np.diff(idx) == 1):
+        return H[idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1]
+    return H[np.ix_(idx, idx)]
+
+
 def estimate_constants(problem, partition, surrogate=None, cta=None):
     """Exact curvature/smoothness constants of a quadratic problem under a
     tree partition; optionally also the constants of a surrogate family.
@@ -111,8 +120,7 @@ def estimate_constants(problem, partition, surrogate=None, cta=None):
     n_in_sizes = np.array([len(nbrs) for nbrs in partition.n_in], dtype=int)
     for r, c in enumerate(partition.clusters):
         idx = _block_indices(c, d)
-        blk = H[np.ix_(idx, idx)]
-        vals = np.linalg.eigvalsh(blk)
+        vals = np.linalg.eigvalsh(_principal_block(H, idx))
         mu_r.append(float(vals[0]))
         L_r.append(float(vals[-1]))
         ext = sorted(partition.cluster_ext[r])

@@ -10,8 +10,11 @@ import pytest
 
 import mpjacobi
 from mpjacobi.bench import (
+    MAX_D,
+    MAX_M,
     BenchError,
     ExperimentConfig,
+    ExperimentResult,
     InsufficientData,
     fit_scaling_exponent,
     path_triples_partition,
@@ -20,8 +23,8 @@ from mpjacobi.bench import (
     tune_tau,
     two_cliques_instance,
 )
-from mpjacobi.objective import build_random_qp, problem_to_json
-from mpjacobi.solvers import RunTrace
+from mpjacobi.objective import QuadraticObjective, build_random_qp, problem_to_json
+from mpjacobi.solvers import NonConvergent, RunTrace
 from mpjacobi.topology import generate_partition, generate_topology, write_graph, write_partition
 
 
@@ -45,6 +48,52 @@ def test_tune_tau_returns_the_winners_wall_time():
     tau, trace, wall_ms = tune_tau(run_fn, tol=1e-6, max_rounds=10)
     assert tau == 0.5 and trace.iterations_to("dist_to_opt", 1e-6) == 3
     assert 80.0 <= wall_ms < 2000.0
+
+
+def _converging_below(tau_cap, exc):
+    """run_fn that raises ``exc`` at tau >= tau_cap and below it converges
+    in more rounds the smaller tau is."""
+    def run_fn(tau):
+        if tau >= tau_cap:
+            raise exc
+        return RunTrace(dist_to_opt=[1.0] * int(10 / tau) + [0.0])
+    return run_fn
+
+
+def test_tune_tau_skips_typed_solver_failures():
+    tau, trace, _ = tune_tau(_converging_below(0.5, NonConvergent("stalled")),
+                             tol=1e-6, max_rounds=100)
+    assert tau == 0.35 and trace.iterations_to("dist_to_opt", 1e-6) == 28
+
+
+def test_tune_tau_propagates_other_exceptions():
+    with pytest.raises(TypeError, match="a defect"):
+        tune_tau(_converging_below(0.5, TypeError("a defect")), tol=1e-6, max_rounds=100)
+
+
+@pytest.mark.parametrize("m, d, refused", [
+    (MAX_M + 1, 1, True),       # one node over the cap on m
+    (1, MAX_D + 1, True),       # one coordinate over the cap on d
+    (MAX_M, 1, False),          # both at their caps run
+    (1, MAX_D, False),
+])
+def test_experiment_result_enforces_the_size_caps(m, d, refused):
+    q = QuadraticObjective(m, d, np.zeros((m, d, d)), np.zeros((m, d)))
+    res = ExperimentResult(ExperimentConfig(experiment="p_sweep"))
+    solves = []
+
+    def solve(problem, tau=1.0):
+        solves.append(tau)
+        return RunTrace(dist_to_opt=[0.0])
+
+    for run in (lambda: res.run("s", solve, q),
+                lambda: res.tuned("s", q, lambda tau: solve(q, tau), tau=0.5)):
+        if refused:
+            with pytest.raises(BenchError, match="exceeds the caps"):
+                run()
+        else:
+            run()
+    assert solves == ([] if refused else [1.0, 0.5])
 
 
 def test_bench_raises_typed_errors():

@@ -1,7 +1,8 @@
-"""Smoke test of ``tools/bitdump.py``, the bit-for-bit trace check of the
-benchmark workloads and the CTA engine: a dump at the self-test sizes
-matches itself, and ``--compare`` names each array whose bits changed: by
-one ulp, or a -0.0 for a +0.0."""
+"""Smoke test of ``tools/bitdump.py``, the bit-for-bit check of the
+benchmark workloads' and the CTA engine's set-up outputs and traces: a
+dump at the self-test sizes holds the expected arrays and matches itself,
+and ``--compare`` names each array whose bits changed: by one ulp, or a
+-0.0 for a +0.0."""
 
 import subprocess
 import sys
@@ -24,34 +25,48 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert run.returncode == 0, run.stderr
     with np.load(a) as f:
         arrays = dict(f)
-    fields = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final",
-              "monitor_H", "monitor_h")
-    runs = ("path_exact", "ring_schur", "cta_plin")
-    assert set(arrays) == {f"{w}/seed{s}/{name}" for w in runs
-                           for s in (1, 2) for name in fields}
+    trace = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final",
+             "monitor_H", "monitor_h")
+    oracle = ("x_star", "phi_star")
+    rates = ("mu", "mu_r", "L_r", "L_del_r", "kappa", "sigma_r", "tau_max")
+    surrogate = ("mu_tilde_r", "L_tilde_r", "L_tilde_del_r", "ell_tilde_r", "kappa_tilde")
+    fields = {"path_exact": trace + oracle + rates, "ring_schur": trace + oracle,
+              "cta_plin": trace + oracle + rates + surrogate}
+    assert set(arrays) == {f"{w}/seed{s}/{name}" for w, names in fields.items()
+                           for s in (1, 2) for name in names}
     assert arrays["path_exact/seed1/x_final"].shape[1] == 1
+    assert arrays["path_exact/seed1/x_star"].shape == arrays["path_exact/seed1/x_final"].shape
+    assert arrays["path_exact/seed2/L_r"].shape == (4,)      # the path cluster and three singletons
+    assert arrays["path_exact/seed2/tau_max"].shape == ()
     assert arrays["ring_schur/seed2/monitor_H"].shape[1:] == (2, 2)
     assert arrays["cta_plin/seed1/x_final"].shape == (8, 2)
+    assert arrays["cta_plin/seed1/mu_tilde_r"].shape == (4,)
     assert len(arrays["cta_plin/seed2/grad_norm"]) == 201
 
     same = _bitdump("--compare", a, a)
-    assert same.returncode == 0 and "0 of 42 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 92 arrays differ" in same.stdout
 
     def saved(name, h0, x_nudge):
-        """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0 and
-        x_final of path_exact seed 2 one ulp up at one entry if x_nudge."""
+        """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0, and
+        x_final of path_exact seed 2 at one entry and its mu one ulp up if
+        x_nudge."""
         out = dict(arrays)
         h = out["ring_schur/seed1/monitor_h"].copy()
         h[0, 0] = h0
         x = out["path_exact/seed2/x_final"].copy()
-        x[3, 0] = np.nextafter(x[3, 0], np.inf) if x_nudge else x[3, 0]
+        mu = out["path_exact/seed2/mu"]
+        if x_nudge:
+            x[3, 0] = np.nextafter(x[3, 0], np.inf)
+            mu = np.nextafter(mu, np.inf)
         out["ring_schur/seed1/monitor_h"], out["path_exact/seed2/x_final"] = h, x
+        out["path_exact/seed2/mu"] = mu
         np.savez(tmp_path / name, **out)
         return tmp_path / name
 
     plus, minus = saved("plus.npz", 0.0, False), saved("minus.npz", -0.0, True)
     diff = _bitdump("--compare", plus, minus)
     assert diff.returncode == 1
-    assert diff.stdout.splitlines() == ["path_exact/seed2/x_final",
+    assert diff.stdout.splitlines() == ["path_exact/seed2/mu",
+                                        "path_exact/seed2/x_final",
                                         "ring_schur/seed1/monitor_h",
-                                        "2 of 42 arrays differ"]
+                                        "3 of 92 arrays differ"]

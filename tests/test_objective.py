@@ -1,18 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpjacobi.objective import (
+    CallableLocal,
     CtaProblem,
     GossipMatrix,
     NonStochasticW,
+    NotQuadratic,
     ObjectiveError,
     QuadraticLocal,
     QuadraticObjective,
     RowScatter,
     SingularInconsistent,
     _certified_positive_definite,
+    _gershgorin_certified,
     build_atc,
     build_cta,
     build_laplacian_qp,
@@ -558,3 +563,203 @@ def test_cta_stacked_locals_match_per_node_calls(callable_local):
             assert abs(prob.value(x) - val) <= 1e-13 * scale
             assert np.max(np.abs(prob.grad(x) - grad)) <= 1e-13 * (
                 1.0 + np.max(np.abs(grad)))
+
+
+# -- the oracle's set-up: column-major H and the block certificate -----------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@given(quadratic_objectives(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_assemble_is_column_major_and_bit_equal_to_a_row_major_build(q, asymmetric, seed):
+    """Against the row-major block-by-block build, bit for bit: pairwise,
+    hyper and mixed problems, with asymmetric diagonal blocks or not; a
+    fifth of the diagonal and pair entries are signed zeros."""
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros(a):
+        a = np.array(a)
+        hit = rng.random(a.shape) < 0.2
+        a[hit] = rng.choice([0.0, -0.0], np.count_nonzero(hit))
+        return a
+
+    diag = q.diag + rng.standard_normal(q.diag.shape) if asymmetric else q.diag
+    q = QuadraticObjective(q.m, q.d, signed_zeros(diag), q.lin,
+                           {e: signed_zeros(B) for e, B in q.pair.items()}, dict(q.hyper))
+    H, b = q.assemble()
+    assert H.flags.f_contiguous and H.shape == (q.m * q.d,) * 2
+    assert np.array_equal(_bits(H), _bits(_loop_assemble(q)))
+    assert np.array_equal(b, q.lin.reshape(-1))
+
+
+def _dominant(q, margin):
+    """q with its diagonal blocks shifted by t I, t the shift at which the
+    widest Gershgorin disc of its Hessian reaches zero, plus ``margin``."""
+    H = _loop_assemble(q)
+    centre = np.diag(H)
+    radius = np.abs(H).sum(axis=1) - np.abs(centre)
+    t = float(np.max(radius - centre)) + margin
+    return QuadraticObjective(q.m, q.d, q.diag + t * np.eye(q.d), q.lin,
+                              dict(q.pair), dict(q.hyper))
+
+
+@given(quadratic_objectives(), st.floats(min_value=-16.0, max_value=2.0),
+       st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_block_certificate_implies_the_eigenvalue_test(q, exponent, sign):
+    """Problems shifted to within 1e-16 to 100 times their scale of the
+    Gershgorin threshold, on either side (hyper problems need the wide
+    margins: the certificate bounds overlapping factors one by one). Where
+    the block certificate holds, the eigenvalue test
+    it stands in for passes and the oracle's x* is LAPACK's solve of
+    H x = -b, bit for bit; on pairwise problems it holds from a margin of
+    1e-9 of the scale on."""
+    scale = max(float(np.abs(_loop_assemble(q)).max()), 1.0)
+    margin = sign * 10.0 ** exponent * scale
+    q = _dominant(q, margin)
+    H, b = q.assemble()
+    certified = _gershgorin_certified(q)
+    if certified:
+        vals = np.linalg.eigvalsh(H)
+        assert vals[0] > 1e-12 * max(abs(vals[-1]), 1.0)
+        x, _ = global_solve_oracle(q)
+        assert np.array_equal(_bits(x.reshape(-1)), _bits(np.linalg.solve(H, -b)))
+    if not q.hyper and margin >= 1e-9 * math.sqrt(2.0) * np.linalg.norm(H):
+        assert certified
+
+
+@pytest.mark.parametrize("blocks, factor, certified", [
+    ("diag", 0.5, False), ("diag", 0.99, False), ("diag", 1.01, True), ("diag", 2.0, True),
+    ("hyper", 0.99, False), ("hyper", 100.0, True)])
+def test_block_certificate_threshold_is_the_cholesky_shift(blocks, factor, certified):
+    """On a diagonal H, whose smallest Gershgorin disc is its smallest
+    eigenvalue, the block certificate holds exactly from the Cholesky
+    certificate's shift s = (1e-12 + 5 n^2 u) sqrt(2) ||H||_F on when H
+    is held by diagonal blocks. Held by one-node factors, its norm bound
+    is looser, so it holds only further out, and never below s."""
+    n = 40
+    lam = np.random.default_rng(0).uniform(0.1, 1.0, n)
+    lam[-1] = 1.0
+    lam[0] = 0.0
+    norm = math.sqrt(2.0) * np.linalg.norm(lam)
+    lam[0] = factor * (1e-12 + 5.0 * n * n * 2.0 ** -53) * norm
+    if blocks == "diag":
+        q = QuadraticObjective(n, 1, lam.reshape(n, 1, 1), np.ones((n, 1)))
+    else:
+        q = QuadraticObjective(n, 1, np.zeros((n, 1, 1)), np.ones((n, 1)), {},
+                               {(i,): np.array([[0.5 * v]]) for i, v in enumerate(lam)})
+    assert np.array_equal(np.diag(q.assemble()[0]), lam)
+    assert _gershgorin_certified(q) is certified
+
+
+def _dominant_ring(d=2, seed=0):
+    """A diagonally dominant ring problem whose blocks are exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    m = 6
+    A = rng.standard_normal((m, d, d))
+    pair = {tuple(sorted((i, (i + 1) % m))): 0.3 * rng.standard_normal((d, d))
+            for i in range(m)}
+    return QuadraticObjective(m, d, 10.0 * np.eye(d) + A + np.transpose(A, (0, 2, 1)),
+                              rng.standard_normal((m, d)), pair)
+
+
+def _with(q, diag=None, pair=None, hyper=None):
+    return QuadraticObjective(q.m, q.d, q.diag if diag is None else diag, q.lin,
+                              {**q.pair, **(pair or {})}, {**q.hyper, **(hyper or {})})
+
+
+def _refused_cases():
+    q = _dominant_ring()
+    asym = q.diag.copy()
+    asym[2, 0, 1] = np.nextafter(asym[2, 0, 1], np.inf)
+    Hw = np.eye(3 * q.d)
+    Hw_asym = Hw.copy()
+    Hw_asym[0, 1] = 1e-13                    # within the constructor's 1e-12
+    inf_diag, nan_pair = q.diag.copy(), np.full((q.d, q.d), np.nan)
+    inf_diag[4, 1, 1] = np.inf
+    one = np.ones((2, 2))
+    return {
+        "asymmetric_diagonal": _with(q, diag=asym),
+        "asymmetric_hyper": _with(q, hyper={(1, 2, 4): Hw_asym}),
+        # positive definite (eigenvalues 2.2, 0.4, 0.4), discs reach below 0
+        "hyper_not_dominant": QuadraticObjective(
+            3, 1, np.zeros((3, 1, 1)), np.ones((3, 1)), {},
+            {(0, 1, 2): 0.4 * np.eye(3) + 0.6 * np.ones((3, 3))}),
+        # H = diag(4, 4, 2), but the factors' off-diagonal entries cancel
+        "hyper_cancelling": QuadraticObjective(
+            3, 1, np.zeros((3, 1, 1)), np.ones((3, 1)), {},
+            {(0, 1): one, (0, 1, 2): np.block([[2 * np.eye(2) - one, np.zeros((2, 1))],
+                                               [np.zeros((1, 2)), np.ones((1, 1))]])}),
+        "inf_diagonal": _with(q, diag=inf_diag),
+        "nan_pair": _with(q, pair={(0, 1): nan_pair}),
+        "inf_pair": _with(q, pair={(0, 1): np.full((q.d, q.d), np.inf)}),
+        "empty": QuadraticObjective(0, 2, np.zeros((0, 2, 2)), np.zeros((0, 2))),
+    }
+
+
+def test_block_certificate_holds_where_the_refusals_do_not_apply():
+    """The base problem of the refusals, its twin with an exactly symmetric
+    hyper block, and a diagonally dominant ATC problem (all hyper) are
+    certified."""
+    q = _dominant_ring()
+    assert _gershgorin_certified(q)
+    assert _gershgorin_certified(_with(q, hyper={(1, 2, 4): np.eye(3 * q.d)}))
+    g = generate_topology("ring", m=6)
+    assert _gershgorin_certified(build_atc([QuadraticLocal(np.eye(2), np.ones(2))] * 6,
+                                           metropolis_weights(g, 0.1)))
+
+
+@pytest.mark.parametrize("name", sorted(_refused_cases()))
+def test_block_certificate_refuses(name):
+    """Refused: asymmetric diagonal or hyper blocks, hyper problems it
+    cannot bound, non-finite entries and the empty matrix. A refused
+    problem takes the Cholesky path, which
+    ``test_certified_oracle_equals_eigvalsh_gated_oracle`` covers."""
+    assert not _gershgorin_certified(_refused_cases()[name])
+
+
+# -- typed errors --------------------------------------------------------------
+
+
+def _callable_locals(n=2):
+    return [CallableLocal(lambda x: float(x @ x), lambda x: 2.0 * x)] * n
+
+
+_Q2 = QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("exc, make", [
+    (ObjectiveError, lambda: _Q2.value(np.zeros(3))),
+    (ObjectiveError, lambda: QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)),
+                                                {(0, 1): np.zeros((2, 2))})),
+    (ObjectiveError, lambda: QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)),
+                                                {(1, 0): np.ones((1, 1))})),
+    (ObjectiveError, lambda: QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)),
+                                                hyper={(0, 1): np.zeros((3, 3))})),
+    (ObjectiveError, lambda: QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)),
+                                                hyper={(0, 1): np.array([[1.0, 1.0],
+                                                                         [0.0, 1.0]])})),
+    (NonStochasticW, lambda: GossipMatrix(np.full((2, 3), 0.5))),
+    (NonStochasticW, lambda: GossipMatrix(np.eye(2), gamma=0.0)),
+    (NotQuadratic, lambda: build_cta(_callable_locals(), GossipMatrix(np.eye(2)), d=1)
+     .to_quadratic()),
+    (ObjectiveError, lambda: build_cta(_callable_locals(), GossipMatrix(np.eye(2)))),
+    (NotQuadratic, lambda: build_atc(_callable_locals(), GossipMatrix(np.eye(2)), d=1)),
+    (ObjectiveError, lambda: build_laplacian_qp(np.array([[0.0, 1.0], [2.0, 0.0]]), np.zeros(2))),
+    (ObjectiveError, lambda: build_laplacian_qp(-np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))),
+    (ObjectiveError, lambda: build_random_qp(generate_topology("ring", m=4), 1, 1.0, 0)),
+    (ObjectiveError, lambda: problem_from_json('{"kind": "smooth"}')),
+], ids=["block_shape", "pair_block_shape", "pair_key_order", "hyper_block_shape",
+        "hyper_asymmetric", "gossip_not_square", "gossip_gamma", "cta_not_quadratic",
+        "cta_no_d", "atc_not_quadratic", "laplacian_asymmetric", "laplacian_negative",
+        "random_qp_kappa", "json_kind"])
+def test_objective_raises_typed_errors(exc, make):
+    """One row per raise of ``objective`` that no other test reaches, each
+    with the smallest malformed input that reaches it; the exception is of
+    that exact type."""
+    with pytest.raises(Exception) as got:
+        make()
+    assert type(got.value) is exc

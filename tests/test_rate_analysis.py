@@ -1,8 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpjacobi.bench import cta_instance
 from mpjacobi.messages import SurrogateSpec
@@ -16,6 +19,7 @@ from mpjacobi.objective import (
     metropolis_weights,
     QuadraticLocal,
 )
+from mpjacobi import rate_analysis
 from mpjacobi.rate_analysis import (
     ConstantsTemplate,
     MatrixTooLarge,
@@ -382,3 +386,31 @@ def test_malformed_input_raises_typed_error(case):
     error, call = MALFORMED[case]
     with pytest.raises(error):
         call()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=4, max_value=12),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=11))
+@settings(max_examples=40, deadline=None)
+def test_estimate_constants_reads_cluster_blocks_bit_for_bit(seed, m, d, D, shift):
+    """A path cluster of D + 1 nodes and singletons on a ring, rotated by
+    ``shift``: the cluster's coordinates form one increasing run (read as
+    a view of H) or wrap around the ring (an ``np.ix_`` copy). Either way
+    every field of the RateInputs has the bits of an all-``np.ix_`` read."""
+    D = min(D, m - 3)
+    g = generate_topology("ring", m=m)
+    q = build_random_qp(g, d, 30.0, seed)
+    path = [(i + shift) % m for i in range(D + 1)]
+    part = validate_tree_partition(g, [path] + [[i] for i in range(m) if i not in path])
+    got = estimate_constants(q, part)
+    with mock.patch.object(rate_analysis, "_principal_block",
+                           lambda H, idx: H[np.ix_(idx, idx)]):
+        want = estimate_constants(q, part)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None and b is None) or np.array_equal(
+            np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+    H, _ = q.assemble()
+    idx = rate_analysis._block_indices(sorted(path), d)
+    contiguous = sorted(path) == list(range(min(path), min(path) + D + 1))
+    assert np.shares_memory(rate_analysis._principal_block(H, idx), H) is contiguous

@@ -1,4 +1,5 @@
-"""Dump the benchmark workloads' traces and compare two dumps bit for bit.
+"""Dump the benchmark workloads' set-up outputs and traces and compare
+two dumps bit for bit.
 
     python3 tools/bitdump.py --out after.npz
     python3 tools/bitdump.py --root ../parent --out before.npz
@@ -9,14 +10,18 @@ to 10 (``--seeds`` changes the range, ``--toy`` takes the workloads'
 self-test sizes) and saves, per workload and seed, the trace's
 ``grad_norm``, ``dist_to_opt``, ``phi_gap``, ``vectors_sent``,
 ``x_final`` and ``monitor`` (H, h) as arrays named
-``<workload>/seed<n>/<field>``. The same fields of one run per seed of the
+``<workload>/seed<n>/<field>``. Next to them go the set-up's outputs, as
+the library calls made by the set-up return them: ``x_star`` and
+``phi_star`` of ``global_solve_oracle``, every field of the
+``RateInputs`` that ``estimate_constants`` returns that is set, and the
+``tau_max`` of ``rate_terms``. The same arrays of one run per seed of the
 lifted consensus (CTA) engine, which no workload runs, go under
 ``cta_plin/seed<n>``: partial-linearization messages on
 ``cta_instance(16, 3, 1e-3, seed)`` with the ``ring_P2`` partition at
 D = 1, tau = 1 and a fixed number of rounds (``CTA``; ``CTA_TOY`` with
-``--toy``). The library and the workloads come from the checkout named by
-``--root`` (default: this one), so one copy of this script dumps any
-revision.
+``--toy``); its set-up also computes the surrogate rate constants. The
+library and the workloads come from the checkout named by ``--root``
+(default: this one), so one copy of this script dumps any revision.
 
 ``--compare A B`` lists every array whose bits differ (shape, dtype and
 bytes, so -0.0 and NaN payloads count), or that only one dump has; it
@@ -26,6 +31,9 @@ exits with 1 when there is any, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -55,42 +63,101 @@ def import_workloads(root):
     return workloads
 
 
-def cta_run(seed, m, d, gamma, rounds):
-    """``rounds`` partial-linearization rounds on ``cta_instance(m, d,
-    gamma, seed)``, Q = (largest local curvature + 0.1) I, as the ``bench``
-    experiment ``cta_compare`` sets it."""
-    from mpjacobi import bench, messages, objective, solvers, topology
+def _oracle_outputs(result):
+    x_star, phi_star = result
+    return {"x_star": x_star, "phi_star": phi_star}
+
+
+def _rate_inputs(inputs):
+    return {f.name: getattr(inputs, f.name) for f in dataclasses.fields(inputs)
+            if getattr(inputs, f.name) is not None}
+
+
+def _rate_report(report):
+    return {"tau_max": report.tau_max}
+
+
+# set-up calls whose outputs are dumped: (module, function) -> outputs
+SETUP_CALLS = {("objective", "global_solve_oracle"): _oracle_outputs,
+               ("rate_analysis", "estimate_constants"): _rate_inputs,
+               ("rate_analysis", "rate_terms"): _rate_report}
+
+
+@contextlib.contextmanager
+def captured_setup():
+    """Yield a dict that collects, as arrays, the outputs of the
+    ``SETUP_CALLS`` made inside the block; each call must run at most once.
+    The callers reach them as module attributes, as the workloads do."""
+    found, saved = {}, []
+
+    def wrapped(fn, outputs):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            for name, value in outputs(result).items():
+                if name in found:
+                    raise SystemExit(f"bitdump: {fn.__name__} ran twice in one set-up")
+                found[name] = np.asarray(value)
+            return result
+        return call
+
+    for (module, name), outputs in SETUP_CALLS.items():
+        mod = importlib.import_module(f"mpjacobi.{module}")
+        saved.append((mod, name, getattr(mod, name)))
+        setattr(mod, name, wrapped(getattr(mod, name), outputs))
+    try:
+        yield found
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+
+
+def cta_setup(seed, m, d, gamma, rounds):
+    """The solve of ``rounds`` partial-linearization rounds on
+    ``cta_instance(m, d, gamma, seed)``, Q = (largest local curvature +
+    0.1) I, as the ``bench`` experiment ``cta_compare`` sets it, after the
+    oracle and the surrogate rate constants of that partition."""
+    from mpjacobi import bench, messages, objective, rate_analysis, solvers, topology
     g, _, prob = bench.cta_instance(m, d, gamma, seed=seed)
-    oracle = objective.global_solve_oracle(prob.to_quadratic())
+    q = prob.to_quadratic()
+    oracle = objective.global_solve_oracle(q)
     part = topology.generate_partition("ring_P2", g, D=1)
     qmax = max(float(np.linalg.eigvalsh(f.Q)[-1]) for f in prob.locals_)
     spec = messages.SurrogateSpec(family="partial_linearization", Q=qmax + 0.1)
+    constants = rate_analysis.estimate_constants(q, part, surrogate=spec, cta=prob)
+    rate_analysis.rate_terms(part, constants, surrogate=True)
     cfg = solvers.SolverConfig(tau=1.0, max_rounds=rounds, tol_x=0.0,
                                surrogate=spec, track_oracle=oracle)
-    return solvers.mp_jacobi_surrogate(prob, part, cfg)
+    return lambda: solvers.mp_jacobi_surrogate(prob, part, cfg)
 
 
-def traces(root, seeds, toy=False):
-    """(name, seed, trace) of every workload's and the CTA run's solves."""
+def runs(root, seeds, toy=False):
+    """(name, seed, set-up outputs, trace) of every workload's and the CTA
+    run's solves."""
     workloads = import_workloads(root)
     for wl in workloads.WORKLOADS.values():
         for seed in seeds:
             inputs = wl.generate(seed, **(wl.toy_size if toy else wl.size))
-            yield wl.name, seed, wl.setup(inputs).solve()
+            with captured_setup() as outputs:
+                solve = wl.setup(inputs).solve
+            yield wl.name, seed, outputs, solve()
     for seed in seeds:
-        yield "cta_plin", seed, cta_run(seed, **(CTA_TOY if toy else CTA))
+        with captured_setup() as outputs:
+            solve = cta_setup(seed, **(CTA_TOY if toy else CTA))
+        yield "cta_plin", seed, outputs, solve()
 
 
 def dump(root, seeds, toy=False):
     """{name: array} over every run and seed."""
     arrays = {}
-    for run, seed, trace in traces(root, seeds, toy):
+    for run, seed, outputs, trace in runs(root, seeds, toy):
         key = f"{run}/seed{seed}"
         for name in FIELDS:
             arrays[f"{key}/{name}"] = np.asarray(getattr(trace, name))
         H, h, _ = trace.monitor
         arrays[f"{key}/monitor_H"] = np.asarray(H)
         arrays[f"{key}/monitor_h"] = np.asarray(h)
+        for name, value in outputs.items():
+            arrays[f"{key}/{name}"] = value
     return arrays
 
 
