@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .messages import block_matvec
+from .messages import PairProducts
 
 
 class ObjectiveError(ValueError):
@@ -158,6 +158,7 @@ class QuadraticObjective:
         self.pair_rows, self.pair_cols = ij[:, 0], ij[:, 1]
         self._pair_at = ij
         self.pair_blocks = _frozen_stack(list(pair.values()), (d, d))
+        self._pair_products = PairProducts(self.pair_blocks, self.pair_rows, self.pair_cols)
         self.pair = MappingProxyType(dict(zip(pair, self.pair_blocks)))
         keys = self.pair_rows * m + self.pair_cols
         self._key_order = np.argsort(keys)
@@ -249,6 +250,26 @@ class QuadraticObjective:
             val += np.einsum("nk,nkl,nl->", xs, H, xs)
         return float(val)
 
+    def _node_term(self, x):
+        """The products H_ii x_i of x (..., m, d). At d >= 2 they are one
+        unbatched einsum on C-contiguous operands: a stack's K iterates are
+        read against ``diag`` tiled K times, (K m, d, d), so every iterate's
+        products are those of its own call, by the same kernel on the same
+        layout. einsum's sums at d >= 3 depend on the operands' strides, and
+        its broadcast path on a stack is slow. The tile takes d times the
+        stack's memory: 64 KB for K = 16 (``solvers.RECORD_BATCH``), m = 128
+        and d = 2. At d = 1 the broadcast form is fast, with one product per
+        entry."""
+        m, d = self.m, self.d
+        if d == 1:
+            return np.einsum("ikl,...il->...ik", self.diag, x)
+        K = math.prod(x.shape[:-2])
+        diag = np.ascontiguousarray(self.diag)
+        if K != 1:
+            diag = np.broadcast_to(diag, (K, m, d, d)).reshape(K * m, d, d)
+        return np.einsum("ikl,il->ik", diag,
+                         np.ascontiguousarray(x).reshape(K * m, d)).reshape(x.shape)
+
     def grad(self, x):
         """Gradient of the iterate x, (m, d) or (md,), or of every iterate
         of a stack (..., m, d) at once, shaped like the stack.
@@ -257,7 +278,14 @@ class QuadraticObjective:
         B^T x_i at j), then every factor's members in ``hyper`` order: the
         additions of the per-coupling loop, in its order. A stack's
         iterates are summed apart in that same order, so each holds the
-        bits of its own single-iterate gradient.
+        bits of its own single-iterate gradient. Its products hold them
+        too, each made by one vectorized pass over the stack: the node
+        term by one einsum over ``diag`` tiled per iterate
+        (:meth:`_node_term`), and the pair products B x_j and B^T x_i by
+        :class:`~mpjacobi.messages.PairProducts`, which at d = 2, on a
+        stack of K >= 2 iterates and with finite ``pair_blocks`` regroups
+        them into 4 |E| gemv calls of K outputs each, in place of 2 K |E|
+        calls of d outputs.
         """
         m, d = self.m, self.d
         x = np.asarray(x, dtype=float)
@@ -267,12 +295,8 @@ class QuadraticObjective:
             raise ObjectiveError(f"expected shape (..., {m}, {d}) or ({m * d},), "
                                  f"got {x.shape}")
         lead = x.shape[:-2]
-        g = np.einsum("ikl,...il->...ik", self.diag, x) + self.lin
-        B, rows, cols = self.pair_blocks, self.pair_rows, self.pair_cols
-        terms = np.empty(lead + (len(rows), 2, d))
-        terms[..., 0, :] = block_matvec(B, x.take(cols, axis=-2))
-        terms[..., 1, :] = block_matvec(_transposed(B), x.take(rows, axis=-2))
-        terms = terms.reshape(lead + (-1, d))
+        g = self._node_term(x) + self.lin
+        terms = self._pair_products(x).reshape(lead + (-1, d))
         if self.hyper_groups:
             hyper = np.concatenate(
                 [(2.0 * np.matmul(H, xs[..., None])).reshape(lead + (-1, d))

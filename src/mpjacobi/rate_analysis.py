@@ -241,6 +241,10 @@ def _cluster_surrogate(problem, partition, spec, cta, r):
     S = np.zeros(((e_at + 2 * len(intra)) * d,) * 2)
     s = np.zeros(len(S))
     Z = np.zeros((d, d))
+    if family in ("schur_quadratic", "partial_linearization"):
+        Q = spec.node_matrices("Q", problem.m, d)
+    if family == "schur_quadratic":
+        Mn = spec.node_matrices("M", problem.m, d)
 
     def add(xs, ys, A, P=None):
         ix = _block_indices(xs, d)
@@ -261,7 +265,7 @@ def _cluster_surrogate(problem, partition, spec, cta, r):
             A, s[at] = f.Q, f.c
             S[at, at] += (1.0 - cta.gossip.W[i, i]) / cta.gamma * np.eye(d)
         P = (None if family == "exact" else np.eye(d) / spec.alpha
-             if family == "first_order" else spec.node_matrix("Q", i, d))
+             if family == "first_order" else Q[i])
         add([x_at[i]], [y_at[i]], A, P)
 
     def edge(i, j, ys):
@@ -271,9 +275,9 @@ def _cluster_surrogate(problem, partition, spec, cta, r):
         if family == "first_order":
             P = np.zeros_like(A)
         elif family == "schur_quadratic":
-            Mij = spec.edge_matrix(i, j, d) if i < j else spec.edge_matrix(i, j, d).T
-            P = np.block([[spec.node_matrix("M", i, d), Mij],
-                          [Mij.T, spec.node_matrix("M", j, d)]])
+            Mij = spec.edge_matrices([i], [j], d)[0]
+            Mij = Mij if i < j else Mij.T
+            P = np.block([[Mn[i], Mij], [Mij.T, Mn[j]]])
         add([x_at[i], x_at[j]], ys, A, P)
 
     for t, (i, j) in enumerate(intra):

@@ -139,13 +139,14 @@ class RunTrace:
         round order, whose cumulative vector counts are comm_totals.
 
         On a QuadraticObjective one ``grad`` call on the stack gives every
-        gradient, and the values come from them, phi(x) = 1/2 <x, g + b>
-        with g = H x + b; other problems are evaluated one iterate at a
-        time. Norms and inner products are ``np.vecdot`` over C-contiguous
-        rows: the BLAS ddot that ``np.linalg.norm`` and ``np.vdot`` take on
-        a single iterate, so every entry holds the bits of its iterate's own
-        metric (a strided row would take another ddot kernel, with other
-        bits).
+        gradient, each with the bits of its own single-iterate call (see
+        ``QuadraticObjective.grad``), and the values come from them,
+        phi(x) = 1/2 <x, g + b> with g = H x + b; other problems are
+        evaluated one iterate at a time. Norms and inner products are
+        ``np.vecdot`` over C-contiguous rows: the BLAS ddot that
+        ``np.linalg.norm`` and ``np.vdot`` take on a single iterate, so
+        every entry holds the bits of its iterate's own metric (a strided
+        row would take another ddot kernel, with other bits).
         """
         n = len(xs)
         flat = xs.reshape(n, -1)
@@ -549,10 +550,8 @@ def _schur_run(problem, partition, config, x0, spec):
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
     to_sender = _pair_grads(problem, s, t)
     n_out = np.bincount(lay.csrc, minlength=m)[:, None, None]
-    Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
-    Mn = np.stack([spec.node_matrix("M", i, d) for i in range(m)])
-    M_edge = np.array([spec.edge_matrix(a, b, d) for a, b in lay.directed],
-                      dtype=float).reshape(-1, d, d)
+    Q, Mn = spec.node_matrices("Q", m, d), spec.node_matrices("M", m, d)
+    M_edge = spec.edge_matrices(s, t, d)
     G_base = Q + n_out * Mn         # variable-update curvature before messages
     Q_s, Mn_s, Mn_t = Q[s], Mn[s], Mn[t]
 
@@ -599,7 +598,7 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     w_self = problem.self_weights
     w_edge = W[s, lay.receivers]
     w_cross = -(W[lay.csrc, lay.cdst] / gamma)[:, None]
-    Q = np.stack([spec.node_matrix("Q", i, d) for i in range(m)])
+    Q = spec.node_matrices("Q", m, d)
     base = Q + ((1.0 - w_self) / gamma)[:, None, None] * np.eye(d)
     Q_s, w_self_s = Q[s], w_self[s]
 

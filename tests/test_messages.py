@@ -7,6 +7,7 @@ from mpjacobi.messages import (
     LapackSystem,
     QuadraticMessage,
     MessageSet,
+    PairProducts,
     StructSystem,
     SingularSenderCurvature,
     SurrogateSpec,
@@ -316,6 +317,32 @@ def test_message_set_round_snapshot():
     ms.put((1, 0), QuadraticMessage(np.array([[2.0]]), np.zeros(1)))
     ms.commit()
     assert ms.get((0, 1)).H[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("form", ["default", "scalar", "shared", "stacked"])
+def test_spec_stacks_hold_the_per_node_and_per_edge_blocks(form):
+    """node_matrices stacks Q and M_node from each of their forms;
+    edge_matrices holds M_edge[(min, max)] per pair in either orientation
+    and zeros for pairs without a block, as a per-pair dict lookup does."""
+    rng = np.random.default_rng(3)
+    m, d = 5, 2
+    stack = rng.standard_normal((m, d, d))
+    src = {"default": None, "scalar": 2.5, "shared": stack[0], "stacked": stack}[form]
+    M_edge = {(0, 1): stack[1], (1, 3): stack[2], (2, 4): stack[3]}
+    spec = SurrogateSpec(family="schur_quadratic", Q=src, M_node=src, M_edge=M_edge)
+    for which, default in (("Q", np.eye(d)), ("M", np.zeros((d, d)))):
+        expected = {"default": np.broadcast_to(default, (m, d, d)),
+                    "scalar": np.broadcast_to(2.5 * np.eye(d), (m, d, d)),
+                    "shared": np.broadcast_to(stack[0], (m, d, d)), "stacked": stack}[form]
+        got = spec.node_matrices(which, m, d)
+        assert got.shape == (m, d, d) and np.array_equal(got, expected)
+        got[0] = 7.0                    # a new array: the spec is untouched
+    assert not np.any(spec.node_matrices("Q", m, d) == 7.0)
+    rows, cols = np.array([0, 1, 3, 1, 4, 2, 0]), np.array([1, 0, 1, 2, 2, 4, 4])
+    expected = np.stack([M_edge.get((min(i, j), max(i, j)), np.zeros((d, d)))
+                         for i, j in zip(rows, cols)])
+    assert np.array_equal(spec.edge_matrices(rows, cols, d), expected)
+    assert spec.edge_matrices([], [], d).shape == (0, d, d)
 
 
 def test_vector_cost_and_diagonalize():
@@ -666,6 +693,44 @@ def test_block_matvec_equals_matmul_bitwise(seed, batch, d, transposed):
         expected = np.matmul(B, v[..., None])[..., 0]
         got = block_matvec(B, v)
     assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 8),
+       st.integers(1, 20), st.sampled_from(["flat", "single", "split"]),
+       st.sampled_from([2, 2, 3]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pair_products_equal_matmul_bitwise(seed, m, E, K, layout, d, finite):
+    """PairProducts returns np.matmul's bits for both products of every
+    pair, B_e on x[cols[e]] and the transposed view B_e^T on x[rows[e]],
+    on stacks of K iterates: regrouped at d = 2 and K >= 2, per block at
+    K = 1, on an unbatched x and at d = 3. Entries of unit magnitude, where
+    the kernels' FMA rounding shows, with signed zeros, subnormals,
+    infinities and NaNs of both signs among the iterates' entries. Blocks
+    with a non-finite entry take the per-block products: regrouped, a NaN
+    block entry times a NaN of the other sign could keep the other sign.
+    (d = 1 is ``block_matvec``'s elementwise form, tested above.)"""
+    rng = np.random.default_rng(seed)
+    lead = {"flat": (K,), "single": (), "split": (K, 1) if K % 2 else (2, K // 2)}[layout]
+    nonfinite = np.array([np.inf, -np.inf, np.nan, -np.nan])
+    B = rng.uniform(-1.0, 1.0, (E, d, d))
+    if not finite and E:
+        special = rng.random(B.shape) < 0.3
+        special[rng.integers(E), rng.integers(d), rng.integers(d)] = True
+        B[special] = rng.choice(nonfinite, np.count_nonzero(special))
+    B.flags.writeable = False           # as QuadraticObjective.pair_blocks
+    rows, cols = rng.integers(0, m, E), rng.integers(0, m, E)
+    x = rng.uniform(-1.0, 1.0, lead + (m, d))
+    special = rng.random(x.shape) < 0.3
+    x[special] = rng.choice(np.r_[_SPECIAL, nonfinite, 0.0, -0.0], np.count_nonzero(special))
+    products = PairProducts(B, rows, cols)
+    assert products.regrouped == (d == 2 and bool(np.all(np.isfinite(B))))
+    with np.errstate(all="ignore"):
+        expected = np.stack([np.matmul(B, x.take(cols, axis=-2)[..., None])[..., 0],
+                             np.matmul(np.swapaxes(B, -1, -2),
+                                       x.take(rows, axis=-2)[..., None])[..., 0]], axis=-2)
+        got = products(x)
+    assert got.shape == expected.shape == lead + (E, 2, d)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 

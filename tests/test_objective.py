@@ -466,6 +466,23 @@ def test_grad_of_a_stack_is_the_stacked_grads(q, K, seed):
     assert np.array_equal(flat.view(np.int64), expected.view(np.int64))
 
 
+@given(quadratic_objectives(), st.integers(min_value=1, max_value=20),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_grad_of_a_unit_scale_stack_is_the_stacked_grads(q, K, seed):
+    """As above with entries of unit magnitude, where the products' FMA
+    rounding shows: the tiled node term and, at d = 2, the regrouped pair
+    products give every iterate of a (K, m, d) stack, K = 1 included, the
+    bits of its own gradient and of the per-coupling loop."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, (K, q.m, q.d))
+    got = q.grad(xs)
+    expected = np.stack([q.grad(x) for x in xs])
+    loop = np.stack([_loop_grad(q, x) for x in xs])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(expected.view(np.int64), loop.view(np.int64))
+
+
 def test_couplings_are_frozen():
     q = random_qp(seed=6)
     e = q.edges[0]

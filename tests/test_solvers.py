@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpjacobi import solvers
-from mpjacobi.messages import SingularSenderCurvature, SurrogateSpec
+from mpjacobi.messages import MessageError, SingularSenderCurvature, SurrogateSpec
 from mpjacobi.objective import (
     NotQuadratic,
     ObjectiveError,
@@ -541,6 +541,49 @@ def test_partition_mismatch_raises_typed_error():
             with pytest.raises(PartitionMismatch):
                 mp_jacobi_surrogate(q, part,
                                     SolverConfig(max_rounds=5, surrogate=spec))
+
+
+# a 4-ring quadratic at d = 1, its 2-node clusters, and a lifted consensus
+# problem on the same ring
+_G4, _Q4 = ring_qp(m=4, d=1)
+_P4 = generate_partition("ring_P2", _G4, D=1)
+_CTA4 = build_cta([QuadraticLocal(np.eye(1), np.zeros(1))] * 4, metropolis_weights(_G4))
+
+
+def _surrogate_run(problem, family, **spec):
+    """A surrogate run on _P4; ``family`` is set after construction, which
+    the dataclass does not check."""
+    spec = SurrogateSpec(**spec)
+    spec.family = family
+    return mp_jacobi_surrogate(problem, _P4, SolverConfig(max_rounds=5, surrogate=spec))
+
+
+@pytest.mark.parametrize("exc, make", [
+    (NotQuadratic, lambda: mp_jacobi(_CTA4, _P4)),
+    (SolverError, lambda: _surrogate_run(_Q4, "newton")),
+    (NotQuadratic, lambda: _surrogate_run(_CTA4, "schur_quadratic")),
+    (SolverError, lambda: _surrogate_run(_Q4, "partial_linearization", Q=1.0)),
+    (NotQuadratic, lambda: delayed_block_jacobi(_CTA4, _P4)),
+    (SolverError, lambda: tree_solve(_Q4, _G4)),
+    (SolverError, lambda: select_stepsize(_P4, None, mode="newton")),
+    (MessageError, lambda: SurrogateSpec(family="newton")),
+    (MessageError, lambda: SurrogateSpec(family="first_order")),
+    (MessageError, lambda: _surrogate_run(_Q4, "schur_quadratic", Q=np.ones((3, 1, 1)))),
+    (MessageError, lambda: _surrogate_run(_Q4, "schur_quadratic",
+                                          M_edge={(0, 1): np.zeros((2, 2))})),
+    (MessageError, lambda: _surrogate_run(_Q4, "schur_quadratic",
+                                          M_edge={(1, 0): np.zeros((1, 1))})),
+], ids=["exact_off_quadratic", "unsupported_family", "schur_off_quadratic",
+        "partial_linearization_off_cta", "reference_off_quadratic", "tree_solve_on_a_ring",
+        "stepsize_mode", "spec_family", "spec_first_order_alpha", "spec_node_stack_shape",
+        "spec_edge_block_shape", "spec_edge_key_order"])
+def test_solvers_raise_typed_errors(exc, make):
+    """One row per raise of ``solvers`` and of ``SurrogateSpec`` that no
+    other test reaches, each with a small malformed input; the exception
+    is of that exact type."""
+    with pytest.raises(Exception) as got:
+        make()
+    assert type(got.value) is exc
 
 
 def test_mp_jacobi_flags_divergence_early():

@@ -149,7 +149,7 @@ def _ref_tilde_phi(q, spec, cta, i, x, y):
     if fam == "exact":
         return _ref_phi(q, i, x)
     dx = x - y
-    Q = spec.node_matrix("Q", i, q.d)
+    Q = spec.node_matrices("Q", q.m, q.d)[i]
     if fam == "partial_linearization":
         f, W, g = cta.locals_[i], cta.gossip.W, cta.gamma
         return (0.5 * _quad(y, f.Q, y) + y @ f.c + np.sum((y @ f.Q.T + f.c) * dx, -1)
@@ -171,9 +171,11 @@ def _ref_tilde_psi(q, spec, i, j, u, v, yu, yv):
     if spec.family == "first_order":
         return val
     d = q.d
-    Mij = spec.edge_matrix(i, j, d) if i < j else spec.edge_matrix(i, j, d).T
-    return (val + _quad(du, Mij, dv) + 0.5 * _quad(du, spec.node_matrix("M", i, d), du)
-            + 0.5 * _quad(dv, spec.node_matrix("M", j, d), dv))
+    Mij = spec.edge_matrices([i], [j], d)[0]
+    Mij = Mij if i < j else Mij.T
+    Mn = spec.node_matrices("M", q.m, d)
+    return (val + _quad(du, Mij, dv) + 0.5 * _quad(du, Mn[i], du)
+            + 0.5 * _quad(dv, Mn[j], dv))
 
 
 def _ref_tilde_phi_r(q, part, spec, cta, r, x, y, y_E):

@@ -19,7 +19,11 @@ lifted consensus (CTA) engine, which no workload runs, go under
 ``cta_plin/seed<n>``: partial-linearization messages on
 ``cta_instance(16, 3, 1e-3, seed)`` with the ``ring_P2`` partition at
 D = 1, tau = 1 and a fixed number of rounds (``CTA``; ``CTA_TOY`` with
-``--toy``); its set-up also computes the surrogate rate constants. The
+``--toy``); its set-up also computes the surrogate rate constants. Those
+of one run per seed that stops on its gradient-norm rule, so that every
+round is recorded alone, a stack of one iterate, go under
+``minsum_tol/seed<n>``: ``baseline("minsum")`` with the oracle on
+``build_random_qp`` over an 8-ring at d = 2 (``MINSUM``, at every size). The
 library and the workloads come from the checkout named by ``--root``
 (default: this one), so one copy of this script dumps any revision.
 
@@ -48,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final")
 CTA = {"m": 16, "d": 3, "gamma": 1e-3, "rounds": 2000}
 CTA_TOY = {"m": 8, "d": 2, "gamma": 1e-3, "rounds": 200}
+MINSUM = {"m": 8, "d": 2, "kappa": 50.0, "tol": 1e-8}
 
 
 def import_workloads(root):
@@ -130,9 +135,19 @@ def cta_setup(seed, m, d, gamma, rounds):
     return lambda: solvers.mp_jacobi_surrogate(prob, part, cfg)
 
 
+def minsum_setup(seed, m, d, kappa, tol):
+    """Plain min-sum, ``baseline("minsum")``, on ``build_random_qp`` over
+    an m-ring at ``kappa`` and ``seed``, after the oracle; it stops when the
+    gradient norm is at most ``tol``."""
+    from mpjacobi import objective, solvers, topology
+    q = objective.build_random_qp(topology.generate_topology("ring", m=m), d, kappa, seed)
+    oracle = objective.global_solve_oracle(q)
+    return lambda: solvers.baseline("minsum", q, {"tol": tol, "oracle": oracle})
+
+
 def runs(root, seeds, toy=False):
-    """(name, seed, set-up outputs, trace) of every workload's and the CTA
-    run's solves."""
+    """(name, seed, set-up outputs, trace) of every workload's, the CTA
+    run's and the min-sum run's solves."""
     workloads = import_workloads(root)
     for wl in workloads.WORKLOADS.values():
         for seed in seeds:
@@ -144,6 +159,10 @@ def runs(root, seeds, toy=False):
         with captured_setup() as outputs:
             solve = cta_setup(seed, **(CTA_TOY if toy else CTA))
         yield "cta_plin", seed, outputs, solve()
+    for seed in seeds:
+        with captured_setup() as outputs:
+            solve = minsum_setup(seed, **MINSUM)
+        yield "minsum_tol", seed, outputs, solve()
 
 
 def dump(root, seeds, toy=False):
