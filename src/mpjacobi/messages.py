@@ -40,28 +40,34 @@ any other system solves the full right-hand side again with the column
 written in.
 
 Solves and products. The exact rule, the one implementation of the paper's
-exact message, solves every sender system by :func:`lapack_solve`,
-symmetrizes its curvature, 1/2 (H + H^T), and forms h by
-:func:`block_matvec`: the exact engine's operations, whose iterates the
-golden traces freeze bit for bit. ``lapack_solve`` returns
-``np.linalg.solve``'s bits. With d >= 2 it calls it; with d = 1 it repeats
-OpenBLAS's arithmetic without LAPACK: one right-hand side is divided by
-the pivot (trsv), two or more are multiplied by its reciprocal (trsm packs
-1/a). The two forms differ in the last bit on about half of all inputs, so
-neither may stand in for the other; ``block_matvec`` likewise returns
-``np.matmul``'s bits, at d = 1 without matmul. :class:`PairProducts`
-returns them for the pair products B x_j and B^T x_i of a stack of K
-iterates. At d = 2, for K >= 2 and finite blocks, it makes one gemv call
-per block row in place of one per block and iterate; its dgemv_t adds each
-output's two products in the order of matmul's own kernel, dgemv_t on B
-and dgemv_n on the view of B^T (matched by reversing B^T's columns and
-the vectors' components). Elsewhere it calls ``block_matvec``: at K = 1
-matmul takes ddot, at d >= 3 the kernels' sums differ, and with a
-non-finite block entry the regrouping could change a NaN's sign.
-``tests/test_messages.py`` checks the three contracts against the
-installed numpy. The other rules solve by ``struct_solve``, which divides
-exactly diagonal systems so that diagonal message families stay exactly
-diagonal.
+exact message, solves every sender system by :func:`lapack_solve`, forms
+its curvature B X by :func:`block_matmul` and symmetrizes it,
+1/2 (H + H^T), and forms h by :func:`block_matvec`: the exact engine's
+operations, whose iterates the golden traces freeze bit for bit.
+``lapack_solve`` returns ``np.linalg.solve``'s bits. With d >= 2 it calls
+it; with d = 1 it repeats OpenBLAS's arithmetic without LAPACK: one
+right-hand side is divided by the pivot (trsv), two or more are multiplied
+by its reciprocal (trsm packs 1/a). The two forms differ in the last bit on
+about half of all inputs, so neither may stand in for the other.
+``block_matmul`` and ``block_matvec`` likewise return ``np.matmul``'s
+bits, at d = 1 without matmul: a 1 x 1 block times a row is one
+elementwise product, plus 0.0 because matmul sums from +0.0.
+:class:`PairProducts` returns them for the pair products B x_j and
+B^T x_i of a stack of K iterates. At d = 1 that is one such elementwise
+pass over every pair's two products. At d = 2, for K >= 2 and finite
+blocks, it makes one gemv call per block row in place of one per block and
+iterate; its dgemv_t adds each output's two products in the order of
+matmul's own kernel, dgemv_t on B and dgemv_n on the view of B^T (matched
+by reversing B^T's columns and the vectors' components). Elsewhere it
+calls ``block_matvec``: at K = 1 matmul takes ddot, at d >= 3 the kernels'
+sums differ, and with a non-finite block entry the regrouping could change
+a NaN's sign. An elementwise product of two NaNs may keep either one (numpy
+orders the operands one way in its vector loops and the other in their
+scalar tails), so at d = 1 a NaN block times a NaN vector entry need not
+have matmul's sign. ``tests/test_messages.py`` checks the contracts
+against the installed numpy. The other rules solve by ``struct_solve``,
+which divides exactly diagonal systems so that diagonal message families
+stay exactly diagonal.
 """
 
 from __future__ import annotations
@@ -203,12 +209,19 @@ def lapack_solve(A, rhs):
     return LapackSystem(A).solve(rhs)
 
 
-def block_matvec(B, v):
-    """``np.matmul(B, v[..., None])[..., 0]`` bit for bit, B (..., d, d): at
-    d = 1 B * v + 0.0, as matmul sums from +0.0 (a -0.0 product gives +0.0)."""
+def block_matmul(B, X):
+    """``np.matmul(B, X)`` bit for bit, B (..., d, d) and X (..., d, k): at
+    d = 1 B * X + 0.0, as matmul sums from +0.0 (a -0.0 product gives
+    +0.0)."""
     if B.shape[-1] == 1:
-        return B[..., 0] * v + 0.0
-    return np.matmul(B, v[..., None])[..., 0]
+        return B * X + 0.0
+    return np.matmul(B, X)
+
+
+def block_matvec(B, v):
+    """``np.matmul(B, v[..., None])[..., 0]`` bit for bit, B (..., d, d):
+    :func:`block_matmul` on the column v."""
+    return block_matmul(B, v[..., None])[..., 0]
 
 
 class PairProducts:
@@ -217,6 +230,11 @@ class PairProducts:
     (..., E, 2, d) B_e x[..., cols[e], :] and B_e^T x[..., rows[e], :],
     with the bits of :func:`block_matvec` on the contiguous B and on its
     transposed view.
+
+    At d = 1, B_e^T = B_e, and both products are block_matvec's
+    elementwise B_e x + 0.0: one pass ``B2 * x.take(at) + 0.0`` over the
+    blocks stored twice each, (B_0, B_0, B_1, B_1, ...), against the
+    iterates gathered at (cols[0], rows[0], cols[1], ...), for any K.
 
     ``block_matvec`` makes one BLAS gemv call per block and iterate, with
     d outputs each. At d = 2 a stack of K >= 2 iterates is regrouped: per
@@ -243,14 +261,22 @@ class PairProducts:
 
     def __init__(self, B, rows, cols):
         self.B, self.rows, self.cols = B, rows, cols
+        self.scalar = B.shape[-1] == 1
         self.regrouped = B.shape[-1] == 2 and bool(np.all(np.isfinite(B)))
-        # B, then B^T with its two columns reversed, contiguous
-        self._blocks = (np.concatenate((B, np.swapaxes(B, -1, -2)[..., ::-1]))
-                        if self.regrouped else None)
+        self._blocks = self._at = None
+        if self.scalar:
+            # B_e twice per pair, against x at cols[e], then at rows[e]
+            self._blocks = np.repeat(B.reshape(-1, 1), 2, axis=0)
+            self._at = np.stack((cols, rows), axis=-1).reshape(-1)
+        elif self.regrouped:
+            # B, then B^T with its two columns reversed, contiguous
+            self._blocks = np.concatenate((B, np.swapaxes(B, -1, -2)[..., ::-1]))
 
     def __call__(self, x):
         lead, (m, d) = x.shape[:-2], x.shape[-2:]
         K, E = math.prod(lead), len(self.B)
+        if self.scalar:
+            return (self._blocks * x.take(self._at, axis=-2) + 0.0).reshape(lead + (E, 2, 1))
         if not self.regrouped or K < 2:
             terms = np.empty(lead + (E, 2, d))
             terms[..., 0, :] = block_matvec(self.B, x.take(self.cols, axis=-2))
@@ -329,10 +355,14 @@ def message_vectors(H):
     its curvature H (..., d, d): the matrix counts d unless it is diagonal
     (1) or identically zero (0); the linear part counts 1. One ``!= 0``
     pass over the (..., d*d) entries (-0.0 counts as zero, NaN as
-    nonzero), then counts of all and of the diagonal nonzeros.
+    nonzero), then counts of all and of the diagonal nonzeros. At d = 1 a
+    matrix is its diagonal, so the count is (H != 0) + 1 from that pass
+    alone.
     """
     H = np.asarray(H)
     d = H.shape[-1]
+    if d == 1:
+        return (H[..., 0, 0] != 0) + 1
     nonzero = H.reshape(H.shape[:-2] + (d * d,)) != 0
     total = np.count_nonzero(nonzero, axis=-1)
     dense = total > np.count_nonzero(nonzero[..., ::d + 1], axis=-1)
@@ -468,7 +498,7 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
         rhs = np.concatenate([np.swapaxes(B_ij, -1, -2), c[..., None]], axis=-1)
 
         def H_of(X):
-            H = -(B_ij @ X[..., :-1])
+            H = -block_matmul(B_ij, X[..., :-1])
             return 0.5 * (H + np.swapaxes(H, -1, -2))
 
         col, curvature = _solve_curvature(A, rhs, H_of, SingularSenderCurvature,

@@ -67,25 +67,43 @@ class RowScatter:
     """Precompiled, order-preserving sum of rows into ``n`` destination rows.
 
     ``scatter(vals)`` returns out (n, ...) with out[idx[k]] += vals[k] for
-    k in order, as ``np.add.at`` on zeros does, through one ``np.bincount``
-    over flat indices compiled once per row shape (bincount adds its weights
-    in input order). ``start`` gives the destination's initial values; they
-    enter as the first contributions, and since 0.0 + v == v the sums are
-    those of ``np.add.at(start.copy(), idx, vals)`` bit for bit (a -0.0
-    start entry that receives only zeros ends as +0.0). ``axis`` is the
-    row axis of vals and start; the axes before it are batch axes, and
-    each batch entry is summed apart, in the same order, by offsetting the
-    one compiled index per entry at call time (each entry's start values
-    still come before its rows).
+    k in order, as ``np.add.at`` on zeros does. ``start`` gives the
+    destination's initial values; they enter as the first contributions,
+    added to +0.0, so the sums are those of
+    ``np.add.at(0.0 + start, idx, vals)`` bit for bit (a -0.0 start entry
+    ends as +0.0), except that a sum of two NaNs may keep either one.
+    ``axis`` is the row axis of vals and start; the axes before it are
+    batch axes, and each batch entry is summed apart, in the same order.
+
+    Two paths give these bits. Without batch axes, one ``np.bincount`` over
+    flat indices compiled once per row shape: bincount adds its weights in
+    input order, start first, into zeros. A stack (batch > 1) is summed by
+    an ordered gather over ``slots``, compiled here: slots[j, i] is the
+    row of node i's (j+1)-th contribution, or ``len(idx)`` for a zero row
+    appended to vals. out = (0.0 + start) + vals[slots[0]] + vals[slots[1]]
+    + ..., each term one vector pass over the whole stack. A node's terms
+    come in its own order, and its pads after them. A pad adds +0.0 to a
+    running sum that began at +0.0, and such a sum is never -0.0 (a sum is
+    -0.0 only when both addends are; x + -x rounds to +0.0), so a pad
+    never changes it. Bincount stays on the unbatched path, where it is
+    faster on sparse scatters.
     """
 
     def __init__(self, idx, n):
         self.idx = np.asarray(idx, dtype=int).reshape(-1)
         self.n = n
         self._flat = {}
+        counts = np.bincount(self.idx, minlength=n)
+        order = np.argsort(self.idx, kind="stable")
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.slots = np.full((counts.max(initial=0), n), len(order))
+        self.slots[rank, self.idx[order]] = order
 
     def __call__(self, vals, start=None, axis=0):
         lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
+        batch = math.prod(lead)
+        if batch != 1:
+            return self._gathered(vals, start, lead, tail)
         key = (tail, start is None)
         compiled = self._flat.get(key)
         if compiled is None:
@@ -95,14 +113,23 @@ class RowScatter:
                 flat = np.concatenate([np.arange(self.n * size), flat])
             compiled = self._flat[key] = (flat, self.n * size)
         flat, length = compiled
-        batch = math.prod(lead)
-        weights = vals.reshape(batch, math.prod(vals.shape[axis:]))
+        weights = vals.reshape(-1)
         if start is not None:
-            weights = np.concatenate((start.reshape(batch, length), weights), axis=1)
-        if batch != 1:
-            flat = np.arange(0, batch * length, length)[:, None] + flat
-        return np.bincount(flat.reshape(-1), weights.reshape(-1),
-                           minlength=batch * length).reshape(lead + (self.n,) + tail)
+            weights = np.concatenate((start.reshape(-1), weights))
+        return np.bincount(flat, weights, minlength=length).reshape(lead + (self.n,) + tail)
+
+    def _gathered(self, vals, start, lead, tail):
+        """The stack's sums by the ordered gather over ``slots``."""
+        batch, n = math.prod(lead), self.n
+        rows = np.concatenate((vals.reshape(batch, -1, *tail), np.zeros((batch, 1) + tail)),
+                              axis=1)
+        shape = (batch, n) + tail
+        out = np.zeros(shape) if start is None else 0.0 + start.reshape(shape)
+        term = np.empty(shape)
+        for slot in self.slots:
+            # the slots are in range: "clip" only spares take a buffered copy
+            np.add(out, rows.take(slot, axis=1, out=term, mode="clip"), out=out)
+        return out.reshape(lead + (n,) + tail)
 
 
 def _transposed(B):
@@ -277,15 +304,19 @@ class QuadraticObjective:
         Node terms, then every pair term in ``pair`` order (B x_j at i,
         B^T x_i at j), then every factor's members in ``hyper`` order: the
         additions of the per-coupling loop, in its order. A stack's
-        iterates are summed apart in that same order, so each holds the
-        bits of its own single-iterate gradient. Its products hold them
-        too, each made by one vectorized pass over the stack: the node
-        term by one einsum over ``diag`` tiled per iterate
-        (:meth:`_node_term`), and the pair products B x_j and B^T x_i by
-        :class:`~mpjacobi.messages.PairProducts`, which at d = 2, on a
-        stack of K >= 2 iterates and with finite ``pair_blocks`` regroups
-        them into 4 |E| gemv calls of K outputs each, in place of 2 K |E|
-        calls of d outputs.
+        iterates are summed apart in that same order, by
+        :class:`RowScatter`'s ordered gather, so each holds the bits of its
+        own single-iterate gradient. Its products hold them too, each made
+        by one vectorized pass over the stack: the node term by one einsum
+        over ``diag`` tiled per iterate (:meth:`_node_term`), and the pair
+        products B x_j and B^T x_i by
+        :class:`~mpjacobi.messages.PairProducts`, which at d = 1 makes them
+        in one elementwise pass and at d = 2, on a stack of K >= 2 iterates
+        and with finite ``pair_blocks``, regroups them into 4 |E| gemv
+        calls of K outputs each, in place of 2 K |E| calls of d outputs.
+        Where two NaNs meet, in a product or a sum, the result may keep
+        either one, so a NaN's sign may differ between a stack and single
+        calls; NaNs stand where they stand in the single calls.
         """
         m, d = self.m, self.d
         x = np.asarray(x, dtype=float)

@@ -379,9 +379,9 @@ def validate_hyper_partition(hypergraph, clusters, intra_factors=None):
     With ``intra_factors=None`` the intra sets are derived maximally
     (every factor fully inside a cluster is intra). Passing explicit
     per-cluster factor index lists disables maximality (the split-cluster
-    case), but each chosen factor must still sit inside its cluster.
-    Each induced factor graph must be acyclic (forest; singleton-style
-    clusters with no factors are fine).
+    case), but each chosen factor must be a factor index, 0 <= a < n, and
+    still sit inside its cluster. Each induced factor graph must be acyclic
+    (forest; singleton-style clusters with no factors are fine).
     """
     cl, cluster_of = _check_clusters(hypergraph.m, clusters)
     factors = hypergraph.hyperedges
@@ -397,15 +397,14 @@ def validate_hyper_partition(hypergraph, clusters, intra_factors=None):
         intra = [sorted(set(int(a) for a in lst)) for lst in intra_factors]
         for r, lst in enumerate(intra):
             for a in lst:
-                if not set(factors[a]) <= set(cl[r]):
+                if not (0 <= a < len(factors) and set(factors[a]) <= set(cl[r])):
                     raise IncompatiblePartition(
                         f"factor {a} not contained in cluster {r}")
 
+    # the clusters are disjoint, so no factor lies inside two of them
     factor_cluster = [-1] * len(factors)
     for r, lst in enumerate(intra):
         for a in lst:
-            if factor_cluster[a] != -1:
-                raise IncompatiblePartition(f"factor {a} assigned to two clusters")
             factor_cluster[a] = r
 
     n_in = [[] for _ in range(hypergraph.m)]

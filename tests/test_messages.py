@@ -11,6 +11,7 @@ from mpjacobi.messages import (
     StructSystem,
     SingularSenderCurvature,
     SurrogateSpec,
+    block_matmul,
     block_matvec,
     cta_partial_linearization_message,
     diagonalize_message,
@@ -696,20 +697,48 @@ def test_block_matvec_equals_matmul_bitwise(seed, batch, d, transposed):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (7,), (3, 4)]),
+       st.integers(1, 5), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_scalar_block_matmul_equals_matmul_bitwise(seed, batch, k, stacked):
+    """block_matmul on (..., 1, 1) blocks and (..., 1, k) right-hand sides,
+    as the exact rule forms B X at d = 1, returns np.matmul's bits: the
+    products plus 0.0, matmul's sum from +0.0. Entries of every magnitude
+    with signed zeros, subnormals and infinities, on a batch of blocks
+    matching the right-hand sides' or broadcast against a stack of them.
+    (A NaN times a NaN may keep either one; see
+    ``test_scalar_grad_of_a_stack_with_nans_is_the_stacked_grads``.)"""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        special = rng.random(shape) < 0.3
+        out[special] = rng.choice(np.r_[_SPECIAL[:-1], 0.0, -0.0], np.count_nonzero(special))
+        return out
+
+    B, X = draw(batch + (1, 1)), draw(((5,) if stacked else ()) + batch + (1, k))
+    with np.errstate(all="ignore"):
+        expected = np.matmul(B, X)
+        got = block_matmul(B, X)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 8),
        st.integers(1, 20), st.sampled_from(["flat", "single", "split"]),
-       st.sampled_from([2, 2, 3]), st.booleans())
+       st.sampled_from([1, 2, 2, 3]), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_pair_products_equal_matmul_bitwise(seed, m, E, K, layout, d, finite):
     """PairProducts returns np.matmul's bits for both products of every
     pair, B_e on x[cols[e]] and the transposed view B_e^T on x[rows[e]],
     on stacks of K iterates: regrouped at d = 2 and K >= 2, per block at
-    K = 1, on an unbatched x and at d = 3. Entries of unit magnitude, where
-    the kernels' FMA rounding shows, with signed zeros, subnormals,
-    infinities and NaNs of both signs among the iterates' entries. Blocks
-    with a non-finite entry take the per-block products: regrouped, a NaN
-    block entry times a NaN of the other sign could keep the other sign.
-    (d = 1 is ``block_matvec``'s elementwise form, tested above.)"""
+    K = 1, on an unbatched x and at d = 3, and at d = 1 as one elementwise
+    pass. Entries of unit magnitude, where the kernels' FMA rounding shows,
+    with signed zeros, subnormals, infinities and NaNs of both signs among
+    the iterates' entries. Blocks with a non-finite entry take the
+    per-block products: regrouped, a NaN block entry times a NaN of the
+    other sign could keep the other sign. At d = 1 such a product may keep
+    either NaN, so with non-finite blocks NaNs are matched by position."""
     rng = np.random.default_rng(seed)
     lead = {"flat": (K,), "single": (), "split": (K, 1) if K % 2 else (2, K // 2)}[layout]
     nonfinite = np.array([np.inf, -np.inf, np.nan, -np.nan])
@@ -731,7 +760,10 @@ def test_pair_products_equal_matmul_bitwise(seed, m, E, K, layout, d, finite):
                                        x.take(rows, axis=-2)[..., None])[..., 0]], axis=-2)
         got = products(x)
     assert got.shape == expected.shape == lead + (E, 2, d)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    exact = np.ones_like(nan) if d > 1 or finite else ~nan
+    assert np.array_equal(got[exact].view(np.int64), expected[exact].view(np.int64))
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])

@@ -483,6 +483,30 @@ def test_grad_of_a_unit_scale_stack_is_the_stacked_grads(q, K, seed):
     assert np.array_equal(expected.view(np.int64), loop.view(np.int64))
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_scalar_grad_of_a_stack_with_nans_is_the_stacked_grads(seed, m, K):
+    """d = 1 with NaNs of both signs in the pair blocks, ``diag`` and the
+    iterates, next to signed zeros and infinities: a (K, m, 1) stack's
+    gradient has NaNs where the single-iterate gradients have them and
+    their bits everywhere else. Where a NaN block meets a NaN iterate the
+    product may keep either NaN (numpy's multiply takes its operands in
+    one order in its vector loop and in the other in its scalar tail), so
+    the NaNs' signs are not compared."""
+    rng = np.random.default_rng(seed)
+    values = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -0.75])
+    cand = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pair = {cand[t]: rng.choice(values, (1, 1))
+            for t in rng.permutation(len(cand))[:rng.integers(1, len(cand) + 1)]}
+    q = QuadraticObjective(m, 1, rng.choice(values, (m, 1, 1)), rng.choice(values, (m, 1)),
+                           pair)
+    xs = rng.choice(values, (K, m, 1))
+    with np.errstate(invalid="ignore"):
+        got = q.grad(xs)
+        expected = np.stack([q.grad(x) for x in xs])
+    _same_bits_but_nan_signs(got, expected, exact=False)
+
+
 def test_couplings_are_frozen():
     q = random_qp(seed=6)
     e = q.edges[0]
@@ -515,25 +539,55 @@ def test_malformed_coupling_keys_are_typed():
             QuadraticObjective(3, 1, *d1, pair, hyper)
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6),
-       st.integers(0, 12), st.sampled_from([(), (2,), (2, 3)]), st.booleans(),
-       st.sampled_from([(), (3,), (2, 2)]))
-@settings(max_examples=100, deadline=None)
-def test_row_scatter_equals_add_at(seed, n, k, tail, with_start, lead):
-    """Rows at axis len(lead); every batch entry equals its own add.at."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, k)
-    vals = rng.standard_normal(lead + (k,) + tail) * 10.0 ** rng.integers(
-        -8, 8, lead + (k,) + tail)
-    start = rng.standard_normal(lead + (n,) + tail) if with_start else None
-    want = np.zeros(lead + (n,) + tail) if start is None else start.copy()
-    for b in np.ndindex(lead):
-        np.add.at(want[b], idx, vals[b])
-    scatter = RowScatter(idx, n)
-    for _ in range(2):                  # the second call reuses the flat indices
-        got = scatter(vals, start=start, axis=len(lead))
-        assert got.shape == want.shape
+def _same_bits_but_nan_signs(got, want, exact):
+    """got has want's shape and bits; where ``exact`` is false, a NaN of
+    want may be any NaN in got."""
+    assert got.shape == want.shape
+    if exact:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+_SCATTER_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "flat", "split"]),
+       st.integers(1, 20), st.integers(1, 7), st.integers(0, 16),
+       st.sampled_from([(), (1,), (2,), (2, 3), (2, 2)]), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_row_scatter_equals_add_at(seed, layout, K, n, k, tail, with_start, nans):
+    """Rows at axis len(lead): no batch axes, a stack of K (K >= 2 sums by
+    the ordered gather over ``slots``, K = 1 by bincount) or a (2, K/2)
+    stack. Every batch entry equals ``np.add.at(0.0 + start, idx, vals)``,
+    bit for bit: repeated destinations, nodes that receive nothing, -0.0
+    starts, values of magnitudes 1e-8 to 1e8 (so that another order rounds
+    otherwise), signed zeros and infinities. With NaNs of both signs among
+    the values, a sum of two NaNs may keep either one (numpy's add loops
+    and ``np.add.at`` order their operands differently), so NaNs are
+    matched by position only."""
+    rng = np.random.default_rng(seed)
+    lead = {"none": (), "flat": (K,), "split": (2, K // 2) if K % 2 == 0 else (K, 1)}[layout]
+    specials = _SCATTER_SPECIALS if nans else _SCATTER_SPECIALS[:4]
+
+    def draw(shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        special = rng.random(shape) < 0.2
+        out[special] = rng.choice(specials, np.count_nonzero(special))
+        return out
+
+    idx = rng.integers(0, n, k)
+    vals = draw(lead + (k,) + tail)
+    start = draw(lead + (n,) + tail) if with_start else None
+    want = np.zeros(lead + (n,) + tail) if start is None else 0.0 + start
+    scatter = RowScatter(idx, n)
+    with np.errstate(invalid="ignore"):
+        for b in np.ndindex(lead):
+            np.add.at(want[b], idx, vals[b])
+        for _ in range(2):              # the second call reuses the flat indices
+            got = scatter(vals, start=start, axis=len(lead))
+            _same_bits_but_nan_signs(got, want, exact=not nans)
 
 
 def _loop_cta(prob, x):

@@ -9,6 +9,7 @@ from mpjacobi.topology import (
     Graph,
     Hypergraph,
     IncompatiblePartition,
+    InvalidParams,
     NonOverlapWarning,
     NonTreeCluster,
     NotAPartition,
@@ -411,3 +412,50 @@ def test_split_partition_matches_brute_force(case, data):
         return
     _check_hyper_partition(validate_split_partition(split, clusters, intra),
                            clusters, intra, ref)
+
+
+_HG = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
+
+
+@pytest.mark.parametrize("exc, make", [
+    (TopologyError, lambda: Graph(3, [(1, 1)])),
+    (TopologyError, lambda: Graph(0, [])),
+    (TopologyError, lambda: Graph(3, [(0, 3)])),
+    (DisconnectedQuery, lambda: Graph(3, [(0, 1)]).diameter()),
+    (TopologyError, lambda: Hypergraph(0, [])),
+    (TopologyError, lambda: Hypergraph(3, [(1, 1)])),
+    (TopologyError, lambda: Hypergraph(3, [(0, 3)])),
+    (TopologyError, lambda: Hypergraph(3, [(0, 1, 2), (2, 1, 0)])),
+    (IncompatiblePartition, lambda: validate_hyper_partition(_HG, [[0, 1, 2, 3, 4]],
+                                                             intra_factors=[[0], [1]])),
+    (IncompatiblePartition, lambda: validate_hyper_partition(_HG, [[0, 1, 2], [3, 4]],
+                                                             intra_factors=[[0, 1], []])),
+    (IncompatiblePartition, lambda: validate_hyper_partition(_HG, [[0, 1, 2, 3, 4]],
+                                                             intra_factors=[[-1]])),
+    (IncompatiblePartition, lambda: validate_hyper_partition(_HG, [[0, 1, 2, 3, 4]],
+                                                             intra_factors=[[2]])),
+    (InvalidParams, lambda: generate_topology("ring", m=2)),
+    (InvalidParams, lambda: generate_topology("grid2d", side=1)),
+    (InvalidParams, lambda: generate_topology("dumbbell", clique=1, path=2)),
+    (InvalidParams, lambda: generate_topology("hyper_ring", n_edges=1, edge_size=3)),
+    (InvalidParams, lambda: generate_topology("star", m=5)),
+    (IncompatiblePartition, lambda: generate_partition("ring_P1", ring(5), D=4)),
+    (IncompatiblePartition, lambda: generate_partition(
+        "grid_rows", generate_topology("grid2d", side=3), D=3)),
+    (IncompatiblePartition, lambda: generate_partition("stars", ring(5))),
+    (TopologyError, lambda: read_graph("n 3\n0 1\n")),
+], ids=["self_loop", "graph_no_nodes", "edge_out_of_range", "diameter_disconnected",
+        "hypergraph_no_nodes", "hyperedge_one_node", "hyperedge_out_of_range",
+        "duplicate_hyperedge", "intra_lists_per_cluster", "factor_outside_cluster",
+        "factor_index_negative", "factor_index_too_large",
+        "ring_too_small", "grid_too_small", "dumbbell_params",
+        "hyper_ring_params", "unknown_topology", "ring_P1_D", "grid_rows_D",
+        "unknown_partition", "read_graph_header"])
+def test_topology_raises_typed_errors(exc, make):
+    """One row per raise of ``topology`` that no other test reaches, each
+    with a small malformed input, and two for the factor index check; the
+    exception is of that exact type. A factor index outside 0..n-1 used to
+    pick a factor from the end (negative) or raise IndexError."""
+    with pytest.raises(Exception) as got:
+        make()
+    assert type(got.value) is exc

@@ -23,7 +23,12 @@ D = 1, tau = 1 and a fixed number of rounds (``CTA``; ``CTA_TOY`` with
 of one run per seed that stops on its gradient-norm rule, so that every
 round is recorded alone, a stack of one iterate, go under
 ``minsum_tol/seed<n>``: ``baseline("minsum")`` with the oracle on
-``build_random_qp`` over an 8-ring at d = 2 (``MINSUM``, at every size). The
+``build_random_qp`` over an 8-ring at d = 2 (``MINSUM``, at every size).
+Those of one hypergraph run per seed, whose recorded stacks sum the
+gradient's factor terms, go under ``h_mp_jacobi/seed<n>``:
+``h_mp_jacobi`` on ``bench.hyperring_qp`` (five factors of five nodes, so
+arity 5, at d = 2) with the ``bench`` experiment ``hyperring``'s partition
+and tau = 1/p, for a fixed number of rounds (``HYPER``, at every size). The
 library and the workloads come from the checkout named by ``--root``
 (default: this one), so one copy of this script dumps any revision.
 
@@ -53,6 +58,7 @@ FIELDS = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final")
 CTA = {"m": 16, "d": 3, "gamma": 1e-3, "rounds": 2000}
 CTA_TOY = {"m": 8, "d": 2, "gamma": 1e-3, "rounds": 200}
 MINSUM = {"m": 8, "d": 2, "kappa": 50.0, "tol": 1e-8}
+HYPER = {"n_edges": 5, "edge_size": 5, "d": 2, "kappa": 200.0, "rounds": 200}
 
 
 def import_workloads(root):
@@ -145,9 +151,26 @@ def minsum_setup(seed, m, d, kappa, tol):
     return lambda: solvers.baseline("minsum", q, {"tol": tol, "oracle": oracle})
 
 
+def hyper_setup(seed, n_edges, edge_size, d, kappa, rounds):
+    """``rounds`` rounds of ``h_mp_jacobi`` on ``bench.hyperring_qp`` at
+    ``seed``, after the oracle: one path cluster holds all but the last two
+    factors, every other node is a singleton, tau = 1/p, as the ``bench``
+    experiment ``hyperring`` sets it."""
+    from mpjacobi import bench, objective, solvers, topology
+    hg, q = bench.hyperring_qp(n_edges=n_edges, edge_size=edge_size, d=d,
+                               seed=seed, kappa=kappa)
+    oracle = objective.global_solve_oracle(q)
+    nodes = sorted({i for w in hg.hyperedges[:n_edges - 2] for i in w})
+    clusters = [nodes] + [[i] for i in range(hg.m) if i not in nodes]
+    hpart = topology.validate_hyper_partition(hg, clusters)
+    cfg = solvers.SolverConfig(tau=1.0 / hpart.p, max_rounds=rounds, tol_x=0.0,
+                               track_oracle=oracle)
+    return lambda: solvers.h_mp_jacobi(q, hpart, cfg)
+
+
 def runs(root, seeds, toy=False):
     """(name, seed, set-up outputs, trace) of every workload's, the CTA
-    run's and the min-sum run's solves."""
+    run's, the min-sum run's and the hypergraph run's solves."""
     workloads = import_workloads(root)
     for wl in workloads.WORKLOADS.values():
         for seed in seeds:
@@ -163,6 +186,10 @@ def runs(root, seeds, toy=False):
         with captured_setup() as outputs:
             solve = minsum_setup(seed, **MINSUM)
         yield "minsum_tol", seed, outputs, solve()
+    for seed in seeds:
+        with captured_setup() as outputs:
+            solve = hyper_setup(seed, **HYPER)
+        yield "h_mp_jacobi", seed, outputs, solve()
 
 
 def dump(root, seeds, toy=False):
