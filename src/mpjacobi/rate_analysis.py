@@ -193,9 +193,15 @@ class ClusterSurrogate:
         at = self.nodes + self.ext
         return np.concatenate([x[at].ravel(), y[at].ravel(), y_E.ravel()])
 
-    def consistent(self, x):
-        """z with every reference at the iterate x."""
-        return self.stack(x, x, x[np.ravel(self.intra).astype(int)])
+    def references(self):
+        """The 0/1 matrix T with z = T w, w = (x_C, x_ext, y_C): y_out =
+        x_ext, and each intra edge's references are its endpoints' rows of
+        y_C."""
+        nc, ne = len(self.nodes), len(self.ext)
+        y_C = {i: nc + ne + t for t, i in enumerate(self.nodes)}
+        rows = [*range(2 * nc + ne), *range(nc, nc + ne),
+                *(y_C[i] for edge in self.intra for i in edge)]
+        return np.eye((2 * nc + ne) * self.d)[_block_indices(rows, self.d)]
 
     def value(self, z):
         return float(0.5 * z @ self.S @ z + self.s @ z)

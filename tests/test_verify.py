@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpjacobi import verify
 from mpjacobi.bench import cta_instance
 from mpjacobi.messages import SurrogateSpec
 from mpjacobi.objective import (
@@ -79,8 +80,7 @@ def test_surrogate_regularity_exact_family():
     g = generate_topology("ring", m=6)
     q = build_random_qp(g, 1, 20.0, 5)
     part = generate_partition("ring_P2", g, D=1)
-    rep = check_surrogate_regularity(q, part, SurrogateSpec(family="exact"),
-                                     samples=30, seed=6)
+    rep = check_surrogate_regularity(q, part, SurrogateSpec(family="exact"))
     assert rep.passed
     assert rep.worst_violation <= 1e-5
 
@@ -92,8 +92,7 @@ def test_surrogate_regularity_first_order_small_alpha():
     L = float(np.linalg.eigvalsh(H)[-1])
     part = generate_partition("ring_P2", g, D=1)
     ok = check_surrogate_regularity(
-        q, part, SurrogateSpec(family="first_order", alpha=0.25 / L),
-        samples=60, seed=8)
+        q, part, SurrogateSpec(family="first_order", alpha=0.25 / L))
     assert ok.passed, str(ok)
 
 
@@ -104,10 +103,33 @@ def test_surrogate_regularity_detects_large_alpha():
     L = float(np.linalg.eigvalsh(H)[-1])
     part = generate_partition("ring_P2", g, D=1)
     bad = check_surrogate_regularity(
-        q, part, SurrogateSpec(family="first_order", alpha=10.0 / L),
-        samples=60, seed=10)
+        q, part, SurrogateSpec(family="first_order", alpha=10.0 / L))
     assert not bad.passed
     assert bad.witness.get("check") == "majorization"
+
+
+def test_surrogate_regularity_reads_the_linear_terms(monkeypatch):
+    """A surrogate with a linear term off x_C is linear in the references,
+    so it majorizes nowhere. Its curvature, and so lambda_min, is the
+    small-alpha surrogate's: only the linear-term comparison of check (ii)
+    sees it. Check (i) reads s on x_C only and still passes."""
+    g = generate_topology("ring", m=6)
+    q = build_random_qp(g, 1, 20.0, 7)
+    L = float(np.linalg.eigvalsh(q.assemble()[0])[-1])
+    part = generate_partition("ring_P2", g, D=1)
+    spec = SurrogateSpec(family="first_order", alpha=0.25 / L)
+
+    def tilted(problem, partition, spec, cta, r):
+        sur = _cluster_surrogate(problem, partition, spec, cta, r)
+        if spec.family != "exact":
+            sur.s[sur.x_C.stop:] += 1e-3
+        return sur
+
+    monkeypatch.setattr(verify, "_cluster_surrogate", tilted)
+    rep = check_surrogate_regularity(q, part, spec)
+    assert not rep.passed
+    assert rep.witness["check"] == "majorization"
+    assert rep.witness["consistency_violation"] <= 1e-8
 
 
 def test_surrogate_evaluator_consistency_partial_linearization():
@@ -120,8 +142,7 @@ def test_surrogate_evaluator_consistency_partial_linearization():
     q = prob.to_quadratic()
     part = generate_partition("ring_P2", g, D=1)
     spec = SurrogateSpec(family="partial_linearization", Q=1.0)
-    rep = check_surrogate_regularity(q, part, spec, cta=prob, samples=40,
-                                     seed=12)
+    rep = check_surrogate_regularity(q, part, spec, cta=prob)
     assert rep.passed, str(rep)
 
 
@@ -303,12 +324,11 @@ def test_bar_L_is_the_surrogate_smoothness_on_cta(family):
     _bar_L_covers_the_reference(q, part, _cta_d2_spec(family, q), cta)
 
 
-@given(st.sampled_from(["random", "ring_d2", "cta_d2"]), st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_bar_L_covers_the_reference_hessian(kind, seed):
-    """bar_L against the reference on random single-gateway instances, d = 2
-    random ring QPs and CTA instances, for first-order, Schur (M_node
-    0.05 I and I) and, on CTA, partial-linearization surrogates."""
+def _drawn_instance(kind, seed):
+    """(q, part, cta, specs) of one draw: a random single-gateway instance,
+    a d = 2 random ring QP or a CTA instance (cta is None off CTA), with
+    first-order, Schur (M_node 0.05 I and I) and, on CTA,
+    partial-linearization surrogates."""
     cta = None
     if kind == "random":
         q, part = random_valid_instance(seed)
@@ -324,8 +344,65 @@ def test_bar_L_covers_the_reference_hessian(kind, seed):
     specs = _specs_with_schur_identity(q)
     if cta is not None:
         specs["pl"] = SurrogateSpec(family="partial_linearization", Q=1.0)
+    return q, part, cta, specs
+
+
+@given(st.sampled_from(["random", "ring_d2", "cta_d2"]), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_bar_L_covers_the_reference_hessian(kind, seed):
+    """bar_L against the reference on every family of a drawn instance."""
+    q, part, cta, specs = _drawn_instance(kind, seed)
     for spec in specs.values():
         _bar_L_covers_the_reference(q, part, spec, cta)
+
+
+def _reference_gap(q, part, cta, spec, r, w):
+    """Phi_r - tilde Phi_r of the per-term reference at the quantified
+    references of check (ii), batched over rows of w = (x_C, x_ext, y_C):
+    y_out = x_ext, and intra-edge references are their endpoints' y."""
+    m, d = q.m, q.d
+    c, ext = list(part.clusters[r]), sorted(part.cluster_ext[r])
+    x = np.zeros((len(w), m, d))
+    y = np.zeros_like(x)
+    x[:, c + ext] = w[:, :len(c + ext) * d].reshape(len(w), -1, d)
+    y[:, c] = w[:, len(c + ext) * d:].reshape(len(w), -1, d)
+    y[:, ext] = x[:, ext]
+    y_E = y[:, np.ravel(sorted(part.intra_edges[r])).astype(int)]
+    return (_ref_tilde_phi_r(q, part, SurrogateSpec(), None, r, x, y, y_E)
+            - _ref_tilde_phi_r(q, part, spec, cta, r, x, y, y_E))
+
+
+@given(st.sampled_from(["random", "ring_d2", "cta_d2"]), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_surrogate_regularity_eigenvalue_verdict_matches_the_reference(kind, seed):
+    """Check (ii)'s verdict on every family of a drawn instance against the
+    per-term reference: where lambda_min(T^T (S - S_exact) T) >= -1e-9
+    scale, no sampled w has a positive reference gap; elsewhere the
+    eigenvector has one, and the check fails with such a cluster as its
+    witness. Schur with M_node = 0.05 I and partial linearization with
+    Q = I fail on some draws."""
+    q, part, cta, specs = _drawn_instance(kind, seed)
+    rng = np.random.default_rng(seed)
+    for tag, spec in specs.items():
+        rep = check_surrogate_regularity(q, part, spec, cta)
+        failing = []
+        for r in range(part.p):
+            sur = _cluster_surrogate(q, part, spec, cta, r)
+            exact = _cluster_surrogate(q, part, SurrogateSpec(), None, r)
+            T = sur.references()
+            lam, V = np.linalg.eigh(T.T @ (sur.S - exact.S) @ T)
+            w = np.vstack([V[:, 0], rng.standard_normal((64, len(V)))])
+            gap = _reference_gap(q, part, cta, spec, r, w)
+            scale = max(1.0, *(np.abs(a).max() for a in (sur.S, sur.s, exact.S, exact.s)))
+            if lam[0] < -1e-9 * scale:
+                failing.append(r)
+                assert gap[0] > 0, (tag, r, lam[0], gap[0])
+            else:
+                bound = 1e-9 * scale * (1.0 + np.sum(w * w, axis=1))
+                assert np.all(gap <= bound), (tag, r, np.max(gap / bound))
+        assert rep.passed == (not failing), (tag, str(rep))
+        assert not failing or (rep.witness["check"] == "majorization"
+                               and rep.witness["cluster"] in failing), (tag, rep.witness)
 
 
 def test_gradient_check_chains():
