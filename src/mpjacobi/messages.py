@@ -39,6 +39,15 @@ exact system multiplies it by the reciprocal formed with the curvature;
 any other system solves the full right-hand side again with the column
 written in.
 
+The linear halves are written once, and engines run the rules' own. The
+Schur rule's, :func:`schur_aggregate` and :func:`schur_linear`, take the
+products H_in x_j and H x_i as arguments, so its engine reads them off one
+:class:`StackedProducts` per curvature state; a kept Curvature's H has the
+bits of the committed curvatures that state was built from, so their rows
+stand in for H x_i. The partial-linearization rule starts from its first
+term grad f_i - Q_i x_i (:func:`partial_linearization_message`), which its
+engine reads off its variable update.
+
 Solves and products. The exact rule, the one implementation of the paper's
 exact message, solves every sender system by :func:`lapack_solve`, forms
 its curvature B X by :func:`block_matmul` and symmetrizes it,
@@ -121,7 +130,7 @@ class StructSystem:
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
         self.A = A
-        self.diag = np.diagonal(A, axis1=-2, axis2=-1)
+        self.diag = np.diagonal(A, axis1=-2, axis2=-1).copy()     # contiguous divisor
         self.is_diag = ~np.any(A - self.diag[..., None] * np.eye(A.shape[-1]),
                                axis=(-2, -1))
         if np.any(self.diag[self.is_diag] == 0.0):
@@ -322,8 +331,58 @@ def _solve_curvature(S, rhs, H_of, error, system=StructSystem):
 
 
 def _mv(A, x):
-    """Batched matrix-vector product A @ x over leading axes."""
+    """Batched matrix-vector product A @ x over leading axes, by einsum. A
+    row's bits do not depend on how the subscripts are spelled, so one
+    batch axis is spelled out: parsing an ellipsis costs about as much as
+    the products of a hundred 2 x 2 blocks."""
+    A, x = np.asarray(A), np.asarray(x)
+    if A.ndim == 3 and x.ndim == 2 and len(A) == len(x):
+        return np.einsum("eij,ej->ei", A, x)
     return np.einsum("...ij,...j->...i", A, x)
+
+
+class StackedProducts:
+    """The products of several block stacks with rows of one iterate, from
+    one gather and one einsum.
+
+    ``parts`` lists pairs (B_k, at_k): blocks (n_k, d, d) and the rows at_k
+    (n_k,) of x they multiply. ``products(x)`` returns, for x (m, d), the
+    list of the parts' (n_k, d) products B_k x[at_k], each with the bits of
+    ``_mv(B_k, x.take(at_k, axis=0))``.
+
+    einsum sums each output row over the row's own d products, in an order
+    set by the operands' strides alone: the rows of a C-contiguous stack
+    get the bits of a C-contiguous part, but at d >= 3 a transposed view
+    sums in another order. So the C-contiguous parts are copied into one
+    stack, multiplied with x gathered at their rows in one einsum and
+    returned as views; any other part keeps its own einsum on the blocks
+    as given. At d = 1 einsum's loop runs over the rows, and a NaN times a
+    NaN may keep either one (the loop's vector body and scalar tail order
+    the operands differently), so a NaN's sign may depend on the row's
+    place in the stack. ``tests/test_messages.py`` checks the contract
+    against the installed numpy.
+    """
+
+    def __init__(self, parts):
+        self.parts = parts
+        d = parts[0][0].shape[-1]
+        blocks, at, self.rows = [np.zeros((0, d, d))], [np.zeros(0, dtype=int)], []
+        start = 0
+        for B, rows in parts:
+            # the part's slice of the stack, or None for a part of its own
+            if not B.flags.c_contiguous:
+                self.rows.append(None)
+                continue
+            self.rows.append(slice(start, start + len(rows)))
+            start += len(rows)
+            blocks.append(B)
+            at.append(np.asarray(rows, dtype=int))
+        self.blocks, self.at = np.concatenate(blocks), np.concatenate(at)
+
+    def __call__(self, x):
+        out = np.einsum("eij,ej->ei", self.blocks, x.take(self.at, axis=0))
+        return [_mv(B, x.take(at, axis=0)) if rows is None else out[rows]
+                for (B, at), rows in zip(self.parts, self.rows)]
 
 
 @dataclass(frozen=True)
@@ -529,14 +588,12 @@ def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
               + sum_out grad_j psi_jk(ref):
         h_msg = grad_i psi_ij(ref) - M_ij S^{-1} c_u - H_msg x_i^ref.
     ``curvature``, the Curvature of an earlier call with the same Q_j, M_j,
-    M_i, M_ij and incoming curvatures, skips the curvature recursion.
+    M_i, M_ij and incoming curvatures, skips the curvature recursion. The
+    linear half is :func:`schur_aggregate` and :func:`schur_linear`.
     """
-    c_u = (np.asarray(grad_phi_j, dtype=float)
-           + np.asarray(grad_j_psi, dtype=float))
-    for msg in incoming:
-        c_u = c_u + _mv(msg.H, x_j_ref) + msg.h
-    if boundary_grad is not None:
-        c_u = c_u + boundary_grad
+    c_u = schur_aggregate(grad_phi_j, grad_j_psi,
+                          [(_mv(msg.H, x_j_ref), msg.h) for msg in incoming],
+                          boundary_grad)
     M_ij = np.asarray(M_ij, dtype=float)
     if curvature is None:
         S = np.asarray(Q_j, dtype=float) + M_j
@@ -548,9 +605,28 @@ def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
                                           SingularInnerMatrix)
     else:
         col = curvature.solve(c_u)
-    h_msg = (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, col)
-             - _mv(curvature.H, x_i_ref))
-    return QuadraticMessage(curvature.H, h_msg, curvature)
+    return QuadraticMessage(curvature.H,
+                            schur_linear(grad_i_psi, M_ij, col, _mv(curvature.H, x_i_ref)),
+                            curvature)
+
+
+def schur_aggregate(grad_phi_j, grad_j_psi, incoming_lin, boundary_grad=None):
+    """The Schur rule's sender-side linear aggregate, summed in this order:
+    c_u = (((grad phi_j + grad_j psi) + H_in x_j^nu) + h_in) ... + boundary,
+    with ``incoming_lin`` the pairs (H_in x_j^nu, h_in)."""
+    c_u = np.asarray(grad_phi_j, dtype=float) + np.asarray(grad_j_psi, dtype=float)
+    for H_x, h in incoming_lin:
+        c_u = c_u + H_x + h
+    if boundary_grad is not None:
+        c_u = c_u + boundary_grad
+    return c_u
+
+
+def schur_linear(grad_i_psi, M_ij, col, H_x_i):
+    """The Schur message's linear part from the column col = S^{-1} c_u and
+    the product H_x_i = H_msg x_i^ref:
+    h_msg = (grad_i psi - M_ij col) - H_x_i."""
+    return (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, col)) - H_x_i
 
 
 def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
@@ -567,11 +643,24 @@ def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
     The weights w_ii and w_ij may be arrays over the batch axes.
     ``curvature``, the Curvature of an earlier call with the same Q_i,
     weights, gamma and incoming curvatures, skips the curvature half.
+    :func:`partial_linearization_message` is the rule from the first term
+    of ell.
     """
+    Q_i = np.asarray(Q_i, dtype=float)
+    return partial_linearization_message(
+        Q_i, w_ii, w_ij, gamma, np.asarray(grad_f_i, dtype=float) - _mv(Q_i, x_i_ref),
+        incoming, boundary_lin, curvature)
+
+
+def partial_linearization_message(Q_i, w_ii, w_ij, gamma, lin_i, incoming,
+                                  boundary_lin=None, curvature=None):
+    """:func:`cta_partial_linearization_message` from the first term of its
+    aggregate, lin_i = grad f_i(x_i^nu) - Q_i x_i^nu, which an engine reads
+    off the rows of its variable update's own grad f - Q x."""
     Q_i = np.asarray(Q_i, dtype=float)
     d = Q_i.shape[-1]
     w_ij = np.asarray(w_ij, dtype=float)
-    ell = np.asarray(grad_f_i, dtype=float) - _mv(Q_i, x_i_ref)
+    ell = np.asarray(lin_i, dtype=float)
     for msg in incoming:
         ell = ell + msg.h
     if boundary_lin is not None:

@@ -63,7 +63,7 @@ def _frozen_stack(blocks, shape):
     return stack
 
 
-class RowScatter:
+class RowSum:
     """Precompiled, order-preserving sum of rows into ``n`` destination rows.
 
     ``scatter(vals)`` returns out (n, ...) with out[idx[k]] += vals[k] for
@@ -72,38 +72,20 @@ class RowScatter:
     added to +0.0, so the sums are those of
     ``np.add.at(0.0 + start, idx, vals)`` bit for bit (a -0.0 start entry
     ends as +0.0), except that a sum of two NaNs may keep either one.
-    ``axis`` is the row axis of vals and start; the axes before it are
-    batch axes, and each batch entry is summed apart, in the same order.
+    ``axis`` is the row axis of vals and start; the axes before it hold a
+    single entry (a stack is summed by :class:`RowScatter`).
 
-    Two paths give these bits. Without batch axes, one ``np.bincount`` over
-    flat indices compiled once per row shape: bincount adds its weights in
-    input order, start first, into zeros. A stack (batch > 1) is summed by
-    an ordered gather over ``slots``, compiled here: slots[j, i] is the
-    row of node i's (j+1)-th contribution, or ``len(idx)`` for a zero row
-    appended to vals. out = (0.0 + start) + vals[slots[0]] + vals[slots[1]]
-    + ..., each term one vector pass over the whole stack. A node's terms
-    come in its own order, and its pads after them. A pad adds +0.0 to a
-    running sum that began at +0.0, and such a sum is never -0.0 (a sum is
-    -0.0 only when both addends are; x + -x rounds to +0.0), so a pad
-    never changes it. Bincount stays on the unbatched path, where it is
-    faster on sparse scatters.
+    One ``np.bincount`` over flat indices compiled once per row shape:
+    bincount adds its weights in input order, start first, into zeros.
     """
 
     def __init__(self, idx, n):
         self.idx = np.asarray(idx, dtype=int).reshape(-1)
         self.n = n
         self._flat = {}
-        counts = np.bincount(self.idx, minlength=n)
-        order = np.argsort(self.idx, kind="stable")
-        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.slots = np.full((counts.max(initial=0), n), len(order))
-        self.slots[rank, self.idx[order]] = order
 
     def __call__(self, vals, start=None, axis=0):
         lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
-        batch = math.prod(lead)
-        if batch != 1:
-            return self._gathered(vals, start, lead, tail)
         key = (tail, start is None)
         compiled = self._flat.get(key)
         if compiled is None:
@@ -118,9 +100,36 @@ class RowScatter:
             weights = np.concatenate((start.reshape(-1), weights))
         return np.bincount(flat, weights, minlength=length).reshape(lead + (self.n,) + tail)
 
-    def _gathered(self, vals, start, lead, tail):
-        """The stack's sums by the ordered gather over ``slots``."""
+
+class RowScatter(RowSum):
+    """:class:`RowSum` that also sums stacks: the axes before ``axis`` are
+    batch axes, and each batch entry is summed apart, in the same order.
+
+    A stack (batch > 1) is summed by an ordered gather over ``slots``,
+    compiled here: slots[j, i] is the row of node i's (j+1)-th
+    contribution, or ``len(idx)`` for a zero row appended to vals.
+    out = (0.0 + start) + vals[slots[0]] + vals[slots[1]] + ..., each term
+    one vector pass over the whole stack. A node's terms come in its own
+    order, and its pads after them. A pad adds +0.0 to a running sum that
+    began at +0.0, and such a sum is never -0.0 (a sum is -0.0 only when
+    both addends are; x + -x rounds to +0.0), so a pad never changes it.
+    A single entry takes RowSum's bincount, which is faster on sparse
+    scatters.
+    """
+
+    def __init__(self, idx, n):
+        super().__init__(idx, n)
+        counts = np.bincount(self.idx, minlength=n)
+        order = np.argsort(self.idx, kind="stable")
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.slots = np.full((counts.max(initial=0), n), len(order))
+        self.slots[rank, self.idx[order]] = order
+
+    def __call__(self, vals, start=None, axis=0):
+        lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
         batch, n = math.prod(lead), self.n
+        if batch == 1:
+            return super().__call__(vals, start, axis)
         rows = np.concatenate((vals.reshape(batch, -1, *tail), np.zeros((batch, 1) + tail)),
                               axis=1)
         shape = (batch, n) + tail

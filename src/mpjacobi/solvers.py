@@ -38,14 +38,17 @@ import numpy as np
 from .messages import (
     LapackSystem,
     QuadraticMessage,
-    cta_partial_linearization_message,
     diagonalize_message,
     exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
     lapack_solve,
     message_vectors,
+    partial_linearization_message,
+    schur_aggregate,
+    schur_linear,
     schur_message_update,
+    StackedProducts,
     struct_solve,
     StructSystem,
     SurrogateSpec,
@@ -54,7 +57,7 @@ from .objective import (
     CtaProblem,
     NotQuadratic,
     QuadraticObjective,
-    RowScatter,
+    RowSum,
     as_blocks,
     check_block_vector,
 )
@@ -402,8 +405,8 @@ class _PairwiseLayout:
         cross = sorted(edges - intra)
         self.csrc = np.array([v for (i, j) in cross for v in (i, j)], dtype=int)
         self.cdst = np.array([v for (i, j) in cross for v in (j, i)], dtype=int)
-        self.at_receivers = RowScatter(self.receivers, self.m)
-        self.at_cross = RowScatter(self.csrc, self.m)
+        self.at_receivers = RowSum(self.receivers, self.m)
+        self.at_cross = RowSum(self.csrc, self.m)
 
     def others(self, node, msg):
         """For every edge e, the sender's sum over its other in-edges: the
@@ -537,48 +540,63 @@ def _first_order_run(problem, partition, config, x0, spec):
 def _schur_run(problem, partition, config, x0, spec):
     """Structured-quadratic family on a pairwise quadratic: node curvatures
     Q + n_out M_node (the problem's own blocks with
-    ``exact_variable_update``) and one :func:`schur_message_update` call per
-    round. Everything that reads no iterate is gathered once per run; the
+    ``exact_variable_update``) and the rule :func:`schur_message_update`.
+
+    Everything that reads no iterate is gathered once per run. The
     receiver-side coupling gradients are the sender-side ones of the
-    reverse edges, which apply the same block to the same row.
+    reverse edges, which apply the same block to the same row. Every block
+    that the linear half multiplies by an iterate is a part of one
+    :class:`StackedProducts` per curvature state: ``problem.diag``,
+    ``G_base`` (unless ``exact_variable_update``), the cross and the sender
+    couplings, then the state's H_in and H_msg. So a round makes one
+    gather of x and one stacked block product, plus M_ij col after the
+    solve. A curvature round calls the rule; a kept round runs its linear
+    half (:func:`schur_aggregate`, :func:`schur_linear`). ``_Rounds`` keeps
+    a state only once the rule has returned the H_msg it was built from,
+    bit for bit, so kept.H is H_msg and the H_msg rows are the rule's
+    H x_i^ref.
     """
     if not isinstance(problem, QuadraticObjective):
         raise NotQuadratic("schur_quadratic family needs quadratic couplings")
     lay = _PairwiseLayout(problem, partition.intra_edges)
     m, d = problem.m, problem.d
     s, t = lay.senders, lay.receivers
-    cross = _pair_grads(problem, lay.csrc, lay.cdst)
-    to_sender = _pair_grads(problem, s, t)
+    exact = config.exact_variable_update
     n_out = np.bincount(lay.csrc, minlength=m)[:, None, None]
     Q, Mn = spec.node_matrices("Q", m, d), spec.node_matrices("M", m, d)
     M_edge = spec.edge_matrices(s, t, d)
     G_base = Q + n_out * Mn         # variable-update curvature before messages
     Q_s, Mn_s, Mn_t = Q[s], Mn[s], Mn[t]
+    nodes = np.arange(m)
+    fixed = [(problem.diag, nodes), (problem.couplings(lay.csrc, lay.cdst), lay.cdst),
+             (problem.couplings(s, t), t)] + ([] if exact else [(G_base, nodes)])
 
     def curvature(H_msg):
         H_node = lay.at_receivers(H_msg)
-        base = problem.diag if config.exact_variable_update else G_base
-        return _variable_system(base + H_node), lay.others(H_node, H_msg)
+        H_in = lay.others(H_node, H_msg)
+        G = _variable_system((problem.diag if exact else G_base) + H_node)
+        return G, H_in, StackedProducts(fixed + [(H_in, s), (H_msg, t)])
 
     def linear(x, h_msg, state, kept):
-        G, H_in = state
-        grad_phi = _node_grads(problem, x)
-        boundary = lay.at_cross(cross(x))
-        if config.exact_variable_update:
-            g = problem.lin + boundary
-        else:
-            g = grad_phi - np.einsum("ikl,il->ik", G_base, x) + boundary
+        G, H_in, products = state
+        node_x, cross_x, grads, *base_x, in_x, msg_x = products(x)
+        grad_phi = node_x + problem.lin
+        boundary = lay.at_cross(cross_x)
+        g = problem.lin + boundary if exact else grad_phi - base_x[0] + boundary
         h_node = lay.at_receivers(h_msg)
         xhat = _variable_solve(G, g + h_node)
-        grads = to_sender(x)
-        msg = schur_message_update(
-            Q_j=Q_s, M_j=Mn_s, M_i=Mn_t, M_ij=M_edge,
-            grad_phi_j=grad_phi.take(s, axis=0), grad_j_psi=grads,
-            grad_i_psi=grads.take(lay.rev, axis=0), x_j_ref=x.take(s, axis=0),
-            x_i_ref=x.take(t, axis=0),
-            incoming=[QuadraticMessage(H_in, lay.others(h_node, h_msg))],
-            boundary_grad=boundary.take(s, axis=0), curvature=kept)
-        return xhat, msg.H, msg.h, msg.curvature
+        h_in = lay.others(h_node, h_msg)
+        grad_phi_s, boundary_s = grad_phi.take(s, axis=0), boundary.take(s, axis=0)
+        grads_rev = grads.take(lay.rev, axis=0)
+        if kept is None:
+            msg = schur_message_update(
+                Q_j=Q_s, M_j=Mn_s, M_i=Mn_t, M_ij=M_edge, grad_phi_j=grad_phi_s,
+                grad_j_psi=grads, grad_i_psi=grads_rev, x_j_ref=x.take(s, axis=0),
+                x_i_ref=x.take(t, axis=0), incoming=[QuadraticMessage(H_in, h_in)],
+                boundary_grad=boundary_s)
+            return xhat, msg.H, msg.h, msg.curvature
+        c_u = schur_aggregate(grad_phi_s, grads, [(in_x, h_in)], boundary_s)
+        return xhat, kept.H, schur_linear(grads_rev, M_edge, kept.solve(c_u), msg_x), kept
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
     return rounds.run(problem, _tau_per_node(problem, partition, config), config,
@@ -587,7 +605,9 @@ def _schur_run(problem, partition, config, x0, spec):
 
 def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     """Partial-linearization family on a lifted consensus problem; diagonal
-    node curvatures keep the message curvatures exactly diagonal.
+    node curvatures keep the message curvatures exactly diagonal. The rule's
+    first term grad f_i - Q_i x_i^nu is read off the rows of the variable
+    update's own grad f - Q x (:func:`partial_linearization_message`).
     """
     if not isinstance(problem, CtaProblem):
         raise SolverError("partial_linearization expects a lifted consensus problem")
@@ -608,14 +628,12 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
 
     def linear(x, h_msg, state, kept):
         S, H_in = state
-        grad_f = problem.local_grads(x)
+        lin = problem.local_grads(x) - np.einsum("ikl,il->ik", Q, x)
         boundary = lay.at_cross(w_cross * x.take(lay.cdst, axis=0))
         h_node = lay.at_receivers(h_msg)
-        xhat = _variable_solve(S, grad_f - np.einsum("ikl,il->ik", Q, x)
-                               + boundary + h_node)
-        msg = cta_partial_linearization_message(
-            Q_i=Q_s, w_ii=w_self_s, w_ij=w_edge, gamma=gamma,
-            grad_f_i=grad_f.take(s, axis=0), x_i_ref=x.take(s, axis=0),
+        xhat = _variable_solve(S, lin + boundary + h_node)
+        msg = partial_linearization_message(
+            Q_i=Q_s, w_ii=w_self_s, w_ij=w_edge, gamma=gamma, lin_i=lin.take(s, axis=0),
             incoming=[QuadraticMessage(H_in, lay.others(h_node, h_msg))],
             boundary_lin=boundary.take(s, axis=0), curvature=kept)
         return xhat, msg.H, msg.h, msg.curvature
@@ -821,8 +839,8 @@ class _HyperLayout:
                 h_terms.append((i, s))
         H_node, self.H_src = np.array(H_terms, dtype=int).reshape(-1, 2).T
         h_node, self.h_src = np.array(h_terms, dtype=int).reshape(-1, 2).T
-        self.at_H, self.at_h = RowScatter(H_node, m), RowScatter(h_node, m)
-        self.at_lin = RowScatter(self.lin_row, K + 2 * n_out)
+        self.at_H, self.at_h = RowSum(H_node, m), RowSum(h_node, m)
+        self.at_lin = RowSum(self.lin_row, K + 2 * n_out)
 
     def linear_terms(self, x):
         """The round's (K + 2 n_out, d) table of terms linear in x."""

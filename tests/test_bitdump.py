@@ -1,6 +1,6 @@
 """Smoke test of ``tools/bitdump.py``, the bit-for-bit check of the
-benchmark workloads', the CTA engine's, a min-sum run's and a hypergraph
-run's set-up outputs and traces: a dump at the self-test sizes holds the
+benchmark workloads', the CTA engine's, a min-sum run's, a hypergraph
+run's and a dense Schur run's set-up outputs and traces: a dump at the self-test sizes holds the
 expected arrays and matches itself, and ``--compare`` names each array
 whose bits changed: by one ulp, or a -0.0 for a +0.0."""
 
@@ -32,7 +32,7 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     surrogate = ("mu_tilde_r", "L_tilde_r", "L_tilde_del_r", "ell_tilde_r", "kappa_tilde")
     fields = {"path_exact": trace + oracle + rates, "ring_schur": trace + oracle,
               "cta_plin": trace + oracle + rates + surrogate, "minsum_tol": trace + oracle,
-              "h_mp_jacobi": trace + oracle}
+              "h_mp_jacobi": trace + oracle, "schur_full": trace + oracle}
     assert set(arrays) == {f"{w}/seed{s}/{name}" for w, names in fields.items()
                            for s in (1, 2) for name in names}
     assert arrays["path_exact/seed1/x_final"].shape[1] == 1
@@ -47,9 +47,11 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert grad_norm[-1] <= 1e-8 < grad_norm[-2] and len(grad_norm) == 21
     assert len(arrays["h_mp_jacobi/seed1/grad_norm"]) == 201       # HYPER's 200 rounds
     assert arrays["h_mp_jacobi/seed1/x_final"].shape == (20, 2)
+    assert len(arrays["schur_full/seed1/grad_norm"]) == 201       # SCHUR_FULL's 200 rounds
+    assert arrays["schur_full/seed2/monitor_H"].shape[1:] == (3, 3)
 
     same = _bitdump("--compare", a, a)
-    assert same.returncode == 0 and "0 of 128 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 146 arrays differ" in same.stdout
 
     def saved(name, h0, x_nudge):
         """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0, and
@@ -74,4 +76,4 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert diff.stdout.splitlines() == ["path_exact/seed2/mu",
                                         "path_exact/seed2/x_final",
                                         "ring_schur/seed1/monitor_h",
-                                        "3 of 128 arrays differ"]
+                                        "3 of 146 arrays differ"]

@@ -8,6 +8,7 @@ from mpjacobi.messages import (
     QuadraticMessage,
     MessageSet,
     PairProducts,
+    StackedProducts,
     StructSystem,
     SingularSenderCurvature,
     SurrogateSpec,
@@ -764,6 +765,46 @@ def test_pair_products_equal_matmul_bitwise(seed, m, E, K, layout, d, finite):
     assert np.array_equal(np.isnan(got), nan)
     exact = np.ones_like(nan) if d > 1 or finite else ~nan
     assert np.array_equal(got[exact].view(np.int64), expected[exact].view(np.int64))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.lists(st.integers(0, 300), min_size=1, max_size=6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacked_products_equal_per_part_einsum_bitwise(seed, d, sizes, transposed):
+    """StackedProducts returns every part's own einsum bits, B_k times x
+    gathered at at_k, for stacks of 0-300 blocks at d = 1-3: entries of
+    unit magnitude (where another order of the sums rounds otherwise) with
+    signed zeros, subnormals, infinities and NaNs of both signs. At d = 3
+    the first part may be a transposed view, as a non-contiguous
+    ``problem.diag`` is, whose einsum sums in another order: it keeps an
+    einsum of its own. At d = 1 einsum's loop runs over the rows and a NaN
+    times a NaN may keep either one, so NaNs are matched by position."""
+    rng = np.random.default_rng(seed)
+    m = 20
+
+    def draw(shape):
+        out = rng.uniform(-1.0, 1.0, shape)
+        special = rng.random(shape) < 0.2
+        out[special] = rng.choice(np.r_[_SPECIAL, -np.inf, -np.nan, 0.0, -0.0],
+                                  np.count_nonzero(special))
+        return out
+
+    parts = [(draw((n, d, d)), rng.integers(0, m, n)) for n in sizes]
+    if transposed and d == 3 and sizes[0]:
+        B, at = parts[0]
+        parts[0] = (np.swapaxes(np.swapaxes(B, 1, 2).copy(), 1, 2), at)
+        assert not parts[0][0].flags.c_contiguous
+    x = draw((m, d))
+    with np.errstate(all="ignore"):
+        expected = [np.einsum("...ij,...j->...i", B, x.take(at, axis=0)) for B, at in parts]
+        got = StackedProducts(parts)(x)
+    assert len(got) == len(parts)
+    for g, want in zip(got, expected):
+        assert g.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(g), nan)
+        exact = ~nan if d == 1 else np.ones_like(nan)
+        assert np.array_equal(g[exact].view(np.int64), want[exact].view(np.int64))
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])

@@ -810,6 +810,41 @@ def test_final_curvature_reads_no_iterate(case, d, seed):
         assert np.array_equal(H_a.view(np.int64), H_b.view(np.int64))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("exact_update", [False, True])
+def test_schur_kept_rounds_equal_full_rule(monkeypatch, d, exact_update):
+    """A kept Schur round, the rule's linear half on the stacked products
+    with H_msg's rows standing in for kept.H x_i^ref, equals the full rule
+    (``curvature=None``) bit for bit: the same run with the keeping test
+    switched off calls the rule in every round. Non-diagonal Q, so that
+    the sender systems go to LAPACK and the kept column to a full solve at
+    d >= 2; at d = 3 ``problem.diag`` is a transposed view, whose product
+    keeps an einsum of its own."""
+    rounds, m = 40, 12
+    graph = generate_topology("ring", m=m)
+    q = _dominant_qp(graph, d, seed=d)
+    if d == 3:
+        q.diag = np.swapaxes(np.swapaxes(q.diag, 1, 2).copy(), 1, 2)
+        assert not q.diag.flags.c_contiguous
+    part = generate_partition("ring_P2", graph, D=3)
+    spec = SurrogateSpec(family="schur_quadratic",
+                         Q=np.stack([q.diag[i] + np.eye(d) for i in range(m)]),
+                         M_node=0.05 * np.eye(d),
+                         M_edge={e: 0.5 * (B + B.T) for e, B in q.pair.items()})
+    cfg = SolverConfig(tau=0.5, max_rounds=rounds, tol_x=0.0, surrogate=spec,
+                       exact_variable_update=exact_update, monitor=True)
+    x0 = np.random.default_rng(d).standard_normal((m, d))
+    kept = mp_jacobi_surrogate(q, part, cfg, x0=x0)
+    monkeypatch.setattr(solvers, "_same_bits", lambda a, b: False)
+    full = mp_jacobi_surrogate(q, part, cfg, x0=x0)
+    assert kept.curvature_rounds < rounds // 2 and full.curvature_rounds == rounds
+    assert kept.rounds == full.rounds == rounds
+    for got, want in ((np.stack(kept.x_history + kept.xhat_history),
+                       np.stack(full.x_history + full.xhat_history)),
+                      (kept.monitor[0], full.monitor[0]), (kept.monitor[1], full.monitor[1])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_tree_solve_rejects_a_graph_other_than_the_couplings():
     """A coupling the graph lacks is not dropped, and a graph edge without
     a coupling does not leak ObjectiveError: both raise PartitionMismatch."""

@@ -28,8 +28,14 @@ Those of one hypergraph run per seed, whose recorded stacks sum the
 gradient's factor terms, go under ``h_mp_jacobi/seed<n>``:
 ``h_mp_jacobi`` on ``bench.hyperring_qp`` (five factors of five nodes, so
 arity 5, at d = 2) with the ``bench`` experiment ``hyperring``'s partition
-and tau = 1/p, for a fixed number of rounds (``HYPER``, at every size). The
-library and the workloads come from the checkout named by ``--root``
+and tau = 1/p, for a fixed number of rounds (``HYPER``, at every size).
+Those of one structured-quadratic run per seed on non-diagonal node
+systems, whose sender systems go to LAPACK and whose kept columns are full
+solves, go under ``schur_full/seed<n>``: ``schur_quadratic`` with
+Q = 2 H_ii and M_edge the symmetric part of each coupling, and
+``exact_variable_update``, on ``build_random_qp`` over a 16-ring at d = 3
+with the ``ring_P2`` partition at D = 3 and tau = 1/2, for a fixed number
+of rounds (``SCHUR_FULL``, at every size). The library and the workloads come from the checkout named by ``--root``
 (default: this one), so one copy of this script dumps any revision.
 
 ``--compare A B`` lists every array whose bits differ (shape, dtype and
@@ -59,6 +65,7 @@ CTA = {"m": 16, "d": 3, "gamma": 1e-3, "rounds": 2000}
 CTA_TOY = {"m": 8, "d": 2, "gamma": 1e-3, "rounds": 200}
 MINSUM = {"m": 8, "d": 2, "kappa": 50.0, "tol": 1e-8}
 HYPER = {"n_edges": 5, "edge_size": 5, "d": 2, "kappa": 200.0, "rounds": 200}
+SCHUR_FULL = {"m": 16, "d": 3, "kappa": 10.0, "rounds": 200}
 
 
 def import_workloads(root):
@@ -168,9 +175,27 @@ def hyper_setup(seed, n_edges, edge_size, d, kappa, rounds):
     return lambda: solvers.h_mp_jacobi(q, hpart, cfg)
 
 
+def schur_full_setup(seed, m, d, kappa, rounds):
+    """``rounds`` structured-quadratic rounds with ``exact_variable_update``
+    on ``build_random_qp`` over an m-ring at ``kappa`` and ``seed``, after
+    the oracle: Q = 2 H_ii and M_edge = sym(H_ij), both dense, the
+    ``ring_P2`` partition at D = 3, tau = 1/2."""
+    from mpjacobi import messages, objective, solvers, topology
+    g = topology.generate_topology("ring", m=m)
+    q = objective.build_random_qp(g, d, kappa, seed)
+    oracle = objective.global_solve_oracle(q)
+    part = topology.generate_partition("ring_P2", g, D=3)
+    spec = messages.SurrogateSpec(family="schur_quadratic", Q=2.0 * q.diag,
+                                  M_edge={e: 0.5 * (B + B.T) for e, B in q.pair.items()})
+    cfg = solvers.SolverConfig(tau=0.5, max_rounds=rounds, tol_x=0.0, surrogate=spec,
+                               exact_variable_update=True, track_oracle=oracle)
+    return lambda: solvers.mp_jacobi_surrogate(q, part, cfg)
+
+
 def runs(root, seeds, toy=False):
     """(name, seed, set-up outputs, trace) of every workload's, the CTA
-    run's, the min-sum run's and the hypergraph run's solves."""
+    run's, the min-sum run's, the hypergraph run's and the dense Schur
+    run's solves."""
     workloads = import_workloads(root)
     for wl in workloads.WORKLOADS.values():
         for seed in seeds:
@@ -190,6 +215,10 @@ def runs(root, seeds, toy=False):
         with captured_setup() as outputs:
             solve = hyper_setup(seed, **HYPER)
         yield "h_mp_jacobi", seed, outputs, solve()
+    for seed in seeds:
+        with captured_setup() as outputs:
+            solve = schur_full_setup(seed, **SCHUR_FULL)
+        yield "schur_full", seed, outputs, solve()
 
 
 def dump(root, seeds, toy=False):
