@@ -40,8 +40,10 @@ any other system solves the full right-hand side again with the column
 written in.
 
 The linear halves are written once, and engines run the rules' own. The
-Schur rule's, :func:`schur_aggregate` and :func:`schur_linear`, take the
-products H_in x_j and H x_i as arguments, so its engine reads them off one
+exact rule's, :func:`exact_linear`, takes the kept column, which its engine
+reads off the sender systems' stored reciprocals. The Schur rule's,
+:func:`schur_aggregate` and :func:`schur_linear`, take the products
+H_in x_j and H x_i as arguments, so its engine reads them off one
 :class:`StackedProducts` per curvature state; a kept Curvature's H has the
 bits of the committed curvatures that state was built from, so their rows
 stand in for H x_i. The partial-linearization rule starts from its first
@@ -185,9 +187,16 @@ class LapackSystem:
     multiplies by 1/A, formed once; ``column``, the kept column of a k >= 2
     solve, multiplies by it too. An exact zero pivot (-0.0 too) raises
     ``np.linalg.LinAlgError("Singular matrix")``, as numpy does; subnormal,
-    infinite and NaN pivots give LAPACK's bits. d >= 2 calls
+    infinite and NaN pivots give LAPACK's bits, except that a NaN pivot
+    against a NaN entry of the other sign may keep either sign (as in every
+    d = 1 product, see the module docstring). d >= 2 calls
     ``np.linalg.solve``, whose FMA kernels numpy cannot repeat, so there a
     singular A raises when ``solve`` is called.
+
+    ``solve`` ignores floating-point errors. ``vector`` and the map that
+    ``column`` returns hold no ``np.errstate`` of their own: a caller that
+    wants no warning from a subnormal or non-finite pivot holds one, so a
+    round can take its node solve and its columns under one.
     """
 
     def __init__(self, A):
@@ -202,14 +211,28 @@ class LapackSystem:
         if not self.scalar:
             return np.linalg.solve(self.A, rhs)
         with np.errstate(all="ignore"):
-            return rhs / self.A if rhs.shape[-1] == 1 else rhs * self.inverse
+            if rhs.shape[-1] == 1:
+                return rhs / self.A
+            if rhs.ndim != self.A.ndim:
+                return rhs * self.inverse
+            # the same products, transposed so that their inner loop runs
+            # over the systems rather than over each system's k columns
+            return np.multiply(rhs.T, self.inverse.T, order="C").T
+
+    def vector(self, v):
+        """``solve(v[..., None])[..., 0]`` for one right-hand side v
+        (..., d): at d = 1, v divided by the stored pivots."""
+        if not self.scalar:
+            return np.linalg.solve(self.A, v[..., None])[..., 0]
+        return v / self.A[..., 0]
 
     def column(self, rhs):
-        """As :meth:`StructSystem.column`."""
+        """As :meth:`StructSystem.column`; at d = 1, c times the stored
+        reciprocal."""
         if not self.scalar:
             return _rewritten_column(self.solve, rhs)
         inverse = self.inverse[..., 0]
-        return np.errstate(all="ignore")(lambda c: c * inverse)
+        return lambda c: c * inverse
 
 
 def lapack_solve(A, rhs):
@@ -563,8 +586,15 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
         col, curvature = _solve_curvature(A, rhs, H_of, SingularSenderCurvature,
                                           LapackSystem)
     else:
-        col = curvature.solve(c)
-    return QuadraticMessage(curvature.H, -block_matvec(B_ij, col), curvature)
+        with np.errstate(all="ignore"):
+            col = curvature.solve(c)
+    return QuadraticMessage(curvature.H, exact_linear(B_ij, col), curvature)
+
+
+def exact_linear(B_ij, col):
+    """The exact message's linear part from the column col = A_j^{-1} c_j:
+    h_msg = -B_ij col, by :func:`block_matvec`."""
+    return -block_matvec(B_ij, col)
 
 
 def first_order_message(grad_i_psi):

@@ -77,6 +77,8 @@ class RowSum:
 
     One ``np.bincount`` over flat indices compiled once per row shape:
     bincount adds its weights in input order, start first, into zeros.
+    ``with_start`` compiles a sum with a start for repeated calls
+    (:class:`StartedSum`).
     """
 
     def __init__(self, idx, n):
@@ -84,21 +86,55 @@ class RowSum:
         self.n = n
         self._flat = {}
 
-    def __call__(self, vals, start=None, axis=0):
-        lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
-        key = (tail, start is None)
-        compiled = self._flat.get(key)
+    def _compiled(self, tail, started):
+        """(flat, length): the bincount indices of rows of shape ``tail``,
+        after those of a start when ``started``, and the output length."""
+        compiled = self._flat.get((tail, started))
         if compiled is None:
             size = math.prod(tail)
             flat = (self.idx[:, None] * size + np.arange(size)).reshape(-1)
-            if start is not None:
+            if started:
                 flat = np.concatenate([np.arange(self.n * size), flat])
-            compiled = self._flat[key] = (flat, self.n * size)
-        flat, length = compiled
+            compiled = self._flat[(tail, started)] = (flat, self.n * size)
+        return compiled
+
+    def __call__(self, vals, start=None, axis=0):
+        lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
+        flat, length = self._compiled(tail, start is not None)
         weights = vals.reshape(-1)
         if start is not None:
             weights = np.concatenate((start.reshape(-1), weights))
         return np.bincount(flat, weights, minlength=length).reshape(lead + (self.n,) + tail)
+
+    def with_start(self, start):
+        """A :class:`StartedSum` over these rows, starting from a copy of
+        ``start`` (n, ...)."""
+        return StartedSum(self, start)
+
+
+class StartedSum:
+    """A :class:`RowSum` with a start, over one weight buffer [start | vals]
+    allocated once, for a caller that sums rows of one shape many times.
+
+    ``start`` is the buffer's head as an (n, ...) view; it holds a copy of
+    the start given, and a caller may rewrite it in place between calls.
+    ``sums(vals)`` copies vals (len(idx), ...) into the tail and returns
+    ``rowsum(vals, start)`` bit for bit, from one bincount with no
+    concatenate, dict lookup or index offset.
+    """
+
+    def __init__(self, rowsum, start):
+        self.flat, self.length = rowsum._compiled(start.shape[1:], True)
+        self.shape = start.shape
+        self.weights = np.empty(len(self.flat))
+        head = math.prod(start.shape)
+        self.start = self.weights[:head].reshape(start.shape)
+        self._vals = self.weights[head:].reshape((len(rowsum.idx),) + start.shape[1:])
+        self.start[...] = start
+
+    def sums(self, vals):
+        self._vals[...] = vals
+        return np.bincount(self.flat, self.weights, minlength=self.length).reshape(self.shape)
 
 
 class RowScatter(RowSum):

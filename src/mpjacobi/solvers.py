@@ -21,7 +21,10 @@ iterates and messages are those of the full rounds bit for bit. On a tree
 partition the curvatures stop changing after about a cluster diameter of
 rounds (the finite termination of min-sum on trees).
 ``RunTrace.curvature_rounds`` counts the rounds in which the curvature
-half ran.
+half ran. A kept round runs the rule's own linear half on what the
+engine compiled once per run: the exact engine's receivers' sums over
+fixed weight buffers and its solves from the stored pivots and
+reciprocals, the Schur engine's stacked block products.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .messages import (
     LapackSystem,
     QuadraticMessage,
     diagonalize_message,
+    exact_linear,
     exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
@@ -136,6 +140,9 @@ class RunTrace:
     xhat_history: list = None
     monitor: object = None
     curvature_rounds: int = None    # rounds in which the curvature half ran
+    # the rule that stopped the run: 'tol_x', 'tol_grad', 'diverged' or
+    # 'max_rounds' (None on a trace no solver returned)
+    stop_reason: str = None
 
     def record(self, problem, xs, comm_totals, oracle):
         """Append the metrics of the iterates xs, a (n, m, d) stack in
@@ -195,7 +202,7 @@ class RunTrace:
 def _tau_per_node(problem, partition, config):
     """Every node's cluster stepsize from a scalar tau or one per cluster;
     PartitionMismatch on a node count, SolverError on a tau of another
-    length."""
+    length or a negative, infinite or NaN stepsize."""
     if len(partition.cluster_of) != problem.m:
         raise PartitionMismatch(f"partition has {len(partition.cluster_of)} "
                                 f"nodes, problem has {problem.m}")
@@ -207,21 +214,41 @@ def _tau_per_node(problem, partition, config):
         if taus.shape != (p,):
             raise SolverError(f"tau must be a scalar or hold one stepsize per "
                               f"cluster ({p}), got shape {taus.shape}")
-    if np.any(taus < 0):
-        raise SolverError("stepsizes must be nonnegative")
-    return taus[np.array(partition.cluster_of)]
+    return _checked_stepsizes(taus)[np.array(partition.cluster_of)]
 
 
-def _diverged(x):
+def _checked_stepsizes(taus):
+    """taus, unless a stepsize is negative, infinite or NaN (SolverError)."""
+    if not np.all(np.isfinite(taus) & (np.asarray(taus) >= 0)):
+        raise SolverError(f"stepsizes must be finite and nonnegative, got {taus!r}")
+    return taus
+
+
+def _diverged(x, out=None):
     """Iterates that are non-finite or exceed 1e12 in magnitude: one
-    NaN-propagating max, so NaN and +-inf fail the comparison."""
-    return not float(np.abs(x).max(initial=0.0)) <= 1e12
+    NaN-propagating max, so NaN and +-inf fail the comparison. ``out``, an
+    array of x's shape, takes |x| in place of a new one."""
+    return not float(np.abs(x, out=out).max(initial=0.0)) <= 1e12
+
+
+def _damp(x, xhat, tau, work):
+    """(x_new, max |x_new - x|) with x_new = x + tau (xhat - x), or xhat
+    when tau is None, with the bits of those expressions (the change is 0.0
+    when x is empty). ``work``, an array of x's shape, holds the
+    temporaries, so only x_new is allocated: an engine may keep the
+    iterates it was given."""
+    if tau is None:
+        x_new = xhat
+    else:
+        x_new = np.add(x, np.multiply(tau, np.subtract(xhat, x, out=work), out=work))
+    np.subtract(x_new, x, out=work)
+    return x_new, float(np.abs(work, out=work).max(initial=0.0))
 
 
 def _same_bits(a, b):
     """Whether two float arrays hold the same bits (-0.0 differs from 0.0,
     a NaN equals itself)."""
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class _Rounds:
@@ -313,13 +340,17 @@ def _drive(problem, tau_node, config, x0, start):
     computed from the committed round-nu state and the vectors sent in the
     round. ``step`` advances the engine's own message state. The driver
     damps node i by tau_node[i], records the trace and applies the tol_x,
-    tol_grad, divergence and ``raise_on_max_rounds`` rules. ``tau_node=None``
-    takes xhat undamped (x + 1.0 * (xhat - x) need not equal xhat).
+    tol_grad, divergence and ``raise_on_max_rounds`` rules, and sets
+    ``trace.stop_reason`` to the rule that stopped the run (``tol_x`` is
+    tested first) or to ``max_rounds``. ``tau_node=None`` takes xhat
+    undamped (x + 1.0 * (xhat - x) need not equal xhat).
 
-    Iterates are copied into a stack of RECORD_BATCH and recorded by one
-    ``RunTrace.record`` call when it is full and once when the run ends;
-    with ``tol_grad`` set, whose rule reads the round's gradient norm,
-    every iterate is recorded at once.
+    The damping, the tol_x change and the divergence test run in one
+    per-run work array (:func:`_damp`, :func:`_diverged`); every round's
+    iterate is a new array. Iterates are copied into a stack of
+    RECORD_BATCH and recorded by one ``RunTrace.record`` call when it is
+    full and once when the run ends; with ``tol_grad`` set, whose rule
+    reads the round's gradient norm, every iterate is recorded at once.
     """
     m, d = problem.m, problem.d
     if x0 is None:
@@ -328,11 +359,13 @@ def _drive(problem, tau_node, config, x0, start):
         x = check_block_vector(as_blocks(x0, m, d)).copy()
     step = start(x)
     tau = None if tau_node is None else tau_node[:, None]
-    oracle = config.track_oracle
+    oracle, max_rounds = config.track_oracle, config.max_rounds
+    tol_x, tol_grad = config.tol_x, config.tol_grad
     trace = RunTrace()
     if config.monitor:
         trace.x_history, trace.xhat_history = [x.copy()], []
-    stack = np.empty((1 if config.tol_grad is not None else RECORD_BATCH, m, d))
+    stack = np.empty((1 if tol_grad is not None else RECORD_BATCH, m, d))
+    work = np.empty((m, d))
     comms = []
 
     def keep(x, comm):
@@ -342,26 +375,29 @@ def _drive(problem, tau_node, config, x0, start):
             trace.record(problem, stack, comms, oracle)
             comms.clear()
 
-    comm = 0
+    comm, rounds, stop = 0, 0, "max_rounds"
     keep(x, comm)
-    for k in range(config.max_rounds):
+    while rounds < max_rounds:
         xhat, sent = step(x)
         comm += sent
-        x_new = xhat if tau is None else x + tau * (xhat - x)
-        change = float(np.abs(x_new - x).max(initial=0.0))
-        x = x_new
+        x, change = _damp(x, xhat, tau, work)
+        rounds += 1
         keep(x, comm)
         if config.monitor:
             trace.x_history.append(x.copy())
             trace.xhat_history.append(xhat.copy())
-        trace.rounds = k + 1
-        if change <= config.tol_x or (config.tol_grad is not None
-                                      and trace.grad_norm[-1] <= config.tol_grad):
-            trace.converged = True
-            break
-        if _diverged(x):
-            trace.diverged = True
-            break
+        if change <= tol_x:
+            stop = "tol_x"
+        elif tol_grad is not None and trace.grad_norm[-1] <= tol_grad:
+            stop = "tol_grad"
+        elif _diverged(x, work):
+            stop = "diverged"
+        else:
+            continue
+        break
+    trace.rounds, trace.stop_reason = rounds, stop
+    trace.converged = stop in ("tol_x", "tol_grad")
+    trace.diverged = stop == "diverged"
     if comms:
         trace.record(problem, stack[:len(comms)], comms, oracle)
     trace.x_final = x
@@ -466,28 +502,47 @@ def mp_jacobi(problem, partition, config=None, x0=None):
 
 
 def _exact_run(problem, intra_edges, tau_node, config, x0, sweeps=0):
-    """The exact engine with messages on ``intra_edges`` (_PairwiseLayout):
-    one exact rule call per round on the sender aggregates, after ``sweeps``
-    sweeps at x0; ``trace.monitor`` holds (H_msg, h_msg, directed_edges)."""
+    """The exact engine with messages on ``intra_edges`` (_PairwiseLayout),
+    after ``sweeps`` sweeps at x0; ``trace.monitor`` holds (H_msg, h_msg,
+    directed_edges).
+
+    The receivers' sums are compiled once per run, each one bincount over
+    a weight buffer [start | messages] (:class:`StartedSum`): the start is
+    ``problem.diag`` for the curvatures, and for the linear terms lin plus
+    the cross sum, written in place every round. A curvature round calls
+    the exact rule on the sender aggregates; a kept round runs its linear
+    half, :func:`exact_linear` on the kept column. Node solves and kept
+    columns take the LapackSystems' stored pivots and reciprocals under
+    one errstate per round. A kept round's node system is the one a
+    curvature round has already solved, so it cannot be singular there.
+    """
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
     lay = _PairwiseLayout(problem, intra_edges)
     B = problem.couplings(lay.receivers, lay.senders)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
+    node_H = lay.at_receivers.with_start(problem.diag)
+    node_h = lay.at_receivers.with_start(problem.lin)
 
     def curvature(H_msg):
-        inH = lay.at_receivers(H_msg, start=problem.diag)
+        inH = node_H.sums(H_msg)
         with _ill_posed():
-            return LapackSystem(inH).solve, lay.others(inH, H_msg)
+            return LapackSystem(inH), lay.others(inH, H_msg)
 
     def linear(x, h_msg, state, kept):
-        node_solve, A = state
-        inh = lay.at_receivers(h_msg, start=problem.lin + lay.at_cross(cross(x)))
-        with _ill_posed():
-            xhat = -node_solve(inh[..., None])[..., 0]
-        msg = exact_quadratic_message(A, lay.others(inh, h_msg), B, [],
-                                      curvature=kept)
-        return xhat, msg.H, msg.h, msg.curvature
+        node, A = state
+        np.add(problem.lin, lay.at_cross(cross(x)), out=node_h.start)
+        inh = node_h.sums(h_msg)
+        c = lay.others(inh, h_msg)
+        if kept is None:
+            with _ill_posed(), np.errstate(all="ignore"):
+                xhat = -node.vector(inh)
+            msg = exact_quadratic_message(A, c, B, [])
+            return xhat, msg.H, msg.h, msg.curvature
+        with np.errstate(all="ignore"):
+            xhat = -node.vector(inh)
+            col = kept.solve(c)
+        return xhat, kept.H, exact_linear(B, col), kept
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
     return rounds.run(problem, tau_node, config, x0, lay.directed, sweeps)
@@ -1027,9 +1082,10 @@ def baseline(kind, problem, params=None, x0=None):
     ObjectiveError, and divergence is flagged on the trace, never raised.
     SolverError, before any work: an unknown kind or params key, a missing
     W or clusters, clusters that are no partition, dgd off a CtaProblem, an
-    x0 for minsum_splitting. NotQuadratic: the other kinds off a
-    QuadraticObjective. A singular block raises IllPosedSubproblem (minsum:
-    or the exact engine's SingularSenderCurvature).
+    x0 for minsum_splitting, a negative, infinite or NaN tau or step.
+    NotQuadratic: the other kinds off a QuadraticObjective. A singular
+    block raises IllPosedSubproblem (minsum: or the exact engine's
+    SingularSenderCurvature).
     """
     if kind not in _BASELINE_PARAMS:
         raise SolverError(f"unknown baseline {kind!r}; kinds: {list(_BASELINE_PARAMS)}")
@@ -1066,11 +1122,13 @@ def baseline(kind, problem, params=None, x0=None):
         alpha = params.get("step")
         if alpha is None:
             alpha = 1.0 / np.linalg.eigvalsh(problem.assemble()[0])[-1]
+        else:
+            alpha = _checked_stepsizes(alpha)
 
         def step(x):
             return x - alpha * problem.grad(x), 0
     else:
-        tau_node = np.full(problem.m, float(params.get("tau", 1.0)))
+        tau_node = np.full(problem.m, _checked_stepsizes(float(params.get("tau", 1.0))))
         if kind == "block_jacobi_central":
             step = _central_step(problem, params.get("clusters"))
         else:
@@ -1121,7 +1179,9 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
         rho_K = sqrt((1 - sqrt(1 - rho_W^2)) / (1 + sqrt(1 - rho_W^2)))
     at the optimal gamma = 2 / (1 + sqrt(1 - rho_W^2)).
     Divergence is flagged by the round driver's rule, ``_diverged``, on the
-    outputs x, and on a singular R_v. The recursion keeps its own round
+    outputs x, and on a singular R_v. ``trace.stop_reason`` is ``tol_x``
+    when the outputs are within ``tol`` of x_star, else ``diverged`` or
+    ``max_rounds``. The recursion keeps its own round
     loop: it stops on the distance to its own x_star and has no objective
     whose gradient or value the driver could record (those columns are NaN).
     """
@@ -1159,13 +1219,14 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     rho_K = math.sqrt((1 - math.sqrt(max(1 - rho_W ** 2, 0.0)))
                       / (1 + math.sqrt(max(1 - rho_W ** 2, 0.0))))
     trace.monitor = {"rho_K": rho_K, "gamma": gamma, "rho_W": rho_W}
+    trace.stop_reason = "max_rounds"
     for s in range(max_rounds):
         R = np.einsum("ab,bij->aij", K, R)
         rv = np.einsum("ab,bi->ai", K, rv)
         try:
             x = np.linalg.solve(R[:n], rv[:n, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            trace.diverged = True
+            trace.diverged, trace.stop_reason = True, "diverged"
             break
         err = float(np.linalg.norm(x - x_star[None, :].repeat(n, 0)))
         trace.dist_to_opt.append(err)
@@ -1174,10 +1235,10 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
         trace.vectors_sent.append((s + 1) * 2 * int((np.abs(Gamma) > 0).sum()))
         trace.rounds = s + 1
         if err <= tol:
-            trace.converged = True
+            trace.converged, trace.stop_reason = True, "tol_x"
             break
         if _diverged(x):
-            trace.diverged = True
+            trace.diverged, trace.stop_reason = True, "diverged"
             break
     trace.x_final = x
     return trace

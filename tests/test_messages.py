@@ -651,7 +651,8 @@ _SPECIAL = np.array([5e-324, -5e-324, 1e-310, -2.5e-320, 2.2e-308, 1e-300,
 def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
     """lapack_solve returns np.linalg.solve's bits: at d = 1 by division for
     one right-hand side and by the reciprocal for more, which is how
-    OpenBLAS solves 1 x 1 systems; d >= 2 delegates."""
+    OpenBLAS solves 1 x 1 systems; d >= 2 delegates. ``LapackSystem.vector``
+    on one right-hand side (..., d) returns the same bits."""
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -669,6 +670,10 @@ def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
     got = lapack_solve(A, rhs)
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    if k == 1:
+        with np.errstate(all="ignore"):
+            vector = LapackSystem(A).vector(rhs[..., 0])
+        assert np.array_equal(vector.view(np.int64), expected[..., 0].view(np.int64))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (7,), (3, 4)]),

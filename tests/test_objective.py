@@ -15,6 +15,7 @@ from mpjacobi.objective import (
     QuadraticLocal,
     QuadraticObjective,
     RowScatter,
+    RowSum,
     SingularInconsistent,
     _certified_positive_definite,
     _gershgorin_certified,
@@ -587,6 +588,40 @@ def test_row_scatter_equals_add_at(seed, layout, K, n, k, tail, with_start, nans
             np.add.at(want[b], idx, vals[b])
         for _ in range(2):              # the second call reuses the flat indices
             got = scatter(vals, start=start, axis=len(lead))
+            _same_bits_but_nan_signs(got, want, exact=not nans)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 16),
+       st.sampled_from([(), (1,), (2,), (2, 2)]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_started_sum_equals_row_sum_with_start(seed, n, k, tail, nans):
+    """A compiled :class:`StartedSum` returns ``RowSum(vals, start)`` bit
+    for bit, NaNs included (both are the same bincount), for a start given
+    at compile time or rewritten in place between calls, and matches
+    ``np.add.at(0.0 + start, idx, vals)`` as RowSum does."""
+    rng = np.random.default_rng(seed)
+    specials = _SCATTER_SPECIALS if nans else _SCATTER_SPECIALS[:4]
+
+    def draw(shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        special = rng.random(shape) < 0.2
+        out[special] = rng.choice(specials, np.count_nonzero(special))
+        return out
+
+    idx = rng.integers(0, n, k)
+    rows = RowSum(idx, n)
+    start = draw((n,) + tail)
+    compiled = rows.with_start(start)
+    with np.errstate(invalid="ignore"):
+        for call in range(3):
+            if call:                    # a new start, written in place
+                start = draw((n,) + tail)
+                compiled.start[...] = start
+            vals = draw((k,) + tail)
+            got = compiled.sums(vals)
+            want = 0.0 + start
+            np.add.at(want, idx, vals)
+            _same_bits_but_nan_signs(got, rows(vals, start=start), exact=True)
             _same_bits_but_nan_signs(got, want, exact=not nans)
 
 

@@ -548,6 +548,9 @@ def test_partition_mismatch_raises_typed_error():
 _G4, _Q4 = ring_qp(m=4, d=1)
 _P4 = generate_partition("ring_P2", _G4, D=1)
 _CTA4 = build_cta([QuadraticLocal(np.eye(1), np.zeros(1))] * 4, metropolis_weights(_G4))
+# an 8-ring quadratic at d = 1 and its 2-node clusters
+_G8, _Q8 = ring_qp(m=8, d=1)
+_P8 = generate_partition("ring_P2", _G8, D=1)
 
 
 def _surrogate_run(problem, family, **spec):
@@ -573,10 +576,20 @@ def _surrogate_run(problem, family, **spec):
                                           M_edge={(0, 1): np.zeros((2, 2))})),
     (MessageError, lambda: _surrogate_run(_Q4, "schur_quadratic",
                                           M_edge={(1, 0): np.zeros((1, 1))})),
+    (SolverError, lambda: mp_jacobi(_Q8, _P8, SolverConfig(tau=np.nan, max_rounds=5))),
+    (SolverError, lambda: mp_jacobi(_Q8, _P8, SolverConfig(tau=np.inf, max_rounds=5))),
+    (SolverError, lambda: mp_jacobi(_Q8, _P8, SolverConfig(tau=[np.nan] * _P8.p,
+                                                           max_rounds=5))),
+    (SolverError, lambda: baseline("jacobi", _Q8, {"tau": np.nan})),
+    (SolverError, lambda: baseline("block_jacobi_central", _Q8,
+                                   {"tau": -np.inf, "clusters": _P8.clusters})),
+    (SolverError, lambda: baseline("gradient_descent", _Q8, {"step": np.inf})),
 ], ids=["exact_off_quadratic", "unsupported_family", "schur_off_quadratic",
         "partial_linearization_off_cta", "reference_off_quadratic", "tree_solve_on_a_ring",
         "stepsize_mode", "spec_family", "spec_first_order_alpha", "spec_node_stack_shape",
-        "spec_edge_block_shape", "spec_edge_key_order"])
+        "spec_edge_block_shape", "spec_edge_key_order", "tau_nan", "tau_inf",
+        "tau_per_cluster_nan", "jacobi_tau_nan", "central_tau_minus_inf",
+        "gradient_step_inf"])
 def test_solvers_raise_typed_errors(exc, make):
     """One row per raise of ``solvers`` and of ``SurrogateSpec`` that no
     other test reaches, each with a small malformed input; the exception
@@ -747,6 +760,7 @@ def test_diverged_threshold(x, diverged):
     from mpjacobi.solvers import _diverged
 
     assert _diverged(x) is diverged
+    assert _diverged(x, np.empty_like(x)) is diverged
 
 
 def test_golden_cases_reach_stationary_curvature():
@@ -1226,3 +1240,140 @@ def test_batched_record_is_the_per_iterate_metrics(run, monkeypatch):
                              for x in trace.x_history])
     got = np.array([trace.grad_norm, trace.phi_gap, trace.dist_to_opt]).T
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _signed_zero_qp(graph, d, seed):
+    """:func:`_dominant_qp` with signed zeros: about a quarter of the lin
+    entries are +0.0 or -0.0, and about a quarter of the coupling blocks
+    are zero, so their messages' linear parts come out -0.0."""
+    q = _dominant_qp(graph, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    zero = rng.random(q.lin.shape) < 0.25
+    q.lin[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+    pair = {e: 0.0 * B if rng.random() < 0.25 else B for e, B in q.pair.items()}
+    return QuadraticObjective(q.m, d, q.diag, q.lin, pair)
+
+
+@given(tree_partition_cases(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_kept_rounds_equal_full_rule(case, d, seed):
+    """On random tree partitions, a kept exact round (the compiled receivers'
+    sums, the node solve and kept column from the stored pivots and
+    reciprocals, and ``exact_linear``) equals the full rule
+    (``exact_quadratic_message(..., curvature=None)``) bit for bit: the same
+    run with the keeping test switched off calls the rule in every round.
+    lin, x0 and the messages' linear parts hold signed zeros."""
+    from mpjacobi.topology import NonTreeCluster
+
+    graph, clusters = case
+    try:
+        part = validate_tree_partition(graph, clusters, warn_nonoverlap=False)
+    except NonTreeCluster:
+        assume(False)
+    q = _signed_zero_qp(graph, d, seed)
+    x0 = np.random.default_rng(seed).standard_normal((q.m, d))
+    x0[::2, 0] = -0.0
+    rounds = 2 * part.max_diameter + 6
+    cfg = SolverConfig(tau=0.5, max_rounds=rounds, tol_x=0.0, monitor=True)
+    kept = mp_jacobi(q, part, cfg, x0=x0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_same_bits", lambda a, b: False)
+        full = mp_jacobi(q, part, cfg, x0=x0)
+    # a run stops early only where x0 is already the fixed point (tol_x = 0)
+    assert kept.rounds == full.rounds == full.curvature_rounds
+    assert kept.curvature_rounds < rounds or kept.rounds < rounds
+    for got, want in ((np.stack(kept.x_history + kept.xhat_history),
+                       np.stack(full.x_history + full.xhat_history)),
+                      (kept.monitor[0], full.monitor[0]), (kept.monitor[1], full.monitor[1])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_DAMP_SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 9), st.integers(1, 3),
+       st.floats(0.0, 0.5))
+@settings(max_examples=200, deadline=None)
+def test_damping_step_equals_the_allocating_expressions(seed, m, d, special):
+    """The driver's in-place damping step returns x + tau (xhat - x) and
+    max |x_new - x| (0.0 on no nodes), and its divergence test the verdict
+    on |x|, with the bits of the allocating expressions: signed zeros,
+    +-inf, NaNs of both signs and values that overflow."""
+    from mpjacobi.solvers import _damp, _diverged
+
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        mask = rng.random(shape) < special
+        out[mask] = rng.choice(_DAMP_SPECIALS, np.count_nonzero(mask))
+        return out
+
+    x, xhat, tau = draw((m, d)), draw((m, d)), draw((m, 1))
+    work = np.empty((m, d))
+    with np.errstate(all="ignore"):
+        want = x + tau * (xhat - x)
+        want_change = np.abs(want - x).max(initial=0.0)
+        got, change = _damp(x, xhat, tau, work)
+        assert _diverged(got, work) is _diverged(got)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array(change).view(np.int64) == np.array(want_change).view(np.int64)
+
+
+@pytest.mark.parametrize("tau, scale, rounds", [
+    (50.0, 1.0, 7), (3.0, 1.0, 21), (2.2, 1.0, 29), (50.0, 1e308, 1)])
+def test_diverging_run_stops_where_it_did(tau, scale, rounds):
+    """A diverging run stops at the round it stopped at before the driver
+    damped in place (the counts were taken then), and every iterate is the
+    allocating damping step x + tau (xhat - x) of the one before; the last
+    is the first that the divergence rule flags."""
+    from mpjacobi.solvers import _diverged
+
+    q, part = random_valid_instance(3)
+    with np.errstate(all="ignore"):
+        trace = mp_jacobi(q, part, SolverConfig(tau=tau, max_rounds=3000, monitor=True),
+                          x0=np.full((q.m, q.d), scale))
+        assert trace.rounds == rounds and trace.diverged and trace.stop_reason == "diverged"
+        xs = trace.x_history
+        for k, xhat in enumerate(trace.xhat_history):
+            want = xs[k] + tau * (xhat - xs[k])
+            assert np.array_equal(xs[k + 1].view(np.int64), want.view(np.int64))
+            assert _diverged(xs[k + 1]) is (k + 1 == rounds)
+
+
+def _stop_rows():
+    """(solver call, expected stop_reason): every rule of ``_drive`` and
+    of ``minsum_splitting``."""
+    q, part = random_valid_instance(3)
+    split_locs = [(np.array([[1.0 + i]]), np.array([0.5 * i])) for i in range(4)]
+    split_W = metropolis_weights(generate_topology("ring", m=4)).W
+    singular = [(np.array([[1.0]]), np.array([1.0])), (np.array([[-0.5]]), np.array([0.3]))]
+    return {
+        "tol_x": (lambda: mp_jacobi(q, part, SolverConfig(tau=0.5)), "tol_x"),
+        "tol_grad": (lambda: baseline("minsum", walk_summable_qp(), {"tol": 1e-8}),
+                     "tol_grad"),
+        "diverged": (lambda: mp_jacobi(q, part, SolverConfig(tau=50.0),
+                                       x0=np.ones((q.m, q.d))), "diverged"),
+        "max_rounds": (lambda: mp_jacobi(q, part, SolverConfig(tau=0.5, max_rounds=3)),
+                       "max_rounds"),
+        "no_rounds": (lambda: mp_jacobi(q, part, SolverConfig(max_rounds=0)), "max_rounds"),
+        "schur_max_rounds": (lambda: mp_jacobi_surrogate(q, part, SolverConfig(
+            tau=0.5, max_rounds=3, surrogate=SurrogateSpec(family="schur_quadratic",
+                                                           Q=2.0))), "max_rounds"),
+        "splitting_tol": (lambda: minsum_splitting(split_locs, split_W, tol=1e-10), "tol_x"),
+        "splitting_singular": (lambda: minsum_splitting(
+            singular, np.full((2, 2), 0.5), delta=1.0,
+            Gamma=2.0 * np.array([[0.0, 1.0], [1.0, 0.0]])), "diverged"),
+        "splitting_max_rounds": (lambda: minsum_splitting(split_locs, split_W, max_rounds=2,
+                                                          tol=0.0), "max_rounds"),
+    }
+
+
+@pytest.mark.parametrize("row", list(_stop_rows()))
+def test_stop_reason_names_the_rule_that_stopped_the_run(row):
+    run, reason = _stop_rows()[row]
+    with np.errstate(all="ignore"):
+        trace = run()
+    assert trace.stop_reason == reason
+    assert trace.converged == (reason in ("tol_x", "tol_grad"))
+    assert trace.diverged == (reason == "diverged")
