@@ -26,59 +26,33 @@ and are covered by brute-force minimization oracles in the tests.
 Curvature and linear halves. In every rule except the first-order one the
 message curvature H and the sender matrix S it is solved against (A in the
 exact and hypergraph rules) read only the incoming curvatures and the
-problem data, never an iterate; only the linear part h reads x. The
-curvature half is therefore a deterministic map of the incoming
-curvatures, and once a round returns the curvatures it was given, bit for
-bit, every later round would return them again. Each rule returns its
-curvature half as a :class:`Curvature`, and passing it back as
-``curvature=`` skips the curvature work: the rule forms only its linear
-aggregate and solves for the linear column alone by the full rule's
-operation on it, so the message is the full rule's bit for bit. An exactly
-diagonal struct system divides the column by its diagonal and a d = 1
-exact system multiplies it by the reciprocal formed with the curvature;
-any other system solves the full right-hand side again with the column
-written in.
+problem data; only the linear part h reads x. So once a round returns the
+curvatures it was given, bit for bit, every later round would return them
+again. Each rule returns its curvature half as a :class:`Curvature`;
+passed back as ``curvature=``, it skips the curvature work, and the rule
+solves for its linear column alone by the full rule's operation on it
+(the systems' ``column``), so the message is the full rule's bit for bit.
+The linear halves are written once, and engines run the rules' own:
+:func:`exact_linear` on the kept column; :func:`schur_aggregate` and
+:func:`schur_linear` on the products H_in x_j and H x_i, which the Schur
+engine reads off one :class:`StackedProducts` per curvature state (a kept
+H has the bits of the committed curvatures, so their rows stand in for
+H x_i); :func:`partial_linearization_message` from its first term
+grad f_i - Q_i x_i, read off the engine's variable update.
 
-The linear halves are written once, and engines run the rules' own. The
-exact rule's, :func:`exact_linear`, takes the kept column, which its engine
-reads off the sender systems' stored reciprocals. The Schur rule's,
-:func:`schur_aggregate` and :func:`schur_linear`, take the products
-H_in x_j and H x_i as arguments, so its engine reads them off one
-:class:`StackedProducts` per curvature state; a kept Curvature's H has the
-bits of the committed curvatures that state was built from, so their rows
-stand in for H x_i. The partial-linearization rule starts from its first
-term grad f_i - Q_i x_i (:func:`partial_linearization_message`), which its
-engine reads off its variable update.
-
-Solves and products. The exact rule, the one implementation of the paper's
-exact message, solves every sender system by :func:`lapack_solve`, forms
-its curvature B X by :func:`block_matmul` and symmetrizes it,
-1/2 (H + H^T), and forms h by :func:`block_matvec`: the exact engine's
-operations, whose iterates the golden traces freeze bit for bit.
-``lapack_solve`` returns ``np.linalg.solve``'s bits. With d >= 2 it calls
-it; with d = 1 it repeats OpenBLAS's arithmetic without LAPACK: one
-right-hand side is divided by the pivot (trsv), two or more are multiplied
-by its reciprocal (trsm packs 1/a). The two forms differ in the last bit on
-about half of all inputs, so neither may stand in for the other.
-``block_matmul`` and ``block_matvec`` likewise return ``np.matmul``'s
-bits, at d = 1 without matmul: a 1 x 1 block times a row is one
-elementwise product, plus 0.0 because matmul sums from +0.0.
-:class:`PairProducts` returns them for the pair products B x_j and
-B^T x_i of a stack of K iterates. At d = 1 that is one such elementwise
-pass over every pair's two products. At d = 2, for K >= 2 and finite
-blocks, it makes one gemv call per block row in place of one per block and
-iterate; its dgemv_t adds each output's two products in the order of
-matmul's own kernel, dgemv_t on B and dgemv_n on the view of B^T (matched
-by reversing B^T's columns and the vectors' components). Elsewhere it
-calls ``block_matvec``: at K = 1 matmul takes ddot, at d >= 3 the kernels'
-sums differ, and with a non-finite block entry the regrouping could change
-a NaN's sign. An elementwise product of two NaNs may keep either one (numpy
-orders the operands one way in its vector loops and the other in their
-scalar tails), so at d = 1 a NaN block times a NaN vector entry need not
-have matmul's sign. ``tests/test_messages.py`` checks the contracts
-against the installed numpy. The other rules solve by ``struct_solve``,
-which divides exactly diagonal systems so that diagonal message families
-stay exactly diagonal.
+Bit contracts. Every kernel here returns the bits of a named numpy call,
+which ``tests/test_messages.py`` checks against the installed numpy. Where
+two NaNs meet in a product either may be kept (numpy orders the operands
+one way in its vector loops and the other in their scalar tails), so NaN
+signs are exempt there; a kernel's docstring names its reference call, its
+dispatch and any other exemption. The exact rule, the one implementation
+of the paper's exact message, solves by :class:`LapackSystem`
+(``np.linalg.solve``'s bits, at d = 1 without LAPACK) and multiplies by
+:func:`block_matmul` (``np.matmul``'s): the exact engine's operations,
+whose iterates the golden traces freeze. ``_mv``, :class:`StackedProducts`
+and :class:`GatheredProducts` have einsum's bits. The other rules solve by
+``struct_solve``, which divides exactly diagonal systems so that diagonal
+message families stay exactly diagonal.
 """
 
 from __future__ import annotations
@@ -178,25 +152,18 @@ def struct_solve(A, rhs):
 
 
 class LapackSystem:
-    """Matrices A (..., d, d) whose solves of rhs (..., d, k) are bit-equal
-    to ``np.linalg.solve(A, rhs)``.
+    """Matrices A (..., d, d) whose solves of rhs (..., d, k) have the bits
+    of ``np.linalg.solve(A, rhs)``.
 
-    d = 1 takes no LAPACK call: OpenBLAS solves a 1 x 1 system with one
-    right-hand side by rhs / a (trsv) and with more by rhs * (1 / a) (trsm
-    multiplies by the pivot's reciprocal), so k = 1 divides and k >= 2
-    multiplies by 1/A, formed once; ``column``, the kept column of a k >= 2
-    solve, multiplies by it too. An exact zero pivot (-0.0 too) raises
-    ``np.linalg.LinAlgError("Singular matrix")``, as numpy does; subnormal,
-    infinite and NaN pivots give LAPACK's bits, except that a NaN pivot
-    against a NaN entry of the other sign may keep either sign (as in every
-    d = 1 product, see the module docstring). d >= 2 calls
-    ``np.linalg.solve``, whose FMA kernels numpy cannot repeat, so there a
-    singular A raises when ``solve`` is called.
-
-    ``solve`` ignores floating-point errors. ``vector`` and the map that
-    ``column`` returns hold no ``np.errstate`` of their own: a caller that
-    wants no warning from a subnormal or non-finite pivot holds one, so a
-    round can take its node solve and its columns under one.
+    d >= 2 calls it (numpy cannot repeat its FMA kernels), so a singular A
+    raises there when ``solve`` is called. d = 1 repeats OpenBLAS without
+    LAPACK: one right-hand side is divided by the pivot (trsv), more are
+    multiplied by its reciprocal (trsm), and the two differ in the last bit
+    on about half of all inputs. An exact zero pivot (-0.0 too) raises
+    ``np.linalg.LinAlgError("Singular matrix")`` here. The reciprocal is
+    formed by the first solve or column that reads it. ``solve`` ignores
+    floating-point errors; ``vector``, ``column`` and its map hold no
+    ``np.errstate``, so a round takes its node solve and columns under one.
     """
 
     def __init__(self, A):
@@ -204,8 +171,12 @@ class LapackSystem:
         self.scalar = A.shape[-1] == 1
         if self.scalar and np.count_nonzero(A) < A.size:
             raise np.linalg.LinAlgError("Singular matrix")
-        with np.errstate(all="ignore"):
-            self.inverse = 1.0 / A if self.scalar else None
+        self.inverse = None
+
+    def _reciprocal(self):
+        if self.inverse is None:
+            self.inverse = 1.0 / self.A
+        return self.inverse
 
     def solve(self, rhs):
         if not self.scalar:
@@ -214,10 +185,10 @@ class LapackSystem:
             if rhs.shape[-1] == 1:
                 return rhs / self.A
             if rhs.ndim != self.A.ndim:
-                return rhs * self.inverse
+                return rhs * self._reciprocal()
             # the same products, transposed so that their inner loop runs
             # over the systems rather than over each system's k columns
-            return np.multiply(rhs.T, self.inverse.T, order="C").T
+            return np.multiply(rhs.T, self._reciprocal().T, order="C").T
 
     def vector(self, v):
         """``solve(v[..., None])[..., 0]`` for one right-hand side v
@@ -231,14 +202,8 @@ class LapackSystem:
         reciprocal."""
         if not self.scalar:
             return _rewritten_column(self.solve, rhs)
-        inverse = self.inverse[..., 0]
+        inverse = self._reciprocal()[..., 0]
         return lambda c: c * inverse
-
-
-def lapack_solve(A, rhs):
-    """``np.linalg.solve(A, rhs)`` bit for bit, without LAPACK at d = 1;
-    see :class:`LapackSystem`."""
-    return LapackSystem(A).solve(rhs)
 
 
 def block_matmul(B, X):
@@ -260,35 +225,20 @@ class PairProducts:
     """The two products of every pair coupling of a fixed block stack B
     (E, d, d) on nodes ``rows`` and ``cols``: for x (..., m, d), the terms
     (..., E, 2, d) B_e x[..., cols[e], :] and B_e^T x[..., rows[e], :],
-    with the bits of :func:`block_matvec` on the contiguous B and on its
-    transposed view.
+    with the bits of :func:`block_matvec` on B and on its transposed view.
 
-    At d = 1, B_e^T = B_e, and both products are block_matvec's
-    elementwise B_e x + 0.0: one pass ``B2 * x.take(at) + 0.0`` over the
-    blocks stored twice each, (B_0, B_0, B_1, B_1, ...), against the
-    iterates gathered at (cols[0], rows[0], cols[1], ...), for any K.
-
-    ``block_matvec`` makes one BLAS gemv call per block and iterate, with
-    d outputs each. At d = 2 a stack of K >= 2 iterates is regrouped: per
-    block row (e, r), the (K, 2) matrix of the iterates' vectors times
-    B[e, r, :], 4 E gemv calls of K outputs each, in one matmul. Each
-    output is still the sum of the same two products, in the same order
-    (as measured on OpenBLAS 0.3.31's Haswell kernels):
-      * B x: matmul sends the contiguous 2 x 2 blocks, and the (K, 2)
-        matrices, to dgemv_t, which computes fma(a0, x0, a1 x1);
-      * B^T x: matmul sends the transposed view to dgemv_n, which computes
-        fma(a1, x1, a0 x0). The regrouped product reads B^T stored
-        contiguously with its two columns reversed, compiled here, and
-        reverses the vectors' two components, so that dgemv_t computes
-        the same.
-    Only the two factors of each product trade places. The regrouping
-    holds at d = 2 only (at d >= 3 the kernels' sums differ) and for K >= 2
-    only (matmul sends a (1, 2) times (2, 1) product to ddot, which rounds
-    otherwise); other stacks take ``block_matvec``. A NaN times a NaN keeps
-    one of the two, so with the factors traded a NaN block entry could
-    hand on its own sign or payload instead of the vector's: blocks with a
-    non-finite entry take ``block_matvec`` too. ``tests/test_messages.py``
-    checks the contract against the installed numpy.
+    At d = 1 both are one elementwise pass over the blocks stored twice
+    each, against x gathered at (cols[0], rows[0], cols[1], ...). At d = 2
+    a stack of K >= 2 iterates on finite blocks is regrouped: one matmul of
+    4 E gemv calls with K outputs each (per block row, the iterates' (K, 2)
+    matrix times the row) in place of one call per block and iterate. Each
+    output keeps its two products in the order of matmul's own kernel
+    (OpenBLAS 0.3.31, Haswell): dgemv_t computes fma(a0, x0, a1 x1) for B;
+    for B^T matmul calls dgemv_n, fma(a1, x1, a0 x0), which dgemv_t repeats
+    on B^T stored with its columns reversed and on reversed vectors. Other
+    stacks take ``block_matvec``: at K = 1 matmul takes ddot, at d >= 3 the
+    kernels' sums differ, and with the factors traded a NaN block entry
+    could hand on its own NaN.
     """
 
     def __init__(self, B, rows, cols):
@@ -364,6 +314,23 @@ def _mv(A, x):
     return np.einsum("...ij,...j->...i", A, x)
 
 
+class GatheredProducts:
+    """x -> B_e x[at[e]] for a fixed block stack B (E, d, d) and rows at
+    (E,): the bits of ``_mv(B, x.take(at, axis=0))``. At d = 1 einsum sums
+    one product from +0.0, so the elementwise B x + 0.0 has them (a -0.0
+    product gives +0.0); d >= 2 calls einsum on B as given."""
+
+    def __init__(self, B, at):
+        self.at, self.scalar = at, B.shape[-1] == 1
+        self.B = np.ascontiguousarray(B[..., 0]) if self.scalar else B
+
+    def __call__(self, x):
+        x_at = x.take(self.at, axis=0)
+        if self.scalar:
+            return self.B * x_at + 0.0
+        return np.einsum("eij,ej->ei", self.B, x_at)
+
+
 class StackedProducts:
     """The products of several block stacks with rows of one iterate, from
     one gather and one einsum.
@@ -371,19 +338,10 @@ class StackedProducts:
     ``parts`` lists pairs (B_k, at_k): blocks (n_k, d, d) and the rows at_k
     (n_k,) of x they multiply. ``products(x)`` returns, for x (m, d), the
     list of the parts' (n_k, d) products B_k x[at_k], each with the bits of
-    ``_mv(B_k, x.take(at_k, axis=0))``.
-
-    einsum sums each output row over the row's own d products, in an order
-    set by the operands' strides alone: the rows of a C-contiguous stack
-    get the bits of a C-contiguous part, but at d >= 3 a transposed view
-    sums in another order. So the C-contiguous parts are copied into one
-    stack, multiplied with x gathered at their rows in one einsum and
-    returned as views; any other part keeps its own einsum on the blocks
-    as given. At d = 1 einsum's loop runs over the rows, and a NaN times a
-    NaN may keep either one (the loop's vector body and scalar tail order
-    the operands differently), so a NaN's sign may depend on the row's
-    place in the stack. ``tests/test_messages.py`` checks the contract
-    against the installed numpy.
+    ``_mv(B_k, x.take(at_k, axis=0))``. einsum sums in an order set by the
+    operands' strides, which at d >= 3 differs for a transposed view: the
+    C-contiguous parts share one einsum and are returned as views of it,
+    and any other part keeps an einsum of its own on its blocks as given.
     """
 
     def __init__(self, parts):
@@ -435,20 +393,23 @@ class QuadraticMessage:
 def message_vectors(H):
     """Vectors each message costs to send, over any leading batch axes of
     its curvature H (..., d, d): the matrix counts d unless it is diagonal
-    (1) or identically zero (0); the linear part counts 1. One ``!= 0``
-    pass over the (..., d*d) entries (-0.0 counts as zero, NaN as
-    nonzero), then counts of all and of the diagonal nonzeros. At d = 1 a
-    matrix is its diagonal, so the count is (H != 0) + 1 from that pass
-    alone.
-    """
+    (1) or identically zero (0); the linear part counts 1. -0.0 counts as
+    zero, NaN as nonzero."""
     H = np.asarray(H)
     d = H.shape[-1]
-    if d == 1:
-        return (H[..., 0, 0] != 0) + 1
     nonzero = H.reshape(H.shape[:-2] + (d * d,)) != 0
     total = np.count_nonzero(nonzero, axis=-1)
     dense = total > np.count_nonzero(nonzero[..., ::d + 1], axis=-1)
     return np.where(dense, d, total > 0) + 1
+
+
+def total_vectors(H):
+    """``int(message_vectors(H).sum())`` over a stack H (..., d, d): at
+    d = 1 one per message plus one per nonzero curvature, from one
+    ``count_nonzero``."""
+    if H.shape[-1] == 1:
+        return H.size + np.count_nonzero(H)
+    return int(message_vectors(H).sum())
 
 
 class MessageSet:
@@ -561,7 +522,7 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
     Closed form: with A_j = H_jj + sum H_in (+ boundary_quad) and
     c_j = b_j + sum h_in + boundary_lin,
         H_msg = sym(-B_ij A_j^{-1} B_ij^T),   h_msg = -B_ij A_j^{-1} c_j,
-    sym(H) = 1/2 (H + H^T), solved by :func:`lapack_solve` on
+    sym(H) = 1/2 (H + H^T), solved by :class:`LapackSystem` on
     [B_ij^T | c_j] for every A_j, diagonal or not: the exact engine's bits,
     which the golden traces freeze (see the module docstring).
     """
@@ -659,34 +620,22 @@ def schur_linear(grad_i_psi, M_ij, col, H_x_i):
     return (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, col)) - H_x_i
 
 
-def cta_partial_linearization_message(Q_i, w_ii, w_ij, gamma, grad_f_i,
-                                      x_i_ref, incoming, boundary_lin=None,
-                                      curvature=None):
+def partial_linearization_message(Q_i, w_ii, w_ij, gamma, lin_i, incoming,
+                                  boundary_lin=None, curvature=None):
     """Partial-linearization message i -> j on a lifted consensus objective.
 
     Curvature: H_msg = -(w_ij^2/gamma^2) S^{-1} with
         S = Q_i + ((1 - w_ii)/gamma) I + sum H_in.
     Linear part from the same minimization with the sender-side linear
-    aggregate ell = grad f_i(x_i^nu) - Q_i x_i^nu + sum h_in + boundary_lin
-    (boundary_lin collects -(w_ik/gamma) x_k^nu over out-neighbors):
+    aggregate ell = lin_i + sum h_in + boundary_lin, whose first term
+    lin_i = grad f_i(x_i^nu) - Q_i x_i^nu an engine reads off the rows of
+    its variable update's own grad f - Q x (boundary_lin collects
+    -(w_ik/gamma) x_k^nu over out-neighbors):
         h_msg = (w_ij/gamma) S^{-1} ell.
     The weights w_ii and w_ij may be arrays over the batch axes.
     ``curvature``, the Curvature of an earlier call with the same Q_i,
     weights, gamma and incoming curvatures, skips the curvature half.
-    :func:`partial_linearization_message` is the rule from the first term
-    of ell.
     """
-    Q_i = np.asarray(Q_i, dtype=float)
-    return partial_linearization_message(
-        Q_i, w_ii, w_ij, gamma, np.asarray(grad_f_i, dtype=float) - _mv(Q_i, x_i_ref),
-        incoming, boundary_lin, curvature)
-
-
-def partial_linearization_message(Q_i, w_ii, w_ij, gamma, lin_i, incoming,
-                                  boundary_lin=None, curvature=None):
-    """:func:`cta_partial_linearization_message` from the first term of its
-    aggregate, lin_i = grad f_i(x_i^nu) - Q_i x_i^nu, which an engine reads
-    off the rows of its variable update's own grad f - Q x."""
     Q_i = np.asarray(Q_i, dtype=float)
     d = Q_i.shape[-1]
     w_ij = np.asarray(w_ij, dtype=float)

@@ -106,6 +106,12 @@ class RowSum:
             weights = np.concatenate((start.reshape(-1), weights))
         return np.bincount(flat, weights, minlength=length).reshape(lead + (self.n,) + tail)
 
+    def compiled(self, tail):
+        """``self`` on rows (len(idx),) + tail, compiled: one bincount."""
+        flat, length = self._compiled(tail, False)
+        shape = (self.n,) + tail
+        return lambda vals: np.bincount(flat, vals.reshape(-1), minlength=length).reshape(shape)
+
     def with_start(self, start):
         """A :class:`StartedSum` over these rows, starting from a copy of
         ``start`` (n, ...)."""
@@ -350,18 +356,12 @@ class QuadraticObjective:
         B^T x_i at j), then every factor's members in ``hyper`` order: the
         additions of the per-coupling loop, in its order. A stack's
         iterates are summed apart in that same order, by
-        :class:`RowScatter`'s ordered gather, so each holds the bits of its
-        own single-iterate gradient. Its products hold them too, each made
-        by one vectorized pass over the stack: the node term by one einsum
-        over ``diag`` tiled per iterate (:meth:`_node_term`), and the pair
-        products B x_j and B^T x_i by
-        :class:`~mpjacobi.messages.PairProducts`, which at d = 1 makes them
-        in one elementwise pass and at d = 2, on a stack of K >= 2 iterates
-        and with finite ``pair_blocks``, regroups them into 4 |E| gemv
-        calls of K outputs each, in place of 2 K |E| calls of d outputs.
-        Where two NaNs meet, in a product or a sum, the result may keep
-        either one, so a NaN's sign may differ between a stack and single
-        calls; NaNs stand where they stand in the single calls.
+        :class:`RowScatter`'s ordered gather, and its products are made by
+        one vectorized pass each (the node term by :meth:`_node_term`, the
+        pair products by :class:`~mpjacobi.messages.PairProducts`), so each
+        iterate holds the bits of its own single-iterate gradient. Where two
+        NaNs meet, in a product or a sum, either may be kept, so only a
+        NaN's sign may differ between a stack and single calls.
         """
         m, d = self.m, self.d
         x = np.asarray(x, dtype=float)

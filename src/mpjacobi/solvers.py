@@ -8,23 +8,15 @@ update order within a round. One driver, :func:`_drive`, runs the rounds
 of every solver that takes a :class:`SolverConfig` and of every baseline
 but the min-sum splitting recursion; each supplies only its round.
 
-Every message engine splits its round into a curvature half and a linear
-half. The curvature half reads only the committed message curvatures and
-the problem data: it forms the node curvature sums, the sender matrices
-with their diagonal/LAPACK choice, the new message curvatures and the
-vectors they cost. The linear half reads the iterates. Since the curvature
-half is a deterministic map that reads no iterate, a round that returns
-the curvatures it read, bit for bit, is a fixed point: every later round
-would compute the same bits again. From that round on an engine keeps the
-curvature half and runs only the linear half (:class:`_Rounds`), and its
-iterates and messages are those of the full rounds bit for bit. On a tree
-partition the curvatures stop changing after about a cluster diameter of
-rounds (the finite termination of min-sum on trees).
-``RunTrace.curvature_rounds`` counts the rounds in which the curvature
-half ran. A kept round runs the rule's own linear half on what the
-engine compiled once per run: the exact engine's receivers' sums over
-fixed weight buffers and its solves from the stored pivots and
-reciprocals, the Schur engine's stacked block products.
+Every message engine splits its round into the curvature half and the
+linear half of its rule (see the ``messages`` module docstring). Once a
+round returns the curvatures it read, bit for bit, the curvature half is
+at a fixed point: the engine keeps its state and runs only the linear
+half (:class:`_Rounds`), on what it compiled once per run, and its
+iterates and messages stay those of the full rounds bit for bit. On a
+tree partition that takes about a cluster diameter of rounds (the finite
+termination of min-sum on trees). ``RunTrace.curvature_rounds`` counts
+the rounds in which the curvature half ran.
 """
 
 from __future__ import annotations
@@ -34,11 +26,11 @@ import numbers
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .messages import (
+    GatheredProducts,
     LapackSystem,
     QuadraticMessage,
     diagonalize_message,
@@ -46,7 +38,6 @@ from .messages import (
     exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
-    lapack_solve,
     message_vectors,
     partial_linearization_message,
     schur_aggregate,
@@ -56,6 +47,7 @@ from .messages import (
     struct_solve,
     StructSystem,
     SurrogateSpec,
+    total_vectors,
 )
 from .objective import (
     CtaProblem,
@@ -214,7 +206,7 @@ def _tau_per_node(problem, partition, config):
         if taus.shape != (p,):
             raise SolverError(f"tau must be a scalar or hold one stepsize per "
                               f"cluster ({p}), got shape {taus.shape}")
-    return _checked_stepsizes(taus)[np.array(partition.cluster_of)]
+    return _checked_stepsizes(taus)[partition.node_cluster]
 
 
 def _checked_stepsizes(taus):
@@ -351,6 +343,18 @@ def _drive(problem, tau_node, config, x0, start):
     RECORD_BATCH and recorded by one ``RunTrace.record`` call when it is
     full and once when the run ends; with ``tol_grad`` set, whose rule
     reads the round's gradient norm, every iterate is recorded at once.
+
+    Divergence is read through a running bound b, max |x0| plus every
+    round's change: ``_diverged`` runs only in a round where b <= 5e11
+    fails, and b is then reset to the exact max |x|. The verdict is
+    ``_diverged``'s in every round. Proof: k rounds after b was exact,
+    max |x| <= b (1 - u)^(-2k), u = 2^-53, by the triangle inequality, as
+    each true |x_new - x| is at most the rounded change / (1 - u) (a
+    subnormal difference is exact) and each rounded b + change is at least
+    the true sum times (1 - u). For k < 2^50 the factor is below
+    e^(1/4) < 2, so b <= 5e11 gives max |x| <= 1e12. A NaN or +-inf
+    iterate makes the change, and so b, NaN or inf, which fails the gate,
+    as an overflow of b does.
     """
     m, d = problem.m, problem.d
     if x0 is None:
@@ -376,12 +380,14 @@ def _drive(problem, tau_node, config, x0, start):
             comms.clear()
 
     comm, rounds, stop = 0, 0, "max_rounds"
+    bound = float(np.abs(x).max(initial=0.0))
     keep(x, comm)
     while rounds < max_rounds:
         xhat, sent = step(x)
         comm += sent
         x, change = _damp(x, xhat, tau, work)
         rounds += 1
+        bound += change
         keep(x, comm)
         if config.monitor:
             trace.x_history.append(x.copy())
@@ -390,9 +396,12 @@ def _drive(problem, tau_node, config, x0, start):
             stop = "tol_x"
         elif tol_grad is not None and trace.grad_norm[-1] <= tol_grad:
             stop = "tol_grad"
+        elif bound <= 5e11:
+            continue
         elif _diverged(x, work):
             stop = "diverged"
         else:
+            bound = float(work.max(initial=0.0))
             continue
         break
     trace.rounds, trace.stop_reason = rounds, stop
@@ -412,37 +421,45 @@ def _drive(problem, tau_node, config, x0, start):
 
 
 class _PairwiseLayout:
-    """Directed incidences of a pairwise problem whose messages run on
-    ``intra_edges``, one edge set per cluster.
+    """Directed incidences of a pairwise problem whose messages run on the
+    intra pairs ``pairs`` (E, 2), i < j, cluster by cluster and sorted
+    within each (``TreePartition.intra_pairs``), or on every coupled pair
+    when ``pairs`` is None.
 
     Intra edge e carries the message senders[e] -> receivers[e], and edge
-    rev[e] = e ^ 1 the reverse one (a cluster's sorted pairs (a, b) give
-    (a, b), (b, a)). Cross incidence c lets node csrc[c] read the frozen
-    iterate of its neighbor cdst[c] across any other edge; every cross edge
-    appears in both orientations. ``at_receivers`` and ``at_cross`` sum
-    per-incidence rows into the nodes receivers[e] and csrc[c].
+    rev[e] = e ^ 1 the reverse one (pair (a, b) gives (a, b), (b, a));
+    ``directed`` stacks them, (2E, 2). Cross incidence c lets node csrc[c]
+    read the frozen iterate of its neighbor cdst[c] across any other edge,
+    in sorted pair order; every cross edge appears in both orientations.
+    All come from array operations on the problem's sorted pair codes
+    i m + j: an intra pair without one raises PartitionMismatch, and the
+    cross pairs are the codes left. ``at_receivers`` and ``at_cross`` (on
+    (C, d) rows) sum per-incidence rows into receivers[e] and csrc[c].
     """
 
-    def __init__(self, problem, intra_edges):
-        self.m, self.d = problem.m, problem.d
-        edges = problem.graph_edges()
-        intra = set(chain.from_iterable(intra_edges))
-        if not intra <= edges:
-            raise PartitionMismatch(f"intra-cluster edge {min(intra - edges)} has no "
-                                    "coupling in the problem")
-        pairs = [np.fromiter(chain.from_iterable(c), dtype=int).reshape(-1, 2)
-                 for c in intra_edges]
-        pairs = np.concatenate([p[np.lexsort(p.T[::-1])] for p in pairs]
-                               or [np.zeros((0, 2), dtype=int)])
+    def __init__(self, problem, pairs=None):
+        m, self.d = problem.m, problem.d
+        codes = (problem._sorted_keys if isinstance(problem, QuadraticObjective) else
+                 np.array(sorted(problem.graph_edges()), dtype=int).reshape(-1, 2) @ (m, 1))
+        if pairs is None:
+            pairs, cross = np.stack(np.divmod(codes, m), axis=-1), codes[:0]
+        else:
+            want = np.where(pairs[:, 1] < m, pairs[:, 0] * m + pairs[:, 1], m * m)
+            at = np.searchsorted(codes, want)
+            found = np.append(codes, -1)[at] == want
+            if not found.all():
+                missing = min(map(tuple, pairs[~found].tolist()))
+                raise PartitionMismatch(f"intra-cluster edge {missing} has no "
+                                        "coupling in the problem")
+            cross = np.delete(codes, at)
         self.senders, self.receivers = pairs.ravel(), pairs[:, ::-1].ravel()
-        self.directed = list(zip(self.senders.tolist(), self.receivers.tolist()))
-        self.n_edges = len(self.directed)
+        self.directed = np.stack((self.senders, self.receivers), axis=-1)
+        self.n_edges = len(self.senders)
         self.rev = np.arange(self.n_edges) ^ 1
-        cross = sorted(edges - intra)
-        self.csrc = np.array([v for (i, j) in cross for v in (i, j)], dtype=int)
-        self.cdst = np.array([v for (i, j) in cross for v in (j, i)], dtype=int)
-        self.at_receivers = RowSum(self.receivers, self.m)
-        self.at_cross = RowSum(self.csrc, self.m)
+        ends = np.stack(np.divmod(cross, m), axis=-1)
+        self.csrc, self.cdst = ends.ravel(), ends[:, ::-1].ravel()
+        self.at_receivers = RowSum(self.receivers, m)
+        self.at_cross = RowSum(self.csrc, m).compiled((self.d,))
 
     def others(self, node, msg):
         """For every edge e, the sender's sum over its other in-edges: the
@@ -452,16 +469,15 @@ class _PairwiseLayout:
     def vectors(self, H_msg):
         """Vectors sent in one round: one per directed cross incidence for
         the iterates, plus the message_vectors of every message."""
-        return len(self.csrc) + int(message_vectors(H_msg).sum())
+        return len(self.csrc) + total_vectors(H_msg)
 
 
 def _pair_grads(problem, rows, cols):
     """x -> stacked grad_{x_i} psi_ij(x_i, x_j) over the directed pairs
-    (i, j) = (rows[e], cols[e]): one einsum on quadratics, the pair
-    callbacks of a SmoothObjective otherwise."""
+    (i, j) = (rows[e], cols[e]): :class:`GatheredProducts` on quadratics,
+    the pair callbacks of a SmoothObjective otherwise."""
     if isinstance(problem, QuadraticObjective):
-        B = problem.couplings(rows, cols)
-        return lambda x: np.einsum("eij,ej->ei", B, x.take(cols, axis=0))
+        return GatheredProducts(problem.couplings(rows, cols), cols)
 
     def grads(x):
         out = np.zeros((len(rows), problem.d))
@@ -497,28 +513,30 @@ def mp_jacobi(problem, partition, config=None, x0=None):
     """
     config = config or SolverConfig()
     sweeps = partition.max_diameter if config.message_init == "warm_start" else 0
-    return _exact_run(problem, partition.intra_edges,
+    return _exact_run(problem, partition.intra_pairs,
                       _tau_per_node(problem, partition, config), config, x0, sweeps)
 
 
-def _exact_run(problem, intra_edges, tau_node, config, x0, sweeps=0):
-    """The exact engine with messages on ``intra_edges`` (_PairwiseLayout),
-    after ``sweeps`` sweeps at x0; ``trace.monitor`` holds (H_msg, h_msg,
-    directed_edges).
+def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
+    """The exact engine with messages on the intra pairs ``pairs``
+    (_PairwiseLayout), after ``sweeps`` sweeps at x0; ``trace.monitor``
+    holds (H_msg, h_msg, directed), the layout's (2E, 2) array of (sender,
+    receiver) edges in message order.
 
-    The receivers' sums are compiled once per run, each one bincount over
-    a weight buffer [start | messages] (:class:`StartedSum`): the start is
-    ``problem.diag`` for the curvatures, and for the linear terms lin plus
-    the cross sum, written in place every round. A curvature round calls
-    the exact rule on the sender aggregates; a kept round runs its linear
-    half, :func:`exact_linear` on the kept column. Node solves and kept
-    columns take the LapackSystems' stored pivots and reciprocals under
-    one errstate per round. A kept round's node system is the one a
-    curvature round has already solved, so it cannot be singular there.
+    Compiled once per run: the receivers' sums, each one bincount over a
+    weight buffer [start | messages] (:class:`StartedSum`), whose start is
+    ``problem.diag`` for the curvatures and, for the linear terms, lin
+    plus the cross sum, written in place every round; the cross sum, one
+    bincount (``RowSum.compiled``) of the :class:`GatheredProducts`. A
+    curvature round calls the exact rule on the sender aggregates; a kept
+    round runs its linear half, :func:`exact_linear` on the kept column.
+    Node solves and kept columns take the LapackSystems' stored pivots and
+    reciprocals under one errstate per round; a kept round's node system
+    is one a curvature round has solved, so it cannot be singular there.
     """
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
-    lay = _PairwiseLayout(problem, intra_edges)
+    lay = _PairwiseLayout(problem, pairs)
     B = problem.couplings(lay.receivers, lay.senders)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
     node_H = lay.at_receivers.with_start(problem.diag)
@@ -560,7 +578,8 @@ def mp_jacobi_surrogate(problem, partition, config=None, x0=None):
     expects a lifted consensus problem (:class:`CtaProblem`). Every family
     runs on the same directed-edge layout and driver, and each calls its
     message rule once per round on (E, d, d) / (E, d) message arrays;
-    ``trace.monitor`` holds the final (H_msg, h_msg, directed_edges).
+    ``trace.monitor`` holds the final (H_msg, h_msg, directed), as in
+    :func:`_exact_run`.
     """
     config = config or SolverConfig()
     spec = config.surrogate or SurrogateSpec()
@@ -577,7 +596,7 @@ def mp_jacobi_surrogate(problem, partition, config=None, x0=None):
 def _first_order_run(problem, partition, config, x0, spec):
     """First-order family: the messages are affine, so their curvature is
     zero from the first round on."""
-    lay = _PairwiseLayout(problem, partition.intra_edges)
+    lay = _PairwiseLayout(problem, partition.intra_pairs)
     cross = _pair_grads(problem, lay.csrc, lay.cdst)
     to_receiver = _pair_grads(problem, lay.receivers, lay.senders)
 
@@ -613,7 +632,7 @@ def _schur_run(problem, partition, config, x0, spec):
     """
     if not isinstance(problem, QuadraticObjective):
         raise NotQuadratic("schur_quadratic family needs quadratic couplings")
-    lay = _PairwiseLayout(problem, partition.intra_edges)
+    lay = _PairwiseLayout(problem, partition.intra_pairs)
     m, d = problem.m, problem.d
     s, t = lay.senders, lay.receivers
     exact = config.exact_variable_update
@@ -666,7 +685,7 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     """
     if not isinstance(problem, CtaProblem):
         raise SolverError("partial_linearization expects a lifted consensus problem")
-    lay = _PairwiseLayout(problem, partition.intra_edges)
+    lay = _PairwiseLayout(problem, partition.intra_pairs)
     m, d = problem.m, problem.d
     W, gamma = problem.gossip.W, problem.gamma
     s = lay.senders
@@ -803,7 +822,7 @@ def tree_solve(problem, graph):
         H[order[sl]] += down.H
         h[order[sl]] += down.h
     with _ill_posed():
-        return -lapack_solve(H, h[..., None])[..., 0]
+        return -LapackSystem(H).solve(h[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1123,7 @@ def baseline(kind, problem, params=None, x0=None):
                           tol_grad=tol if minsum else None,
                           track_oracle=params.get("oracle"))
     if minsum:
-        return _exact_run(problem, [problem.graph_edges()], np.ones(problem.m), config, x0)
+        return _exact_run(problem, None, np.ones(problem.m), config, x0)
     tau_node = None                     # gradient and diffusion steps: undamped
     if kind in ("dgd_cta", "dgd_atc"):
         if not isinstance(problem, CtaProblem):

@@ -10,6 +10,9 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 
 class TopologyError(ValueError):
@@ -68,8 +71,8 @@ def _bfs(src, nbrs):
 
 
 def _first_cycle_edge(edges):
-    """The first edge, in sorted order, that closes a cycle (union-find over
-    the edges before it), or None when the edges form a forest."""
+    """The first edge, in the given order, that closes a cycle (union-find
+    over the edges before it), or None when the edges form a forest."""
     parent = {}
 
     def find(u):
@@ -78,7 +81,7 @@ def _first_cycle_edge(edges):
             u = parent[u]
         return u
 
-    for (a, b) in sorted(edges):
+    for (a, b) in edges:
         ra, rb = find(a), find(b)
         if ra == rb:
             return (a, b)
@@ -101,6 +104,13 @@ def _max_eccentricity(sources, nbrs):
         for v, da in from_a.items():
             ecc[v] = max(da, from_b[v])
     return max((ecc[s] for s in sources), default=0)
+
+
+def _tree_diameter(nodes, nbrs):
+    """Diameter of the tree on ``nodes``: the eccentricity of a far end of
+    any node, which ends a longest path (two BFS)."""
+    from_s = _bfs(nodes[0], nbrs)
+    return max(_bfs(max(from_s, key=from_s.get), nbrs).values())
 
 
 def _incidence_nbrs(var_factors, factors):
@@ -201,6 +211,13 @@ class Hypergraph:
         return self.node_count
 
 
+def _int_array(values, count):
+    """The ``count`` ints of ``values`` as a read-only array."""
+    out = np.fromiter(values, dtype=int, count=count)
+    out.flags.writeable = False
+    return out
+
+
 def _check_clusters(m, clusters):
     """Sorted clusters and the node -> cluster map of a partition of 0..m-1."""
     cl = [tuple(sorted(set(int(i) for i in c))) for c in clusters]
@@ -219,13 +236,18 @@ class TreePartition:
     """Tree-cluster partition of a graph with all derived quantities.
 
     Fields follow the validated construction in :func:`validate_tree_partition`;
-    construct through that function rather than directly.
+    construct through that function rather than directly. ``intra_pairs``
+    (m - p, 2) lists the intra edges (i, j), i < j, cluster by cluster and
+    sorted within each; ``node_cluster`` is ``cluster_of``. Both are
+    read-only int arrays.
     """
 
     graph: Graph
     clusters: tuple                 # tuple of tuples of node ids
     intra_edges: tuple              # per-cluster frozenset of edges
+    intra_pairs: np.ndarray = field(compare=False, repr=False)
     cluster_of: tuple               # node -> cluster index
+    node_cluster: np.ndarray = field(compare=False, repr=False)
     diameters: tuple                # D_r per cluster
     n_in: tuple                     # node -> frozenset of in-cluster neighbors
     n_out: tuple                    # node -> frozenset of out-of-cluster neighbors
@@ -271,11 +293,14 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
         r = cluster_of[e[0]]
         if cluster_of[e[1]] == r:
             intra[r].add(e)
+    ordered = [sorted(edges) for edges in intra]
     for r, c in enumerate(cl):
-        cyc = _first_cycle_edge(intra[r])
+        cyc = _first_cycle_edge(ordered[r])
         if cyc is not None or len(intra[r]) != len(c) - 1:
             raise NonTreeCluster(r, cyc)
     intra = [frozenset(edges) for edges in intra]
+    pairs = _int_array(chain.from_iterable(chain.from_iterable(ordered)),
+                       2 * (graph.m - len(cl))).reshape(-1, 2)
 
     adj = graph.adjacency()
     csets = [set(c) for c in cl]
@@ -286,7 +311,7 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
         n_in[i] = frozenset(adj[i] & cset)
         n_out[i] = frozenset(adj[i] - cset)
 
-    diameters = [_max_eccentricity(c, n_in.__getitem__) for c in cl]
+    diameters = [_tree_diameter(c, n_in.__getitem__) for c in cl]
     cluster_ext = [frozenset().union(*[n_out[i] for i in c]) for c in cl]
 
     violations = []
@@ -306,7 +331,9 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
         graph=graph,
         clusters=tuple(cl),
         intra_edges=tuple(intra),
+        intra_pairs=pairs,
         cluster_of=tuple(cluster_of),
+        node_cluster=_int_array(cluster_of, graph.m),
         diameters=tuple(diameters),
         n_in=tuple(n_in),
         n_out=tuple(n_out),
@@ -346,6 +373,7 @@ class HyperPartition:
     hypergraph: Hypergraph
     clusters: tuple
     cluster_of: tuple
+    node_cluster: np.ndarray = field(compare=False, repr=False)   # cluster_of, read-only
     intra_factors: tuple        # per-cluster tuple of factor indices
     factor_cluster: tuple       # factor index -> cluster index or -1 (inter-cluster)
     n_in: tuple                 # node -> tuple of intra factor indices
@@ -428,6 +456,7 @@ def validate_hyper_partition(hypergraph, clusters, intra_factors=None):
         hypergraph=hypergraph,
         clusters=tuple(cl),
         cluster_of=tuple(cluster_of),
+        node_cluster=_int_array(cluster_of, hypergraph.m),
         intra_factors=tuple(tuple(lst) for lst in intra),
         factor_cluster=tuple(factor_cluster),
         n_in=tuple(tuple(lst) for lst in n_in),

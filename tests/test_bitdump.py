@@ -1,6 +1,7 @@
 """Smoke test of ``tools/bitdump.py``, the bit-for-bit check of the
 benchmark workloads', the CTA engine's, a min-sum run's, a hypergraph
-run's and a dense Schur run's set-up outputs and traces: a dump at the self-test sizes holds the
+run's, a dense Schur run's and the divergence runs' set-up outputs and
+traces: a dump at the self-test sizes holds the
 expected arrays and matches itself, and ``--compare`` names each array
 whose bits changed: by one ulp, or a -0.0 for a +0.0."""
 
@@ -25,7 +26,7 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert run.returncode == 0, run.stderr
     with np.load(a) as f:
         arrays = dict(f)
-    trace = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final",
+    trace = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final", "rounds",
              "monitor_H", "monitor_h")
     oracle = ("x_star", "phi_star")
     rates = ("mu", "mu_r", "L_r", "L_del_r", "kappa", "sigma_r", "tau_max")
@@ -33,8 +34,10 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     fields = {"path_exact": trace + oracle + rates, "ring_schur": trace + oracle,
               "cta_plin": trace + oracle + rates + surrogate, "minsum_tol": trace + oracle,
               "h_mp_jacobi": trace + oracle, "schur_full": trace + oracle}
+    diverge = {f"diverge/seed{s}/{run}/{name}" for s in (1, 2)
+               for run in ("fast", "slow", "overflow", "large") for name in trace}
     assert set(arrays) == {f"{w}/seed{s}/{name}" for w, names in fields.items()
-                           for s in (1, 2) for name in names}
+                           for s in (1, 2) for name in names} | diverge
     assert arrays["path_exact/seed1/x_final"].shape[1] == 1
     assert arrays["path_exact/seed1/x_star"].shape == arrays["path_exact/seed1/x_final"].shape
     assert arrays["path_exact/seed2/L_r"].shape == (4,)      # the path cluster and three singletons
@@ -49,9 +52,14 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert arrays["h_mp_jacobi/seed1/x_final"].shape == (20, 2)
     assert len(arrays["schur_full/seed1/grad_norm"]) == 201       # SCHUR_FULL's 200 rounds
     assert arrays["schur_full/seed2/monitor_H"].shape[1:] == (3, 3)
+    assert arrays["diverge/seed1/fast/rounds"] == 7               # stopped by the rule
+    assert 20 <= arrays["diverge/seed2/slow/rounds"] <= 40
+    assert arrays["diverge/seed1/overflow/rounds"] == 1
+    large = arrays["diverge/seed2/large/grad_norm"]               # converged from 1e11
+    assert len(large) == arrays["diverge/seed2/large/rounds"] + 1 and large[-1] < 1e-6
 
     same = _bitdump("--compare", a, a)
-    assert same.returncode == 0 and "0 of 146 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 222 arrays differ" in same.stdout
 
     def saved(name, h0, x_nudge):
         """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0, and
@@ -76,4 +84,4 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert diff.stdout.splitlines() == ["path_exact/seed2/mu",
                                         "path_exact/seed2/x_final",
                                         "ring_schur/seed1/monitor_h",
-                                        "3 of 146 arrays differ"]
+                                        "3 of 222 arrays differ"]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mpjacobi.messages import (
     LapackSystem,
     QuadraticMessage,
+    GatheredProducts,
     MessageSet,
     PairProducts,
     StackedProducts,
@@ -14,15 +15,15 @@ from mpjacobi.messages import (
     SurrogateSpec,
     block_matmul,
     block_matvec,
-    cta_partial_linearization_message,
     diagonalize_message,
     exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
-    lapack_solve,
     message_vectors,
+    partial_linearization_message,
     schur_message_update,
     struct_solve,
+    total_vectors,
 )
 
 
@@ -211,23 +212,23 @@ def test_schur_diagonal_preservation_exact_zero():
 
 def test_cta_message_scalar_and_diag():
     # scalar: w_ij = 1/2, gamma = 1, Q = 1, w_ii = 0, no other msgs
-    msg = cta_partial_linearization_message(
+    # lin_i = grad f_i(x_i^nu) - Q_i x_i^nu
+    msg = partial_linearization_message(
         Q_i=np.array([[1.0]]), w_ii=0.0, w_ij=0.5, gamma=1.0,
-        grad_f_i=np.zeros(1), x_i_ref=np.zeros(1), incoming=[])
+        lin_i=np.zeros(1) - np.array([[1.0]]) @ np.zeros(1), incoming=[])
     assert msg.H[0, 0] == pytest.approx(-0.25 / 2.0)
     # w_ij = 0 -> zero curvature
-    z = cta_partial_linearization_message(
+    z = partial_linearization_message(
         Q_i=np.array([[1.0]]), w_ii=0.0, w_ij=0.0, gamma=1.0,
-        grad_f_i=np.ones(1), x_i_ref=np.zeros(1), incoming=[])
+        lin_i=np.ones(1) - np.array([[1.0]]) @ np.zeros(1), incoming=[])
     assert not np.any(z.H)
     # diagonal inputs stay exactly diagonal
     d = 3
     rng = np.random.default_rng(4)
     Q = np.diag(rng.uniform(0.5, 1.5, d))
     inc = QuadraticMessage(np.diag(rng.uniform(0.0, 0.4, d)), rng.standard_normal(d))
-    m2 = cta_partial_linearization_message(Q, 0.3, 0.25, 0.01,
-                                           rng.standard_normal(d),
-                                           rng.standard_normal(d), [inc])
+    gf, xr = rng.standard_normal(d), rng.standard_normal(d)
+    m2 = partial_linearization_message(Q, 0.3, 0.25, 0.01, gf - Q @ xr, [inc])
     assert not np.any(m2.H - np.diag(np.diag(m2.H)))
 
 
@@ -240,8 +241,8 @@ def test_cta_message_matches_minimization():
     xr = rng.standard_normal(d)
     inc = QuadraticMessage(-np.eye(d) * 0.1, rng.standard_normal(d))
     bl = rng.standard_normal(d)
-    msg = cta_partial_linearization_message(Q, w_ii, w_ij, gamma, gf, xr,
-                                            [inc], boundary_lin=bl)
+    msg = partial_linearization_message(Q, w_ii, w_ij, gamma, gf - Q @ xr,
+                                        [inc], boundary_lin=bl)
     S = Q + (1 - w_ii) / gamma * np.eye(d) + inc.H
     ell = gf - Q @ xr + inc.h + bl
 
@@ -423,10 +424,11 @@ def test_batched_rules_equal_stacked_single_calls(seed, B, d, diagonal):
 
     w_ii, w_ij = rng.uniform(0.2, 0.5, B), rng.uniform(0.0, 0.3, B)
     gamma = 0.05
-    close(cta_partial_linearization_message(Q, w_ii, w_ij, gamma, g_phi, xj,
-                                            batched_inc, boundary_lin=bnd),
-          stacked(lambda b: cta_partial_linearization_message(
-              Q[b], w_ii[b], w_ij[b], gamma, g_phi[b], xj[b], single_inc(b),
+    lin_i = g_phi - np.einsum("bij,bj->bi", Q, xj)      # grad f_i - Q_i x_i^nu
+    close(partial_linearization_message(Q, w_ii, w_ij, gamma, lin_i,
+                                        batched_inc, boundary_lin=bnd),
+          stacked(lambda b: partial_linearization_message(
+              Q[b], w_ii[b], w_ij[b], gamma, lin_i[b], single_inc(b),
               boundary_lin=bnd[b])))
 
     close(first_order_message(g_i),
@@ -529,6 +531,7 @@ def test_message_vectors_match_per_message_count(seed, K, d):
     assert got.shape == (K,)
     assert got.tolist() == [_brute_vectors(H[k]) for k in range(K)]
     assert int(message_vectors(H[0])) == _brute_vectors(H[0])
+    assert total_vectors(H) == sum(_brute_vectors(H[k]) for k in range(K))
 
 
 def _assert_same_bits(a, b):
@@ -574,8 +577,9 @@ def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
         "schur": (6, lambda a, inc_, c: schur_message_update(
             Q, Mj, Mi, Mij, a[0], a[1], a[2], a[3], a[4], inc_,
             boundary_grad=a[5], curvature=c)),
-        "partial_linearization": (3, lambda a, inc_, c: cta_partial_linearization_message(
-            Q, w_ii, w_ij, 0.05, a[0], a[1], inc_, boundary_lin=a[2], curvature=c)),
+        "partial_linearization": (3, lambda a, inc_, c: partial_linearization_message(
+            Q, w_ii, w_ij, 0.05, a[0] - np.einsum("...ij,...j->...i", Q, a[1]), inc_,
+            boundary_lin=a[2], curvature=c)),
         "exact": (2, lambda a, inc_, c: exact_quadratic_message(
             A, a[0], Bc, inc_, boundary_lin=a[1], boundary_quad=0.1 * Q,
             curvature=c)),
@@ -649,10 +653,11 @@ _SPECIAL = np.array([5e-324, -5e-324, 1e-310, -2.5e-320, 2.2e-308, 1e-300,
        st.sampled_from([(), (7,), (3, 4)]), st.sampled_from([1, 1, 2, 3]))
 @settings(max_examples=150, deadline=None)
 def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
-    """lapack_solve returns np.linalg.solve's bits: at d = 1 by division for
-    one right-hand side and by the reciprocal for more, which is how
-    OpenBLAS solves 1 x 1 systems; d >= 2 delegates. ``LapackSystem.vector``
-    on one right-hand side (..., d) returns the same bits."""
+    """LapackSystem.solve returns np.linalg.solve's bits: at d = 1 by
+    division for one right-hand side and by the reciprocal for more, which
+    is how OpenBLAS solves 1 x 1 systems; d >= 2 delegates.
+    ``LapackSystem.vector`` on one right-hand side (..., d) returns the
+    same bits."""
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -667,7 +672,7 @@ def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
     A = draw(batch + (1, 1)) if d == 1 else rng.standard_normal(batch + (d, d))
     with np.errstate(all="ignore"):
         expected = np.linalg.solve(A, rhs)
-    got = lapack_solve(A, rhs)
+    got = LapackSystem(A).solve(rhs)
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     if k == 1:
@@ -812,6 +817,39 @@ def test_stacked_products_equal_per_part_einsum_bitwise(seed, d, sizes, transpos
         assert np.array_equal(g[exact].view(np.int64), want[exact].view(np.int64))
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 300), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_gathered_products_equal_einsum_bitwise(seed, d, n, transposed):
+    """GatheredProducts returns ``np.einsum("eij,ej->ei")`` of its blocks
+    and x gathered at its rows, bit for bit, for 0-300 blocks at d = 1-3:
+    unit magnitudes with signed zeros, subnormals, huge values, infinities
+    and NaNs of both signs (at d = 1, the elementwise B x + 0.0). Where two
+    NaNs meet either may be kept, so those entries are matched only as
+    NaNs; at d = 3 the blocks may be a transposed view, whose einsum sums
+    in its own order."""
+    rng = np.random.default_rng(seed)
+    m = 20
+
+    def draw(shape):
+        out = rng.uniform(-1.0, 1.0, shape)
+        special = rng.random(shape) < 0.2
+        out[special] = rng.choice(np.r_[_SPECIAL, -np.inf, -np.nan, 0.0, -0.0],
+                                  np.count_nonzero(special))
+        return out
+
+    B, at, x = draw((n, d, d)), rng.integers(0, m, n), draw((m, d))
+    if transposed:
+        B = np.swapaxes(np.swapaxes(B, 1, 2).copy(), 1, 2)
+    with np.errstate(all="ignore"):
+        want = np.einsum("eij,ej->ei", B, x.take(at, axis=0))
+        got = GatheredProducts(B, at)(x)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    exact = ~(np.isnan(B[:, :, 0]) & np.isnan(x.take(at, axis=0))) if d == 1 else True
+    assert np.array_equal(np.where(exact, got, 0.0).view(np.int64),
+                          np.where(exact, want, 0.0).view(np.int64))
+
+
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 @pytest.mark.parametrize("k", [1, 2])
 def test_lapack_solve_zero_pivot_raises(zero, k):
@@ -820,4 +858,4 @@ def test_lapack_solve_zero_pivot_raises(zero, k):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(A, rhs)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        lapack_solve(A, rhs)
+        LapackSystem(A).solve(rhs)

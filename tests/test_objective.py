@@ -598,7 +598,8 @@ def test_started_sum_equals_row_sum_with_start(seed, n, k, tail, nans):
     """A compiled :class:`StartedSum` returns ``RowSum(vals, start)`` bit
     for bit, NaNs included (both are the same bincount), for a start given
     at compile time or rewritten in place between calls, and matches
-    ``np.add.at(0.0 + start, idx, vals)`` as RowSum does."""
+    ``np.add.at(0.0 + start, idx, vals)`` as RowSum does; a sum without a
+    start compiled by ``RowSum.compiled`` returns ``RowSum(vals)``."""
     rng = np.random.default_rng(seed)
     specials = _SCATTER_SPECIALS if nans else _SCATTER_SPECIALS[:4]
 
@@ -623,6 +624,7 @@ def test_started_sum_equals_row_sum_with_start(seed, n, k, tail, nans):
             np.add.at(want, idx, vals)
             _same_bits_but_nan_signs(got, rows(vals, start=start), exact=True)
             _same_bits_but_nan_signs(got, want, exact=not nans)
+            _same_bits_but_nan_signs(rows.compiled(tail)(vals), rows(vals), exact=True)
 
 
 def _loop_cta(prob, x):

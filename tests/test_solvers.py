@@ -206,8 +206,8 @@ def test_receiver_pair_grads_are_reversed_sender_grads(seed, m, d, diagonal):
     q = QuadraticObjective(m, d, np.broadcast_to(np.eye(d), (m, d, d)),
                            np.zeros((m, d)), {e: block() for e in sorted(pairs)})
     groups = rng.integers(0, 3, len(pairs))
-    lay = solvers._PairwiseLayout(q, [[e for e, r in zip(sorted(pairs), groups) if r == g]
-                                      for g in range(3)])
+    lay = solvers._PairwiseLayout(q, np.array(
+        [e for g in range(3) for e, r in zip(sorted(pairs), groups) if r == g]))
     flip = np.arange(lay.n_edges) ^ np.repeat(rng.integers(0, 2, lay.n_edges // 2), 2)
     s, t = lay.senders[flip], lay.receivers[flip]
     x = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-5, 5, (m, 1))
@@ -1377,3 +1377,120 @@ def test_stop_reason_names_the_rule_that_stopped_the_run(row):
     assert trace.stop_reason == reason
     assert trace.converged == (reason in ("tol_x", "tol_grad"))
     assert trace.diverged == (reason == "diverged")
+
+
+def _layout_before(problem, intra_edges):
+    """The pairwise layout's (senders, receivers, directed, rev, csrc,
+    cdst) as it was built from edge sets, one per cluster, before it came
+    from arrays."""
+    from itertools import chain
+
+    edges = problem.graph_edges()
+    intra = set(chain.from_iterable(intra_edges))
+    if not intra <= edges:
+        raise PartitionMismatch(f"intra-cluster edge {min(intra - edges)} has no "
+                                "coupling in the problem")
+    pairs = [np.fromiter(chain.from_iterable(c), dtype=int).reshape(-1, 2)
+             for c in intra_edges]
+    pairs = np.concatenate([p[np.lexsort(p.T[::-1])] for p in pairs]
+                           or [np.zeros((0, 2), dtype=int)])
+    senders, receivers = pairs.ravel(), pairs[:, ::-1].ravel()
+    directed = list(zip(senders.tolist(), receivers.tolist()))
+    cross = sorted(edges - intra)
+    return (senders, receivers, directed, np.arange(len(directed)) ^ 1,
+            np.array([v for (i, j) in cross for v in (i, j)], dtype=int),
+            np.array([v for (i, j) in cross for v in (j, i)], dtype=int))
+
+
+@given(tree_partition_cases(), st.integers(0, 2 ** 32 - 1), st.integers(-3, 1),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_pairwise_layout_equals_the_edge_set_construction(case, seed, extra_nodes, smooth):
+    """The layout built by array operations from ``intra_pairs`` holds the
+    arrays of the edge-set construction, and raises the same
+    PartitionMismatch: on random tree partitions of problems that lack
+    some of the graph's edges, hold other pairs, or have one node more or
+    up to three fewer than the graph; on random groupings of the problem's pairs; and
+    on every pair in one group (plain min-sum). Quadratic and smooth
+    problems are read through their own pair codes."""
+    from mpjacobi.objective import SmoothObjective
+    from mpjacobi.topology import NonTreeCluster
+
+    graph, clusters = case
+    rng = np.random.default_rng(seed)
+    m = max(1, graph.m + extra_nodes)
+    pairs = {e for e in graph.edges if e[1] < m and rng.random() < 0.85}
+    pairs |= {(min(a, b), max(a, b)) for a, b in rng.integers(0, m, (3, 2)) if a != b}
+    if smooth:
+        problem = SmoothObjective(m, 1, [None] * m, {e: None for e in pairs})
+    else:
+        problem = QuadraticObjective(m, 1, np.ones((m, 1, 1)), np.zeros((m, 1)),
+                                     {e: np.ones((1, 1)) for e in sorted(pairs)})
+    labels = rng.integers(0, 3, len(pairs))
+    groups = [[e for e, r in zip(sorted(pairs), labels) if r == g] for g in range(3)]
+    cases = [(np.array([e for grp in groups for e in grp], dtype=int).reshape(-1, 2), groups),
+             (None, [problem.graph_edges()])]
+    try:
+        part = validate_tree_partition(graph, clusters, warn_nonoverlap=False)
+        cases.append((part.intra_pairs, part.intra_edges))
+    except NonTreeCluster:
+        pass
+    for array, edge_sets in cases:
+        try:
+            want = _layout_before(problem, edge_sets)
+        except PartitionMismatch as exc:
+            with pytest.raises(PartitionMismatch) as info:
+                solvers._PairwiseLayout(problem, array)
+            assert str(info.value) == str(exc)
+            continue
+        lay = solvers._PairwiseLayout(problem, array)
+        assert lay.directed.shape == (len(want[2]), 2)
+        assert lay.directed.tolist() == [list(e) for e in want[2]]
+        for got, ref in zip((lay.senders, lay.receivers, lay.rev, lay.csrc, lay.cdst),
+                            want[:2] + want[3:]):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+_GATE_SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, 1e308, -1e308, 1e12, -1e12,
+                  np.nextafter(1e12, np.inf), -np.nextafter(1e12, np.inf),
+                  np.nextafter(1e12, 0.0), 5e11, -np.nextafter(5e11, np.inf))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 2),
+       st.integers(1, 150), st.floats(-3.0, 12.5), st.floats(-3.0, 11.5), st.booleans(),
+       st.sampled_from([0.0, 0.0, 0.02, 0.2]))
+@settings(max_examples=300, deadline=None)
+def test_gated_divergence_verdict_equals_the_rule(seed, m, d, n, start, step, drift,
+                                                  special):
+    """The driver reads the divergence rule only when its running bound
+    passes the gate, yet every round's verdict is ``_diverged``'s on that
+    round's iterate: on random iterate sequences that start at magnitudes
+    up to 3e12 and move by steps up to 3e11 (with a drift, long runs of
+    small steps that sum past the gate), some entries set to NaNs of both
+    signs, +-inf, +-1e308 or values at and beside 1e12 and 5e11."""
+    rng = np.random.default_rng(seed)
+    xs = [rng.uniform(-1.0, 1.0, (m, d)) * 10.0 ** start]
+    for _ in range(n):
+        x = xs[-1] + rng.uniform(0.0 if drift else -1.0, 1.0, (m, d)) * 10.0 ** step
+        hit = rng.random((m, d)) < special
+        x[hit] = rng.choice(_GATE_SPECIALS, np.count_nonzero(hit))
+        xs.append(x)
+    q = QuadraticObjective(m, d, np.tile(np.eye(d), (m, 1, 1)), np.zeros((m, d)))
+
+    def start_rounds(x):
+        rounds = iter(xs[1:])
+        return lambda x: (next(rounds).copy(), 0)
+
+    with np.errstate(all="ignore"):
+        trace = solvers._drive(q, None, SolverConfig(max_rounds=n, tol_x=0.0), xs[0],
+                               start_rounds)
+        want = (n, "max_rounds")
+        for k in range(1, n + 1):
+            if np.abs(xs[k] - xs[k - 1]).max() <= 0.0:
+                want = (k, "tol_x")
+            elif solvers._diverged(xs[k]):
+                want = (k, "diverged")
+            else:
+                continue
+            break
+    assert (trace.rounds, trace.stop_reason) == want

@@ -299,6 +299,10 @@ def test_tree_partition_matches_brute_force(case):
     cluster_of = {i: r for r, c in enumerate(clusters) for i in c}
     assert part.cluster_of == tuple(cluster_of[i] for i in range(g.m))
     assert part.intra_edges == tuple(frozenset(es) for es in induced)
+    assert part.intra_pairs.tolist() == [list(e) for es in induced for e in sorted(es)]
+    assert part.intra_pairs.shape == (g.m - len(clusters), 2)
+    assert part.node_cluster.tolist() == list(part.cluster_of)
+    assert not (part.intra_pairs.flags.writeable or part.node_cluster.flags.writeable)
     for i in range(g.m):
         c = set(clusters[cluster_of[i]])
         assert part.n_in[i] == adj[i] & c

@@ -35,8 +35,17 @@ solves, go under ``schur_full/seed<n>``: ``schur_quadratic`` with
 Q = 2 H_ii and M_edge the symmetric part of each coupling, and
 ``exact_variable_update``, on ``build_random_qp`` over a 16-ring at d = 3
 with the ``ring_P2`` partition at D = 3 and tau = 1/2, for a fixed number
-of rounds (``SCHUR_FULL``, at every size). The library and the workloads come from the checkout named by ``--root``
-(default: this one), so one copy of this script dumps any revision.
+of rounds (``SCHUR_FULL``, at every size). Those of four exact runs per
+seed that test the round driver's divergence rule go under
+``diverge/seed<n>/<run>``: ``mp_jacobi`` on ``build_random_qp`` over an
+8-ring at d = 2 with the ``ring_P2`` partition at D = 1 (``DIVERGE``, at
+every size), from x0 = 1 at tau = 50 and tau = 2 (``fast`` and ``slow``:
+they stop on the rule after 7 and about 30 rounds), from x0 = 1e308 at
+tau = 1 (``overflow``) and from x0 = 1e11 at tau = 1 (``large``: it
+converges, after iterates whose running bound passes the rule's gate).
+Every run also saves its ``rounds``. The library and the workloads come
+from the checkout named by ``--root`` (default: this one), so one copy of
+this script dumps any revision.
 
 ``--compare A B`` lists every array whose bits differ (shape, dtype and
 bytes, so -0.0 and NaN payloads count), or that only one dump has; it
@@ -60,12 +69,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELDS = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final")
+FIELDS = ("grad_norm", "dist_to_opt", "phi_gap", "vectors_sent", "x_final", "rounds")
 CTA = {"m": 16, "d": 3, "gamma": 1e-3, "rounds": 2000}
 CTA_TOY = {"m": 8, "d": 2, "gamma": 1e-3, "rounds": 200}
 MINSUM = {"m": 8, "d": 2, "kappa": 50.0, "tol": 1e-8}
 HYPER = {"n_edges": 5, "edge_size": 5, "d": 2, "kappa": 200.0, "rounds": 200}
 SCHUR_FULL = {"m": 16, "d": 3, "kappa": 10.0, "rounds": 200}
+DIVERGE = {"m": 8, "d": 2, "kappa": 30.0}
+# diverge run -> (tau, x0 entries)
+DIVERGE_RUNS = {"fast": (50.0, 1.0), "slow": (2.0, 1.0), "overflow": (1.0, 1e308),
+                "large": (1.0, 1e11)}
 
 
 def import_workloads(root):
@@ -192,40 +205,53 @@ def schur_full_setup(seed, m, d, kappa, rounds):
     return lambda: solvers.mp_jacobi_surrogate(q, part, cfg)
 
 
+def diverge_solves(seed, m, d, kappa):
+    """{run: solve} of the ``DIVERGE_RUNS``: ``mp_jacobi`` on
+    ``build_random_qp`` over an m-ring at ``kappa`` and ``seed`` with the
+    ``ring_P2`` partition at D = 1, up to 3,000 rounds, from x0 filled with
+    the run's entry, at its tau; no set-up outputs."""
+    from mpjacobi import objective, solvers, topology
+    g = topology.generate_topology("ring", m=m)
+    q = objective.build_random_qp(g, d, kappa, seed)
+    part = topology.generate_partition("ring_P2", g, D=1)
+
+    def solve(tau, x0):
+        with np.errstate(all="ignore"):
+            return solvers.mp_jacobi(q, part, solvers.SolverConfig(tau=tau, max_rounds=3000),
+                                     x0=np.full((m, d), x0))
+
+    return {run: (lambda args=args: solve(*args)) for run, args in DIVERGE_RUNS.items()}
+
+
 def runs(root, seeds, toy=False):
-    """(name, seed, set-up outputs, trace) of every workload's, the CTA
-    run's, the min-sum run's, the hypergraph run's and the dense Schur
-    run's solves."""
+    """(key, set-up outputs, trace) of every workload's, the CTA run's, the
+    min-sum run's, the hypergraph run's, the dense Schur run's and the
+    divergence runs' solves; a key is ``<run set>/seed<n>`` (the
+    divergence runs add ``/<run>``)."""
     workloads = import_workloads(root)
     for wl in workloads.WORKLOADS.values():
         for seed in seeds:
             inputs = wl.generate(seed, **(wl.toy_size if toy else wl.size))
             with captured_setup() as outputs:
                 solve = wl.setup(inputs).solve
-            yield wl.name, seed, outputs, solve()
+            yield f"{wl.name}/seed{seed}", outputs, solve()
+    for name, setup, size in (("cta_plin", cta_setup, CTA_TOY if toy else CTA),
+                              ("minsum_tol", minsum_setup, MINSUM),
+                              ("h_mp_jacobi", hyper_setup, HYPER),
+                              ("schur_full", schur_full_setup, SCHUR_FULL)):
+        for seed in seeds:
+            with captured_setup() as outputs:
+                solve = setup(seed, **size)
+            yield f"{name}/seed{seed}", outputs, solve()
     for seed in seeds:
-        with captured_setup() as outputs:
-            solve = cta_setup(seed, **(CTA_TOY if toy else CTA))
-        yield "cta_plin", seed, outputs, solve()
-    for seed in seeds:
-        with captured_setup() as outputs:
-            solve = minsum_setup(seed, **MINSUM)
-        yield "minsum_tol", seed, outputs, solve()
-    for seed in seeds:
-        with captured_setup() as outputs:
-            solve = hyper_setup(seed, **HYPER)
-        yield "h_mp_jacobi", seed, outputs, solve()
-    for seed in seeds:
-        with captured_setup() as outputs:
-            solve = schur_full_setup(seed, **SCHUR_FULL)
-        yield "schur_full", seed, outputs, solve()
+        for run, solve in diverge_solves(seed, **DIVERGE).items():
+            yield f"diverge/seed{seed}/{run}", {}, solve()
 
 
 def dump(root, seeds, toy=False):
     """{name: array} over every run and seed."""
     arrays = {}
-    for run, seed, outputs, trace in runs(root, seeds, toy):
-        key = f"{run}/seed{seed}"
+    for key, outputs, trace in runs(root, seeds, toy):
         for name in FIELDS:
             arrays[f"{key}/{name}"] = np.asarray(getattr(trace, name))
         H, h, _ = trace.monitor
