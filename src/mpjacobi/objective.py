@@ -789,6 +789,7 @@ def _shift_to_kappa(q, kappa):
 
 
 _U = float(np.finfo(float).eps) / 2    # unit roundoff, 2^-53
+_SCALED_STEPS = 8    # the test suite's scaled certificates take <= 8 steps, bar 3 of 27-61
 
 
 def _oracle_shift(n, norm):
@@ -798,89 +799,90 @@ def _oracle_shift(n, norm):
 
 
 def _gershgorin_certified(q):
-    """Whether Gershgorin's circle theorem, read from q's compiled blocks,
-    proves lambda_min(H) > s for H = ``q.assemble()[0]`` and the shift s
-    of :func:`_certified_positive_definite`, with no dense pass: O((m + |E|)
-    d^2) work over ``diag``, ``pair_blocks`` and ``hyper_groups``.
+    """Whether Gershgorin's theorem on V^-1 H V, V = diag(v), v > 0, read
+    from q's compiled blocks, proves lambda_min(H) > s for H =
+    ``q.assemble()[0]`` and the oracle's shift s, with no dense pass.
 
-    Per coordinate t, c_t sums the entries that land on H_tt and R_t the
-    absolute values of all entries that land in row t. Where min_t (2 c_t -
-    R_t) is positive, every c_t is, so 2 c_t - R_t <= H_tt - sum_{u != t}
-    |H_tu| and that minimum bounds lambda_min(H) from below. That
-    holds for the symmetric matrix LAPACK reads only when H is symmetric,
-    so diagonal and hyper blocks must be exactly symmetric (pair blocks
-    land as B and B^T; overlapping factors add the same terms in the same
-    order on both sides of the diagonal). ||H||_F is at most
-    sqrt(||diag||_F^2 + 2 ||B||_F^2) plus, per arity group of n_w factors,
-    2 sqrt(n_w) times the group's Frobenius norm. Each sum has at most K
-    terms, K the number of block entries, so each is within gamma_K <= 2 K
-    u of its exact value (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Sec. 4.2, any order); a slack of 16 (K + 1) u R_t
-    per row and a factor 1 + 16 (K + 1) u on the norm cover those and the
-    roundings after them.
+    Per coordinate t, c_t sums the entries that land on H_tt and R_t(v) the
+    products |h| v_u of the entries h at (t, u), so R_t(v) >= |c_t| v_t +
+    sum_{u != t} |H_tu| v_u: if 2 c_t v_t - R_t(v) > s v_t for every t,
+    every disc of V^-1 H V, which is similar to H, lies right of s. LAPACK
+    reads H as symmetric, so diagonal and hyper blocks must be exactly so.
+    ||H||_F <= sqrt(||diag||_F^2 + 2 ||B||_F^2) plus 2 sqrt(n_w) ||A||_F
+    per arity group A of n_w factors. With K block entries, a slack of 16
+    (K + 1) u R_t(v) per row and a factor 1 + 16 (K + 1) u on the norm
+    cover the sums' gamma_{K+1} (a rounding a product) and the roundings
+    after them (:func:`global_solve_oracle`); the test divides nothing. v
+    in [2^-400, 2^400] lets nothing overflow (a finite norm keeps entries
+    below 2^513); an underflow, 2^-1075 a product, is far below the slack
+    of a passing row, where R_t(v) >= c_t v_t > s v_t / 2.
 
-    Refused (False): the empty matrix, asymmetric diagonal or hyper blocks,
-    and non-finite entries (the bound is NaN or the norm infinite). Problems
-    that are not diagonally dominant are refused before the symmetry and
-    norm passes.
+    v = 1, the plain bound, comes first; then, if every c_t > 0, up to
+    ``_SCALED_STEPS`` Jacobi steps v <- (1 + R(v)) / c - v on M(H) v = 1,
+    M(H) the comparison matrix (Varga, Gersgorin and His Circles, 2004,
+    Ch. 1). Refused: the empty matrix, a c_t <= 0, asymmetric blocks,
+    non-finite entries, v outside [2^-400, 2^400].
     """
     m, d, n = q.m, q.d, q.m * q.d
     if n == 0:
         return False
-    D, B = q.diag, q.pair_blocks
-    k = np.arange(d)
-    # the diagonal and pair blocks, then each arity group's 2 H_w
-    S = np.concatenate((D, B, _transposed(B)))
-    at = np.concatenate((np.arange(m), q.pair_rows, q.pair_cols))[:, None] * d + k
+    D, B, k, nodes = q.diag, q.pair_blocks, np.arange(d), np.arange(m)
+    # the blocks that land in H (diagonal, pair, each group's 2 H_w), by row
+    parts = [(np.concatenate((D, B, _transposed(B))),
+              np.concatenate((nodes, q.pair_rows, q.pair_cols))[:, None] * d + k)]
+    parts += [(2.0 * blocks, (members[:, :, None] * d + k).reshape(len(members), -1))
+              for _, members, blocks in q.hyper_groups]
+    groups = [blocks for _, _, blocks in q.hyper_groups]
     with np.errstate(invalid="ignore", over="ignore"):
-        R = np.bincount(at.ravel(), np.abs(S).reshape(-1, d) @ np.ones(d), minlength=n)
-        c = np.diagonal(D, axis1=1, axis2=2).ravel()
-        size = S.size
-        for _, members, blocks in q.hyper_groups:
-            at = (members[:, :, None] * d + k).ravel()
-            kd = blocks.shape[1]
-            A = 2.0 * blocks
-            R += np.bincount(at, np.abs(A).reshape(-1, kd) @ np.ones(kd), minlength=n)
-            c = c + np.bincount(at, np.diagonal(A, axis1=1, axis2=2).ravel(), minlength=n)
-            size += A.size
-        slack = 16.0 * (size + 1) * _U
+        R = sum(np.bincount(at.ravel(), np.abs(A).reshape(-1, A.shape[2]) @ np.ones(A.shape[2]),
+                            minlength=n) for A, at in parts)
+        c = sum((np.bincount(at.ravel(), np.diagonal(A, axis1=1, axis2=2).ravel(), minlength=n)
+                 for A, at in parts[1:]), start=np.diagonal(D, axis1=1, axis2=2).ravel())
+        slack = 16.0 * (sum(A.size for A, _ in parts) + 1) * _U
         low = float((2.0 * c - (1.0 + slack) * R).min())
-        groups = [blocks for _, _, blocks in q.hyper_groups]
-        if not low > 0.0 or not all(np.array_equal(A, _transposed(A)) for A in [D] + groups):
+        if (not (low > 0.0 or np.all(c > 0.0))
+                or not all(np.array_equal(A, _transposed(A)) for A in [D] + groups)):
             return False
         frob = math.sqrt(float(np.vdot(D, D)) + 2.0 * float(np.vdot(B, B)))
         for A in groups:
             frob += 2.0 * math.sqrt(len(A) * float(np.vdot(A, A)))
-    norm = math.sqrt(2.0) * frob * (1.0 + slack)
-    return math.isfinite(norm) and low > _oracle_shift(n, norm)
+        norm = math.sqrt(2.0) * frob * (1.0 + slack)
+        shift = _oracle_shift(n, norm)
+        if not math.isfinite(norm):
+            return False
+        if low > shift:
+            return True
+        # past v = 1: every entry's row, column and absolute value
+        cols = [np.concatenate((nodes, q.pair_cols, q.pair_rows))[:, None] * d + k]
+        rows = np.concatenate([np.repeat(at.ravel(), A.shape[2]) for A, at in parts])
+        cols = np.concatenate([np.repeat(at, A.shape[2], axis=0).ravel() for (A, _), at
+                               in zip(parts, cols + [at for _, at in parts[1:]])])
+        vals = np.concatenate([np.abs(A).ravel() for A, _ in parts])
+        v = np.ones(n)
+        for _ in range(_SCALED_STEPS):
+            v = (1.0 + R) / c - v
+            if not (2.0 ** -400 <= v.min() and v.max() <= 2.0 ** 400):
+                return False
+            R = np.bincount(rows, vals * v[cols], minlength=n)
+            if np.all(2.0 * c * v - (1.0 + slack) * R > shift * v):
+                return True
+    return False
 
 
 def _certified_positive_definite(H):
-    """Whether a Cholesky factorization of H - s I completes, for
-    s = (1e-12 + 5 n^2 u) max(N, 1), N = sqrt(2) ||H||_F and u = 2^-53. The
-    diagonal of H is shifted in place and written back bit for bit; the
-    factor is dropped. H may be row- or column-major.
-
-    The oracle's second certificate, for what :func:`_gershgorin_certified`
-    refuses. The factorization, like ``eigvalsh``, reads the symmetric
-    matrix L that H's lower triangle defines (H itself when symmetric);
-    ||L||_2 <= N.
-    Success proves lambda_min(L) > 1e-12 max(|lambda_max(L)|, 1) with
-    2 n^2 u max(N, 1) to spare for the rounding of computed eigenvalues
-    that test the same condition: the factored A = L - S has |S_ii - s| <=
-    u (N + s), R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, in
-    any summation order), so ||dA||_2 <= gamma_{n+1} trace(A) (1 + O(nu))
-    <= (n^2 + n) u N (1 + O(nu)). The Gershgorin certificate proves
-    lambda_min(L) > s itself, which leaves 5 n^2 u max(N, 1) to spare.
+    """Whether a Cholesky factorization of H - s I completes, s the oracle's
+    shift for N = sqrt(2) ||H||_F; H, row- or column-major, keeps its bits.
+    It reads, like ``eigvalsh``, the symmetric L that H's lower triangle
+    defines; ||L||_2 <= N. The factored A = L - S has |S_ii - s| <= u (N +
+    s), and R^T R = A + dA with ||dA||_2 <= gamma_{n+1} trace(A) (1 + O(nu))
+    <= (n^2 + n) u N (1 + O(nu)) (Higham, Thm 10.5).
     """
     n = H.shape[0]
     norm = math.sqrt(2.0) * float(np.linalg.norm(H))
     if n == 0 or not math.isfinite(norm):
         return False
-    shift = _oracle_shift(n, norm)
     diag = H.diagonal().copy()
-    np.fill_diagonal(H, diag - shift)
+    np.fill_diagonal(H, diag - _oracle_shift(n, norm))
     try:
         np.linalg.cholesky(H)
         return True
@@ -897,19 +899,18 @@ def global_solve_oracle(q):
     the min-norm solution provided the system is consistent.
     Returns (x_star, phi_star).
 
-    The direct solve runs when a certificate proves its condition,
-    lambda_min(H) > 1e-12 max(|lambda_max(H)|, 1), with a margin of
-    5 n^2 u max(sqrt(2) ||H||_F, 1) for rounding, u = 2^-53. The first
-    certificate is Gershgorin's bound read from q's compiled blocks
-    (:func:`_gershgorin_certified`), which needs no dense pass; where it
-    cannot certify (a problem that is not diagonally dominant, asymmetric
-    diagonal or hyper blocks, non-finite entries, the empty matrix), one
-    Cholesky factorization of the shifted H tries
-    (:func:`_certified_positive_definite`). Where neither certifies
-    (near-singular, PSD, indefinite, non-finite or empty H) the
-    eigenvalues decide. Since either certificate holds only where their
-    test passes, the result, or the exception type, is the same on every
-    path.
+    The direct solve runs when a certificate proves lambda_min(H) > s -
+    3 n^2 u max(N, 1), s = (1e-12 + 5 n^2 u) max(N, 1) (:func:`_oracle_shift`),
+    u = 2^-53, N >= sqrt(2) ||H||_F: the condition lambda_min(H) > 1e-12
+    max(|lambda_max(H)|, 1), with 2 n^2 u max(N, 1) to spare for computed
+    eigenvalues. Both certificates test computed sums with a slack above
+    their gamma_K = K u / (1 - K u), the error bound of a sum of K terms in
+    any order (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Sec. 4.2). The scaled Gershgorin bound
+    (:func:`_gershgorin_certified`) goes first, then Cholesky
+    (:func:`_certified_positive_definite`), then the eigenvalues. Each
+    certificate holds only where that test passes, so the result, or the
+    exception type, is the same on every path.
     """
     H, b = q.assemble()
     certified = _gershgorin_certified(q) or _certified_positive_definite(H)

@@ -107,10 +107,11 @@ def _max_eccentricity(sources, nbrs):
 
 
 def _tree_diameter(nodes, nbrs):
-    """Diameter of the tree on ``nodes``: the eccentricity of a far end of
-    any node, which ends a longest path (two BFS)."""
+    """Diameter of the tree on ``nodes`` by two BFS (a far end of any node
+    ends a longest path); None if the first BFS misses a node."""
     from_s = _bfs(nodes[0], nbrs)
-    return max(_bfs(max(from_s, key=from_s.get), nbrs).values())
+    if len(from_s) == len(nodes):
+        return max(_bfs(max(from_s, key=from_s.get), nbrs).values())
 
 
 def _incidence_nbrs(var_factors, factors):
@@ -281,7 +282,7 @@ class TreePartition:
 
 def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
     """Validate clusters and derive the full TreePartition in O(m + |E|)
-    (plus the sort of each cluster's edges for the cycle check).
+    (plus one sort of the intra edges).
 
     Raises NotAPartition / NonTreeCluster on structural failures; the
     single-gateway condition is only a warning (the surrogate machinery
@@ -293,14 +294,7 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
         r = cluster_of[e[0]]
         if cluster_of[e[1]] == r:
             intra[r].add(e)
-    ordered = [sorted(edges) for edges in intra]
-    for r, c in enumerate(cl):
-        cyc = _first_cycle_edge(ordered[r])
-        if cyc is not None or len(intra[r]) != len(c) - 1:
-            raise NonTreeCluster(r, cyc)
     intra = [frozenset(edges) for edges in intra]
-    pairs = _int_array(chain.from_iterable(chain.from_iterable(ordered)),
-                       2 * (graph.m - len(cl))).reshape(-1, 2)
 
     adj = graph.adjacency()
     csets = [set(c) for c in cl]
@@ -311,14 +305,19 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
         n_in[i] = frozenset(adj[i] & cset)
         n_out[i] = frozenset(adj[i] - cset)
 
-    diameters = [_tree_diameter(c, n_in.__getitem__) for c in cl]
+    diameters = [_tree_diameter(c, n_in.__getitem__) if len(intra[r]) == len(c) - 1 else None
+                 for r, c in enumerate(cl)]
+    if None in diameters:
+        r = diameters.index(None)
+        raise NonTreeCluster(r, _first_cycle_edge(sorted(intra[r])))
+    node_cluster = _int_array(cluster_of, graph.m)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(intra)), int).reshape(-1, 2)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], node_cluster[pairs[:, 0]]))]
+    pairs.flags.writeable = False
     cluster_ext = [frozenset().union(*[n_out[i] for i in c]) for c in cl]
 
-    violations = []
-    for r, cset in enumerate(csets):
-        for k in cluster_ext[r]:
-            if len(adj[k] & cset) > 1:
-                violations.append((k, r))
+    violations = [(k, r) for r, cset in enumerate(csets) for k in cluster_ext[r]
+                  if len(adj[k] & cset) > 1]
     nonoverlap_ok = not violations
     if violations and warn_nonoverlap:
         warnings.warn(
@@ -333,7 +332,7 @@ def validate_tree_partition(graph, clusters, warn_nonoverlap=True):
         intra_edges=tuple(intra),
         intra_pairs=pairs,
         cluster_of=tuple(cluster_of),
-        node_cluster=_int_array(cluster_of, graph.m),
+        node_cluster=node_cluster,
         diameters=tuple(diameters),
         n_in=tuple(n_in),
         n_out=tuple(n_out),

@@ -1,15 +1,20 @@
 """Smoke test of ``tools/bitdump.py``, the bit-for-bit check of the
 benchmark workloads', the CTA engine's, a min-sum run's, a hypergraph
 run's, a dense Schur run's and the divergence runs' set-up outputs and
-traces: a dump at the self-test sizes holds the
-expected arrays and matches itself, and ``--compare`` names each array
-whose bits changed: by one ulp, or a -0.0 for a +0.0."""
+traces, and of the oracle's outputs on each of its paths: a dump at the
+self-test sizes holds the expected arrays and matches itself, and
+``--compare`` names each array whose bits changed: by one ulp, or a -0.0
+for a +0.0."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from mpjacobi import objective
 
 ROOT = Path(__file__).resolve().parent.parent
 BITDUMP = ROOT / "tools" / "bitdump.py"
@@ -36,8 +41,13 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
               "h_mp_jacobi": trace + oracle, "schur_full": trace + oracle}
     diverge = {f"diverge/seed{s}/{run}/{name}" for s in (1, 2)
                for run in ("fast", "slow", "overflow", "large") for name in trace}
+    paths = {f"oracle/seed{s}/{path}/{name}" for s in (1, 2)
+             for path in ("plain", "weighted", "cholesky", "eigvalsh", "pinv")
+             for name in oracle}
     assert set(arrays) == {f"{w}/seed{s}/{name}" for w, names in fields.items()
-                           for s in (1, 2) for name in names} | diverge
+                           for s in (1, 2) for name in names} | diverge | paths
+    assert arrays["oracle/seed1/weighted/x_star"].shape == (8, 2)
+    assert arrays["oracle/seed2/pinv/x_star"].sum() == pytest.approx(0.0, abs=1e-9)
     assert arrays["path_exact/seed1/x_final"].shape[1] == 1
     assert arrays["path_exact/seed1/x_star"].shape == arrays["path_exact/seed1/x_final"].shape
     assert arrays["path_exact/seed2/L_r"].shape == (4,)      # the path cluster and three singletons
@@ -59,7 +69,7 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert len(large) == arrays["diverge/seed2/large/rounds"] + 1 and large[-1] < 1e-6
 
     same = _bitdump("--compare", a, a)
-    assert same.returncode == 0 and "0 of 222 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 242 arrays differ" in same.stdout
 
     def saved(name, h0, x_nudge):
         """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0, and
@@ -84,4 +94,31 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert diff.stdout.splitlines() == ["path_exact/seed2/mu",
                                         "path_exact/seed2/x_final",
                                         "ring_schur/seed1/monitor_h",
-                                        "3 of 222 arrays differ"]
+                                        "3 of 242 arrays differ"]
+
+
+def test_oracle_problems_take_their_paths(monkeypatch):
+    """Each oracle problem of the dump is settled where its name says: by
+    the Gershgorin bound at unit weights, the scaled bound, the Cholesky
+    certificate, the eigenvalue test, or none of them (the pinv solve)."""
+    spec = importlib.util.spec_from_file_location("bitdump", BITDUMP)
+    bitdump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bitdump)
+
+    def settled(q):
+        H, _ = q.assemble()
+        with monkeypatch.context() as unit:
+            unit.setattr(objective, "_SCALED_STEPS", 0)
+            plain = objective._gershgorin_certified(q)
+        vals = np.linalg.eigvalsh(H)
+        return (plain, objective._gershgorin_certified(q),
+                objective._certified_positive_definite(H),
+                bool(vals[0] > 1e-12 * max(abs(vals[-1]), 1.0)))
+
+    for seed in (1, 7):
+        assert {path: settled(q) for path, q in bitdump.oracle_problems(seed).items()} == {
+            "plain": (True, True, True, True),
+            "weighted": (False, True, True, True),
+            "cholesky": (False, False, True, True),
+            "eigvalsh": (False, False, False, True),
+            "pinv": (False, False, False, False)}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpjacobi import objective
 from mpjacobi.objective import (
     CallableLocal,
     CtaProblem,
@@ -827,6 +828,96 @@ def test_block_certificate_refuses(name):
     problem takes the Cholesky path, which
     ``test_certified_oracle_equals_eigvalsh_gated_oracle`` covers."""
     assert not _gershgorin_certified(_refused_cases()[name])
+
+
+def _z_matrix(q):
+    """q with every off-diagonal entry of its blocks replaced by -|h|, so
+    that every off-diagonal entry of its Hessian is a sum of nonpositive
+    terms: H is its own comparison matrix, where weights can be tight."""
+    def negated(A):
+        return np.where(np.eye(A.shape[-1], dtype=bool), A, -np.abs(A))
+
+    return QuadraticObjective(q.m, q.d, negated(q.diag), q.lin,
+                              {e: -np.abs(B) for e, B in q.pair.items()},
+                              {w: negated(A) for w, A in q.hyper.items()})
+
+
+def _assert_certified_solve_is_sound(q):
+    """Where the block certificate holds, the eigenvalue test it stands in
+    for passes and the oracle's x* is LAPACK's solve of H x = -b, bit for
+    bit. Returns whether it holds."""
+    H, b = q.assemble()
+    certified = _gershgorin_certified(q)
+    if certified:
+        vals = np.linalg.eigvalsh(H)
+        assert vals[0] > 1e-12 * max(abs(vals[-1]), 1.0)
+        x, _ = global_solve_oracle(q)
+        assert np.array_equal(_bits(x.reshape(-1)), _bits(np.linalg.solve(H, -b)))
+    return certified
+
+
+@given(quadratic_objectives(), st.booleans(), st.floats(min_value=-16.0, max_value=0.0),
+       st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_scaled_certificate_implies_the_eigenvalue_test(q, z_matrix, exponent, sign):
+    """Random problems, or their Z-matrix twins, shifted so that
+    lambda_min(H) is +-10^exponent times their scale: from far inside the
+    threshold to far below it, where only rounding separates the scaled
+    bound from lambda_min."""
+    if z_matrix:
+        q = _z_matrix(q)
+    vals = np.linalg.eigvalsh(_loop_assemble(q))
+    t = sign * 10.0 ** exponent * max(float(np.abs(vals).max()), 1.0) - vals[0]
+    _assert_certified_solve_is_sound(QuadraticObjective(
+        q.m, q.d, q.diag + t * np.eye(q.d), q.lin, dict(q.pair), dict(q.hyper)))
+
+
+@given(st.sampled_from(["ring", "grid2d"]), st.integers(min_value=2, max_value=12),
+       st.sampled_from([2.0, 10.0, 100.0]), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_scaled_certificate_on_random_rings_and_grids(kind, size, kappa, d, seed):
+    """``build_random_qp`` problems, which the plain bound certifies at
+    kappa = 2, the scaled one mostly at kappa = 10 and Cholesky mostly at
+    kappa = 100."""
+    g = (generate_topology("ring", m=size + 1) if kind == "ring"
+         else generate_topology("grid2d", side=2 + size % 4))
+    _assert_certified_solve_is_sound(build_random_qp(g, d, kappa, seed))
+
+
+def test_scaled_steps_keep_the_rounding_slack():
+    """On a diagonal H every weighting gives the bound of unit weights,
+    c_t (1 - slack) against the shift s, so lambda_min = s (1 + slack / 2)
+    is refused by the steps as by the plain bound, though it exceeds s."""
+    n = 40
+    lam = np.random.default_rng(0).uniform(0.1, 1.0, n)
+    lam[0], lam[-1] = 0.0, 1.0
+    slack = 16.0 * (n + 1) * 2.0 ** -53
+    shift = (1e-12 + 5.0 * n * n * 2.0 ** -53) * math.sqrt(2.0) * np.linalg.norm(lam) * (1 + slack)
+    for factor, certified in ((1.0 + 0.5 * slack, False), (1.0 + 4.0 * slack, True)):
+        lam[0] = factor * shift
+        assert _gershgorin_certified(
+            QuadraticObjective(n, 1, lam.reshape(n, 1, 1), np.ones((n, 1)))) is certified
+
+
+def test_ring_operator_is_certified_without_cholesky(monkeypatch):
+    """The 128-ring at d = 2 and kappa = 10 that the ``ring_schur``
+    benchmark solves is not diagonally dominant, and the scaled bound
+    certifies it: the oracle solves it without a Cholesky factorization,
+    to LAPACK's bits."""
+    q = build_random_qp(generate_topology("ring", m=128), 2, 10.0, 0)
+    H, b = q.assemble()
+    want = np.linalg.solve(H, -b)
+    with monkeypatch.context() as plain:
+        plain.setattr(objective, "_SCALED_STEPS", 0)
+        assert not _gershgorin_certified(q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle factored H")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    x, phi = global_solve_oracle(q)
+    assert np.array_equal(_bits(x.reshape(-1)), _bits(want)) and phi == q.value(x)
 
 
 # -- typed errors --------------------------------------------------------------

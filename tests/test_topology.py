@@ -323,6 +323,69 @@ def test_tree_partition_matches_brute_force(case):
             part.d(clusters[0][0], clusters[1][0])
 
 
+def _per_cluster_sort_reference(graph, clusters):
+    """Reference: the tree check and ``intra_pairs`` by per-cluster sorts.
+    Each cluster's edges are sorted and run through a union-find; the first
+    cluster whose sorted edges close a cycle, or whose count is not |c| - 1,
+    raises NonTreeCluster(r, first closing edge or None). Otherwise the
+    sorted lists, chained cluster by cluster, are the pairs."""
+    cl = [sorted(set(c)) for c in clusters]
+    cluster_of = {i: r for r, c in enumerate(cl) for i in c}
+    ordered = [sorted(e for e in graph.edges
+                      if cluster_of[e[0]] == r == cluster_of[e[1]]) for r in range(len(cl))]
+    for r, (c, edges) in enumerate(zip(cl, ordered)):
+        parent, cyc = {}, None
+
+        def find(u):
+            while parent.setdefault(u, u) != u:
+                u = parent[u]
+            return u
+
+        for a, b in edges:
+            if find(a) == find(b):
+                cyc = (a, b)
+                break
+            parent[find(a)] = find(b)
+        if cyc is not None or len(edges) != len(c) - 1:
+            raise NonTreeCluster(r, cyc)
+    return np.array([e for edges in ordered for e in edges], dtype=int).reshape(-1, 2)
+
+
+def _assert_tree_check_equals_reference(g, clusters):
+    try:
+        want = _per_cluster_sort_reference(g, clusters)
+    except NonTreeCluster as exc:
+        with pytest.raises(NonTreeCluster) as got:
+            validate_tree_partition(g, clusters, warn_nonoverlap=False)
+        assert (got.value.cluster_index, got.value.cycle_edge, str(got.value)) == (
+            exc.cluster_index, exc.cycle_edge, str(exc))
+        return
+    pairs = validate_tree_partition(g, clusters, warn_nonoverlap=False).intra_pairs
+    assert pairs.dtype == want.dtype and np.array_equal(pairs, want)
+
+
+@given(tree_partition_cases())
+@settings(max_examples=200, deadline=None)
+def test_tree_check_and_intra_pairs_equal_the_per_cluster_sorts(case):
+    """The connectivity test and the one array sort give the reference's
+    verdict, NonTreeCluster (index, cycle edge and message) and
+    ``intra_pairs`` exactly."""
+    _assert_tree_check_equals_reference(*case)
+
+
+@pytest.mark.parametrize("g, clusters", [
+    (ring(128), [list(range(i, i + 4)) for i in range(0, 128, 4)]),
+    (Graph(605, [(i, i + 1) for i in range(604)]), [list(range(601)), [601], [602], [603], [604]]),
+    (generate_topology("grid2d", side=6), [list(range(36))]),
+    (generate_topology("grid2d", side=6), [list(range(i, i + 6)) for i in range(0, 36, 6)]),
+    (Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), [[4], [0, 1, 2, 3]]),
+    (Graph(5, [(0, 1), (2, 3), (3, 4)]), [[0, 1, 2, 3], [4]]),
+], ids=["ring_P2", "long_path", "grid_one_cluster", "grid_rows", "cycle_and_isolated_node",
+        "forest"])
+def test_tree_check_equals_the_per_cluster_sorts_at_size(g, clusters):
+    _assert_tree_check_equals_reference(g, clusters)
+
+
 def _hyper_reference(m, factors, clusters, intra):
     """Intra/inter incidences, acyclicity, diameters and variable distances of
     each cluster's factor graph, from all-pairs hop counts."""

@@ -43,9 +43,14 @@ every size), from x0 = 1 at tau = 50 and tau = 2 (``fast`` and ``slow``:
 they stop on the rule after 7 and about 30 rounds), from x0 = 1e308 at
 tau = 1 (``overflow``) and from x0 = 1e11 at tau = 1 (``large``: it
 converges, after iterates whose running bound passes the rule's gate).
-Every run also saves its ``rounds``. The library and the workloads come
-from the checkout named by ``--root`` (default: this one), so one copy of
-this script dumps any revision.
+Every run also saves its ``rounds``. The ``x_star`` and ``phi_star`` of
+one ``global_solve_oracle`` call per path the oracle can take go under
+``oracle/seed<n>/<path>``, on a fixed operator per path with a linear
+term drawn from the seed (``oracle_problems``, at every size): ``plain``
+and ``weighted`` Gershgorin certificates, ``cholesky``, a direct solve
+chosen by ``eigvalsh`` and a ``pinv`` solve. The library and the
+workloads come from the checkout named by ``--root`` (default: this one),
+so one copy of this script dumps any revision.
 
 ``--compare A B`` lists every array whose bits differ (shape, dtype and
 bytes, so -0.0 and NaN payloads count), or that only one dump has; it
@@ -223,11 +228,39 @@ def diverge_solves(seed, m, d, kappa):
     return {run: (lambda args=args: solve(*args)) for run, args in DIVERGE_RUNS.items()}
 
 
+def oracle_problems(seed):
+    """{path: problem}, one per path of ``global_solve_oracle``, each with
+    a standard normal linear term from ``seed``: ``build_random_qp`` at
+    operator seed 0 on an 8-ring at d = 2 and kappa = 2 (``plain``: the
+    Gershgorin bound certifies it at unit weights) and kappa = 10
+    (``weighted``: it needs the scaled bound), and on a 4 x 4 grid at d = 2
+    and kappa = 100 (``cholesky``); the unit-weight 8-ring Laplacian plus
+    6e-12 I (``eigvalsh``: lambda_min lies between the eigenvalue test's
+    4e-12 and the certificates' shift, about 1e-11) and the Laplacian itself
+    with a linear term of mean 0 (``pinv``)."""
+    from mpjacobi import objective, topology
+    ring, grid = (topology.generate_topology("ring", m=8),
+                  topology.generate_topology("grid2d", side=4))
+    laplacian = np.eye(8, k=1) + np.eye(8, k=-1) + np.eye(8, k=7) + np.eye(8, k=-7)
+    problems = {"plain": objective.build_random_qp(ring, 2, 2.0, 0),
+                "weighted": objective.build_random_qp(ring, 2, 10.0, 0),
+                "cholesky": objective.build_random_qp(grid, 2, 100.0, 0),
+                "eigvalsh": objective.build_laplacian_qp(laplacian, np.zeros(8)),
+                "pinv": objective.build_laplacian_qp(laplacian, np.zeros(8))}
+    problems["eigvalsh"].diag = problems["eigvalsh"].diag + 6e-12
+    rng = np.random.default_rng(seed)
+    for q in problems.values():
+        q.lin = rng.standard_normal(q.lin.shape)
+    problems["pinv"].lin -= problems["pinv"].lin.mean()
+    return problems
+
+
 def runs(root, seeds, toy=False):
     """(key, set-up outputs, trace) of every workload's, the CTA run's, the
     min-sum run's, the hypergraph run's, the dense Schur run's and the
-    divergence runs' solves; a key is ``<run set>/seed<n>`` (the
-    divergence runs add ``/<run>``)."""
+    divergence runs' solves, then (key, oracle outputs, None) of the oracle
+    problems; a key is ``<run set>/seed<n>`` (the divergence runs and the
+    oracle problems add ``/<run>`` and ``/<path>``)."""
     workloads = import_workloads(root)
     for wl in workloads.WORKLOADS.values():
         for seed in seeds:
@@ -246,17 +279,23 @@ def runs(root, seeds, toy=False):
     for seed in seeds:
         for run, solve in diverge_solves(seed, **DIVERGE).items():
             yield f"diverge/seed{seed}/{run}", {}, solve()
+    from mpjacobi import objective
+    for seed in seeds:
+        for path, q in oracle_problems(seed).items():
+            outputs = _oracle_outputs(objective.global_solve_oracle(q))
+            yield f"oracle/seed{seed}/{path}", outputs, None
 
 
 def dump(root, seeds, toy=False):
     """{name: array} over every run and seed."""
     arrays = {}
     for key, outputs, trace in runs(root, seeds, toy):
-        for name in FIELDS:
-            arrays[f"{key}/{name}"] = np.asarray(getattr(trace, name))
-        H, h, _ = trace.monitor
-        arrays[f"{key}/monitor_H"] = np.asarray(H)
-        arrays[f"{key}/monitor_h"] = np.asarray(h)
+        if trace is not None:
+            for name in FIELDS:
+                arrays[f"{key}/{name}"] = np.asarray(getattr(trace, name))
+            H, h, _ = trace.monitor
+            arrays[f"{key}/monitor_H"] = np.asarray(H)
+            arrays[f"{key}/monitor_h"] = np.asarray(h)
         for name, value in outputs.items():
             arrays[f"{key}/{name}"] = value
     return arrays
