@@ -31,7 +31,7 @@ curvatures it was given, bit for bit, every later round would return them
 again. Each rule returns its curvature half as a :class:`Curvature`;
 passed back as ``curvature=``, it skips the curvature work, and the rule
 solves for its linear column alone by the full rule's operation on it
-(the systems' ``column``), so the message is the full rule's bit for bit.
+(the systems' column map), so the message has the full rule's bits.
 The linear halves are written once, and engines run the rules' own:
 :func:`exact_linear` on the kept column; :func:`schur_aggregate` and
 :func:`schur_linear` on the products H_in x_j and H x_i, which the Schur
@@ -52,13 +52,19 @@ of the paper's exact message, solves by :class:`LapackSystem`
 whose iterates the golden traces freeze. ``_mv``, :class:`StackedProducts`
 and :class:`GatheredProducts` have einsum's bits. The other rules solve by
 ``struct_solve``, which divides exactly diagonal systems so that diagonal
-message families stay exactly diagonal.
+message families stay exactly diagonal. The column rule: where a rule
+solves S X = [F | c], F its fixed columns and c its linear column, a 1 x 1
+:class:`LapackSystem` (times the stored reciprocal) or an all-diagonal
+:class:`StructSystem` (division) solves F and c apart with one solve's
+bits; others solve [F | c] at once, as LAPACK's bits depend on which
+columns it solves together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,13 +85,16 @@ class SingularA(MessageError):
     pass
 
 
-def _rewritten_column(solve, rhs):
-    """c -> solve(rhs)[..., -1] with c written into rhs[..., -1]."""
+def _joint_columns(solve, F, c):
+    """(X_F, col, column) of one solve of rhs = [F | c]; column(c) re-solves."""
+    rhs = np.concatenate([F, c[..., None]], axis=-1)
+    X = solve(rhs)
+
     def column(c):
         rhs[..., -1] = c
         return solve(rhs)[..., -1]
 
-    return column
+    return X[..., :-1], X[..., -1], column
 
 
 class StructSystem:
@@ -97,18 +106,19 @@ class StructSystem:
     diagonal; the others go to LAPACK. The choice is made per matrix, so a
     batch equals its stacked single solves bit for bit, and ``__init__``
     decides once whether the batch is all diagonal, none diagonal or
-    mixed. On an all-diagonal batch ``column`` divides the new column
-    alone: division is elementwise, so c / diag are the full solve's bits.
-    A zero on the diagonal of a diagonal matrix raises
-    ``np.linalg.LinAlgError``.
+    mixed. A matrix is diagonal where A - diag I is zero (-0.0 counts as
+    zero, NaN and so inf - inf as nonzero). A zero on the diagonal of a
+    diagonal matrix raises ``np.linalg.LinAlgError``.
     """
 
     def __init__(self, A):
-        A = np.asarray(A, dtype=float)
-        self.A = A
-        self.diag = np.diagonal(A, axis1=-2, axis2=-1).copy()     # contiguous divisor
-        self.is_diag = ~np.any(A - self.diag[..., None] * np.eye(A.shape[-1]),
-                               axis=(-2, -1))
+        self.A = A = np.asarray(A, dtype=float)
+        d = A.shape[-1]
+        flat = A.reshape(A.shape[:-2] + (d * d,))
+        self.diag = flat[..., ::d + 1].copy()     # contiguous divisor
+        nonzero = flat != 0
+        nonzero[..., ::d + 1] = ~np.isfinite(self.diag)
+        self.is_diag = nonzero @ np.ones(d * d) == 0
         if np.any(self.diag[self.is_diag] == 0.0):
             raise np.linalg.LinAlgError("singular diagonal system")
         self.all_diag, self.none_diag = np.all(self.is_diag), not np.any(self.is_diag)
@@ -131,13 +141,13 @@ class StructSystem:
             X[~is_diag] = np.linalg.solve(A[~is_diag], b[~is_diag])
         return X[..., 0] if vector else X
 
-    def column(self, rhs):
-        """The map c -> X[..., -1] with A X = rhs and c written into
-        rhs[..., -1]: the full solve's last column, bit for bit."""
+    def columns(self, F, c):
+        """(X_F, col, column): the fixed and last columns of A X = [F | c]
+        and the map from a new c to col, with the joint solve's bits; by
+        the module's column rule an all-diagonal batch divides apart."""
         if not self.all_diag:
-            return _rewritten_column(self.solve, rhs)
-        diag = self.diag
-        return lambda c: c / diag
+            return _joint_columns(self.solve, F, c)
+        return F / self.diag[..., None], c / self.diag, lambda c: c / self.diag
 
 
 def struct_solve(A, rhs):
@@ -158,11 +168,11 @@ class LapackSystem:
     d >= 2 calls it (numpy cannot repeat its FMA kernels), so a singular A
     raises there when ``solve`` is called. d = 1 repeats OpenBLAS without
     LAPACK: one right-hand side is divided by the pivot (trsv), more are
-    multiplied by its reciprocal (trsm), and the two differ in the last bit
-    on about half of all inputs. An exact zero pivot (-0.0 too) raises
-    ``np.linalg.LinAlgError("Singular matrix")`` here. The reciprocal is
-    formed by the first solve or column that reads it. ``solve`` ignores
-    floating-point errors; ``vector``, ``column`` and its map hold no
+    multiplied by its reciprocal (trsm), formed on first use; the two
+    differ in the last bit on about half of all inputs. An exact zero pivot
+    (-0.0 too) raises ``np.linalg.LinAlgError("Singular matrix")`` here.
+    ``solve`` and ``columns`` (the module's column rule) ignore
+    floating-point errors; ``vector`` and the column map hold no
     ``np.errstate``, so a round takes its node solve and columns under one.
     """
 
@@ -171,24 +181,16 @@ class LapackSystem:
         self.scalar = A.shape[-1] == 1
         if self.scalar and np.count_nonzero(A) < A.size:
             raise np.linalg.LinAlgError("Singular matrix")
-        self.inverse = None
 
-    def _reciprocal(self):
-        if self.inverse is None:
-            self.inverse = 1.0 / self.A
-        return self.inverse
+    @cached_property
+    def inverse(self):
+        return 1.0 / self.A
 
     def solve(self, rhs):
         if not self.scalar:
             return np.linalg.solve(self.A, rhs)
         with np.errstate(all="ignore"):
-            if rhs.shape[-1] == 1:
-                return rhs / self.A
-            if rhs.ndim != self.A.ndim:
-                return rhs * self._reciprocal()
-            # the same products, transposed so that their inner loop runs
-            # over the systems rather than over each system's k columns
-            return np.multiply(rhs.T, self._reciprocal().T, order="C").T
+            return rhs / self.A if rhs.shape[-1] == 1 else rhs * self.inverse
 
     def vector(self, v):
         """``solve(v[..., None])[..., 0]`` for one right-hand side v
@@ -197,13 +199,13 @@ class LapackSystem:
             return np.linalg.solve(self.A, v[..., None])[..., 0]
         return v / self.A[..., 0]
 
-    def column(self, rhs):
-        """As :meth:`StructSystem.column`; at d = 1, c times the stored
-        reciprocal."""
+    def columns(self, F, c):
+        """As :meth:`StructSystem.columns`; at d = 1 F and c times 1 / A."""
         if not self.scalar:
-            return _rewritten_column(self.solve, rhs)
-        inverse = self._reciprocal()[..., 0]
-        return lambda c: c * inverse
+            return _joint_columns(self.solve, F, c)
+        with np.errstate(all="ignore"):
+            inverse = self.inverse[..., 0]
+            return F * inverse[..., None], c * inverse, lambda c: c * inverse
 
 
 def block_matmul(B, X):
@@ -227,38 +229,28 @@ class PairProducts:
     (..., E, 2, d) B_e x[..., cols[e], :] and B_e^T x[..., rows[e], :],
     with the bits of :func:`block_matvec` on B and on its transposed view.
 
-    At d = 1 both are one elementwise pass over the blocks stored twice
-    each, against x gathered at (cols[0], rows[0], cols[1], ...). At d = 2
-    a stack of K >= 2 iterates on finite blocks is regrouped: one matmul of
-    4 E gemv calls with K outputs each (per block row, the iterates' (K, 2)
-    matrix times the row) in place of one call per block and iterate. Each
-    output keeps its two products in the order of matmul's own kernel
-    (OpenBLAS 0.3.31, Haswell): dgemv_t computes fma(a0, x0, a1 x1) for B;
-    for B^T matmul calls dgemv_n, fma(a1, x1, a0 x0), which dgemv_t repeats
-    on B^T stored with its columns reversed and on reversed vectors. Other
-    stacks take ``block_matvec``: at K = 1 matmul takes ddot, at d >= 3 the
-    kernels' sums differ, and with the factors traded a NaN block entry
-    could hand on its own NaN.
+    At d = 2 a stack of K >= 2 iterates on finite blocks is regrouped:
+    one matmul of 4 E gemv calls with K outputs each (per block row, the
+    iterates' (K, 2) matrix times the row), not one call per block and
+    iterate. Each output keeps its two products in the order of matmul's
+    kernel (OpenBLAS 0.3.31, Haswell): dgemv_t computes fma(a0, x0, a1 x1)
+    for B; for B^T matmul calls dgemv_n, fma(a1, x1, a0 x0), which dgemv_t
+    repeats on B^T stored with its columns reversed and on reversed
+    vectors. Other stacks take ``block_matvec``: at K = 1 matmul takes
+    ddot, at d >= 3 the kernels' sums differ, and with the factors traded
+    a NaN block entry could hand on its own NaN.
     """
 
     def __init__(self, B, rows, cols):
         self.B, self.rows, self.cols = B, rows, cols
-        self.scalar = B.shape[-1] == 1
         self.regrouped = B.shape[-1] == 2 and bool(np.all(np.isfinite(B)))
-        self._blocks = self._at = None
-        if self.scalar:
-            # B_e twice per pair, against x at cols[e], then at rows[e]
-            self._blocks = np.repeat(B.reshape(-1, 1), 2, axis=0)
-            self._at = np.stack((cols, rows), axis=-1).reshape(-1)
-        elif self.regrouped:
+        if self.regrouped:
             # B, then B^T with its two columns reversed, contiguous
             self._blocks = np.concatenate((B, np.swapaxes(B, -1, -2)[..., ::-1]))
 
     def __call__(self, x):
         lead, (m, d) = x.shape[:-2], x.shape[-2:]
         K, E = math.prod(lead), len(self.B)
-        if self.scalar:
-            return (self._blocks * x.take(self._at, axis=-2) + 0.0).reshape(lead + (E, 2, 1))
         if not self.regrouped or K < 2:
             terms = np.empty(lead + (E, 2, d))
             terms[..., 0, :] = block_matvec(self.B, x.take(self.cols, axis=-2))
@@ -289,18 +281,20 @@ class Curvature:
     solve: object
 
 
-def _solve_curvature(S, rhs, H_of, error, system=StructSystem):
-    """X[..., -1] of the full rule's solve S X = rhs by ``system``, a
-    :class:`StructSystem` or :class:`LapackSystem` of S (a singular S raises
-    ``error``), and its Curvature: H is ``H_of(X)``; ``solve`` is the
-    system's ``column`` for rhs, so a new last column c gets the full
-    rule's bits."""
+def _solve_curvature(S, F, c, H_of, error, system=StructSystem):
+    """X[..., -1] of the full rule's solve S X = [F | c] by ``system`` of S
+    (a singular S raises ``error``) and its Curvature: H is ``H_of`` of the
+    fixed columns' X, ``solve`` the system's column map for a new c."""
     try:
-        system = system(S)
-        X = system.solve(rhs)
+        X, col, column = system(S).columns(F, c)
     except np.linalg.LinAlgError as exc:
         raise error(str(exc)) from exc
-    return X[..., -1], Curvature(H_of(X), system.column(rhs))
+    return col, Curvature(H_of(X), column)
+
+
+def _sym(H):
+    """1/2 (H + H^T) over the last two axes."""
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 def _mv(A, x):
@@ -398,9 +392,8 @@ def message_vectors(H):
     H = np.asarray(H)
     d = H.shape[-1]
     nonzero = H.reshape(H.shape[:-2] + (d * d,)) != 0
-    total = np.count_nonzero(nonzero, axis=-1)
-    dense = total > np.count_nonzero(nonzero[..., ::d + 1], axis=-1)
-    return np.where(dense, d, total > 0) + 1
+    dense = nonzero @ (1.0 - np.eye(d).reshape(-1)) > 0
+    return np.where(dense, d, nonzero @ np.ones(d * d) > 0) + 1
 
 
 def total_vectors(H):
@@ -538,14 +531,9 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
             A = A + msg.H
         if boundary_quad is not None:
             A = A + boundary_quad
-        rhs = np.concatenate([np.swapaxes(B_ij, -1, -2), c[..., None]], axis=-1)
-
-        def H_of(X):
-            H = -block_matmul(B_ij, X[..., :-1])
-            return 0.5 * (H + np.swapaxes(H, -1, -2))
-
-        col, curvature = _solve_curvature(A, rhs, H_of, SingularSenderCurvature,
-                                          LapackSystem)
+        col, curvature = _solve_curvature(A, np.swapaxes(B_ij, -1, -2), c,
+                                          lambda X: _sym(-block_matmul(B_ij, X)),
+                                          SingularSenderCurvature, LapackSystem)
     else:
         with np.errstate(all="ignore"):
             col = curvature.solve(c)
@@ -554,8 +542,11 @@ def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
 
 def exact_linear(B_ij, col):
     """The exact message's linear part from the column col = A_j^{-1} c_j:
-    h_msg = -B_ij col, by :func:`block_matvec`."""
-    return -block_matvec(B_ij, col)
+    h_msg = -B_ij col, with :func:`block_matvec`'s bits (at d = 1 in place)."""
+    if B_ij.shape[-1] != 1:
+        return -block_matvec(B_ij, col)
+    h = np.multiply(B_ij[..., 0], col)
+    return np.negative(np.add(h, 0.0, out=h), out=h)
 
 
 def first_order_message(grad_i_psi):
@@ -590,9 +581,8 @@ def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
         S = np.asarray(Q_j, dtype=float) + M_j
         for msg in incoming:
             S = S + msg.H
-        rhs = np.concatenate([np.broadcast_to(np.swapaxes(M_ij, -1, -2), S.shape),
-                              c_u[..., None]], axis=-1)
-        col, curvature = _solve_curvature(S, rhs, lambda X: M_i - M_ij @ X[..., :-1],
+        F = np.broadcast_to(np.swapaxes(M_ij, -1, -2), S.shape)
+        col, curvature = _solve_curvature(S, F, c_u, lambda X: M_i - M_ij @ X,
                                           SingularInnerMatrix)
     else:
         col = curvature.solve(c_u)
@@ -650,11 +640,9 @@ def partial_linearization_message(Q_i, w_ii, w_ij, gamma, lin_i, incoming,
         S = Q_i + self_weight[..., None, None] * eye
         for msg in incoming:
             S = S + msg.H
-        rhs = np.concatenate([np.broadcast_to(eye, S.shape), ell[..., None]],
-                             axis=-1)
         col, curvature = _solve_curvature(
-            S, rhs, lambda X: -(w_ij ** 2 / gamma ** 2)[..., None, None] * X[..., :d],
-            SingularInnerMatrix)
+            S, np.broadcast_to(eye, S.shape), ell,
+            lambda X: -(w_ij ** 2 / gamma ** 2)[..., None, None] * X, SingularInnerMatrix)
     else:
         col = curvature.solve(ell)
     h_msg = (w_ij / gamma)[..., None] * col
@@ -704,13 +692,9 @@ def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
         rows = np.broadcast_to(blk, (n, d, d)).ravel()
         cols = np.broadcast_to(blk.reshape(n, 1, d), (n, d, d)).ravel()
         A[..., rows, cols] += np.reshape(H_agg, A.shape[:-2] + (-1,))
-        rhs = np.concatenate([np.swapaxes(cross, -1, -2), dvec[..., None]], axis=-1)
-
-        def H_of(X):
-            H_msg = 2.0 * H_w[..., :d, :d] - cross @ X[..., :d]
-            return 0.5 * (H_msg + np.swapaxes(H_msg, -1, -2))
-
-        col, curvature = _solve_curvature(A, rhs, H_of, SingularA)
+        col, curvature = _solve_curvature(
+            A, np.swapaxes(cross, -1, -2), dvec,
+            lambda X: _sym(2.0 * H_w[..., :d, :d] - cross @ X), SingularA)
     else:
         col = curvature.solve(dvec)
     h_msg = (-cross @ col[..., None])[..., 0]

@@ -279,6 +279,10 @@ class QuadraticObjective:
         # every factor's member rows in hyper order
         self._grad_scatter = RowScatter(np.concatenate(
             [self._pair_at.reshape(-1), self._hyper_members]), m)
+        if d == 1 and not groups:       # grad's couplings and source nodes by slot
+            slots = self._grad_scatter.slots
+            self._slot_coef = np.append(np.repeat(self.pair_blocks.reshape(-1), 2), 0.0)[slots]
+            self._slot_src = np.append(self._pair_at[:, ::-1].reshape(-1), m)[slots]
 
     # -- structure ---------------------------------------------------------
 
@@ -329,18 +333,15 @@ class QuadraticObjective:
         return float(val)
 
     def _node_term(self, x):
-        """The products H_ii x_i of x (..., m, d). At d >= 2 they are one
-        unbatched einsum on C-contiguous operands: a stack's K iterates are
-        read against ``diag`` tiled K times, (K m, d, d), so every iterate's
-        products are those of its own call, by the same kernel on the same
-        layout. einsum's sums at d >= 3 depend on the operands' strides, and
-        its broadcast path on a stack is slow. The tile takes d times the
+        """The products H_ii x_i of x (..., m, d): one unbatched einsum on
+        C-contiguous operands. A stack's K iterates are read against
+        ``diag`` tiled K times, (K m, d, d), so every iterate's products are
+        those of its own call, by the same kernel on the same layout.
+        einsum's sums at d >= 3 depend on the operands' strides, and its
+        broadcast path on a stack is slow. The tile takes d times the
         stack's memory: 64 KB for K = 16 (``solvers.RECORD_BATCH``), m = 128
-        and d = 2. At d = 1 the broadcast form is fast, with one product per
-        entry."""
+        and d = 2."""
         m, d = self.m, self.d
-        if d == 1:
-            return np.einsum("ikl,...il->...ik", self.diag, x)
         K = math.prod(x.shape[:-2])
         diag = np.ascontiguousarray(self.diag)
         if K != 1:
@@ -362,6 +363,13 @@ class QuadraticObjective:
         iterate holds the bits of its own single-iterate gradient. Where two
         NaNs meet, in a product or a sum, either may be kept, so only a
         NaN's sign may differ between a stack and single calls.
+
+        A stack of a pairwise problem at d = 1 folds the pair products into
+        that gather, in (K, m) layout: g = (diag x + b) + 0.0, then per slot
+        g + coupling * x at the slot's node, a pad reading coupling 0 at an
+        appended zero column (0 * 0 = +0.0). The products need no + 0.0: g
+        starts as a value plus 0.0 and a sum is -0.0 only when both addends
+        are, so g is never -0.0, and a -0.0 term adds exactly as +0.0 would.
         """
         m, d = self.m, self.d
         x = np.asarray(x, dtype=float)
@@ -370,7 +378,15 @@ class QuadraticObjective:
         if x.shape[-2:] != (m, d):
             raise ObjectiveError(f"expected shape (..., {m}, {d}) or ({m * d},), "
                                  f"got {x.shape}")
-        lead = x.shape[:-2]
+        lead, K = x.shape[:-2], math.prod(x.shape[:-2])
+        if d == 1 and K > 1 and not self.hyper_groups:
+            g = (self.diag.reshape(m) * x.reshape(K, m) + self.lin.reshape(m)) + 0.0
+            xs = np.concatenate((x.reshape(K, m), np.zeros((K, 1))), axis=1)
+            term = np.empty((K, m))
+            for coef, src in zip(self._slot_coef, self._slot_src):
+                np.add(g, np.multiply(coef, xs.take(src, axis=1, out=term, mode="clip"),
+                                      out=term), out=g)
+            return g.reshape(x.shape)
         g = self._node_term(x) + self.lin
         terms = self._pair_products(x).reshape(lead + (-1, d))
         if self.hyper_groups:

@@ -1,10 +1,10 @@
 """Smoke test of ``tools/bitdump.py``, the bit-for-bit check of the
 benchmark workloads', the CTA engine's, a min-sum run's, a hypergraph
 run's, a dense Schur run's and the divergence runs' set-up outputs and
-traces, and of the oracle's outputs on each of its paths: a dump at the
-self-test sizes holds the expected arrays and matches itself, and
-``--compare`` names each array whose bits changed: by one ulp, or a -0.0
-for a +0.0."""
+traces (the min-sum and divergence runs also at d = 1), and of the
+oracle's outputs on each of its paths: a dump at the self-test sizes
+holds the expected arrays and matches itself, and ``--compare`` names
+each array whose bits changed: by one ulp, or a -0.0 for a +0.0."""
 
 import importlib.util
 import subprocess
@@ -38,8 +38,9 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     surrogate = ("mu_tilde_r", "L_tilde_r", "L_tilde_del_r", "ell_tilde_r", "kappa_tilde")
     fields = {"path_exact": trace + oracle + rates, "ring_schur": trace + oracle,
               "cta_plin": trace + oracle + rates + surrogate, "minsum_tol": trace + oracle,
-              "h_mp_jacobi": trace + oracle, "schur_full": trace + oracle}
-    diverge = {f"diverge/seed{s}/{run}/{name}" for s in (1, 2)
+              "h_mp_jacobi": trace + oracle, "schur_full": trace + oracle,
+              "minsum_d1": trace + oracle}
+    diverge = {f"{w}/seed{s}/{run}/{name}" for w in ("diverge", "diverge_d1") for s in (1, 2)
                for run in ("fast", "slow", "overflow", "large") for name in trace}
     paths = {f"oracle/seed{s}/{path}/{name}" for s in (1, 2)
              for path in ("plain", "weighted", "cholesky", "eigvalsh", "pinv")
@@ -67,9 +68,13 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert arrays["diverge/seed1/overflow/rounds"] == 1
     large = arrays["diverge/seed2/large/grad_norm"]               # converged from 1e11
     assert len(large) == arrays["diverge/seed2/large/rounds"] + 1 and large[-1] < 1e-6
+    assert arrays["minsum_d1/seed1/x_final"].shape == (8, 1)
+    assert arrays["minsum_d1/seed1/grad_norm"][-1] <= 1e-8
+    assert arrays["diverge_d1/seed1/overflow/rounds"] == 1
+    assert arrays["diverge_d1/seed1/overflow/monitor_H"].shape[1:] == (1, 1)
 
     same = _bitdump("--compare", a, a)
-    assert same.returncode == 0 and "0 of 242 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 326 arrays differ" in same.stdout
 
     def saved(name, h0, x_nudge):
         """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0, and
@@ -94,7 +99,7 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert diff.stdout.splitlines() == ["path_exact/seed2/mu",
                                         "path_exact/seed2/x_final",
                                         "ring_schur/seed1/monitor_h",
-                                        "3 of 242 arrays differ"]
+                                        "3 of 326 arrays differ"]
 
 
 def test_oracle_problems_take_their_paths(monkeypatch):

@@ -11,6 +11,7 @@ from mpjacobi.messages import (
     PairProducts,
     StackedProducts,
     StructSystem,
+    SingularInnerMatrix,
     SingularSenderCurvature,
     SurrogateSpec,
     block_matmul,
@@ -21,6 +22,8 @@ from mpjacobi.messages import (
     hyper_factor_message,
     message_vectors,
     partial_linearization_message,
+    schur_aggregate,
+    schur_linear,
     schur_message_update,
     struct_solve,
     total_vectors,
@@ -621,10 +624,12 @@ def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
        st.integers(1, 3), st.sampled_from([("diag",), ("dense",), ("diag", "dense")]))
 @settings(max_examples=60, deadline=None)
 def test_kept_column_equals_full_solve_column(seed, B, d, k, kinds):
-    """A system's ``column`` for rhs (..., d, k + 1) returns the last column
-    of the full solve with c written in, bit for bit: c / diag on an
-    all-diagonal StructSystem, c * (1/A) on a d = 1 LapackSystem, a full
-    solve otherwise; B = 0 is the unbatched case."""
+    """A system's ``columns`` of rhs = [F | c] (..., d, k + 1) returns the
+    full solve's fixed columns and last column, and a map that returns the
+    last column of the full solve with a new c written in, bit for bit:
+    F and c divided by diag apart on an all-diagonal StructSystem, times
+    (1/A) apart on a d = 1 LapackSystem, a full solve otherwise; B = 0 is
+    the unbatched case."""
     rng = np.random.default_rng(seed)
     lead = (B,) if B else ()
     A = _sender_batch(rng, B, d, kinds)
@@ -635,7 +640,9 @@ def test_kept_column_equals_full_solve_column(seed, B, d, k, kinds):
         if isinstance(system, StructSystem):
             assert system.all_diag == all(diag)
             assert system.none_diag == (not any(diag))
-        column = system.column(rhs.copy())
+        X, col, column = system.columns(rhs[..., :-1], rhs[..., -1])
+        _assert_same_bits(X, system.solve(rhs)[..., :-1])
+        _assert_same_bits(col, system.solve(rhs)[..., -1])
         for _ in range(2):
             c = rng.standard_normal(lead + (d,))
             full = rhs.copy()
@@ -647,6 +654,155 @@ def test_kept_column_equals_full_solve_column(seed, B, d, k, kinds):
 # the largest finite magnitudes, infinities and NaN
 _SPECIAL = np.array([5e-324, -5e-324, 1e-310, -2.5e-320, 2.2e-308, 1e-300,
                      1e300, -1.7e308, np.inf, -np.inf, np.nan])
+
+
+def _same_bits_but_nan_signs(got, want):
+    """got has want's shape and bits, except that a NaN of want may be any
+    NaN (where two NaNs meet in a product either may be kept)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def _draw_1x1(rng, shape, specials):
+    """Random signs and magnitudes 1e-300 to 1e300, about a third of the
+    entries drawn from ``specials``."""
+    out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    special = rng.random(shape) < 0.3
+    out[special] = rng.choice(specials, np.count_nonzero(special))
+    return out
+
+
+def _concatenated(solve, F, c):
+    """The fixed columns and last column of one solve of [F | c]."""
+    X = solve(np.concatenate([F, c[..., None]], axis=-1))
+    return X[..., :-1], X[..., -1]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (1,), (9,), (3, 4)]),
+       st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_scalar_exact_message_equals_concatenated_solve(seed, batch, zero_pivot, huge):
+    """At d = 1 the exact rule solves [B^T | c] column by column: its
+    columns, H, h and kept column map hold the bits of one
+    ``np.linalg.solve`` of the concatenated right-hand side followed by
+    the same H_of, for pivots and entries with subnormals, infinities and
+    NaN. With ``huge`` some |B^2 / A| exceed DBL_MAX / 2, where
+    1/2 (H + H^T) is inf and H is not. A zero pivot, -0.0 too, raises
+    SingularSenderCurvature("Singular matrix"), as LAPACK's does."""
+    rng = np.random.default_rng(seed)
+    specials = np.r_[_SPECIAL, 0.0, -0.0]
+    A = _draw_1x1(rng, batch + (1, 1), _SPECIAL)
+    B, c, c2 = (_draw_1x1(rng, batch + shape, specials)
+                for shape in ((1, 1), (1,), (1,)))
+    if huge:
+        big = rng.random(A.shape) < 0.5
+        big.reshape(-1)[0] = True
+        A[big] = rng.choice([1.0, -1.0], np.count_nonzero(big))
+        B[big] = rng.choice([1.2e154, -1.2e154], np.count_nonzero(big))
+    if zero_pivot:
+        A.reshape(-1)[rng.integers(A.size)] = rng.choice([0.0, -0.0])
+    F = np.swapaxes(B, -1, -2)
+    with np.errstate(all="ignore"):
+        if zero_pivot:
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                np.linalg.solve(A, np.concatenate([F, c[..., None]], axis=-1))
+            with pytest.raises(SingularSenderCurvature, match="^Singular matrix$"):
+                exact_quadratic_message(A, c, B, [])
+            return
+        X, col = _concatenated(lambda rhs: np.linalg.solve(A, rhs), F, c)
+        H = -np.matmul(B, X)
+        H, h = 0.5 * (H + np.swapaxes(H, -1, -2)), -np.matmul(B, col[..., None])[..., 0]
+        got_X, got_col, _ = LapackSystem(A).columns(F, c)
+        msg = exact_quadratic_message(A, c, B, [])
+        kept = msg.curvature.solve(c2)
+        want_kept = _concatenated(lambda rhs: np.linalg.solve(A, rhs), F, c2)[1]
+    for got, want in ((got_X, X), (got_col, col), (msg.H, H), (msg.h, h), (kept, want_kept)):
+        _same_bits_but_nan_signs(got, want)
+    if huge:
+        assert np.any(np.isinf(msg.H) & np.isfinite(X))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (1,), (9,), (3, 4)]),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_scalar_struct_rules_equal_concatenated_solve(seed, batch, zero_pivot):
+    """At d = 1 the Schur and partial-linearization rules solve their
+    sender systems column by column where every system is diagonal (a
+    finite pivot) and [F | c] at once otherwise: H, h and the kept column
+    map hold the bits of the rule's solve of the concatenated right-hand
+    side by StructSystem, for pivots and entries with subnormals,
+    infinities and NaN. A zero pivot, -0.0 too, raises
+    SingularInnerMatrix("singular diagonal system") from both rules."""
+    rng = np.random.default_rng(seed)
+    specials = np.r_[_SPECIAL, 0.0, -0.0]
+
+    def draw(shape=(1,), values=specials):
+        return _draw_1x1(rng, batch + shape, values)
+
+    Q, M_i, M_ij = draw((1, 1), _SPECIAL), draw((1, 1)), draw((1, 1))
+    if zero_pivot:
+        Q.reshape(-1)[rng.integers(Q.size)] = rng.choice([0.0, -0.0])
+    M_j = np.zeros_like(Q)
+    g_phi, g_j, g_i, x_i, bnd, c2 = (draw() for _ in range(6))
+    w_ii, w_ij, gamma = rng.uniform(0.2, 0.5, batch), rng.uniform(0.0, 0.3, batch), 0.05
+    S_plin = Q + ((1.0 - w_ii) / gamma)[..., None, None]
+    eye = np.broadcast_to(np.eye(1), S_plin.shape)
+    with np.errstate(all="ignore"):
+        if zero_pivot:
+            with pytest.raises(SingularInnerMatrix, match="^singular diagonal system$"):
+                schur_message_update(Q, M_j, M_i, M_ij, g_phi, g_j, g_i, x_i, x_i, [])
+            with pytest.raises(SingularInnerMatrix, match="^singular diagonal system$"):
+                # w_ii = 1 adds no self weight to the zero Q
+                partial_linearization_message(np.zeros_like(Q), 1.0, w_ij, gamma, g_phi, [])
+            return
+        F = np.broadcast_to(np.swapaxes(M_ij, -1, -2), Q.shape)
+        c_u = schur_aggregate(g_phi, g_j, [], bnd)
+        X, col = _concatenated(StructSystem(Q + M_j).solve, F, c_u)
+        H = M_i - M_ij @ X
+        schur = (H, schur_linear(g_i, M_ij, col, np.einsum("...ij,...j->...i", H, x_i)),
+                 _concatenated(StructSystem(Q + M_j).solve, F, c2)[1])
+        msg = schur_message_update(Q, M_j, M_i, M_ij, g_phi, g_j, g_i, x_i, x_i, [],
+                                   boundary_grad=bnd)
+        got_schur = (msg.H, msg.h, msg.curvature.solve(c2))
+        X, col = _concatenated(StructSystem(S_plin).solve, eye, g_phi + bnd)
+        plin = (-(w_ij ** 2 / gamma ** 2)[..., None, None] * X, (w_ij / gamma)[..., None] * col,
+                _concatenated(StructSystem(S_plin).solve, eye, c2)[1])
+        msg = partial_linearization_message(Q, w_ii, w_ij, gamma, g_phi, [], boundary_lin=bnd)
+        got_plin = (msg.H, msg.h, msg.curvature.solve(c2))
+    for got, want in zip(got_schur + got_plin, schur + plin):
+        _same_bits_but_nan_signs(got, want)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_struct_system_diagonal_where_a_minus_diag_identity_is_zero(seed, d, B):
+    """StructSystem calls a matrix diagonal exactly where A - diag I is all
+    zero: -0.0 off the diagonal leaves it diagonal, a NaN there does not,
+    and a +-inf or NaN on the diagonal makes it not diagonal (inf - inf and
+    NaN - NaN are NaN); a zero, -0.0 too, on the diagonal of a diagonal
+    matrix raises. B = 0 is the unbatched case."""
+    rng = np.random.default_rng(seed)
+    lead = (B,) if B else ()
+    A = np.zeros(lead + (d, d))
+    off = ~np.eye(d, dtype=bool)
+    A[..., off] = rng.choice([0.0, -0.0, 0.0, -0.0, 0.0, np.nan, 1.5], A[..., off].shape)
+    i = np.arange(d)
+    A[..., i, i] = rng.choice([1.0, -2.5, 3e-320, np.inf, -np.inf, np.nan, 0.0, -0.0],
+                              lead + (d,))
+    diag = np.diagonal(A, axis1=-2, axis2=-1)
+    with np.errstate(invalid="ignore"):
+        want = ~np.any(A - diag[..., None] * np.eye(d), axis=(-2, -1))
+    if np.any(want & np.any(diag == 0.0, axis=-1)):
+        with pytest.raises(np.linalg.LinAlgError, match="^singular diagonal system$"):
+            StructSystem(A)
+        return
+    system = StructSystem(A)
+    assert np.array_equal(system.is_diag, want)
+    assert system.all_diag == bool(np.all(want)) and system.none_diag == (not np.any(want))
+    _assert_same_bits(system.diag, diag)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),

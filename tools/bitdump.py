@@ -43,6 +43,10 @@ every size), from x0 = 1 at tau = 50 and tau = 2 (``fast`` and ``slow``:
 they stop on the rule after 7 and about 30 rounds), from x0 = 1e308 at
 tau = 1 (``overflow``) and from x0 = 1e11 at tau = 1 (``large``: it
 converges, after iterates whose running bound passes the rule's gate).
+The min-sum and divergence runs are repeated at d = 1 (``MINSUM_D1``,
+``DIVERGE_D1``) under ``minsum_d1/seed<n>`` and ``diverge_d1/seed<n>/<run>``:
+there the exact rule solves 1 x 1 systems and the recorded stacks take
+the scalar gradient, under non-finite values in the ``overflow`` run.
 Every run also saves its ``rounds``. The ``x_star`` and ``phi_star`` of
 one ``global_solve_oracle`` call per path the oracle can take go under
 ``oracle/seed<n>/<path>``, on a fixed operator per path with a linear
@@ -81,6 +85,9 @@ MINSUM = {"m": 8, "d": 2, "kappa": 50.0, "tol": 1e-8}
 HYPER = {"n_edges": 5, "edge_size": 5, "d": 2, "kappa": 200.0, "rounds": 200}
 SCHUR_FULL = {"m": 16, "d": 3, "kappa": 10.0, "rounds": 200}
 DIVERGE = {"m": 8, "d": 2, "kappa": 30.0}
+# the min-sum and divergence set-ups again at d = 1, where the exact rule
+# and the stacked gradient take their scalar forms
+MINSUM_D1, DIVERGE_D1 = {**MINSUM, "d": 1}, {**DIVERGE, "d": 1}
 # diverge run -> (tau, x0 entries)
 DIVERGE_RUNS = {"fast": (50.0, 1.0), "slow": (2.0, 1.0), "overflow": (1.0, 1e308),
                 "large": (1.0, 1e11)}
@@ -270,15 +277,17 @@ def runs(root, seeds, toy=False):
             yield f"{wl.name}/seed{seed}", outputs, solve()
     for name, setup, size in (("cta_plin", cta_setup, CTA_TOY if toy else CTA),
                               ("minsum_tol", minsum_setup, MINSUM),
+                              ("minsum_d1", minsum_setup, MINSUM_D1),
                               ("h_mp_jacobi", hyper_setup, HYPER),
                               ("schur_full", schur_full_setup, SCHUR_FULL)):
         for seed in seeds:
             with captured_setup() as outputs:
                 solve = setup(seed, **size)
             yield f"{name}/seed{seed}", outputs, solve()
-    for seed in seeds:
-        for run, solve in diverge_solves(seed, **DIVERGE).items():
-            yield f"diverge/seed{seed}/{run}", {}, solve()
+    for name, size in (("diverge", DIVERGE), ("diverge_d1", DIVERGE_D1)):
+        for seed in seeds:
+            for run, solve in diverge_solves(seed, **size).items():
+                yield f"{name}/seed{seed}/{run}", {}, solve()
     from mpjacobi import objective
     for seed in seeds:
         for path, q in oracle_problems(seed).items():
