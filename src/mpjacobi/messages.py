@@ -13,11 +13,11 @@ Update rules implemented here:
 
 Every rule, ``struct_solve`` and ``message_vectors`` accept leading batch
 axes: every argument may carry the same leading shape (one entry per
-directed edge or per (factor, receiver) incidence), and a QuadraticMessage
-in ``incoming`` may hold batched (..., d, d) / (..., d) arrays, typically
-the sender's sum over its other in-edges. The solvers call each rule once
-per round (the hypergraph rule once per factor arity) on stacked message
-arrays; a single call is the batch-free case.
+directed edge or per (factor, receiver) incidence). The pairwise rules
+take the sums their engines hold: the sender's curvature sum and linear
+sum over its own term and its other in-edges. The solvers call each rule
+once per round (the hypergraph rule once per factor arity) on stacked
+message arrays; a single call is the batch-free case.
 
 The linear parts of the Schur and partial-linearization recursions are
 derived once from the defining partial minimizations (see the docstrings),
@@ -28,17 +28,17 @@ message curvature H and the sender matrix S it is solved against (A in the
 exact and hypergraph rules) read only the incoming curvatures and the
 problem data; only the linear part h reads x. So once a round returns the
 curvatures it was given, bit for bit, every later round would return them
-again. Each rule returns its curvature half as a :class:`Curvature`;
-passed back as ``curvature=``, it skips the curvature work, and the rule
-solves for its linear column alone by the full rule's operation on it
-(the systems' column map), so the message has the full rule's bits.
-The linear halves are written once, and engines run the rules' own:
-:func:`exact_linear` on the kept column; :func:`schur_aggregate` and
-:func:`schur_linear` on the products H_in x_j and H x_i, which the Schur
-engine reads off one :class:`StackedProducts` per curvature state (a kept
-H has the bits of the committed curvatures, so their rows stand in for
-H x_i); :func:`partial_linearization_message` from its first term
-grad f_i - Q_i x_i, read off the engine's variable update.
+again. Each rule returns its curvature half as a :class:`Curvature`, whose
+``solve`` maps a new linear sum to the rule's linear column by the full
+rule's operation on it (the systems' column map), so a message built from
+it has the full rule's bits. Each rule's kept round is written once. The
+pairwise ones live in their engines: :func:`exact_linear` on the kept
+column; :func:`schur_linear` on it and on H x_i, which the Schur engine
+reads off one :class:`StackedProducts` per curvature state with the
+H_in x_j of :func:`schur_aggregate` (a kept H has the bits of the
+committed curvatures, so their rows stand in for H x_i); (w_ij/gamma)
+times the column in the partial-linearization engine. The hypergraph rule
+takes its Curvature back as ``curvature=`` and runs its own linear half.
 
 Bit contracts. Every kernel here returns the bits of a named numpy call,
 which ``tests/test_messages.py`` checks against the installed numpy. Where
@@ -500,43 +500,24 @@ class SurrogateSpec:
 # pairwise update rules
 
 
-def exact_quadratic_message(H_jj, b_j, B_ij, incoming, boundary_lin=None,
-                            boundary_quad=None, curvature=None):
+def exact_quadratic_message(A_j, c_j, B_ij):
     """Exact min-sum message from sender j to receiver i.
 
-    B_ij is the oriented coupling with psi(x_i, x_j) = <B_ij x_j, x_i>.
-    ``incoming`` are the round-nu messages into j from its other in-cluster
-    neighbors (a caller holding their sums passes them in H_jj and b_j);
-    ``boundary_lin`` aggregates B_jk @ x_k over out-of-cluster neighbors k;
-    ``boundary_quad`` is an optional extra curvature at j. ``curvature``,
-    the Curvature of an earlier call with the same H_jj, B_ij, incoming
-    curvatures and boundary_quad, skips the curvature half.
+    B_ij is the oriented coupling with psi(x_i, x_j) = <B_ij x_j, x_i>;
+    A_j and c_j are the sender's curvature and linear sums: its own node
+    term plus the round-nu messages from its other in-cluster neighbors
+    (and, for c_j, B_jk x_k over its out-of-cluster neighbors k).
 
-    Closed form: with A_j = H_jj + sum H_in (+ boundary_quad) and
-    c_j = b_j + sum h_in + boundary_lin,
+    Closed form, the partial minimization over x_j:
         H_msg = sym(-B_ij A_j^{-1} B_ij^T),   h_msg = -B_ij A_j^{-1} c_j,
     sym(H) = 1/2 (H + H^T), solved by :class:`LapackSystem` on
     [B_ij^T | c_j] for every A_j, diagonal or not: the exact engine's bits,
     which the golden traces freeze (see the module docstring).
     """
-    c = np.asarray(b_j, dtype=float)
     B_ij = np.asarray(B_ij, dtype=float)
-    for msg in incoming:
-        c = c + msg.h
-    if boundary_lin is not None:
-        c = c + boundary_lin
-    if curvature is None:
-        A = np.array(H_jj, dtype=float, copy=True)
-        for msg in incoming:
-            A = A + msg.H
-        if boundary_quad is not None:
-            A = A + boundary_quad
-        col, curvature = _solve_curvature(A, np.swapaxes(B_ij, -1, -2), c,
-                                          lambda X: _sym(-block_matmul(B_ij, X)),
-                                          SingularSenderCurvature, LapackSystem)
-    else:
-        with np.errstate(all="ignore"):
-            col = curvature.solve(c)
+    col, curvature = _solve_curvature(A_j, np.swapaxes(B_ij, -1, -2), c_j,
+                                      lambda X: _sym(-block_matmul(B_ij, X)),
+                                      SingularSenderCurvature, LapackSystem)
     return QuadraticMessage(curvature.H, exact_linear(B_ij, col), curvature)
 
 
@@ -557,35 +538,21 @@ def first_order_message(grad_i_psi):
     return QuadraticMessage(np.zeros(g.shape + g.shape[-1:]), g)
 
 
-def schur_message_update(Q_j, M_j, M_i, M_ij, grad_phi_j, grad_j_psi,
-                         grad_i_psi, x_j_ref, x_i_ref, incoming,
-                         boundary_grad=None, curvature=None):
+def schur_message_update(S_j, c_u, M_i, M_ij, grad_i_psi, x_i_ref):
     """Structured-quadratic surrogate message j -> i.
 
-    Curvature recursion (sender-side inner matrix S = Q_j + M_j + sum H_in):
-        H_msg = M_i - M_ij S^{-1} M_ij^T.
+    Curvature recursion, with the sender-side inner matrix
+    S_j = (Q_j + M_j) + sum H_in:
+        H_msg = M_i - M_ij S_j^{-1} M_ij^T.
     Linear part, derived from the same partial minimization with
-    u = x_j - x_j^nu and the sender-side linear aggregate
-        c_u = grad phi_j(x_j^nu) + grad_j psi_ij(ref) + sum (H_in x_j^nu + h_in)
-              + sum_out grad_j psi_jk(ref):
-        h_msg = grad_i psi_ij(ref) - M_ij S^{-1} c_u - H_msg x_i^ref.
-    ``curvature``, the Curvature of an earlier call with the same Q_j, M_j,
-    M_i, M_ij and incoming curvatures, skips the curvature recursion. The
-    linear half is :func:`schur_aggregate` and :func:`schur_linear`.
+    u = x_j - x_j^nu and the sender-side linear aggregate c_u
+    (:func:`schur_aggregate`):
+        h_msg = grad_i psi_ij(ref) - M_ij S_j^{-1} c_u - H_msg x_i^ref,
+    by :func:`schur_linear`.
     """
-    c_u = schur_aggregate(grad_phi_j, grad_j_psi,
-                          [(_mv(msg.H, x_j_ref), msg.h) for msg in incoming],
-                          boundary_grad)
-    M_ij = np.asarray(M_ij, dtype=float)
-    if curvature is None:
-        S = np.asarray(Q_j, dtype=float) + M_j
-        for msg in incoming:
-            S = S + msg.H
-        F = np.broadcast_to(np.swapaxes(M_ij, -1, -2), S.shape)
-        col, curvature = _solve_curvature(S, F, c_u, lambda X: M_i - M_ij @ X,
-                                          SingularInnerMatrix)
-    else:
-        col = curvature.solve(c_u)
+    F = np.broadcast_to(np.swapaxes(M_ij, -1, -2), S_j.shape)
+    col, curvature = _solve_curvature(S_j, F, c_u, lambda X: M_i - M_ij @ X,
+                                      SingularInnerMatrix)
     return QuadraticMessage(curvature.H,
                             schur_linear(grad_i_psi, M_ij, col, _mv(curvature.H, x_i_ref)),
                             curvature)
@@ -610,59 +577,41 @@ def schur_linear(grad_i_psi, M_ij, col, H_x_i):
     return (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, col)) - H_x_i
 
 
-def partial_linearization_message(Q_i, w_ii, w_ij, gamma, lin_i, incoming,
-                                  boundary_lin=None, curvature=None):
+def partial_linearization_message(S_i, ell, w_ij, gamma):
     """Partial-linearization message i -> j on a lifted consensus objective.
 
-    Curvature: H_msg = -(w_ij^2/gamma^2) S^{-1} with
-        S = Q_i + ((1 - w_ii)/gamma) I + sum H_in.
+    Curvature: H_msg = -(w_ij^2/gamma^2) S_i^{-1}, with the sender's inner
+    matrix S_i = (Q_i + ((1 - w_ii)/gamma) I) + sum H_in.
     Linear part from the same minimization with the sender-side linear
-    aggregate ell = lin_i + sum h_in + boundary_lin, whose first term
+    aggregate ell = (lin_i + sum h_in) + boundary, whose first term
     lin_i = grad f_i(x_i^nu) - Q_i x_i^nu an engine reads off the rows of
-    its variable update's own grad f - Q x (boundary_lin collects
+    its variable update's own grad f - Q x (the boundary collects
     -(w_ik/gamma) x_k^nu over out-neighbors):
-        h_msg = (w_ij/gamma) S^{-1} ell.
-    The weights w_ii and w_ij may be arrays over the batch axes.
-    ``curvature``, the Curvature of an earlier call with the same Q_i,
-    weights, gamma and incoming curvatures, skips the curvature half.
+        h_msg = (w_ij/gamma) S_i^{-1} ell.
+    w_ij may be an array over the batch axes.
     """
-    Q_i = np.asarray(Q_i, dtype=float)
-    d = Q_i.shape[-1]
     w_ij = np.asarray(w_ij, dtype=float)
-    ell = np.asarray(lin_i, dtype=float)
-    for msg in incoming:
-        ell = ell + msg.h
-    if boundary_lin is not None:
-        ell = ell + boundary_lin
-    if curvature is None:
-        eye = np.eye(d)
-        self_weight = (1.0 - np.asarray(w_ii, dtype=float)) / gamma
-        S = Q_i + self_weight[..., None, None] * eye
-        for msg in incoming:
-            S = S + msg.H
-        col, curvature = _solve_curvature(
-            S, np.broadcast_to(eye, S.shape), ell,
-            lambda X: -(w_ij ** 2 / gamma ** 2)[..., None, None] * X, SingularInnerMatrix)
-    else:
-        col = curvature.solve(ell)
-    h_msg = (w_ij / gamma)[..., None] * col
-    return QuadraticMessage(curvature.H, h_msg, curvature)
+    eye = np.broadcast_to(np.eye(S_i.shape[-1]), S_i.shape)
+    col, curvature = _solve_curvature(
+        S_i, eye, ell, lambda X: -(w_ij ** 2 / gamma ** 2)[..., None, None] * X,
+        SingularInnerMatrix)
+    return QuadraticMessage(curvature.H, (w_ij / gamma)[..., None] * col, curvature)
 
 
 # ---------------------------------------------------------------------------
 # hypergraph update rules (quadratic factors, <H_w x_w, x_w> convention)
 
 
-def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
-                         receiver_extra_lin=None, curvature=None):
+def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin, receiver_extra_lin,
+                         curvature=None):
     """Factor-to-variable message for a quadratic factor psi = <H_w x, x>.
 
     ``H_w`` (..., k d, k d) is the factor block permuted receiver-first: the
     receiver's d coordinates, then those of the other k - 1 members
     ("rest") in a fixed order. ``H_agg`` (..., k-1, d, d) and ``h_agg``
     (..., k-1, d) are the rest's variable-side aggregates in that order.
-    ``frozen_lin`` (..., k-1, d), optional, adds the rest's linear terms
-    from coordinates of a parent factor frozen by splitting;
+    ``frozen_lin`` (..., k-1, d) adds the rest's linear terms from
+    coordinates of a parent factor frozen by splitting;
     ``receiver_extra_lin`` (..., d) is the receiver-side frozen linear term
     2 (H_par)_{i, frozen} y. ``curvature``, the Curvature of an earlier
     call with the same H_w and H_agg, skips the curvature half (a factor
@@ -670,22 +619,18 @@ def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
 
     Closed form (matches brute-force partial minimization):
         A     = 2 (H_w)_{rest,rest} + blockdiag(H_agg)
-        dvec  = stacked h_agg (+ frozen_lin)
+        dvec  = stacked h_agg + frozen_lin
         H_msg = 2 (H_w)_{ii} - 4 (H_w)_{i,rest} A^{-1} (H_w)_{rest,i}
-        h_msg = receiver_extra_lin - 2 (H_w)_{i,rest} A^{-1} dvec.
+        h_msg = -2 (H_w)_{i,rest} A^{-1} dvec + receiver_extra_lin.
     """
     H_w = np.asarray(H_w, dtype=float)
     h_agg = np.asarray(h_agg, dtype=float)
     n, d = h_agg.shape[-2:]
     if not n:
-        Hii = 2.0 * H_w[..., :d, :d]
-        if receiver_extra_lin is None:
-            return QuadraticMessage(Hii, np.zeros(Hii.shape[:-1]))
-        return QuadraticMessage(Hii, np.array(receiver_extra_lin, dtype=float))
+        return QuadraticMessage(2.0 * H_w[..., :d, :d],
+                                np.array(receiver_extra_lin, dtype=float))
     cross = 2.0 * H_w[..., :d, d:]                       # 2 (H_w)_{i,rest}
-    dvec = h_agg.reshape(h_agg.shape[:-2] + (n * d,))
-    if frozen_lin is not None:
-        dvec = dvec + np.reshape(frozen_lin, dvec.shape)
+    dvec = (h_agg + np.reshape(frozen_lin, h_agg.shape)).reshape(h_agg.shape[:-2] + (n * d,))
     if curvature is None:
         A = 2.0 * H_w[..., d:, d:]
         blk = np.arange(n * d).reshape(n, d, 1)
@@ -697,9 +642,7 @@ def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin=None,
             lambda X: _sym(2.0 * H_w[..., :d, :d] - cross @ X), SingularA)
     else:
         col = curvature.solve(dvec)
-    h_msg = (-cross @ col[..., None])[..., 0]
-    if receiver_extra_lin is not None:
-        h_msg = h_msg + receiver_extra_lin
+    h_msg = (-cross @ col[..., None])[..., 0] + receiver_extra_lin
     return QuadraticMessage(curvature.H, h_msg, curvature)
 
 

@@ -210,10 +210,15 @@ def _tau_per_node(problem, partition, config):
 
 
 def _checked_stepsizes(taus):
-    """taus, unless a stepsize is negative, infinite or NaN (SolverError)."""
-    if not np.all(np.isfinite(taus) & (np.asarray(taus) >= 0)):
+    """taus as floats, unless a stepsize is not a number or is negative,
+    infinite or NaN (SolverError); None reads as NaN."""
+    try:
+        checked = np.asarray(taus, dtype=float)
+    except (TypeError, ValueError):
+        checked = np.nan
+    if not np.all(np.isfinite(checked) & (checked >= 0)):
         raise SolverError(f"stepsizes must be finite and nonnegative, got {taus!r}")
-    return taus
+    return checked
 
 
 def _diverged(x, out=None):
@@ -528,8 +533,9 @@ def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
     ``problem.diag`` for the curvatures and, for the linear terms, lin
     plus the cross sum, written in place every round; the cross sum, one
     bincount (``RowSum.compiled``) of the :class:`GatheredProducts`. A
-    curvature round calls the exact rule on the sender aggregates; a kept
-    round runs its linear half, :func:`exact_linear` on the kept column.
+    curvature round calls the exact rule on the senders' sums A and c; a
+    kept round is the rule's one kept path, :func:`exact_linear` on the
+    kept column of c.
     Node solves and kept columns take the LapackSystems' stored pivots and
     reciprocals under one errstate per round; a kept round's node system
     is one a curvature round has solved, so it cannot be singular there.
@@ -555,7 +561,7 @@ def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
         if kept is None:
             with _ill_posed(), np.errstate(all="ignore"):
                 xhat = -node.vector(inh)
-            msg = exact_quadratic_message(A, c, B, [])
+            msg = exact_quadratic_message(A, c, B)
             return xhat, msg.H, msg.h, msg.curvature
         with np.errstate(all="ignore"):
             xhat = -node.vector(inh)
@@ -624,10 +630,12 @@ def _schur_run(problem, partition, config, x0, spec):
     ``G_base`` (unless ``exact_variable_update``), the cross and the sender
     couplings, then the state's H_in and H_msg. So a round makes one
     gather of x and one stacked block product, plus M_ij col after the
-    solve. A curvature round calls the rule; a kept round runs its linear
-    half (:func:`schur_aggregate`, :func:`schur_linear`). ``_Rounds`` keeps
-    a state only once the rule has returned the H_msg it was built from,
-    bit for bit, so kept.H is H_msg and the H_msg rows are the rule's
+    solve. Every round sums c_u (:func:`schur_aggregate`) from the H_in
+    rows; a curvature round calls the rule on c_u and the state's sender
+    matrices S = (Q + M_node) + H_in, and a kept round is the rule's one
+    kept path, :func:`schur_linear` on the kept column of c_u. ``_Rounds``
+    keeps a state only once the rule has returned the H_msg it was built
+    from, bit for bit, so kept.H is H_msg and the H_msg rows are the rule's
     H x_i^ref.
     """
     if not isinstance(problem, QuadraticObjective):
@@ -640,7 +648,7 @@ def _schur_run(problem, partition, config, x0, spec):
     Q, Mn = spec.node_matrices("Q", m, d), spec.node_matrices("M", m, d)
     M_edge = spec.edge_matrices(s, t, d)
     G_base = Q + n_out * Mn         # variable-update curvature before messages
-    Q_s, Mn_s, Mn_t = Q[s], Mn[s], Mn[t]
+    QM_s, Mn_t = Q[s] + Mn[s], Mn[t]
     nodes = np.arange(m)
     fixed = [(problem.diag, nodes), (problem.couplings(lay.csrc, lay.cdst), lay.cdst),
              (problem.couplings(s, t), t)] + ([] if exact else [(G_base, nodes)])
@@ -649,27 +657,22 @@ def _schur_run(problem, partition, config, x0, spec):
         H_node = lay.at_receivers(H_msg)
         H_in = lay.others(H_node, H_msg)
         G = _variable_system((problem.diag if exact else G_base) + H_node)
-        return G, H_in, StackedProducts(fixed + [(H_in, s), (H_msg, t)])
+        return G, QM_s + H_in, StackedProducts(fixed + [(H_in, s), (H_msg, t)])
 
     def linear(x, h_msg, state, kept):
-        G, H_in, products = state
+        G, S, products = state
         node_x, cross_x, grads, *base_x, in_x, msg_x = products(x)
         grad_phi = node_x + problem.lin
         boundary = lay.at_cross(cross_x)
         g = problem.lin + boundary if exact else grad_phi - base_x[0] + boundary
         h_node = lay.at_receivers(h_msg)
         xhat = _variable_solve(G, g + h_node)
-        h_in = lay.others(h_node, h_msg)
-        grad_phi_s, boundary_s = grad_phi.take(s, axis=0), boundary.take(s, axis=0)
+        c_u = schur_aggregate(grad_phi.take(s, axis=0), grads,
+                              [(in_x, lay.others(h_node, h_msg))], boundary.take(s, axis=0))
         grads_rev = grads.take(lay.rev, axis=0)
         if kept is None:
-            msg = schur_message_update(
-                Q_j=Q_s, M_j=Mn_s, M_i=Mn_t, M_ij=M_edge, grad_phi_j=grad_phi_s,
-                grad_j_psi=grads, grad_i_psi=grads_rev, x_j_ref=x.take(s, axis=0),
-                x_i_ref=x.take(t, axis=0), incoming=[QuadraticMessage(H_in, h_in)],
-                boundary_grad=boundary_s)
+            msg = schur_message_update(S, c_u, Mn_t, M_edge, grads_rev, x.take(t, axis=0))
             return xhat, msg.H, msg.h, msg.curvature
-        c_u = schur_aggregate(grad_phi_s, grads, [(in_x, h_in)], boundary_s)
         return xhat, kept.H, schur_linear(grads_rev, M_edge, kept.solve(c_u), msg_x), kept
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
@@ -679,9 +682,12 @@ def _schur_run(problem, partition, config, x0, spec):
 
 def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     """Partial-linearization family on a lifted consensus problem; diagonal
-    node curvatures keep the message curvatures exactly diagonal. The rule's
-    first term grad f_i - Q_i x_i^nu is read off the rows of the variable
-    update's own grad f - Q x (:func:`partial_linearization_message`).
+    node curvatures keep the message curvatures exactly diagonal. Every
+    round sums the senders' ell, whose first term grad f_i - Q_i x_i^nu is
+    read off the rows of the variable update's own grad f - Q x; a
+    curvature round calls :func:`partial_linearization_message` on ell and
+    the state's sender matrices S = base + H_in, and a kept round is the
+    rule's one kept path, (w_ij/gamma) times the kept column of ell.
     """
     if not isinstance(problem, CtaProblem):
         raise SolverError("partial_linearization expects a lifted consensus problem")
@@ -694,23 +700,23 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     w_cross = -(W[lay.csrc, lay.cdst] / gamma)[:, None]
     Q = spec.node_matrices("Q", m, d)
     base = Q + ((1.0 - w_self) / gamma)[:, None, None] * np.eye(d)
-    Q_s, w_self_s = Q[s], w_self[s]
+    base_s = base[s]
 
     def curvature(H_msg):
         H_node = lay.at_receivers(H_msg)
-        return _variable_system(base + H_node), lay.others(H_node, H_msg)
+        return _variable_system(base + H_node), base_s + lay.others(H_node, H_msg)
 
     def linear(x, h_msg, state, kept):
-        S, H_in = state
+        G, S = state
         lin = problem.local_grads(x) - np.einsum("ikl,il->ik", Q, x)
         boundary = lay.at_cross(w_cross * x.take(lay.cdst, axis=0))
         h_node = lay.at_receivers(h_msg)
-        xhat = _variable_solve(S, lin + boundary + h_node)
-        msg = partial_linearization_message(
-            Q_i=Q_s, w_ii=w_self_s, w_ij=w_edge, gamma=gamma, lin_i=lin.take(s, axis=0),
-            incoming=[QuadraticMessage(H_in, lay.others(h_node, h_msg))],
-            boundary_lin=boundary.take(s, axis=0), curvature=kept)
-        return xhat, msg.H, msg.h, msg.curvature
+        xhat = _variable_solve(G, lin + boundary + h_node)
+        ell = (lin.take(s, axis=0) + lay.others(h_node, h_msg)) + boundary.take(s, axis=0)
+        if kept is None:
+            msg = partial_linearization_message(S, ell, w_edge, gamma)
+            return xhat, msg.H, msg.h, msg.curvature
+        return xhat, kept.H, (w_edge / gamma)[:, None] * kept.solve(ell), kept
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
     return rounds.run(problem, _tau_per_node(problem, partition, config), config,
@@ -811,14 +817,14 @@ def tree_solve(problem, graph):
     up = []
     for sl in reversed(levels):                          # leaves towards the root
         v = order[sl]
-        msg = exact_quadratic_message(H[v], h[v], B_up[sl], [])
+        msg = exact_quadratic_message(H[v], h[v], B_up[sl])
         np.add.at(H, parent[sl], msg.H)
         np.add.at(h, parent[sl], msg.h)
         up.append(msg)
     for sl, msg in zip(levels, reversed(up)):             # root towards the leaves
         p = parent[sl]
         down = exact_quadratic_message(H[p] - msg.H, h[p] - msg.h,
-                                       np.swapaxes(B_up[sl], -1, -2), [])
+                                       np.swapaxes(B_up[sl], -1, -2))
         H[order[sl]] += down.H
         h[order[sl]] += down.h
     with _ill_posed():
@@ -1147,7 +1153,7 @@ def baseline(kind, problem, params=None, x0=None):
         def step(x):
             return x - alpha * problem.grad(x), 0
     else:
-        tau_node = np.full(problem.m, _checked_stepsizes(float(params.get("tau", 1.0))))
+        tau_node = np.full(problem.m, float(_checked_stepsizes(params.get("tau", 1.0))))
         if kind == "block_jacobi_central":
             step = _central_step(problem, params.get("clusters"))
         else:
@@ -1203,12 +1209,17 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     ``max_rounds``. The recursion keeps its own round
     loop: it stops on the distance to its own x_star and has no objective
     whose gradient or value the driver could record (those columns are NaN).
+    A W that is not n x n, or a max_rounds that ``SolverConfig`` rejects,
+    raises SolverError.
     """
     Hs = [np.asarray(H, dtype=float) for (H, _) in consensus_locals]
     bs = [np.asarray(b, dtype=float) for (_, b) in consensus_locals]
     n = len(Hs)
     d = bs[0].shape[0]
     W = np.asarray(W, dtype=float)
+    if W.shape != (n, n):
+        raise SolverError(f"W must be {n} x {n}, got shape {W.shape}")
+    SolverConfig(max_rounds=max_rounds)     # SolverError unless a nonnegative int
     rho_W = _rho_perp(W)
     if gamma is None:
         gamma = 2.0 / (1.0 + math.sqrt(max(1.0 - rho_W ** 2, 0.0)))
@@ -1284,12 +1295,13 @@ def select_stepsize(partition, rate_inputs, mode="uniform_theorem",
     rho when the window condition 2D+1 <= min(2 kappa p, mu_min p^2 / (8 A)),
     i.e. 1/p <= min(II, III) (regime I, surrogate analogues included),
     holds; else InfeasibleCondition.
-    manual(tau) passes tau through.
+    manual(tau) passes the scalar tau through, unless it is not a finite
+    nonnegative number (SolverError).
     Returns (tau, rho) where tau is a scalar (uniform/manual) or per-cluster
     array and rho the certified contraction factor.
     """
     if mode == "manual":
-        return float(manual_tau), None
+        return float(_checked_stepsizes(manual_tau)), None
     if mode not in ("uniform_theorem", "heterogeneous_theorem"):
         raise SolverError(f"unknown stepsize mode {mode!r}")
     rep = rate_terms(partition, rate_inputs, surrogate=surrogate)

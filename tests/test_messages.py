@@ -17,6 +17,7 @@ from mpjacobi.messages import (
     block_matmul,
     block_matvec,
     diagonalize_message,
+    exact_linear,
     exact_quadratic_message,
     first_order_message,
     hyper_factor_message,
@@ -52,13 +53,11 @@ def fit_quadratic_1d(f, lo=-2.0, hi=2.0, n=7):
 def test_exact_message_scalar_hand():
     # phi_j = 1/2 a x^2 + b x, psi = c x_i x_j, no other neighbors
     a, b, c = 2.5, -1.2, 0.7
-    msg = exact_quadratic_message(np.array([[a]]), np.array([b]),
-                                  np.array([[c]]), incoming=[])
+    msg = exact_quadratic_message(np.array([[a]]), np.array([b]), np.array([[c]]))
     assert msg.H[0, 0] == pytest.approx(-c * c / a)
     assert msg.h[0] == pytest.approx(-b * c / a)
     # zero coupling -> zero message
-    z = exact_quadratic_message(np.array([[a]]), np.array([b]),
-                                np.array([[0.0]]), incoming=[])
+    z = exact_quadratic_message(np.array([[a]]), np.array([b]), np.array([[0.0]]))
     assert z.H[0, 0] == 0.0 and z.h[0] == 0.0
 
 
@@ -72,10 +71,11 @@ def test_exact_message_matches_partial_minimization():
         B = rng.standard_normal((d, d))
         inc = QuadraticMessage(np.eye(d) * 0.3, rng.standard_normal(d))
         bl = rng.standard_normal(d)
-        msg = exact_quadratic_message(H_jj, b_j, B, [inc], boundary_lin=bl)
-        # oracle: evaluate min over x_j at several x_i, compare quadratic
+        # the sender's sums: its node term, an incoming message, a boundary
         S = H_jj + inc.H
         c0 = b_j + inc.h + bl
+        msg = exact_quadratic_message(S, c0, B)
+        # oracle: evaluate min over x_j at several x_i, compare quadratic
         for _ in range(4):
             xi = rng.standard_normal(d)
             c = c0 + B.T @ xi
@@ -96,10 +96,9 @@ def test_exact_message_chain_left_value():
     a = rng.uniform(1.5, 3.0, size=3)
     b = rng.standard_normal(3)
     c01, c12 = rng.standard_normal(2)
-    m01 = exact_quadratic_message(np.array([[a[0]]]), np.array([b[0]]),
-                                  np.array([[c01]]), [])
-    m12 = exact_quadratic_message(np.array([[a[1]]]), np.array([b[1]]),
-                                  np.array([[c12]]), [m01])
+    m01 = exact_quadratic_message(np.array([[a[0]]]), np.array([b[0]]), np.array([[c01]]))
+    m12 = exact_quadratic_message(np.array([[a[1]]]) + m01.H, np.array([b[1]]) + m01.h,
+                                  np.array([[c12]]))
 
     def left_cost(x2):
         # min over x0, x1 of sum phi + couplings
@@ -115,8 +114,7 @@ def test_exact_message_chain_left_value():
 
 def test_exact_message_singular_raises():
     with pytest.raises(SingularSenderCurvature):
-        exact_quadratic_message(np.zeros((1, 1)), np.zeros(1),
-                                np.array([[1.0]]), [])
+        exact_quadratic_message(np.zeros((1, 1)), np.zeros(1), np.array([[1.0]]))
 
 
 def test_first_order_message():
@@ -134,18 +132,17 @@ def test_schur_scalar_recursion():
     # scalar case: M_j = 2, M_ji = 1, Q_i + M_i = 3, H^0 = 0 -> H^1 = 2 - 1/3
     # (sender i, receiver j in the displayed orientation; map onto the
     # function's sender/receiver names)
+    zero = np.zeros(1)
     msg = schur_message_update(
-        Q_j=np.array([[3.0]]), M_j=np.array([[0.0]]), M_i=np.array([[2.0]]),
-        M_ij=np.array([[1.0]]), grad_phi_j=np.zeros(1), grad_j_psi=np.zeros(1),
-        grad_i_psi=np.zeros(1), x_j_ref=np.zeros(1), x_i_ref=np.zeros(1),
-        incoming=[])
+        S_j=np.array([[3.0]]) + np.array([[0.0]]), c_u=schur_aggregate(zero, zero, []),
+        M_i=np.array([[2.0]]), M_ij=np.array([[1.0]]), grad_i_psi=zero, x_i_ref=zero)
     assert msg.H[0, 0] == pytest.approx(2.0 - 1.0 / 3.0)
     # M_ij = 0: curvature constant M_i regardless of incoming
+    inc = QuadraticMessage(np.array([[0.7]]), zero)
     msg0 = schur_message_update(
-        Q_j=np.array([[3.0]]), M_j=np.array([[1.0]]), M_i=np.array([[2.0]]),
-        M_ij=np.array([[0.0]]), grad_phi_j=np.zeros(1), grad_j_psi=np.zeros(1),
-        grad_i_psi=np.zeros(1), x_j_ref=np.zeros(1), x_i_ref=np.zeros(1),
-        incoming=[QuadraticMessage(np.array([[0.7]]), np.zeros(1))])
+        S_j=np.array([[3.0]]) + np.array([[1.0]]) + inc.H,
+        c_u=schur_aggregate(zero, zero, [(inc.H @ zero, inc.h)]),
+        M_i=np.array([[2.0]]), M_ij=np.array([[0.0]]), grad_i_psi=zero, x_i_ref=zero)
     assert msg0.H[0, 0] == pytest.approx(2.0)
 
 
@@ -165,8 +162,8 @@ def test_schur_message_matches_symbolic_minimization():
         xi = rng.standard_normal(d)
         inc = QuadraticMessage(np.eye(d) * 0.4, rng.standard_normal(d))
         bgrad = rng.standard_normal(d)
-        msg = schur_message_update(Q, Mj, Mi, Mij, gphi, gpsi_j, gpsi_i,
-                                   xj, xi, [inc], boundary_grad=bgrad)
+        c_u = schur_aggregate(gphi, gpsi_j, [(inc.H @ xj, inc.h)], bgrad)
+        msg = schur_message_update(Q + Mj + inc.H, c_u, Mi, Mij, gpsi_i, xi)
 
         def surrogate_total(u, v):
             # u = x_j (sender), v = x_i (receiver); all pieces of the
@@ -205,25 +202,24 @@ def test_schur_diagonal_preservation_exact_zero():
     Q = np.diag(rng.uniform(1.0, 2.0, d))
     Mij = np.diag(rng.uniform(0.2, 0.8, d))
     H0 = np.diag(rng.uniform(0.0, 0.3, d))
-    msg = schur_message_update(Q, np.zeros((d, d)), np.zeros((d, d)), Mij,
-                               np.zeros(d), np.zeros(d), np.zeros(d),
-                               np.zeros(d), np.zeros(d),
-                               [QuadraticMessage(H0, np.zeros(d))])
+    zero = np.zeros(d)
+    msg = schur_message_update(Q + np.zeros((d, d)) + H0,
+                               schur_aggregate(zero, zero, [(H0 @ zero, zero)]),
+                               np.zeros((d, d)), Mij, zero, zero)
     off = msg.H - np.diag(np.diag(msg.H))
     assert not np.any(off)          # exactly zero, not just small
 
 
 def test_cta_message_scalar_and_diag():
-    # scalar: w_ij = 1/2, gamma = 1, Q = 1, w_ii = 0, no other msgs
-    # lin_i = grad f_i(x_i^nu) - Q_i x_i^nu
+    # scalar: w_ij = 1/2, gamma = 1, Q = 1, w_ii = 0, no other msgs, so
+    # S_i = Q + (1 - w_ii)/gamma; lin_i = grad f_i(x_i^nu) - Q_i x_i^nu
+    S = np.array([[1.0]]) + (1.0 - 0.0) / 1.0 * np.eye(1)
     msg = partial_linearization_message(
-        Q_i=np.array([[1.0]]), w_ii=0.0, w_ij=0.5, gamma=1.0,
-        lin_i=np.zeros(1) - np.array([[1.0]]) @ np.zeros(1), incoming=[])
+        S_i=S, ell=np.zeros(1) - np.array([[1.0]]) @ np.zeros(1), w_ij=0.5, gamma=1.0)
     assert msg.H[0, 0] == pytest.approx(-0.25 / 2.0)
     # w_ij = 0 -> zero curvature
     z = partial_linearization_message(
-        Q_i=np.array([[1.0]]), w_ii=0.0, w_ij=0.0, gamma=1.0,
-        lin_i=np.ones(1) - np.array([[1.0]]) @ np.zeros(1), incoming=[])
+        S_i=S, ell=np.ones(1) - np.array([[1.0]]) @ np.zeros(1), w_ij=0.0, gamma=1.0)
     assert not np.any(z.H)
     # diagonal inputs stay exactly diagonal
     d = 3
@@ -231,7 +227,8 @@ def test_cta_message_scalar_and_diag():
     Q = np.diag(rng.uniform(0.5, 1.5, d))
     inc = QuadraticMessage(np.diag(rng.uniform(0.0, 0.4, d)), rng.standard_normal(d))
     gf, xr = rng.standard_normal(d), rng.standard_normal(d)
-    m2 = partial_linearization_message(Q, 0.3, 0.25, 0.01, gf - Q @ xr, [inc])
+    m2 = partial_linearization_message(Q + (1.0 - 0.3) / 0.01 * np.eye(d) + inc.H,
+                                       gf - Q @ xr + inc.h, 0.25, 0.01)
     assert not np.any(m2.H - np.diag(np.diag(m2.H)))
 
 
@@ -244,10 +241,9 @@ def test_cta_message_matches_minimization():
     xr = rng.standard_normal(d)
     inc = QuadraticMessage(-np.eye(d) * 0.1, rng.standard_normal(d))
     bl = rng.standard_normal(d)
-    msg = partial_linearization_message(Q, w_ii, w_ij, gamma, gf - Q @ xr,
-                                        [inc], boundary_lin=bl)
     S = Q + (1 - w_ii) / gamma * np.eye(d) + inc.H
     ell = gf - Q @ xr + inc.h + bl
+    msg = partial_linearization_message(S, ell, w_ij, gamma)
 
     def value_at(xj):
         c = ell - (w_ij / gamma) * xj
@@ -269,8 +265,8 @@ def test_hyper_factor_message_pairwise_reduction():
     H_jj = np.eye(d) * 2.0
     b_j = rng.standard_normal(d)
     # aggregate at the sender node (index 1 in support (0,1))
-    msg = hyper_factor_message(Hw, H_jj[None], b_j[None])
-    ref = exact_quadratic_message(H_jj, b_j, B, [])
+    msg = hyper_factor_message(Hw, H_jj[None], b_j[None], np.zeros((1, d)), np.zeros(d))
+    ref = exact_quadratic_message(H_jj, b_j, B)
     assert np.allclose(msg.H, ref.H, atol=1e-12)
     assert np.allclose(msg.h, ref.h, atol=1e-12)
 
@@ -278,7 +274,8 @@ def test_hyper_factor_message_pairwise_reduction():
 def test_hyper_factor_message_no_cross():
     d = 1
     Hw = np.diag([1.0, 2.0])     # (H_w)_{i, rest} = 0
-    msg = hyper_factor_message(Hw, np.array([[[3.0]]]), np.zeros((1, 1)))
+    msg = hyper_factor_message(Hw, np.array([[[3.0]]]), np.zeros((1, 1)),
+                               np.zeros((1, 1)), np.zeros(1))
     assert msg.H[0, 0] == pytest.approx(2.0)   # 2 (H_w)_{ii}
     assert msg.h[0] == 0.0
 
@@ -294,7 +291,8 @@ def test_hyper_factor_message_matches_dense_minimization():
         aggs[j] = (np.array([[rng.uniform(3.0, 5.0)]]), rng.standard_normal(1))
 
     msg = hyper_factor_message(Hw, np.stack([aggs[j][0] for j in (1, 2)]),
-                               np.stack([aggs[j][1] for j in (1, 2)]))
+                               np.stack([aggs[j][1] for j in (1, 2)]),
+                               np.zeros((k - 1, d)), np.zeros(d))
 
     def brute(x0):
         def total(rest):
@@ -402,13 +400,9 @@ def test_batched_rules_equal_stacked_single_calls(seed, B, d, diagonal):
         assert np.max(np.abs(batched.H - singles[0])) <= 1e-12
         assert np.max(np.abs(batched.h - singles[1])) <= 1e-12
 
-    # incoming messages: two per batch entry, passed batched or one by one
+    # incoming messages: two per batch entry, summed batched or one by one
     inc_H = [0.2 * _spd_batch(rng, B, d, diagonal) for _ in range(2)]
     inc_h = [vecs() for _ in range(2)]
-    batched_inc = [QuadraticMessage(H, h) for H, h in zip(inc_H, inc_h)]
-
-    def single_inc(b):
-        return [QuadraticMessage(H[b], h[b]) for H, h in zip(inc_H, inc_h)]
 
     A = _spd_batch(rng, B, d, diagonal)
     rhs_m, rhs_v = rng.standard_normal((B, d, 2)), vecs()
@@ -419,27 +413,37 @@ def test_batched_rules_equal_stacked_single_calls(seed, B, d, diagonal):
     Q, Mj, Mi = (_spd_batch(rng, B, d, diagonal) for _ in range(3))
     Mij = rng.standard_normal((B, d, d))
     g_phi, g_j, g_i, xj, xi, bnd = (vecs() for _ in range(6))
-    close(schur_message_update(Q, Mj, Mi, Mij, g_phi, g_j, g_i, xj, xi,
-                               batched_inc, boundary_grad=bnd),
-          stacked(lambda b: schur_message_update(
-              Q[b], Mj[b], Mi[b], Mij[b], g_phi[b], g_j[b], g_i[b], xj[b],
-              xi[b], single_inc(b), boundary_grad=bnd[b])))
+
+    def schur_args(b=slice(None)):
+        products = [(np.einsum("...ij,...j->...i", H[b], xj[b]), h[b])
+                    for H, h in zip(inc_H, inc_h)]
+        return (Q[b] + Mj[b] + inc_H[0][b] + inc_H[1][b],
+                schur_aggregate(g_phi[b], g_j[b], products, bnd[b]), Mi[b], Mij[b], g_i[b], xi[b])
+
+    close(schur_message_update(*schur_args()),
+          stacked(lambda b: schur_message_update(*schur_args(b))))
 
     w_ii, w_ij = rng.uniform(0.2, 0.5, B), rng.uniform(0.0, 0.3, B)
     gamma = 0.05
     lin_i = g_phi - np.einsum("bij,bj->bi", Q, xj)      # grad f_i - Q_i x_i^nu
-    close(partial_linearization_message(Q, w_ii, w_ij, gamma, lin_i,
-                                        batched_inc, boundary_lin=bnd),
-          stacked(lambda b: partial_linearization_message(
-              Q[b], w_ii[b], w_ij[b], gamma, lin_i[b], single_inc(b),
-              boundary_lin=bnd[b])))
+
+    def plin_args(b=slice(None)):
+        self_weight = ((1.0 - w_ii[b]) / gamma)[..., None, None] * np.eye(d)
+        return (Q[b] + self_weight + inc_H[0][b] + inc_H[1][b],
+                lin_i[b] + inc_h[0][b] + inc_h[1][b] + bnd[b], w_ij[b], gamma)
+
+    close(partial_linearization_message(*plin_args()),
+          stacked(lambda b: partial_linearization_message(*plin_args(b))))
 
     close(first_order_message(g_i),
           stacked(lambda b: first_order_message(g_i[b])))
 
-    close(exact_quadratic_message(A, g_phi, Mij, batched_inc, boundary_lin=bnd),
-          stacked(lambda b: exact_quadratic_message(
-              A[b], g_phi[b], Mij[b], single_inc(b), boundary_lin=bnd[b])))
+    def exact_args(b=slice(None)):
+        return (A[b] + inc_H[0][b] + inc_H[1][b],
+                g_phi[b] + inc_h[0][b] + inc_h[1][b] + bnd[b], Mij[b])
+
+    close(exact_quadratic_message(*exact_args()),
+          stacked(lambda b: exact_quadratic_message(*exact_args(b))))
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(2, 4))
@@ -484,16 +488,15 @@ def test_batched_hyper_rule_equals_single_incidence_calls(seed, B, k, d, frozen)
     H_agg = np.stack([_spd_batch(rng, k, d, diag)[1:] + 2.0 * np.eye(d)
                       for diag in diagonal])
     h_agg = rng.standard_normal((B, k - 1, d))
-    fz = rng.standard_normal((B, k - 1, d)) if frozen else None
-    recv = rng.standard_normal((B, d)) if frozen else None
+    fz = rng.standard_normal((B, k - 1, d)) if frozen else np.zeros((B, k - 1, d))
+    recv = rng.standard_normal((B, d)) if frozen else np.zeros((B, d))
     got = hyper_factor_message(blocks, H_agg, h_agg, frozen_lin=fz,
                                receiver_extra_lin=recv)
     x = rng.standard_normal((B, d))
     diag_got = diagonalize_message(got, x)
     for b in range(B):
         one = hyper_factor_message(blocks[b], H_agg[b], h_agg[b],
-                                   frozen_lin=None if fz is None else fz[b],
-                                   receiver_extra_lin=None if recv is None else recv[b])
+                                   frozen_lin=fz[b], receiver_extra_lin=recv[b])
         assert np.array_equal(got.H[b], one.H) and np.array_equal(got.h[b], one.h)
         one_diag = diagonalize_message(one, x[b])
         assert np.array_equal(diag_got.H[b], one_diag.H)
@@ -553,9 +556,12 @@ def _sender_batch(rng, B, d, kinds):
        st.sampled_from([("diag",), ("dense",), ("diag", "dense")]))
 @settings(max_examples=40, deadline=None)
 def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
-    """Every rule, given the Curvature of a call with the same curvature
-    inputs, returns the full rule's message bit for bit for any linear
-    inputs; B = 0 is the unbatched call."""
+    """The engines' kept round, the Curvature of a call with the same
+    sender matrix and fixed inputs solving for a new linear sum c' and then
+    ``exact_linear``, ``schur_linear`` or (w_ij/gamma) col, returns the
+    full rule's message at c' bit for bit for any linear inputs; the
+    hypergraph rule takes the Curvature back as ``curvature=``. B = 0 is
+    the unbatched call."""
     rng = np.random.default_rng(seed)
     lead = (B,) if B else ()
 
@@ -566,35 +572,39 @@ def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
         M = _sender_batch(rng, B, d, kind_list)
         return M if B else M[0]
 
+    def mv(H, x):
+        return np.einsum("...ij,...j->...i", H, x)
+
     inc_H = [0.2 * mat() for _ in range(2)]
-
-    def inc():
-        return [QuadraticMessage(H, vec()) for H in inc_H]
-
     Q, Mj, Mi = mat(), mat(), mat()
     Mij = rng.standard_normal(lead + (d, d))
     w_ii, w_ij = rng.uniform(0.2, 0.5, lead), rng.uniform(0.0, 0.3, lead)
     A = mat()
     Bc = rng.standard_normal(lead + (d, d))
+    S_schur = Q + Mj + inc_H[0] + inc_H[1]
+    S_plin = Q + ((1.0 - w_ii) / 0.05)[..., None, None] * np.eye(d) + inc_H[0] + inc_H[1]
+    A_j = A + inc_H[0] + inc_H[1] + 0.1 * Q
+
+    def c_u():
+        return schur_aggregate(vec(), vec(), [(mv(H, vec()), vec()) for H in inc_H], vec())
+
+    # per rule: the sender's linear sum, the rule at (c, receiver-side
+    # inputs a) and the engine's kept round on its Curvature
     rules = {
-        "schur": (6, lambda a, inc_, c: schur_message_update(
-            Q, Mj, Mi, Mij, a[0], a[1], a[2], a[3], a[4], inc_,
-            boundary_grad=a[5], curvature=c)),
-        "partial_linearization": (3, lambda a, inc_, c: partial_linearization_message(
-            Q, w_ii, w_ij, 0.05, a[0] - np.einsum("...ij,...j->...i", Q, a[1]), inc_,
-            boundary_lin=a[2], curvature=c)),
-        "exact": (2, lambda a, inc_, c: exact_quadratic_message(
-            A, a[0], Bc, inc_, boundary_lin=a[1], boundary_quad=0.1 * Q,
-            curvature=c)),
+        "schur": (c_u, lambda c, a: schur_message_update(S_schur, c, Mi, Mij, a[0], a[1]),
+                  lambda kept, c, a: schur_linear(a[0], Mij, kept.solve(c), mv(kept.H, a[1]))),
+        "partial_linearization": (
+            vec, lambda c, a: partial_linearization_message(S_plin, c, w_ij, 0.05),
+            lambda kept, c, a: (np.asarray(w_ij) / 0.05)[..., None] * kept.solve(c)),
+        "exact": (vec, lambda c, a: exact_quadratic_message(A_j, c, Bc),
+                  lambda kept, c, a: exact_linear(Bc, kept.solve(c))),
     }
-    for n_vec, make in rules.values():
-        lin = [[vec() for _ in range(n_vec)] for _ in range(2)]
-        first = make(lin[0], inc(), None)
-        incoming = inc()
-        full = make(lin[1], incoming, None)
-        short = make(lin[1], incoming, first.curvature)
-        _assert_same_bits(short.H, full.H)
-        _assert_same_bits(short.h, full.h)
+    for linear_sum, make, kept_round in rules.values():
+        first = make(linear_sum(), [vec(), vec()])
+        c, a = linear_sum(), [vec(), vec()]
+        full = make(c, a)
+        _assert_same_bits(first.curvature.H, full.H)
+        _assert_same_bits(kept_round(first.curvature, c, a), full.h)
 
     # hypergraph factors of arity k = 3, the rest's aggregates diagonal or dense
     k = 3
@@ -710,13 +720,13 @@ def test_scalar_exact_message_equals_concatenated_solve(seed, batch, zero_pivot,
             with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
                 np.linalg.solve(A, np.concatenate([F, c[..., None]], axis=-1))
             with pytest.raises(SingularSenderCurvature, match="^Singular matrix$"):
-                exact_quadratic_message(A, c, B, [])
+                exact_quadratic_message(A, c, B)
             return
         X, col = _concatenated(lambda rhs: np.linalg.solve(A, rhs), F, c)
         H = -np.matmul(B, X)
         H, h = 0.5 * (H + np.swapaxes(H, -1, -2)), -np.matmul(B, col[..., None])[..., 0]
         got_X, got_col, _ = LapackSystem(A).columns(F, c)
-        msg = exact_quadratic_message(A, c, B, [])
+        msg = exact_quadratic_message(A, c, B)
         kept = msg.curvature.solve(c2)
         want_kept = _concatenated(lambda rhs: np.linalg.solve(A, rhs), F, c2)[1]
     for got, want in ((got_X, X), (got_col, col), (msg.H, H), (msg.h, h), (kept, want_kept)):
@@ -753,10 +763,11 @@ def test_scalar_struct_rules_equal_concatenated_solve(seed, batch, zero_pivot):
     with np.errstate(all="ignore"):
         if zero_pivot:
             with pytest.raises(SingularInnerMatrix, match="^singular diagonal system$"):
-                schur_message_update(Q, M_j, M_i, M_ij, g_phi, g_j, g_i, x_i, x_i, [])
+                schur_message_update(Q + M_j, schur_aggregate(g_phi, g_j, []), M_i, M_ij,
+                                     g_i, x_i)
             with pytest.raises(SingularInnerMatrix, match="^singular diagonal system$"):
-                # w_ii = 1 adds no self weight to the zero Q
-                partial_linearization_message(np.zeros_like(Q), 1.0, w_ij, gamma, g_phi, [])
+                # the sender matrix of w_ii = 1, no self weight, on a zero Q
+                partial_linearization_message(np.zeros_like(Q), g_phi, w_ij, gamma)
             return
         F = np.broadcast_to(np.swapaxes(M_ij, -1, -2), Q.shape)
         c_u = schur_aggregate(g_phi, g_j, [], bnd)
@@ -764,13 +775,12 @@ def test_scalar_struct_rules_equal_concatenated_solve(seed, batch, zero_pivot):
         H = M_i - M_ij @ X
         schur = (H, schur_linear(g_i, M_ij, col, np.einsum("...ij,...j->...i", H, x_i)),
                  _concatenated(StructSystem(Q + M_j).solve, F, c2)[1])
-        msg = schur_message_update(Q, M_j, M_i, M_ij, g_phi, g_j, g_i, x_i, x_i, [],
-                                   boundary_grad=bnd)
+        msg = schur_message_update(Q + M_j, c_u, M_i, M_ij, g_i, x_i)
         got_schur = (msg.H, msg.h, msg.curvature.solve(c2))
         X, col = _concatenated(StructSystem(S_plin).solve, eye, g_phi + bnd)
         plin = (-(w_ij ** 2 / gamma ** 2)[..., None, None] * X, (w_ij / gamma)[..., None] * col,
                 _concatenated(StructSystem(S_plin).solve, eye, c2)[1])
-        msg = partial_linearization_message(Q, w_ii, w_ij, gamma, g_phi, [], boundary_lin=bnd)
+        msg = partial_linearization_message(S_plin, g_phi + bnd, w_ij, gamma)
         got_plin = (msg.H, msg.h, msg.curvature.solve(c2))
     for got, want in zip(got_schur + got_plin, schur + plin):
         _same_bits_but_nan_signs(got, want)

@@ -551,6 +551,9 @@ _CTA4 = build_cta([QuadraticLocal(np.eye(1), np.zeros(1))] * 4, metropolis_weigh
 # an 8-ring quadratic at d = 1 and its 2-node clusters
 _G8, _Q8 = ring_qp(m=8, d=1)
 _P8 = generate_partition("ring_P2", _G8, D=1)
+# consensus locals for minsum_splitting on the 4-ring
+_LOCS4 = [(np.eye(1), np.zeros(1))] * 4
+_W4 = metropolis_weights(_G4).W
 
 
 def _surrogate_run(problem, family, **spec):
@@ -584,12 +587,21 @@ def _surrogate_run(problem, family, **spec):
     (SolverError, lambda: baseline("block_jacobi_central", _Q8,
                                    {"tau": -np.inf, "clusters": _P8.clusters})),
     (SolverError, lambda: baseline("gradient_descent", _Q8, {"step": np.inf})),
+    (SolverError, lambda: baseline("jacobi", _Q8, {"tau": None})),
+    (SolverError, lambda: select_stepsize(_P4, None, mode="manual", manual_tau=-1.0)),
+    (SolverError, lambda: select_stepsize(_P4, None, mode="manual", manual_tau=np.nan)),
+    (SolverError, lambda: select_stepsize(_P4, None, mode="manual")),
+    (SolverError, lambda: minsum_splitting(_LOCS4, np.eye(3))),
+    (SolverError, lambda: minsum_splitting(_LOCS4, _W4, max_rounds=-5)),
+    (SolverError, lambda: minsum_splitting(_LOCS4, _W4, max_rounds=2.5)),
 ], ids=["exact_off_quadratic", "unsupported_family", "schur_off_quadratic",
         "partial_linearization_off_cta", "reference_off_quadratic", "tree_solve_on_a_ring",
         "stepsize_mode", "spec_family", "spec_first_order_alpha", "spec_node_stack_shape",
         "spec_edge_block_shape", "spec_edge_key_order", "tau_nan", "tau_inf",
         "tau_per_cluster_nan", "jacobi_tau_nan", "central_tau_minus_inf",
-        "gradient_step_inf"])
+        "gradient_step_inf", "jacobi_tau_none", "manual_tau_negative", "manual_tau_nan",
+        "manual_tau_none", "splitting_W_shape", "splitting_rounds_negative",
+        "splitting_rounds_fraction"])
 def test_solvers_raise_typed_errors(exc, make):
     """One row per raise of ``solvers`` and of ``SurrogateSpec`` that no
     other test reaches, each with a small malformed input; the exception
@@ -829,8 +841,8 @@ def test_final_curvature_reads_no_iterate(case, d, seed):
 def test_schur_kept_rounds_equal_full_rule(monkeypatch, d, exact_update):
     """A kept Schur round, the rule's linear half on the stacked products
     with H_msg's rows standing in for kept.H x_i^ref, equals the full rule
-    (``curvature=None``) bit for bit: the same run with the keeping test
-    switched off calls the rule in every round. Non-diagonal Q, so that
+    (``schur_message_update``) bit for bit: the same run with the keeping
+    test switched off calls the rule in every round. Non-diagonal Q, so that
     the sender systems go to LAPACK and the kept column to a full solve at
     d >= 2; at d = 3 ``problem.diag`` is a transposed view, whose product
     keeps an einsum of its own."""
@@ -1260,8 +1272,8 @@ def test_exact_kept_rounds_equal_full_rule(case, d, seed):
     """On random tree partitions, a kept exact round (the compiled receivers'
     sums, the node solve and kept column from the stored pivots and
     reciprocals, and ``exact_linear``) equals the full rule
-    (``exact_quadratic_message(..., curvature=None)``) bit for bit: the same
-    run with the keeping test switched off calls the rule in every round.
+    (``exact_quadratic_message``) bit for bit: the same run with the
+    keeping test switched off calls the rule in every round.
     lin, x0 and the messages' linear parts hold signed zeros."""
     from mpjacobi.topology import NonTreeCluster
 
