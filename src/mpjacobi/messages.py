@@ -33,12 +33,12 @@ again. Each rule returns its curvature half as a :class:`Curvature`, whose
 rule's operation on it (the systems' column map), so a message built from
 it has the full rule's bits. Each rule's kept round is written once. The
 pairwise ones live in their engines: :func:`exact_linear` on the kept
-column; :func:`schur_linear` on it and on H x_i, which the Schur engine
-reads off one :class:`StackedProducts` per curvature state with the
-H_in x_j of :func:`schur_aggregate` (a kept H has the bits of the
-committed curvatures, so their rows stand in for H x_i); (w_ij/gamma)
-times the column in the partial-linearization engine. The hypergraph rule
-takes its Curvature back as ``curvature=`` and runs its own linear half.
+column; :func:`schur_linear` on M_ij times it, by a
+:class:`GatheredProducts` compiled once per run, and on H x_i, which the
+Schur engine reads off one :class:`StackedProducts` per kept state with
+the H_in x_j of :func:`schur_aggregate`; (w_ij/gamma) times the column in
+the partial-linearization engine. The hypergraph rule takes its
+Curvature back as ``curvature=`` and runs its own linear half.
 
 Bit contracts. Every kernel here returns the bits of a named numpy call,
 which ``tests/test_messages.py`` checks against the installed numpy. Where
@@ -50,9 +50,18 @@ of the paper's exact message, solves by :class:`LapackSystem`
 (``np.linalg.solve``'s bits, at d = 1 without LAPACK) and multiplies by
 :func:`block_matmul` (``np.matmul``'s): the exact engine's operations,
 whose iterates the golden traces freeze. ``_mv``, :class:`StackedProducts`
-and :class:`GatheredProducts` have einsum's bits. The other rules solve by
-``struct_solve``, which divides exactly diagonal systems so that diagonal
-message families stay exactly diagonal. The column rule: where a rule
+and :class:`GatheredProducts` have einsum's bits; at d = 2 the last two
+make them from column planes. An einsum row sums from +0.0, ((+0.0 + p0)
++ p1), which is (p0 + p1) + 0.0 for every pair of products, signed zeros
+and infinities included. Two more rules keep the NaNs: only C-contiguous
+stacks of finite blocks take the planes, so that a product meets at most
+one NaN, and the planes are padded to a multiple of 16 entries, so that
+every add runs in numpy's vector loop, which keeps its first operand's
+NaN, as einsum keeps p0 (on numpy 2.4 with AVX-512 the scalar tail, the
+last n mod 8 entries, may keep the second). The planes' products may
+raise floating-point warnings where einsum raises none. The other rules
+solve by ``struct_solve``, which divides exactly diagonal systems so
+that diagonal message families stay exactly diagonal. The column rule: where a rule
 solves S X = [F | c], F its fixed columns and c its linear column, a 1 x 1
 :class:`LapackSystem` (times the stored reciprocal) or an all-diagonal
 :class:`StructSystem` (division) solves F and c apart with one solve's
@@ -310,16 +319,48 @@ def _mv(A, x):
 
 class GatheredProducts:
     """x -> B_e x[at[e]] for a fixed block stack B (E, d, d) and rows at
-    (E,): the bits of ``_mv(B, x.take(at, axis=0))``. At d = 1 einsum sums
-    one product from +0.0, so the elementwise B x + 0.0 has them (a -0.0
-    product gives +0.0); d >= 2 calls einsum on B as given."""
+    (E,) of x: the bits of ``np.einsum("eij,ej->ei", B, x.take(at,
+    axis=0))``; with ``at=None``, of the einsum on x (E, d) as given.
 
-    def __init__(self, B, at):
-        self.at, self.scalar = at, B.shape[-1] == 1
-        self.B = np.ascontiguousarray(B[..., 0]) if self.scalar else B
+    The products' form is chosen once, by d. d = 1: the elementwise
+    B x + 0.0, as einsum sums one product from +0.0 (a -0.0 product gives
+    +0.0). d = 2, B finite and C-contiguous: column planes (see the module
+    docstring), b0 = B[:, :, 0] and b1 = B[:, :, 1] flattened to (2E,),
+    and the flat indices of x's entries they multiply, i0 = 2 at with each
+    row twice and i1 = i0 + 1, all padded to a multiple of 16 entries
+    (blocks 0.0, indices 0, cut off the result); a call is two takes, two
+    products and two adds, (b0 x[i0] + b1 x[i1]) + 0.0. Other stacks call
+    einsum on B as given, whose sums at d >= 3, and whose choice between
+    two NaNs at d = 2, depend on B's strides.
+    """
+
+    def __init__(self, B, at=None):
+        self.at, d = at, B.shape[-1]
+        self.scalar = d == 1
+        self.planes = d == 2 and B.flags.c_contiguous and bool(np.all(np.isfinite(B)))
+        if self.scalar:
+            self.B = np.ascontiguousarray(B[..., 0])
+        elif self.planes:
+            self.n = n = 2 * len(B)
+            pad = np.zeros(-n % 16)
+            self.b0, self.b1 = (np.concatenate((B[:, :, j].reshape(n), pad)) for j in (0, 1))
+            rows = np.arange(len(B)) if at is None else np.asarray(at, dtype=int)
+            self.i0 = np.concatenate((np.repeat(2 * rows, 2), pad.astype(int)))
+            self.i1 = self.i0 + 1
+        else:
+            self.B = B
 
     def __call__(self, x):
-        x_at = x.take(self.at, axis=0)
+        if self.planes:
+            xf = x.reshape(-1)
+            out = xf.take(self.i0)
+            out *= self.b0
+            other = xf.take(self.i1)
+            other *= self.b1
+            out += other
+            out += 0.0
+            return out[:self.n].reshape(-1, 2)
+        x_at = x if self.at is None else x.take(self.at, axis=0)
         if self.scalar:
             return self.B * x_at + 0.0
         return np.einsum("eij,ej->ei", self.B, x_at)
@@ -327,37 +368,38 @@ class GatheredProducts:
 
 class StackedProducts:
     """The products of several block stacks with rows of one iterate, from
-    one gather and one einsum.
+    one :class:`GatheredProducts`.
 
     ``parts`` lists pairs (B_k, at_k): blocks (n_k, d, d) and the rows at_k
     (n_k,) of x they multiply. ``products(x)`` returns, for x (m, d), the
     list of the parts' (n_k, d) products B_k x[at_k], each with the bits of
     ``_mv(B_k, x.take(at_k, axis=0))``. einsum sums in an order set by the
-    operands' strides, which at d >= 3 differs for a transposed view: the
-    C-contiguous parts share one einsum and are returned as views of it,
-    and any other part keeps an einsum of its own on its blocks as given.
+    operands' strides (at d = 2 only the choice between two NaNs), so the
+    C-contiguous parts share one GatheredProducts of their stacked blocks
+    and are returned as views of its products, and any other part keeps
+    one of its own on its blocks as given.
     """
 
     def __init__(self, parts):
         self.parts = parts
         d = parts[0][0].shape[-1]
-        blocks, at, self.rows = [np.zeros((0, d, d))], [np.zeros(0, dtype=int)], []
+        blocks, at, self.sources = [np.zeros((0, d, d))], [np.zeros(0, dtype=int)], []
         start = 0
         for B, rows in parts:
-            # the part's slice of the stack, or None for a part of its own
+            # the part's slice of the stack's products, or its own products
             if not B.flags.c_contiguous:
-                self.rows.append(None)
+                self.sources.append(GatheredProducts(B, rows))
                 continue
-            self.rows.append(slice(start, start + len(rows)))
+            self.sources.append(slice(start, start + len(rows)))
             start += len(rows)
             blocks.append(B)
             at.append(np.asarray(rows, dtype=int))
-        self.blocks, self.at = np.concatenate(blocks), np.concatenate(at)
+        self.stack = GatheredProducts(np.concatenate(blocks), np.concatenate(at))
 
     def __call__(self, x):
-        out = np.einsum("eij,ej->ei", self.blocks, x.take(self.at, axis=0))
-        return [_mv(B, x.take(at, axis=0)) if rows is None else out[rows]
-                for (B, at), rows in zip(self.parts, self.rows)]
+        out = self.stack(x)
+        return [out[source] if isinstance(source, slice) else source(x)
+                for source in self.sources]
 
 
 @dataclass(frozen=True)
@@ -548,13 +590,13 @@ def schur_message_update(S_j, c_u, M_i, M_ij, grad_i_psi, x_i_ref):
     u = x_j - x_j^nu and the sender-side linear aggregate c_u
     (:func:`schur_aggregate`):
         h_msg = grad_i psi_ij(ref) - M_ij S_j^{-1} c_u - H_msg x_i^ref,
-    by :func:`schur_linear`.
+    by :func:`schur_linear` on einsum's products (``_mv``).
     """
     F = np.broadcast_to(np.swapaxes(M_ij, -1, -2), S_j.shape)
     col, curvature = _solve_curvature(S_j, F, c_u, lambda X: M_i - M_ij @ X,
                                       SingularInnerMatrix)
     return QuadraticMessage(curvature.H,
-                            schur_linear(grad_i_psi, M_ij, col, _mv(curvature.H, x_i_ref)),
+                            schur_linear(grad_i_psi, _mv(M_ij, col), _mv(curvature.H, x_i_ref)),
                             curvature)
 
 
@@ -570,11 +612,11 @@ def schur_aggregate(grad_phi_j, grad_j_psi, incoming_lin, boundary_grad=None):
     return c_u
 
 
-def schur_linear(grad_i_psi, M_ij, col, H_x_i):
-    """The Schur message's linear part from the column col = S^{-1} c_u and
-    the product H_x_i = H_msg x_i^ref:
-    h_msg = (grad_i psi - M_ij col) - H_x_i."""
-    return (np.asarray(grad_i_psi, dtype=float) - _mv(M_ij, col)) - H_x_i
+def schur_linear(grad_i_psi, M_col, H_x_i):
+    """The Schur message's linear part from the products M_col = M_ij col,
+    col = S^{-1} c_u, and H_x_i = H_msg x_i^ref:
+    h_msg = (grad_i psi - M_col) - H_x_i."""
+    return (np.asarray(grad_i_psi, dtype=float) - M_col) - H_x_i
 
 
 def partial_linearization_message(S_i, ell, w_ij, gamma):

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -259,33 +258,47 @@ class _Rounds:
     from the committed linear parts h. ``keep`` is the round's rule
     curvature; it comes back as ``kept`` once the curvature half is
     stationary (None before), and ``linear`` then returns kept curvatures.
-    ``vectors(H)`` prices a round's messages.
+    ``vectors(H)`` prices a round's messages. ``settle(state, keep)``, if
+    given, returns the state a kept round reads (default: ``state``).
 
     The curvature half runs, and the messages are priced, until a round
-    returns the curvatures it read, bit for bit; from then on its state,
-    keep and price are reused. ``rounds`` counts the rounds in which the
+    returns the curvatures it read, bit for bit, or those of the round
+    before: a cycle of period 1 or 2 (two curvature states that map to
+    each other, as sums like (a + b) - b that round differently can
+    make). From then on the cycle's phases, each a settled state, keep and
+    price, are reused in turn. ``rounds`` counts the rounds in which the
     curvature half ran.
     """
 
-    def __init__(self, H, h, curvature, linear, vectors):
+    def __init__(self, H, h, curvature, linear, vectors, settle=None):
         self.H, self.h = H, h
         self._curvature, self._linear, self._vectors = curvature, linear, vectors
-        self._kept = None
+        self._settle = settle or (lambda state, keep: state)
+        self._kept, self._turn, self._last = None, 0, None
         self.rounds = 0
 
     def step(self, x):
         if self._kept is not None:
-            state, keep, sent = self._kept
+            state, keep, sent = self._kept[self._turn]
+            self._turn = (self._turn + 1) % len(self._kept)
             xhat, self.H, self.h, _ = self._linear(x, self.h, state, keep)
             return xhat, sent
         self.rounds += 1
         state = self._curvature(self.H)
         xhat, H_new, self.h, keep = self._linear(x, self.h, state, None)
         sent = self._vectors(H_new)
+        phase = (state, keep, sent)
+        # the phases in the order the next rounds take them
         if _same_bits(H_new, self.H):
-            self._kept = (state, keep, sent)
+            self._keep([phase])
+        elif self._last is not None and _same_bits(H_new, self._last[0]):
+            self._keep([self._last[1], phase])
+        self._last = (self.H, phase)
         self.H = H_new
         return xhat, sent
+
+    def _keep(self, phases):
+        self._kept = [(self._settle(state, keep), keep, sent) for state, keep, sent in phases]
 
     def run(self, problem, tau_node, config, x0, keys, sweeps=0):
         """Drive the rounds (:func:`_drive`) after ``sweeps`` message
@@ -303,24 +316,32 @@ class _Rounds:
         return trace
 
 
-@contextmanager
-def _ill_posed():
-    """A singular node system is an ill-posed variable update."""
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise IllPosedSubproblem(f"variable update: {exc}") from exc
+class _IllPosed:
+    """Context in which a singular node system (LinAlgError) is an
+    ill-posed variable update; a class, as a generator's context costs
+    about 0.8 us more per use, in every round."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise IllPosedSubproblem(f"variable update: {exc}") from exc
+        return False
+
+
+_ill_posed = _IllPosed()
 
 
 def _variable_system(G):
     """StructSystem of the node curvatures G."""
-    with _ill_posed():
+    with _ill_posed:
         return StructSystem(G)
 
 
 def _variable_solve(G, g):
     """xhat = -G^{-1} g by struct_solve, G a StructSystem."""
-    with _ill_posed():
+    with _ill_posed:
         return -struct_solve(G, g)
 
 
@@ -550,7 +571,7 @@ def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
 
     def curvature(H_msg):
         inH = node_H.sums(H_msg)
-        with _ill_posed():
+        with _ill_posed:
             return LapackSystem(inH), lay.others(inH, H_msg)
 
     def linear(x, h_msg, state, kept):
@@ -559,7 +580,7 @@ def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
         inh = node_h.sums(h_msg)
         c = lay.others(inh, h_msg)
         if kept is None:
-            with _ill_posed(), np.errstate(all="ignore"):
+            with _ill_posed, np.errstate(all="ignore"):
                 xhat = -node.vector(inh)
             msg = exact_quadratic_message(A, c, B)
             return xhat, msg.H, msg.h, msg.curvature
@@ -622,21 +643,22 @@ def _schur_run(problem, partition, config, x0, spec):
     Q + n_out M_node (the problem's own blocks with
     ``exact_variable_update``) and the rule :func:`schur_message_update`.
 
-    Everything that reads no iterate is gathered once per run. The
+    Everything that reads no iterate is compiled once per run. The
     receiver-side coupling gradients are the sender-side ones of the
     reverse edges, which apply the same block to the same row. Every block
     that the linear half multiplies by an iterate is a part of one
-    :class:`StackedProducts` per curvature state: ``problem.diag``,
-    ``G_base`` (unless ``exact_variable_update``), the cross and the sender
-    couplings, then the state's H_in and H_msg. So a round makes one
-    gather of x and one stacked block product, plus M_ij col after the
-    solve. Every round sums c_u (:func:`schur_aggregate`) from the H_in
-    rows; a curvature round calls the rule on c_u and the state's sender
-    matrices S = (Q + M_node) + H_in, and a kept round is the rule's one
-    kept path, :func:`schur_linear` on the kept column of c_u. ``_Rounds``
-    keeps a state only once the rule has returned the H_msg it was built
-    from, bit for bit, so kept.H is H_msg and the H_msg rows are the rule's
-    H x_i^ref.
+    :class:`StackedProducts` per curvature state: ``problem.diag``, the
+    cross and the sender couplings, ``G_base`` (unless
+    ``exact_variable_update``), then the state's H_in and H_msg; a kept
+    state is settled with kept.H in place of H_msg, so its last rows are
+    the rule's H x_i^ref. So a round makes one gather of x and one stacked
+    block product (from column planes at d = 2, see
+    :class:`GatheredProducts`), plus M_ij col after the solve. Every round
+    sums c_u (:func:`schur_aggregate`) from the H_in rows; a curvature
+    round calls the rule on c_u and the state's sender matrices
+    S = (Q + M_node) + H_in, and a kept round is the rule's one kept path,
+    :func:`schur_linear` on M_ij times the kept column of c_u, by a
+    GatheredProducts of the M_ij compiled once per run.
     """
     if not isinstance(problem, QuadraticObjective):
         raise NotQuadratic("schur_quadratic family needs quadratic couplings")
@@ -652,12 +674,17 @@ def _schur_run(problem, partition, config, x0, spec):
     nodes = np.arange(m)
     fixed = [(problem.diag, nodes), (problem.couplings(lay.csrc, lay.cdst), lay.cdst),
              (problem.couplings(s, t), t)] + ([] if exact else [(G_base, nodes)])
+    M_col = GatheredProducts(M_edge)
 
     def curvature(H_msg):
         H_node = lay.at_receivers(H_msg)
         H_in = lay.others(H_node, H_msg)
         G = _variable_system((problem.diag if exact else G_base) + H_node)
         return G, QM_s + H_in, StackedProducts(fixed + [(H_in, s), (H_msg, t)])
+
+    def settle(state, kept):
+        G, S, products = state
+        return G, S, StackedProducts(products.parts[:-1] + [(kept.H, t)])
 
     def linear(x, h_msg, state, kept):
         G, S, products = state
@@ -673,9 +700,9 @@ def _schur_run(problem, partition, config, x0, spec):
         if kept is None:
             msg = schur_message_update(S, c_u, Mn_t, M_edge, grads_rev, x.take(t, axis=0))
             return xhat, msg.H, msg.h, msg.curvature
-        return xhat, kept.H, schur_linear(grads_rev, M_edge, kept.solve(c_u), msg_x), kept
+        return xhat, kept.H, schur_linear(grads_rev, M_col(kept.solve(c_u)), msg_x), kept
 
-    rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
+    rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors, settle)
     return rounds.run(problem, _tau_per_node(problem, partition, config), config,
                       x0, lay.directed)
 
@@ -777,7 +804,7 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
                 rhs = problem.lin[c, :].reshape(-1).copy()
                 for (j, kk, B), delay in zip(bound, delay_i):
                     rhs[idx[j] * d:(idx[j] + 1) * d] += B @ window[delay][kk]
-                with _ill_posed():
+                with _ill_posed:
                     sol = np.linalg.solve(K, -rhs)
                 xhat[i] = sol[idx[i] * d:(idx[i] + 1) * d]
         return xhat, 0
@@ -827,7 +854,7 @@ def tree_solve(problem, graph):
                                        np.swapaxes(B_up[sl], -1, -2))
         H[order[sl]] += down.H
         h[order[sl]] += down.h
-    with _ill_posed():
+    with _ill_posed:
         return -LapackSystem(H).solve(h[..., None])[..., 0]
 
 
@@ -1107,7 +1134,8 @@ def baseline(kind, problem, params=None, x0=None):
     ObjectiveError, and divergence is flagged on the trace, never raised.
     SolverError, before any work: an unknown kind or params key, a missing
     W or clusters, clusters that are no partition, dgd off a CtaProblem, an
-    x0 for minsum_splitting, a negative, infinite or NaN tau or step.
+    x0 for minsum_splitting, a negative, infinite or NaN tau or step, a
+    max_rounds or tol that ``SolverConfig`` rejects.
     NotQuadratic: the other kinds off a QuadraticObjective. A singular
     block raises IllPosedSubproblem (minsum: or the exact engine's
     SingularSenderCurvature).
@@ -1123,12 +1151,11 @@ def baseline(kind, problem, params=None, x0=None):
         if "W" not in params or x0 is not None:
             raise SolverError("minsum_splitting needs params['W'] and takes no x0")
         return minsum_splitting(problem, **params)
-    minsum, tol = kind == "minsum", float(params.get("tol", 1e-12))
-    max_rounds = int(params.get("max_rounds", 1000 if minsum else 10000))
-    config = SolverConfig(max_rounds=max_rounds, tol_x=0.0 if minsum else tol,
-                          tol_grad=tol if minsum else None,
-                          track_oracle=params.get("oracle"))
-    if minsum:
+    minsum = kind == "minsum"
+    config = SolverConfig(max_rounds=params.get("max_rounds", 1000 if minsum else 10000),
+                          tol_x=params.get("tol", 1e-12), track_oracle=params.get("oracle"))
+    if minsum:                          # stops on the gradient norm only
+        config = replace(config, tol_x=0.0, tol_grad=config.tol_x)
         return _exact_run(problem, None, np.ones(problem.m), config, x0)
     tau_node = None                     # gradient and diffusion steps: undamped
     if kind in ("dgd_cta", "dgd_atc"):
@@ -1160,7 +1187,7 @@ def baseline(kind, problem, params=None, x0=None):
             def step(x):
                 g = problem.grad(x)
                 return x - np.linalg.solve(problem.diag, g[..., None])[..., 0], 0
-    with _ill_posed():                  # a singular jacobi or central block
+    with _ill_posed:                    # a singular jacobi or central block
         return _drive(problem, tau_node, config, x0, lambda x: step)
 
 
@@ -1209,8 +1236,8 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     ``max_rounds``. The recursion keeps its own round
     loop: it stops on the distance to its own x_star and has no objective
     whose gradient or value the driver could record (those columns are NaN).
-    A W that is not n x n, or a max_rounds that ``SolverConfig`` rejects,
-    raises SolverError.
+    A W that is not n x n, or a max_rounds or tol that ``SolverConfig``
+    rejects (as max_rounds and tol_x), raises SolverError.
     """
     Hs = [np.asarray(H, dtype=float) for (H, _) in consensus_locals]
     bs = [np.asarray(b, dtype=float) for (_, b) in consensus_locals]
@@ -1219,7 +1246,7 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     W = np.asarray(W, dtype=float)
     if W.shape != (n, n):
         raise SolverError(f"W must be {n} x {n}, got shape {W.shape}")
-    SolverConfig(max_rounds=max_rounds)     # SolverError unless a nonnegative int
+    SolverConfig(max_rounds=max_rounds, tol_x=tol)     # SolverError on malformed ones
     rho_W = _rho_perp(W)
     if gamma is None:
         gamma = 2.0 / (1.0 + math.sqrt(max(1.0 - rho_W ** 2, 0.0)))

@@ -1,7 +1,8 @@
 """Smoke test of ``tools/bitdump.py``, the bit-for-bit check of the
 benchmark workloads', the CTA engine's, a min-sum run's, a hypergraph
 run's, a dense Schur run's and the divergence runs' set-up outputs and
-traces (the min-sum and divergence runs also at d = 1), and of the
+traces (the min-sum and divergence runs also at d = 1, the divergence
+runs also with Schur messages at d = 2), and of the
 oracle's outputs on each of its paths: a dump at the self-test sizes
 holds the expected arrays and matches itself, and ``--compare`` names
 each array whose bits changed: by one ulp, or a -0.0 for a +0.0."""
@@ -40,7 +41,8 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
               "cta_plin": trace + oracle + rates + surrogate, "minsum_tol": trace + oracle,
               "h_mp_jacobi": trace + oracle, "schur_full": trace + oracle,
               "minsum_d1": trace + oracle}
-    diverge = {f"{w}/seed{s}/{run}/{name}" for w in ("diverge", "diverge_d1") for s in (1, 2)
+    diverge = {f"{w}/seed{s}/{run}/{name}" for w in ("diverge", "diverge_d1", "schur_diverge")
+               for s in (1, 2)
                for run in ("fast", "slow", "overflow", "large") for name in trace}
     paths = {f"oracle/seed{s}/{path}/{name}" for s in (1, 2)
              for path in ("plain", "weighted", "cholesky", "eigvalsh", "pinv")
@@ -72,9 +74,12 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert arrays["minsum_d1/seed1/grad_norm"][-1] <= 1e-8
     assert arrays["diverge_d1/seed1/overflow/rounds"] == 1
     assert arrays["diverge_d1/seed1/overflow/monitor_H"].shape[1:] == (1, 1)
+    assert arrays["schur_diverge/seed1/overflow/rounds"] == 1
+    assert np.isnan(arrays["schur_diverge/seed1/overflow/x_final"]).all()
+    assert arrays["schur_diverge/seed1/fast/monitor_H"].shape[1:] == (2, 2)
 
     same = _bitdump("--compare", a, a)
-    assert same.returncode == 0 and "0 of 326 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 390 arrays differ" in same.stdout
 
     def saved(name, h0, x_nudge):
         """The dump with monitor_h[0, 0] of ring_schur seed 1 set to h0, and
@@ -99,7 +104,7 @@ def test_bitdump_toy_dump_and_compare(tmp_path):
     assert diff.stdout.splitlines() == ["path_exact/seed2/mu",
                                         "path_exact/seed2/x_final",
                                         "ring_schur/seed1/monitor_h",
-                                        "3 of 326 arrays differ"]
+                                        "3 of 390 arrays differ"]
 
 
 def test_oracle_problems_take_their_paths(monkeypatch):

@@ -592,7 +592,8 @@ def test_stationary_shortcut_equals_full_rule(seed, B, d, kinds):
     # inputs a) and the engine's kept round on its Curvature
     rules = {
         "schur": (c_u, lambda c, a: schur_message_update(S_schur, c, Mi, Mij, a[0], a[1]),
-                  lambda kept, c, a: schur_linear(a[0], Mij, kept.solve(c), mv(kept.H, a[1]))),
+                  lambda kept, c, a: schur_linear(a[0], mv(Mij, kept.solve(c)),
+                                                  mv(kept.H, a[1]))),
         "partial_linearization": (
             vec, lambda c, a: partial_linearization_message(S_plin, c, w_ij, 0.05),
             lambda kept, c, a: (np.asarray(w_ij) / 0.05)[..., None] * kept.solve(c)),
@@ -773,7 +774,8 @@ def test_scalar_struct_rules_equal_concatenated_solve(seed, batch, zero_pivot):
         c_u = schur_aggregate(g_phi, g_j, [], bnd)
         X, col = _concatenated(StructSystem(Q + M_j).solve, F, c_u)
         H = M_i - M_ij @ X
-        schur = (H, schur_linear(g_i, M_ij, col, np.einsum("...ij,...j->...i", H, x_i)),
+        schur = (H, schur_linear(g_i, np.einsum("...ij,...j->...i", M_ij, col),
+                                 np.einsum("...ij,...j->...i", H, x_i)),
                  _concatenated(StructSystem(Q + M_j).solve, F, c2)[1])
         msg = schur_message_update(Q + M_j, c_u, M_i, M_ij, g_i, x_i)
         got_schur = (msg.H, msg.h, msg.curvature.solve(c2))
@@ -1014,6 +1016,66 @@ def test_gathered_products_equal_einsum_bitwise(seed, d, n, transposed):
     exact = ~(np.isnan(B[:, :, 0]) & np.isnan(x.take(at, axis=0))) if d == 1 else True
     assert np.array_equal(np.where(exact, got, 0.0).view(np.int64),
                           np.where(exact, want, 0.0).view(np.int64))
+
+
+def _quiet_nans(rng, n):
+    """n quiet NaNs of random signs and payloads."""
+    bits = (rng.integers(0, 2 ** 51, n, dtype=np.uint64) | np.uint64(0x7FF8 << 48)
+            | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+    return bits.view(float)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 300), min_size=2, max_size=5),
+       st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_d2_products_from_column_planes_equal_einsum_bitwise(seed, sizes, special):
+    """At d = 2 a C-contiguous stack of finite blocks takes its products
+    from column planes with ``np.einsum("eij,ej->ei")``'s bits, NaN signs
+    and payloads included: blocks of unit magnitude with signed zeros,
+    subnormals and +-1e308; iterates whose entries are, with probability
+    ``special`` each, NaNs of both signs and random payloads, +-inf,
+    signed zeros or 1e308 (so products overflow and sum to NaN); 0-300
+    blocks a stack, so that every length mod 16 occurs. Cases: a
+    GatheredProducts; a StackedProducts of several parts, the first a
+    transposed view, which keeps an einsum of its own; the Schur engine's
+    kept M_ij col, a GatheredProducts without a gather on a strided
+    column."""
+    rng = np.random.default_rng(seed)
+    m = 20
+
+    def blocks(n):
+        B = rng.uniform(-1.0, 1.0, (n, 2, 2))
+        mask = rng.random(B.shape) < 0.2
+        B[mask] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308], np.count_nonzero(mask))
+        return B
+
+    def iterate(shape):
+        x = rng.uniform(-1.0, 1.0, shape)
+        mask = rng.random(shape) < special
+        x[mask] = rng.choice([np.inf, -np.inf, 0.0, -0.0, 1e308], np.count_nonzero(mask))
+        mask = rng.random(shape) < special
+        x[mask] = _quiet_nans(rng, np.count_nonzero(mask))
+        return x
+
+    def rows(n):
+        return rng.integers(0, m, n)
+
+    x = iterate((m, 2))
+    B, at = blocks(sizes[0]), rows(sizes[0])
+    parts = [(np.swapaxes(np.swapaxes(B, 1, 2).copy(), 1, 2), at)]
+    parts += [(blocks(n), rows(n)) for n in sizes[1:]]
+    M = blocks(sizes[-1])
+    col = iterate((sizes[-1], 2, 3))[..., 1]
+    gathered, stacked, kept = GatheredProducts(B, at), StackedProducts(parts), GatheredProducts(M)
+    assert gathered.planes and stacked.stack.planes and kept.planes
+    with np.errstate(all="ignore"):
+        cases = [(gathered(x), np.einsum("eij,ej->ei", B, x.take(at, axis=0))),
+                 (kept(col), np.einsum("eij,ej->ei", M, col))]
+        cases += [(got, np.einsum("eij,ej->ei", B, x.take(at, axis=0)))
+                  for got, (B, at) in zip(stacked(x), parts)]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])

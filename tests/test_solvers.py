@@ -2,7 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mpjacobi import solvers
@@ -35,7 +35,7 @@ from mpjacobi.solvers import (
     select_stepsize,
     tree_solve,
 )
-from mpjacobi.topology import generate_partition, generate_topology, validate_hyper_partition, validate_tree_partition
+from mpjacobi.topology import Graph, generate_partition, generate_topology, validate_hyper_partition, validate_tree_partition
 from mpjacobi.rate_analysis import estimate_constants, three_terms
 from test_acceptance import delayed_gradient_reference, random_valid_instance
 from test_topology import tree_partition_cases
@@ -594,6 +594,14 @@ def _surrogate_run(problem, family, **spec):
     (SolverError, lambda: minsum_splitting(_LOCS4, np.eye(3))),
     (SolverError, lambda: minsum_splitting(_LOCS4, _W4, max_rounds=-5)),
     (SolverError, lambda: minsum_splitting(_LOCS4, _W4, max_rounds=2.5)),
+    (SolverError, lambda: minsum_splitting(_LOCS4, _W4, tol=None)),
+    (SolverError, lambda: minsum_splitting(_LOCS4, _W4, tol=-1.0)),
+    (SolverError, lambda: baseline("jacobi", _Q8, {"max_rounds": 2.5})),
+    (SolverError, lambda: baseline("minsum", _Q8, {"max_rounds": 2.5})),
+    (SolverError, lambda: baseline("jacobi", _Q8, {"tol": None})),
+    (SolverError, lambda: baseline("minsum", _Q8, {"tol": None})),
+    (SolverError, lambda: baseline("gradient_descent", _Q8, {"tol": "1e-9"})),
+    (SolverError, lambda: baseline("minsum", _Q8, {"tol": np.nan})),
 ], ids=["exact_off_quadratic", "unsupported_family", "schur_off_quadratic",
         "partial_linearization_off_cta", "reference_off_quadratic", "tree_solve_on_a_ring",
         "stepsize_mode", "spec_family", "spec_first_order_alpha", "spec_node_stack_shape",
@@ -601,7 +609,9 @@ def _surrogate_run(problem, family, **spec):
         "tau_per_cluster_nan", "jacobi_tau_nan", "central_tau_minus_inf",
         "gradient_step_inf", "jacobi_tau_none", "manual_tau_negative", "manual_tau_nan",
         "manual_tau_none", "splitting_W_shape", "splitting_rounds_negative",
-        "splitting_rounds_fraction"])
+        "splitting_rounds_fraction", "splitting_tol_none", "splitting_tol_negative",
+        "baseline_rounds_fraction", "minsum_rounds_fraction", "baseline_tol_none",
+        "minsum_tol_none", "baseline_tol_string", "minsum_tol_nan"])
 def test_solvers_raise_typed_errors(exc, make):
     """One row per raise of ``solvers`` and of ``SurrogateSpec`` that no
     other test reaches, each with a small malformed input; the exception
@@ -1267,6 +1277,8 @@ def _signed_zero_qp(graph, d, seed):
 
 
 @given(tree_partition_cases(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@example((Graph(9, {(0, 6), (0, 7), (1, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8)}),
+          [[0, 6], [1, 2, 3, 4, 5, 7, 8]]), 3, 1312899)
 @settings(max_examples=60, deadline=None)
 def test_exact_kept_rounds_equal_full_rule(case, d, seed):
     """On random tree partitions, a kept exact round (the compiled receivers'
@@ -1274,7 +1286,9 @@ def test_exact_kept_rounds_equal_full_rule(case, d, seed):
     reciprocals, and ``exact_linear``) equals the full rule
     (``exact_quadratic_message``) bit for bit: the same run with the
     keeping test switched off calls the rule in every round.
-    lin, x0 and the messages' linear parts hold signed zeros."""
+    lin, x0 and the messages' linear parts hold signed zeros. The example
+    is a draw whose curvature half alternates between two states, one ulp
+    apart, which the rounds keep as a cycle of period 2."""
     from mpjacobi.topology import NonTreeCluster
 
     graph, clusters = case
@@ -1298,6 +1312,37 @@ def test_exact_kept_rounds_equal_full_rule(case, d, seed):
                        np.stack(full.x_history + full.xhat_history)),
                       (kept.monitor[0], full.monitor[0]), (kept.monitor[1], full.monitor[1])):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rounds_keep_a_cycle_of_period_two(monkeypatch):
+    """A curvature half that settles into a cycle of period 2 (curvatures
+    0 -> 1 -> 2 -> 1 -> 2 ...) is kept from the round that returns the
+    curvatures of the round before last: later rounds take the two phases
+    in turn, each settled once, and return the full rule's iterates,
+    curvatures and prices."""
+    rule = {0.0: 1.0, 1.0: 2.0, 2.0: 1.0}
+
+    def linear(x, h, state, kept):
+        H_new = np.array([rule[state]]) if kept is None else kept
+        return x * state + H_new[0], H_new, h, H_new
+
+    def run(settled):
+        rounds = solvers._Rounds(np.zeros(1), np.zeros(1), lambda H: float(H[0]), linear,
+                                 lambda H: int(10 * H[0]),
+                                 lambda state, keep: settled.append((state, keep[0])) or state)
+        x, out = 1.0, []
+        for _ in range(8):
+            xhat, sent = rounds.step(x)
+            out.append((xhat, float(rounds.H[0]), sent))
+            x = xhat / 4
+        return out, rounds.rounds
+
+    settled = []
+    kept, kept_rounds = run(settled)
+    monkeypatch.setattr(solvers, "_same_bits", lambda a, b: False)
+    full, full_rounds = run([])
+    assert kept == full and (kept_rounds, full_rounds) == (3, 8)
+    assert settled == [(1.0, 2.0), (2.0, 1.0)]
 
 
 _DAMP_SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324)

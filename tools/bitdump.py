@@ -46,7 +46,12 @@ converges, after iterates whose running bound passes the rule's gate).
 The min-sum and divergence runs are repeated at d = 1 (``MINSUM_D1``,
 ``DIVERGE_D1``) under ``minsum_d1/seed<n>`` and ``diverge_d1/seed<n>/<run>``:
 there the exact rule solves 1 x 1 systems and the recorded stacks take
-the scalar gradient, under non-finite values in the ``overflow`` run.
+the scalar gradient, under non-finite values in the ``overflow`` run. The
+divergence runs are repeated with structured-quadratic messages under
+``schur_diverge/seed<n>/<run>``, on the ``DIVERGE`` problems at d = 2
+with Q = 2 H_ii and M_edge the symmetric part of each coupling: finite
+2 x 2 blocks, whose products are made from column planes, meet iterates
+whose products overflow to inf and sum to NaN in the ``overflow`` run.
 Every run also saves its ``rounds``. The ``x_star`` and ``phi_star`` of
 one ``global_solve_oracle`` call per path the oracle can take go under
 ``oracle/seed<n>/<path>``, on a fixed operator per path with a linear
@@ -217,20 +222,24 @@ def schur_full_setup(seed, m, d, kappa, rounds):
     return lambda: solvers.mp_jacobi_surrogate(q, part, cfg)
 
 
-def diverge_solves(seed, m, d, kappa):
-    """{run: solve} of the ``DIVERGE_RUNS``: ``mp_jacobi`` on
+def diverge_solves(seed, m, d, kappa, schur=False):
+    """{run: solve} of the ``DIVERGE_RUNS``: ``mp_jacobi`` (with ``schur``,
+    ``schur_quadratic`` messages, Q = 2 H_ii and M_edge = sym(H_ij)) on
     ``build_random_qp`` over an m-ring at ``kappa`` and ``seed`` with the
     ``ring_P2`` partition at D = 1, up to 3,000 rounds, from x0 filled with
     the run's entry, at its tau; no set-up outputs."""
-    from mpjacobi import objective, solvers, topology
+    from mpjacobi import messages, objective, solvers, topology
     g = topology.generate_topology("ring", m=m)
     q = objective.build_random_qp(g, d, kappa, seed)
     part = topology.generate_partition("ring_P2", g, D=1)
+    spec = (messages.SurrogateSpec(family="schur_quadratic", Q=2.0 * q.diag,
+                                   M_edge={e: 0.5 * (B + B.T) for e, B in q.pair.items()})
+            if schur else None)
 
     def solve(tau, x0):
+        cfg = solvers.SolverConfig(tau=tau, max_rounds=3000, surrogate=spec)
         with np.errstate(all="ignore"):
-            return solvers.mp_jacobi(q, part, solvers.SolverConfig(tau=tau, max_rounds=3000),
-                                     x0=np.full((m, d), x0))
+            return solvers.mp_jacobi_surrogate(q, part, cfg, x0=np.full((m, d), x0))
 
     return {run: (lambda args=args: solve(*args)) for run, args in DIVERGE_RUNS.items()}
 
@@ -265,7 +274,7 @@ def oracle_problems(seed):
 def runs(root, seeds, toy=False):
     """(key, set-up outputs, trace) of every workload's, the CTA run's, the
     min-sum run's, the hypergraph run's, the dense Schur run's and the
-    divergence runs' solves, then (key, oracle outputs, None) of the oracle
+    exact and Schur divergence runs' solves, then (key, oracle outputs, None) of the oracle
     problems; a key is ``<run set>/seed<n>`` (the divergence runs and the
     oracle problems add ``/<run>`` and ``/<path>``)."""
     workloads = import_workloads(root)
@@ -284,7 +293,8 @@ def runs(root, seeds, toy=False):
             with captured_setup() as outputs:
                 solve = setup(seed, **size)
             yield f"{name}/seed{seed}", outputs, solve()
-    for name, size in (("diverge", DIVERGE), ("diverge_d1", DIVERGE_D1)):
+    for name, size in (("diverge", DIVERGE), ("diverge_d1", DIVERGE_D1),
+                       ("schur_diverge", {**DIVERGE, "schur": True})):
         for seed in seeds:
             for run, solve in diverge_solves(seed, **size).items():
                 yield f"{name}/seed{seed}/{run}", {}, solve()
