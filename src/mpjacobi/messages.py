@@ -71,6 +71,8 @@ columns it solves together.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -117,20 +119,30 @@ class StructSystem:
     decides once whether the batch is all diagonal, none diagonal or
     mixed. A matrix is diagonal where A - diag I is zero (-0.0 counts as
     zero, NaN and so inf - inf as nonzero). A zero on the diagonal of a
-    diagonal matrix raises ``np.linalg.LinAlgError``.
+    diagonal matrix raises ``np.linalg.LinAlgError``. A batch whose
+    nonzeros all lie on finite diagonals (one count of the batch's nonzeros
+    against its diagonals') is all diagonal without a per-matrix test.
     """
 
     def __init__(self, A):
         self.A = A = np.asarray(A, dtype=float)
         d = A.shape[-1]
         flat = A.reshape(A.shape[:-2] + (d * d,))
-        self.diag = flat[..., ::d + 1].copy()     # contiguous divisor
-        nonzero = flat != 0
-        nonzero[..., ::d + 1] = ~np.isfinite(self.diag)
-        self.is_diag = nonzero @ np.ones(d * d) == 0
-        if np.any(self.diag[self.is_diag] == 0.0):
+        self.diag = diag = flat[..., ::d + 1].copy()      # contiguous divisor
+        finite = np.isfinite(diag)
+        nonzero_diag = np.count_nonzero(diag)
+        if np.count_nonzero(flat) == nonzero_diag and finite.all():
+            self.is_diag = np.ones(A.shape[:-2], dtype=bool)
+            self.all_diag, self.none_diag = True, not self.is_diag.size
+            singular = nonzero_diag < diag.size
+        else:
+            nonzero = flat != 0
+            nonzero[..., ::d + 1] = ~finite
+            self.is_diag = ~nonzero.any(axis=-1)
+            self.all_diag, self.none_diag = self.is_diag.all(), not self.is_diag.any()
+            singular = (diag[self.is_diag] == 0.0).any()
+        if singular:
             raise np.linalg.LinAlgError("singular diagonal system")
-        self.all_diag, self.none_diag = np.all(self.is_diag), not np.any(self.is_diag)
 
     def solve(self, rhs):
         """X with A @ X = rhs, for a vector (..., d) or matrix (..., d, k)
@@ -317,6 +329,12 @@ def _mv(A, x):
     return np.einsum("...ij,...j->...i", A, x)
 
 
+def _takes_planes(B):
+    """Whether a block stack B (E, d, d) takes column planes: d = 2, finite
+    and C-contiguous."""
+    return B.shape[-1] == 2 and B.flags.c_contiguous and bool(np.isfinite(B).all())
+
+
 class GatheredProducts:
     """x -> B_e x[at[e]] for a fixed block stack B (E, d, d) and rows at
     (E,) of x: the bits of ``np.einsum("eij,ej->ei", B, x.take(at,
@@ -329,37 +347,62 @@ class GatheredProducts:
     and the flat indices of x's entries they multiply, i0 = 2 at with each
     row twice and i1 = i0 + 1, all padded to a multiple of 16 entries
     (blocks 0.0, indices 0, cut off the result); a call is two takes, two
-    products and two adds, (b0 x[i0] + b1 x[i1]) + 0.0. Other stacks call
-    einsum on B as given, whose sums at d >= 3, and whose choice between
-    two NaNs at d = 2, depend on B's strides.
+    products and two adds, (b0 x[i0] + b1 x[i1]) + 0.0. The planes also
+    take a stack of iterates x (..., rows, 2): each row of the products is
+    padded apart, so every iterate's products are those of its own call.
+    Other stacks call einsum on B as given, whose sums at d >= 3, and
+    whose choice between two NaNs at d = 2, depend on B's strides.
     """
 
     def __init__(self, B, at=None):
-        self.at, d = at, B.shape[-1]
-        self.scalar = d == 1
-        self.planes = d == 2 and B.flags.c_contiguous and bool(np.all(np.isfinite(B)))
-        if self.scalar:
-            self.B = np.ascontiguousarray(B[..., 0])
-        elif self.planes:
-            self.n = n = 2 * len(B)
-            pad = np.zeros(-n % 16)
-            self.b0, self.b1 = (np.concatenate((B[:, :, j].reshape(n), pad)) for j in (0, 1))
-            rows = np.arange(len(B)) if at is None else np.asarray(at, dtype=int)
-            self.i0 = np.concatenate((np.repeat(2 * rows, 2), pad.astype(int)))
-            self.i1 = self.i0 + 1
+        self.scalar, self.planes = B.shape[-1] == 1, _takes_planes(B)
+        if self.planes:
+            self._compile(None, B, np.arange(len(B)) if at is None else at)
         else:
-            self.B = B
+            self.B, self.at = np.ascontiguousarray(B[..., 0]) if self.scalar else B, at
+
+    def _compile(self, head, B, rows):
+        """The planes of ``head``'s stack (a GatheredProducts with planes,
+        or None), copied, then those of B at ``rows``."""
+        n0 = 0 if head is None else head.n
+        self.n = n = n0 + 2 * len(B)
+        N = n + -n % 16
+        b, i0 = np.zeros((2, N)), np.zeros(N, dtype=np.intp)
+        if head is not None:
+            b[:, :n0], i0[:n0] = head.b[:, :n0], head.i0[:n0]
+        b[:, n0:n] = B.reshape(-1, 2).T
+        i0[n0:n].reshape(-1, 2)[...] = 2 * np.asarray(rows, dtype=np.intp)[:, None]
+        self.b, self.i0, self.i1 = b, i0, i0 + 1
+        self.b0, self.b1 = b
+
+    def joined(self, B, at):
+        """The GatheredProducts of the stack [self's blocks; B] on the rows
+        [self's rows; at], with its bits. Where both stacks take planes,
+        this one's compiled planes are copied, not built again; otherwise
+        the joined stack is built anew, with this one's blocks and rows read
+        back from its planes, exact copies, where it has them."""
+        if self.planes and _takes_planes(B):
+            joined = copy.copy(self)
+            joined._compile(self, B, at)
+            return joined
+        if self.planes:
+            blocks, rows = self.b[:, :self.n].T.reshape(-1, 2, 2), self.i0[:self.n:2] // 2
+        else:
+            blocks = self.B[..., None] if self.scalar else self.B
+            rows = np.arange(len(blocks)) if self.at is None else self.at
+        return GatheredProducts(np.concatenate((blocks, B)), np.concatenate((rows, at)))
 
     def __call__(self, x):
         if self.planes:
-            xf = x.reshape(-1)
-            out = xf.take(self.i0)
+            lead = x.shape[:-2]
+            xf = x.reshape(lead + (-1,))
+            out = xf.take(self.i0, axis=-1)
             out *= self.b0
-            other = xf.take(self.i1)
+            other = xf.take(self.i1, axis=-1)
             other *= self.b1
             out += other
             out += 0.0
-            return out[:self.n].reshape(-1, 2)
+            return out[..., :self.n].reshape(lead + (-1, 2))
         x_at = x if self.at is None else x.take(self.at, axis=0)
         if self.scalar:
             return self.B * x_at + 0.0
@@ -378,23 +421,40 @@ class StackedProducts:
     C-contiguous parts share one GatheredProducts of their stacked blocks
     and are returned as views of its products, and any other part keeps
     one of its own on its blocks as given.
+
+    ``extended(parts)`` is the StackedProducts of these parts and then
+    ``parts``: an engine compiles its fixed parts once and extends them by
+    each state's parts, so the fixed parts' planes are copied, not built
+    again (:meth:`GatheredProducts.joined`).
     """
 
     def __init__(self, parts):
-        self.parts = parts
         d = parts[0][0].shape[-1]
-        blocks, at, self.sources = [np.zeros((0, d, d))], [np.zeros(0, dtype=int)], []
-        start = 0
+        self.parts, self.sources, self.size, self.stack = [], [], 0, None
+        self._append(parts)
+        if self.stack is None:
+            self.stack = GatheredProducts(np.zeros((0, d, d)), np.zeros(0, dtype=int))
+
+    def extended(self, parts):
+        extended = copy.copy(self)
+        extended._append(parts)
+        return extended
+
+    def _append(self, parts):
+        blocks, at, sources = [], [], []
         for B, rows in parts:
             # the part's slice of the stack's products, or its own products
             if not B.flags.c_contiguous:
-                self.sources.append(GatheredProducts(B, rows))
+                sources.append(GatheredProducts(B, rows))
                 continue
-            self.sources.append(slice(start, start + len(rows)))
-            start += len(rows)
+            sources.append(slice(self.size, self.size + len(rows)))
+            self.size += len(rows)
             blocks.append(B)
             at.append(np.asarray(rows, dtype=int))
-        self.stack = GatheredProducts(np.concatenate(blocks), np.concatenate(at))
+        self.parts, self.sources = self.parts + list(parts), self.sources + sources
+        if blocks:
+            B, at = np.concatenate(blocks), np.concatenate(at)
+            self.stack = GatheredProducts(B, at) if self.stack is None else self.stack.joined(B, at)
 
     def __call__(self, x):
         out = self.stack(x)
@@ -441,9 +501,16 @@ def message_vectors(H):
 def total_vectors(H):
     """``int(message_vectors(H).sum())`` over a stack H (..., d, d): at
     d = 1 one per message plus one per nonzero curvature, from one
-    ``count_nonzero``."""
-    if H.shape[-1] == 1:
+    ``count_nonzero``; a stack whose nonzeros all lie on diagonals (one
+    count against the diagonals') has no dense message, so it costs one per
+    message plus one per message with a nonzero diagonal."""
+    d = H.shape[-1]
+    if d == 1:
         return H.size + np.count_nonzero(H)
+    flat = H.reshape(-1, d * d)
+    diag = flat[:, ::d + 1]
+    if np.count_nonzero(flat) == np.count_nonzero(diag):
+        return len(flat) + int(np.count_nonzero(diag.any(axis=1)))
     return int(message_vectors(H).sum())
 
 
@@ -510,30 +577,39 @@ class SurrogateSpec:
                                f"{(d, d)} or {(m, d, d)}")
         return np.array(np.broadcast_to(arr, (m, d, d)))
 
-    def edge_matrices(self, rows, cols, d):
+    def edge_matrices(self, rows, cols, m, d):
         """The (E, d, d) stack of the blocks M_edge[(i, j)], i < j, of the
         pairs {rows[e], cols[e]} in either orientation, zero for pairs
-        without one; a new array. A key that is not a node pair (i, j),
-        0 <= i < j, or a block of another shape than (d, d) raises
-        MessageError."""
+        without one; a new array. A key that is not a pair (i, j) of the m
+        nodes, 0 <= i < j < m, or a block of another shape than (d, d)
+        raises MessageError. Keys and blocks are read by one array
+        conversion each."""
         rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
         out = np.zeros((len(rows), d, d))
-        if not self.M_edge or not len(rows):
+        if not self.M_edge:
             return out
-        keys = np.array(list(self.M_edge), dtype=int).reshape(-1, 2)
-        blocks = [np.asarray(blk, dtype=float) for blk in self.M_edge.values()]
-        if (np.any(keys[:, 0] < 0) or np.any(keys[:, 0] >= keys[:, 1])
-                or any(blk.shape != (d, d) for blk in blocks)):
-            raise MessageError(f"M_edge must map node pairs (i, j), 0 <= i < j, "
+        n_keys = len(self.M_edge)
+        try:
+            arity = set(map(len, self.M_edge))
+            keys = np.fromiter(itertools.chain.from_iterable(self.M_edge), dtype=int,
+                               count=2 * n_keys).reshape(n_keys, 2)
+            blocks = np.array(list(self.M_edge.values()), dtype=float)
+        except (TypeError, ValueError):     # a key or block that is no array of numbers
+            arity = None
+        if (arity != {2} or blocks.shape != (n_keys, d, d) or (keys[:, 0] < 0).any()
+                or (keys[:, 0] >= keys[:, 1]).any() or (keys[:, 1] >= m).any()):
+            raise MessageError(f"M_edge must map node pairs (i, j), 0 <= i < j < {m}, "
                                f"to {(d, d)} blocks")
-        blocks = np.array(blocks)
+        if not len(rows):
+            return out
         # one code lo * n + hi per pair
         n = 1 + max(int(keys.max()), int(rows.max()), int(cols.max()))
         codes = keys[:, 0] * n + keys[:, 1]
         order = np.argsort(codes)
+        codes = codes[order]
         want = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-        at = np.minimum(np.searchsorted(codes[order], want), len(codes) - 1)
-        found = codes[order][at] == want
+        at = np.minimum(np.searchsorted(codes, want), n_keys - 1)
+        found = codes[at] == want
         out[found] = blocks[order[at[found]]]
         return out
 

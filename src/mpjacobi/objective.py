@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .messages import PairProducts
+from .messages import GatheredProducts, PairProducts
 
 
 class ObjectiveError(ValueError):
@@ -279,10 +279,13 @@ class QuadraticObjective:
         # every factor's member rows in hyper order
         self._grad_scatter = RowScatter(np.concatenate(
             [self._pair_at.reshape(-1), self._hyper_members]), m)
+        slots = self._grad_scatter.slots
         if d == 1 and not groups:       # grad's couplings and source nodes by slot
-            slots = self._grad_scatter.slots
             self._slot_coef = np.append(np.repeat(self.pair_blocks.reshape(-1), 2), 0.0)[slots]
             self._slot_src = np.append(self._pair_at[:, ::-1].reshape(-1), m)[slots]
+        # grad's (pair, side) of every slot, where no slot pads
+        self._slot_terms = (None if groups or (slots == 2 * len(self.pair_blocks)).any()
+                            else [(slot // 2, slot % 2) for slot in slots])
 
     # -- structure ---------------------------------------------------------
 
@@ -334,16 +337,24 @@ class QuadraticObjective:
 
     def _node_term(self, x):
         """The products H_ii x_i of x (..., m, d): one unbatched einsum on
-        C-contiguous operands. A stack's K iterates are read against
-        ``diag`` tiled K times, (K m, d, d), so every iterate's products are
-        those of its own call, by the same kernel on the same layout.
-        einsum's sums at d >= 3 depend on the operands' strides, and its
-        broadcast path on a stack is slow. The tile takes d times the
-        stack's memory: 64 KB for K = 16 (``solvers.RECORD_BATCH``), m = 128
-        and d = 2."""
+        C-contiguous operands. At d = 2 a stack of K iterates on finite
+        blocks takes the column planes of a
+        :class:`~mpjacobi.messages.GatheredProducts` of ``diag``, with the
+        einsum's bits; it is compiled per call, as ``diag`` may be
+        reassigned. Another stack is read against ``diag`` tiled K times,
+        (K m, d, d), so every iterate's products are those of its own call,
+        by the same kernel on the same layout. einsum's sums at d >= 3
+        depend on the operands' strides, and its broadcast path on a stack
+        is slow. The tile takes d times the stack's memory, K m d^2
+        floats: 288 KB for K = 32 (``solvers.RECORD_BATCH``),
+        m = 128 and d = 3."""
         m, d = self.m, self.d
         K = math.prod(x.shape[:-2])
         diag = np.ascontiguousarray(self.diag)
+        if K != 1 and d == 2:
+            products = GatheredProducts(diag)
+            if products.planes:
+                return products(x)
         if K != 1:
             diag = np.broadcast_to(diag, (K, m, d, d)).reshape(K * m, d, d)
         return np.einsum("ikl,il->ik", diag,
@@ -357,7 +368,9 @@ class QuadraticObjective:
         B^T x_i at j), then every factor's members in ``hyper`` order: the
         additions of the per-coupling loop, in its order. A stack's
         iterates are summed apart in that same order, by
-        :class:`RowScatter`'s ordered gather, and its products are made by
+        :class:`RowScatter`'s ordered gather (on a pairwise problem whose
+        nodes have as many pair terms each, with every slot's terms read off
+        the pair products' own layout), and its products are made by
         one vectorized pass each (the node term by :meth:`_node_term`, the
         pair products by :class:`~mpjacobi.messages.PairProducts`), so each
         iterate holds the bits of its own single-iterate gradient. Where two
@@ -388,7 +401,15 @@ class QuadraticObjective:
                                       out=term), out=g)
             return g.reshape(x.shape)
         g = self._node_term(x) + self.lin
-        terms = self._pair_products(x).reshape(lead + (-1, d))
+        terms = self._pair_products(x)
+        if K > 1 and self._slot_terms is not None:
+            # RowScatter's sum, each slot's terms read off the products as
+            # they are laid out, not copied to rows first
+            np.add(g, 0.0, out=g)
+            for pair, side in self._slot_terms:
+                np.add(g, terms[..., pair, side, :], out=g)
+            return g
+        terms = terms.reshape(lead + (-1, d))
         if self.hyper_groups:
             hyper = np.concatenate(
                 [(2.0 * np.matmul(H, xs[..., None])).reshape(lead + (-1, d))
@@ -585,8 +606,8 @@ class CtaProblem:
     i < j in sorted order, ``edge_weights`` their w_ij and ``self_weights``
     the diagonal w_ii. When every local
     loss is a QuadraticLocal, their Q and c are stacked once, at
-    construction, and evaluated with one einsum; other losses are called
-    node by node.
+    construction, and evaluated with one einsum (one matmul in
+    :meth:`own_local_grads`); other losses are called node by node.
     """
 
     locals_: list
@@ -603,9 +624,14 @@ class CtaProblem:
             np.concatenate([self.edge_rows, self.edge_cols]), self.m)
         self._edge_set = frozenset(zip(self.edge_rows.tolist(), self.edge_cols.tolist()))
         self._local_Q = self._local_c = None
+        self._own_matmul = False
         if self.is_quadratic():
-            self._local_Q = np.stack([np.asarray(f.Q, dtype=float) for f in self.locals_])
+            Qs = [np.asarray(f.Q, dtype=float) for f in self.locals_]
+            self._local_Q = np.stack(Qs)
             self._local_c = np.stack([np.asarray(f.c, dtype=float) for f in self.locals_])
+            # the stack is C-contiguous, so matmul takes the kernel of a
+            # C-contiguous Q's own product
+            self._own_matmul = all(Q.flags.c_contiguous for Q in Qs)
 
     @property
     def m(self):
@@ -645,6 +671,15 @@ class CtaProblem:
         if self._local_Q is None:
             return np.stack([self.locals_[i].grad(x[i]) for i in range(self.m)])
         return np.einsum("ikl,il->ik", self._local_Q, x) + self._local_c
+
+    def own_local_grads(self, x):
+        """Stacked grad f_i(x_i) at x (m, d) with the bits of every local
+        loss's own ``grad``: one batched matmul Q x + c on the stacked
+        losses where each Q was C-contiguous at construction, else one
+        ``grad`` call per node."""
+        if self._own_matmul:
+            return np.matmul(self._local_Q, x[..., None])[..., 0] + self._local_c
+        return np.stack([f.grad(v) for f, v in zip(self.locals_, x)])
 
     def is_quadratic(self):
         return all(isinstance(f, QuadraticLocal) for f in self.locals_)

@@ -281,7 +281,7 @@ def _cluster_surrogate(problem, partition, spec, cta, r):
         if family == "first_order":
             P = np.zeros_like(A)
         elif family == "schur_quadratic":
-            Mij = spec.edge_matrices([i], [j], d)[0]
+            Mij = spec.edge_matrices([i], [j], problem.m, d)[0]
             Mij = Mij if i < j else Mij.T
             P = np.block([[Mn[i], Mij], [Mij.T, Mn[j]]])
         add([x_at[i], x_at[j]], ys, A, P)

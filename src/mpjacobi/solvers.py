@@ -346,8 +346,13 @@ def _variable_solve(G, g):
 
 
 # Iterates per RunTrace.record call in _drive: one stacked gradient per
-# batch instead of one per round.
-RECORD_BATCH = 16
+# batch instead of one per round. A record call has a fixed cost (25-55 us
+# on the benchmark workloads), so a record costs 8.7 us per iterate at 16,
+# 7.1 at 32 and 6.1 at 64 on ring_schur (path_exact: 5.4, 4.4, 4.3). At 64
+# ring_schur's stacked gradient takes megabytes of temporaries, which the
+# allocator hands back and faults in again (about 100-200 page faults a
+# solve, none at 48 or fewer).
+RECORD_BATCH = 32
 
 
 def _drive(problem, tau_node, config, x0, start):
@@ -388,7 +393,8 @@ def _drive(problem, tau_node, config, x0, start):
     else:
         x = check_block_vector(as_blocks(x0, m, d)).copy()
     step = start(x)
-    tau = None if tau_node is None else tau_node[:, None]
+    # one stepsize per entry, so the damping runs flat loops, not d-long ones
+    tau = None if tau_node is None else np.repeat(tau_node, d).reshape(m, d)
     oracle, max_rounds = config.track_oracle, config.max_rounds
     tol_x, tol_grad = config.tol_x, config.tol_grad
     trace = RunTrace()
@@ -647,12 +653,13 @@ def _schur_run(problem, partition, config, x0, spec):
     receiver-side coupling gradients are the sender-side ones of the
     reverse edges, which apply the same block to the same row. Every block
     that the linear half multiplies by an iterate is a part of one
-    :class:`StackedProducts` per curvature state: ``problem.diag``, the
-    cross and the sender couplings, ``G_base`` (unless
-    ``exact_variable_update``), then the state's H_in and H_msg; a kept
-    state is settled with kept.H in place of H_msg, so its last rows are
-    the rule's H x_i^ref. So a round makes one gather of x and one stacked
-    block product (from column planes at d = 2, see
+    :class:`StackedProducts` per curvature state. Its fixed parts,
+    ``problem.diag``, the cross and the sender couplings and ``G_base``
+    (unless ``exact_variable_update``), are compiled once per run and
+    extended by the state's H_in (:meth:`StackedProducts.extended`); a
+    kept state is settled by extending its products with kept.H, whose
+    rows are the rule's H x_i^ref. So a round makes one gather of x and
+    one stacked block product (from column planes at d = 2, see
     :class:`GatheredProducts`), plus M_ij col after the solve. Every round
     sums c_u (:func:`schur_aggregate`) from the H_in rows; a curvature
     round calls the rule on c_u and the state's sender matrices
@@ -668,31 +675,35 @@ def _schur_run(problem, partition, config, x0, spec):
     exact = config.exact_variable_update
     n_out = np.bincount(lay.csrc, minlength=m)[:, None, None]
     Q, Mn = spec.node_matrices("Q", m, d), spec.node_matrices("M", m, d)
-    M_edge = spec.edge_matrices(s, t, d)
+    M_edge = spec.edge_matrices(s, t, m, d)
     G_base = Q + n_out * Mn         # variable-update curvature before messages
     QM_s, Mn_t = Q[s] + Mn[s], Mn[t]
     nodes = np.arange(m)
-    fixed = [(problem.diag, nodes), (problem.couplings(lay.csrc, lay.cdst), lay.cdst),
-             (problem.couplings(s, t), t)] + ([] if exact else [(G_base, nodes)])
+    fixed = StackedProducts(
+        [(problem.diag, nodes), (problem.couplings(lay.csrc, lay.cdst), lay.cdst),
+         (problem.couplings(s, t), t)] + ([] if exact else [(G_base, nodes)]))
     M_col = GatheredProducts(M_edge)
+    n_state = len(fixed.parts) + 1
+    h_at_receivers = lay.at_receivers.compiled((d,))
 
     def curvature(H_msg):
         H_node = lay.at_receivers(H_msg)
         H_in = lay.others(H_node, H_msg)
         G = _variable_system((problem.diag if exact else G_base) + H_node)
-        return G, QM_s + H_in, StackedProducts(fixed + [(H_in, s), (H_msg, t)])
+        return G, QM_s + H_in, fixed.extended([(H_in, s)])
 
     def settle(state, kept):
         G, S, products = state
-        return G, S, StackedProducts(products.parts[:-1] + [(kept.H, t)])
+        return G, S, products.extended([(kept.H, t)])
 
     def linear(x, h_msg, state, kept):
         G, S, products = state
-        node_x, cross_x, grads, *base_x, in_x, msg_x = products(x)
+        parts_x = products(x)
+        node_x, cross_x, grads, *base_x, in_x = parts_x[:n_state]
         grad_phi = node_x + problem.lin
         boundary = lay.at_cross(cross_x)
         g = problem.lin + boundary if exact else grad_phi - base_x[0] + boundary
-        h_node = lay.at_receivers(h_msg)
+        h_node = h_at_receivers(h_msg)
         xhat = _variable_solve(G, g + h_node)
         c_u = schur_aggregate(grad_phi.take(s, axis=0), grads,
                               [(in_x, lay.others(h_node, h_msg))], boundary.take(s, axis=0))
@@ -700,7 +711,7 @@ def _schur_run(problem, partition, config, x0, spec):
         if kept is None:
             msg = schur_message_update(S, c_u, Mn_t, M_edge, grads_rev, x.take(t, axis=0))
             return xhat, msg.H, msg.h, msg.curvature
-        return xhat, kept.H, schur_linear(grads_rev, M_col(kept.solve(c_u)), msg_x), kept
+        return xhat, kept.H, schur_linear(grads_rev, M_col(kept.solve(c_u)), parts_x[-1]), kept
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors, settle)
     return rounds.run(problem, _tau_per_node(problem, partition, config), config,
@@ -1166,7 +1177,7 @@ def baseline(kind, problem, params=None, x0=None):
 
         def step(x):
             Wx = W @ x
-            g = np.stack([f.grad(v) for f, v in zip(problem.locals_, Wx if atc else x)])
+            g = problem.own_local_grads(Wx if atc else x)
             return (W @ (Wx - gamma * g) if atc else Wx - gamma * g), sent
     elif not isinstance(problem, QuadraticObjective):
         raise NotQuadratic(f"baseline {kind!r} needs a quadratic problem")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mpjacobi.messages import (
     LapackSystem,
+    MessageError,
     QuadraticMessage,
     GatheredProducts,
     MessageSet,
@@ -345,8 +346,8 @@ def test_spec_stacks_hold_the_per_node_and_per_edge_blocks(form):
     rows, cols = np.array([0, 1, 3, 1, 4, 2, 0]), np.array([1, 0, 1, 2, 2, 4, 4])
     expected = np.stack([M_edge.get((min(i, j), max(i, j)), np.zeros((d, d)))
                          for i, j in zip(rows, cols)])
-    assert np.array_equal(spec.edge_matrices(rows, cols, d), expected)
-    assert spec.edge_matrices([], [], d).shape == (0, d, d)
+    assert np.array_equal(spec.edge_matrices(rows, cols, m, d), expected)
+    assert spec.edge_matrices([], [], m, d).shape == (0, d, d)
 
 
 def test_vector_cost_and_diagonalize():
@@ -1076,6 +1077,115 @@ def test_d2_products_from_column_planes_equal_einsum_bitwise(seed, sizes, specia
     for got, want in cases:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.lists(st.integers(0, 150), min_size=1, max_size=4),
+       st.lists(st.integers(0, 150), min_size=2, max_size=2), st.floats(0.0, 1.0),
+       st.sampled_from(["finite", "nonfinite", "transposed"]))
+@settings(max_examples=100, deadline=None)
+def test_extended_products_equal_products_built_at_once_bitwise(seed, d, fixed_sizes,
+                                                                state_sizes, special, state):
+    """A StackedProducts compiled once from fixed parts and extended by a
+    state's two parts, as the Schur engine extends its fixed parts per
+    curvature state, equals the StackedProducts of all the parts built at
+    once, bit for bit, NaN payloads included, with the same dispatch. The
+    draws follow ``test_d2_products_from_column_planes_equal_einsum_bitwise``
+    (blocks of unit magnitude with signed zeros, subnormals and +-1e308;
+    iterates with NaNs of random payloads, +-inf, signed zeros and 1e308;
+    0-150 blocks a part, so every stack length mod 16 occurs), at d = 1-3.
+    The state parts are finite, hold a NaN or inf block (the whole stack
+    then takes einsum) or are a transposed view (an einsum of its own).
+    A second state extended from the same fixed parts leaves the first
+    one's products as they were. At d = 2 on finite blocks every part
+    also equals its einsum."""
+    rng = np.random.default_rng(seed)
+    m = 20
+
+    def blocks(n):
+        B = rng.uniform(-1.0, 1.0, (n, d, d))
+        mask = rng.random(B.shape) < 0.2
+        B[mask] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308], np.count_nonzero(mask))
+        return B
+
+    def parts(sizes):
+        return [(blocks(n), rng.integers(0, m, n)) for n in sizes]
+
+    x = rng.uniform(-1.0, 1.0, (m, d))
+    mask = rng.random(x.shape) < special
+    x[mask] = rng.choice([np.inf, -np.inf, 0.0, -0.0, 1e308], np.count_nonzero(mask))
+    mask = rng.random(x.shape) < special
+    x[mask] = _quiet_nans(rng, np.count_nonzero(mask))
+    fixed, first, second = parts(fixed_sizes), parts(state_sizes), parts(state_sizes[::-1])
+    B, at = first[0]
+    if state == "nonfinite" and len(B):
+        B[rng.integers(len(B)), rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf])
+    elif state == "transposed":
+        first[0] = (np.swapaxes(np.swapaxes(B, 1, 2).copy(), 1, 2), at)
+    compiled = StackedProducts(fixed)
+    extended = compiled.extended(first)
+    compiled.extended(second)
+    at_once = StackedProducts(fixed + first)
+    assert extended.stack.planes == at_once.stack.planes
+    assert [p for p, _ in extended.parts] == [p for p, _ in at_once.parts]
+    with np.errstate(all="ignore"):
+        got, want = extended(x), at_once(x)
+        reference = [np.einsum("eij,ej->ei", B, x.take(at, axis=0)) for B, at in fixed + first]
+    assert len(got) == len(want) == len(fixed) + 2
+    for g, w, r in zip(got, want, reference):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        if d == 2 and state == "finite":
+            assert np.array_equal(g.view(np.int64), r.view(np.int64))
+
+
+def _edge_spec(rng, m, d, n_keys):
+    """A schur_quadratic spec with n_keys blocks M_edge[(i, j)], i < j, of
+    random nodes below m and random entries, signed zeros included."""
+    pairs = {tuple(sorted(rng.choice(m, 2, replace=False).tolist())) for _ in range(n_keys)}
+    M_edge = {}
+    for i, j in pairs:
+        blk = rng.standard_normal((d, d))
+        blk[rng.random((d, d)) < 0.2] = -0.0
+        M_edge[(i, j)] = blk
+    return SurrogateSpec(family="schur_quadratic", M_edge=M_edge)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 40),
+       st.integers(1, 60),
+       st.sampled_from([None, "reversed", "equal", "negative", "outside", "arity",
+                        "scalar_key", "block_shape", "ragged", "scalar_block",
+                        "not_a_number"]))
+@settings(max_examples=150, deadline=None)
+def test_edge_matrices_equal_a_per_pair_lookup(seed, d, n_keys, n_pairs, malformed):
+    """``edge_matrices`` holds M_edge[(min, max)] per directed pair in
+    either orientation, zeros for pairs without a block, equal to a
+    per-pair dict lookup bit for bit (signed zeros included) on random
+    specs; node pairs are drawn at random, so most have no block and both
+    orientations occur. Every malformed key or block raises MessageError:
+    a key (j, i) with j > i, a key (i, i), a negative node, a node m or
+    above, a key of another arity or not a tuple, a block of another shape, blocks of
+    mixed shapes, a scalar block, and a block that is not a number."""
+    rng = np.random.default_rng(seed)
+    m = 12
+    spec = _edge_spec(rng, m, d, n_keys)
+    rows, cols = rng.integers(0, m, n_pairs), rng.integers(0, m, n_pairs)
+    if malformed is None:
+        expected = np.zeros((n_pairs, d, d))
+        for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            expected[e] = spec.M_edge.get((min(i, j), max(i, j)), expected[e])
+        got = spec.edge_matrices(rows, cols, m, d)
+        assert got.shape == (n_pairs, d, d)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert spec.edge_matrices([], [], m, d).shape == (0, d, d)
+        return
+    key = {"reversed": (5, 2), "equal": (3, 3), "negative": (-1, 4), "outside": (4, m),
+           "arity": (1, 2, 3), "scalar_key": 7}.get(malformed, (0, 1))
+    block = {"block_shape": np.eye(d + 1), "ragged": [[1.0] * d] * (d + 1),
+             "scalar_block": 1.0, "not_a_number": [["a"] * d] * d}.get(malformed, np.eye(d))
+    spec.M_edge[key] = block
+    with pytest.raises(MessageError, match="M_edge must map node pairs"):
+        spec.edge_matrices(rows, cols, m, d)
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])

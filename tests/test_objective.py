@@ -485,6 +485,45 @@ def test_grad_of_a_unit_scale_stack_is_the_stacked_grads(q, K, seed):
     assert np.array_equal(expected.view(np.int64), loop.view(np.int64))
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 70), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_d2_node_term_of_a_stack_equals_einsum_bitwise(seed, m, K, special):
+    """At d = 2 the node term of a (K, m, 2) stack comes from the column
+    planes of ``diag`` with the bits of every iterate's own
+    ``np.einsum("ikl,il->ik", diag, x)``, NaN payloads included: finite
+    blocks of unit magnitude with signed zeros, subnormals and +-1e308;
+    iterates whose entries are, with probability ``special`` each, NaNs
+    of both signs and random payloads, +-inf, signed zeros or 1e308, so
+    products overflow and sum to NaN; K m of every residue mod 8. A
+    ``diag`` with a NaN keeps the tiled einsum, whose NaNs match by
+    position."""
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(-1.0, 1.0, (m, 2, 2))
+    mask = rng.random(diag.shape) < 0.2
+    diag[mask] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308], np.count_nonzero(mask))
+    xs = rng.uniform(-1.0, 1.0, (K, m, 2))
+    mask = rng.random(xs.shape) < special
+    xs[mask] = rng.choice([np.inf, -np.inf, 0.0, -0.0, 1e308], np.count_nonzero(mask))
+    mask = rng.random(xs.shape) < special
+    bits = (rng.integers(0, 2 ** 51, np.count_nonzero(mask), dtype=np.uint64)
+            | np.uint64(0x7FF8 << 48)
+            | rng.integers(0, 2, np.count_nonzero(mask), dtype=np.uint64) << np.uint64(63))
+    xs[mask] = bits.view(float)
+    q = QuadraticObjective(m, 2, diag, np.zeros((m, 2)))
+    with np.errstate(all="ignore"):
+        got = q._node_term(xs)
+        expected = np.stack([np.einsum("ikl,il->ik", diag, x) for x in xs])
+    assert got.shape == expected.shape == (K, m, 2)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    q.diag[rng.integers(m), rng.integers(2), rng.integers(2)] = np.nan
+    with np.errstate(all="ignore"):
+        got = q._node_term(xs)
+        expected = np.stack([np.einsum("ikl,il->ik", q.diag, x) for x in xs])
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 20))
 @settings(max_examples=100, deadline=None)
 def test_scalar_grad_of_a_stack_with_nans_is_the_stacked_grads(seed, m, K):

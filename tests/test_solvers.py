@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpjacobi import solvers
 from mpjacobi.messages import MessageError, SingularSenderCurvature, SurrogateSpec
 from mpjacobi.objective import (
+    CallableLocal,
     NotQuadratic,
     ObjectiveError,
     QuadraticLocal,
@@ -579,6 +580,8 @@ def _surrogate_run(problem, family, **spec):
                                           M_edge={(0, 1): np.zeros((2, 2))})),
     (MessageError, lambda: _surrogate_run(_Q4, "schur_quadratic",
                                           M_edge={(1, 0): np.zeros((1, 1))})),
+    (MessageError, lambda: _surrogate_run(_Q4, "schur_quadratic",
+                                          M_edge={(0, 999): np.eye(1)})),
     (SolverError, lambda: mp_jacobi(_Q8, _P8, SolverConfig(tau=np.nan, max_rounds=5))),
     (SolverError, lambda: mp_jacobi(_Q8, _P8, SolverConfig(tau=np.inf, max_rounds=5))),
     (SolverError, lambda: mp_jacobi(_Q8, _P8, SolverConfig(tau=[np.nan] * _P8.p,
@@ -605,7 +608,7 @@ def _surrogate_run(problem, family, **spec):
 ], ids=["exact_off_quadratic", "unsupported_family", "schur_off_quadratic",
         "partial_linearization_off_cta", "reference_off_quadratic", "tree_solve_on_a_ring",
         "stepsize_mode", "spec_family", "spec_first_order_alpha", "spec_node_stack_shape",
-        "spec_edge_block_shape", "spec_edge_key_order", "tau_nan", "tau_inf",
+        "spec_edge_block_shape", "spec_edge_key_order", "spec_edge_key_node", "tau_nan", "tau_inf",
         "tau_per_cluster_nan", "jacobi_tau_nan", "central_tau_minus_inf",
         "gradient_step_inf", "jacobi_tau_none", "manual_tau_negative", "manual_tau_nan",
         "manual_tau_none", "splitting_W_shape", "splitting_rounds_negative",
@@ -1065,6 +1068,39 @@ def test_baselines_reject_non_finite_x0():
                 ("dgd_cta", prob, {}), ("dgd_atc", prob, {})):
             with pytest.raises(ObjectiveError):
                 baseline(kind, problem, {"max_rounds": 5, **params}, x0=x0)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 4),
+       st.sampled_from(["quadratic", "fortran", "callable"]))
+@settings(max_examples=100, deadline=None)
+def test_dgd_local_grads_equal_per_node_grads_bitwise(seed, m, d, kind):
+    """The diffusion baselines' local gradients, one batched matmul on
+    QuadraticLocals, hold every loss's own ``grad`` bit for bit: entries of
+    unit magnitude (where another order of the sums rounds otherwise),
+    signed zeros, and scales 1e-100 to 1e100. A Q in Fortran order, whose
+    own product takes another BLAS kernel, and a non-quadratic loss keep
+    the per-node calls."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        out = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-100, 101, shape)
+        out[rng.random(shape) < 0.1] = -0.0
+        return out
+
+    locals_ = [QuadraticLocal(draw((d, d)), draw(d)) for _ in range(m)]
+    if kind == "fortran":
+        locals_[rng.integers(m)].Q = np.asfortranarray(draw((d, d)))
+    elif kind == "callable":
+        f = locals_[rng.integers(m)]
+        locals_.append(CallableLocal(lambda x: 0.0, lambda x, f=f: f.Q @ x + f.c))
+        m += 1
+    g = generate_topology("ring", m=m) if m >= 3 else Graph(m, {(0, 1)} if m == 2 else set())
+    prob = build_cta(locals_, metropolis_weights(g))
+    v = draw((m, d))
+    with np.errstate(all="ignore"):
+        got = prob.own_local_grads(v)
+        want = np.stack([f.grad(u) for f, u in zip(prob.locals_, v)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_tree_solve_singular_root_is_ill_posed():

@@ -192,7 +192,7 @@ def _ref_tilde_psi(q, spec, i, j, u, v, yu, yv):
     if spec.family == "first_order":
         return val
     d = q.d
-    Mij = spec.edge_matrices([i], [j], d)[0]
+    Mij = spec.edge_matrices([i], [j], q.m, d)[0]
     Mij = Mij if i < j else Mij.T
     Mn = spec.node_matrices("M", q.m, d)
     return (val + _quad(du, Mij, dv) + 0.5 * _quad(du, Mn[i], du)
