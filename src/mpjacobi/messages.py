@@ -1,72 +1,46 @@
 """Message parametrizations and every message-update rule.
 
-All messages are quadratic forms stored up to an additive constant as a
-pair (H, h) meaning mu(x) ~ 1/2 <H x, x> + <h, x>. Constants never affect
-argmins, so they are dropped throughout.
+A message is a quadratic form stored up to an additive constant as a pair
+(H, h), mu(x) ~ 1/2 <H x, x> + <h, x>. The rules: exact pairwise partial
+minimization, first-order (affine), structured-quadratic (Schur) and
+partial-linearization surrogates, and hypergraph factor-to-variable messages
+with their diagonal compression; the tests check each partial minimization by
+brute force. Every rule, ``struct_solve`` and ``message_vectors`` take leading
+batch axes, one entry per directed edge or (factor, receiver) incidence.
 
-Update rules implemented here:
-  * exact pairwise partial minimization (quadratic objectives),
-  * first-order (affine) surrogate messages,
-  * structured-quadratic (Schur-recursion) surrogate messages,
-  * partial-linearization messages for lifted consensus objectives,
-  * hypergraph factor-to-variable messages and their diagonal compression.
+Curvature and linear halves. In every rule but the first-order one, H and the
+sender matrix S read only incoming curvatures and problem data; only h reads x.
+Each rule returns its curvature half as a :class:`Curvature`, whose ``solve``
+maps a new linear sum to the rule's linear column by the full rule's operation,
+so that a round that keeps it has the full rule's bits.
 
-Every rule, ``struct_solve`` and ``message_vectors`` accept leading batch
-axes: every argument may carry the same leading shape (one entry per
-directed edge or per (factor, receiver) incidence). The pairwise rules
-take the sums their engines hold: the sender's curvature sum and linear
-sum over its own term and its other in-edges. The solvers call each rule
-once per round (the hypergraph rule once per factor arity) on stacked
-message arrays; a single call is the batch-free case.
-
-The linear parts of the Schur and partial-linearization recursions are
-derived once from the defining partial minimizations (see the docstrings),
-and are covered by brute-force minimization oracles in the tests.
-
-Curvature and linear halves. In every rule except the first-order one the
-message curvature H and the sender matrix S it is solved against (A in the
-exact and hypergraph rules) read only the incoming curvatures and the
-problem data; only the linear part h reads x. So once a round returns the
-curvatures it was given, bit for bit, every later round would return them
-again. Each rule returns its curvature half as a :class:`Curvature`, whose
-``solve`` maps a new linear sum to the rule's linear column by the full
-rule's operation on it (the systems' column map), so a message built from
-it has the full rule's bits. Each rule's kept round is written once. The
-pairwise ones live in their engines: :func:`exact_linear` on the kept
-column; :func:`schur_linear` on M_ij times it, by a
-:class:`GatheredProducts` compiled once per run, and on H x_i, which the
-Schur engine reads off one :class:`StackedProducts` per kept state with
-the H_in x_j of :func:`schur_aggregate`; (w_ij/gamma) times the column in
-the partial-linearization engine. The hypergraph rule takes its
-Curvature back as ``curvature=`` and runs its own linear half.
-
-Bit contracts. Every kernel here returns the bits of a named numpy call,
-which ``tests/test_messages.py`` checks against the installed numpy. Where
-two NaNs meet in a product either may be kept (numpy orders the operands
-one way in its vector loops and the other in their scalar tails), so NaN
-signs are exempt there; a kernel's docstring names its reference call, its
-dispatch and any other exemption. The exact rule, the one implementation
-of the paper's exact message, solves by :class:`LapackSystem`
-(``np.linalg.solve``'s bits, at d = 1 without LAPACK) and multiplies by
-:func:`block_matmul` (``np.matmul``'s): the exact engine's operations,
-whose iterates the golden traces freeze. ``_mv``, :class:`StackedProducts`
-and :class:`GatheredProducts` have einsum's bits; at d = 2 the last two
-make them from column planes. An einsum row sums from +0.0, ((+0.0 + p0)
-+ p1), which is (p0 + p1) + 0.0 for every pair of products, signed zeros
-and infinities included. Two more rules keep the NaNs: only C-contiguous
-stacks of finite blocks take the planes, so that a product meets at most
-one NaN, and the planes are padded to a multiple of 16 entries, so that
-every add runs in numpy's vector loop, which keeps its first operand's
-NaN, as einsum keeps p0 (on numpy 2.4 with AVX-512 the scalar tail, the
-last n mod 8 entries, may keep the second). The planes' products may
-raise floating-point warnings where einsum raises none. The other rules
-solve by ``struct_solve``, which divides exactly diagonal systems so
-that diagonal message families stay exactly diagonal. The column rule: where a rule
-solves S X = [F | c], F its fixed columns and c its linear column, a 1 x 1
-:class:`LapackSystem` (times the stored reciprocal) or an all-diagonal
-:class:`StructSystem` (division) solves F and c apart with one solve's
-bits; others solve [F | c] at once, as LAPACK's bits depend on which
-columns it solves together.
+Bit contracts. Every kernel returns the bits of a named numpy call, which
+``tests/test_messages.py`` checks against the installed numpy; a kernel's
+docstring names that call, its dispatch, its exemptions and its test.
+These hold for all of them:
+  * NaN signs are exempt where two NaNs meet in a product or a sum: numpy
+    orders the operands one way in its vector loops and the other in their
+    scalar tails.
+  * einsum and matmul sum a row from +0.0, ((+0.0 + p0) + p1), which is
+    (p0 + p1) + 0.0 for every pair of products, signed zeros and
+    infinities included; one product is p0 + 0.0.
+  * einsum's sums at d >= 3, and its choice between two NaNs at d = 2,
+    depend on the operands' strides, so a kernel multiplies blocks as given.
+  * Column planes (d = 2) are taken only by C-contiguous stacks of finite
+    blocks, so that a product meets at most one NaN, and are padded to a
+    multiple of 16 entries, so that every add runs in numpy's vector loop,
+    which keeps its first operand's NaN as einsum keeps p0 (on numpy 2.4
+    with AVX-512 the scalar tail, the last n mod 8 entries, may keep the
+    second). They may raise floating-point warnings where einsum does not.
+  * The exact rule, whose iterates the golden traces freeze, solves by
+    :class:`LapackSystem` (``np.linalg.solve``'s bits) and multiplies by
+    :func:`block_matmul` (``np.matmul``'s). The others solve by
+    ``struct_solve``, which divides exactly diagonal systems, so that
+    diagonal message families stay exactly diagonal.
+  * Column rule: where a rule solves S X = [F | c], a 1 x 1 LapackSystem
+    (times the stored reciprocal) or an all-diagonal StructSystem solves F
+    and c apart with one solve's bits; others solve [F | c] at once, as
+    LAPACK's bits depend on which columns it solves together.
 """
 
 from __future__ import annotations
@@ -110,19 +84,13 @@ def _joint_columns(solve, F, c):
 
 class StructSystem:
     """Matrices A (..., d, d) with ``struct_solve``'s per-matrix choice made
-    once.
-
-    Matrices that are exactly diagonal are solved by division, so diagonal
-    message families stay exactly diagonal instead of merely numerically
-    diagonal; the others go to LAPACK. The choice is made per matrix, so a
-    batch equals its stacked single solves bit for bit, and ``__init__``
-    decides once whether the batch is all diagonal, none diagonal or
-    mixed. A matrix is diagonal where A - diag I is zero (-0.0 counts as
-    zero, NaN and so inf - inf as nonzero). A zero on the diagonal of a
-    diagonal matrix raises ``np.linalg.LinAlgError``. A batch whose
-    nonzeros all lie on finite diagonals (one count of the batch's nonzeros
-    against its diagonals') is all diagonal without a per-matrix test.
-    """
+    once: an exactly diagonal matrix (A - diag I is zero; -0.0 counts as zero,
+    NaN and so inf - inf as nonzero) is solved by division, the others by
+    LAPACK, so a batch equals its stacked single solves bit for bit. A batch
+    whose nonzeros all lie on finite diagonals is all diagonal without a
+    per-matrix test. A zero on the diagonal of a diagonal matrix raises
+    ``np.linalg.LinAlgError``. Tested by
+    ``test_struct_system_diagonal_where_a_minus_diag_identity_is_zero``."""
 
     def __init__(self, A):
         self.A = A = np.asarray(A, dtype=float)
@@ -163,39 +131,31 @@ class StructSystem:
         return X[..., 0] if vector else X
 
     def columns(self, F, c):
-        """(X_F, col, column): the fixed and last columns of A X = [F | c]
-        and the map from a new c to col, with the joint solve's bits; by
-        the module's column rule an all-diagonal batch divides apart."""
+        """(X_F, col, column): the fixed and last columns of A X = [F | c] and
+        the map from a new c to col, by the module's column rule."""
         if not self.all_diag:
             return _joint_columns(self.solve, F, c)
         return F / self.diag[..., None], c / self.diag, lambda c: c / self.diag
 
 
 def struct_solve(A, rhs):
-    """Solve A @ X = rhs over any leading batch axes of A (..., d, d).
-
-    ``rhs`` is a vector (..., d) or a matrix (..., d, k). ``A`` may also be
-    a :class:`StructSystem` that holds the matrices with their diagonal or
-    LAPACK choice already made; see there for the choice.
-    """
+    """Solve A @ X = rhs, rhs a vector (..., d) or a matrix (..., d, k), over
+    any leading batch axes of A (..., d, d) or of a :class:`StructSystem`."""
     system = A if isinstance(A, StructSystem) else StructSystem(A)
     return system.solve(rhs)
 
 
 class LapackSystem:
-    """Matrices A (..., d, d) whose solves of rhs (..., d, k) have the bits
-    of ``np.linalg.solve(A, rhs)``.
-
-    d >= 2 calls it (numpy cannot repeat its FMA kernels), so a singular A
-    raises there when ``solve`` is called. d = 1 repeats OpenBLAS without
-    LAPACK: one right-hand side is divided by the pivot (trsv), more are
-    multiplied by its reciprocal (trsm), formed on first use; the two
-    differ in the last bit on about half of all inputs. An exact zero pivot
-    (-0.0 too) raises ``np.linalg.LinAlgError("Singular matrix")`` here.
-    ``solve`` and ``columns`` (the module's column rule) ignore
-    floating-point errors; ``vector`` and the column map hold no
-    ``np.errstate``, so a round takes its node solve and columns under one.
-    """
+    """Matrices A (..., d, d) whose solves have the bits of
+    ``np.linalg.solve(A, rhs)`` (``test_lapack_solve_equals_numpy_bitwise``).
+    d >= 2 calls it (numpy cannot repeat its FMA kernels), and a singular A
+    raises there. d = 1 repeats OpenBLAS without LAPACK: one right-hand side is
+    divided by the pivot (trsv), more are multiplied by its reciprocal (trsm),
+    formed on first use, which differs in the last bit on about half of all
+    inputs; an exact zero pivot (-0.0 too) raises
+    ``np.linalg.LinAlgError("Singular matrix")``. ``solve`` and ``columns``
+    ignore floating-point errors; ``vector`` and the column map do not, so a
+    round takes them under one ``np.errstate``."""
 
     def __init__(self, A):
         self.A = A
@@ -231,8 +191,7 @@ class LapackSystem:
 
 def block_matmul(B, X):
     """``np.matmul(B, X)`` bit for bit, B (..., d, d) and X (..., d, k): at
-    d = 1 B * X + 0.0, as matmul sums from +0.0 (a -0.0 product gives
-    +0.0)."""
+    d = 1, B * X + 0.0."""
     if B.shape[-1] == 1:
         return B * X + 0.0
     return np.matmul(B, X)
@@ -247,20 +206,15 @@ def block_matvec(B, v):
 class PairProducts:
     """The two products of every pair coupling of a fixed block stack B
     (E, d, d) on nodes ``rows`` and ``cols``: for x (..., m, d), the terms
-    (..., E, 2, d) B_e x[..., cols[e], :] and B_e^T x[..., rows[e], :],
-    with the bits of :func:`block_matvec` on B and on its transposed view.
-
-    At d = 2 a stack of K >= 2 iterates on finite blocks is regrouped:
-    one matmul of 4 E gemv calls with K outputs each (per block row, the
-    iterates' (K, 2) matrix times the row), not one call per block and
-    iterate. Each output keeps its two products in the order of matmul's
-    kernel (OpenBLAS 0.3.31, Haswell): dgemv_t computes fma(a0, x0, a1 x1)
-    for B; for B^T matmul calls dgemv_n, fma(a1, x1, a0 x0), which dgemv_t
-    repeats on B^T stored with its columns reversed and on reversed
-    vectors. Other stacks take ``block_matvec``: at K = 1 matmul takes
-    ddot, at d >= 3 the kernels' sums differ, and with the factors traded
-    a NaN block entry could hand on its own NaN.
-    """
+    (..., E, 2, d) B_e x[..., cols[e], :] and B_e^T x[..., rows[e], :], with
+    the bits of :func:`block_matvec`
+    (``test_pair_products_equal_matmul_bitwise``). At d = 2 a stack of K >= 2
+    iterates on finite blocks is one matmul of 4 E gemv calls with K outputs
+    each, in the order of matmul's own kernels (OpenBLAS 0.3.31, Haswell:
+    dgemv_t on B, and on B^T with its columns reversed for dgemv_n); its output
+    is strided, with the stack axis innermost. Other stacks call
+    ``block_matvec``: at K = 1 matmul takes ddot, at d >= 3 the kernels' sums
+    differ, and traded factors could hand on a NaN block entry."""
 
     def __init__(self, B, rows, cols):
         self.B, self.rows, self.cols = B, rows, cols
@@ -290,13 +244,9 @@ class PairProducts:
 
 @dataclass(frozen=True)
 class Curvature:
-    """The iterate-free half of a batch of messages from one rule.
-
-    ``H`` holds the message curvatures; ``solve`` maps the rule's
-    sender-side linear aggregate c to the linear column X[..., -1] of the
-    rule's solution of S X = [F | c], with S the sender matrices and F the
-    rule's fixed right-hand-side columns.
-    """
+    """The iterate-free half of a batch of messages from one rule: the message
+    curvatures ``H``, and ``solve``, which maps the rule's linear aggregate c
+    to the linear column X[..., -1] of its solve S X = [F | c]."""
 
     H: np.ndarray
     solve: object
@@ -319,9 +269,8 @@ def _sym(H):
 
 
 def _mv(A, x):
-    """Batched matrix-vector product A @ x over leading axes, by einsum. A
-    row's bits do not depend on how the subscripts are spelled, so one
-    batch axis is spelled out: parsing an ellipsis costs about as much as
+    """Batched matrix-vector product A @ x over leading axes, by einsum; one
+    batch axis is spelled out, as parsing an ellipsis costs about as much as
     the products of a hundred 2 x 2 blocks."""
     A, x = np.asarray(A), np.asarray(x)
     if A.ndim == 3 and x.ndim == 2 and len(A) == len(x):
@@ -336,23 +285,18 @@ def _takes_planes(B):
 
 
 class GatheredProducts:
-    """x -> B_e x[at[e]] for a fixed block stack B (E, d, d) and rows at
-    (E,) of x: the bits of ``np.einsum("eij,ej->ei", B, x.take(at,
-    axis=0))``; with ``at=None``, of the einsum on x (E, d) as given.
-
-    The products' form is chosen once, by d. d = 1: the elementwise
-    B x + 0.0, as einsum sums one product from +0.0 (a -0.0 product gives
-    +0.0). d = 2, B finite and C-contiguous: column planes (see the module
-    docstring), b0 = B[:, :, 0] and b1 = B[:, :, 1] flattened to (2E,),
-    and the flat indices of x's entries they multiply, i0 = 2 at with each
-    row twice and i1 = i0 + 1, all padded to a multiple of 16 entries
-    (blocks 0.0, indices 0, cut off the result); a call is two takes, two
-    products and two adds, (b0 x[i0] + b1 x[i1]) + 0.0. The planes also
-    take a stack of iterates x (..., rows, 2): each row of the products is
-    padded apart, so every iterate's products are those of its own call.
-    Other stacks call einsum on B as given, whose sums at d >= 3, and
-    whose choice between two NaNs at d = 2, depend on B's strides.
-    """
+    """x -> B_e x[at[e]] for a fixed block stack B (E, d, d) and rows at (E,)
+    of x, with the bits of ``np.einsum("eij,ej->ei", B, x.take(at, axis=0))``;
+    ``at=None`` reads x (E, d) as given
+    (``test_gathered_products_equal_einsum_bitwise``,
+    ``test_d2_products_from_column_planes_equal_einsum_bitwise``). The form is
+    chosen once, by d. d = 1: B x + 0.0. d = 2 on a stack that takes column
+    planes: b0 = B[:, :, 0] and b1 = B[:, :, 1] flattened to (2E,), with the
+    flat indices of the entries of x they multiply, i0 = 2 at (each row twice)
+    and i1 = i0 + 1, padded to a multiple of 16 entries
+    (blocks 0.0, indices 0); a call is (b0 x[i0] + b1 x[i1]) + 0.0, also on a
+    stack of iterates (..., rows, 2), each padded apart. Others: the einsum on
+    B as given."""
 
     def __init__(self, B, at=None):
         self.scalar, self.planes = B.shape[-1] == 1, _takes_planes(B)
@@ -377,20 +321,11 @@ class GatheredProducts:
 
     def joined(self, B, at):
         """The GatheredProducts of the stack [self's blocks; B] on the rows
-        [self's rows; at], with its bits. Where both stacks take planes,
-        this one's compiled planes are copied, not built again; otherwise
-        the joined stack is built anew, with this one's blocks and rows read
-        back from its planes, exact copies, where it has them."""
-        if self.planes and _takes_planes(B):
-            joined = copy.copy(self)
-            joined._compile(self, B, at)
-            return joined
-        if self.planes:
-            blocks, rows = self.b[:, :self.n].T.reshape(-1, 2, 2), self.i0[:self.n:2] // 2
-        else:
-            blocks = self.B[..., None] if self.scalar else self.B
-            rows = np.arange(len(blocks)) if self.at is None else self.at
-        return GatheredProducts(np.concatenate((blocks, B)), np.concatenate((rows, at)))
+        [self's rows; at], where both take planes: self's planes are copied,
+        then B's compiled."""
+        joined = copy.copy(self)
+        joined._compile(self, B, at)
+        return joined
 
     def __call__(self, x):
         if self.planes:
@@ -410,27 +345,20 @@ class GatheredProducts:
 
 
 class StackedProducts:
-    """The products of several block stacks with rows of one iterate, from
-    one :class:`GatheredProducts`.
-
-    ``parts`` lists pairs (B_k, at_k): blocks (n_k, d, d) and the rows at_k
-    (n_k,) of x they multiply. ``products(x)`` returns, for x (m, d), the
-    list of the parts' (n_k, d) products B_k x[at_k], each with the bits of
-    ``_mv(B_k, x.take(at_k, axis=0))``. einsum sums in an order set by the
-    operands' strides (at d = 2 only the choice between two NaNs), so the
-    C-contiguous parts share one GatheredProducts of their stacked blocks
-    and are returned as views of its products, and any other part keeps
-    one of its own on its blocks as given.
-
-    ``extended(parts)`` is the StackedProducts of these parts and then
-    ``parts``: an engine compiles its fixed parts once and extends them by
-    each state's parts, so the fixed parts' planes are copied, not built
-    again (:meth:`GatheredProducts.joined`).
-    """
+    """The products B_k x[at_k] of parts (B_k, at_k), blocks (n_k, d, d) on
+    rows at_k of one iterate x (m, d), each with the bits of
+    ``_mv(B_k, x.take(at_k, axis=0))``
+    (``test_stacked_products_equal_per_part_einsum_bitwise``). The C-contiguous
+    parts share one :class:`GatheredProducts` of their stacked blocks and
+    return views of its products; any other part keeps its own, on its blocks
+    as given. ``extended(parts)`` returns these parts and then ``parts``, so
+    that an engine compiles its fixed parts once: where the stack and the new
+    parts take planes, its planes are copied, else it is built anew from all
+    parts (``test_extended_products_equal_products_built_at_once_bitwise``)."""
 
     def __init__(self, parts):
         d = parts[0][0].shape[-1]
-        self.parts, self.sources, self.size, self.stack = [], [], 0, None
+        self.parts, self.sources, self.own, self.size, self.stack = [], [], [], 0, None
         self._append(parts)
         if self.stack is None:
             self.stack = GatheredProducts(np.zeros((0, d, d)), np.zeros(0, dtype=int))
@@ -441,20 +369,21 @@ class StackedProducts:
         return extended
 
     def _append(self, parts):
-        blocks, at, sources = [], [], []
+        self.parts, self.sources, own = self.parts + list(parts), list(self.sources), []
         for B, rows in parts:
             # the part's slice of the stack's products, or its own products
-            if not B.flags.c_contiguous:
-                sources.append(GatheredProducts(B, rows))
-                continue
-            sources.append(slice(self.size, self.size + len(rows)))
-            self.size += len(rows)
-            blocks.append(B)
-            at.append(np.asarray(rows, dtype=int))
-        self.parts, self.sources = self.parts + list(parts), self.sources + sources
-        if blocks:
-            B, at = np.concatenate(blocks), np.concatenate(at)
-            self.stack = GatheredProducts(B, at) if self.stack is None else self.stack.joined(B, at)
+            if B.flags.c_contiguous:
+                self.sources.append(slice(self.size, self.size + len(rows)))
+                self.size += len(rows)
+                own.append((B, np.asarray(rows, dtype=int)))
+            else:
+                self.sources.append(GatheredProducts(B, rows))
+        self.own = self.own + own
+        if own:
+            B, at = map(np.concatenate, zip(*own))
+            joins = self.stack is not None and self.stack.planes and _takes_planes(B)
+            self.stack = (self.stack.joined(B, at) if joins
+                          else GatheredProducts(*map(np.concatenate, zip(*self.own))))
 
     def __call__(self, x):
         out = self.stack(x)
@@ -474,10 +403,6 @@ class QuadraticMessage:
     @staticmethod
     def zero(d):
         return QuadraticMessage(np.zeros((d, d)), np.zeros(d))
-
-    @property
-    def d(self):
-        return self.h.shape[0]
 
     def value(self, x):
         return float(0.5 * x @ self.H @ x + self.h @ x)
@@ -499,11 +424,9 @@ def message_vectors(H):
 
 
 def total_vectors(H):
-    """``int(message_vectors(H).sum())`` over a stack H (..., d, d): at
-    d = 1 one per message plus one per nonzero curvature, from one
-    ``count_nonzero``; a stack whose nonzeros all lie on diagonals (one
-    count against the diagonals') has no dense message, so it costs one per
-    message plus one per message with a nonzero diagonal."""
+    """``int(message_vectors(H).sum())`` over a stack H (..., d, d), from one
+    ``count_nonzero`` at d = 1, and from two where no message is dense (every
+    nonzero lies on a diagonal)."""
     d = H.shape[-1]
     if d == 1:
         return H.size + np.count_nonzero(H)
@@ -538,6 +461,28 @@ class MessageSet:
         if missing:
             raise MessageError(f"round left {len(missing)} messages unset")
         self.cur, self.nxt = self.nxt, {}
+
+
+class PairCodes:
+    """Node pairs (P, 2), each i < j, coded i n + j and sorted once; n
+    exceeds every node. ``order`` lists the pairs' positions in code order.
+    The one pair search of the package."""
+
+    def __init__(self, pairs, n):
+        self.pairs, self.n = np.asarray(pairs, dtype=int).reshape(-1, 2), n
+        codes = self.pairs[:, 0] * n + self.pairs[:, 1]
+        self.order = np.argsort(codes)
+        self.codes = codes[self.order]
+
+    def find(self, rows, cols):
+        """(at, found): per e, the place in code order of the pair
+        {rows[e], cols[e]} and whether it is one of the pairs; a node
+        outside 0..n-1 is in none."""
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        want = np.where((lo >= 0) & (hi < self.n), lo * self.n + hi, -1)
+        at = np.searchsorted(self.codes, want)
+        return at, np.append(self.codes, -2)[at] == want
 
 
 @dataclass
@@ -579,12 +524,9 @@ class SurrogateSpec:
 
     def edge_matrices(self, rows, cols, m, d):
         """The (E, d, d) stack of the blocks M_edge[(i, j)], i < j, of the
-        pairs {rows[e], cols[e]} in either orientation, zero for pairs
-        without one; a new array. A key that is not a pair (i, j) of the m
-        nodes, 0 <= i < j < m, or a block of another shape than (d, d)
-        raises MessageError. Keys and blocks are read by one array
-        conversion each."""
-        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        pairs {rows[e], cols[e]} in either orientation, zero for pairs without
+        one; a new array. A key that is not a pair (i, j), 0 <= i < j < m, or a
+        block of another shape than (d, d) raises MessageError."""
         out = np.zeros((len(rows), d, d))
         if not self.M_edge:
             return out
@@ -600,17 +542,9 @@ class SurrogateSpec:
                 or (keys[:, 0] >= keys[:, 1]).any() or (keys[:, 1] >= m).any()):
             raise MessageError(f"M_edge must map node pairs (i, j), 0 <= i < j < {m}, "
                                f"to {(d, d)} blocks")
-        if not len(rows):
-            return out
-        # one code lo * n + hi per pair
-        n = 1 + max(int(keys.max()), int(rows.max()), int(cols.max()))
-        codes = keys[:, 0] * n + keys[:, 1]
-        order = np.argsort(codes)
-        codes = codes[order]
-        want = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-        at = np.minimum(np.searchsorted(codes, want), n_keys - 1)
-        found = codes[at] == want
-        out[found] = blocks[order[at[found]]]
+        codes = PairCodes(keys, m)
+        at, found = codes.find(rows, cols)
+        out[found] = blocks[codes.order[at[found]]]
         return out
 
 
@@ -619,19 +553,14 @@ class SurrogateSpec:
 
 
 def exact_quadratic_message(A_j, c_j, B_ij):
-    """Exact min-sum message from sender j to receiver i.
-
-    B_ij is the oriented coupling with psi(x_i, x_j) = <B_ij x_j, x_i>;
-    A_j and c_j are the sender's curvature and linear sums: its own node
-    term plus the round-nu messages from its other in-cluster neighbors
-    (and, for c_j, B_jk x_k over its out-of-cluster neighbors k).
-
-    Closed form, the partial minimization over x_j:
+    """Exact min-sum message from sender j to receiver i: the partial
+    minimization over x_j,
         H_msg = sym(-B_ij A_j^{-1} B_ij^T),   h_msg = -B_ij A_j^{-1} c_j,
-    sym(H) = 1/2 (H + H^T), solved by :class:`LapackSystem` on
-    [B_ij^T | c_j] for every A_j, diagonal or not: the exact engine's bits,
-    which the golden traces freeze (see the module docstring).
-    """
+    sym(H) = 1/2 (H + H^T), solved by :class:`LapackSystem` on [B_ij^T | c_j].
+    B_ij is the oriented coupling, psi(x_i, x_j) = <B_ij x_j, x_i>; A_j and
+    c_j are the sender's curvature and linear sums: its node term, the
+    round-nu messages from its other in-cluster neighbors and, in c_j, B_jk x_k
+    over its out-of-cluster neighbors k."""
     B_ij = np.asarray(B_ij, dtype=float)
     col, curvature = _solve_curvature(A_j, np.swapaxes(B_ij, -1, -2), c_j,
                                       lambda X: _sym(-block_matmul(B_ij, X)),
@@ -657,17 +586,12 @@ def first_order_message(grad_i_psi):
 
 
 def schur_message_update(S_j, c_u, M_i, M_ij, grad_i_psi, x_i_ref):
-    """Structured-quadratic surrogate message j -> i.
-
-    Curvature recursion, with the sender-side inner matrix
-    S_j = (Q_j + M_j) + sum H_in:
-        H_msg = M_i - M_ij S_j^{-1} M_ij^T.
-    Linear part, derived from the same partial minimization with
-    u = x_j - x_j^nu and the sender-side linear aggregate c_u
-    (:func:`schur_aggregate`):
+    """Structured-quadratic surrogate message j -> i, with the sender's inner
+    matrix S_j = (Q_j + M_j) + sum H_in and linear aggregate c_u
+    (:func:`schur_aggregate`, u = x_j - x_j^nu):
+        H_msg = M_i - M_ij S_j^{-1} M_ij^T,
         h_msg = grad_i psi_ij(ref) - M_ij S_j^{-1} c_u - H_msg x_i^ref,
-    by :func:`schur_linear` on einsum's products (``_mv``).
-    """
+    the linear part by :func:`schur_linear` on einsum's products (``_mv``)."""
     F = np.broadcast_to(np.swapaxes(M_ij, -1, -2), S_j.shape)
     col, curvature = _solve_curvature(S_j, F, c_u, lambda X: M_i - M_ij @ X,
                                       SingularInnerMatrix)
@@ -696,18 +620,13 @@ def schur_linear(grad_i_psi, M_col, H_x_i):
 
 
 def partial_linearization_message(S_i, ell, w_ij, gamma):
-    """Partial-linearization message i -> j on a lifted consensus objective.
-
-    Curvature: H_msg = -(w_ij^2/gamma^2) S_i^{-1}, with the sender's inner
-    matrix S_i = (Q_i + ((1 - w_ii)/gamma) I) + sum H_in.
-    Linear part from the same minimization with the sender-side linear
-    aggregate ell = (lin_i + sum h_in) + boundary, whose first term
-    lin_i = grad f_i(x_i^nu) - Q_i x_i^nu an engine reads off the rows of
-    its variable update's own grad f - Q x (the boundary collects
-    -(w_ik/gamma) x_k^nu over out-neighbors):
-        h_msg = (w_ij/gamma) S_i^{-1} ell.
-    w_ij may be an array over the batch axes.
-    """
+    """Partial-linearization message i -> j on a lifted consensus objective,
+    with the sender's inner matrix S_i = (Q_i + ((1 - w_ii)/gamma) I) + sum
+    H_in and linear aggregate ell = (lin_i + sum h_in) + boundary, where
+    lin_i = grad f_i(x_i^nu) - Q_i x_i^nu and the boundary collects
+    -(w_ik/gamma) x_k^nu over out-neighbors:
+        H_msg = -(w_ij^2/gamma^2) S_i^{-1},   h_msg = (w_ij/gamma) S_i^{-1} ell.
+    w_ij may be an array over the batch axes."""
     w_ij = np.asarray(w_ij, dtype=float)
     eye = np.broadcast_to(np.eye(S_i.shape[-1]), S_i.shape)
     col, curvature = _solve_curvature(
@@ -725,17 +644,14 @@ def hyper_factor_message(H_w, H_agg, h_agg, frozen_lin, receiver_extra_lin,
     """Factor-to-variable message for a quadratic factor psi = <H_w x, x>.
 
     ``H_w`` (..., k d, k d) is the factor block permuted receiver-first: the
-    receiver's d coordinates, then those of the other k - 1 members
-    ("rest") in a fixed order. ``H_agg`` (..., k-1, d, d) and ``h_agg``
-    (..., k-1, d) are the rest's variable-side aggregates in that order.
-    ``frozen_lin`` (..., k-1, d) adds the rest's linear terms from
-    coordinates of a parent factor frozen by splitting;
-    ``receiver_extra_lin`` (..., d) is the receiver-side frozen linear term
-    2 (H_par)_{i, frozen} y. ``curvature``, the Curvature of an earlier
-    call with the same H_w and H_agg, skips the curvature half (a factor
-    with no other member has none: its message is 2 (H_w)_{ii}).
-
-    Closed form (matches brute-force partial minimization):
+    receiver's d coordinates, then those of the other k - 1 members ("rest")
+    in a fixed order. ``H_agg`` (..., k-1, d, d) and ``h_agg`` (..., k-1, d)
+    are the rest's variable-side aggregates in that order. ``frozen_lin``
+    (..., k-1, d) adds the rest's linear terms from coordinates of a parent
+    factor frozen by splitting; ``receiver_extra_lin`` (..., d) is the
+    receiver's frozen linear term 2 (H_par)_{i, frozen} y. ``curvature``, the
+    Curvature of an earlier call with the same H_w and H_agg, skips the
+    curvature half (a factor with no other member has none):
         A     = 2 (H_w)_{rest,rest} + blockdiag(H_agg)
         dvec  = stacked h_agg + frozen_lin
         H_msg = 2 (H_w)_{ii} - 4 (H_w)_{i,rest} A^{-1} (H_w)_{rest,i}

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .messages import GatheredProducts, PairProducts
+from .messages import GatheredProducts, PairCodes, PairProducts
 
 
 class ObjectiveError(ValueError):
@@ -64,26 +64,19 @@ def _frozen_stack(blocks, shape):
 
 
 class RowSum:
-    """Precompiled, order-preserving sum of rows into ``n`` destination rows.
-
-    ``scatter(vals)`` returns out (n, ...) with out[idx[k]] += vals[k] for
-    k in order, as ``np.add.at`` on zeros does. ``start`` gives the
-    destination's initial values; they enter as the first contributions,
-    added to +0.0, so the sums are those of
-    ``np.add.at(0.0 + start, idx, vals)`` bit for bit (a -0.0 start entry
-    ends as +0.0), except that a sum of two NaNs may keep either one.
-    ``axis`` is the row axis of vals and start; the axes before it hold a
-    single entry (a stack is summed by :class:`RowScatter`).
-
-    One ``np.bincount`` over flat indices compiled once per row shape:
-    bincount adds its weights in input order, start first, into zeros.
-    ``with_start`` compiles a sum with a start for repeated calls
-    (:class:`StartedSum`).
-    """
+    """Precompiled, order-preserving sum of rows into ``n`` destination rows:
+    ``scatter(vals, start)`` returns ``np.add.at(0.0 + start, idx, vals)``
+    (zeros without a start) bit for bit, NaN signs exempt
+    (``test_row_scatter_equals_add_at``). vals holds its rows on the axes from
+    ``axis`` on, laid out like ``idx``; start holds n rows at ``axis``; the
+    axes before ``axis`` hold a single entry (a stack is summed by
+    :class:`RowScatter`). One ``np.bincount`` over flat indices compiled once
+    per row shape, which adds its weights in input order, start first, into
+    zeros; ``compiled`` and ``with_start`` compile a sum for repeated calls."""
 
     def __init__(self, idx, n):
         self.idx = np.asarray(idx, dtype=int).reshape(-1)
-        self.n = n
+        self.row_shape, self.n = np.shape(idx), n
         self._flat = {}
 
     def _compiled(self, tail, started):
@@ -99,7 +92,7 @@ class RowSum:
         return compiled
 
     def __call__(self, vals, start=None, axis=0):
-        lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
+        lead, tail = vals.shape[:axis], vals.shape[axis + len(self.row_shape):]
         flat, length = self._compiled(tail, start is not None)
         weights = vals.reshape(-1)
         if start is not None:
@@ -120,14 +113,10 @@ class RowSum:
 
 class StartedSum:
     """A :class:`RowSum` with a start, over one weight buffer [start | vals]
-    allocated once, for a caller that sums rows of one shape many times.
-
-    ``start`` is the buffer's head as an (n, ...) view; it holds a copy of
-    the start given, and a caller may rewrite it in place between calls.
-    ``sums(vals)`` copies vals (len(idx), ...) into the tail and returns
-    ``rowsum(vals, start)`` bit for bit, from one bincount with no
-    concatenate, dict lookup or index offset.
-    """
+    allocated once: ``start`` is the buffer's head as an (n, ...) view, which a
+    caller may rewrite in place between calls, and ``sums(vals)`` copies vals
+    into the tail and returns ``rowsum(vals, start)`` bit for bit
+    (``test_started_sum_equals_row_sum_with_start``)."""
 
     def __init__(self, rowsum, start):
         self.flat, self.length = rowsum._compiled(start.shape[1:], True)
@@ -144,20 +133,15 @@ class StartedSum:
 
 
 class RowScatter(RowSum):
-    """:class:`RowSum` that also sums stacks: the axes before ``axis`` are
-    batch axes, and each batch entry is summed apart, in the same order.
-
-    A stack (batch > 1) is summed by an ordered gather over ``slots``,
-    compiled here: slots[j, i] is the row of node i's (j+1)-th
-    contribution, or ``len(idx)`` for a zero row appended to vals.
-    out = (0.0 + start) + vals[slots[0]] + vals[slots[1]] + ..., each term
-    one vector pass over the whole stack. A node's terms come in its own
-    order, and its pads after them. A pad adds +0.0 to a running sum that
-    began at +0.0, and such a sum is never -0.0 (a sum is -0.0 only when
-    both addends are; x + -x rounds to +0.0), so a pad never changes it.
-    A single entry takes RowSum's bincount, which is faster on sparse
-    scatters.
-    """
+    """:class:`RowSum` that also sums stacks, whose axes before ``axis`` are
+    batch axes, each entry summed apart in the same order: slot by slot,
+    slots[j, i] the row of node i's (j+1)-th term or len(idx) for a pad:
+    (0.0 + start) + term_0 + term_1 + ..., each term gathered by one ``take``
+    from C-contiguous rows, or else by a fancy index in place (as
+    :class:`~mpjacobi.messages.PairProducts` lays out its terms). A pad's term
+    is +0.0, which never changes a sum that began at +0.0: such a sum is never
+    -0.0, as a sum is -0.0 only when both addends are. A single entry takes
+    RowSum's bincount, faster on sparse scatters."""
 
     def __init__(self, idx, n):
         super().__init__(idx, n)
@@ -166,21 +150,32 @@ class RowScatter(RowSum):
         rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
         self.slots = np.full((counts.max(initial=0), n), len(order))
         self.slots[rank, self.idx[order]] = order
+        # per slot: its rows (row 0 for a pad), flat and on the row axes,
+        # and the nodes it pads (None: none)
+        pads = self.slots == len(order)
+        self._gathers = [(flat, np.unravel_index(flat, self.row_shape),
+                          np.flatnonzero(pad) if pad.any() else None)
+                         for flat, pad in zip(np.where(pads, 0, self.slots), pads)]
 
     def __call__(self, vals, start=None, axis=0):
-        lead, tail = vals.shape[:axis], vals.shape[axis + 1:]
-        batch, n = math.prod(lead), self.n
-        if batch == 1:
+        lead, tail = vals.shape[:axis], vals.shape[axis + len(self.row_shape):]
+        if math.prod(lead) == 1:
             return super().__call__(vals, start, axis)
-        rows = np.concatenate((vals.reshape(batch, -1, *tail), np.zeros((batch, 1) + tail)),
-                              axis=1)
-        shape = (batch, n) + tail
+        shape = lead + (self.n,) + tail
         out = np.zeros(shape) if start is None else 0.0 + start.reshape(shape)
+        cut = (slice(None),) * len(tail)
+        # C-contiguous rows are gathered by take from a view, the faster
+        # ("clip" spares it a buffered copy); others by a fancy index in
+        # place, as a reshape would copy them
+        rows = vals.reshape(lead + (-1,) + tail) if vals.flags.c_contiguous else None
         term = np.empty(shape)
-        for slot in self.slots:
-            # the slots are in range: "clip" only spares take a buffered copy
-            np.add(out, rows.take(slot, axis=1, out=term, mode="clip"), out=out)
-        return out.reshape(lead + (n,) + tail)
+        for flat, at, pads in self._gathers:
+            term = (vals[(Ellipsis,) + at + cut] if rows is None
+                    else rows.take(flat, axis=axis, out=term, mode="clip"))
+            if pads is not None:
+                term[(Ellipsis, pads) + cut] = 0.0
+            np.add(out, term, out=out)
+        return out
 
 
 def _transposed(B):
@@ -190,17 +185,13 @@ def _transposed(B):
 
 @dataclass
 class QuadraticObjective:
-    """Block quadratic objective over a graph or hypergraph.
-
-    The couplings are compiled once, at construction, and are then fixed:
-    ``pair_rows``/``pair_cols`` and the (E, d, d) stack ``pair_blocks`` list
-    the pair couplings in ``pair`` order, and ``hyper_groups`` holds, per
-    factor arity k, the factors' positions in ``hyper`` order (n,), their
-    members (n, k) and their blocks (n, kd, kd). ``pair`` and ``hyper``
-    become read-only mappings onto read-only views of those stacks; to
-    change a coupling, build a new objective. ``diag`` and ``lin`` stay
-    plain attributes and may be reassigned.
-    """
+    """Block quadratic objective over a graph or hypergraph. The couplings are
+    compiled once, at construction: ``pair_rows``/``pair_cols`` and the
+    (E, d, d) stack ``pair_blocks`` list the pair couplings in ``pair`` order,
+    and ``hyper_groups`` holds per factor arity k the factors' positions in
+    ``hyper`` order (n,), their members (n, k) and blocks (n, kd, kd). ``pair``
+    and ``hyper`` are read-only mappings onto read-only views of those stacks;
+    ``diag`` and ``lin`` are plain attributes and may be reassigned."""
 
     m: int
     d: int
@@ -234,13 +225,10 @@ class QuadraticObjective:
         if np.any(ij < 0) or np.any(ij >= m):
             raise ObjectiveError(f"pair coupling on a node outside 0..{m - 1}")
         self.pair_rows, self.pair_cols = ij[:, 0], ij[:, 1]
-        self._pair_at = ij
+        self.pair_codes = PairCodes(ij, m)
         self.pair_blocks = _frozen_stack(list(pair.values()), (d, d))
         self._pair_products = PairProducts(self.pair_blocks, self.pair_rows, self.pair_cols)
         self.pair = MappingProxyType(dict(zip(pair, self.pair_blocks)))
-        keys = self.pair_rows * m + self.pair_cols
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
         self._edge_set = frozenset(pair)
 
     def _compile_hyper(self, hyper):
@@ -275,27 +263,22 @@ class QuadraticObjective:
         rows = [(start[ids, None] + np.arange(members.shape[1])).ravel()
                 for ids, members, _ in groups]
         self._hyper_order = np.argsort(np.concatenate([np.zeros(0, dtype=int)] + rows))
-        # grad adds the pair terms at rows[0], cols[0], rows[1], ..., then
-        # every factor's member rows in hyper order
-        self._grad_scatter = RowScatter(np.concatenate(
-            [self._pair_at.reshape(-1), self._hyper_members]), m)
+        # grad adds the pair terms at rows[0], cols[0], rows[1], ..., laid
+        # out (E, 2) as PairProducts makes them, then every factor's member
+        # rows in hyper order
+        ij = self.pair_codes.pairs
+        self._grad_scatter = RowScatter(np.concatenate([ij.reshape(-1), self._hyper_members])
+                                        if groups else ij, m)
         slots = self._grad_scatter.slots
         if d == 1 and not groups:       # grad's couplings and source nodes by slot
             self._slot_coef = np.append(np.repeat(self.pair_blocks.reshape(-1), 2), 0.0)[slots]
-            self._slot_src = np.append(self._pair_at[:, ::-1].reshape(-1), m)[slots]
-        # grad's (pair, side) of every slot, where no slot pads
-        self._slot_terms = (None if groups or (slots == 2 * len(self.pair_blocks)).any()
-                            else [(slot // 2, slot % 2) for slot in slots])
+            self._slot_src = np.append(ij[:, ::-1].reshape(-1), m)[slots]
 
     # -- structure ---------------------------------------------------------
 
     @property
     def edges(self):
         return sorted(self.pair.keys())
-
-    @property
-    def hyperedges(self):
-        return sorted(self.hyper.keys())
 
     def coupling(self, i, j):
         """Oriented block B with psi(x_i, x_j) = <B x_j, x_i>."""
@@ -306,15 +289,16 @@ class QuadraticObjective:
     def couplings(self, rows, cols):
         """Stacked oriented blocks B_e with psi = <B_e x_cols[e], x_rows[e]>,
         one per directed pair (rows[e], cols[e]); a new (E, d, d) array."""
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        keys = np.minimum(rows, cols) * self.m + np.maximum(rows, cols)
-        sorted_keys = self._sorted_keys
-        at = np.searchsorted(sorted_keys, keys)
-        if np.any(at >= len(sorted_keys)) or np.any(sorted_keys[at] != keys):
+        at, found = self.pair_codes.find(rows, cols)
+        if not found.all():
             raise ObjectiveError("no coupling between some requested pairs")
-        B = self.pair_blocks[self._key_order[at]]
-        return np.where((rows < cols)[:, None, None], B, _transposed(B))
+        return self.oriented(self.pair_codes.order[at], rows, cols)
+
+    def oriented(self, at, rows, cols):
+        """:meth:`couplings` of the directed pairs (rows[e], cols[e]) whose
+        blocks sit at positions ``at`` of ``pair_blocks``, without a search."""
+        B = self.pair_blocks[at]
+        return np.where((np.asarray(rows) < np.asarray(cols))[:, None, None], B, _transposed(B))
 
     # -- evaluation --------------------------------------------------------
 
@@ -336,18 +320,15 @@ class QuadraticObjective:
         return float(val)
 
     def _node_term(self, x):
-        """The products H_ii x_i of x (..., m, d): one unbatched einsum on
-        C-contiguous operands. At d = 2 a stack of K iterates on finite
-        blocks takes the column planes of a
-        :class:`~mpjacobi.messages.GatheredProducts` of ``diag``, with the
-        einsum's bits; it is compiled per call, as ``diag`` may be
-        reassigned. Another stack is read against ``diag`` tiled K times,
-        (K m, d, d), so every iterate's products are those of its own call,
-        by the same kernel on the same layout. einsum's sums at d >= 3
-        depend on the operands' strides, and its broadcast path on a stack
-        is slow. The tile takes d times the stack's memory, K m d^2
-        floats: 288 KB for K = 32 (``solvers.RECORD_BATCH``),
-        m = 128 and d = 3."""
+        """The products H_ii x_i of x (..., m, d), with the bits of one
+        unbatched einsum on C-contiguous operands
+        (``test_d2_node_term_of_a_stack_equals_einsum_bitwise``). At d = 2 a
+        stack on finite blocks takes the column planes of a
+        :class:`~mpjacobi.messages.GatheredProducts` of ``diag``, compiled per
+        call, as ``diag`` may be reassigned. Another stack is read against
+        ``diag`` tiled K times, (K m, d, d), as einsum's sums at d >= 3 depend
+        on the strides and its broadcast path is slow: K m d^2 floats, 288 KB
+        for K = 32 (``solvers.RECORD_BATCH``), m = 128 and d = 3."""
         m, d = self.m, self.d
         K = math.prod(x.shape[:-2])
         diag = np.ascontiguousarray(self.diag)
@@ -361,29 +342,18 @@ class QuadraticObjective:
                          np.ascontiguousarray(x).reshape(K * m, d)).reshape(x.shape)
 
     def grad(self, x):
-        """Gradient of the iterate x, (m, d) or (md,), or of every iterate
-        of a stack (..., m, d) at once, shaped like the stack.
-
-        Node terms, then every pair term in ``pair`` order (B x_j at i,
-        B^T x_i at j), then every factor's members in ``hyper`` order: the
-        additions of the per-coupling loop, in its order. A stack's
-        iterates are summed apart in that same order, by
-        :class:`RowScatter`'s ordered gather (on a pairwise problem whose
-        nodes have as many pair terms each, with every slot's terms read off
-        the pair products' own layout), and its products are made by
-        one vectorized pass each (the node term by :meth:`_node_term`, the
-        pair products by :class:`~mpjacobi.messages.PairProducts`), so each
-        iterate holds the bits of its own single-iterate gradient. Where two
-        NaNs meet, in a product or a sum, either may be kept, so only a
-        NaN's sign may differ between a stack and single calls.
-
-        A stack of a pairwise problem at d = 1 folds the pair products into
-        that gather, in (K, m) layout: g = (diag x + b) + 0.0, then per slot
-        g + coupling * x at the slot's node, a pad reading coupling 0 at an
-        appended zero column (0 * 0 = +0.0). The products need no + 0.0: g
-        starts as a value plus 0.0 and a sum is -0.0 only when both addends
-        are, so g is never -0.0, and a -0.0 term adds exactly as +0.0 would.
-        """
+        """Gradient of the iterate x, (m, d) or (md,), or of every iterate of a
+        stack (..., m, d), shaped like the stack: node terms, then every pair
+        term in ``pair`` order (B x_j at i, B^T x_i at j), then every factor's
+        members in ``hyper`` order, the additions of the per-coupling loop in
+        its order. A stack's products are made by one pass each
+        (:meth:`_node_term`, :class:`~mpjacobi.messages.PairProducts`) and
+        summed by :class:`RowScatter`, so each iterate holds the bits of its
+        own gradient (``test_grad_of_a_stack_is_the_stacked_grads``). A
+        pairwise stack at d = 1 folds the pair products into the slot sum, in
+        (K, m) layout: g = (diag x + b) + 0.0, then per slot g + coupling * x
+        at the slot's node, a pad reading coupling 0 at an appended zero
+        column; as g is never -0.0, the products need no + 0.0."""
         m, d = self.m, self.d
         x = np.asarray(x, dtype=float)
         if x.shape == (m * d,):
@@ -402,34 +372,21 @@ class QuadraticObjective:
             return g.reshape(x.shape)
         g = self._node_term(x) + self.lin
         terms = self._pair_products(x)
-        if K > 1 and self._slot_terms is not None:
-            # RowScatter's sum, each slot's terms read off the products as
-            # they are laid out, not copied to rows first
-            np.add(g, 0.0, out=g)
-            for pair, side in self._slot_terms:
-                np.add(g, terms[..., pair, side, :], out=g)
-            return g
-        terms = terms.reshape(lead + (-1, d))
         if self.hyper_groups:
             hyper = np.concatenate(
                 [(2.0 * np.matmul(H, xs[..., None])).reshape(lead + (-1, d))
                  for _, H, xs in self._hyper_stacks(x)], axis=-2)
-            terms = np.concatenate([terms, hyper[..., self._hyper_order, :]], axis=-2)
+            terms = np.concatenate([terms.reshape(lead + (-1, d)),
+                                    hyper[..., self._hyper_order, :]], axis=-2)
         return self._grad_scatter(terms, start=g, axis=len(lead))
 
     def assemble(self):
-        """Dense (md, md) Hessian and (md,) linear term of the stacked problem.
-
-        Adds the diagonal blocks, the pair blocks B at (i, j) and B^T at
-        (j, i), then 2 H_w per factor in ``hyper`` order.
-
-        H is column-major (F-contiguous): H^T is filled in row-major order,
-        each entry summed as above, and returned transposed, so H holds the
-        bits of a row-major build. ``numpy.linalg`` hands LAPACK a
-        column-major buffer, which a column-major H fills with one
-        contiguous copy instead of a strided gather; LAPACK reads the same
-        values either way.
-        """
+        """Dense (md, md) Hessian and (md,) linear term of the stacked problem:
+        the diagonal blocks, the pair blocks B at (i, j) and B^T at (j, i),
+        then 2 H_w per factor in ``hyper`` order. H is column-major: H^T is
+        filled in row-major order and returned transposed, with the bits of a
+        row-major build, so that ``numpy.linalg`` hands LAPACK H by one
+        contiguous copy instead of a strided gather."""
         m, d = self.m, self.d
         Ht = np.zeros((m, d, m, d))         # Ht[j, b, i, a] = H[(i, a), (j, b)]
         nodes, rows, cols, B = np.arange(m), self.pair_rows, self.pair_cols, self.pair_blocks
@@ -462,14 +419,12 @@ class SmoothObjective:
     phi[i] = (value, grad) callables on (d,) vectors.
     psi[(i, j)] = (value, grad_i, grad_j) callables on pairs, keyed i < j
     and symmetric: value(u, v) is psi evaluated at (x_i, x_j) = (u, v).
-    psi_hyper[w] = (value, grad) on the stacked (|w|*d,) vector.
     """
 
     m: int
     d: int
     phi: list
     psi: dict = field(default_factory=dict)
-    psi_hyper: dict = field(default_factory=dict)
 
     def pair_grad_first(self, i, j, xi, xj):
         """Gradient of psi_ij w.r.t. its first listed argument x_i."""
@@ -482,8 +437,6 @@ class SmoothObjective:
         val = sum(self.phi[i][0](x[i]) for i in range(self.m))
         for (i, j), (v, _, _) in self.psi.items():
             val += v(x[i], x[j])
-        for w, (v, _) in self.psi_hyper.items():
-            val += v(np.concatenate([x[i] for i in w]))
         return float(val)
 
     def grad(self, x):
@@ -493,10 +446,6 @@ class SmoothObjective:
         for (i, j), (_, gi, gj) in self.psi.items():
             g[i] += gi(x[i], x[j])
             g[j] += gj(x[i], x[j])
-        for w, (_, gw) in self.psi_hyper.items():
-            gv = np.asarray(gw(np.concatenate([x[i] for i in w])), dtype=float)
-            for t, i in enumerate(w):
-                g[i] += gv[t * self.d:(t + 1) * self.d]
         return g
 
     def graph_edges(self):
@@ -513,9 +462,9 @@ class GossipMatrix:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
-        m = self.W.shape[0]
-        if self.W.shape != (m, m):
+        if self.W.ndim != 2 or self.W.shape[0] != self.W.shape[1]:
             raise NonStochasticW("W must be square")
+        m = self.W.shape[0]
         if self.gamma <= 0:
             raise NonStochasticW("gamma must be positive")
         if not (np.allclose(self.W @ np.ones(m), 1.0, atol=1e-10)
@@ -597,18 +546,14 @@ def build_tanh_nn(samples):
 
 @dataclass
 class CtaProblem:
-    """Consensus objective in lifted form:
-    sum_i f_i(x_i) + (1/(2 gamma)) ||x||^2_{I - W (x) I_d}.
-
-    Pairwise view: phi_i = f_i + (1-w_ii)/(2 gamma) ||.||^2 and
-    psi_ij = -(w_ij / gamma) <x_i, x_j>. The graph is the off-diagonal
-    support of W, read once: ``edge_rows``/``edge_cols`` list its edges
-    i < j in sorted order, ``edge_weights`` their w_ij and ``self_weights``
-    the diagonal w_ii. When every local
-    loss is a QuadraticLocal, their Q and c are stacked once, at
-    construction, and evaluated with one einsum (one matmul in
-    :meth:`own_local_grads`); other losses are called node by node.
-    """
+    """Consensus objective in lifted form, sum_i f_i(x_i) + (1/(2 gamma))
+    ||x||^2_{I - W (x) I_d}; pairwise, phi_i = f_i + (1-w_ii)/(2 gamma) ||.||^2
+    and psi_ij = -(w_ij / gamma) <x_i, x_j>. The graph is the off-diagonal
+    support of W, read once: ``edge_rows``/``edge_cols`` list its edges i < j
+    in sorted order, ``edge_weights`` their w_ij and ``self_weights`` the
+    diagonal w_ii. Quadratic local losses are stacked once and evaluated with
+    one einsum (one matmul in :meth:`own_local_grads`); other losses are called
+    node by node."""
 
     locals_: list
     gossip: GossipMatrix
@@ -795,6 +740,11 @@ def build_laplacian_qp(weights, b):
     """Graph-signal quadratic 1/2 x^T L x - b^T x with L the weighted Laplacian."""
     weights = np.asarray(weights, dtype=float)
     b = np.asarray(b, dtype=float)
+    if weights.ndim != 2 or weights.shape[0] != weights.shape[1] or b.size != len(weights):
+        raise ObjectiveError(f"weights must be square and b as long as a side, got "
+                             f"shapes {weights.shape} and {b.shape}")
+    if not (np.isfinite(weights).all() and np.isfinite(b).all()):
+        raise ObjectiveError("weights and b must be finite")
     m = weights.shape[0]
     if not np.allclose(weights, weights.T) or np.any(np.diag(weights) != 0):
         raise ObjectiveError("weights must be symmetric with zero diagonal")
@@ -812,8 +762,8 @@ def build_random_qp(graph, d, target_kappa, seed):
     """Random symmetric blocks on the graph sparsity, shifted to a target
     condition number. Deterministic under ``seed``.
     """
-    if target_kappa <= 1:
-        raise ObjectiveError("target_kappa must exceed 1")
+    if not 1.0 < target_kappa < math.inf:
+        raise ObjectiveError(f"target_kappa must be a finite number above 1, got {target_kappa!r}")
     rng = np.random.default_rng(seed)
     m = graph.m
     diag = np.zeros((m, d, d))
@@ -999,8 +949,8 @@ def _decode_array(obj):
     return np.asarray(obj, dtype=float)
 
 
-def problem_to_json(q, binary=False, seed=None):
-    """Stable JSON layout: {kind, m, d, diag, lin, pair, hyper, seed}."""
+def problem_to_json(q, binary=False):
+    """Stable JSON layout: {kind, m, d, diag, lin, pair, hyper}."""
     doc = {
         "kind": "quadratic",
         "m": q.m,
@@ -1010,8 +960,6 @@ def problem_to_json(q, binary=False, seed=None):
         "pair": [[i, j, _encode_array(B, binary)] for (i, j), B in sorted(q.pair.items())],
         "hyper": [[list(w), _encode_array(H, binary)] for w, H in sorted(q.hyper.items())],
     }
-    if seed is not None:
-        doc["seed"] = seed
     return json.dumps(doc)
 
 

@@ -2,21 +2,14 @@
 pairwise and hypergraph), the delayed block-Jacobi reference, classical
 baselines, and theorem-driven stepsize selection.
 
-Synchronous round semantics: every update in round nu reads the committed
-round-nu snapshot (iterates and messages); results are independent of the
-update order within a round. One driver, :func:`_drive`, runs the rounds
-of every solver that takes a :class:`SolverConfig` and of every baseline
-but the min-sum splitting recursion; each supplies only its round.
-
-Every message engine splits its round into the curvature half and the
-linear half of its rule (see the ``messages`` module docstring). Once a
-round returns the curvatures it read, bit for bit, the curvature half is
-at a fixed point: the engine keeps its state and runs only the linear
-half (:class:`_Rounds`), on what it compiled once per run, and its
-iterates and messages stay those of the full rounds bit for bit. On a
-tree partition that takes about a cluster diameter of rounds (the finite
-termination of min-sum on trees). ``RunTrace.curvature_rounds`` counts
-the rounds in which the curvature half ran.
+Every update in round nu reads the committed round-nu snapshot
+(iterates and messages). One driver, :func:`_drive`, runs the rounds of every
+solver that takes a :class:`SolverConfig` and of every baseline but the min-sum
+splitting recursion. Every message engine splits its round into its rule's
+curvature and linear halves (``messages``); once the curvature half is at a
+fixed point, :class:`_Rounds` runs only the linear half, with the full rounds'
+bits. On a tree partition that takes about a cluster diameter of rounds (the
+finite termination of min-sum on trees).
 """
 
 from __future__ import annotations
@@ -31,6 +24,7 @@ import numpy as np
 from .messages import (
     GatheredProducts,
     LapackSystem,
+    PairCodes,
     QuadraticMessage,
     diagonalize_message,
     exact_linear,
@@ -136,19 +130,14 @@ class RunTrace:
     stop_reason: str = None
 
     def record(self, problem, xs, comm_totals, oracle):
-        """Append the metrics of the iterates xs, a (n, m, d) stack in
-        round order, whose cumulative vector counts are comm_totals.
-
-        On a QuadraticObjective one ``grad`` call on the stack gives every
-        gradient, each with the bits of its own single-iterate call (see
-        ``QuadraticObjective.grad``), and the values come from them,
-        phi(x) = 1/2 <x, g + b> with g = H x + b; other problems are
-        evaluated one iterate at a time. Norms and inner products are
-        ``np.vecdot`` over C-contiguous rows: the BLAS ddot that
-        ``np.linalg.norm`` and ``np.vdot`` take on a single iterate, so
-        every entry holds the bits of its iterate's own metric (a strided
-        row would take another ddot kernel, with other bits).
-        """
+        """Append the metrics of the iterates xs, a (n, m, d) stack in round
+        order with cumulative vector counts comm_totals, each with the bits of
+        its iterate's own metric
+        (``test_batched_record_is_the_per_iterate_metrics``): on a
+        QuadraticObjective from one ``grad`` call, with values phi(x) = 1/2 <x,
+        g + b>, else one iterate at a time. Norms and inner products are
+        ``np.vecdot`` over C-contiguous rows, the BLAS ddot that
+        ``np.linalg.norm`` and ``np.vdot`` take on one iterate."""
         n = len(xs)
         flat = xs.reshape(n, -1)
         quadratic = isinstance(problem, QuadraticObjective)
@@ -248,26 +237,20 @@ def _same_bits(a, b):
 
 
 class _Rounds:
-    """Message state of an engine whose round splits into a curvature half
-    and a linear half (see the module docstring).
+    """Message state of an engine whose round splits into a curvature half and
+    a linear half. ``curvature(H)`` returns the iterate-free state that a round
+    reads from the committed message curvatures H;
+    ``linear(x, h, state, kept)`` returns (xhat, H_new, h_new, keep), where
+    ``keep``, the round's rule curvature, comes back as ``kept`` once the
+    curvature half is stationary (None before); ``vectors(H)`` prices a round's
+    messages; ``settle(state, keep)``, if given, returns the state a kept round
+    reads.
 
-    ``curvature(H)`` returns the iterate-free state that a round reads from
-    the committed message curvatures H: node curvature sums, sender
-    systems, incoming curvatures. ``linear(x, h, state, kept)`` returns
-    (xhat, H_new, h_new, keep): the local minimizers and the new messages
-    from the committed linear parts h. ``keep`` is the round's rule
-    curvature; it comes back as ``kept`` once the curvature half is
-    stationary (None before), and ``linear`` then returns kept curvatures.
-    ``vectors(H)`` prices a round's messages. ``settle(state, keep)``, if
-    given, returns the state a kept round reads (default: ``state``).
-
-    The curvature half runs, and the messages are priced, until a round
-    returns the curvatures it read, bit for bit, or those of the round
-    before: a cycle of period 1 or 2 (two curvature states that map to
-    each other, as sums like (a + b) - b that round differently can
-    make). From then on the cycle's phases, each a settled state, keep and
-    price, are reused in turn. ``rounds`` counts the rounds in which the
-    curvature half ran.
+    The curvature half runs until a round returns the curvatures it read, bit
+    for bit, or those of the round before: a cycle of period 1 or 2 (sums like
+    (a + b) - b that round differently can make two states that map to each
+    other). Then the cycle's phases, each a settled state, keep and price, are
+    reused in turn (``test_exact_kept_rounds_equal_full_rule``).
     """
 
     def __init__(self, H, h, curvature, linear, vectors, settle=None):
@@ -345,46 +328,36 @@ def _variable_solve(G, g):
         return -struct_solve(G, g)
 
 
-# Iterates per RunTrace.record call in _drive: one stacked gradient per
-# batch instead of one per round. A record call has a fixed cost (25-55 us
-# on the benchmark workloads), so a record costs 8.7 us per iterate at 16,
-# 7.1 at 32 and 6.1 at 64 on ring_schur (path_exact: 5.4, 4.4, 4.3). At 64
-# ring_schur's stacked gradient takes megabytes of temporaries, which the
-# allocator hands back and faults in again (about 100-200 page faults a
-# solve, none at 48 or fewer).
+# Iterates per RunTrace.record call in _drive. A call has a fixed cost
+# (25-55 us on the benchmark workloads): a record costs 8.7 us per iterate
+# at 16, 7.1 at 32 and 6.1 at 64 on ring_schur (path_exact: 5.4, 4.4, 4.3),
+# but at 64 its temporaries fault pages in again (100-200 a solve).
 RECORD_BATCH = 32
 
 
 def _drive(problem, tau_node, config, x0, start):
     """Run synchronous rounds until a stopping rule fires.
 
-    ``start(x)`` receives the checked initial iterate and returns the
-    engine's round ``step(x) -> (xhat, vectors)``: the local minimizers
-    computed from the committed round-nu state and the vectors sent in the
-    round. ``step`` advances the engine's own message state. The driver
-    damps node i by tau_node[i], records the trace and applies the tol_x,
+    ``start(x)`` receives the checked initial iterate and returns the engine's
+    round ``step(x) -> (xhat, vectors)``, which advances the engine's message
+    state. The driver damps node i by tau_node[i] (None: xhat undamped, as x +
+    1.0 (xhat - x) need not equal xhat), records the trace, applies the tol_x,
     tol_grad, divergence and ``raise_on_max_rounds`` rules, and sets
-    ``trace.stop_reason`` to the rule that stopped the run (``tol_x`` is
-    tested first) or to ``max_rounds``. ``tau_node=None`` takes xhat
-    undamped (x + 1.0 * (xhat - x) need not equal xhat).
+    ``trace.stop_reason`` to the rule that stopped the run
+    (tol_x is tested first) or to ``max_rounds``. The damping, the change and
+    the divergence test share one work array. Iterates are recorded by one
+    ``RunTrace.record`` call per RECORD_BATCH and one at the end, and one at a
+    time under ``tol_grad``, whose rule reads every gradient norm.
 
-    The damping, the tol_x change and the divergence test run in one
-    per-run work array (:func:`_damp`, :func:`_diverged`); every round's
-    iterate is a new array. Iterates are copied into a stack of
-    RECORD_BATCH and recorded by one ``RunTrace.record`` call when it is
-    full and once when the run ends; with ``tol_grad`` set, whose rule
-    reads the round's gradient norm, every iterate is recorded at once.
-
-    Divergence is read through a running bound b, max |x0| plus every
-    round's change: ``_diverged`` runs only in a round where b <= 5e11
-    fails, and b is then reset to the exact max |x|. The verdict is
-    ``_diverged``'s in every round. Proof: k rounds after b was exact,
-    max |x| <= b (1 - u)^(-2k), u = 2^-53, by the triangle inequality, as
-    each true |x_new - x| is at most the rounded change / (1 - u) (a
-    subnormal difference is exact) and each rounded b + change is at least
-    the true sum times (1 - u). For k < 2^50 the factor is below
-    e^(1/4) < 2, so b <= 5e11 gives max |x| <= 1e12. A NaN or +-inf
-    iterate makes the change, and so b, NaN or inf, which fails the gate,
+    Divergence is read through a running bound b, max |x0| plus every round's
+    change: ``_diverged`` runs only in a round where b <= 5e11 fails, and b is
+    then reset to the exact max |x|. The verdict is ``_diverged``'s in every
+    round. Proof: k rounds after b was exact, max |x| <= b (1 - u)^(-2k),
+    u = 2^-53, by the triangle inequality, as each true |x_new - x| is at most
+    the rounded change / (1 - u) (a subnormal difference is exact) and each
+    rounded b + change is at least the true sum times (1 - u). For k < 2^50 the
+    factor is below e^(1/4) < 2, so b <= 5e11 gives max |x| <= 1e12. A NaN or
+    +-inf iterate makes the change, and so b, NaN or inf, which fails the gate,
     as an overflow of b does.
     """
     m, d = problem.m, problem.d
@@ -454,44 +427,44 @@ def _drive(problem, tau_node, config, x0, start):
 
 class _PairwiseLayout:
     """Directed incidences of a pairwise problem whose messages run on the
-    intra pairs ``pairs`` (E, 2), i < j, cluster by cluster and sorted
-    within each (``TreePartition.intra_pairs``), or on every coupled pair
-    when ``pairs`` is None.
-
-    Intra edge e carries the message senders[e] -> receivers[e], and edge
-    rev[e] = e ^ 1 the reverse one (pair (a, b) gives (a, b), (b, a));
-    ``directed`` stacks them, (2E, 2). Cross incidence c lets node csrc[c]
-    read the frozen iterate of its neighbor cdst[c] across any other edge,
-    in sorted pair order; every cross edge appears in both orientations.
-    All come from array operations on the problem's sorted pair codes
-    i m + j: an intra pair without one raises PartitionMismatch, and the
-    cross pairs are the codes left. ``at_receivers`` and ``at_cross`` (on
-    (C, d) rows) sum per-incidence rows into receivers[e] and csrc[c].
-    """
+    intra pairs ``pairs`` (E, 2), i < j, cluster by cluster and sorted within
+    each (``TreePartition.intra_pairs``), or on every coupled pair when
+    ``pairs`` is None. Intra edge e carries the message senders[e] ->
+    receivers[e], and edge rev[e] = e ^ 1 the reverse one; ``directed`` stacks
+    them, (2E, 2). Cross incidence c lets node csrc[c] read the frozen iterate
+    of its neighbor cdst[c], in sorted pair order, each cross edge in both
+    orientations. One search of the problem's :class:`PairCodes` finds the
+    intra pairs (one without a coupling raises PartitionMismatch); the cross
+    pairs are those left. ``intra_at`` and ``cross_at`` keep their positions
+    for :meth:`couplings`; ``at_receivers`` and ``at_cross`` sum per-incidence
+    rows into receivers[e] and csrc[c]."""
 
     def __init__(self, problem, pairs=None):
         m, self.d = problem.m, problem.d
-        codes = (problem._sorted_keys if isinstance(problem, QuadraticObjective) else
-                 np.array(sorted(problem.graph_edges()), dtype=int).reshape(-1, 2) @ (m, 1))
-        if pairs is None:
-            pairs, cross = np.stack(np.divmod(codes, m), axis=-1), codes[:0]
-        else:
-            want = np.where(pairs[:, 1] < m, pairs[:, 0] * m + pairs[:, 1], m * m)
-            at = np.searchsorted(codes, want)
-            found = np.append(codes, -1)[at] == want
+        codes = (problem.pair_codes if isinstance(problem, QuadraticObjective)
+                 else PairCodes(sorted(problem.graph_edges()), m))
+        at = np.arange(len(codes.order))
+        if pairs is not None:
+            at, found = codes.find(pairs[:, 0], pairs[:, 1])
             if not found.all():
                 missing = min(map(tuple, pairs[~found].tolist()))
                 raise PartitionMismatch(f"intra-cluster edge {missing} has no "
                                         "coupling in the problem")
-            cross = np.delete(codes, at)
+        self.intra_at, self.cross_at = codes.order[at], np.delete(codes.order, at)
+        pairs, ends = codes.pairs[self.intra_at], codes.pairs[self.cross_at]
         self.senders, self.receivers = pairs.ravel(), pairs[:, ::-1].ravel()
         self.directed = np.stack((self.senders, self.receivers), axis=-1)
         self.n_edges = len(self.senders)
         self.rev = np.arange(self.n_edges) ^ 1
-        ends = np.stack(np.divmod(cross, m), axis=-1)
         self.csrc, self.cdst = ends.ravel(), ends[:, ::-1].ravel()
         self.at_receivers = RowSum(self.receivers, m)
         self.at_cross = RowSum(self.csrc, m).compiled((self.d,))
+
+    def couplings(self, problem):
+        """(B, B_cross): ``problem.couplings(receivers, senders)`` and
+        ``problem.couplings(csrc, cdst)``, from the positions found here."""
+        return (problem.oriented(np.repeat(self.intra_at, 2), self.receivers, self.senders),
+                problem.oriented(np.repeat(self.cross_at, 2), self.csrc, self.cdst))
 
     def others(self, node, msg):
         """For every edge e, the sender's sum over its other in-edges: the
@@ -533,16 +506,12 @@ def _zero_messages(lay):
 
 
 def mp_jacobi(problem, partition, config=None, x0=None):
-    """Exact message-passing Jacobi on a quadratic pairwise problem.
-
-    Per round every agent solves its local minimization from the round-nu
-    messages and out-of-cluster iterates, damps by the cluster stepsize, and
-    every directed intra-cluster edge refreshes its message from the same
-    snapshot. ``message_init='warm_start'`` first runs max-diameter sweeps
-    of message updates at x0. The message refresh is one call of
-    :func:`exact_quadratic_message` per round; once the curvatures are
-    stationary only its linear half runs.
-    """
+    """Exact message-passing Jacobi on a quadratic pairwise problem: per round
+    every agent solves its local minimization from the round-nu messages and
+    out-of-cluster iterates and damps by its cluster stepsize, and every
+    directed intra-cluster edge refreshes its message from the same snapshot.
+    ``message_init='warm_start'`` first runs max-diameter sweeps of message
+    updates at x0."""
     config = config or SolverConfig()
     sweeps = partition.max_diameter if config.message_init == "warm_start" else 0
     return _exact_run(problem, partition.intra_pairs,
@@ -551,27 +520,19 @@ def mp_jacobi(problem, partition, config=None, x0=None):
 
 def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
     """The exact engine with messages on the intra pairs ``pairs``
-    (_PairwiseLayout), after ``sweeps`` sweeps at x0; ``trace.monitor``
-    holds (H_msg, h_msg, directed), the layout's (2E, 2) array of (sender,
-    receiver) edges in message order.
-
-    Compiled once per run: the receivers' sums, each one bincount over a
-    weight buffer [start | messages] (:class:`StartedSum`), whose start is
-    ``problem.diag`` for the curvatures and, for the linear terms, lin
-    plus the cross sum, written in place every round; the cross sum, one
-    bincount (``RowSum.compiled``) of the :class:`GatheredProducts`. A
-    curvature round calls the exact rule on the senders' sums A and c; a
-    kept round is the rule's one kept path, :func:`exact_linear` on the
-    kept column of c.
-    Node solves and kept columns take the LapackSystems' stored pivots and
-    reciprocals under one errstate per round; a kept round's node system
-    is one a curvature round has solved, so it cannot be singular there.
-    """
+    (_PairwiseLayout), after ``sweeps`` sweeps at x0; ``trace.monitor`` holds
+    (H_msg, h_msg, directed), the layout's (sender, receiver) edges. The
+    receivers' sums are compiled once (:class:`StartedSum`), from
+    ``problem.diag`` for the curvatures and, for the linear terms, from lin
+    plus the cross sum, rewritten every round. A curvature round calls the
+    exact rule on the senders' sums A and c; a kept round is
+    :func:`exact_linear` on the kept column of c, under one errstate with the
+    node solve, whose system a curvature round has solved already."""
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
     lay = _PairwiseLayout(problem, pairs)
-    B = problem.couplings(lay.receivers, lay.senders)
-    cross = _pair_grads(problem, lay.csrc, lay.cdst)
+    B, B_cross = lay.couplings(problem)
+    cross = GatheredProducts(B_cross, lay.cdst)
     node_H = lay.at_receivers.with_start(problem.diag)
     node_h = lay.at_receivers.with_start(problem.lin)
 
@@ -603,17 +564,12 @@ def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
 
 
 def mp_jacobi_surrogate(problem, partition, config=None, x0=None):
-    """Message-passing Jacobi with a surrogate family.
-
-    family='exact' delegates to :func:`mp_jacobi` (bit-identical updates).
-    'first_order' works on quadratic and smooth pairwise problems;
-    'schur_quadratic' needs quadratic couplings; 'partial_linearization'
-    expects a lifted consensus problem (:class:`CtaProblem`). Every family
-    runs on the same directed-edge layout and driver, and each calls its
-    message rule once per round on (E, d, d) / (E, d) message arrays;
-    ``trace.monitor`` holds the final (H_msg, h_msg, directed), as in
-    :func:`_exact_run`.
-    """
+    """Message-passing Jacobi with a surrogate family: 'exact' delegates to
+    :func:`mp_jacobi` (bit-identical updates); 'first_order' works on quadratic
+    and smooth pairwise problems; 'schur_quadratic' needs quadratic couplings;
+    'partial_linearization' a lifted consensus problem (:class:`CtaProblem`).
+    Every family runs on the same layout and driver, with one rule call per
+    round; ``trace.monitor`` is as in :func:`_exact_run`."""
     config = config or SolverConfig()
     spec = config.surrogate or SurrogateSpec()
     if spec.family == "exact":
@@ -630,8 +586,12 @@ def _first_order_run(problem, partition, config, x0, spec):
     """First-order family: the messages are affine, so their curvature is
     zero from the first round on."""
     lay = _PairwiseLayout(problem, partition.intra_pairs)
-    cross = _pair_grads(problem, lay.csrc, lay.cdst)
-    to_receiver = _pair_grads(problem, lay.receivers, lay.senders)
+    if isinstance(problem, QuadraticObjective):
+        B, B_cross = lay.couplings(problem)
+        to_receiver, cross = GatheredProducts(B, lay.senders), GatheredProducts(B_cross, lay.cdst)
+    else:
+        to_receiver = _pair_grads(problem, lay.receivers, lay.senders)
+        cross = _pair_grads(problem, lay.csrc, lay.cdst)
 
     def linear(x, h_msg, state, kept):
         grads = (_node_grads(problem, x) + lay.at_cross(cross(x))
@@ -645,28 +605,18 @@ def _first_order_run(problem, partition, config, x0, spec):
 
 
 def _schur_run(problem, partition, config, x0, spec):
-    """Structured-quadratic family on a pairwise quadratic: node curvatures
-    Q + n_out M_node (the problem's own blocks with
-    ``exact_variable_update``) and the rule :func:`schur_message_update`.
-
-    Everything that reads no iterate is compiled once per run. The
-    receiver-side coupling gradients are the sender-side ones of the
-    reverse edges, which apply the same block to the same row. Every block
-    that the linear half multiplies by an iterate is a part of one
-    :class:`StackedProducts` per curvature state. Its fixed parts,
-    ``problem.diag``, the cross and the sender couplings and ``G_base``
-    (unless ``exact_variable_update``), are compiled once per run and
-    extended by the state's H_in (:meth:`StackedProducts.extended`); a
-    kept state is settled by extending its products with kept.H, whose
-    rows are the rule's H x_i^ref. So a round makes one gather of x and
-    one stacked block product (from column planes at d = 2, see
-    :class:`GatheredProducts`), plus M_ij col after the solve. Every round
-    sums c_u (:func:`schur_aggregate`) from the H_in rows; a curvature
-    round calls the rule on c_u and the state's sender matrices
-    S = (Q + M_node) + H_in, and a kept round is the rule's one kept path,
-    :func:`schur_linear` on M_ij times the kept column of c_u, by a
-    GatheredProducts of the M_ij compiled once per run.
-    """
+    """Structured-quadratic family on a pairwise quadratic: node curvatures Q +
+    n_out M_node (the problem's own blocks with ``exact_variable_update``) and
+    the rule :func:`schur_message_update`, on data compiled once per run. Every
+    block that the linear half multiplies by an iterate is a part of one
+    :class:`StackedProducts` per curvature state: the fixed parts
+    (``problem.diag``, the cross and sender couplings, and ``G_base`` unless
+    ``exact_variable_update``) extended by the state's H_in, and in a kept
+    state by kept.H, whose rows are the rule's H x_i^ref. The receiver-side
+    coupling gradients are the sender-side ones of the reverse edges. A
+    curvature round calls the rule on c_u (:func:`schur_aggregate`) and the
+    sender matrices (Q + M_node) + H_in; a kept round is :func:`schur_linear`
+    on M_ij times the kept column of c_u."""
     if not isinstance(problem, QuadraticObjective):
         raise NotQuadratic("schur_quadratic family needs quadratic couplings")
     lay = _PairwiseLayout(problem, partition.intra_pairs)
@@ -679,9 +629,10 @@ def _schur_run(problem, partition, config, x0, spec):
     G_base = Q + n_out * Mn         # variable-update curvature before messages
     QM_s, Mn_t = Q[s] + Mn[s], Mn[t]
     nodes = np.arange(m)
+    B, B_cross = lay.couplings(problem)
     fixed = StackedProducts(
-        [(problem.diag, nodes), (problem.couplings(lay.csrc, lay.cdst), lay.cdst),
-         (problem.couplings(s, t), t)] + ([] if exact else [(G_base, nodes)]))
+        [(problem.diag, nodes), (B_cross, lay.cdst), (B.take(lay.rev, axis=0), t)]
+        + ([] if exact else [(G_base, nodes)]))
     M_col = GatheredProducts(M_edge)
     n_state = len(fixed.parts) + 1
     h_at_receivers = lay.at_receivers.compiled((d,))
@@ -720,13 +671,10 @@ def _schur_run(problem, partition, config, x0, spec):
 
 def _cta_partial_linearization_run(problem, partition, config, x0, spec):
     """Partial-linearization family on a lifted consensus problem; diagonal
-    node curvatures keep the message curvatures exactly diagonal. Every
-    round sums the senders' ell, whose first term grad f_i - Q_i x_i^nu is
-    read off the rows of the variable update's own grad f - Q x; a
+    node curvatures keep the message curvatures exactly diagonal. The senders'
+    ell starts from the rows of the variable update's own grad f - Q x; a
     curvature round calls :func:`partial_linearization_message` on ell and
-    the state's sender matrices S = base + H_in, and a kept round is the
-    rule's one kept path, (w_ij/gamma) times the kept column of ell.
-    """
+    S = base + H_in, and a kept round is (w_ij/gamma) times the kept column."""
     if not isinstance(problem, CtaProblem):
         raise SolverError("partial_linearization expects a lifted consensus problem")
     lay = _PairwiseLayout(problem, partition.intra_pairs)
@@ -767,14 +715,11 @@ def _cta_partial_linearization_run(problem, partition, config, x0, spec):
 
 
 def delayed_block_jacobi(problem, partition, config=None, x0=None):
-    """Reference delayed block-Jacobi iteration.
-
-    For every root i in cluster r the full cluster problem is solved with
-    out-of-cluster blocks frozen at delayed values: the boundary term of an
-    edge (j, k), j in the cluster, reads x_k at round nu - d(i, j). The
-    iterate window is initialized flat at x0. Per-root dense solves; meant
-    as an oracle, not a fast path.
-    """
+    """Reference delayed block-Jacobi iteration, an oracle, not a fast path:
+    for every root i in cluster r the full cluster problem is solved densely
+    with out-of-cluster blocks frozen at delayed values, the boundary term of
+    an edge (j, k), j in the cluster, reading x_k at round nu - d(i, j). The
+    iterate window starts flat at x0."""
     config = config or SolverConfig()
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("reference solver needs a pairwise QuadraticObjective")
@@ -825,18 +770,14 @@ def delayed_block_jacobi(problem, partition, config=None, x0=None):
 
 
 def tree_solve(problem, graph):
-    """Exact minimizer of a quadratic objective whose graph is a tree, via
-    one leaf-to-root and one root-to-leaf sweep of exact messages.
-
-    Rooted at node 0, each sweep takes one BFS level at a time: one
-    :func:`exact_quadratic_message` call over the level's edges, added into
-    the node sums of curvature and linear terms. The message p -> v down
-    the tree is sent from p's full sum minus v's message up, as in the
-    engine's ``_PairwiseLayout.others``. ``graph`` must be the problem's
-    coupling graph (PartitionMismatch otherwise), and it must be one tree:
-    a cycle or a forest raises SolverError, a singular final node system
-    IllPosedSubproblem.
-    """
+    """Exact minimizer of a quadratic objective whose graph is a tree, by one
+    leaf-to-root and one root-to-leaf sweep of exact messages from node 0, one
+    :func:`exact_quadratic_message` call per BFS level, added into the node
+    sums. The message p -> v down the tree is sent from p's full sum minus v's
+    message up, as in ``_PairwiseLayout.others``. ``graph`` must be the
+    problem's coupling graph (PartitionMismatch otherwise) and one tree
+    (SolverError otherwise); a singular final node system raises
+    IllPosedSubproblem."""
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("tree solver needs a pairwise QuadraticObjective")
     if graph.m != problem.m or graph.edges != problem.graph_edges():
@@ -889,20 +830,18 @@ def pairwise_to_hyper(problem):
 class _HyperLayout:
     """Compiled (factor, member) incidences of a hypertree partition.
 
-    Slots 0..K-1 are the intra incidences (a, i), in cluster, factor,
-    support order; intra incidence k carries message k. Slots K..K+n_out-1
-    are the out incidences (b, i) of factors b not intra at i, node by node.
-    Per arity, ``groups`` stacks the intra factor blocks permuted
-    receiver-first, with the gather indices of each factor's other members
-    (``rest``) and of their message rows (``rest_msg``). An out incidence
-    freezes b's other members at the round iterate: constant curvature
-    out_H = 2 (H_b)_ii and linear term 2 (H_b)_{i,rest} x_rest. A round's
-    table of terms linear in x (:meth:`linear_terms`) holds in row s the
-    view's frozen-reference terms of slot s, and in row n_out + s the
-    linear term of out slot s. ``H_src``/``h_src`` list the terms of every
-    node aggregate, and ``at_H``/``at_h`` add them into their nodes, in the
-    order messages in n_in order, then per out factor in n_out order its
-    2 H x term and its frozen term.
+    Slots 0..K-1 are the intra incidences (a, i), in cluster, factor, support
+    order; intra incidence k carries message k. Slots K..K+n_out-1 are the out
+    incidences (b, i) of factors b not intra at i, node by node. Per arity,
+    ``groups`` stacks the intra factor blocks permuted receiver-first, with the
+    gather indices of each factor's other members (``rest``) and of their
+    message rows (``rest_msg``). An out incidence freezes b's other members at
+    the round iterate: curvature out_H = 2 (H_b)_ii, linear term 2
+    (H_b)_{i,rest} x_rest. Row s of :meth:`linear_terms` holds the view's
+    frozen-reference terms of slot s, row n_out + s the linear term of out slot
+    s. ``at_H``/``at_h`` add the terms ``H_src``/``h_src`` into their nodes:
+    messages in n_in order, then per out factor its 2 H x term and its frozen
+    term.
     """
 
     def __init__(self, problem, hpartition, view):
@@ -978,13 +917,11 @@ class _HyperLayout:
                          start=problem.lin)
 
     def messages(self, H_agg, aggh, h_msg, lin, kept):
-        """Every factor-to-variable message, one rule call per arity.
-
-        ``H_agg`` holds, per arity group, the rest's curvature aggregates
-        without the receiving factor's own messages; ``kept``, the groups'
-        rule curvatures once stationary, skips the curvature half (and H_new
-        is then None). Returns H_new, h_new and the groups' rule curvatures.
-        """
+        """Every factor-to-variable message, one rule call per arity: (H_new,
+        h_new, the groups' rule curvatures). ``H_agg`` holds per arity group
+        the rest's curvature aggregates without the receiving factor's
+        messages; ``kept``, the groups' curvatures once stationary, skips the
+        curvature half (H_new is then None)."""
         H_new = np.empty((self.n_intra, self.d, self.d)) if kept is None else None
         h_new = np.empty_like(h_msg)
         curvatures = []
@@ -1003,17 +940,15 @@ class _HyperLayout:
 def h_mp_jacobi(problem, hpartition, config=None, x0=None):
     """Hypergraph message-passing Jacobi (quadratic factors).
 
-    Per round: Jacobi-style variable updates from factor-to-variable
-    messages plus frozen inter-cluster factors, then one factor-to-variable
-    message round on each intra-cluster factor tree. The hosted-factor and
-    factor-processor implementations produce identical iterates and differ
-    only in the communication count (see ``_hyper_comm``). The plain
-    problem runs as its identity split, each factor its own component.
-
-    Surrogates: a ``first_order`` spec here means ``diagonalize_message``
-    compression of every new message at the round iterate; its alpha is not
-    read. ``schur_quadratic`` and ``partial_linearization`` raise
-    SolverError, here and in :func:`h_mp_jacobi_split`.
+    Per round: Jacobi-style variable updates from factor-to-variable messages
+    plus frozen inter-cluster factors, then one factor-to-variable message
+    round on each intra-cluster factor tree. The hosted-factor and
+    factor-processor implementations differ only in the communication count
+    (``_hyper_comm``). The plain problem runs as its identity split. A
+    ``first_order`` spec means ``diagonalize_message`` compression of every new
+    message at the round iterate (alpha is not read); ``schur_quadratic`` and
+    ``partial_linearization`` raise SolverError, here and in
+    :func:`h_mp_jacobi_split`.
     """
     _check_hyper_problem(problem, hpartition, hpartition.hypergraph.hyperedges)
     split = apply_split(hpartition.hypergraph, SplitMap.identity())
@@ -1093,17 +1028,12 @@ def _check_hyper_problem(problem, hpartition, factors):
 
 def _hyper_comm(hpartition, lay, impl):
     """Who exchanges messages, and the vectors relayed, in one hypergraph
-    round; a round sends 2 message_vectors over the exchanging incidences
-    plus the relay.
-
-    Hosted factors: each intra factor's non-host members send their
-    variable-side aggregates to the host and receive their message back;
-    the host's own exchange is local. Factor processors: all members
-    exchange with the factor node. Both directions are priced like the
-    new message. Inter-cluster factors relay iterates: every member ships
-    x_i to the implementation, which returns the complement stack to each
-    member.
-    """
+    round, which sends 2 message_vectors over the exchanging incidences plus
+    the relay. Hosted factors: an intra factor's non-host members send their
+    aggregates to the host and receive their message back. Factor processors:
+    all members exchange with the factor node. Inter-cluster factors relay
+    iterates: every member ships x_i to the implementation, which returns the
+    complement stack to each member."""
     exchanging = (impl == "factor_processor") | (lay.nodes != lay.hosts)
     relay = 0
     for a, w in enumerate(hpartition.hypergraph.hyperedges):
@@ -1142,14 +1072,12 @@ def baseline(kind, problem, params=None, x0=None):
 
     All but minsum_splitting run on :func:`_drive`: tol bounds the iterate
     increment (minsum: the gradient norm), a non-finite x0 raises
-    ObjectiveError, and divergence is flagged on the trace, never raised.
-    SolverError, before any work: an unknown kind or params key, a missing
-    W or clusters, clusters that are no partition, dgd off a CtaProblem, an
-    x0 for minsum_splitting, a negative, infinite or NaN tau or step, a
-    max_rounds or tol that ``SolverConfig`` rejects.
-    NotQuadratic: the other kinds off a QuadraticObjective. A singular
-    block raises IllPosedSubproblem (minsum: or the exact engine's
-    SingularSenderCurvature).
+    ObjectiveError, and divergence is flagged, never raised. SolverError,
+    before any work: an unknown kind or params key, a missing W or clusters,
+    clusters that are no partition, dgd off a CtaProblem, an x0 for
+    minsum_splitting, a malformed tau, step, max_rounds or tol. NotQuadratic:
+    the other kinds off a QuadraticObjective. A singular block raises
+    IllPosedSubproblem (minsum: or SingularSenderCurvature).
     """
     if kind not in _BASELINE_PARAMS:
         raise SolverError(f"unknown baseline {kind!r}; kinds: {list(_BASELINE_PARAMS)}")
@@ -1229,8 +1157,8 @@ def _central_step(problem, clusters):
 
 def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
                      max_rounds=2000, tol=1e-12):
-    """Splitting recursion for quadratic consensus: minimize
-    sum_v 1/2 <H_v z, z> - <b_v, z> subject to agreement.
+    """Splitting recursion for quadratic consensus: minimize sum_v 1/2 <H_v z,
+    z> - <b_v, z> subject to agreement.
 
     The per-node quadratic message parameters evolve linearly,
         (r^s; q^s) = K(delta, Gamma) (r^{s-1}; q^{s-1}),
@@ -1241,14 +1169,12 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     delta=1 and Gamma = gamma W the asymptotic factor is
         rho_K = sqrt((1 - sqrt(1 - rho_W^2)) / (1 + sqrt(1 - rho_W^2)))
     at the optimal gamma = 2 / (1 + sqrt(1 - rho_W^2)).
-    Divergence is flagged by the round driver's rule, ``_diverged``, on the
-    outputs x, and on a singular R_v. ``trace.stop_reason`` is ``tol_x``
-    when the outputs are within ``tol`` of x_star, else ``diverged`` or
-    ``max_rounds``. The recursion keeps its own round
-    loop: it stops on the distance to its own x_star and has no objective
-    whose gradient or value the driver could record (those columns are NaN).
+    ``trace.stop_reason`` is ``tol_x`` once the outputs are within ``tol`` of
+    x_star, ``diverged`` on the driver's ``_diverged`` rule or a singular R_v,
+    else ``max_rounds``. The recursion keeps its own loop, as it has no
+    objective whose gradient or value the driver could record (NaN columns).
     A W that is not n x n, or a max_rounds or tol that ``SolverConfig``
-    rejects (as max_rounds and tol_x), raises SolverError.
+    rejects, raises SolverError.
     """
     Hs = [np.asarray(H, dtype=float) for (H, _) in consensus_locals]
     bs = [np.asarray(b, dtype=float) for (_, b) in consensus_locals]
@@ -1324,19 +1250,17 @@ def _rho_perp(W):
 def select_stepsize(partition, rate_inputs, mode="uniform_theorem",
                     manual_tau=None, surrogate=False):
     """Theorem-driven stepsize selection from one
-    :func:`rate_analysis.rate_terms` report (surrogate when ``surrogate``).
+    :func:`rate_analysis.rate_terms` report (surrogate when ``surrogate``);
+    returns (tau, rho), tau a scalar (uniform, manual) or one per cluster.
 
     uniform_theorem: the report's tau_max = min{1/p, 2 kappa/(2D+1),
-        sqrt(min_{r in J} mu_r / (8 (2D+1) A_J))} and rho, with the
-    surrogate analogue replacing (kappa, mu_r, A_J) by (kappa_t, mu_t_r,
-    A_J + max_r At_r). heterogeneous_theorem: tau_r = 1/p and the report's
-    rho when the window condition 2D+1 <= min(2 kappa p, mu_min p^2 / (8 A)),
-    i.e. 1/p <= min(II, III) (regime I, surrogate analogues included),
-    holds; else InfeasibleCondition.
-    manual(tau) passes the scalar tau through, unless it is not a finite
-    nonnegative number (SolverError).
-    Returns (tau, rho) where tau is a scalar (uniform/manual) or per-cluster
-    array and rho the certified contraction factor.
+        sqrt(min_{r in J} mu_r / (8 (2D+1) A_J))} and rho, the surrogate
+    analogue replacing (kappa, mu_r, A_J) by (kappa_t, mu_t_r, A_J + max_r
+    At_r). heterogeneous_theorem: tau_r = 1/p and the report's rho when the
+    window condition 2D+1 <= min(2 kappa p, mu_min p^2 / (8 A)), i.e.
+    1/p <= min(II, III) (regime I), holds; else InfeasibleCondition.
+    manual(tau): tau, unless it is not a finite nonnegative number
+    (SolverError).
     """
     if mode == "manual":
         return float(_checked_stepsizes(manual_tau)), None

@@ -474,13 +474,18 @@ def generate_topology(kind, **params):
     kinds: ring(m), grid2d(side), dumbbell(clique, path) /
     two_cliques_path(clique, path), hyper_ring(n_edges, edge_size).
     """
+    def param(name):
+        if name not in params:
+            raise InvalidParams(f"{kind} needs the parameter {name!r}")
+        return int(params[name])
+
     if kind == "ring":
-        m = int(params["m"])
+        m = param("m")
         if m < 3:
             raise InvalidParams("ring needs m >= 3")
         return Graph(m, {(i, (i + 1) % m) for i in range(m)})
     if kind == "grid2d":
-        s = int(params["side"])
+        s = param("side")
         if s < 2:
             raise InvalidParams("grid2d needs side >= 2")
         edges = set()
@@ -494,7 +499,7 @@ def generate_topology(kind, **params):
         return Graph(s * s, edges)
     if kind in ("dumbbell", "two_cliques_path"):
         k = int(params.get("clique", 7))
-        path = int(params["path"])
+        path = param("path")
         if k < 2 or path < 1:
             raise InvalidParams("need clique >= 2 and path >= 1")
         # nodes: clique A = 0..k-1, path = k..k+path-1, clique B = k+path..k+path+k-1
@@ -508,8 +513,7 @@ def generate_topology(kind, **params):
             edges.add(_normalize_edge(a, b))
         return Graph(2 * k + path, edges)
     if kind == "hyper_ring":
-        ne = int(params["n_edges"])
-        sz = int(params["edge_size"])
+        ne, sz = param("n_edges"), param("edge_size")
         if ne < 2 or sz < 2:
             raise InvalidParams("need n_edges >= 2 and edge_size >= 2")
         m = ne * (sz - 1)
@@ -534,8 +538,8 @@ def generate_partition(kind, graph, D=None, clusters=None):
         cl = [list(range(D + 1))] + [[i] for i in range(D + 1, m)]
         return validate_tree_partition(graph, cl)
     if kind == "ring_P2":
-        if D is None or (m % (D + 1)) != 0:
-            raise IncompatiblePartition("ring_P2 needs (D+1) | m")
+        if D is None or D < 0 or m % (D + 1) != 0:
+            raise IncompatiblePartition("ring_P2 needs D >= 0 and (D+1) | m")
         step = D + 1
         cl = [list(range(r * step, (r + 1) * step)) for r in range(m // step)]
         return validate_tree_partition(graph, cl)

@@ -594,14 +594,20 @@ def _same_bits_but_nan_signs(got, want, exact):
 _SCATTER_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "flat", "split"]),
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["none", "flat", "split", "pairs", "pairs_unpadded"]),
        st.integers(1, 20), st.integers(1, 7), st.integers(0, 16),
        st.sampled_from([(), (1,), (2,), (2, 3), (2, 2)]), st.booleans(), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_row_scatter_equals_add_at(seed, layout, K, n, k, tail, with_start, nans):
     """Rows at axis len(lead): no batch axes, a stack of K (K >= 2 sums by
     the ordered gather over ``slots``, K = 1 by bincount) or a (2, K/2)
-    stack. Every batch entry equals ``np.add.at(0.0 + start, idx, vals)``,
+    stack. The pair layouts lay a stack's rows out (E, 2), as
+    :class:`~mpjacobi.messages.PairProducts` makes its (K, E, 2, d) terms,
+    with idx of shape (E, 2): C-contiguous, or strided with the stack axis
+    innermost, as PairProducts' regrouped products are; ``pairs_unpadded``
+    sends two rows to every node, so that no slot pads. Every batch entry
+    equals ``np.add.at(0.0 + start, idx, vals)``,
     bit for bit: repeated destinations, nodes that receive nothing, -0.0
     starts, values of magnitudes 1e-8 to 1e8 (so that another order rounds
     otherwise), signed zeros and infinities. With NaNs of both signs among
@@ -609,7 +615,7 @@ def test_row_scatter_equals_add_at(seed, layout, K, n, k, tail, with_start, nans
     and ``np.add.at`` order their operands differently), so NaNs are
     matched by position only."""
     rng = np.random.default_rng(seed)
-    lead = {"none": (), "flat": (K,), "split": (2, K // 2) if K % 2 == 0 else (K, 1)}[layout]
+    lead = {"none": (), "split": (2, K // 2) if K % 2 == 0 else (K, 1)}.get(layout, (K,))
     specials = _SCATTER_SPECIALS if nans else _SCATTER_SPECIALS[:4]
 
     def draw(shape):
@@ -618,14 +624,22 @@ def test_row_scatter_equals_add_at(seed, layout, K, n, k, tail, with_start, nans
         out[special] = rng.choice(specials, np.count_nonzero(special))
         return out
 
-    idx = rng.integers(0, n, k)
-    vals = draw(lead + (k,) + tail)
+    if layout.startswith("pairs"):
+        idx = (rng.permutation(np.repeat(np.arange(n), 2)) if layout == "pairs_unpadded"
+               else rng.integers(0, n, 2 * (k // 2))).reshape(-1, 2)
+        vals = draw(lead + idx.shape + tail)
+        if rng.random() < 0.5:      # PairProducts' strides: (2, E, *tail, K) transposed
+            axes = (2 + len(tail), 1, 0) + tuple(range(2, 2 + len(tail)))
+            vals = np.ascontiguousarray(vals.transpose(np.argsort(axes))).transpose(axes)
+    else:
+        idx = rng.integers(0, n, k)
+        vals = draw(lead + (k,) + tail)
     start = draw(lead + (n,) + tail) if with_start else None
     want = np.zeros(lead + (n,) + tail) if start is None else 0.0 + start
     scatter = RowScatter(idx, n)
     with np.errstate(invalid="ignore"):
         for b in np.ndindex(lead):
-            np.add.at(want[b], idx, vals[b])
+            np.add.at(want[b], idx.reshape(-1), vals[b].reshape((-1,) + tail))
         for _ in range(2):              # the second call reuses the flat indices
             got = scatter(vals, start=start, axis=len(lead))
             _same_bits_but_nan_signs(got, want, exact=not nans)
@@ -981,6 +995,7 @@ _Q2 = QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)))
                                                 hyper={(0, 1): np.array([[1.0, 1.0],
                                                                          [0.0, 1.0]])})),
     (NonStochasticW, lambda: GossipMatrix(np.full((2, 3), 0.5))),
+    (NonStochasticW, lambda: GossipMatrix(np.array(1.0))),
     (NonStochasticW, lambda: GossipMatrix(np.eye(2), gamma=0.0)),
     (NotQuadratic, lambda: build_cta(_callable_locals(), GossipMatrix(np.eye(2)), d=1)
      .to_quadratic()),
@@ -988,12 +1003,20 @@ _Q2 = QuadraticObjective(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)))
     (NotQuadratic, lambda: build_atc(_callable_locals(), GossipMatrix(np.eye(2)), d=1)),
     (ObjectiveError, lambda: build_laplacian_qp(np.array([[0.0, 1.0], [2.0, 0.0]]), np.zeros(2))),
     (ObjectiveError, lambda: build_laplacian_qp(-np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))),
+    (ObjectiveError, lambda: build_laplacian_qp(np.zeros((2, 3)), np.zeros(2))),
+    (ObjectiveError, lambda: build_laplacian_qp(np.zeros((2, 2)), np.zeros(3))),
+    (ObjectiveError, lambda: build_laplacian_qp(np.array([[0.0, np.inf], [np.inf, 0.0]]),
+                                                np.zeros(2))),
+    (ObjectiveError, lambda: build_laplacian_qp(np.zeros((2, 2)), np.array([0.0, np.nan]))),
     (ObjectiveError, lambda: build_random_qp(generate_topology("ring", m=4), 1, 1.0, 0)),
+    (ObjectiveError, lambda: build_random_qp(generate_topology("ring", m=4), 1, float("nan"), 0)),
     (ObjectiveError, lambda: problem_from_json('{"kind": "smooth"}')),
 ], ids=["block_shape", "pair_block_shape", "pair_key_order", "hyper_block_shape",
-        "hyper_asymmetric", "gossip_not_square", "gossip_gamma", "cta_not_quadratic",
-        "cta_no_d", "atc_not_quadratic", "laplacian_asymmetric", "laplacian_negative",
-        "random_qp_kappa", "json_kind"])
+        "hyper_asymmetric", "gossip_not_square", "gossip_scalar", "gossip_gamma",
+        "cta_not_quadratic", "cta_no_d", "atc_not_quadratic", "laplacian_asymmetric",
+        "laplacian_negative", "laplacian_not_square", "laplacian_b_length",
+        "laplacian_inf_weight", "laplacian_nan_b", "random_qp_kappa", "random_qp_kappa_nan",
+        "json_kind"])
 def test_objective_raises_typed_errors(exc, make):
     """One row per raise of ``objective`` that no other test reaches, each
     with the smallest malformed input that reaches it; the exception is of

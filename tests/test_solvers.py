@@ -218,6 +218,35 @@ def test_receiver_pair_grads_are_reversed_sender_grads(seed, m, d, diagonal):
                           sender.take(lay.rev, axis=0).view(np.int64))
 
 
+@given(tree_partition_cases(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_layout_couplings_equal_searched_couplings(case, d, seed):
+    """The coupling stacks that a _PairwiseLayout gathers at the pair
+    positions its one search found equal ``problem.couplings`` over
+    (receivers, senders) and over the cross incidences (csrc, cdst), bit for
+    bit and C-contiguous, for intra pairs of random tree partitions and for
+    every coupled pair (the layout of ``pairs=None``)."""
+    from mpjacobi.topology import NonTreeCluster
+
+    graph, clusters = case
+    try:
+        part = validate_tree_partition(graph, clusters, warn_nonoverlap=False)
+    except NonTreeCluster:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((len(graph.edges), d, d))
+    blocks[rng.random(blocks.shape) < 0.2] = -0.0
+    q = QuadraticObjective(graph.m, d, np.broadcast_to(np.eye(d), (graph.m, d, d)),
+                           np.zeros((graph.m, d)), dict(zip(sorted(graph.edges), blocks)))
+    for pairs in (part.intra_pairs, None):
+        lay = solvers._PairwiseLayout(q, pairs)
+        got = lay.couplings(q)
+        want = (q.couplings(lay.receivers, lay.senders), q.couplings(lay.csrc, lay.cdst))
+        for B, ref in zip(got, want):
+            assert B.flags.c_contiguous and B.shape == ref.shape
+            assert np.array_equal(B.view(np.int64), ref.view(np.int64))
+
+
 def test_hyper_pairwise_reduction():
     g, q = ring_qp(m=6, d=2, seed=9)
     qh = pairwise_to_hyper(q)

@@ -503,10 +503,12 @@ _HG = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
                                                              intra_factors=[[2]])),
     (InvalidParams, lambda: generate_topology("ring", m=2)),
     (InvalidParams, lambda: generate_topology("grid2d", side=1)),
+    (InvalidParams, lambda: generate_topology("grid2d")),
     (InvalidParams, lambda: generate_topology("dumbbell", clique=1, path=2)),
     (InvalidParams, lambda: generate_topology("hyper_ring", n_edges=1, edge_size=3)),
     (InvalidParams, lambda: generate_topology("star", m=5)),
     (IncompatiblePartition, lambda: generate_partition("ring_P1", ring(5), D=4)),
+    (IncompatiblePartition, lambda: generate_partition("ring_P2", ring(5), D=-1)),
     (IncompatiblePartition, lambda: generate_partition(
         "grid_rows", generate_topology("grid2d", side=3), D=3)),
     (IncompatiblePartition, lambda: generate_partition("stars", ring(5))),
@@ -515,8 +517,8 @@ _HG = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
         "hypergraph_no_nodes", "hyperedge_one_node", "hyperedge_out_of_range",
         "duplicate_hyperedge", "intra_lists_per_cluster", "factor_outside_cluster",
         "factor_index_negative", "factor_index_too_large",
-        "ring_too_small", "grid_too_small", "dumbbell_params",
-        "hyper_ring_params", "unknown_topology", "ring_P1_D", "grid_rows_D",
+        "ring_too_small", "grid_too_small", "grid_no_side", "dumbbell_params",
+        "hyper_ring_params", "unknown_topology", "ring_P1_D", "ring_P2_negative_D", "grid_rows_D",
         "unknown_partition", "read_graph_header"])
 def test_topology_raises_typed_errors(exc, make):
     """One row per raise of ``topology`` that no other test reaches, each
