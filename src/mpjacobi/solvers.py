@@ -4,11 +4,10 @@ baselines, and theorem-driven stepsize selection.
 
 Every update in round nu reads the committed round-nu snapshot
 (iterates and messages). One driver, :func:`_drive`, runs the rounds of every
-solver that takes a :class:`SolverConfig` and of every baseline but the min-sum
-splitting recursion. Every message engine splits its round into its rule's
-curvature and linear halves (``messages``); once the curvature half is at a
-fixed point, :class:`_Rounds` runs only the linear half, with the full rounds'
-bits. On a tree partition that takes about a cluster diameter of rounds (the
+iterative solver and baseline. Every message engine splits its round into its
+rule's curvature and linear halves (``messages``); once the curvature half is
+at a fixed point, :class:`_Rounds` runs only the linear half, with the full
+rounds' bits. On a tree partition that takes about a cluster diameter of rounds (the
 finite termination of min-sum on trees).
 """
 
@@ -1070,13 +1069,13 @@ def baseline(kind, problem, params=None, x0=None):
       minsum_splitting      :func:`minsum_splitting` on a list of (H_v, b_v):
                             W, delta, Gamma, gamma, max_rounds, tol only
 
-    All but minsum_splitting run on :func:`_drive`: tol bounds the iterate
-    increment (minsum: the gradient norm), a non-finite x0 raises
-    ObjectiveError, and divergence is flagged, never raised. SolverError,
-    before any work: an unknown kind or params key, a missing W or clusters,
-    clusters that are no partition, dgd off a CtaProblem, an x0 for
-    minsum_splitting, a malformed tau, step, max_rounds or tol. NotQuadratic:
-    the other kinds off a QuadraticObjective. A singular block raises
+    All run on :func:`_drive`: tol bounds the iterate increment (minsum: the
+    gradient norm), a non-finite x0 raises ObjectiveError, and divergence is
+    flagged, never raised. SolverError, before any work: an unknown kind or
+    params key, a missing W or clusters, clusters that are no partition, dgd
+    off a CtaProblem, an x0 for minsum_splitting, a malformed tau, step,
+    max_rounds or tol. NotQuadratic: the other kinds off a
+    QuadraticObjective. A singular block raises
     IllPosedSubproblem (minsum: or SingularSenderCurvature).
     """
     if kind not in _BASELINE_PARAMS:
@@ -1169,12 +1168,13 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     delta=1 and Gamma = gamma W the asymptotic factor is
         rho_K = sqrt((1 - sqrt(1 - rho_W^2)) / (1 + sqrt(1 - rho_W^2)))
     at the optimal gamma = 2 / (1 + sqrt(1 - rho_W^2)).
-    ``trace.stop_reason`` is ``tol_x`` once the outputs are within ``tol`` of
-    x_star, ``diverged`` on the driver's ``_diverged`` rule or a singular R_v,
-    else ``max_rounds``. The recursion keeps its own loop, as it has no
-    objective whose gradient or value the driver could record (NaN columns).
-    A W that is not n x n, or a max_rounds or tol that ``SolverConfig``
-    rejects, raises SolverError.
+    The rounds run undamped on :func:`_drive`, each sending 2 nnz(Gamma)
+    vectors, from x = 0, with ``tol`` as ``tol_x``. The trace records the
+    consensus objective held at each agent's estimate, sum_v F(x_v) with F(z)
+    = sum_u 1/2 <H_u z, z> - <b_u, z>, against its minimizer Hbar^{-1} bbar
+    on every node. A singular R_v raises IllPosedSubproblem; a W that is not
+    n x n, or a max_rounds or tol that ``SolverConfig`` rejects, raises
+    SolverError.
     """
     Hs = [np.asarray(H, dtype=float) for (H, _) in consensus_locals]
     bs = [np.asarray(b, dtype=float) for (_, b) in consensus_locals]
@@ -1183,7 +1183,7 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     W = np.asarray(W, dtype=float)
     if W.shape != (n, n):
         raise SolverError(f"W must be {n} x {n}, got shape {W.shape}")
-    SolverConfig(max_rounds=max_rounds, tol_x=tol)     # SolverError on malformed ones
+    config = SolverConfig(max_rounds=max_rounds, tol_x=tol)
     rho_W = _rho_perp(W)
     if gamma is None:
         gamma = 2.0 / (1.0 + math.sqrt(max(1.0 - rho_W ** 2, 0.0)))
@@ -1198,43 +1198,25 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     K22 = (1 - delta) * np.eye(n)
     K = np.block([[K11, K12], [K21, K22]])
 
-    Hbar = sum(Hs) / n
-    bbar = sum(bs) / n
-    x_star = np.linalg.solve(Hbar, bbar)
-
+    problem = QuadraticObjective(n, d, np.repeat(sum(Hs)[None], n, axis=0),
+                                 np.repeat(-sum(bs)[None], n, axis=0))
+    x_star = np.repeat(np.linalg.solve(sum(Hs) / n, sum(bs) / n)[None], n, axis=0)
+    config.track_oracle = (x_star, problem.value(x_star))
     R = np.concatenate([np.stack(Hs), np.stack(Hs)], axis=0)   # (2n, d, d)
     rv = np.concatenate([np.stack(bs), np.stack(bs)], axis=0)  # (2n, d)
-    trace = RunTrace()
-    x = np.zeros((n, d))
-    trace.dist_to_opt.append(float(np.linalg.norm(x - x_star[None, :].repeat(n, 0))))
-    trace.grad_norm.append(float("nan"))
-    trace.phi_gap.append(float("nan"))
-    trace.vectors_sent.append(0)
+    sent = 2 * int((np.abs(Gamma) > 0).sum())
+
+    def step(x):
+        nonlocal R, rv
+        R = np.einsum("ab,bij->aij", K, R)
+        rv = np.einsum("ab,bi->ai", K, rv)
+        with _ill_posed:
+            return np.linalg.solve(R[:n], rv[:n, :, None])[..., 0], sent
+
+    trace = _drive(problem, None, config, None, lambda x: step)
     rho_K = math.sqrt((1 - math.sqrt(max(1 - rho_W ** 2, 0.0)))
                       / (1 + math.sqrt(max(1 - rho_W ** 2, 0.0))))
     trace.monitor = {"rho_K": rho_K, "gamma": gamma, "rho_W": rho_W}
-    trace.stop_reason = "max_rounds"
-    for s in range(max_rounds):
-        R = np.einsum("ab,bij->aij", K, R)
-        rv = np.einsum("ab,bi->ai", K, rv)
-        try:
-            x = np.linalg.solve(R[:n], rv[:n, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            trace.diverged, trace.stop_reason = True, "diverged"
-            break
-        err = float(np.linalg.norm(x - x_star[None, :].repeat(n, 0)))
-        trace.dist_to_opt.append(err)
-        trace.grad_norm.append(float("nan"))
-        trace.phi_gap.append(float("nan"))
-        trace.vectors_sent.append((s + 1) * 2 * int((np.abs(Gamma) > 0).sum()))
-        trace.rounds = s + 1
-        if err <= tol:
-            trace.converged, trace.stop_reason = True, "tol_x"
-            break
-        if _diverged(x):
-            trace.diverged, trace.stop_reason = True, "diverged"
-            break
-    trace.x_final = x
     return trace
 
 

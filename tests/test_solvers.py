@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -333,17 +334,107 @@ def test_minsum_splitting_consensus_rate():
 
 @pytest.mark.parametrize("scale, rounds", [(2.0, 0), (2.0 - 1e-12, 1)])
 def test_minsum_splitting_flags_both_divergences(scale, rounds):
-    # Gamma = 2 [[0, 1], [1, 0]] makes the first R_1 singular (0 rounds);
-    # 1e-12 less leaves it invertible but sends x_1 to ~3.2e12, which the
-    # round driver's rule ``_diverged`` flags after one round
+    # Gamma = 2 [[0, 1], [1, 0]] makes the first R_1 singular, an ill-posed
+    # round; 1e-12 less leaves it invertible but sends x_1 to ~3.2e12, which
+    # the round driver's rule ``_diverged`` flags after one round
     W = np.full((2, 2), 0.5)
-    locs = [(np.array([[1.0]]), np.array([1.0])),
-            (np.array([[-0.5]]), np.array([0.3]))]
     Gamma = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
-    tr = minsum_splitting(locs, W, delta=1.0, Gamma=Gamma, max_rounds=50)
+    run = partial(minsum_splitting, _SPLIT_SINGULAR, W, delta=1.0, Gamma=Gamma, max_rounds=50)
+    if rounds == 0:
+        with pytest.raises(IllPosedSubproblem):
+            run()
+        return
+    tr = run()
     assert tr.diverged and not tr.converged
     assert tr.rounds == rounds and len(tr.dist_to_opt) == rounds + 1
     assert (np.abs(tr.x_final).max() > 1e12) == (rounds == 1)
+
+
+def _minsum_splitting_reference(consensus_locals, W, delta=None, Gamma=None, gamma=None,
+                                max_rounds=2000, tol=1e-12):
+    """The splitting recursion as its own loop, as it ran before it moved
+    onto the round driver: it stops once the outputs are within ``tol`` of
+    x_star and records NaN gradients and values."""
+    Hs = [np.asarray(H, dtype=float) for (H, _) in consensus_locals]
+    bs = [np.asarray(b, dtype=float) for (_, b) in consensus_locals]
+    n = len(Hs)
+    d = bs[0].shape[0]
+    W = np.asarray(W, dtype=float)
+    rho_W = solvers._rho_perp(W)
+    if gamma is None:
+        gamma = 2.0 / (1.0 + math.sqrt(max(1.0 - rho_W ** 2, 0.0)))
+    if delta is None:
+        delta = 1.0
+    if Gamma is None:
+        Gamma = gamma * W
+    ones = np.ones(n)
+    K11 = (1 - delta) * np.eye(n) - (1 - delta) * np.diag(Gamma @ ones) + delta * Gamma
+    K12 = delta * np.eye(n)
+    K21 = delta * np.eye(n) - delta * np.diag(Gamma @ ones) + (1 - delta) * Gamma
+    K22 = (1 - delta) * np.eye(n)
+    K = np.block([[K11, K12], [K21, K22]])
+    x_star = np.linalg.solve(sum(Hs) / n, sum(bs) / n)
+    R = np.concatenate([np.stack(Hs), np.stack(Hs)], axis=0)
+    rv = np.concatenate([np.stack(bs), np.stack(bs)], axis=0)
+    trace = solvers.RunTrace()
+    x = np.zeros((n, d))
+    trace.dist_to_opt.append(float(np.linalg.norm(x - x_star[None, :].repeat(n, 0))))
+    trace.grad_norm.append(float("nan"))
+    trace.phi_gap.append(float("nan"))
+    trace.vectors_sent.append(0)
+    trace.stop_reason = "max_rounds"
+    for s in range(max_rounds):
+        R = np.einsum("ab,bij->aij", K, R)
+        rv = np.einsum("ab,bi->ai", K, rv)
+        try:
+            x = np.linalg.solve(R[:n], rv[:n, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            trace.diverged, trace.stop_reason = True, "diverged"
+            break
+        err = float(np.linalg.norm(x - x_star[None, :].repeat(n, 0)))
+        trace.dist_to_opt.append(err)
+        trace.grad_norm.append(float("nan"))
+        trace.phi_gap.append(float("nan"))
+        trace.vectors_sent.append((s + 1) * 2 * int((np.abs(Gamma) > 0).sum()))
+        trace.rounds = s + 1
+        if err <= tol:
+            trace.converged, trace.stop_reason = True, "tol_x"
+            break
+        if solvers._diverged(x):
+            trace.diverged, trace.stop_reason = True, "diverged"
+            break
+    trace.x_final = x
+    return trace
+
+
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=3),
+       st.floats(min_value=0.5, max_value=1.0), st.floats(min_value=0.5, max_value=1.5),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_minsum_splitting_on_the_driver_equals_its_own_loop(n, d, delta, scale, rounds, seed):
+    """At tol = 0 the recursion on the round driver keeps its own loop's
+    iterates, distances, vector counts and divergence verdict, bit for bit,
+    and records the gradient of the consensus objective sum_v F(x_v). The
+    loop stopped on an exact hit of x_star, which no agent knows; it runs
+    here with that rule off (tol = -1) for the driver's rounds, which end on
+    an exact fixed point (tol_x), on divergence or at max_rounds."""
+    rng = np.random.default_rng(seed)
+    W = (np.full((2, 2), 0.5) if n == 2
+         else metropolis_weights(generate_topology("ring", m=n)).W)
+    locs = []
+    for _ in range(n):
+        M = rng.standard_normal((d, d))
+        locs.append((M @ M.T + d * np.eye(d), rng.standard_normal(d)))
+    with np.errstate(all="ignore"):
+        tr = minsum_splitting(locs, W, delta=delta, Gamma=scale * W, max_rounds=rounds, tol=0.0)
+        want = _minsum_splitting_reference(locs, W, delta=delta, Gamma=scale * W,
+                                           max_rounds=tr.rounds, tol=-1.0)
+    assert tr.rounds == want.rounds and tr.diverged == want.diverged
+    assert solvers._same_bits(tr.x_final, want.x_final)
+    assert solvers._same_bits(np.array(tr.dist_to_opt), np.array(want.dist_to_opt))
+    assert tr.vectors_sent == want.vectors_sent
+    g = tr.x_final @ sum(H for H, _ in locs).T - sum(b for _, b in locs)
+    assert tr.grad_norm[-1] == pytest.approx(np.linalg.norm(g), rel=1e-12, abs=1e-12)
 
 
 def loopy_nondd_qp(seed=0, m=6):
@@ -584,6 +675,8 @@ _P8 = generate_partition("ring_P2", _G8, D=1)
 # consensus locals for minsum_splitting on the 4-ring
 _LOCS4 = [(np.eye(1), np.zeros(1))] * 4
 _W4 = metropolis_weights(_G4).W
+# consensus locals whose first splitting round is singular at Gamma = 2 [[0, 1], [1, 0]]
+_SPLIT_SINGULAR = [(np.array([[1.0]]), np.array([1.0])), (np.array([[-0.5]]), np.array([0.3]))]
 
 
 def _surrogate_run(problem, family, **spec):
@@ -628,6 +721,9 @@ def _surrogate_run(problem, family, **spec):
     (SolverError, lambda: minsum_splitting(_LOCS4, _W4, max_rounds=2.5)),
     (SolverError, lambda: minsum_splitting(_LOCS4, _W4, tol=None)),
     (SolverError, lambda: minsum_splitting(_LOCS4, _W4, tol=-1.0)),
+    (IllPosedSubproblem, lambda: minsum_splitting(
+        _SPLIT_SINGULAR, np.full((2, 2), 0.5), delta=1.0,
+        Gamma=2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))),
     (SolverError, lambda: baseline("jacobi", _Q8, {"max_rounds": 2.5})),
     (SolverError, lambda: baseline("minsum", _Q8, {"max_rounds": 2.5})),
     (SolverError, lambda: baseline("jacobi", _Q8, {"tol": None})),
@@ -642,6 +738,7 @@ def _surrogate_run(problem, family, **spec):
         "gradient_step_inf", "jacobi_tau_none", "manual_tau_negative", "manual_tau_nan",
         "manual_tau_none", "splitting_W_shape", "splitting_rounds_negative",
         "splitting_rounds_fraction", "splitting_tol_none", "splitting_tol_negative",
+        "splitting_singular",
         "baseline_rounds_fraction", "minsum_rounds_fraction", "baseline_tol_none",
         "minsum_tol_none", "baseline_tol_string", "minsum_tol_nan"])
 def test_solvers_raise_typed_errors(exc, make):
@@ -1464,12 +1561,11 @@ def test_diverging_run_stops_where_it_did(tau, scale, rounds):
 
 
 def _stop_rows():
-    """(solver call, expected stop_reason): every rule of ``_drive`` and
-    of ``minsum_splitting``."""
+    """(solver call, expected stop_reason): every rule of ``_drive``, on
+    the engines and on ``minsum_splitting``."""
     q, part = random_valid_instance(3)
     split_locs = [(np.array([[1.0 + i]]), np.array([0.5 * i])) for i in range(4)]
     split_W = metropolis_weights(generate_topology("ring", m=4)).W
-    singular = [(np.array([[1.0]]), np.array([1.0])), (np.array([[-0.5]]), np.array([0.3]))]
     return {
         "tol_x": (lambda: mp_jacobi(q, part, SolverConfig(tau=0.5)), "tol_x"),
         "tol_grad": (lambda: baseline("minsum", walk_summable_qp(), {"tol": 1e-8}),
@@ -1483,9 +1579,6 @@ def _stop_rows():
             tau=0.5, max_rounds=3, surrogate=SurrogateSpec(family="schur_quadratic",
                                                            Q=2.0))), "max_rounds"),
         "splitting_tol": (lambda: minsum_splitting(split_locs, split_W, tol=1e-10), "tol_x"),
-        "splitting_singular": (lambda: minsum_splitting(
-            singular, np.full((2, 2), 0.5), delta=1.0,
-            Gamma=2.0 * np.array([[0.0, 1.0], [1.0, 0.0]])), "diverged"),
         "splitting_max_rounds": (lambda: minsum_splitting(split_locs, split_W, max_rounds=2,
                                                           tol=0.0), "max_rounds"),
     }
