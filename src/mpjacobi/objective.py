@@ -12,7 +12,6 @@ Iterates are ndarrays of shape (m, d): block i is x[i].
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -426,6 +425,12 @@ class SmoothObjective:
     phi: list
     psi: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for key in self.psi:
+            if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] < key[1] < self.m):
+                raise ObjectiveError(f"psi keys must be pairs (i, j) with 0 <= i < j < "
+                                     f"{self.m}, got {key!r}")
+
     def pair_grad_first(self, i, j, xi, xj):
         """Gradient of psi_ij w.r.t. its first listed argument x_i."""
         if i < j:
@@ -794,7 +799,7 @@ _SCALED_STEPS = 8    # the test suite's scaled certificates take <= 8 steps, bar
 
 
 def _oracle_shift(n, norm):
-    """The certificates' shift s = (1e-12 + 5 n^2 u) max(N, 1) for an
+    """The certificate's shift s = (1e-12 + 5 n^2 u) max(N, 1) for an
     (n, n) matrix and a bound N on sqrt(2) ||H||_F."""
     return (1e-12 + 5.0 * n * n * _U) * max(norm, 1.0)
 
@@ -870,29 +875,6 @@ def _gershgorin_certified(q):
     return False
 
 
-def _certified_positive_definite(H):
-    """Whether a Cholesky factorization of H - s I completes, s the oracle's
-    shift for N = sqrt(2) ||H||_F; H, row- or column-major, keeps its bits.
-    It reads, like ``eigvalsh``, the symmetric L that H's lower triangle
-    defines; ||L||_2 <= N. The factored A = L - S has |S_ii - s| <= u (N +
-    s), and R^T R = A + dA with ||dA||_2 <= gamma_{n+1} trace(A) (1 + O(nu))
-    <= (n^2 + n) u N (1 + O(nu)) (Higham, Thm 10.5).
-    """
-    n = H.shape[0]
-    norm = math.sqrt(2.0) * float(np.linalg.norm(H))
-    if n == 0 or not math.isfinite(norm):
-        return False
-    diag = H.diagonal().copy()
-    np.fill_diagonal(H, diag - _oracle_shift(n, norm))
-    try:
-        np.linalg.cholesky(H)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        np.fill_diagonal(H, diag)
-
-
 def global_solve_oracle(q):
     """Ground-truth minimizer of an assembled quadratic.
 
@@ -900,21 +882,20 @@ def global_solve_oracle(q):
     the min-norm solution provided the system is consistent.
     Returns (x_star, phi_star).
 
-    The direct solve runs when a certificate proves lambda_min(H) > s -
-    3 n^2 u max(N, 1), s = (1e-12 + 5 n^2 u) max(N, 1) (:func:`_oracle_shift`),
-    u = 2^-53, N >= sqrt(2) ||H||_F: the condition lambda_min(H) > 1e-12
+    The direct solve runs when the scaled Gershgorin bound
+    (:func:`_gershgorin_certified`) proves lambda_min(H) > s - 3 n^2 u
+    max(N, 1), s = (1e-12 + 5 n^2 u) max(N, 1) (:func:`_oracle_shift`), u =
+    2^-53, N >= sqrt(2) ||H||_F: the condition lambda_min(H) > 1e-12
     max(|lambda_max(H)|, 1), with 2 n^2 u max(N, 1) to spare for computed
-    eigenvalues. Both certificates test computed sums with a slack above
-    their gamma_K = K u / (1 - K u), the error bound of a sum of K terms in
-    any order (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., Sec. 4.2). The scaled Gershgorin bound
-    (:func:`_gershgorin_certified`) goes first, then Cholesky
-    (:func:`_certified_positive_definite`), then the eigenvalues. Each
-    certificate holds only where that test passes, so the result, or the
-    exception type, is the same on every path.
+    eigenvalues. The bound tests computed sums with a slack above their
+    gamma_K = K u / (1 - K u), the error bound of a sum of K terms in any
+    order (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Sec. 4.2). Where it refuses, the eigenvalues decide. It holds only where
+    that test passes, so the result, or the exception type, is the same on
+    both paths.
     """
     H, b = q.assemble()
-    certified = _gershgorin_certified(q) or _certified_positive_definite(H)
+    certified = _gershgorin_certified(q)
     if not certified:
         vals = np.linalg.eigvalsh(H)
         scale = max(abs(vals[-1]), 1.0)
@@ -935,30 +916,23 @@ def global_solve_oracle(q):
 # serialization
 
 
-def _encode_array(a, binary):
-    a = np.asarray(a, dtype=float)
-    if binary:
-        return {"shape": list(a.shape),
-                "b64": base64.b64encode(np.ascontiguousarray(a).tobytes()).decode()}
-    return a.tolist()
+def _encode_array(a):
+    return np.asarray(a, dtype=float).tolist()
 
 
-def _decode_array(obj):
-    if isinstance(obj, dict):
-        return np.frombuffer(base64.b64decode(obj["b64"]), dtype=float).reshape(obj["shape"]).copy()
-    return np.asarray(obj, dtype=float)
-
-
-def problem_to_json(q, binary=False):
-    """Stable JSON layout: {kind, m, d, diag, lin, pair, hyper}."""
+def problem_to_json(q):
+    """Stable JSON layout: {kind, m, d, diag, lin, pair, hyper}. Floats are
+    written as their shortest round-trip repr, infinities and NaN as JSON's
+    Infinity and NaN, so every float but a NaN comes back with its bits,
+    -0.0 included, and a NaN as NaN."""
     doc = {
         "kind": "quadratic",
         "m": q.m,
         "d": q.d,
-        "diag": _encode_array(q.diag, binary),
-        "lin": _encode_array(q.lin, binary),
-        "pair": [[i, j, _encode_array(B, binary)] for (i, j), B in sorted(q.pair.items())],
-        "hyper": [[list(w), _encode_array(H, binary)] for w, H in sorted(q.hyper.items())],
+        "diag": _encode_array(q.diag),
+        "lin": _encode_array(q.lin),
+        "pair": [[i, j, _encode_array(B)] for (i, j), B in sorted(q.pair.items())],
+        "hyper": [[list(w), _encode_array(H)] for w, H in sorted(q.hyper.items())],
     }
     return json.dumps(doc)
 
@@ -967,8 +941,6 @@ def problem_from_json(text):
     doc = json.loads(text)
     if doc["kind"] != "quadratic":
         raise ObjectiveError(f"unsupported problem kind {doc['kind']!r}")
-    pair = {(int(i), int(j)): _decode_array(B) for i, j, B in doc["pair"]}
-    hyper = {tuple(int(t) for t in w): _decode_array(H) for w, H in doc["hyper"]}
-    return QuadraticObjective(int(doc["m"]), int(doc["d"]),
-                              _decode_array(doc["diag"]), _decode_array(doc["lin"]),
-                              pair, hyper)
+    pair = {(int(i), int(j)): B for i, j, B in doc["pair"]}
+    hyper = {tuple(int(t) for t in w): H for w, H in doc["hyper"]}
+    return QuadraticObjective(int(doc["m"]), int(doc["d"]), doc["diag"], doc["lin"], pair, hyper)

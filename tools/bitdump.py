@@ -53,11 +53,11 @@ with Q = 2 H_ii and M_edge the symmetric part of each coupling: finite
 2 x 2 blocks, whose products are made from column planes, meet iterates
 whose products overflow to inf and sum to NaN in the ``overflow`` run.
 Every run also saves its ``rounds``. The ``x_star`` and ``phi_star`` of
-one ``global_solve_oracle`` call per path the oracle can take go under
-``oracle/seed<n>/<path>``, on a fixed operator per path with a linear
+one ``global_solve_oracle`` call per oracle problem go under
+``oracle/seed<n>/<path>``, on a fixed operator per problem with a linear
 term drawn from the seed (``oracle_problems``, at every size): ``plain``
-and ``weighted`` Gershgorin certificates, ``cholesky``, a direct solve
-chosen by ``eigvalsh`` and a ``pinv`` solve. The library and the
+and ``weighted`` Gershgorin certificates, direct solves chosen by
+``eigvalsh`` (``cholesky`` and ``eigvalsh``) and a ``pinv`` solve. The library and the
 workloads come from the checkout named by ``--root`` (default: this one),
 so one copy of this script dumps any revision.
 
@@ -245,15 +245,17 @@ def diverge_solves(seed, m, d, kappa, schur=False):
 
 
 def oracle_problems(seed):
-    """{path: problem}, one per path of ``global_solve_oracle``, each with
-    a standard normal linear term from ``seed``: ``build_random_qp`` at
-    operator seed 0 on an 8-ring at d = 2 and kappa = 2 (``plain``: the
-    Gershgorin bound certifies it at unit weights) and kappa = 10
-    (``weighted``: it needs the scaled bound), and on a 4 x 4 grid at d = 2
-    and kappa = 100 (``cholesky``); the unit-weight 8-ring Laplacian plus
-    6e-12 I (``eigvalsh``: lambda_min lies between the eigenvalue test's
-    4e-12 and the certificates' shift, about 1e-11) and the Laplacian itself
-    with a linear term of mean 0 (``pinv``)."""
+    """{path: problem}, each with a standard normal linear term from
+    ``seed``: ``build_random_qp`` at operator seed 0 on an 8-ring at d = 2
+    and kappa = 2 (``plain``: the Gershgorin bound certifies it at unit
+    weights) and kappa = 10 (``weighted``: it needs the scaled bound), and
+    on a 4 x 4 grid at d = 2 and kappa = 100 (``cholesky``, named for the
+    Cholesky certificate that once settled it, so that dumps still compare:
+    the bound refuses it and the eigenvalue test settles it); the
+    unit-weight 8-ring Laplacian plus 6e-12 I (``eigvalsh``: lambda_min lies
+    between the eigenvalue test's 4e-12 and the certificate's shift, about
+    1e-11) and the Laplacian itself with a linear term of mean 0
+    (``pinv``)."""
     from mpjacobi import objective, topology
     ring, grid = (topology.generate_topology("ring", m=8),
                   topology.generate_topology("grid2d", side=4))
