@@ -7,8 +7,8 @@ Every update in round nu reads the committed round-nu snapshot
 iterative solver and baseline. Every message engine splits its round into its
 rule's curvature and linear halves (``messages``); once the curvature half is
 at a fixed point, :class:`_Rounds` runs only the linear half, with the full
-rounds' bits. On a tree partition that takes about a cluster diameter of rounds (the
-finite termination of min-sum on trees).
+rounds' bits. On a tree partition that takes about a cluster diameter of
+rounds (the finite termination of min-sum on trees).
 """
 
 from __future__ import annotations
@@ -1075,8 +1075,8 @@ def baseline(kind, problem, params=None, x0=None):
     params key, a missing W or clusters, clusters that are no partition, dgd
     off a CtaProblem, an x0 for minsum_splitting, a malformed tau, step,
     max_rounds or tol. NotQuadratic: the other kinds off a
-    QuadraticObjective. A singular block raises
-    IllPosedSubproblem (minsum: or SingularSenderCurvature).
+    QuadraticObjective. A singular block raises IllPosedSubproblem (minsum:
+    or SingularSenderCurvature).
     """
     if kind not in _BASELINE_PARAMS:
         raise SolverError(f"unknown baseline {kind!r}; kinds: {list(_BASELINE_PARAMS)}")
@@ -1198,9 +1198,10 @@ def minsum_splitting(consensus_locals, W, delta=None, Gamma=None, gamma=None,
     K22 = (1 - delta) * np.eye(n)
     K = np.block([[K11, K12], [K21, K22]])
 
-    problem = QuadraticObjective(n, d, np.repeat(sum(Hs)[None], n, axis=0),
-                                 np.repeat(-sum(bs)[None], n, axis=0))
-    x_star = np.repeat(np.linalg.solve(sum(Hs) / n, sum(bs) / n)[None], n, axis=0)
+    H_sum, b_sum = sum(Hs), sum(bs)
+    problem = QuadraticObjective(n, d, np.repeat(H_sum[None], n, axis=0),
+                                 np.repeat(-b_sum[None], n, axis=0))
+    x_star = np.repeat(np.linalg.solve(H_sum / n, b_sum / n)[None], n, axis=0)
     config.track_oracle = (x_star, problem.value(x_star))
     R = np.concatenate([np.stack(Hs), np.stack(Hs)], axis=0)   # (2n, d, d)
     rv = np.concatenate([np.stack(bs), np.stack(bs)], axis=0)  # (2n, d)
