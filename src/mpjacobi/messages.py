@@ -31,7 +31,8 @@ These hold for all of them:
     multiple of 16 entries, so that every add runs in numpy's vector loop,
     which keeps its first operand's NaN as einsum keeps p0 (on numpy 2.4
     with AVX-512 the scalar tail, the last n mod 8 entries, may keep the
-    second). They may raise floating-point warnings where einsum does not.
+    second). They may meet floating-point errors where einsum does not,
+    which a run ignores by its one policy (``solvers._drive``).
   * The exact rule, whose iterates the golden traces freeze, solves by
     :class:`LapackSystem` (``np.linalg.solve``'s bits) and multiplies by
     :func:`block_matmul` (``np.matmul``'s). The others solve by
@@ -49,7 +50,6 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -148,45 +148,35 @@ def struct_solve(A, rhs):
 class LapackSystem:
     """Matrices A (..., d, d) whose solves have the bits of
     ``np.linalg.solve(A, rhs)`` (``test_lapack_solve_equals_numpy_bitwise``).
-    d >= 2 calls it (numpy cannot repeat its FMA kernels), and a singular A
-    raises there. d = 1 repeats OpenBLAS without LAPACK: one right-hand side is
-    divided by the pivot (trsv), more are multiplied by its reciprocal (trsm),
-    formed on first use, which differs in the last bit on about half of all
-    inputs; an exact zero pivot (-0.0 too) raises
-    ``np.linalg.LinAlgError("Singular matrix")``. ``solve`` and ``columns``
-    ignore floating-point errors; ``vector`` and the column map do not, so a
-    round takes them under one ``np.errstate``."""
+    ``solve`` calls it, as do the others at d >= 2 (numpy cannot repeat its
+    FMA kernels), and a singular A raises there. At d = 1 ``vector`` and
+    ``columns`` repeat OpenBLAS without LAPACK: one right-hand side is divided
+    by the pivot (trsv), more are multiplied by its reciprocal (trsm), which
+    differs in the last bit on about half of all inputs; an exact zero pivot
+    (-0.0 too) raises ``np.linalg.LinAlgError("Singular matrix")``."""
 
     def __init__(self, A):
         self.A = A
-        self.scalar = A.shape[-1] == 1
-        if self.scalar and np.count_nonzero(A) < A.size:
+        self.pivots = A[..., 0] if A.shape[-1] == 1 else None     # d = 1 only
+        if self.pivots is not None and np.count_nonzero(A) < A.size:
             raise np.linalg.LinAlgError("Singular matrix")
 
-    @cached_property
-    def inverse(self):
-        return 1.0 / self.A
-
     def solve(self, rhs):
-        if not self.scalar:
-            return np.linalg.solve(self.A, rhs)
-        with np.errstate(all="ignore"):
-            return rhs / self.A if rhs.shape[-1] == 1 else rhs * self.inverse
+        return np.linalg.solve(self.A, rhs)
 
     def vector(self, v):
         """``solve(v[..., None])[..., 0]`` for one right-hand side v
         (..., d): at d = 1, v divided by the stored pivots."""
-        if not self.scalar:
+        if self.pivots is None:
             return np.linalg.solve(self.A, v[..., None])[..., 0]
-        return v / self.A[..., 0]
+        return v / self.pivots
 
     def columns(self, F, c):
         """As :meth:`StructSystem.columns`; at d = 1 F and c times 1 / A."""
-        if not self.scalar:
+        if self.pivots is None:
             return _joint_columns(self.solve, F, c)
-        with np.errstate(all="ignore"):
-            inverse = self.inverse[..., 0]
-            return F * inverse[..., None], c * inverse, lambda c: c * inverse
+        inverse = 1.0 / self.pivots
+        return F * inverse[..., None], c * inverse, lambda c: c * inverse
 
 
 def block_matmul(B, X):

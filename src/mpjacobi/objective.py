@@ -272,6 +272,7 @@ class QuadraticObjective:
         if d == 1 and not groups:       # grad's couplings and source nodes by slot
             self._slot_coef = np.append(np.repeat(self.pair_blocks.reshape(-1), 2), 0.0)[slots]
             self._slot_src = np.append(ij[:, ::-1].reshape(-1), m)[slots]
+            self._slot_pads = bool(np.any(self._slot_src == m))
 
     # -- structure ---------------------------------------------------------
 
@@ -350,9 +351,11 @@ class QuadraticObjective:
         summed by :class:`RowScatter`, so each iterate holds the bits of its
         own gradient (``test_grad_of_a_stack_is_the_stacked_grads``). A
         pairwise stack at d = 1 folds the pair products into the slot sum, in
-        (K, m) layout: g = (diag x + b) + 0.0, then per slot g + coupling * x
-        at the slot's node, a pad reading coupling 0 at an appended zero
-        column; as g is never -0.0, the products need no + 0.0."""
+        (K, m) layout: g = (diag x + b) + 0.0, formed in place, then per slot
+        g + coupling * x at the slot's node, a pad reading coupling 0 at a
+        zero column appended when some slot pads; as g is never -0.0, the
+        products need no + 0.0. Every path returns a new array, which
+        ``RunTrace.record`` reuses."""
         m, d = self.m, self.d
         x = np.asarray(x, dtype=float)
         if x.shape == (m * d,):
@@ -362,8 +365,11 @@ class QuadraticObjective:
                                  f"got {x.shape}")
         lead, K = x.shape[:-2], math.prod(x.shape[:-2])
         if d == 1 and K > 1 and not self.hyper_groups:
-            g = (self.diag.reshape(m) * x.reshape(K, m) + self.lin.reshape(m)) + 0.0
-            xs = np.concatenate((x.reshape(K, m), np.zeros((K, 1))), axis=1)
+            g = np.multiply(self.diag.reshape(m), x.reshape(K, m))
+            np.add(np.add(g, self.lin.reshape(m), out=g), 0.0, out=g)
+            xs = x.reshape(K, m)
+            if self._slot_pads:
+                xs = np.concatenate((xs, np.zeros((K, 1))), axis=1)
             term = np.empty((K, m))
             for coef, src in zip(self._slot_coef, self._slot_src):
                 np.add(g, np.multiply(coef, xs.take(src, axis=1, out=term, mode="clip"),

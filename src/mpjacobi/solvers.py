@@ -134,9 +134,9 @@ class RunTrace:
         its iterate's own metric
         (``test_batched_record_is_the_per_iterate_metrics``): on a
         QuadraticObjective from one ``grad`` call, with values phi(x) = 1/2 <x,
-        g + b>, else one iterate at a time. Norms and inner products are
-        ``np.vecdot`` over C-contiguous rows, the BLAS ddot that
-        ``np.linalg.norm`` and ``np.vdot`` take on one iterate."""
+        g + b>, else one iterate at a time; g + b, then x - x*, are formed in
+        the new array g. Norms and inner products are ``np.vecdot`` over
+        C-contiguous rows, the BLAS ddot of ``np.linalg.norm`` and ``np.vdot``."""
         n = len(xs)
         flat = xs.reshape(n, -1)
         quadratic = isinstance(problem, QuadraticObjective)
@@ -148,11 +148,11 @@ class RunTrace:
         if oracle is not None:
             x_star, phi_star = oracle
             if quadratic:
-                values = 0.5 * np.vecdot(flat, g + problem.lin.reshape(-1))
+                values = 0.5 * np.vecdot(flat, np.add(g, problem.lin.reshape(-1), out=g))
             else:
                 values = np.array([problem.value(x) for x in xs])
             self.phi_gap.extend((values - phi_star).tolist())
-            err = flat - np.reshape(x_star, -1)
+            err = np.subtract(flat, np.reshape(x_star, -1), out=g)
             self.dist_to_opt.extend(np.sqrt(np.vecdot(err, err)).tolist())
         else:
             self.phi_gap.extend([float("nan")] * n)
@@ -327,10 +327,10 @@ def _variable_solve(G, g):
         return -struct_solve(G, g)
 
 
-# Iterates per RunTrace.record call in _drive. A call has a fixed cost
-# (25-55 us on the benchmark workloads): a record costs 8.7 us per iterate
-# at 16, 7.1 at 32 and 6.1 at 64 on ring_schur (path_exact: 5.4, 4.4, 4.3),
-# but at 64 its temporaries fault pages in again (100-200 a solve).
+# Iterates per RunTrace.record call in _drive. Per iterate a record costs
+# 9.7 us at 16, 7.8 at 32 and 9.7 at 64 on ring_schur (path_exact: 5.4,
+# 5.4, 5.6; a set-up between solves, one BLAS thread), and at 64 its buffers
+# fault pages in again (150-190 a solve, against 0-80 at 32).
 RECORD_BATCH = 32
 
 
@@ -348,6 +348,11 @@ def _drive(problem, tau_node, config, x0, start):
     ``RunTrace.record`` call per RECORD_BATCH and one at the end, and one at a
     time under ``tol_grad``, whose rule reads every gradient norm.
 
+    One floating-point policy holds from ``start(x)`` (any warm-start sweeps)
+    to the final record: errors are ignored, under one ``np.errstate`` that no
+    kernel repeats, and an overflow or NaN is left to the divergence rule;
+    ``np.linalg.solve`` sets its own, so a singular system still raises.
+
     Divergence is read through a running bound b, max |x0| plus every round's
     change: ``_diverged`` runs only in a round where b <= 5e11 fails, and b is
     then reset to the exact max |x|. The verdict is ``_diverged``'s in every
@@ -364,7 +369,6 @@ def _drive(problem, tau_node, config, x0, start):
         x = np.zeros((m, d))
     else:
         x = check_block_vector(as_blocks(x0, m, d)).copy()
-    step = start(x)
     # one stepsize per entry, so the damping runs flat loops, not d-long ones
     tau = None if tau_node is None else np.repeat(tau_node, d).reshape(m, d)
     oracle, max_rounds = config.track_oracle, config.max_rounds
@@ -383,36 +387,38 @@ def _drive(problem, tau_node, config, x0, start):
             trace.record(problem, stack, comms, oracle)
             comms.clear()
 
-    comm, rounds, stop = 0, 0, "max_rounds"
-    bound = float(np.abs(x).max(initial=0.0))
-    keep(x, comm)
-    while rounds < max_rounds:
-        xhat, sent = step(x)
-        comm += sent
-        x, change = _damp(x, xhat, tau, work)
-        rounds += 1
-        bound += change
+    with np.errstate(all="ignore"):
+        step = start(x)
+        comm, rounds, stop = 0, 0, "max_rounds"
+        bound = float(np.abs(x).max(initial=0.0))
         keep(x, comm)
-        if config.monitor:
-            trace.x_history.append(x.copy())
-            trace.xhat_history.append(xhat.copy())
-        if change <= tol_x:
-            stop = "tol_x"
-        elif tol_grad is not None and trace.grad_norm[-1] <= tol_grad:
-            stop = "tol_grad"
-        elif bound <= 5e11:
-            continue
-        elif _diverged(x, work):
-            stop = "diverged"
-        else:
-            bound = float(work.max(initial=0.0))
-            continue
-        break
+        while rounds < max_rounds:
+            xhat, sent = step(x)
+            comm += sent
+            x, change = _damp(x, xhat, tau, work)
+            rounds += 1
+            bound += change
+            keep(x, comm)
+            if config.monitor:
+                trace.x_history.append(x.copy())
+                trace.xhat_history.append(xhat.copy())
+            if change <= tol_x:
+                stop = "tol_x"
+            elif tol_grad is not None and trace.grad_norm[-1] <= tol_grad:
+                stop = "tol_grad"
+            elif bound <= 5e11:
+                continue
+            elif _diverged(x, work):
+                stop = "diverged"
+            else:
+                bound = float(work.max(initial=0.0))
+                continue
+            break
+        if comms:
+            trace.record(problem, stack[:len(comms)], comms, oracle)
     trace.rounds, trace.stop_reason = rounds, stop
     trace.converged = stop in ("tol_x", "tol_grad")
     trace.diverged = stop == "diverged"
-    if comms:
-        trace.record(problem, stack[:len(comms)], comms, oracle)
     trace.x_final = x
     if not trace.converged and config.raise_on_max_rounds:
         why = "diverged" if trace.diverged else "no convergence"
@@ -525,8 +531,8 @@ def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
     ``problem.diag`` for the curvatures and, for the linear terms, from lin
     plus the cross sum, rewritten every round. A curvature round calls the
     exact rule on the senders' sums A and c; a kept round is
-    :func:`exact_linear` on the kept column of c, under one errstate with the
-    node solve, whose system a curvature round has solved already."""
+    :func:`exact_linear` on the kept column of c, with the node solve, whose
+    system a curvature round has solved already."""
     if not isinstance(problem, QuadraticObjective) or problem.hyper:
         raise NotQuadratic("exact pairwise solver needs a pairwise QuadraticObjective")
     lay = _PairwiseLayout(problem, pairs)
@@ -546,14 +552,11 @@ def _exact_run(problem, pairs, tau_node, config, x0, sweeps=0):
         inh = node_h.sums(h_msg)
         c = lay.others(inh, h_msg)
         if kept is None:
-            with _ill_posed, np.errstate(all="ignore"):
+            with _ill_posed:
                 xhat = -node.vector(inh)
             msg = exact_quadratic_message(A, c, B)
             return xhat, msg.H, msg.h, msg.curvature
-        with np.errstate(all="ignore"):
-            xhat = -node.vector(inh)
-            col = kept.solve(c)
-        return xhat, kept.H, exact_linear(B, col), kept
+        return -node.vector(inh), kept.H, exact_linear(B, kept.solve(c)), kept
 
     rounds = _Rounds(*_zero_messages(lay), curvature, linear, lay.vectors)
     return rounds.run(problem, tau_node, config, x0, lay.directed, sweeps)
@@ -793,20 +796,21 @@ def tree_solve(problem, graph):
     B_up = problem.couplings(parent, order)
     H, h = problem.diag.copy(), problem.lin.copy()
     up = []
-    for sl in reversed(levels):                          # leaves towards the root
-        v = order[sl]
-        msg = exact_quadratic_message(H[v], h[v], B_up[sl])
-        np.add.at(H, parent[sl], msg.H)
-        np.add.at(h, parent[sl], msg.h)
-        up.append(msg)
-    for sl, msg in zip(levels, reversed(up)):             # root towards the leaves
-        p = parent[sl]
-        down = exact_quadratic_message(H[p] - msg.H, h[p] - msg.h,
-                                       np.swapaxes(B_up[sl], -1, -2))
-        H[order[sl]] += down.H
-        h[order[sl]] += down.h
-    with _ill_posed:
-        return -LapackSystem(H).solve(h[..., None])[..., 0]
+    with np.errstate(all="ignore"):                     # _drive's policy
+        for sl in reversed(levels):                      # leaves towards the root
+            v = order[sl]
+            msg = exact_quadratic_message(H[v], h[v], B_up[sl])
+            np.add.at(H, parent[sl], msg.H)
+            np.add.at(h, parent[sl], msg.h)
+            up.append(msg)
+        for sl, msg in zip(levels, reversed(up)):         # root towards the leaves
+            p = parent[sl]
+            down = exact_quadratic_message(H[p] - msg.H, h[p] - msg.h,
+                                           np.swapaxes(B_up[sl], -1, -2))
+            H[order[sl]] += down.H
+            h[order[sl]] += down.h
+        with _ill_posed:
+            return -LapackSystem(H).vector(h)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,11 @@ def test_message_set_round_snapshot():
     ms.put((1, 0), QuadraticMessage(np.array([[2.0]]), np.zeros(1)))
     ms.commit()
     assert ms.get((0, 1)).H[0, 0] == 1.0
+    # a round that leaves a message unset cannot commit
+    ms.put((0, 1), QuadraticMessage(np.array([[3.0]]), np.zeros(1)))
+    with pytest.raises(MessageError, match="1 messages unset"):
+        ms.commit()
+    assert ms.get((0, 1)).H[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("form", ["default", "scalar", "shared", "stacked"])
@@ -822,11 +827,10 @@ def test_struct_system_diagonal_where_a_minus_diag_identity_is_zero(seed, d, B):
        st.sampled_from([(), (7,), (3, 4)]), st.sampled_from([1, 1, 2, 3]))
 @settings(max_examples=150, deadline=None)
 def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
-    """LapackSystem.solve returns np.linalg.solve's bits: at d = 1 by
-    division for one right-hand side and by the reciprocal for more, which
-    is how OpenBLAS solves 1 x 1 systems; d >= 2 delegates.
-    ``LapackSystem.vector`` on one right-hand side (..., d) returns the
-    same bits."""
+    """LapackSystem returns np.linalg.solve's bits: at d = 1 ``vector``
+    divides one right-hand side (..., d) by the pivots and ``columns``
+    multiplies more by the reciprocal, which is how OpenBLAS solves 1 x 1
+    systems; ``solve``, and d >= 2, delegate."""
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -839,15 +843,18 @@ def test_lapack_solve_equals_numpy_bitwise(seed, k, batch, d):
 
     rhs = draw(batch + (d, k))
     A = draw(batch + (1, 1)) if d == 1 else rng.standard_normal(batch + (d, d))
-    with np.errstate(all="ignore"):
+    system = LapackSystem(A)
+    with np.errstate(all="ignore"):         # the solvers' policy
         expected = np.linalg.solve(A, rhs)
-    got = LapackSystem(A).solve(rhs)
-    assert got.shape == expected.shape
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    if k == 1:
-        with np.errstate(all="ignore"):
-            vector = LapackSystem(A).vector(rhs[..., 0])
-        assert np.array_equal(vector.view(np.int64), expected[..., 0].view(np.int64))
+        got = system.solve(rhs)
+        if k == 1:
+            columns = system.vector(rhs[..., 0])[..., None]
+        else:
+            X, col, _ = system.columns(rhs[..., :-1], rhs[..., -1])
+            columns = np.concatenate((X, col[..., None]), axis=-1)
+    for out in (got, columns):
+        assert out.shape == expected.shape
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (7,), (3, 4)]),

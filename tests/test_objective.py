@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpjacobi import objective
@@ -447,11 +447,15 @@ def test_compiled_objective_equals_per_coupling_loop(q, seed):
 
 @given(quadratic_objectives(), st.integers(min_value=1, max_value=20),
        st.integers(min_value=0, max_value=2**32 - 1))
+@example(build_random_qp(generate_topology("ring", m=9), 1, 30.0, 1), 20, 1)
+@example(build_random_qp(Graph(9, {(i, i + 1) for i in range(8)}), 1, 30.0, 1), 20, 1)
 @settings(max_examples=150, deadline=None)
 def test_grad_of_a_stack_is_the_stacked_grads(q, K, seed):
     """grad on a (K, m, d) stack holds the single-iterate gradients, bit for
     bit, as a C-contiguous stack; flat (md,) iterates are the unbatched
-    case. Entries span 1e-100 to 1e100 with signed zeros among them."""
+    case. Entries span 1e-100 to 1e100 with signed zeros among them. The
+    d = 1 ring and path examples take the pairwise slot sum without and
+    with a padded slot."""
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((K, q.m, q.d)) * 10.0 ** rng.uniform(-100, 100, (K, q.m, q.d))
     zeros = rng.random(xs.shape) < 0.2

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -757,6 +759,70 @@ def test_mp_jacobi_flags_divergence_early():
                        x0=np.ones((q.m, q.d)))
     assert tr.diverged and not tr.converged
     assert tr.rounds < 100
+
+
+def _overflow_runs(raise_on_max_rounds=False):
+    """Runs whose first round overflows to inf or NaN, from x0 = 1e308 at
+    tau = 1/2 or from x0 = 1 at a stepsize of 1e300: exact messages at
+    d = 1 and d = 2, structured-quadratic messages and the Jacobi
+    baseline."""
+    q1, part1 = random_valid_instance(2)
+    g, q2 = ring_qp(m=8, d=2, seed=3)
+    part2 = generate_partition("ring_P2", g, D=1)
+    schur = SurrogateSpec(family="schur_quadratic", Q=2.0)
+    runs = {}
+    for start, tau in (("huge_x0", 0.5), ("huge_tau", 1e300)):
+        scale = 1e308 if start == "huge_x0" else 1.0
+        config = SolverConfig(tau=tau, max_rounds=50,
+                              raise_on_max_rounds=raise_on_max_rounds)
+        runs.update({
+            f"mp_jacobi_d1/{start}": partial(mp_jacobi, q1, part1, config,
+                                             np.full((q1.m, 1), scale)),
+            f"mp_jacobi_d2/{start}": partial(mp_jacobi, q2, part2, config,
+                                             np.full((q2.m, 2), scale)),
+            f"schur/{start}": partial(mp_jacobi_surrogate, q2, part2,
+                                      replace(config, surrogate=schur),
+                                      np.full((q2.m, 2), scale)),
+            f"jacobi/{start}": partial(baseline, "jacobi", q2,
+                                       {"tau": tau, "max_rounds": 50},
+                                       x0=np.full((q2.m, 2), scale)),
+        })
+    return runs
+
+
+@pytest.mark.parametrize("name", list(_overflow_runs()))
+def test_an_overflowing_round_diverges_without_a_warning(name):
+    """The round driver ignores floating-point errors for the whole run, so
+    a round that overflows raises no RuntimeWarning, even when warnings
+    are errors: the run stops on the divergence rule after that round, and
+    numpy's error state is as it was before the run."""
+    run = _overflow_runs()[name]
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run()
+    assert trace.stop_reason == "diverged" and trace.rounds == 1
+    assert np.geterr() == before
+
+
+def test_a_run_that_raises_restores_the_error_state():
+    """NonConvergent from a diverged run and IllPosedSubproblem from a
+    singular 2 x 2 node system (``np.linalg.solve`` raises under the run's
+    policy too) leave numpy's error state as it was before the run."""
+    before = np.geterr()
+    run = _overflow_runs(raise_on_max_rounds=True)["mp_jacobi_d2/huge_x0"]
+    path = path_graph(3)
+    singletons = validate_tree_partition(path, [[0], [1], [2]], warn_nonoverlap=False)
+    q = QuadraticObjective(3, 2, np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)]),
+                           np.ones((3, 2)), {e: 0.5 * np.eye(2) for e in path.edges})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent, match="diverged after 1 rounds"):
+            run()
+        assert np.geterr() == before
+        with pytest.raises(IllPosedSubproblem):
+            mp_jacobi(q, singletons, SolverConfig(max_rounds=3))
+        assert np.geterr() == before
 
 
 def test_raise_on_max_rounds_in_every_engine():
